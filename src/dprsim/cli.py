@@ -148,7 +148,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    record = load_record(args.record)
+    try:
+        record = load_record(args.record)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read record {args.record}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(json.dumps(summarize(record).to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 

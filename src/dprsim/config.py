@@ -42,6 +42,29 @@ def _require_int(value, path: str) -> None:
         raise ConfigError(f"{path}: must be an integer, got {value!r}")
 
 
+def _floats(value: Any, path: str):
+    """Every float in a field value, nested tuples included, with its path."""
+    if isinstance(value, float):
+        yield path, value
+    elif isinstance(value, tuple):
+        for i, v in enumerate(value):
+            yield from _floats(v, f"{path}[{i}]")
+
+
+def _check_finite(section: Any, path: str = "") -> None:
+    """Reject NaN in every float field and infinity in every field whose
+    default is finite, naming the field path."""
+    for f in fields(section):
+        where = f"{path}.{f.name}" if path else f.name
+        value = getattr(section, f.name)
+        if dataclasses.is_dataclass(value):
+            _check_finite(value, where)
+            continue
+        for sub, v in _floats(value, where):
+            if not (math.isfinite(v) or (v == math.inf and f.default == math.inf)):
+                raise ConfigError(f"{sub}: must be finite, got {v}")
+
+
 @dataclass(frozen=True)
 class DetectorSettings:
     """Bob's detector parameters.
@@ -96,10 +119,6 @@ class ChannelSettings:
     bob_filter_extinction_db: float = math.inf
 
     def validate(self, path: str) -> None:
-        if self.phase_tamper_half_turns is not None:
-            for i, v in enumerate(self.phase_tamper_half_turns):
-                if not math.isfinite(v):
-                    raise ConfigError(f"{path}.phase_tamper_half_turns[{i}]: must be finite")
         for nm, db in self.excess_loss_db:
             if nm <= 0 or db < 0:
                 raise ConfigError(f"{path}.excess_loss_db[{nm}]: wavelength must be > 0 and loss >= 0 dB")
@@ -260,6 +279,7 @@ class ScenarioConfig:
     golden_name: str | None = None
 
     def validate(self) -> None:
+        _check_finite(self)
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"protocol: must be one of {PROTOCOLS}, got {self.protocol!r}")
         _require_int(self.n_symbols, "n_symbols")

@@ -4,18 +4,25 @@ plot-ready per-detector traces.
 Formats are versioned through a header line (events, traces) or a ``format``
 key (metrics, records) and chosen so that every emitted file parses back into
 the in-memory values exactly: floats are written with ``repr``, which
-round-trips IEEE doubles.
+round-trips IEEE doubles.  ``record.json`` is ``dprsim-record/2``: one compact
+JSON header in which every array is ``{"dtype", "shape"}`` with its
+little-endian bytes inline as base64 ``data`` (``<i8``, ``<f8``, ``|u1`` for
+booleans).  A record's content hash is SHA-256 over that header without the
+``data`` strings, followed by the raw bytes of each array in header key order;
+it excludes ``wall_time_s``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
+from .detectors import GEIGER, LINEAR
 from .scenario import RunRecord
 
 __all__ = [
@@ -53,42 +60,13 @@ class MetricsSummary:
     detected_intensity: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "format": METRICS_FORMAT,
-            "protocol": self.protocol,
-            "qber": self.qber,
-            "sifted_length": self.sifted_length,
-            "visibility_overall": self.visibility_overall,
-            "visibility_per_class": dict(self.visibility_per_class),
-            "capture_fraction": self.capture_fraction,
-            "induced_qber": self.induced_qber,
-            "induced_visibility_drop": self.induced_visibility_drop,
-            "bob_record_equals_eve_readings": self.bob_record_equals_eve_readings,
-            "alarms": dict(self.alarms),
-            "feasibility": None if self.feasibility is None else dict(self.feasibility),
-            "detector_counts": dict(self.detector_counts),
-            "detected_intensity": dict(self.detected_intensity),
-        }
+        return {"format": METRICS_FORMAT, **asdict(self)}
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "MetricsSummary":
         if d.get("format") != METRICS_FORMAT:
             raise ValueError(f"unsupported metrics format {d.get('format')!r}")
-        return cls(
-            protocol=d["protocol"],
-            qber=d["qber"],
-            sifted_length=d["sifted_length"],
-            visibility_overall=d["visibility_overall"],
-            visibility_per_class=dict(d["visibility_per_class"]),
-            capture_fraction=d["capture_fraction"],
-            induced_qber=d["induced_qber"],
-            induced_visibility_drop=d["induced_visibility_drop"],
-            bob_record_equals_eve_readings=d["bob_record_equals_eve_readings"],
-            alarms=dict(d["alarms"]),
-            feasibility=None if d["feasibility"] is None else dict(d["feasibility"]),
-            detector_counts=dict(d["detector_counts"]),
-            detected_intensity=dict(d["detected_intensity"]),
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def summarize(record: RunRecord) -> MetricsSummary:
@@ -128,8 +106,26 @@ def summarize(record: RunRecord) -> MetricsSummary:
 # ---------------------------------------------------------------------------
 
 
-def _bits_str(bits) -> str:
-    return "".join(str(int(b)) for b in bits)
+def _float_column(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """``repr`` of each distinct float64 bit pattern, and each element's index
+    into that table.
+
+    Bit patterns keep ``-0.0``, ``0.0`` and NaNs apart; a pulse-level trace
+    holds only a few distinct values, so each is formatted once.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    patterns, codes = np.unique(bits, return_inverse=True)
+    return [repr(v) for v in patterns.view(np.float64).tolist()], codes
+
+
+def _rows(slots: list[str], table: list[str], codes: np.ndarray) -> str:
+    """One line per slot: its number followed by the table entry of its code."""
+    cells = np.array(table, dtype=object)[codes].tolist()
+    return "".join(itertools.chain.from_iterable(zip(slots, cells)))
+
+
+def _write_key(path: Path, bits) -> None:
+    path.write_bytes((np.asarray(bits, dtype=np.uint8) + ord("0")).tobytes() + b"\n")
 
 
 def emit_outputs(record: RunRecord, directory: str | Path) -> list[Path]:
@@ -145,42 +141,44 @@ def emit_outputs(record: RunRecord, directory: str | Path) -> list[Path]:
     outdir = Path(directory)
     outdir.mkdir(parents=True, exist_ok=True)
     run = record.protocol_run
+    names = run.record.names
     written: list[Path] = []
+    slots = list(map(str, range(max((len(run.record[name]) for name in names), default=0))))
+    intensity = {name: _float_column(run.record[name].intensity) for name in names}
 
     events = outdir / "events.tsv"
     with events.open("w", encoding="utf-8") as fh:
         fh.write(EVENTS_HEADER + "\n")
         fh.write("slot\tdetector\tintensity\tclick\tmode\n")
-        for name in run.record.names:
+        for name in names:
             trace = run.record[name]
-            modes = trace.mode_labels()
-            for k in range(len(trace)):
-                fh.write(f"{k}\t{name}\t{float(trace.intensity[k])!r}\t{int(trace.clicks[k])}\t{modes[k]}\n")
+            texts, codes = intensity[name]
+            table = [f"\t{name}\t{t}\t{c}\t{m}\n" for t in texts for c in (0, 1) for m in (GEIGER, LINEAR)]
+            fh.write(_rows(slots, table, codes * 4 + trace.clicks * 2 + trace.linear_mode))
     written.append(events)
 
     alice_key = outdir / "alice.key"
-    alice_key.write_text(_bits_str(run.sifted_alice) + "\n", encoding="utf-8")
+    _write_key(alice_key, run.sifted_alice)
     written.append(alice_key)
     bob_key = outdir / "bob.key"
-    bob_key.write_text(_bits_str(run.sifted_bob) + "\n", encoding="utf-8")
+    _write_key(bob_key, run.sifted_bob)
     written.append(bob_key)
     if record.attack is not None:
         eve_key = outdir / "eve.key"
-        eve_key.write_text(_bits_str(record.attack.eve_key) + "\n", encoding="utf-8")
+        _write_key(eve_key, record.attack.eve_key)
         written.append(eve_key)
 
     metrics = outdir / "metrics.json"
     metrics.write_text(json.dumps(summarize(record).to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
     written.append(metrics)
 
-    for name in run.record.names:
-        trace = run.record[name]
+    for name in names:
+        texts, codes = intensity[name]
         path = outdir / f"trace_{name}.tsv"
         with path.open("w", encoding="utf-8") as fh:
             fh.write(f"{TRACE_HEADER} detector={name}\n")
             fh.write("slot\tintensity\n")
-            for k in range(len(trace)):
-                fh.write(f"{k}\t{float(trace.intensity[k])!r}\n")
+            fh.write(_rows(slots, [f"\t{t}\n" for t in texts], codes))
         written.append(path)
 
     record_path = outdir / "record.json"
@@ -190,7 +188,7 @@ def emit_outputs(record: RunRecord, directory: str | Path) -> list[Path]:
 
 
 def save_record(record: RunRecord, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8")
 
 
 def load_record(path: str | Path) -> RunRecord:

@@ -10,11 +10,14 @@ config reproduces every byte.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import time
+import types
+import typing
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -60,7 +63,6 @@ from .protocols import (
     COW_SYMBOLS,
     CowMeasurement,
     ProtocolRun,
-    VisibilityReport,
     cow_encode,
     cow_occupancy,
     cow_sift,
@@ -507,120 +509,77 @@ def _run_blinding(
 # Record assembly and serialization
 # ---------------------------------------------------------------------------
 
+RECORD_FORMAT = "dprsim-record/2"
 
-def _trace_to_dict(trace: DetectorTrace) -> dict[str, Any]:
-    return {
-        "clicks": [int(v) for v in trace.clicks],
-        "intensity": [float(v) for v in trace.intensity],
-        "photocurrent": [float(v) for v in trace.photocurrent],
-        "linear_mode": [int(v) for v in trace.linear_mode],
-    }
+# Array dtype kind in memory -> stored little-endian dtype, and back.  Booleans
+# are stored as bytes, so every platform hashes and writes the same bits.
+_STORED = {"b": "|u1", "i": "<i8", "f": "<f8"}
+_LOADED = {"|u1": np.bool_, "<i8": np.int64, "<f8": np.float64}
 
 
-def _trace_from_dict(d: dict[str, Any]) -> DetectorTrace:
-    return DetectorTrace(
-        clicks=np.array(d["clicks"], dtype=bool),
-        intensity=np.array(d["intensity"], dtype=np.float64),
-        photocurrent=np.array(d["photocurrent"], dtype=np.float64),
-        linear_mode=np.array(d["linear_mode"], dtype=bool),
-    )
+def _field_hints(cls: type) -> list[tuple[str, Any]]:
+    hints = typing.get_type_hints(cls)
+    return [(f.name, hints[f.name]) for f in fields(cls)]
 
 
-def _record_to_dict(record: DetectionRecord) -> dict[str, Any]:
-    return {
-        "slot_period": record.slot_period,
-        "detectors": {name: _trace_to_dict(record[name]) for name in record.names},
-    }
+def _inner(hint: Any) -> Any:
+    """The ``X`` of an ``X | None`` hint; any other hint unchanged."""
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    if typing.get_origin(hint) in (typing.Union, types.UnionType) and len(args) == 1:
+        return args[0]
+    return hint
 
 
-def _record_from_dict(d: dict[str, Any]) -> DetectionRecord:
-    return DetectionRecord(
-        detectors={name: _trace_from_dict(t) for name, t in d["detectors"].items()},
-        slot_period=d["slot_period"],
-    )
-
-
-def _visibility_to_dict(report: VisibilityReport | None) -> dict[str, Any] | None:
-    if report is None:
+def _tree(value: Any, hint: Any) -> Any:
+    """Plain tree of a record value, led by its type hint: dataclasses become
+    field mappings, arrays and ``list[int]`` become contiguous arrays of a
+    stored dtype, everything else stays as it is."""
+    if value is None:
         return None
-    return {
-        "per_class": {s: {"d_m1": c.d_m1, "d_m2": c.d_m2} for s, c in report.per_class.items()},
-        "overall": {"d_m1": report.overall.d_m1, "d_m2": report.overall.d_m2},
-    }
+    hint = _inner(hint)
+    if is_dataclass(hint):
+        return {name: _tree(getattr(value, name), t) for name, t in _field_hints(hint)}
+    origin = typing.get_origin(hint)
+    if hint is np.ndarray or origin is list:
+        arr = np.asarray(value, dtype=np.int64 if origin is list else None)
+        return np.ascontiguousarray(arr.astype(_STORED[arr.dtype.kind], copy=False))
+    if origin is dict:
+        return {k: _tree(v, typing.get_args(hint)[1]) for k, v in value.items()}
+    return value
 
 
-def _visibility_from_dict(d: dict[str, Any] | None) -> VisibilityReport | None:
-    if d is None:
+def _untree(node: Any, hint: Any) -> Any:
+    """Inverse of ``_tree`` composed with ``_header(inline=True)``."""
+    if node is None:
         return None
-    from .protocols import ClassCounts
-
-    report = VisibilityReport(
-        per_class={s: ClassCounts(c["d_m1"], c["d_m2"]) for s, c in d["per_class"].items()},
-        overall=ClassCounts(d["overall"]["d_m1"], d["overall"]["d_m2"]),
-    )
-    return report
-
-
-def _run_to_dict(run: ProtocolRun) -> dict[str, Any]:
-    return {
-        "protocol": run.protocol,
-        "alice_bits": None if run.alice_bits is None else [int(b) for b in run.alice_bits],
-        "alice_symbols": run.alice_symbols,
-        "record": _record_to_dict(run.record),
-        "sifted_alice": [int(b) for b in run.sifted_alice],
-        "sifted_bob": [int(b) for b in run.sifted_bob],
-        "sifted_slots": [int(v) for v in run.sifted_slots],
-        "qber": run.qber,
-        "visibility": _visibility_to_dict(run.visibility_report),
-    }
+    hint = _inner(hint)
+    if is_dataclass(hint):
+        return hint(**{name: _untree(node[name], t) for name, t in _field_hints(hint)})
+    origin = typing.get_origin(hint)
+    if hint is np.ndarray or origin is list:
+        dtype = node["dtype"]
+        if dtype not in _LOADED:
+            raise ValueError(f"unsupported array dtype {dtype!r}")
+        data = bytearray(base64.b64decode(node["data"], validate=True))
+        arr = np.frombuffer(data, dtype=dtype).reshape(node["shape"]).astype(_LOADED[dtype], copy=False)
+        return arr.tolist() if origin is list else arr
+    if origin is dict:
+        return {k: _untree(v, typing.get_args(hint)[1]) for k, v in node.items()}
+    return node
 
 
-def _run_from_dict(d: dict[str, Any]) -> ProtocolRun:
-    return ProtocolRun(
-        protocol=d["protocol"],
-        alice_bits=None if d["alice_bits"] is None else np.array(d["alice_bits"], dtype=np.int64),
-        alice_symbols=d["alice_symbols"],
-        record=_record_from_dict(d["record"]),
-        sifted_alice=np.array(d["sifted_alice"], dtype=np.int64),
-        sifted_bob=np.array(d["sifted_bob"], dtype=np.int64),
-        sifted_slots=np.array(d["sifted_slots"], dtype=np.int64),
-        qber=d["qber"],
-        visibility_report=_visibility_from_dict(d["visibility"]),
-    )
-
-
-def _outcome_to_dict(outcome: AttackOutcome | None) -> dict[str, Any] | None:
-    if outcome is None:
-        return None
-    return {
-        "attack": outcome.attack,
-        "eve_key": [int(b) for b in outcome.eve_key],
-        "bob_key": [int(b) for b in outcome.bob_key],
-        "capture_fraction": outcome.capture_fraction,
-        "induced_qber": outcome.induced_qber,
-        "induced_visibility_drop": outcome.induced_visibility_drop,
-        "alarms": dict(outcome.alarms),
-        "feasibility": None if outcome.feasibility is None else dict(outcome.feasibility),
-        "eve_readings": outcome.eve_readings,
-        "bob_readings": outcome.bob_readings,
-    }
-
-
-def _outcome_from_dict(d: dict[str, Any] | None) -> AttackOutcome | None:
-    if d is None:
-        return None
-    return AttackOutcome(
-        attack=d["attack"],
-        eve_key=np.array(d["eve_key"], dtype=np.int64),
-        bob_key=np.array(d["bob_key"], dtype=np.int64),
-        capture_fraction=d["capture_fraction"],
-        induced_qber=d["induced_qber"],
-        induced_visibility_drop=d["induced_visibility_drop"],
-        alarms=dict(d["alarms"]),
-        feasibility=None if d["feasibility"] is None else dict(d["feasibility"]),
-        eve_readings=d["eve_readings"],
-        bob_readings=d["bob_readings"],
-    )
+def _header(node: Any, arrays: list[np.ndarray], inline: bool) -> Any:
+    """Replace each array of a tree by its dtype and shape, plus its bytes in
+    base64 when ``inline``; append the arrays to ``arrays`` in sorted-key order."""
+    if isinstance(node, np.ndarray):
+        arrays.append(node)
+        leaf = {"dtype": node.dtype.str, "shape": list(node.shape)}
+        if inline:
+            leaf["data"] = base64.b64encode(node).decode("ascii")
+        return leaf
+    if isinstance(node, dict):
+        return {k: _header(node[k], arrays, inline) for k in sorted(node)}
+    return node
 
 
 @dataclass(eq=False)
@@ -628,8 +587,12 @@ class RunRecord:
     """Everything one run produced: the config snapshot, Bob's records and
     sifting outcome, the attack outcome when present, and the wall time.
 
-    The content hash covers the canonical serialization minus the wall time,
-    which is the only non-reproducible field.
+    The serialized form (``dprsim-record/2``) is a JSON tree in which every
+    array is ``{"dtype", "shape"}`` with its little-endian bytes inline as
+    base64 ``data``.  The content hash is SHA-256 over the canonical header
+    (sorted keys, compact, arrays without ``data``, no wall time) followed by
+    the raw bytes of each array in header key order; the wall time, the only
+    non-reproducible field, is left out.
     """
 
     config: dict[str, Any]
@@ -637,34 +600,40 @@ class RunRecord:
     attack: AttackOutcome | None
     wall_time_s: float
 
+    def _split(self, inline: bool, include_volatile: bool) -> tuple[dict[str, Any], list[np.ndarray]]:
+        tree = _tree(self, RunRecord)
+        tree["format"] = RECORD_FORMAT
+        if not include_volatile:
+            del tree["wall_time_s"]
+        arrays: list[np.ndarray] = []
+        return _header(tree, arrays, inline), arrays
+
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "format": "dprsim-record/1",
-            "config": self.config,
-            "protocol_run": _run_to_dict(self.protocol_run),
-            "attack": _outcome_to_dict(self.attack),
-            "wall_time_s": self.wall_time_s,
-        }
+        return self._split(inline=True, include_volatile=True)[0]
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "RunRecord":
-        if d.get("format") != "dprsim-record/1":
-            raise ValueError(f"unsupported record format {d.get('format')!r}")
-        return cls(
-            config=d["config"],
-            protocol_run=_run_from_dict(d["protocol_run"]),
-            attack=_outcome_from_dict(d["attack"]),
-            wall_time_s=d["wall_time_s"],
-        )
+        fmt = d.get("format") if isinstance(d, dict) else None
+        if fmt != RECORD_FORMAT:
+            if fmt == "dprsim-record/1":
+                raise ValueError("a dprsim-record/1 file, which is no longer read; regenerate it by re-running its scenario")
+            raise ValueError(f"unsupported record format {fmt!r}")
+        try:
+            return _untree(d, cls)
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc}") from exc
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed record: {exc}") from exc
 
     def canonical_json(self, include_volatile: bool = False) -> str:
-        payload = self.to_dict()
-        if not include_volatile:
-            payload.pop("wall_time_s")
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        header, _ = self._split(inline=False, include_volatile=include_volatile)
+        return json.dumps(header, sort_keys=True, separators=(",", ":"))
 
     def content_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        digest = hashlib.sha256(self.canonical_json().encode("utf-8"))
+        for arr in self._split(inline=False, include_volatile=False)[1]:
+            digest.update(arr)
+        return digest.hexdigest()
 
     @property
     def any_alarm(self) -> bool:

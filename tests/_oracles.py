@@ -3,12 +3,16 @@
 These deliberately avoid the package's vectorised component code: everything
 is scalar complex arithmetic expanding the coupler / delay / coupler
 composition slot by slot, so the simulator and the oracle can only agree if
-both are right.
+both are right.  ``record_v1_hash`` keeps the retired list-based record
+serializer, so that record values can still be compared with hashes pinned
+before the array codec.
 """
 
 from __future__ import annotations
 
 import cmath
+import hashlib
+import json
 import math
 
 
@@ -60,3 +64,73 @@ def brute_force_cow_monitor(
     m1 = [v > threshold for v in constructive]
     m2 = [v > threshold for v in destructive]
     return m1, m2
+
+
+def _v1_trace(trace) -> dict:
+    return {
+        "clicks": [int(v) for v in trace.clicks],
+        "intensity": [float(v) for v in trace.intensity],
+        "photocurrent": [float(v) for v in trace.photocurrent],
+        "linear_mode": [int(v) for v in trace.linear_mode],
+    }
+
+
+def _v1_visibility(report) -> dict | None:
+    if report is None:
+        return None
+    return {
+        "per_class": {s: {"d_m1": c.d_m1, "d_m2": c.d_m2} for s, c in report.per_class.items()},
+        "overall": {"d_m1": report.overall.d_m1, "d_m2": report.overall.d_m2},
+    }
+
+
+def _v1_run(run) -> dict:
+    return {
+        "protocol": run.protocol,
+        "alice_bits": None if run.alice_bits is None else [int(b) for b in run.alice_bits],
+        "alice_symbols": run.alice_symbols,
+        "record": {
+            "slot_period": run.record.slot_period,
+            "detectors": {name: _v1_trace(run.record[name]) for name in run.record.names},
+        },
+        "sifted_alice": [int(b) for b in run.sifted_alice],
+        "sifted_bob": [int(b) for b in run.sifted_bob],
+        "sifted_slots": [int(v) for v in run.sifted_slots],
+        "qber": run.qber,
+        "visibility": _v1_visibility(run.visibility_report),
+    }
+
+
+def _v1_outcome(outcome) -> dict | None:
+    if outcome is None:
+        return None
+    return {
+        "attack": outcome.attack,
+        "eve_key": [int(b) for b in outcome.eve_key],
+        "bob_key": [int(b) for b in outcome.bob_key],
+        "capture_fraction": outcome.capture_fraction,
+        "induced_qber": outcome.induced_qber,
+        "induced_visibility_drop": outcome.induced_visibility_drop,
+        "alarms": dict(outcome.alarms),
+        "feasibility": None if outcome.feasibility is None else dict(outcome.feasibility),
+        "eve_readings": outcome.eve_readings,
+        "bob_readings": outcome.bob_readings,
+    }
+
+
+def record_v1_hash(record) -> str:
+    """Content hash of a run record under the retired ``dprsim-record/1``
+    serializer: every array as a JSON list of Python numbers, the whole record
+    minus its wall time dumped with sorted keys and hashed as one string.
+
+    Kept as the reference that pins the simulated values across the change of
+    record format: equal v1 hashes mean equal values.
+    """
+    payload = {
+        "format": "dprsim-record/1",
+        "config": record.config,
+        "protocol_run": _v1_run(record.protocol_run),
+        "attack": _v1_outcome(record.attack),
+    }
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -1,11 +1,16 @@
+import dataclasses
 import json
+import math
+import typing
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dprsim.cli import main
-from dprsim.config import scenario_from_dict
+from dprsim.config import ScenarioConfig, scenario_from_dict
 from dprsim.report import (
     MetricsSummary,
     emit_outputs,
@@ -15,6 +20,7 @@ from dprsim.report import (
     read_key,
     summarize,
 )
+from dprsim.detectors import DetectionRecord, DetectorTrace
 from dprsim.scenario import run_golden, run_scenario
 
 
@@ -53,6 +59,42 @@ def test_trace_files_cover_every_detector(tmp_path):
         assert lines[0].startswith("# dprsim-trace/1")
         slots = [float(line.split("\t")[1]) for line in lines[2:]]
         np.testing.assert_allclose(slots, record.protocol_run.record[name].intensity)
+
+
+# Few distinct values per trace, as in a pulse-level run, with the values a
+# table keyed on float equality would merge: 0.0 and -0.0.
+_VALUE = st.sampled_from([0.0, -0.0, math.nan, math.inf, 0.5]) | st.floats()
+_SLOT = st.tuples(_VALUE, st.booleans(), st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_SLOT, max_size=40), st.lists(_SLOT, max_size=40))
+@example([(0.0, False, False), (-0.0, True, True), (math.nan, True, False)], [])
+def test_tables_match_per_slot_formatting(tmp_path_factory, first, second):
+    # NaN, infinities and both zeros included: each value must print as its
+    # own repr, exactly as a per-slot loop writes it.
+    base = run_scenario(scenario_from_dict({"protocol": "dps", "n_symbols": 4, "seed": 1}))
+    traces = {}
+    for name, slots in (("D1", first), ("D2", second)):
+        values = np.array([v for v, _, _ in slots], dtype=np.float64)
+        traces[name] = DetectorTrace(
+            clicks=np.array([c for _, c, _ in slots], dtype=bool),
+            intensity=values,
+            photocurrent=values,
+            linear_mode=np.array([m for _, _, m in slots], dtype=bool),
+        )
+    run = dataclasses.replace(base.protocol_run, record=DetectionRecord(traces))
+    record = dataclasses.replace(base, protocol_run=run)
+    out = tmp_path_factory.mktemp("tables")
+    emit_outputs(record, out)
+    rows = []
+    for name, trace in traces.items():
+        modes = trace.mode_labels()
+        cells = [f"{float(v)!r}" for v in trace.intensity]
+        rows += [f"{k}\t{name}\t{cell}\t{int(trace.clicks[k])}\t{modes[k]}" for k, cell in enumerate(cells)]
+        trace_lines = (out / f"trace_{name}.tsv").read_text().splitlines()[2:]
+        assert trace_lines == [f"{k}\t{cell}" for k, cell in enumerate(cells)]
+    assert (out / "events.tsv").read_text().splitlines()[2:] == rows
 
 
 def test_emit_outputs_empty_run_writes_valid_files(tmp_path):
@@ -160,6 +202,60 @@ def test_cli_report_recomputes_stored_metrics(tmp_path, capsys):
     reported = json.loads(capsys.readouterr().out)
     stored = json.loads((tmp_path / "out" / "metrics.json").read_text())
     assert reported == stored
+
+
+# Unreadable record files: (file content or None for no file, expected reason).
+BAD_RECORDS = {
+    "missing": (None, "No such file"),
+    "invalid-json": ("{not json", "Expecting property name"),
+    "unknown-format": ('{"format": "dprsim-record/9"}', "unsupported record format 'dprsim-record/9'"),
+    "format-1": ('{"format": "dprsim-record/1", "config": {}}', "dprsim-record/1 file, which is no longer read"),
+    "truncated": ('{"format": "dprsim-record/2"}', "missing field 'config'"),
+    "mistyped": ('{"format": "dprsim-record/2", "config": []}', "'list' object has no attribute 'items'"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_RECORDS))
+def test_cli_report_rejects_unreadable_record(tmp_path, capsys, kind):
+    content, reason = BAD_RECORDS[kind]
+    path = tmp_path / "record.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["report", "--record", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot read record {path}" in err
+    assert reason in err
+
+
+def _float_field_paths(cls: type = ScenarioConfig, prefix: str = ""):
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if dataclasses.is_dataclass(hint):
+            yield from _float_field_paths(hint, f"{prefix}{f.name}.")
+        elif hint is float or float in typing.get_args(hint):
+            yield f"{prefix}{f.name}"
+
+
+# (field path, value carrying a NaN, path the error must name)
+NAN_FIELDS = [(path, math.nan, path) for path in _float_field_paths()] + [
+    ("channel.phase_tamper_half_turns", [0.0, math.nan], "channel.phase_tamper_half_turns[1]"),
+    ("channel.excess_loss_db", {1924.0: math.nan}, "channel.excess_loss_db[0][1]"),
+]
+
+
+@pytest.mark.parametrize("path,value,named", NAN_FIELDS, ids=[case[0] for case in NAN_FIELDS])
+def test_cli_rejects_nan_in_every_float_field(tmp_path, capsys, path, value, named):
+    doc: dict = {}
+    node = doc
+    *parents, leaf = path.split(".")
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[leaf] = value
+    scenario = tmp_path / "nan.yaml"
+    scenario.write_text(yaml.safe_dump(doc))
+    assert main(["run", "--config", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    assert f"{named}: must be finite" in capsys.readouterr().err
 
 
 def test_cli_goldens_listing(capsys):

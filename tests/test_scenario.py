@@ -1,11 +1,14 @@
+import base64
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from dprsim.config import ConfigError, scenario_from_dict
 from dprsim.goldens import GOLDENS, golden_config_dict
+from dprsim.report import emit_outputs, load_record, save_record
 from dprsim.scenario import (
     RunRecord,
     derive_sweep_seed,
@@ -14,6 +17,8 @@ from dprsim.scenario import (
     run_scenario,
     sweep,
 )
+
+from _oracles import record_v1_hash
 
 SMALL_DPS = {"protocol": "dps", "n_symbols": 16, "seed": 5}
 
@@ -33,6 +38,61 @@ GOLDEN_HASHES = {
     "dps-blinding-derived": "3b391672903f33f45480df5303b046580ffbdace75711a10e6839aecdebc3ed4",
     "cow-blinding": "bc684e8ea8704f717dafb5bf0613a832d778c1ab956eb14695ff08634f0ed88d",
     "cow-blinding-cw": "8a166259da4daa9f7535c9f8f425e0ea5c801de7cb5ae9911a9c3f7c8cb04075",
+}
+
+# Record content hashes of the pinned scenarios (dprsim-record/2: canonical
+# header plus raw little-endian array bytes).
+GOLDEN_RECORD_HASHES = {
+    "dps-ideal": "bae0636e77246ecf033915aba51f7657986c49d7c4dc090ae8371699082357e2",
+    "cow-fig2": "daaf5fa655674b72d7b4bc7c918455006c58ae2f5fb2ca39f2f3210d2e4b4d56",
+    "cow-fig4-tamper": "1f6bbc6938f399a2c576a1de89c73b9f7cb484d3c167a5b44e2d9fe0487b88ce",
+    "dps-backflash-ideal": "0bca673b4ab221edb57751b355b2d169ce9ef1f6211ccc721cf7f0b2c420b181",
+    "cow-backflash-ideal": "8b1ed704a7b0b04302c890622b33d586e372fc9ff245683c4ac8f824bc2c4380",
+    "dps-backflash-stat": "9fa7a2bfa42393cf8d00a867c9792932ccd5284815c5c039e2be56ed44e4c284",
+    "dps-trojan": "f0bac061b4d595f0b0db72d61d507cc97c0964327884a086bab6770dbdfaae8a",
+    "dps-trojan-watchdog": "55b57336ad54ea483b80dd2a57eb8187099ebadbbed089d1be96aeb59ebf669d",
+    "cow-trojan": "a5eaf45613842b5c8777be82be1f5ecf88598d7f42f0289f90bbc43d277c831d",
+    "dps-blinding": "fbb2448a72a4306d97781ab82fa91a0ca5bf223d7ae410824b236976f2652ec8",
+    "dps-blinding-derived": "4d60f9dcac13c5acd3a0937256d92a69af115dbc17914812748392d47ba0602e",
+    "cow-blinding": "36292a340d66a7b89a77c126ecf58abd0cefeb379bab99569ec61f2dfd08ca15",
+    "cow-blinding-cw": "deaa9f121ee2d1378e0b4abd5d0b2d227bde983cdd479b2ff9975a27893293c0",
+}
+
+# The same records hashed by the retired dprsim-record/1 serializer
+# (``record_v1_hash``), taken before the array codec replaced it: these pin the
+# simulated values, whatever the record format.
+GOLDEN_RECORD_V1_HASHES = {
+    "dps-ideal": "023f9ef63374d59a241c84b4ffe3fe19b3399de2335afe9d7315cf3b1b54367b",
+    "cow-fig2": "9a93a561aaa83d4edb07b808a29c7f570eb9e1bffb83c405d828866135592120",
+    "cow-fig4-tamper": "37392564249631f45a0d68bb7cd8bc30f37150190b0094c0e7ef1fc73ba4ec49",
+    "dps-backflash-ideal": "e2a126d7f45533c2066a02c17169d5ad14fb90b6f02c6d094ea7220b7c746264",
+    "cow-backflash-ideal": "acd4f70fd70883caf6293bd3419b4ecc1d69aad7d47cc5bd4f5b88567f46c417",
+    "dps-backflash-stat": "86680e6c2d5277cc3121fba7bd833fcba3a5b69590a89337804e67ede5dac648",
+    "dps-trojan": "0e571d5cd63e8840fed45b6962a0308c2073be860a5664b52c27f30db46b813e",
+    "dps-trojan-watchdog": "809339aec65c7c5bfb87a8a13fe21c165367488c6fd2a37abfa8b7d05b65fef2",
+    "cow-trojan": "ffeeb05bd30d46a03aba99190b93a5f4b795c8041482b4afe6c18f3970518eb2",
+    "dps-blinding": "883c73a5956c449c6c0fb4e923505db2094bf22c2a9cd1e9175110f9169b9939",
+    "dps-blinding-derived": "daca9e957a7ee001271c00c8bce525c646354456cdbafebf410526e4f3840c19",
+    "cow-blinding": "551363c9cef49ceafe36091d8380e310d50b2ac58fed173294ae9d7b35f507d4",
+    "cow-blinding-cw": "ff22adb17dbe28668446b2a27a721d79d9b59d1a1be63c4cbf3ffa3689326772",
+}
+
+# SHA-256 over the SHA-256 hex digests of every emitted file except
+# record.json, concatenated in sorted file-name order.
+GOLDEN_OUTPUT_DIGESTS = {
+    "dps-ideal": "c4cf566443f4a34a2cab1bdbb78ce1b4c1092e112e833f4ef16e0b3c5811f23e",
+    "cow-fig2": "5fcd4ac310aeb8c330e056f13511e38f078aace36e6ee5ba3c9021322c8e7a1a",
+    "cow-fig4-tamper": "1fea69ccec82c6af8f84b427c50fc3e97a1d118c80c12f3d5a6975b3d9902324",
+    "dps-backflash-ideal": "d88362dd112442075acb4ab04047a5d55fa485f4503e76357d5385525e786538",
+    "cow-backflash-ideal": "1a5e794b7882344f44201b80d6f8e44d0f0554917b30c1a44d0c6cebb83ee933",
+    "dps-backflash-stat": "91fbbdf200eb5bb411288b91e766cf94ff59a968fba5f02e01a8c721686a5324",
+    "dps-trojan": "657b9ac99a570f90d5d3ae3ef2dc77b346443692204b131c6c23d48f8c5e31c9",
+    "dps-trojan-watchdog": "ce1f6291bc9f91a16dd3447a749c2b2d6a6224f30f60bb88346e3318ce573cc9",
+    "cow-trojan": "7aa6d7a030c51ed9de0bc3b86a30c574a3e183c1b86ce93b30f89b35017aab6d",
+    "dps-blinding": "0513100f94d1d1e55e8a8a4c5491f185360662418e7813a193ff8181fe6faa96",
+    "dps-blinding-derived": "9cfe4394b3f5c8b6ce6dc6b8d4f891368fb171cc0205a5ed0b92cb7299a5ba13",
+    "cow-blinding": "7de423ea21460f088167f53ad70fb64808ce146d2db0fcc8f9cdd98914223d29",
+    "cow-blinding-cw": "044f33a5b6ac5dd9c9d7d868c394f7ffcfbb7238bcc0deddce3ed003d85f3a03",
 }
 
 
@@ -81,6 +141,14 @@ def test_load_config_parse_error_carries_line_number():
 def test_load_config_unknown_golden():
     with pytest.raises(ConfigError, match="unknown golden"):
         load_config("golden_name: no-such-golden\n")
+
+
+def test_config_allows_infinity_only_where_the_default_is_infinite():
+    cfg = load_config("channel:\n  bob_filter_extinction_db: .inf\n")
+    assert cfg.channel.bob_filter_extinction_db == math.inf
+    assert scenario_from_dict(cfg.to_dict()).channel.bob_filter_extinction_db == math.inf
+    with pytest.raises(ConfigError, match="amplitude: must be finite"):
+        load_config("amplitude: .inf\n")
 
 
 def test_config_rejects_probe_at_signal_wavelength():
@@ -136,6 +204,73 @@ def test_attack_record_round_trips():
     assert clone.attack.eve_readings == record.attack.eve_readings
     assert clone.attack.feasibility == record.attack.feasibility
     assert clone.content_hash() == record.content_hash()
+
+
+def test_content_hash_is_header_plus_raw_array_bytes():
+    record = run_golden("cow-blinding")
+    arrays: list[bytes] = []
+
+    def strip(node):
+        if isinstance(node, dict) and set(node) == {"data", "dtype", "shape"}:
+            arrays.append(base64.b64decode(node["data"]))
+            return {"dtype": node["dtype"], "shape": node["shape"]}
+        if isinstance(node, dict):
+            return {k: strip(node[k]) for k in sorted(node)}
+        return node
+
+    header = strip(record.to_dict())
+    del header["wall_time_s"]
+    canonical = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    assert canonical == record.canonical_json()
+    digest = hashlib.sha256(canonical.encode())
+    for data in arrays:
+        digest.update(data)
+    assert digest.hexdigest() == record.content_hash()
+
+
+def test_saved_record_is_compact_and_reloads_the_in_memory_types(tmp_path):
+    record = run_golden("cow-blinding")
+    record.wall_time_s = 1.25
+    path = tmp_path / "record.json"
+    save_record(record, path)
+    text = path.read_text()
+    assert text.count("\n") == 1
+    assert json.loads(text)["wall_time_s"] == 1.25
+    clone = load_record(path)
+    assert clone.wall_time_s == 1.25
+    assert clone.content_hash() == record.content_hash()
+    for name in clone.protocol_run.record.names:
+        trace = clone.protocol_run.record[name]
+        assert (trace.clicks.dtype, trace.linear_mode.dtype) == (np.bool_, np.bool_)
+        assert (trace.intensity.dtype, trace.photocurrent.dtype) == (np.float64, np.float64)
+    assert clone.protocol_run.sifted_bob.dtype == np.int64
+    assert clone.attack.eve_readings == record.attack.eve_readings
+    assert all(type(v) is int for v in clone.attack.eve_readings + clone.attack.bob_readings)
+
+
+@pytest.fixture(scope="module")
+def golden_records():
+    return {name: run_golden(name) for name in GOLDENS}
+
+
+def test_golden_records_keep_their_simulated_values(golden_records):
+    assert set(GOLDEN_RECORD_V1_HASHES) == set(GOLDENS)
+    for name, record in golden_records.items():
+        assert record_v1_hash(record) == GOLDEN_RECORD_V1_HASHES[name], name
+
+
+def test_golden_record_hashes_are_pinned(golden_records):
+    assert {name: record.content_hash() for name, record in golden_records.items()} == GOLDEN_RECORD_HASHES
+
+
+def test_golden_text_outputs_are_pinned(golden_records, tmp_path):
+    assert set(GOLDEN_OUTPUT_DIGESTS) == set(GOLDENS)
+    for name, record in golden_records.items():
+        digest = hashlib.sha256()
+        for path in sorted(emit_outputs(record, tmp_path / name), key=lambda p: p.name):
+            if path.name != "record.json":
+                digest.update(hashlib.sha256(path.read_bytes()).hexdigest().encode())
+        assert digest.hexdigest() == GOLDEN_OUTPUT_DIGESTS[name], name
 
 
 def test_golden_configs_are_content_addressed():
