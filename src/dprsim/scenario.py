@@ -398,6 +398,9 @@ def _run_blinding(
             e1 = apd_detect(c, apd, "D1", rng=rngs.get("eve-stage1-D1"))
             e2 = apd_detect(d, apd, "D2", rng=rngs.get("eve-stage1-D2"))
             readings = decode_dps_readings(DetectionRecord.merged(e1, e2), 0, len(pipe.bob_input) + 1)
+            # A double click of the replica names no detector: replay it as a
+            # vacuum event.
+            readings = [0 if r == -1 else r for r in readings]
         else:
             data_cfg, monitor_cfg = _cow_apd_cfgs(cfg)
             data_line, monitor_line = coupler_2x2(pipe.bob_input, pipe.bob_input.vacuum_like(), CouplerRatio(cfg.t_b))

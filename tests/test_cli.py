@@ -162,6 +162,21 @@ def test_cli_attack_runs_and_reports_capture(tmp_path, capsys):
     assert metrics.bob_record_equals_eve_readings is True
 
 
+def test_cli_derived_dps_blinding_with_dark_counts_completes(tmp_path, capsys):
+    # Eve's replica double-clicks on dark counts; the run must still finish.
+    path = tmp_path / "scenario.yaml"
+    scenario = {
+        "protocol": "dps",
+        "n_symbols": 100,
+        "seed": 5,
+        "detector": {"dark_count_prob": 0.02},
+        "attack": {"kind": "blinding"},
+    }
+    path.write_text(yaml.safe_dump(scenario))
+    code = main(["attack", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code in (0, 3), capsys.readouterr().err
+
+
 def test_cow_reference_run_destructive_monitor_trace_negligible(tmp_path):
     record = run_golden("cow-fig2")
     emit_outputs(record, tmp_path)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dprsim.config import ConfigError, scenario_from_dict
 from dprsim.goldens import GOLDENS, golden_config_dict
@@ -93,6 +95,50 @@ GOLDEN_OUTPUT_DIGESTS = {
     "dps-blinding-derived": "9cfe4394b3f5c8b6ce6dc6b8d4f891368fb171cc0205a5ed0b92cb7299a5ba13",
     "cow-blinding": "7de423ea21460f088167f53ad70fb64808ce146d2db0fcc8f9cdd98914223d29",
     "cow-blinding-cw": "044f33a5b6ac5dd9c9d7d868c394f7ffcfbb7238bcc0deddce3ed003d85f3a03",
+}
+
+
+# Short runs with every receiver noise source on: dark counts, afterpulses and
+# dead time make Bob's and Eve's detectors draw from their named rng streams,
+# so these pin the stream names and the draw order of every receiver.  The
+# blinded replay draws only where a detector leaves linear mode (weak light)
+# or a trigger lands between the rails (a rail gap too narrow for DPS).
+NOISY_DETECTOR = {"dark_count_prob": 0.02, "afterpulse_prob": 0.05, "dead_time_slots": 2}
+NOISY_RUNS = {
+    "dps-clean": {"protocol": "dps", "n_symbols": 200, "seed": 11},
+    "cow-clean": {"protocol": "cow", "n_symbols": 100, "seed": 12},
+    "dps-blinding": {"protocol": "dps", "n_symbols": 200, "seed": 13, "attack": {"kind": "blinding"}},
+    "cow-blinding": {"protocol": "cow", "n_symbols": 100, "seed": 14, "t_b": 0.5, "attack": {"kind": "blinding"}},
+    "dps-backflash": {"protocol": "dps", "n_symbols": 200, "seed": 15, "attack": {"kind": "backflash"}},
+    "cow-backflash": {"protocol": "cow", "n_symbols": 100, "seed": 16, "attack": {"kind": "backflash"}},
+    "dps-trojan": {"protocol": "dps", "n_symbols": 200, "seed": 17, "attack": {"kind": "trojan"}},
+    "cow-trojan": {"protocol": "cow", "n_symbols": 100, "seed": 18, "attack": {"kind": "trojan"}},
+    "dps-blinding-between-rails": {
+        "protocol": "dps",
+        "n_symbols": 200,
+        "seed": 19,
+        "detector": {"p_never": 0.15},
+        "attack": {"kind": "blinding"},
+    },
+    "cow-blinding-weak-light": {
+        "protocol": "cow",
+        "n_symbols": 100,
+        "seed": 20,
+        "t_b": 0.5,
+        "attack": {"kind": "blinding", "blinding": {"illumination_level": 5.0}},
+    },
+}
+NOISY_RUN_HASHES = {
+    "dps-clean": "e49a7d40a811cdfc7430432da7deca63fb39531c9b6f72157c77d3fda2018d20",
+    "cow-clean": "0e15ee71e08068f361bbe71e88d69e7a82beaebc20d2b0e68ec8155db3c64408",
+    "dps-blinding": "e816dc34b6df60c09db1b7a618b25c6529dafa8fafea697d88eeabb7937e04ee",
+    "cow-blinding": "538bba756f66d2e8713e849adcd80b4a50afd577a43d9b1c3096db7d09bd9ec5",
+    "dps-backflash": "138880ee1f6a9c698d6cdccf1de3250b19195fd68bc1cbdb23c4eea42a19f624",
+    "cow-backflash": "a2ca92037b93087e4156f72762ca0ce51edea35d6977360a5468b7e876cb0674",
+    "dps-trojan": "d4a2efea461bf547f5c0bedb52e1a9149b596901bb6c1fcfeb8ac88f6beb25c0",
+    "cow-trojan": "ff1221e51e0192bf279dd5a6f6b1a7df96914d0e6dbf2d5c0ba1b001d17042ff",
+    "dps-blinding-between-rails": "1dcc597e9a3dba7e6bd3c4b01aa5e90d4462001a3f6d2a844e5030090bf1d42d",
+    "cow-blinding-weak-light": "3df4c4f22c66baf40153d582cbdbc06e2da2582a7eb7585a441020907d866f10",
 }
 
 
@@ -389,3 +435,32 @@ def test_blinding_derived_readings_round_trip():
     assert record.protocol_run.qber == 0.0
     assert record.attack.capture_fraction == 1.0
     assert record.attack.induced_qber == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(NOISY_RUNS))
+def test_noisy_receiver_runs_are_pinned(name):
+    cfg = dict(NOISY_RUNS[name])
+    cfg["detector"] = {**NOISY_DETECTOR, **cfg.get("detector", {})}
+    record = run_scenario(scenario_from_dict(cfg))
+    assert record.content_hash() == NOISY_RUN_HASHES[name]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(["dps", "cow"]),
+    st.floats(0.0, 0.2),
+    st.floats(0.0, 0.5),
+    st.integers(0, 3),
+    st.integers(0, 2**16),
+)
+def test_derived_blinding_completes_under_detector_noise(protocol, dark, afterpulse, dead, seed):
+    cfg = {
+        "protocol": protocol,
+        "n_symbols": 40,
+        "seed": seed,
+        "detector": {"dark_count_prob": dark, "afterpulse_prob": afterpulse, "dead_time_slots": dead},
+        "attack": {"kind": "blinding"},
+    }
+    outcome = run_scenario(scenario_from_dict(cfg)).attack
+    assert len(outcome.eve_readings) == len(outcome.bob_readings)
+    assert 0.0 <= outcome.capture_fraction <= 1.0
