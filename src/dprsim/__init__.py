@@ -39,7 +39,6 @@ from .optics import (
     DriveProfile,
     IncompatibleTrains,
     MzmParams,
-    PrbsState,
     PulseTrain,
     attenuate,
     circulator,
@@ -50,23 +49,17 @@ from .optics import (
     mzm_transfer,
     optical_filter,
     phase_modulator,
-    prbs_bits,
-    prbs_next,
     pulse_carver,
     select_channel,
 )
 from .protocols import (
-    CowKeyMaterial,
-    CowMeasurement,
-    DpsKeyMaterial,
     ProtocolRun,
     VisibilityReport,
     cow_encode,
-    cow_measure,
     cow_sift,
     dps_encode,
-    dps_measure,
     dps_sift,
+    receive,
     visibility,
 )
 from .report import MetricsSummary, emit_outputs, load_record, save_record, summarize

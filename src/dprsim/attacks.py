@@ -23,15 +23,15 @@ varies slot to slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .config import DetectorSettings, TrojanSettings
 from .detectors import ApdConfig, DetectionRecord, apd_detect
 from .optics import PulseTrain, attenuate, cw_laser, phase_modulator, pulse_carver
-from .protocols import CowMeasurement, cow_measure, dps_measure
+from .protocols import receive
 
 __all__ = [
     "DPS_PHASE_STEP",
@@ -186,15 +186,15 @@ def decode_dps_readings(record: DetectionRecord, offset: int, n_readings: int) -
     return out
 
 
-def decode_cow_readings(measurement: CowMeasurement, offset: int, n_readings: int) -> list[int]:
+def decode_cow_readings(record: DetectionRecord, offset: int, n_readings: int) -> list[int]:
     """Readings observed by a COW receiver: 0 none, 1 D_M2, 2 D_M1, 3 D_B.
 
     A data click takes precedence when it coincides with a monitor click (the
     single-symbol alphabet cannot carry both).
     """
-    d_b = measurement.data.clicks("D_B")
-    m1 = measurement.monitor.clicks("D_M1")
-    m2 = measurement.monitor.clicks("D_M2")
+    d_b = record.clicks("D_B")
+    m1 = record.clicks("D_M1")
+    m2 = record.clicks("D_M2")
     out: list[int] = []
     for j in range(n_readings):
         s = offset + j
@@ -214,12 +214,12 @@ def fsg_replay_dps(
     p_never: float = 0.2,
     p_always: float = 0.39,
     slot_period: float = 1.0,
-    rng: np.random.Generator | None = None,
+    rng: Callable[[str], np.random.Generator] | None = None,
 ) -> list[int]:
     """Send the plan into a linear-mode replica of the DPS receiver and decode
-    which detector fired per reading slot."""
-    cfg = ApdConfig(mode="linear", p_never=p_never, p_always=p_always)
-    record = dps_measure(plan.to_train(slot_period), cfg=cfg, rng=rng)
+    which detector fired per reading slot; ``rng`` is as in :func:`receive`."""
+    rails = DetectorSettings(p_never=p_never, p_always=p_always)
+    record, _ = receive("dps", plan.to_train(slot_period), rails, mode="linear", rng=rng)
     return decode_dps_readings(record, plan.readings_slot_offset, len(plan.readings))
 
 
@@ -228,18 +228,14 @@ def fsg_replay_cow(
     t_b: float,
     thresholds: "BlindingThresholds",
     slot_period: float = 0.5,
-    rng: np.random.Generator | None = None,
+    rng: Callable[[str], np.random.Generator] | None = None,
 ) -> list[int]:
     """Send the plan into a linear-mode replica of the COW receiver and decode
-    the three-detector outcome per reading slot."""
-    meas = cow_measure(
-        plan.to_train(slot_period),
-        t_b=t_b,
-        data_cfg=ApdConfig(mode="linear", p_never=thresholds.p_never_b, p_always=thresholds.p_always_b),
-        monitor_cfg=ApdConfig(mode="linear", p_never=thresholds.p_never_m, p_always=thresholds.p_always_m),
-        rng=rng,
-    )
-    return decode_cow_readings(meas, plan.readings_slot_offset, len(plan.readings))
+    the three-detector outcome per reading slot; ``rng`` is as in
+    :func:`receive`."""
+    rails = DetectorSettings(**asdict(thresholds))
+    record, _ = receive("cow", plan.to_train(slot_period), rails, t_b=t_b, mode="linear", rng=rng)
+    return decode_cow_readings(record, plan.readings_slot_offset, len(plan.readings))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +382,7 @@ def trojan_decode(
     if peak <= min_intensity:
         return np.array([], dtype=np.int64) if protocol == "dps" else ""
     if protocol == "dps":
-        record = dps_measure(reflected, cfg=ApdConfig(mode="geiger", click_threshold=0.5 * peak))
+        record, _ = receive("dps", reflected, nominal=peak)
         n = len(reflected)
         bits = np.full(n - 1, -1, dtype=np.int64)
         d1 = record.clicks("D1")

@@ -54,9 +54,8 @@ class ApdConfig:
     """Click rules for one avalanche photodiode.
 
     ``click_threshold`` is the Geiger-mode intensity above which a live slot
-    fires.  ``p_never`` and ``p_always`` are the linear-mode rails.  Dead time
-    and afterpulsing are disabled by default; ``dark_count_prob`` is a hook
-    kept at zero.
+    fires.  ``p_never`` and ``p_always`` are the linear-mode rails.  Dead time,
+    afterpulsing and dark counts are disabled by default.
     """
 
     mode: str = GEIGER
@@ -66,7 +65,6 @@ class ApdConfig:
     dead_time_slots: int = 0
     afterpulse_prob: float = 0.0
     dark_count_prob: float = 0.0
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.mode not in (GEIGER, LINEAR):
@@ -81,11 +79,6 @@ class ApdConfig:
             p = getattr(self, name)
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"{name} must be within [0, 1]")
-
-    @property
-    def blinding_attack_feasible(self) -> bool:
-        """Whether faked states can drive this detector flawlessly: p_always < 2*p_never."""
-        return self.p_always < 2.0 * self.p_never
 
 
 @dataclass(frozen=True)
@@ -216,7 +209,9 @@ def apd_detect(
     photocurrent and the blinding dynamics but not the click discriminator;
     clicks are decided from the signal train alone.  When ``blind`` is given
     the per-slot mode follows the stored photocurrent, otherwise the mode is
-    fixed by ``cfg.mode``.
+    fixed by ``cfg.mode``.  Raises ``ValueError`` when the detector may draw
+    (afterpulses, dark counts, a linear-mode slot between the rails) and no
+    ``rng`` is given.
     """
     intensity = train.intensities
     n = intensity.shape[0]
@@ -252,8 +247,8 @@ def apd_detect(
         linear_clicks = linear & (intensity >= always_rail)
         clicks = geiger_clicks | linear_clicks
     else:
-        if rng is None:
-            rng = np.random.default_rng(cfg.rng_seed)
+        if needs_rng and rng is None:
+            raise ValueError(f"detector {detector_id} draws random clicks: pass an rng")
         live_from = 0
         afterpulse_at = -1
         span = cfg.p_always - cfg.p_never
@@ -268,7 +263,9 @@ def apd_detect(
                     p = min(1.0, max(0.0, (intensity[k] - cfg.p_never) / span))
                     fired = bool(rng.random() < p)
             else:
-                if k == afterpulse_at and rng.random() < cfg.afterpulse_prob:
+                # The afterpulse draw is taken even at zero probability, so a
+                # stream's draw order does not depend on that setting.
+                if k == afterpulse_at and rng is not None and rng.random() < cfg.afterpulse_prob:
                     fired = True
                 if not fired and intensity[k] > cfg.click_threshold:
                     fired = True
@@ -321,7 +318,8 @@ def backflash_emit(
     detector_id: str | None = None,
 ) -> PulseTrain:
     """Re-emit, for each click, the incident slot amplitude (phase preserved)
-    scaled by the emission gain; all other slots stay vacuum."""
+    scaled by the emission gain; all other slots stay vacuum.  A non-ideal
+    emission probability below 1 draws from ``rng``, which must then be given."""
     if detector_id is None:
         if len(record.detectors) != 1:
             raise ValueError("record holds several detectors; pass detector_id")
@@ -332,7 +330,7 @@ def backflash_emit(
     emit = trace.clicks.copy()
     if not cfg.ideal_mode and cfg.emission_probability < 1.0:
         if rng is None:
-            rng = np.random.default_rng(0)
+            raise ValueError("backflash emission below certainty draws from an rng: pass one")
         draws = rng.random(len(incident))
         emit &= draws < cfg.emission_probability
     out = np.where(emit, cfg.emission_gain * incident.slots, 0.0 + 0.0j)
@@ -382,18 +380,14 @@ def photocurrent_monitor(
 @dataclass(frozen=True, eq=False)
 class WatchdogResult:
     alarm: bool
-    passthrough: PulseTrain
 
 
 def watchdog(train: PulseTrain, tap_fraction: float, intensity_threshold: float) -> WatchdogResult:
     """Entrance monitor tapping a fraction of all incoming radiation.
 
-    Alarms when the tapped peak intensity reaches the threshold; the rest of
-    the light passes on with its power scaled by ``1 - tap_fraction``.
+    Alarms when the tapped peak intensity reaches the threshold.
     """
     if not (0.0 < tap_fraction < 1.0):
         raise ValueError("tap_fraction must be within (0, 1)")
     peak = float(np.max(train.intensities)) if len(train) else 0.0
-    alarm = tap_fraction * peak >= intensity_threshold
-    passthrough = train.with_slots(train.slots * np.sqrt(1.0 - tap_fraction))
-    return WatchdogResult(alarm=alarm, passthrough=passthrough)
+    return WatchdogResult(alarm=tap_fraction * peak >= intensity_threshold)

@@ -36,7 +36,6 @@ __all__ = [
     "MzmParams",
     "DriveProfile",
     "CouplerRatio",
-    "PrbsState",
     "IncompatibleTrains",
     "cw_laser",
     "mzm_transfer",
@@ -47,12 +46,8 @@ __all__ = [
     "dli",
     "circulator",
     "attenuate",
-    "wavelength_mux",
-    "wavelength_demux",
     "optical_filter",
     "select_channel",
-    "prbs_next",
-    "prbs_bits",
 ]
 
 
@@ -346,27 +341,6 @@ def attenuate(train: PulseTrain, db: float) -> PulseTrain:
 # ---------------------------------------------------------------------------
 
 
-def wavelength_mux(channels: Iterable[PulseTrain]) -> list[PulseTrain]:
-    """Combine channels onto one fiber: distinct wavelengths, one shared grid."""
-    chans = list(channels)
-    if not chans:
-        raise ValueError("wavelength_mux needs at least one channel")
-    seen: set[float] = set()
-    for ch in chans:
-        if ch.wavelength in seen:
-            raise IncompatibleTrains(f"duplicate channel at {ch.wavelength} nm")
-        seen.add(ch.wavelength)
-        if ch.slot_period != chans[0].slot_period:
-            raise IncompatibleTrains("all channels must share the slot grid")
-    n = max(len(c) for c in chans)
-    return [c.padded_to(n) for c in chans]
-
-
-def wavelength_demux(channels: Iterable[PulseTrain]) -> dict[float, PulseTrain]:
-    """Split a channel group back into per-wavelength trains."""
-    return {c.wavelength: c for c in wavelength_mux(channels)}
-
-
 def optical_filter(
     channels: Iterable[PulseTrain],
     passband_nm: float,
@@ -406,60 +380,3 @@ def select_channel(channels: Iterable[PulseTrain], wavelength: float) -> PulseTr
             return ch
     raise KeyError(f"no channel at {wavelength} nm")
 
-
-# ---------------------------------------------------------------------------
-# Pseudo-random binary sequence source
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PrbsState:
-    """Fibonacci LFSR state; ``constant_mode`` forces an all-ones/all-zeros output.
-
-    The default taps (bits 0, 2, 3, 5 of a 16-bit register) give a maximal-length
-    sequence.  Output is the register LSB; feedback enters the MSB.
-    """
-
-    register: int = 0xACE1
-    width: int = 16
-    taps: int = 0x002D
-    constant_mode: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.width < 2:
-            raise ValueError("register width must be >= 2")
-        if not (0 < self.taps < (1 << self.width)):
-            raise ValueError("taps mask must fit the register width and be nonzero")
-        if not (self.taps & 1):
-            raise ValueError("taps mask must include bit 0 (keeps the register nonzero)")
-        if not (0 <= self.register < (1 << self.width)):
-            raise ValueError("register must fit the register width")
-        if self.constant_mode is None and self.register == 0:
-            raise ValueError("LFSR register must not be all-zero")
-        if self.constant_mode not in (None, 0, 1):
-            raise ValueError("constant_mode must be None, 0 or 1")
-
-
-def prbs_next(state: PrbsState) -> tuple[int, PrbsState]:
-    """Emit one bit and advance the register (no-op in constant mode)."""
-    if state.constant_mode is not None:
-        return state.constant_mode, state
-    out = state.register & 1
-    feedback = bin(state.register & state.taps).count("1") & 1
-    register = (state.register >> 1) | (feedback << (state.width - 1))
-    return out, PrbsState(register, state.width, state.taps, None)
-
-
-def prbs_bits(state: PrbsState, n: int) -> tuple[np.ndarray, PrbsState]:
-    """Emit ``n`` bits; identical states always yield identical sequences."""
-    if state.constant_mode is not None:
-        return np.full(n, state.constant_mode, dtype=np.int8), state
-    out = np.empty(n, dtype=np.int8)
-    reg = state.register
-    taps = state.taps
-    shift = state.width - 1
-    for i in range(n):
-        out[i] = reg & 1
-        feedback = bin(reg & taps).count("1") & 1
-        reg = (reg >> 1) | (feedback << shift)
-    return out, PrbsState(reg, state.width, state.taps, None)

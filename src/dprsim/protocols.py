@@ -13,15 +13,20 @@ phase.  Bob splits the train into a data line (through port, transmittance
 ``t_b``, arrival-time detector D_B) and a monitoring line (one-slot
 interferometer with D_M1 constructive / D_M2 destructive) that checks the
 coherence of neighbouring pulses via the visibility statistic.
+
+Each protocol has an encoder and a sifting step; both share one receiver,
+:func:`receive`, which also serves every replica of Bob in the attacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .detectors import ApdConfig, DetectionRecord, apd_detect
+from .config import DetectorSettings
+from .detectors import ApdConfig, BlindingState, DetectionRecord, apd_detect
 from .optics import (
     CouplerRatio,
     MzmParams,
@@ -36,19 +41,15 @@ from .optics import (
 __all__ = [
     "COW_SYMBOLS",
     "VISIBILITY_CLASSES",
-    "DpsKeyMaterial",
-    "CowMeasurement",
-    "CowKeyMaterial",
     "ClassCounts",
     "VisibilityReport",
     "ProtocolRun",
+    "receive",
     "dps_encode",
-    "dps_measure",
     "dps_sift",
     "dps_reference_bits",
     "cow_occupancy",
     "cow_encode",
-    "cow_measure",
     "cow_interfaces",
     "visibility",
     "cow_sift",
@@ -62,28 +63,107 @@ COW_SYMBOLS = ("0", "1", "d")
 VISIBILITY_CLASSES = ("d", "01", "0d", "d1", "dd")
 
 
-# ---------------------------------------------------------------------------
-# DPS
-# ---------------------------------------------------------------------------
-
-
 @dataclass(eq=False)
-class DpsKeyMaterial:
-    """Sifting result of one DPS run."""
+class ProtocolRun:
+    """One executed protocol pipeline: Alice's source material, Bob's detector
+    records and the sifting outcome, handed to the scenario engine."""
 
-    alice_phase_bits: np.ndarray
+    protocol: str
+    alice_bits: np.ndarray | None
+    alice_symbols: str | None
     record: DetectionRecord
-    sifted_slots: np.ndarray
     sifted_alice: np.ndarray
     sifted_bob: np.ndarray
-    qber: float
-    has_data: bool
-    n_no_click: int = 0
-    n_double_click: int = 0
+    sifted_slots: np.ndarray
+    qber: float | None
+    visibility_report: VisibilityReport | None = None
 
     @property
     def sifted_length(self) -> int:
         return int(self.sifted_bob.shape[0])
+
+
+# ---------------------------------------------------------------------------
+# Bob's receiver
+# ---------------------------------------------------------------------------
+
+
+def receive(
+    protocol: str,
+    train: PulseTrain,
+    detector: DetectorSettings = DetectorSettings(),
+    nominal: float | None = None,
+    t_b: float = 0.9,
+    mode: str = "geiger",
+    rng: Callable[[str], np.random.Generator] | None = None,
+    blind: BlindingState | None = None,
+    background: np.ndarray | None = None,
+) -> tuple[DetectionRecord, dict[str, PulseTrain]]:
+    """Bob's receiver, or any replica of it.
+
+    DPS: one-slot DLI, constructive port to D1, destructive to D2.  COW:
+    splitter with transmittance ``t_b`` to the data line (arrival-time
+    detector D_B), the rest into a one-slot DLI with D_M1 (constructive) and
+    D_M2 (destructive).
+
+    Each Geiger threshold is ``detector.click_threshold_rel`` times the
+    nominal intensity of its line: ``nominal`` (default: the peak intensity of
+    ``train``) on the DPS lines, times ``t_b`` on D_B and ``1 - t_b`` on the
+    monitoring line.  At 0.5 a lone pulse still clicks the data line while the
+    quarter-intensity interferometer edges, where a pulse meets a vacuum
+    neighbour, stay silent.  The linear-mode rails are the plain ``p_*`` pair
+    for DPS and the ``_b``/``_m`` pairs for COW; ``mode`` fixes the regime of
+    every detector unless ``blind`` is given.  ``rng`` maps a detector name
+    to its generator.
+    ``blind`` and ``background`` drive every detector into blinding;
+    ``background`` must cover the longest port, ``len(train) + 1`` slots, and
+    each detector sees its leading part.
+
+    Returns the merged record and the field incident on each detector.
+    """
+    if nominal is None:
+        nominal = float(np.max(train.intensities)) if len(train) else 1.0
+    if protocol == "dps":
+        if len(train) < 2:
+            raise ValueError("DPS measurement needs at least two slots")
+        constructive, destructive = dli(train, 1)
+        lines = {"D1": (constructive, 1.0, ""), "D2": (destructive, 1.0, "")}
+    elif protocol == "cow":
+        if not (0.0 < t_b < 1.0):
+            raise ValueError(f"t_b must be within (0, 1), got {t_b}")
+        data_line, monitor_line = coupler_2x2(train, train.vacuum_like(), CouplerRatio(t_b))
+        constructive, destructive = dli(monitor_line, 1)
+        monitor = 1.0 - t_b
+        lines = {"D_B": (data_line, t_b, "_b"), "D_M1": (constructive, monitor, "_m"), "D_M2": (destructive, monitor, "_m")}
+    else:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    records = []
+    for name, (port, share, rails) in lines.items():
+        cfg = ApdConfig(
+            mode=mode,
+            click_threshold=detector.click_threshold_rel * share * nominal,
+            p_never=getattr(detector, f"p_never{rails}"),
+            p_always=getattr(detector, f"p_always{rails}"),
+            dead_time_slots=detector.dead_time_slots,
+            afterpulse_prob=detector.afterpulse_prob,
+            dark_count_prob=detector.dark_count_prob,
+        )
+        records.append(
+            apd_detect(
+                port,
+                cfg,
+                name,
+                blind=blind,
+                background=None if background is None else background[: len(port)],
+                rng=None if rng is None else rng(name),
+            )
+        )
+    return DetectionRecord.merged(*records), {name: line[0] for name, line in lines.items()}
+
+
+# ---------------------------------------------------------------------------
+# DPS
+# ---------------------------------------------------------------------------
 
 
 def _as_bits(bits) -> np.ndarray:
@@ -110,42 +190,19 @@ def dps_encode(
     return phase_modulator(carved, np.pi * bits, mzm)
 
 
-def _default_geiger(train: PulseTrain, scale: float = 1.0) -> ApdConfig:
-    # Threshold at half the full interference intensity: excludes the
-    # quarter-intensity edge slots where a pulse meets a vacuum neighbour.
-    nominal = float(np.max(train.intensities)) if len(train) else 1.0
-    return ApdConfig(mode="geiger", click_threshold=0.5 * scale * nominal)
-
-
-def dps_measure(
-    train: PulseTrain,
-    cfg: ApdConfig | None = None,
-    delay_slots: int = 1,
-    rng: np.random.Generator | None = None,
-) -> DetectionRecord:
-    """Bob's receiver: one-slot DLI, constructive port to D1, destructive to D2."""
-    if len(train) < 2:
-        raise ValueError("DPS measurement needs at least two slots")
-    cfg = cfg or _default_geiger(train)
-    constructive, destructive = dli(train, delay_slots)
-    d1 = apd_detect(constructive, cfg, "D1", rng=rng)
-    d2 = apd_detect(destructive, cfg, "D2", rng=rng)
-    return DetectionRecord.merged(d1, d2)
-
-
 def dps_reference_bits(phase_bits) -> np.ndarray:
     """Alice's key stream: XOR of neighbouring phase bits (one per interior slot)."""
     bits = _as_bits(phase_bits)
     return np.bitwise_xor(bits[1:], bits[:-1])
 
 
-def dps_sift(alice_bits, record: DetectionRecord) -> DpsKeyMaterial:
+def dps_sift(alice_bits, record: DetectionRecord) -> ProtocolRun:
     """Keep interior slots where exactly one detector clicked.
 
     Bob's bit is 0 for D1 and 1 for D2; Alice's matching bit is the XOR of the
     two phase bits interfering at that slot.  Slots with no click or a double
     click are discarded.  QBER is the mismatch fraction (0 when nothing was
-    sifted, flagged via ``has_data``).
+    sifted).
     """
     bits = _as_bits(alice_bits)
     n = bits.size
@@ -159,20 +216,16 @@ def dps_sift(alice_bits, record: DetectionRecord) -> DpsKeyMaterial:
     bob = d2[slots].astype(np.int64)
     alice = dps_reference_bits(bits)[slots - 1]
     errors = int(np.sum(bob != alice))
-    has_data = slots.size > 0
-    qber = errors / slots.size if has_data else 0.0
-    both = np.logical_and(d1[interior], d2[interior])
-    neither = np.logical_and(~d1[interior], ~d2[interior])
-    return DpsKeyMaterial(
-        alice_phase_bits=bits,
+    qber = errors / slots.size if slots.size else 0.0
+    return ProtocolRun(
+        protocol="dps",
+        alice_bits=bits,
+        alice_symbols=None,
         record=record,
-        sifted_slots=slots,
         sifted_alice=alice,
         sifted_bob=bob,
+        sifted_slots=slots,
         qber=float(qber),
-        has_data=has_data,
-        n_no_click=int(np.sum(neither)),
-        n_double_click=int(np.sum(both)),
     )
 
 
@@ -216,46 +269,6 @@ def cow_encode(
     occ = cow_occupancy(symbols)
     source = cw_laser(occ.size, amplitude, wavelength, slot_period)
     return pulse_carver(source, occ, mzm)
-
-
-@dataclass(eq=False)
-class CowMeasurement:
-    """Split detection result of Bob's COW receiver."""
-
-    data: DetectionRecord
-    monitor: DetectionRecord
-
-    def merged(self) -> DetectionRecord:
-        return DetectionRecord.merged(self.data, self.monitor)
-
-
-def cow_measure(
-    train: PulseTrain,
-    t_b: float = 0.9,
-    delay_slots: int = 1,
-    data_cfg: ApdConfig | None = None,
-    monitor_cfg: ApdConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> CowMeasurement:
-    """Bob's receiver: splitter with transmittance ``t_b`` to the data line
-    (arrival-time detector D_B), the rest into a one-slot interferometer with
-    D_M1 (constructive) and D_M2 (destructive).
-
-    Default thresholds sit at half the nominal level of each line, so lone
-    pulses register on the data line but their quarter-intensity interferometer
-    edges stay silent on the monitoring line.
-    """
-    if not (0.0 < t_b < 1.0):
-        raise ValueError(f"t_b must be within (0, 1), got {t_b}")
-    nominal = float(np.max(train.intensities)) if len(train) else 1.0
-    data_line, monitor_line = coupler_2x2(train, train.vacuum_like(), CouplerRatio(t_b))
-    data_cfg = data_cfg or ApdConfig(mode="geiger", click_threshold=0.5 * t_b * nominal)
-    monitor_cfg = monitor_cfg or ApdConfig(mode="geiger", click_threshold=0.5 * (1.0 - t_b) * nominal)
-    data = apd_detect(data_line, data_cfg, "D_B", rng=rng)
-    constructive, destructive = dli(monitor_line, delay_slots)
-    m1 = apd_detect(constructive, monitor_cfg, "D_M1", rng=rng)
-    m2 = apd_detect(destructive, monitor_cfg, "D_M2", rng=rng)
-    return CowMeasurement(data=data, monitor=DetectionRecord.merged(m1, m2))
 
 
 def cow_interfaces(symbols) -> list[tuple[int, str]]:
@@ -344,97 +357,43 @@ def visibility(monitor: DetectionRecord, symbols) -> VisibilityReport:
     return report
 
 
-@dataclass(eq=False)
-class CowKeyMaterial:
-    """Sifting result of one COW run; the visibility report rides along as the
-    eavesdropping witness."""
-
-    alice_symbols: str
-    record: DetectionRecord
-    decoy_positions: np.ndarray
-    sifted_symbols: np.ndarray
-    sifted_alice: np.ndarray
-    sifted_bob: np.ndarray
-    qber: float
-    has_data: bool
-    n_inconsistent: int = 0
-    visibility_report: VisibilityReport | None = None
-
-    @property
-    def sifted_length(self) -> int:
-        return int(self.sifted_bob.shape[0])
-
-
-@dataclass(eq=False)
-class ProtocolRun:
-    """One executed protocol pipeline: Alice's source material, Bob's detector
-    records and the sifting outcome, handed to the scenario engine."""
-
-    protocol: str
-    alice_bits: np.ndarray | None
-    alice_symbols: str | None
-    record: DetectionRecord
-    sifted_alice: np.ndarray
-    sifted_bob: np.ndarray
-    sifted_slots: np.ndarray
-    qber: float | None
-    visibility_report: VisibilityReport | None = None
-
-    @property
-    def sifted_length(self) -> int:
-        return int(self.sifted_bob.shape[0])
-
-
 def cow_sift(
     symbols,
-    data: DetectionRecord,
+    record: DetectionRecord,
     report: VisibilityReport | None = None,
-) -> CowKeyMaterial:
+) -> ProtocolRun:
     """Drop decoy positions and decide each remaining bit from which half-slot
     of the pair D_B clicked.
 
     A pair clicking in both half-slots is inconsistent with any data symbol and
-    is counted as an error; a pair with no click is discarded.
+    is counted as an error; a pair with no click is discarded.  QBER is 0 when
+    nothing was sifted.  The visibility report rides along as the
+    eavesdropping witness.
     """
     sym = _as_symbols(symbols)
-    clicks = data.clicks("D_B")
+    clicks = record.clicks("D_B")
     if clicks.shape[0] < 2 * len(sym):
         raise ValueError(f"data record too short ({clicks.shape[0]} slots) for {len(sym)} symbols")
-    decoys = np.array([i for i, s in enumerate(sym) if s == "d"], dtype=np.int64)
     kept: list[int] = []
-    alice: list[int] = []
     bob: list[int] = []
-    inconsistent = 0
-    errors = 0
     for i, s in enumerate(sym):
         if s == "d":
             continue
         early, late = bool(clicks[2 * i]), bool(clicks[2 * i + 1])
-        if not early and not late:
-            continue
-        kept.append(i)
-        alice.append(int(s))
-        if early != late:
-            b = int(late)
-            bob.append(b)
-            if b != int(s):
-                errors += 1
-        else:
-            # Both half-slots clicked: impossible for a data symbol.
-            bob.append(1 - int(s))
-            inconsistent += 1
-            errors += 1
-    has_data = bool(kept)
-    qber = errors / len(kept) if kept else 0.0
-    return CowKeyMaterial(
+        if early or late:
+            kept.append(i)
+            bob.append(int(late) if early != late else 1 - int(s))
+    alice = np.array([int(sym[i]) for i in kept], dtype=np.int64)
+    bob_bits = np.array(bob, dtype=np.int64)
+    qber = int(np.sum(alice != bob_bits)) / len(kept) if kept else 0.0
+    return ProtocolRun(
+        protocol="cow",
+        alice_bits=None,
         alice_symbols=sym,
-        record=data,
-        decoy_positions=decoys,
-        sifted_symbols=np.array(kept, dtype=np.int64),
-        sifted_alice=np.array(alice, dtype=np.int64),
-        sifted_bob=np.array(bob, dtype=np.int64),
+        record=record,
+        sifted_alice=alice,
+        sifted_bob=bob_bits,
+        sifted_slots=np.array(kept, dtype=np.int64),
         qber=float(qber),
-        has_data=has_data,
-        n_inconsistent=inconsistent,
         visibility_report=report,
     )

@@ -48,20 +48,9 @@ from .detectors import (
     watchdog,
 )
 from .goldens import golden_config_dict
-from .optics import (
-    CouplerRatio,
-    PulseTrain,
-    circulator,
-    coupler_2x2,
-    cw_laser,
-    dli,
-    optical_filter,
-    phase_modulator,
-    select_channel,
-)
+from .optics import PulseTrain, circulator, cw_laser, optical_filter, phase_modulator, select_channel
 from .protocols import (
     COW_SYMBOLS,
-    CowMeasurement,
     ProtocolRun,
     cow_encode,
     cow_occupancy,
@@ -69,6 +58,7 @@ from .protocols import (
     dps_encode,
     dps_reference_bits,
     dps_sift,
+    receive,
     visibility,
 )
 
@@ -114,16 +104,6 @@ def derive_sweep_seed(base_seed: int, index: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class _Pipeline:
-    """One executed receive chain: the assembled run plus the field incident at
-    each detector (needed by the backflash reverse pass)."""
-
-    run: ProtocolRun
-    ports: dict[str, PulseTrain]
-    bob_input: PulseTrain
-
-
 def _alice_material(cfg: ScenarioConfig, rngs: RngFactory) -> tuple[np.ndarray | None, str | None]:
     if cfg.protocol == "dps":
         if cfg.bits is not None:
@@ -135,7 +115,12 @@ def _alice_material(cfg: ScenarioConfig, rngs: RngFactory) -> tuple[np.ndarray |
     return None, "".join(COW_SYMBOLS[i] for i in idx)
 
 
-def _apply_channel(cfg: ScenarioConfig, train: PulseTrain) -> PulseTrain:
+def _transmit(cfg: ScenarioConfig, alice_bits: np.ndarray | None, alice_symbols: str | None) -> PulseTrain:
+    """Alice's encoder and the channel: the train arriving at Bob."""
+    if cfg.protocol == "dps":
+        train = dps_encode(alice_bits, cfg.amplitude, cfg.slot_period, cfg.wavelength_nm)
+    else:
+        train = cow_encode(alice_symbols, cfg.amplitude, cfg.slot_period, cfg.wavelength_nm)
     pattern = cfg.channel.phase_tamper_half_turns
     if pattern is None:
         return train
@@ -145,96 +130,25 @@ def _apply_channel(cfg: ScenarioConfig, train: PulseTrain) -> PulseTrain:
     return phase_modulator(train, phases)
 
 
-def _dps_apd_cfg(cfg: ScenarioConfig) -> ApdConfig:
-    d = cfg.detector
-    return ApdConfig(
-        mode="geiger",
-        click_threshold=d.click_threshold_rel * cfg.amplitude**2,
-        p_never=d.p_never,
-        p_always=d.p_always,
-        dead_time_slots=d.dead_time_slots,
-        afterpulse_prob=d.afterpulse_prob,
-        dark_count_prob=d.dark_count_prob,
-    )
-
-
-def _cow_apd_cfgs(cfg: ScenarioConfig) -> tuple[ApdConfig, ApdConfig]:
-    d = cfg.detector
-    nominal = cfg.amplitude**2
-    data = ApdConfig(
-        mode="geiger",
-        click_threshold=d.click_threshold_rel * cfg.t_b * nominal,
-        p_never=d.p_never_b,
-        p_always=d.p_always_b,
-        dead_time_slots=d.dead_time_slots,
-        afterpulse_prob=d.afterpulse_prob,
-        dark_count_prob=d.dark_count_prob,
-    )
-    monitor = ApdConfig(
-        mode="geiger",
-        click_threshold=d.click_threshold_rel * (1.0 - cfg.t_b) * nominal,
-        p_never=d.p_never_m,
-        p_always=d.p_always_m,
-        dead_time_slots=d.dead_time_slots,
-        afterpulse_prob=d.afterpulse_prob,
-        dark_count_prob=d.dark_count_prob,
-    )
-    return data, monitor
-
-
-def _execute_protocol(
+def _receive(
     cfg: ScenarioConfig,
-    alice_bits: np.ndarray | None,
-    alice_symbols: str | None,
+    train: PulseTrain,
     rngs: RngFactory,
-) -> _Pipeline:
-    """Encode, traverse the channel, measure and sift one clean pipeline."""
-    if cfg.protocol == "dps":
-        train = dps_encode(alice_bits, cfg.amplitude, cfg.slot_period, cfg.wavelength_nm)
-        train = _apply_channel(cfg, train)
-        apd = _dps_apd_cfg(cfg)
-        constructive, destructive = dli(train, 1)
-        d1 = apd_detect(constructive, apd, "D1", rng=rngs.get("bob-D1"))
-        d2 = apd_detect(destructive, apd, "D2", rng=rngs.get("bob-D2"))
-        record = DetectionRecord.merged(d1, d2)
-        km = dps_sift(alice_bits, record)
-        run = ProtocolRun(
-            protocol="dps",
-            alice_bits=alice_bits,
-            alice_symbols=None,
-            record=record,
-            sifted_alice=km.sifted_alice,
-            sifted_bob=km.sifted_bob,
-            sifted_slots=km.sifted_slots,
-            qber=km.qber,
-        )
-        return _Pipeline(run, {"D1": constructive, "D2": destructive}, train)
-
-    train = cow_encode(alice_symbols, cfg.amplitude, cfg.slot_period, cfg.wavelength_nm)
-    train = _apply_channel(cfg, train)
-    data_cfg, monitor_cfg = _cow_apd_cfgs(cfg)
-    data_line, monitor_line = coupler_2x2(train, train.vacuum_like(), CouplerRatio(cfg.t_b))
-    data = apd_detect(data_line, data_cfg, "D_B", rng=rngs.get("bob-D_B"))
-    constructive, destructive = dli(monitor_line, 1)
-    m1 = apd_detect(constructive, monitor_cfg, "D_M1", rng=rngs.get("bob-D_M1"))
-    m2 = apd_detect(destructive, monitor_cfg, "D_M2", rng=rngs.get("bob-D_M2"))
-    monitor = DetectionRecord.merged(m1, m2)
-    report = visibility(monitor, alice_symbols)
-    km = cow_sift(alice_symbols, data, report)
-    record = DetectionRecord.merged(data, monitor)
-    run = ProtocolRun(
-        protocol="cow",
-        alice_bits=None,
-        alice_symbols=alice_symbols,
-        record=record,
-        sifted_alice=km.sifted_alice,
-        sifted_bob=km.sifted_bob,
-        sifted_slots=km.sifted_symbols,
-        qber=km.qber,
-        visibility_report=report,
+    stream: str,
+    **blinding: Any,
+) -> tuple[DetectionRecord, dict[str, PulseTrain]]:
+    """Bob's receiver, or Eve's replica of it, at the scenario's detector
+    settings and nominal level ``amplitude**2``; detector ``X`` draws from the
+    stream ``<stream>-X``."""
+    return receive(
+        cfg.protocol,
+        train,
+        cfg.detector,
+        cfg.amplitude**2,
+        t_b=cfg.t_b,
+        rng=lambda name: rngs.get(f"{stream}-{name}"),
+        **blinding,
     )
-    ports = {"D_B": data_line, "D_M1": constructive, "D_M2": destructive}
-    return _Pipeline(run, ports, train)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +156,12 @@ def _execute_protocol(
 # ---------------------------------------------------------------------------
 
 
-def _run_backflash(cfg: ScenarioConfig, rngs: RngFactory, pipe: _Pipeline) -> AttackOutcome:
+def _run_backflash(
+    cfg: ScenarioConfig,
+    rngs: RngFactory,
+    run: ProtocolRun,
+    ports: dict[str, PulseTrain],
+) -> AttackOutcome:
     """Reverse pass: re-emission from Bob's clicked detectors, routed to Eve by
     the channel circulator, decoded with her replica of the corresponding
     detector."""
@@ -253,13 +172,12 @@ def _run_backflash(cfg: ScenarioConfig, rngs: RngFactory, pipe: _Pipeline) -> At
         ideal_mode=s.ideal,
         emission_gain=s.emission_gain,
     )
-    run = pipe.run
     gain2 = bf.emission_gain**2
 
     def eve_detect(detector: str, threshold: float) -> DetectorTrace:
         emission = backflash_emit(
             DetectionRecord.single(detector, run.record[detector], cfg.slot_period),
-            pipe.ports[detector],
+            ports[detector],
             bf,
             rng=rngs.get(f"backflash-{detector}"),
         )
@@ -302,15 +220,13 @@ def _run_backflash(cfg: ScenarioConfig, rngs: RngFactory, pipe: _Pipeline) -> At
     )
 
 
-def _run_trojan(cfg: ScenarioConfig, rngs: RngFactory, pipe: _Pipeline) -> AttackOutcome:
+def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun, train: PulseTrain) -> AttackOutcome:
     """Backward probe pass: watchdog tap at Alice's entrance, reflection off her
     modulator, wavelength separation and Eve's replica decode.  The forward
     signal is untouched; Bob's entrance filter keeps the probe band away from
     his detectors."""
     s = cfg.attack.trojan
-    run = pipe.run
-    n_slots = len(pipe.bob_input)
-    probe_in = cw_laser(n_slots, s.probe_amplitude, s.probe_wavelength_nm, cfg.slot_period)
+    probe_in = cw_laser(len(train), s.probe_amplitude, s.probe_wavelength_nm, cfg.slot_period)
 
     wd_alarm = False
     probe_amplitude = s.probe_amplitude
@@ -335,7 +251,7 @@ def _run_trojan(cfg: ScenarioConfig, rngs: RngFactory, pipe: _Pipeline) -> Attac
     )
     # Both bands co-propagate back up Alice's output fiber; Eve's bandpass
     # filter strips the signal band and keeps the probe band for her decoder.
-    channels = optical_filter([pipe.bob_input, reflected], s.probe_wavelength_nm)
+    channels = optical_filter([train, reflected], s.probe_wavelength_nm)
     eve_channel = select_channel(channels, s.probe_wavelength_nm)
 
     if cfg.protocol == "dps":
@@ -378,38 +294,24 @@ def _blinding_background(style: str, level: float, period: int, n_slots: int) ->
 def _run_blinding(
     cfg: ScenarioConfig,
     rngs: RngFactory,
-    pipe: _Pipeline,
+    clean: ProtocolRun,
+    train: PulseTrain,
 ) -> tuple[ProtocolRun, AttackOutcome]:
     """Three stages: Eve's replica measurement (or pinned readings), the
     faked-state plan, and the replay into Bob's blinded detectors with the
     photocurrent monitor watching."""
     s = cfg.attack.blinding
     th = BlindingThresholds.from_detector_settings(cfg.detector)
-    clean = pipe.run
+    decode = decode_dps_readings if cfg.protocol == "dps" else decode_cow_readings
 
-    if s.readings is not None:
-        readings = list(s.readings)
-        derived = False
+    derived = s.readings is None
+    if derived:
+        replica, _ = _receive(cfg, train, rngs, "eve-stage1")
+        # A double click of the replica (DPS reading -1) names no detector:
+        # Eve replays it as a vacuum event.
+        readings = [max(r, 0) for r in decode(replica, 0, len(train) + 1)]
     else:
-        derived = True
-        if cfg.protocol == "dps":
-            apd = _dps_apd_cfg(cfg)
-            c, d = dli(pipe.bob_input, 1)
-            e1 = apd_detect(c, apd, "D1", rng=rngs.get("eve-stage1-D1"))
-            e2 = apd_detect(d, apd, "D2", rng=rngs.get("eve-stage1-D2"))
-            readings = decode_dps_readings(DetectionRecord.merged(e1, e2), 0, len(pipe.bob_input) + 1)
-            # A double click of the replica names no detector: replay it as a
-            # vacuum event.
-            readings = [0 if r == -1 else r for r in readings]
-        else:
-            data_cfg, monitor_cfg = _cow_apd_cfgs(cfg)
-            data_line, monitor_line = coupler_2x2(pipe.bob_input, pipe.bob_input.vacuum_like(), CouplerRatio(cfg.t_b))
-            eb = apd_detect(data_line, data_cfg, "D_B", rng=rngs.get("eve-stage1-D_B"))
-            c, d = dli(monitor_line, 1)
-            em1 = apd_detect(c, monitor_cfg, "D_M1", rng=rngs.get("eve-stage1-D_M1"))
-            em2 = apd_detect(d, monitor_cfg, "D_M2", rng=rngs.get("eve-stage1-D_M2"))
-            meas = CowMeasurement(data=eb, monitor=DetectionRecord.merged(em1, em2))
-            readings = decode_cow_readings(meas, 0, len(pipe.bob_input) + 1)
+        readings = list(s.readings)
 
     if cfg.protocol == "dps":
         plan = fsg_dps_phases(readings, s.policy, launch_intensity=th.p_always)
@@ -420,31 +322,9 @@ def _run_blinding(
 
     trigger = plan.to_train(cfg.slot_period, cfg.wavelength_nm)
     blind = BlindingState(0.0, s.decay_per_slot, s.blind_threshold)
-
-    def blinded_detect(train: PulseTrain, apd: ApdConfig, name: str) -> DetectionRecord:
-        bg = _blinding_background(s.style, s.illumination_level, s.pulse_period_slots, len(train))
-        return apd_detect(train, apd, name, blind=blind, background=bg, rng=rngs.get(f"bob-{name}"))
-
-    if cfg.protocol == "dps":
-        apd = _dps_apd_cfg(cfg)
-        c, d = dli(trigger, 1)
-        d1 = blinded_detect(c, apd, "D1")
-        d2 = blinded_detect(d, apd, "D2")
-        record = DetectionRecord.merged(d1, d2)
-        bob_readings = decode_dps_readings(record, plan.readings_slot_offset, len(readings))
-    else:
-        data_cfg, monitor_cfg = _cow_apd_cfgs(cfg)
-        data_line, monitor_line = coupler_2x2(trigger, trigger.vacuum_like(), CouplerRatio(cfg.t_b))
-        db = blinded_detect(data_line, data_cfg, "D_B")
-        c, d = dli(monitor_line, 1)
-        m1 = blinded_detect(c, monitor_cfg, "D_M1")
-        m2 = blinded_detect(d, monitor_cfg, "D_M2")
-        record = DetectionRecord.merged(db, m1, m2)
-        bob_readings = decode_cow_readings(
-            CowMeasurement(data=db, monitor=DetectionRecord.merged(m1, m2)),
-            plan.readings_slot_offset,
-            len(readings),
-        )
+    background = _blinding_background(s.style, s.illumination_level, s.pulse_period_slots, len(trigger) + 1)
+    record, _ = _receive(cfg, trigger, rngs, "bob", blind=blind, background=background)
+    bob_readings = decode(record, plan.readings_slot_offset, len(readings))
 
     monitor_alarm = False
     cm = cfg.countermeasures.photocurrent_monitor
@@ -585,6 +465,10 @@ def _header(node: Any, arrays: list[np.ndarray], inline: bool) -> Any:
     return node
 
 
+def _canonical(header: dict[str, Any]) -> str:
+    return json.dumps(header, sort_keys=True, separators=(",", ":"))
+
+
 @dataclass(eq=False)
 class RunRecord:
     """Everything one run produced: the config snapshot, Bob's records and
@@ -630,11 +514,12 @@ class RunRecord:
 
     def canonical_json(self, include_volatile: bool = False) -> str:
         header, _ = self._split(inline=False, include_volatile=include_volatile)
-        return json.dumps(header, sort_keys=True, separators=(",", ":"))
+        return _canonical(header)
 
     def content_hash(self) -> str:
-        digest = hashlib.sha256(self.canonical_json().encode("utf-8"))
-        for arr in self._split(inline=False, include_volatile=False)[1]:
+        header, arrays = self._split(inline=False, include_volatile=False)
+        digest = hashlib.sha256(_canonical(header).encode("utf-8"))
+        for arr in arrays:
             digest.update(arr)
         return digest.hexdigest()
 
@@ -695,20 +580,22 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunRecord:
     started = time.perf_counter()
     rngs = RngFactory(cfg.seed)
     alice_bits, alice_symbols = _alice_material(cfg, rngs)
-    pipe = _execute_protocol(cfg, alice_bits, alice_symbols, rngs)
+    train = _transmit(cfg, alice_bits, alice_symbols)
+    record, ports = _receive(cfg, train, rngs, "bob")
+    if cfg.protocol == "dps":
+        run = dps_sift(alice_bits, record)
+    else:
+        run = cow_sift(alice_symbols, record, visibility(record, alice_symbols))
 
     kind = cfg.attack.kind
-    if kind == "none":
-        run, outcome = pipe.run, None
-    elif kind == "backflash":
-        outcome = _run_backflash(cfg, rngs, pipe)
-        run = pipe.run
+    outcome = None
+    if kind == "backflash":
+        outcome = _run_backflash(cfg, rngs, run, ports)
     elif kind == "trojan":
-        outcome = _run_trojan(cfg, rngs, pipe)
-        run = pipe.run
+        outcome = _run_trojan(cfg, run, train)
     elif kind == "blinding":
-        run, outcome = _run_blinding(cfg, rngs, pipe)
-    else:  # pragma: no cover - config validation rejects this
+        run, outcome = _run_blinding(cfg, rngs, run, train)
+    elif kind != "none":  # pragma: no cover - config validation rejects this
         raise ConfigError(f"attack.kind: unknown kind {kind!r}")
 
     wall = time.perf_counter() - started

@@ -19,7 +19,7 @@ from dprsim.attacks import (
 )
 from dprsim.cli import main
 from dprsim.optics import PulseTrain, dli
-from dprsim.protocols import cow_occupancy, dps_encode, dps_measure, dps_sift
+from dprsim.protocols import cow_occupancy, dps_encode, dps_sift, receive
 from dprsim.scenario import run_golden
 
 from _oracles import brute_force_cow_monitor, brute_force_dli_ports
@@ -74,7 +74,8 @@ def test_dps_round_trip_thousand_runs():
         started = time.perf_counter()
         for _ in range(1000):
             bits = rng.integers(0, 2, 256)
-            km = dps_sift(bits, dps_measure(dps_encode(bits)))
+            record, _ = receive("dps", dps_encode(bits))
+            km = dps_sift(bits, record)
             assert km.qber == 0.0
             assert km.sifted_length == 255
         assert time.perf_counter() - started < 10.0

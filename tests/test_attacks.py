@@ -134,28 +134,26 @@ def test_fsg_cow_replay_reproduces_readings(readings):
 @settings(max_examples=60, deadline=None)
 @given(cow_readings)
 def test_fsg_cow_drive_never_leaks_into_silent_detectors(readings):
-    from dprsim.detectors import ApdConfig
-    from dprsim.protocols import cow_measure
+    from dataclasses import asdict
+
+    from dprsim.config import DetectorSettings
+    from dprsim.protocols import receive
 
     plan = fsg_cow_drive(readings, 0.5, COW_THRESHOLDS)
-    meas = cow_measure(
-        plan.to_train(0.5),
-        t_b=0.5,
-        data_cfg=ApdConfig(mode="linear", p_never=COW_THRESHOLDS.p_never_b, p_always=COW_THRESHOLDS.p_always_b),
-        monitor_cfg=ApdConfig(mode="linear", p_never=COW_THRESHOLDS.p_never_m, p_always=COW_THRESHOLDS.p_always_m),
-    )
+    rails = DetectorSettings(**asdict(COW_THRESHOLDS))
+    record, _ = receive("cow", plan.to_train(0.5), rails, t_b=0.5, mode="linear")
     offset = plan.readings_slot_offset
     for j, r in enumerate(readings):
         slot = offset + j
-        assert bool(meas.data.clicks("D_B")[slot]) == (r == 3)
-        assert bool(meas.monitor.clicks("D_M1")[slot]) == (r == 2)
-        assert bool(meas.monitor.clicks("D_M2")[slot]) == (r == 1)
+        assert bool(record.clicks("D_B")[slot]) == (r == 3)
+        assert bool(record.clicks("D_M1")[slot]) == (r == 2)
+        assert bool(record.clicks("D_M2")[slot]) == (r == 1)
     # The anchor pulse and trailing interferometer edge stay silent.
-    assert not meas.data.clicks("D_B")[0]
-    assert not meas.monitor.clicks("D_M1")[0]
-    assert not meas.monitor.clicks("D_M2")[0]
-    assert not meas.monitor.clicks("D_M1")[-1]
-    assert not meas.monitor.clicks("D_M2")[-1]
+    assert not record.clicks("D_B")[0]
+    assert not record.clicks("D_M1")[0]
+    assert not record.clicks("D_M2")[0]
+    assert not record.clicks("D_M1")[-1]
+    assert not record.clicks("D_M2")[-1]
 
 
 def test_step_tables_target_the_right_ports():

@@ -60,9 +60,22 @@ def test_dead_time_exclusion_invariant(pattern, dead):
 
 def test_afterpulse_fires_in_first_live_slot():
     cfg = ApdConfig(mode="geiger", click_threshold=0.5, dead_time_slots=1, afterpulse_prob=1.0)
-    rec = apd_detect(intensity_train([1.0, 0.0, 0.0, 0.0]), cfg)
+    rec = apd_detect(intensity_train([1.0, 0.0, 0.0, 0.0]), cfg, rng=np.random.default_rng(0))
     # Click at 0, dead at 1, certain afterpulse at 2, dead at 3.
     assert rec["D"].clicks.tolist() == [True, False, True, False]
+
+
+@pytest.mark.parametrize(
+    "cfg, intensities",
+    [
+        (ApdConfig(mode="geiger", click_threshold=0.5, dark_count_prob=0.1), [1.0, 0.0]),
+        (ApdConfig(mode="geiger", click_threshold=0.5, afterpulse_prob=0.1), [1.0, 0.0]),
+        (ApdConfig(mode="linear", p_never=0.2, p_always=0.4), [0.3]),
+    ],
+)
+def test_random_clicks_need_an_rng(cfg, intensities):
+    with pytest.raises(ValueError, match="rng"):
+        apd_detect(intensity_train(intensities), cfg)
 
 
 def test_avalanche_intensity_tracks_click_slots():
@@ -189,6 +202,13 @@ def test_backflash_statistics_converge_to_emission_probability():
     assert abs(emitted / n - p) < 3 * sigma
 
 
+def test_backflash_below_certainty_needs_an_rng():
+    incident = cw_laser(6, 1.0)
+    rec = apd_detect(incident, ApdConfig(mode="geiger", click_threshold=0.5))
+    with pytest.raises(ValueError, match="rng"):
+        backflash_emit(rec, incident, BackflashConfig())
+
+
 def test_backflash_length_mismatch_rejected():
     incident = cw_laser(6, 1.0)
     rec = apd_detect(incident, ApdConfig(mode="geiger", click_threshold=0.5))
@@ -232,19 +252,12 @@ def test_watchdog_alarms_on_bright_probe():
     probe = cw_laser(4, 10.0)
     result = watchdog(probe, 0.1, 5.0)
     assert result.alarm
-    assert result.passthrough.intensities[0] == pytest.approx(90.0)
 
 
 def test_watchdog_passes_weak_signal():
     weak = cw_laser(4, 0.1)
     result = watchdog(weak, 0.1, 5.0)
     assert not result.alarm
-    assert result.passthrough.intensities[0] == pytest.approx(0.009)
-
-
-def test_watchdog_tap_scales_power():
-    result = watchdog(cw_laser(1, 1.0), 0.5, 100.0)
-    assert result.passthrough.intensities[0] == pytest.approx(0.5)
 
 
 def test_record_merge_rejects_duplicates():

@@ -10,7 +10,6 @@ from dprsim.optics import (
     DriveProfile,
     IncompatibleTrains,
     MzmParams,
-    PrbsState,
     PulseTrain,
     attenuate,
     circulator,
@@ -21,12 +20,8 @@ from dprsim.optics import (
     mzm_transfer,
     optical_filter,
     phase_modulator,
-    prbs_bits,
-    prbs_next,
     pulse_carver,
     select_channel,
-    wavelength_demux,
-    wavelength_mux,
 )
 
 from _oracles import brute_force_dli_ports
@@ -289,18 +284,6 @@ def test_select_channel_missing():
         select_channel([cw_laser(1, 1.0, 1550.0)], 1000.0)
 
 
-def test_wavelength_mux_demux():
-    signal = cw_laser(3, 1.0, 1550.0)
-    probe = cw_laser(2, 0.5, 1000.0)
-    muxed = wavelength_mux([signal, probe])
-    assert all(len(c) == 3 for c in muxed)
-    split = wavelength_demux(muxed)
-    assert set(split) == {1550.0, 1000.0}
-    np.testing.assert_allclose(split[1550.0].slots, signal.slots)
-    with pytest.raises(IncompatibleTrains):
-        wavelength_mux([signal, cw_laser(3, 1.0, 1550.0)])
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.lists(complex_slot, min_size=1, max_size=16), st.integers(0, 5))
 def test_delay_and_circulator_preserve_power(slots, delay):
@@ -309,33 +292,3 @@ def test_delay_and_circulator_preserve_power(slots, delay):
     outs = circulator(port1_in=train)
     assert sum(o.total_power for o in outs) == pytest.approx(train.total_power, abs=1e-12)
 
-
-# ---------------------------------------------------------------------------
-# PRBS source
-# ---------------------------------------------------------------------------
-
-
-def test_prbs_constant_mode_emits_ones():
-    state = PrbsState(constant_mode=1)
-    bits, _ = prbs_bits(state, 16)
-    assert bits.tolist() == [1] * 16
-
-
-def test_prbs_rejects_all_zero_register():
-    with pytest.raises(ValueError):
-        PrbsState(register=0)
-
-
-def test_prbs_register_never_reaches_zero():
-    state = PrbsState(register=1)
-    for _ in range(1000):
-        _, state = prbs_next(state)
-        assert state.register != 0
-
-
-def test_prbs_determinism_over_long_sequences():
-    a, _ = prbs_bits(PrbsState(register=0xACE1), 1_000_000)
-    b, _ = prbs_bits(PrbsState(register=0xACE1), 1_000_000)
-    assert np.array_equal(a, b)
-    c, _ = prbs_bits(PrbsState(register=0x1234), 1_000_000)
-    assert not np.array_equal(a, c)

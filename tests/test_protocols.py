@@ -3,19 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dprsim.detectors import ApdConfig, DetectionRecord, DetectorTrace
+from dprsim.config import DetectorSettings
+from dprsim.detectors import DetectionRecord, DetectorTrace
 from dprsim.optics import phase_modulator
 from dprsim.protocols import (
     VISIBILITY_CLASSES,
     cow_encode,
     cow_interfaces,
-    cow_measure,
     cow_occupancy,
     cow_sift,
     dps_encode,
-    dps_measure,
     dps_reference_bits,
     dps_sift,
+    receive,
     visibility,
 )
 
@@ -27,9 +27,17 @@ bit_lists = st.lists(st.integers(0, 1), min_size=2, max_size=64)
 symbol_strings = st.text(alphabet="01d", min_size=1, max_size=24)
 
 
+def dps_record(train, detector=DetectorSettings()):
+    return receive("dps", train, detector)[0]
+
+
+def cow_record(train, t_b=0.9):
+    return receive("cow", train, t_b=t_b)[0]
+
+
 def lossless_dps(bits):
     train = dps_encode(bits)
-    record = dps_measure(train)
+    record = dps_record(train)
     return dps_sift(bits, record)
 
 
@@ -52,13 +60,13 @@ def test_dps_equal_bits_click_constructive_detector():
 
 
 def test_dps_phase_flip_clicks_destructive_detector():
-    record = dps_measure(dps_encode([0, 1]))
+    record = dps_record(dps_encode([0, 1]))
     assert record.clicks("D2")[1] and not record.clicks("D1")[1]
 
 
 def test_dps_edge_slots_click_both_ports_at_low_threshold_but_never_sift():
     train = dps_encode([0, 0])
-    record = dps_measure(train, cfg=ApdConfig(mode="geiger", click_threshold=0.1))
+    record = dps_record(train, DetectorSettings(click_threshold_rel=0.1))
     # Edge slots 0 and 2 carry quarter-intensity light at both ports.
     assert record.clicks("D1")[0] and record.clicks("D2")[0]
     km = dps_sift([0, 0], record)
@@ -77,7 +85,7 @@ def test_dps_roundtrip_matches_xor_keystream():
 @given(bit_lists)
 def test_dps_roundtrip_identity(bits):
     km = lossless_dps(bits)
-    assert km.has_data
+    np.testing.assert_array_equal(km.sifted_bob, dps_reference_bits(bits))
     assert km.qber == 0.0
     assert km.sifted_length == len(bits) - 1
 
@@ -93,14 +101,14 @@ def test_dps_sift_zero_clicks_flagged():
     )
     record = DetectionRecord({"D1": empty, "D2": empty})
     km = dps_sift(bits, record)
-    assert not km.has_data
+    assert km.sifted_slots.size == 0 and km.sifted_alice.size == 0
     assert km.qber == 0.0
     assert km.sifted_length == 0
 
 
 def test_dps_single_flipped_click_gives_qber_one_over_length():
     bits = [0] * 9
-    record = dps_measure(dps_encode(bits))
+    record = dps_record(dps_encode(bits))
     flipped_d1 = record.clicks("D1").copy()
     flipped_d2 = record.clicks("D2").copy()
     flipped_d1[4], flipped_d2[4] = False, True
@@ -117,7 +125,7 @@ def test_dps_single_flipped_click_gives_qber_one_over_length():
 @settings(max_examples=50, deadline=None)
 @given(bit_lists, st.randoms(use_true_random=False))
 def test_dps_discarding_clicks_never_creates_errors(bits, rnd):
-    record = dps_measure(dps_encode(bits))
+    record = dps_record(dps_encode(bits))
     keep_d1 = record.clicks("D1").copy()
     keep_d2 = record.clicks("D2").copy()
     for k in range(len(keep_d1)):
@@ -135,7 +143,7 @@ def test_dps_discarding_clicks_never_creates_errors(bits, rnd):
 
 
 def test_dps_sift_rejects_misaligned_record():
-    record = dps_measure(dps_encode([0, 1, 0]))
+    record = dps_record(dps_encode([0, 1, 0]))
     with pytest.raises(ValueError):
         dps_sift([0, 1, 0, 1], record)
 
@@ -165,16 +173,16 @@ def test_cow_encode_rejects_bad_symbols():
 
 def test_cow_measure_reference_run():
     train = cow_encode(REFERENCE_SYMBOLS)
-    meas = cow_measure(train, t_b=0.9)
+    record = cow_record(train, t_b=0.9)
     # Data line reproduces the arrival pattern.
     occ = cow_occupancy(REFERENCE_SYMBOLS).astype(bool)
-    assert meas.data.clicks("D_B")[:20].tolist() == occ.tolist()
+    assert record.clicks("D_B")[:20].tolist() == occ.tolist()
     # The constructive monitor detector fires exactly at the five
     # neighbouring-pulse interfaces; the destructive one stays silent.
     interface_slots = sorted(slot for slot, _ in cow_interfaces(REFERENCE_SYMBOLS))
     assert interface_slots == [4, 5, 8, 16, 17]
-    assert np.nonzero(meas.monitor.clicks("D_M1"))[0].tolist() == interface_slots
-    assert meas.monitor["D_M2"].click_count == 0
+    assert np.nonzero(record.clicks("D_M1"))[0].tolist() == interface_slots
+    assert record["D_M2"].click_count == 0
 
 
 def test_cow_interface_classes_of_reference_sequence():
@@ -195,27 +203,27 @@ def test_cow_every_interface_classified(symbols):
 @settings(max_examples=50, deadline=None)
 @given(symbol_strings)
 def test_cow_coherent_stream_has_unit_visibility(symbols):
-    meas = cow_measure(cow_encode(symbols), t_b=0.9)
-    assert meas.monitor["D_M2"].click_count == 0
-    report = visibility(meas.monitor, symbols)
+    record = cow_record(cow_encode(symbols), t_b=0.9)
+    assert record["D_M2"].click_count == 0
+    report = visibility(record, symbols)
     for cls in report.populated_classes:
         assert report.per_class[cls].visibility == 1.0
 
 
 def test_cow_all_decoy_stream():
-    meas = cow_measure(cow_encode("dddd"), t_b=0.9)
-    report = visibility(meas.monitor, "dddd")
-    assert meas.monitor["D_M2"].click_count == 0
+    record = cow_record(cow_encode("dddd"), t_b=0.9)
+    report = visibility(record, "dddd")
+    assert record["D_M2"].click_count == 0
     assert report.per_class["d"].visibility == 1.0
 
 
 def test_cow_single_data_symbol_has_no_interference():
-    meas = cow_measure(cow_encode("0"), t_b=0.9)
-    report = visibility(meas.monitor, "0")
+    record = cow_record(cow_encode("0"), t_b=0.9)
+    report = visibility(record, "0")
     assert not report.defined
-    assert meas.data.clicks("D_B").tolist() == [True, False]
-    assert meas.monitor["D_M1"].click_count == 0
-    assert meas.monitor["D_M2"].click_count == 0
+    assert record.clicks("D_B").tolist() == [True, False]
+    assert record["D_M1"].click_count == 0
+    assert record["D_M2"].click_count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +236,12 @@ TAMPER = np.array([0.0] * 5 + [np.pi] * 12 + [0.0] * 3)
 def tampered_monitor(symbols=REFERENCE_SYMBOLS, phases=TAMPER, t_b=0.9):
     train = cow_encode(symbols)
     train = phase_modulator(train, phases[: len(train)])
-    return cow_measure(train, t_b=t_b), train
+    return cow_record(train, t_b=t_b), train
 
 
 def test_cow_tamper_gives_one_fifth_overall_visibility():
-    meas, _ = tampered_monitor()
-    report = visibility(meas.monitor, REFERENCE_SYMBOLS)
+    record, _ = tampered_monitor()
+    report = visibility(record, REFERENCE_SYMBOLS)
     assert report.overall.d_m1 == 3
     assert report.overall.d_m2 == 2
     assert report.overall_visibility == pytest.approx(0.2, abs=1e-12)
@@ -244,16 +252,16 @@ def test_cow_tamper_gives_one_fifth_overall_visibility():
 
 
 def test_cow_tamper_matches_brute_force_oracle():
-    meas, _ = tampered_monitor()
+    record, _ = tampered_monitor()
     m1, m2 = brute_force_cow_monitor(cow_occupancy(REFERENCE_SYMBOLS), TAMPER, 1.0, 0.9)
-    assert meas.monitor.clicks("D_M1").tolist() == m1
-    assert meas.monitor.clicks("D_M2").tolist() == m2
+    assert record.clicks("D_M1").tolist() == m1
+    assert record.clicks("D_M2").tolist() == m2
 
 
 def test_cow_balanced_counts_give_zero_visibility():
     phases = np.array([0.0, 0.0, np.pi, np.pi, np.pi, np.pi, np.pi, np.pi])
-    meas, _ = tampered_monitor("1010", phases)
-    report = visibility(meas.monitor, "1010")
+    record, _ = tampered_monitor("1010", phases)
+    report = visibility(record, "1010")
     assert report.overall.d_m1 == 1 and report.overall.d_m2 == 1
     assert report.overall_visibility == 0.0
 
@@ -263,7 +271,7 @@ def test_cow_balanced_counts_give_zero_visibility():
 def test_cow_visibility_invariant_under_global_phase(global_phase):
     train = cow_encode(REFERENCE_SYMBOLS)
     rotated = train.with_slots(train.slots * np.exp(1j * global_phase))
-    report = visibility(cow_measure(rotated, t_b=0.9).monitor, REFERENCE_SYMBOLS)
+    report = visibility(cow_record(rotated, t_b=0.9), REFERENCE_SYMBOLS)
     assert report.overall_visibility == 1.0
     assert 0.0 <= report.overall_visibility <= 1.0
 
@@ -274,40 +282,44 @@ def test_cow_visibility_invariant_under_global_phase(global_phase):
 
 
 def test_cow_sift_reference_run():
-    meas = cow_measure(cow_encode(REFERENCE_SYMBOLS), t_b=0.9)
-    report = visibility(meas.monitor, REFERENCE_SYMBOLS)
-    km = cow_sift(REFERENCE_SYMBOLS, meas.data, report)
-    assert km.decoy_positions.tolist() == [2, 8]
+    record = cow_record(cow_encode(REFERENCE_SYMBOLS), t_b=0.9)
+    report = visibility(record, REFERENCE_SYMBOLS)
+    km = cow_sift(REFERENCE_SYMBOLS, record, report)
+    # Decoys at symbols 2 and 8 are dropped.
+    assert km.sifted_slots.tolist() == [0, 1, 3, 4, 5, 6, 7, 9]
     assert "".join(map(str, km.sifted_bob)) == "01100011"
     assert km.qber == 0.0
     assert km.visibility_report is report
 
 
 def test_cow_sift_decoy_only_stream_is_empty():
-    meas = cow_measure(cow_encode("ddd"), t_b=0.9)
-    km = cow_sift("ddd", meas.data)
+    record = cow_record(cow_encode("ddd"), t_b=0.9)
+    km = cow_sift("ddd", record)
     assert km.sifted_length == 0
-    assert not km.has_data
+    assert km.qber == 0.0
 
 
 def test_cow_sift_wrong_half_slot_click_gives_one_error():
-    meas = cow_measure(cow_encode(REFERENCE_SYMBOLS), t_b=0.9)
-    clicks = meas.data.clicks("D_B").copy()
+    record = cow_record(cow_encode(REFERENCE_SYMBOLS), t_b=0.9)
+    clicks = record.clicks("D_B").copy()
     # Move the first data symbol's click from the early to the late half-slot.
     assert clicks[0] and not clicks[1]
     clicks[0], clicks[1] = False, True
-    trace = meas.data["D_B"]
+    trace = record["D_B"]
     tampered = DetectionRecord({"D_B": DetectorTrace(clicks, trace.intensity, trace.photocurrent, trace.linear_mode)})
     km = cow_sift(REFERENCE_SYMBOLS, tampered)
     assert km.qber == pytest.approx(1.0 / 8.0)
 
 
 def test_cow_sift_double_half_slot_counts_as_error():
-    meas = cow_measure(cow_encode("00"), t_b=0.9)
-    clicks = meas.data.clicks("D_B").copy()
+    record = cow_record(cow_encode("00"), t_b=0.9)
+    clicks = record.clicks("D_B").copy()
     clicks[1] = True  # both half-slots of the first symbol now click
-    trace = meas.data["D_B"]
+    trace = record["D_B"]
     tampered = DetectionRecord({"D_B": DetectorTrace(clicks, trace.intensity, trace.photocurrent, trace.linear_mode)})
     km = cow_sift("00", tampered)
-    assert km.n_inconsistent == 1
+    # The inconsistent first symbol is kept as an error.
+    assert km.sifted_slots.tolist() == [0, 1]
+    assert km.sifted_alice.tolist() == [0, 0]
+    assert km.sifted_bob.tolist() == [1, 0]
     assert km.qber == pytest.approx(0.5)
