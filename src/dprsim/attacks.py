@@ -57,6 +57,8 @@ __all__ = [
 # Quarter-turn phase step per reading (canonical policy, N = 0).
 DPS_PHASE_STEP = {0: 1, 1: 0, 2: 2}
 COW_PHASE_STEP = {0: 1, 1: 2, 2: 0, 3: 1}
+_DPS_STEPS = np.array([DPS_PHASE_STEP[r] for r in range(3)], dtype=np.int64)
+_COW_STEPS = np.array([COW_PHASE_STEP[r] for r in range(4)], dtype=np.int64)
 
 # One specific reading sequence and the drive table that reproduces it with
 # slot-varying N.  The first reading is the interferometer edge slot of the
@@ -94,14 +96,20 @@ class FsgPlan:
         return PulseTrain(amps, slot_period, wavelength)
 
 
-def _check_readings(readings, allowed: tuple[int, ...]) -> tuple[int, ...]:
-    readings = tuple(int(r) for r in readings)
-    if not readings:
+def _check_readings(readings, allowed: tuple[int, ...]) -> np.ndarray:
+    readings = np.asarray(readings).astype(np.int64)
+    if readings.size == 0:
         raise ValueError("need at least one reading")
-    for i, r in enumerate(readings):
-        if r not in allowed:
-            raise ValueError(f"readings[{i}] = {r} not in {allowed}")
+    bad = np.flatnonzero(~np.isin(readings, allowed))
+    if bad.size:
+        raise ValueError(f"readings[{bad[0]}] = {readings[bad[0]]} not in {allowed}")
     return readings
+
+
+def _phase_plan(readings: np.ndarray, steps: np.ndarray) -> tuple[int, ...]:
+    """Quarter-turn phases of an anchor pulse (phase 0) and one pulse per
+    reading, each stepping from the previous one by its reading's step."""
+    return (0, *(np.cumsum(steps[readings]) % 4).tolist())
 
 
 def fsg_dps_phases(
@@ -122,19 +130,17 @@ def fsg_dps_phases(
     if launch_intensity <= 0.0:
         raise ValueError("launch_intensity must be > 0")
     if n_policy == "canonical":
-        phases = [0]
-        for r in readings:
-            phases.append((phases[-1] + DPS_PHASE_STEP[r]) % 4)
+        phases = _phase_plan(readings, _DPS_STEPS)
         offset = 1
     elif n_policy == "worked-example":
-        if readings != WORKED_EXAMPLE_READINGS:
+        if readings.tolist() != list(WORKED_EXAMPLE_READINGS):
             raise ValueError("the worked-example policy is defined only for its published reading sequence")
-        phases = list(WORKED_EXAMPLE_PHASES)
+        phases = WORKED_EXAMPLE_PHASES
         offset = 0
     else:
         raise ValueError(f"unknown policy {n_policy!r}")
     intensity = np.full(len(phases), launch_intensity, dtype=np.float64)
-    return FsgPlan(readings, tuple(phases), intensity, offset)
+    return FsgPlan(tuple(readings.tolist()), phases, intensity, offset)
 
 
 def fsg_cow_drive(
@@ -158,32 +164,23 @@ def fsg_cow_drive(
         raise ValueError(f"infeasible blinding thresholds: {', '.join(failed)} violated")
     base = thresholds.p_always_m / (1.0 - t_b)
     data = thresholds.p_always_b / t_b
-    phases = [0]
-    levels = [base]
-    for r in readings:
-        phases.append((phases[-1] + COW_PHASE_STEP[r]) % 4)
-        levels.append(data if r == 3 else base)
-    return FsgPlan(readings, tuple(phases), np.array(levels, dtype=np.float64), 1)
+    levels = np.concatenate([[base], np.where(readings == 3, data, base)])
+    return FsgPlan(tuple(readings.tolist()), _phase_plan(readings, _COW_STEPS), levels, 1)
+
+
+def _window(clicks: np.ndarray, offset: int, n: int) -> np.ndarray:
+    """Clicks of the ``n`` slots from ``offset``; slots past the record end are False."""
+    out = np.zeros(n, dtype=bool)
+    part = clicks[offset : offset + n]
+    out[: part.size] = part
+    return out
 
 
 def decode_dps_readings(record: DetectionRecord, offset: int, n_readings: int) -> list[int]:
     """Readings observed by a DPS receiver: 0 none, 1 D1, 2 D2 (-1 if both)."""
-    d1 = record.clicks("D1")
-    d2 = record.clicks("D2")
-    out: list[int] = []
-    for j in range(n_readings):
-        s = offset + j
-        c1 = bool(d1[s]) if s < d1.shape[0] else False
-        c2 = bool(d2[s]) if s < d2.shape[0] else False
-        if c1 and c2:
-            out.append(-1)
-        elif c1:
-            out.append(1)
-        elif c2:
-            out.append(2)
-        else:
-            out.append(0)
-    return out
+    d1 = _window(record.clicks("D1"), offset, n_readings)
+    d2 = _window(record.clicks("D2"), offset, n_readings)
+    return np.select([d1 & d2, d1, d2], [-1, 1, 2], 0).tolist()
 
 
 def decode_cow_readings(record: DetectionRecord, offset: int, n_readings: int) -> list[int]:
@@ -192,21 +189,8 @@ def decode_cow_readings(record: DetectionRecord, offset: int, n_readings: int) -
     A data click takes precedence when it coincides with a monitor click (the
     single-symbol alphabet cannot carry both).
     """
-    d_b = record.clicks("D_B")
-    m1 = record.clicks("D_M1")
-    m2 = record.clicks("D_M2")
-    out: list[int] = []
-    for j in range(n_readings):
-        s = offset + j
-        if s < d_b.shape[0] and d_b[s]:
-            out.append(3)
-        elif s < m1.shape[0] and m1[s]:
-            out.append(2)
-        elif s < m2.shape[0] and m2[s]:
-            out.append(1)
-        else:
-            out.append(0)
-    return out
+    clicks = [_window(record.clicks(name), offset, n_readings) for name in ("D_B", "D_M1", "D_M2")]
+    return np.select(clicks, [3, 2, 1], 0).tolist()
 
 
 def fsg_replay_dps(
@@ -375,7 +359,7 @@ def trojan_decode(
     DPS: interferometric decode of the phase differences; the result has one
     entry per interior slot, ``-1`` where no single detector fired.  COW:
     arrival-time read of the intensity pattern, returned as the symbol string
-    (``?`` for an unrecognisable pair).  A probe too weak to detect yields an
+    (``?`` for a pair with no click).  A probe too weak to detect yields an
     empty estimate.
     """
     peak = float(np.max(reflected.intensities)) if len(reflected) else 0.0
@@ -383,24 +367,14 @@ def trojan_decode(
         return np.array([], dtype=np.int64) if protocol == "dps" else ""
     if protocol == "dps":
         record, _ = receive("dps", reflected, nominal=peak)
-        n = len(reflected)
-        bits = np.full(n - 1, -1, dtype=np.int64)
-        d1 = record.clicks("D1")
-        d2 = record.clicks("D2")
-        for j in range(1, n):
-            if d1[j] != d2[j]:
-                bits[j - 1] = int(d2[j])
-        return bits
+        d1, d2 = record.clicks("D1")[1 : len(reflected)], record.clicks("D2")[1 : len(reflected)]
+        return np.where(d1 != d2, d2, -1).astype(np.int64)
     if protocol == "cow":
         cfg = ApdConfig(mode="geiger", click_threshold=0.5 * peak)
-        record = apd_detect(reflected, cfg, "EVE_B")
-        occ = record["EVE_B"].clicks.astype(np.int64)
-        pattern = {(1, 0): "0", (0, 1): "1", (1, 1): "d"}
-        out = []
-        for i in range(occ.size // 2):
-            pair = (int(occ[2 * i]), int(occ[2 * i + 1]))
-            out.append(pattern.get(pair, "?"))
-        return "".join(out)
+        clicks = apd_detect(reflected, cfg, "EVE_B")["EVE_B"].clicks
+        pairs = clicks[: clicks.size // 2 * 2].astype(np.int64).reshape(-1, 2)
+        # The symbol read from a pair, indexed by 2 * early + late.
+        return np.frombuffer(b"?10d", dtype=np.uint8)[2 * pairs[:, 0] + pairs[:, 1]].tobytes().decode("ascii")
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
@@ -415,12 +389,23 @@ def capture_fraction(
     eve_slots: np.ndarray,
     eve_bits: np.ndarray,
 ) -> float:
-    """Fraction of Bob's sifted bits that Eve holds, matching by slot position."""
-    if bob_slots.size == 0:
+    """Fraction of Bob's sifted bits that Eve holds.
+
+    Matches by slot: Bob's bit at slot ``s`` counts when Eve holds the same
+    bit at ``s``.  Where Eve lists a slot more than once, her last entry for
+    it wins.
+    """
+    if bob_slots.size == 0 or eve_slots.size == 0:
         return 0.0
-    eve_map = {int(s): int(b) for s, b in zip(eve_slots, eve_bits)}
-    hits = sum(1 for s, b in zip(bob_slots, bob_bits) if eve_map.get(int(s)) == int(b))
-    return hits / bob_slots.size
+    # A stable sort keeps duplicates in list order, so the last of each run of
+    # equal slots is Eve's last entry for that slot.
+    eve_slots = eve_slots.astype(np.int64)
+    order = np.argsort(eve_slots, kind="stable")
+    slots, bits = eve_slots[order], eve_bits.astype(np.int64)[order]
+    bob_slots = bob_slots.astype(np.int64)
+    at = np.searchsorted(slots, bob_slots, side="right") - 1
+    hits = (at >= 0) & (slots[at] == bob_slots) & (bits[at] == bob_bits.astype(np.int64))
+    return int(np.count_nonzero(hits)) / bob_slots.size
 
 
 @dataclass(eq=False)

