@@ -192,7 +192,7 @@ slot_lists = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 1)), min_size
 @example([(3, 1), (3, 1)], [(3, 0), (5, 1), (3, 1), (0, 0)])  # duplicate Eve slot: the last entry wins
 @settings(max_examples=400)
 def test_capture_fraction_matches_loop(bob, eve):
-    # Eve's slots come unsorted and with duplicates; Bob's stay as drawn too.
+    # Slots arrive unsorted and repeat, on both sides.
     arrays = [np.array([p[k] for p in side], dtype=np.int64) for side in (bob, eve) for k in (0, 1)]
     assert capture_fraction(*arrays) == oracle.capture_fraction_loop(*arrays)
 
@@ -242,7 +242,9 @@ def test_blinding_bookkeeping_matches_loops(protocol, seed, dark, p_never):
     assert outcome.capture_fraction == oracle.capture_fraction_loop(bob_idx, bob_bits, eve_idx, eve_bits)
     if protocol == "dps":
         diff = np.bitwise_xor(np.asarray(run.alice_bits[1:]), np.asarray(run.alice_bits[:-1]))
-        _same(run.sifted_alice, oracle.blinding_sifted_alice_loop(diff, bob_idx))
+        alice = oracle.blinding_sifted_alice_loop(diff, bob_idx)
+        _same(run.sifted_alice, alice)
+        assert run.qber == (float(np.mean(alice != bob_bits[: alice.size])) if alice.size else 0.0)
 
 
 @given(
