@@ -42,6 +42,7 @@ from dprsim.scenario import run_scenario  # noqa: E402
 PROTOCOLS = ("dps", "cow")
 ATTACKS = ("none", "backflash", "trojan", "blinding")
 FORMAT = "dprsim-bench-matrix/1"
+SEED = 1
 
 
 def environment() -> dict:
@@ -63,8 +64,8 @@ def environment() -> dict:
     }
 
 
-def scenario(protocol: str, attack: str, n_symbols: int, seed: int) -> dict:
-    doc = {"protocol": protocol, "n_symbols": n_symbols, "seed": seed, "attack": {"kind": attack}}
+def scenario(protocol: str, attack: str, n_symbols: int) -> dict:
+    doc = {"protocol": protocol, "n_symbols": n_symbols, "seed": SEED, "attack": {"kind": attack}}
     if attack == "blinding":
         doc["countermeasures"] = {"photocurrent_monitor": {"enabled": True}}
         if protocol == "cow":
@@ -111,7 +112,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[1_000, 100_000, 1_000_000], help="symbols per run")
     parser.add_argument("--repeats", type=int, default=5, help="timed runs per cell and entry point")
-    parser.add_argument("--seed", type=int, default=1, help="scenario seed of every cell")
     parser.add_argument("--out", default="BENCH_matrix.json", help="result file")
     args = parser.parse_args(argv)
     if args.repeats < 1:
@@ -122,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         for n in args.sizes:
             for protocol in PROTOCOLS:
                 for attack in ATTACKS:
-                    cell = time_cell(scenario(protocol, attack, n, args.seed), args.repeats, Path(tmp))
+                    cell = time_cell(scenario(protocol, attack, n), args.repeats, Path(tmp))
                     cells.append(cell)
                     print(
                         f"{protocol:3} {attack:9} n={n:<8} run_scenario {cell['run_scenario_s']['median']:8.3f} s"
@@ -133,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
     result = {
         "format": FORMAT,
         "environment": environment(),
-        "settings": {"sizes": args.sizes, "repeats": args.repeats, "seed": args.seed},
+        "settings": {"sizes": args.sizes, "repeats": args.repeats, "seed": SEED},
         "cells": cells,
     }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")

@@ -49,7 +49,6 @@ __all__ = [
     "dps_sift",
     "dps_reference_bits",
     "cow_occupancy",
-    "cow_half_slots",
     "cow_encode",
     "cow_interfaces",
     "visibility",
@@ -262,7 +261,7 @@ def cow_occupancy(symbols) -> np.ndarray:
     return _PULSES[_as_symbols(symbols)[1]].reshape(-1)
 
 
-def cow_half_slots(symbols, clicks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cow_half_slots(symbols, clicks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Arrival-time decision on each data symbol from per-grid-slot clicks.
 
     Returns the indices of the data symbols (decoys dropped) whose pair of
@@ -394,7 +393,7 @@ def cow_sift(
     eavesdropping witness.
     """
     sym, codes = _as_symbols(symbols)
-    kept, late, both = cow_half_slots(sym, record.clicks("D_B"))
+    kept, late, both = _cow_half_slots(sym, record.clicks("D_B"))
     alice = codes[kept]
     bob_bits = np.where(both, 1 - alice, late)
     qber = int(np.sum(alice != bob_bits)) / kept.size if kept.size else 0.0

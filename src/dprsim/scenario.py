@@ -53,7 +53,7 @@ from .protocols import (
     COW_SYMBOLS,
     ProtocolRun,
     cow_encode,
-    cow_half_slots,
+    _cow_half_slots,
     cow_occupancy,
     cow_sift,
     dps_encode,
@@ -160,16 +160,17 @@ def _receive(
 def _cow_eve_key(symbols: str, clicks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eve's COW key from her per-grid-slot clicks: the data symbols where
     exactly one half-slot clicked, and the bit that half-slot names."""
-    kept, bits, both = cow_half_slots(symbols, clicks)
+    kept, bits, both = _cow_half_slots(symbols, clicks)
     return kept[~both], bits[~both]
 
 
 def _readout_key(symbols: str, readout: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eve's COW key from her probe read-out (see ``trojan_decode``); a pair
-    with no click ("?") decides no bit, like a double click ("d")."""
-    if not readout:
-        return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-    return _cow_eve_key(symbols, cow_occupancy(readout.replace("?", "d")))
+    """Eve's COW key from her probe read-out (see ``trojan_decode``): the data
+    symbols she read as "0" or "1", and that bit; "?" and "d" decide none."""
+    bits = np.frombuffer(readout.encode("ascii"), dtype=np.uint8).astype(np.int64) - ord("0")
+    data = np.frombuffer(symbols.encode("ascii"), dtype=np.uint8)[: bits.size] != ord("d")
+    kept = np.flatnonzero(data & ((bits == 0) | (bits == 1)))
+    return kept, bits[kept]
 
 
 def _run_backflash(

@@ -20,7 +20,7 @@ from dprsim.detectors import ApdConfig, BlindingState, DetectionRecord, Detector
 from dprsim.optics import PulseTrain
 from dprsim.protocols import (
     VISIBILITY_CLASSES,
-    cow_half_slots,
+    _cow_half_slots,
     cow_interfaces,
     cow_occupancy,
     cow_sift,
@@ -59,7 +59,7 @@ def _same(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def test_empty_symbol_string_is_rejected():
-    for f in (cow_occupancy, cow_interfaces, lambda s: cow_half_slots(s, np.zeros(2, dtype=bool))):
+    for f in (cow_occupancy, cow_interfaces, lambda s: _cow_half_slots(s, np.zeros(2, dtype=bool))):
         with pytest.raises(ValueError, match="nonempty"):
             f("")
 
