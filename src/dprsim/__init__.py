@@ -9,7 +9,6 @@ faked states) and the corresponding countermeasure monitors.
 
 from .attacks import (
     AttackOutcome,
-    BlindingThresholds,
     FeasibilityReport,
     FsgPlan,
     blinding_feasible,
@@ -23,7 +22,6 @@ from .attacks import (
 from .config import ConfigError, ScenarioConfig, scenario_from_dict
 from .detectors import (
     ApdConfig,
-    BackflashConfig,
     BlindingState,
     DetectionRecord,
     DetectorTrace,
@@ -41,16 +39,13 @@ from .optics import (
     MzmParams,
     PulseTrain,
     attenuate,
-    circulator,
     coupler_2x2,
     cw_laser,
     delay_line,
     dli,
     mzm_transfer,
-    optical_filter,
     phase_modulator,
     pulse_carver,
-    select_channel,
 )
 from .protocols import (
     ProtocolRun,

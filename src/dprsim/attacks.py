@@ -23,7 +23,7 @@ varies slot to slot.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,7 +39,6 @@ __all__ = [
     "WORKED_EXAMPLE_READINGS",
     "WORKED_EXAMPLE_PHASES",
     "FsgPlan",
-    "BlindingThresholds",
     "FeasibilityReport",
     "AttackOutcome",
     "fsg_dps_phases",
@@ -146,7 +145,7 @@ def fsg_dps_phases(
 def fsg_cow_drive(
     eve_readings: Sequence[int],
     t_b: float,
-    thresholds: "BlindingThresholds",
+    detector: DetectorSettings = DetectorSettings(),
     allow_infeasible: bool = False,
 ) -> FsgPlan:
     """Drive plan for a blinded COW receiver.
@@ -158,12 +157,12 @@ def fsg_cow_drive(
     staying below its never-click rail when the threshold inequalities hold.
     """
     readings = _check_readings(eve_readings, (0, 1, 2, 3))
-    report = blinding_feasible(thresholds, t_b)
+    report = blinding_feasible(detector, t_b)
     if not (report.all_satisfied or allow_infeasible):
         failed = [k for k, v in report.as_dict().items() if k != "marginal" and not v]
         raise ValueError(f"infeasible blinding thresholds: {', '.join(failed)} violated")
-    base = thresholds.p_always_m / (1.0 - t_b)
-    data = thresholds.p_always_b / t_b
+    base = detector.p_always_m / (1.0 - t_b)
+    data = detector.p_always_b / t_b
     levels = np.concatenate([[base], np.where(readings == 3, data, base)])
     return FsgPlan(tuple(readings.tolist()), _phase_plan(readings, _COW_STEPS), levels, 1)
 
@@ -195,65 +194,33 @@ def decode_cow_readings(record: DetectionRecord, offset: int, n_readings: int) -
 
 def fsg_replay_dps(
     plan: FsgPlan,
-    p_never: float = 0.2,
-    p_always: float = 0.39,
+    detector: DetectorSettings = DetectorSettings(),
     slot_period: float = 1.0,
     rng: Callable[[str], np.random.Generator] | None = None,
 ) -> list[int]:
     """Send the plan into a linear-mode replica of the DPS receiver and decode
     which detector fired per reading slot; ``rng`` is as in :func:`receive`."""
-    rails = DetectorSettings(p_never=p_never, p_always=p_always)
-    record, _ = receive("dps", plan.to_train(slot_period), rails, mode="linear", rng=rng)
+    record, _ = receive("dps", plan.to_train(slot_period), detector, mode="linear", rng=rng)
     return decode_dps_readings(record, plan.readings_slot_offset, len(plan.readings))
 
 
 def fsg_replay_cow(
     plan: FsgPlan,
     t_b: float,
-    thresholds: "BlindingThresholds",
+    detector: DetectorSettings = DetectorSettings(),
     slot_period: float = 0.5,
     rng: Callable[[str], np.random.Generator] | None = None,
 ) -> list[int]:
     """Send the plan into a linear-mode replica of the COW receiver and decode
     the three-detector outcome per reading slot; ``rng`` is as in
     :func:`receive`."""
-    rails = DetectorSettings(**asdict(thresholds))
-    record, _ = receive("cow", plan.to_train(slot_period), rails, t_b=t_b, mode="linear", rng=rng)
+    record, _ = receive("cow", plan.to_train(slot_period), detector, t_b=t_b, mode="linear", rng=rng)
     return decode_cow_readings(record, plan.readings_slot_offset, len(plan.readings))
 
 
 # ---------------------------------------------------------------------------
 # Detection-control feasibility
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BlindingThresholds:
-    """Trigger-pulse rails per detector family: plain pair for a DPS receiver,
-    ``_b`` for the COW data detector, ``_m`` for the COW monitoring detectors."""
-
-    p_always: float = 0.39
-    p_never: float = 0.2
-    p_always_b: float = 0.398
-    p_never_b: float = 0.392
-    p_always_m: float = 0.39
-    p_never_m: float = 0.2
-
-    def __post_init__(self) -> None:
-        for name in ("p_always", "p_never", "p_always_b", "p_never_b", "p_always_m", "p_never_m"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
-
-    @classmethod
-    def from_detector_settings(cls, ds: DetectorSettings) -> "BlindingThresholds":
-        return cls(
-            p_always=ds.p_always,
-            p_never=ds.p_never,
-            p_always_b=ds.p_always_b,
-            p_never_b=ds.p_never_b,
-            p_always_m=ds.p_always_m,
-            p_never_m=ds.p_never_m,
-        )
 
 
 @dataclass(frozen=True)
@@ -291,13 +258,14 @@ class FeasibilityReport:
         }
 
 
-def blinding_feasible(thresholds: BlindingThresholds, t_b: float) -> FeasibilityReport:
-    """Evaluate the detection-control inequalities for a splitter transmittance."""
+def blinding_feasible(detector: DetectorSettings, t_b: float) -> FeasibilityReport:
+    """Evaluate the detection-control inequalities of a detector's rails for a
+    splitter transmittance."""
     if not (0.0 < t_b < 1.0):
         raise ValueError(f"t_b must be strictly within (0, 1), got {t_b}")
-    lhs1, rhs1 = thresholds.p_always, 2.0 * thresholds.p_never
-    lhs2, rhs2 = t_b / (1.0 - t_b) * thresholds.p_always_m, thresholds.p_never_b
-    lhs3, rhs3 = (1.0 - t_b) / t_b * thresholds.p_always_b, 2.0 * thresholds.p_never_m
+    lhs1, rhs1 = detector.p_always, 2.0 * detector.p_never
+    lhs2, rhs2 = t_b / (1.0 - t_b) * detector.p_always_m, detector.p_never_b
+    lhs3, rhs3 = (1.0 - t_b) / t_b * detector.p_always_b, 2.0 * detector.p_never_m
     return FeasibilityReport(
         rail_gap=lhs1 < rhs1,
         monitor_drive_hidden_from_data=lhs2 < rhs2,

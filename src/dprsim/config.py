@@ -134,10 +134,21 @@ class ChannelSettings:
 
 @dataclass(frozen=True)
 class BackflashSettings:
+    """Avalanche re-emission model of a modified APD.
+
+    The per-avalanche emission probability is the product of the avalanche
+    charge and the per-electron photon yield, capped at 1.  ``ideal`` forces
+    emission on every click.
+    """
+
     electrons_per_avalanche: float = 2.7e8
     photons_per_electron: float = 2.4e-10
     ideal: bool = False
     emission_gain: float = 1.0
+
+    @property
+    def emission_probability(self) -> float:
+        return min(1.0, self.electrons_per_avalanche * self.photons_per_electron)
 
     def validate(self, path: str) -> None:
         if self.electrons_per_avalanche < 0 or self.photons_per_electron < 0:

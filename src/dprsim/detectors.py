@@ -23,12 +23,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import BackflashSettings
 from .optics import PulseTrain
 
 __all__ = [
     "ApdConfig",
     "BlindingState",
-    "BackflashConfig",
     "DetectorTrace",
     "DetectionRecord",
     "MonitorResult",
@@ -289,41 +289,17 @@ def apd_detect(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BackflashConfig:
-    """Avalanche re-emission model of a modified APD.
-
-    The per-avalanche emission probability is the product of the avalanche
-    charge and the per-electron photon yield, capped at 1.  ``ideal_mode``
-    forces emission on every click.
-    """
-
-    electrons_per_avalanche: float = 2.7e8
-    photons_per_electron: float = 2.4e-10
-    ideal_mode: bool = False
-    emission_gain: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.electrons_per_avalanche < 0.0 or self.photons_per_electron < 0.0:
-            raise ValueError("backflash constants must be >= 0")
-        if self.emission_gain < 0.0:
-            raise ValueError("emission_gain must be >= 0")
-
-    @property
-    def emission_probability(self) -> float:
-        return min(1.0, self.electrons_per_avalanche * self.photons_per_electron)
-
-
 def backflash_emit(
     record: DetectionRecord,
     incident: PulseTrain,
-    cfg: BackflashConfig,
+    cfg: BackflashSettings,
     rng: np.random.Generator | None = None,
     detector_id: str | None = None,
 ) -> PulseTrain:
     """Re-emit, for each click, the incident slot amplitude (phase preserved)
-    scaled by the emission gain; all other slots stay vacuum.  A non-ideal
-    emission probability below 1 draws from ``rng``, which must then be given."""
+    scaled by the emission gain; all other slots stay vacuum.  Unless ``ideal``
+    forces emission on every click, an emission probability below 1 draws
+    from ``rng``, which must then be given."""
     if detector_id is None:
         if len(record.detectors) != 1:
             raise ValueError("record holds several detectors; pass detector_id")
@@ -332,7 +308,7 @@ def backflash_emit(
     if len(trace) != len(incident):
         raise ValueError("record and incident train lengths differ")
     emit = trace.clicks.copy()
-    if not cfg.ideal_mode and cfg.emission_probability < 1.0:
+    if not cfg.ideal and cfg.emission_probability < 1.0:
         if rng is None:
             raise ValueError("backflash emission below certainty draws from an rng: pass one")
         draws = rng.random(len(incident))

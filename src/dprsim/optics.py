@@ -16,10 +16,9 @@ downstream depends on these):
   cross arm.  With that convention the *second* output port is the constructive
   one: ``constructive_k = 1j*(a_k + a_{k-d})/2`` and
   ``destructive_k = (a_k - a_{k-d})/2``.
-* Mach-Zehnder modulator: ``E_out = N * E_in * (exp(1j*phi1) + exp(1j*phi2))``
-  with ``phi_{1,2} = pi*(V_{1,2}/V_pi_rf + V_bias_{1,2}/V_pi_dc)``.  The default
-  normalization ``N = 1/2`` keeps pure phase modulation amplitude-preserving;
-  ``N = 1`` ("unnormalized") is the raw two-arm sum.
+* Mach-Zehnder modulator: ``E_out = E_in * (exp(1j*phi1) + exp(1j*phi2)) / 2``
+  with ``phi_{1,2} = pi*(V_{1,2}/V_pi_rf + V_bias_{1,2}/V_pi_dc)``; the factor
+  ``1/2`` keeps pure phase modulation amplitude-preserving.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,10 +43,7 @@ __all__ = [
     "coupler_2x2",
     "delay_line",
     "dli",
-    "circulator",
     "attenuate",
-    "optical_filter",
-    "select_channel",
 ]
 
 
@@ -61,8 +57,7 @@ class PulseTrain:
 
     ``slot_period`` is the grid spacing in seconds (for a two-bin coherent
     one-way symbol this is the half-slot).  ``wavelength`` is a channel label in
-    nanometers; channels never mix except inside explicitly multi-wavelength
-    components (filters).
+    nanometers; channels never mix.
     """
 
     slots: np.ndarray
@@ -116,16 +111,6 @@ class PulseTrain:
         return self.with_slots(out)
 
 
-def _aligned(a: PulseTrain, b: PulseTrain, same_wavelength: bool = True) -> tuple[PulseTrain, PulseTrain]:
-    """Check grid/channel compatibility and pad the shorter train with vacuum."""
-    if a.slot_period != b.slot_period:
-        raise IncompatibleTrains(f"slot_period mismatch: {a.slot_period} vs {b.slot_period}")
-    if same_wavelength and a.wavelength != b.wavelength:
-        raise IncompatibleTrains(f"wavelength mismatch: {a.wavelength} nm vs {b.wavelength} nm")
-    n = max(len(a), len(b))
-    return a.padded_to(n), b.padded_to(n)
-
-
 def cw_laser(
     n_slots: int,
     amplitude: float = 1.0,
@@ -144,35 +129,20 @@ def cw_laser(
 # Mach-Zehnder modulator
 # ---------------------------------------------------------------------------
 
-_MZM_NORMALIZATIONS = {"halved": 0.5, "unnormalized": 1.0}
-
-
 @dataclass(frozen=True)
 class MzmParams:
-    """Voltage-to-phase model of a dual-arm Mach-Zehnder modulator.
-
-    ``normalization`` selects the recombination factor: ``"halved"`` (default,
-    amplitude-preserving under common drive) or ``"unnormalized"`` (raw two-arm
-    sum, which doubles the field under common drive).
-    """
+    """Voltage-to-phase model of a dual-arm Mach-Zehnder modulator."""
 
     v_pi_rf: float = 4.0
     v_pi_dc: float = 4.0
     v_bias_1: float = 0.0
     v_bias_2: float = 0.0
-    normalization: str = "halved"
 
     def __post_init__(self) -> None:
         if not (self.v_pi_rf > 0.0):
             raise ValueError(f"v_pi_rf must be > 0, got {self.v_pi_rf}")
         if not (self.v_pi_dc > 0.0):
             raise ValueError(f"v_pi_dc must be > 0, got {self.v_pi_dc}")
-        if self.normalization not in _MZM_NORMALIZATIONS:
-            raise ValueError(f"normalization must be one of {sorted(_MZM_NORMALIZATIONS)}")
-
-    @property
-    def scale(self) -> float:
-        return _MZM_NORMALIZATIONS[self.normalization]
 
 
 _DRIVE_MODES = ("balanced-single-drive", "common-drive", "independent")
@@ -222,14 +192,14 @@ def mzm_transfer(train: PulseTrain, drive: DriveProfile, params: MzmParams | Non
     """Dual-arm interference of the modulator: split, phase-shift, recombine.
 
     Per slot, ``phi_{1,2} = pi*(V_{1,2}/v_pi_rf + v_bias_{1,2}/v_pi_dc)`` and the
-    output amplitude is ``scale * a * (exp(1j*phi1) + exp(1j*phi2))``.
+    output amplitude is ``0.5 * a * (exp(1j*phi1) + exp(1j*phi2))``.
     """
     params = params or MzmParams()
     if len(drive) != len(train):
         raise ValueError(f"drive length {len(drive)} != train length {len(train)}")
     phi1 = np.pi * (drive.v1 / params.v_pi_rf + params.v_bias_1 / params.v_pi_dc)
     phi2 = np.pi * (drive.v2 / params.v_pi_rf + params.v_bias_2 / params.v_pi_dc)
-    out = params.scale * train.slots * (np.exp(1j * phi1) + np.exp(1j * phi2))
+    out = 0.5 * train.slots * (np.exp(1j * phi1) + np.exp(1j * phi2))
     return train.with_slots(out)
 
 
@@ -266,10 +236,16 @@ class CouplerRatio:
 
 
 def coupler_2x2(in_a: PulseTrain, in_b: PulseTrain, ratio: CouplerRatio | float = CouplerRatio()) -> tuple[PulseTrain, PulseTrain]:
-    """Unitary 2x2 coupler; the cross port carries a ``1j`` phase factor."""
+    """Unitary 2x2 coupler; the cross port carries a ``1j`` phase factor.  The
+    shorter input is padded with vacuum; inputs must share grid and channel."""
     if not isinstance(ratio, CouplerRatio):
         ratio = CouplerRatio(ratio)
-    a, b = _aligned(in_a, in_b)
+    if in_a.slot_period != in_b.slot_period:
+        raise IncompatibleTrains(f"slot_period mismatch: {in_a.slot_period} vs {in_b.slot_period}")
+    if in_a.wavelength != in_b.wavelength:
+        raise IncompatibleTrains(f"wavelength mismatch: {in_a.wavelength} nm vs {in_b.wavelength} nm")
+    n = max(len(in_a), len(in_b))
+    a, b = in_a.padded_to(n), in_b.padded_to(n)
     t = math.sqrt(ratio.transmittance)
     k = 1j * math.sqrt(1.0 - ratio.transmittance)
     out_a = t * a.slots + k * b.slots
@@ -309,74 +285,8 @@ def dli(train: PulseTrain, delay_slots: int = 1) -> tuple[PulseTrain, PulseTrain
     return constructive, destructive
 
 
-def circulator(
-    port1_in: PulseTrain | None = None,
-    port2_in: PulseTrain | None = None,
-    port3_in: PulseTrain | None = None,
-) -> tuple[PulseTrain, PulseTrain, PulseTrain]:
-    """Lossless three-port circulator with 1->2, 2->3, 3->1 routing.
-
-    Missing inputs are vacuum.  Outputs are padded to a common length.
-    """
-    present = [p for p in (port1_in, port2_in, port3_in) if p is not None]
-    if not present:
-        raise ValueError("circulator needs at least one input train")
-    n = max(len(p) for p in present)
-    ref = present[0]
-    for p in present[1:]:
-        _aligned(ref, p)
-    filled = [p.padded_to(n) if p is not None else ref.vacuum_like(n) for p in (port1_in, port2_in, port3_in)]
-    return filled[2], filled[0], filled[1]
-
-
 def attenuate(train: PulseTrain, db: float) -> PulseTrain:
     """Power attenuation by ``db`` decibels (amplitude factor ``10**(-db/20)``)."""
     if db < 0.0:
         raise ValueError("attenuation must be >= 0 dB")
     return train.with_slots(train.slots * 10.0 ** (-db / 20.0))
-
-
-# ---------------------------------------------------------------------------
-# Wavelength handling
-# ---------------------------------------------------------------------------
-
-
-def optical_filter(
-    channels: Iterable[PulseTrain],
-    passband_nm: float,
-    extinction_db: float = math.inf,
-) -> list[PulseTrain]:
-    """Bandpass filter over a group of co-propagating channels.
-
-    The in-band channel passes with 0 dB loss; every out-of-band channel is
-    attenuated by ``extinction_db``.  If no channel sits at the passband, the
-    result gains an empty (vacuum) train at that wavelength.
-    """
-    chans = list(channels)
-    if not chans:
-        raise ValueError("optical_filter needs at least one channel")
-    if extinction_db < 0.0:
-        raise ValueError("extinction must be >= 0 dB")
-    out: list[PulseTrain] = []
-    seen_passband = False
-    factor = 10.0 ** (-extinction_db / 20.0) if math.isfinite(extinction_db) else 0.0
-    for ch in chans:
-        if ch.wavelength == passband_nm:
-            seen_passband = True
-            out.append(ch)
-        elif extinction_db == 0.0:
-            out.append(ch)
-        else:
-            out.append(ch.with_slots(ch.slots * factor))
-    if not seen_passband:
-        n = max(len(c) for c in chans)
-        out.append(PulseTrain.vacuum(n, chans[0].slot_period, passband_nm))
-    return out
-
-
-def select_channel(channels: Iterable[PulseTrain], wavelength: float) -> PulseTrain:
-    for ch in channels:
-        if ch.wavelength == wavelength:
-            return ch
-    raise KeyError(f"no channel at {wavelength} nm")
-

@@ -25,7 +25,6 @@ import yaml
 
 from .attacks import (
     AttackOutcome,
-    BlindingThresholds,
     blinding_feasible,
     capture_fraction,
     decode_cow_readings,
@@ -38,7 +37,6 @@ from .attacks import (
 from .config import ConfigError, ScenarioConfig, scenario_from_dict
 from .detectors import (
     ApdConfig,
-    BackflashConfig,
     BlindingState,
     DetectionRecord,
     DetectorTrace,
@@ -48,7 +46,7 @@ from .detectors import (
     watchdog,
 )
 from .goldens import golden_config_dict
-from .optics import PulseTrain, circulator, cw_laser, optical_filter, phase_modulator, select_channel
+from .optics import PulseTrain, cw_laser, phase_modulator
 from .protocols import (
     COW_SYMBOLS,
     ProtocolRun,
@@ -182,13 +180,7 @@ def _run_backflash(
     """Reverse pass: re-emission from Bob's clicked detectors, routed to Eve by
     the channel circulator, decoded with her replica of the corresponding
     detector."""
-    s = cfg.attack.backflash
-    bf = BackflashConfig(
-        electrons_per_avalanche=s.electrons_per_avalanche,
-        photons_per_electron=s.photons_per_electron,
-        ideal_mode=s.ideal,
-        emission_gain=s.emission_gain,
-    )
+    bf = cfg.attack.backflash
     gain2 = bf.emission_gain**2
 
     def eve_detect(detector: str, threshold: float) -> DetectorTrace:
@@ -198,9 +190,9 @@ def _run_backflash(
             bf,
             rng=rngs.get(f"backflash-{detector}"),
         )
-        _, _, toward_eve = circulator(port2_in=emission)
+        # A lossless circulator routes the emission from Bob's port to Eve.
         cfg_eve = ApdConfig(mode="geiger", click_threshold=threshold)
-        rec = apd_detect(toward_eve, cfg_eve, f"EVE_{detector}", rng=rngs.get(f"eve-{detector}"))
+        rec = apd_detect(emission, cfg_eve, f"EVE_{detector}", rng=rngs.get(f"eve-{detector}"))
         return rec[f"EVE_{detector}"]
 
     rel = cfg.detector.click_threshold_rel
@@ -255,17 +247,14 @@ def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun, train: PulseTrain) -> Att
         excess_loss_db=cfg.channel.excess_loss_for(s.probe_wavelength_nm),
         signal_wavelength=cfg.wavelength_nm,
     )
-    # Both bands co-propagate back up Alice's output fiber; Eve's bandpass
-    # filter strips the signal band and keeps the probe band for her decoder.
-    channels = optical_filter([train, reflected], s.probe_wavelength_nm)
-    eve_channel = select_channel(channels, s.probe_wavelength_nm)
-
+    # Both bands co-propagate back up Alice's output fiber; Eve's ideal
+    # bandpass filter strips the signal band and passes the probe band whole.
     if cfg.protocol == "dps":
-        decoded = trojan_decode(eve_channel, "dps", s.eve_min_intensity)
+        decoded = trojan_decode(reflected, "dps", s.eve_min_intensity)
         eve_slots = np.nonzero(decoded >= 0)[0] + 1
         eve_bits = decoded[decoded >= 0].astype(np.int64)
     else:
-        readout = trojan_decode(eve_channel, "cow", s.eve_min_intensity)
+        readout = trojan_decode(reflected, "cow", s.eve_min_intensity)
         eve_slots, eve_bits = _readout_key(run.alice_symbols, readout)
 
     frac = capture_fraction(run.sifted_slots, run.sifted_bob, eve_slots, eve_bits)
@@ -310,7 +299,7 @@ def _run_blinding(
     faked-state plan, and the replay into Bob's blinded detectors with the
     photocurrent monitor watching."""
     s = cfg.attack.blinding
-    th = BlindingThresholds.from_detector_settings(cfg.detector)
+    rails = cfg.detector
     decode = decode_dps_readings if cfg.protocol == "dps" else decode_cow_readings
 
     derived = s.readings is None
@@ -323,11 +312,11 @@ def _run_blinding(
         readings = np.array(s.readings, dtype=np.int64)
 
     if cfg.protocol == "dps":
-        plan = fsg_dps_phases(readings, s.policy, launch_intensity=th.p_always)
-        feasibility = {"rail_gap": th.p_always < 2.0 * th.p_never}
+        plan = fsg_dps_phases(readings, s.policy, launch_intensity=rails.p_always)
+        feasibility = {"rail_gap": rails.p_always < 2.0 * rails.p_never}
     else:
-        plan = fsg_cow_drive(readings, cfg.t_b, th, allow_infeasible=True)
-        feasibility = blinding_feasible(th, cfg.t_b).as_dict()
+        plan = fsg_cow_drive(readings, cfg.t_b, rails, allow_infeasible=True)
+        feasibility = blinding_feasible(rails, cfg.t_b).as_dict()
 
     trigger = plan.to_train(cfg.slot_period, cfg.wavelength_nm)
     blind = BlindingState(0.0, s.decay_per_slot, s.blind_threshold)

@@ -18,6 +18,7 @@ from dprsim.attacks import (
     fsg_replay_dps,
 )
 from dprsim.cli import main
+from dprsim.config import DetectorSettings
 from dprsim.optics import PulseTrain, dli
 from dprsim.protocols import cow_occupancy, dps_encode, dps_sift, receive
 from dprsim.scenario import run_golden
@@ -107,7 +108,7 @@ def test_fsg_sequence_reproduction():
         started = time.perf_counter()
         for readings in itertools.product((0, 1, 2), repeat=8):
             canonical = fsg_dps_phases(readings, launch_intensity=0.39)
-            assert fsg_replay_dps(canonical, p_never=0.2, p_always=0.39) == list(readings)
+            assert fsg_replay_dps(canonical, DetectorSettings(p_never=0.2, p_always=0.39)) == list(readings)
         assert time.perf_counter() - started < 60.0
 
 

@@ -8,7 +8,6 @@ from dprsim.attacks import (
     DPS_PHASE_STEP,
     WORKED_EXAMPLE_PHASES,
     WORKED_EXAMPLE_READINGS,
-    BlindingThresholds,
     blinding_feasible,
     capture_fraction,
     fsg_cow_drive,
@@ -18,12 +17,12 @@ from dprsim.attacks import (
     trojan_decode,
     trojan_probe,
 )
-from dprsim.config import TrojanSettings
+from dprsim.config import DetectorSettings, TrojanSettings
 from dprsim.optics import attenuate
 from dprsim.protocols import cow_occupancy, dps_reference_bits
 
-RAILS = dict(p_never=0.2, p_always=0.39)
-COW_THRESHOLDS = BlindingThresholds()
+RAILS = DetectorSettings(p_never=0.2, p_always=0.39)
+COW_RAILS = DetectorSettings()
 
 dps_readings = st.lists(st.integers(0, 2), min_size=1, max_size=12)
 cow_readings = st.lists(st.integers(0, 3), min_size=1, max_size=12)
@@ -74,15 +73,15 @@ def test_canonical_phase_steps_encode_the_readings(readings):
 @settings(max_examples=100, deadline=None)
 @given(dps_readings)
 def test_fsg_dps_replay_reproduces_readings(readings):
-    plan = fsg_dps_phases(readings, launch_intensity=RAILS["p_always"])
-    assert fsg_replay_dps(plan, **RAILS) == list(readings)
+    plan = fsg_dps_phases(readings, launch_intensity=RAILS.p_always)
+    assert fsg_replay_dps(plan, RAILS) == list(readings)
 
 
 def test_policies_agree_on_the_worked_example():
     worked = fsg_dps_phases(WORKED_EXAMPLE_READINGS, n_policy="worked-example")
     canonical = fsg_dps_phases(WORKED_EXAMPLE_READINGS, n_policy="canonical")
-    assert fsg_replay_dps(worked, **RAILS) == list(WORKED_EXAMPLE_READINGS)
-    assert fsg_replay_dps(canonical, **RAILS) == list(WORKED_EXAMPLE_READINGS)
+    assert fsg_replay_dps(worked, RAILS) == list(WORKED_EXAMPLE_READINGS)
+    assert fsg_replay_dps(canonical, RAILS) == list(WORKED_EXAMPLE_READINGS)
     # Same reading, same phase-step class, wherever a step encodes it.
     worked_steps = worked.phase_steps()  # step k encodes reading k+1
     canonical_steps = canonical.phase_steps()  # step k encodes reading k
@@ -111,7 +110,7 @@ def test_fsg_rejects_invalid_reading_symbols():
 def test_cow_drive_levels_symmetric_splitter():
     # With t_b = 0.5 and equal always-rails P on both families, both launch
     # levels are 2P.
-    th = BlindingThresholds(p_always_b=0.39, p_never_b=0.2, p_always_m=0.39, p_never_m=0.2)
+    th = DetectorSettings(p_always_b=0.39, p_never_b=0.2, p_always_m=0.39, p_never_m=0.2)
     plan = fsg_cow_drive([2, 3], 0.5, th, allow_infeasible=True)
     np.testing.assert_allclose(plan.intensity_per_slot, [0.78, 0.78, 0.78])
     plan_data = fsg_cow_drive([3], 0.5, th, allow_infeasible=True)
@@ -119,7 +118,7 @@ def test_cow_drive_levels_symmetric_splitter():
 
 
 def test_cow_drive_rejects_infeasible_thresholds_by_default():
-    bad = BlindingThresholds(p_always_m=0.39, p_never_b=0.2)  # monitor drive visible to data line
+    bad = DetectorSettings(p_always_m=0.39, p_never_b=0.2)  # monitor drive visible to data line
     with pytest.raises(ValueError, match="monitor_drive_hidden_from_data"):
         fsg_cow_drive([0, 1], 0.5, bad)
 
@@ -127,21 +126,17 @@ def test_cow_drive_rejects_infeasible_thresholds_by_default():
 @settings(max_examples=100, deadline=None)
 @given(cow_readings)
 def test_fsg_cow_replay_reproduces_readings(readings):
-    plan = fsg_cow_drive(readings, 0.5, COW_THRESHOLDS)
-    assert fsg_replay_cow(plan, 0.5, COW_THRESHOLDS) == list(readings)
+    plan = fsg_cow_drive(readings, 0.5, COW_RAILS)
+    assert fsg_replay_cow(plan, 0.5, COW_RAILS) == list(readings)
 
 
 @settings(max_examples=60, deadline=None)
 @given(cow_readings)
 def test_fsg_cow_drive_never_leaks_into_silent_detectors(readings):
-    from dataclasses import asdict
-
-    from dprsim.config import DetectorSettings
     from dprsim.protocols import receive
 
-    plan = fsg_cow_drive(readings, 0.5, COW_THRESHOLDS)
-    rails = DetectorSettings(**asdict(COW_THRESHOLDS))
-    record, _ = receive("cow", plan.to_train(0.5), rails, t_b=0.5, mode="linear")
+    plan = fsg_cow_drive(readings, 0.5, COW_RAILS)
+    record, _ = receive("cow", plan.to_train(0.5), COW_RAILS, t_b=0.5, mode="linear")
     offset = plan.readings_slot_offset
     for j, r in enumerate(readings):
         slot = offset + j
@@ -167,34 +162,34 @@ def test_step_tables_target_the_right_ports():
 
 
 def test_feasibility_marginal_at_exact_rail_ratio():
-    th = BlindingThresholds(p_always=0.4, p_never=0.2)
+    th = DetectorSettings(p_always=0.4, p_never=0.2)
     report = blinding_feasible(th, 0.5)
     assert not report.rail_gap
     assert report.marginal
 
 
 def test_feasibility_strict_rail_ratio_passes():
-    th = BlindingThresholds(p_always=0.39, p_never=0.2)
+    th = DetectorSettings(p_always=0.39, p_never=0.2)
     report = blinding_feasible(th, 0.5)
     assert report.rail_gap
     assert not report.marginal
 
 
 def test_feasibility_fails_near_unity_transmittance():
-    th = BlindingThresholds(p_always_m=0.3, p_never_b=0.3)
+    th = DetectorSettings(p_always_m=0.3, p_never_b=0.3)
     report = blinding_feasible(th, 0.9)
     assert not report.monitor_drive_hidden_from_data  # 9 * P >= P
 
 
 def test_feasibility_default_thresholds_work_at_half_transmittance():
-    assert blinding_feasible(COW_THRESHOLDS, 0.5).all_satisfied
+    assert blinding_feasible(COW_RAILS, 0.5).all_satisfied
 
 
 def test_feasibility_rejects_degenerate_transmittance():
     with pytest.raises(ValueError):
-        blinding_feasible(COW_THRESHOLDS, 0.0)
+        blinding_feasible(COW_RAILS, 0.0)
     with pytest.raises(ValueError):
-        blinding_feasible(COW_THRESHOLDS, 1.0)
+        blinding_feasible(COW_RAILS, 1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -204,14 +199,14 @@ def test_feasibility_rejects_degenerate_transmittance():
     st.floats(0.2, 0.8),
 )
 def test_feasibility_monotone_in_rails(p_always, bump, t_b):
-    base = BlindingThresholds(
+    base = DetectorSettings(
         p_always=p_always, p_never=0.3, p_always_b=p_always, p_never_b=0.3, p_always_m=p_always, p_never_m=0.3
     )
-    wider = BlindingThresholds(
+    wider = DetectorSettings(
         p_always=p_always, p_never=0.3 + bump, p_always_b=p_always, p_never_b=0.3 + bump,
         p_always_m=p_always, p_never_m=0.3 + bump,
     )
-    narrower = BlindingThresholds(
+    narrower = DetectorSettings(
         p_always=p_always + bump, p_never=0.3, p_always_b=p_always + bump, p_never_b=0.3,
         p_always_m=p_always + bump, p_never_m=0.3,
     )

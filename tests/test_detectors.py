@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from dprsim.detectors import (
     ApdConfig,
-    BackflashConfig,
     BlindingState,
     DetectionRecord,
     apd_detect,
@@ -14,6 +13,7 @@ from dprsim.detectors import (
     photocurrent_monitor,
     watchdog,
 )
+from dprsim.config import BackflashSettings
 from dprsim.optics import PulseTrain, cw_laser
 
 
@@ -194,26 +194,26 @@ def test_apd_detect_blinding_transition():
 def test_backflash_ideal_copies_every_clicked_slot():
     incident = cw_laser(6, 1.0)
     rec = apd_detect(incident, ApdConfig(mode="geiger", click_threshold=0.5))
-    out = backflash_emit(rec, incident, BackflashConfig(ideal_mode=True, emission_gain=0.5))
+    out = backflash_emit(rec, incident, BackflashSettings(ideal=True, emission_gain=0.5))
     np.testing.assert_allclose(out.slots, 0.5 * incident.slots)
 
 
 def test_backflash_no_clicks_is_vacuum():
     incident = cw_laser(6, 1.0)
     rec = apd_detect(PulseTrain.vacuum(6), ApdConfig(mode="geiger", click_threshold=0.5))
-    out = backflash_emit(rec, incident, BackflashConfig(ideal_mode=True))
+    out = backflash_emit(rec, incident, BackflashSettings(ideal=True))
     assert out.total_power == 0.0
 
 
 def test_backflash_default_probability_value():
-    assert BackflashConfig().emission_probability == pytest.approx(0.0648)
+    assert BackflashSettings().emission_probability == pytest.approx(0.0648)
 
 
 def test_backflash_statistics_converge_to_emission_probability():
     n = 100_000
     incident = cw_laser(n, 1.0)
     rec = apd_detect(incident, ApdConfig(mode="geiger", click_threshold=0.5))
-    cfg = BackflashConfig()
+    cfg = BackflashSettings()
     out = backflash_emit(rec, incident, cfg, rng=np.random.default_rng(7))
     emitted = int(np.sum(out.intensities > 0))
     p = cfg.emission_probability
@@ -225,14 +225,14 @@ def test_backflash_below_certainty_needs_an_rng():
     incident = cw_laser(6, 1.0)
     rec = apd_detect(incident, ApdConfig(mode="geiger", click_threshold=0.5))
     with pytest.raises(ValueError, match="rng"):
-        backflash_emit(rec, incident, BackflashConfig())
+        backflash_emit(rec, incident, BackflashSettings())
 
 
 def test_backflash_length_mismatch_rejected():
     incident = cw_laser(6, 1.0)
     rec = apd_detect(incident, ApdConfig(mode="geiger", click_threshold=0.5))
     with pytest.raises(ValueError):
-        backflash_emit(rec, cw_laser(5, 1.0), BackflashConfig())
+        backflash_emit(rec, cw_laser(5, 1.0), BackflashSettings())
 
 
 # ---------------------------------------------------------------------------

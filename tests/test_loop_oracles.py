@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dprsim.attacks import (
-    BlindingThresholds,
     _check_readings,
     capture_fraction,
     decode_cow_readings,
@@ -15,7 +14,7 @@ from dprsim.attacks import (
     fsg_dps_phases,
     trojan_decode,
 )
-from dprsim.config import scenario_from_dict
+from dprsim.config import DetectorSettings, scenario_from_dict
 from dprsim.detectors import ApdConfig, BlindingState, DetectionRecord, DetectorTrace, _blinding_trace, apd_detect
 from dprsim.optics import PulseTrain
 from dprsim.protocols import (
@@ -158,7 +157,7 @@ def test_canonical_dps_phases_match_loop(readings):
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=60), st.sampled_from([0.3, 0.5, 0.7]))
 @settings(max_examples=200)
 def test_cow_drive_matches_loop(readings, t_b):
-    th = BlindingThresholds()
+    th = DetectorSettings()
     plan = fsg_cow_drive(readings, t_b, th, allow_infeasible=True)
     phases, levels = oracle.fsg_cow_drive_loop(readings, th.p_always_m / (1.0 - t_b), th.p_always_b / t_b)
     assert plan.phase_units == phases

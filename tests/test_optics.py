@@ -12,16 +12,13 @@ from dprsim.optics import (
     MzmParams,
     PulseTrain,
     attenuate,
-    circulator,
     coupler_2x2,
     cw_laser,
     delay_line,
     dli,
     mzm_transfer,
-    optical_filter,
     phase_modulator,
     pulse_carver,
-    select_channel,
 )
 
 from _oracles import brute_force_dli_ports
@@ -79,12 +76,6 @@ def test_mzm_balanced_half_pi_drive_extinguishes():
     np.testing.assert_allclose(np.abs(out.slots), 0.0, atol=1e-12)
 
 
-def test_mzm_unnormalized_doubles_field_under_common_drive():
-    params = MzmParams(normalization="unnormalized")
-    out = mzm_transfer(unit_train(), DriveProfile.common(np.zeros(4)), params)
-    np.testing.assert_allclose(out.slots, 2.0 * unit_train().slots)
-
-
 def test_mzm_drive_length_mismatch_rejected():
     with pytest.raises(ValueError):
         mzm_transfer(unit_train(4), DriveProfile.balanced(np.zeros(3)))
@@ -119,7 +110,7 @@ def test_phase_modulator_preserves_amplitude():
 
 
 # ---------------------------------------------------------------------------
-# Couplers, delays, circulator, attenuator
+# Couplers, delays, attenuator
 # ---------------------------------------------------------------------------
 
 
@@ -169,18 +160,6 @@ def test_delay_line_identity_and_shift():
     np.testing.assert_allclose(out.slots, [0.0, 1.0, 0.0])
     with pytest.raises(ValueError):
         delay_line(pulse, -1)
-
-
-def test_circulator_routing():
-    alice = PulseTrain(np.array([1.0 + 0j]))
-    backflash = PulseTrain(np.array([0.5 + 0j]))
-    out1, out2, out3 = circulator(port1_in=alice, port2_in=backflash)
-    np.testing.assert_allclose(out2.slots, alice.slots)  # toward Bob
-    np.testing.assert_allclose(out3.slots, backflash.slots)  # toward Eve
-    np.testing.assert_allclose(out1.slots, 0.0)
-    vac = PulseTrain.vacuum(3)
-    for out in circulator(vac, vac, vac):
-        assert out.total_power == 0.0
 
 
 def test_attenuate():
@@ -250,45 +229,9 @@ def test_dli_matches_slot_by_slot_oracle(slots, delay):
     assert total == pytest.approx(train.total_power, abs=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# Wavelength handling
-# ---------------------------------------------------------------------------
-
-
-def test_filter_isolates_passband_at_full_extinction():
-    signal = cw_laser(3, 1.0, 1550.0)
-    probe = cw_laser(3, 0.5, 1000.0)
-    out = optical_filter([signal, probe], 1000.0)
-    assert select_channel(out, 1000.0).total_power == pytest.approx(probe.total_power)
-    assert select_channel(out, 1550.0).total_power == 0.0
-
-
-def test_filter_zero_extinction_is_identity():
-    signal = cw_laser(3, 1.0, 1550.0)
-    probe = cw_laser(3, 0.5, 1000.0)
-    out = optical_filter([signal, probe], 1000.0, extinction_db=0.0)
-    np.testing.assert_allclose(select_channel(out, 1550.0).slots, signal.slots)
-    np.testing.assert_allclose(select_channel(out, 1000.0).slots, probe.slots)
-
-
-def test_filter_finite_extinction():
-    signal = cw_laser(1, 1.0, 1550.0)
-    out = optical_filter([signal], 1000.0, extinction_db=20.0)
-    assert select_channel(out, 1550.0).intensities[0] == pytest.approx(0.01)
-    # No channel at the passband: an empty train appears there.
-    assert select_channel(out, 1000.0).total_power == 0.0
-
-
-def test_select_channel_missing():
-    with pytest.raises(KeyError):
-        select_channel([cw_laser(1, 1.0, 1550.0)], 1000.0)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.lists(complex_slot, min_size=1, max_size=16), st.integers(0, 5))
 def test_delay_and_circulator_preserve_power(slots, delay):
     train = PulseTrain(np.array(slots))
     assert delay_line(train, delay).total_power == pytest.approx(train.total_power, abs=1e-12)
-    outs = circulator(port1_in=train)
-    assert sum(o.total_power for o in outs) == pytest.approx(train.total_power, abs=1e-12)
 

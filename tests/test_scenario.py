@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dprsim.config import ConfigError, scenario_from_dict
@@ -445,6 +445,9 @@ def test_noisy_receiver_runs_are_pinned(name):
     assert record.content_hash() == NOISY_RUN_HASHES[name]
 
 
+NEVER_RAILS = ("p_never", "p_never_b", "p_never_m")
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.sampled_from(["dps", "cow"]),
@@ -452,13 +455,19 @@ def test_noisy_receiver_runs_are_pinned(name):
     st.floats(0.0, 0.5),
     st.integers(0, 3),
     st.integers(0, 2**16),
+    st.sets(st.sampled_from(NEVER_RAILS)),
 )
-def test_derived_blinding_completes_under_detector_noise(protocol, dark, afterpulse, dead, seed):
+@example("dps", 0.0, 0.0, 0, 1, {"p_never"})
+@example("cow", 0.0, 0.0, 0, 1, set(NEVER_RAILS))
+def test_derived_blinding_completes_under_detector_noise(protocol, dark, afterpulse, dead, seed, zero_rails):
+    # Each never-click rail is its default or 0, which the rail rule
+    # 0 <= p_never < p_always allows.
+    noise = {"dark_count_prob": dark, "afterpulse_prob": afterpulse, "dead_time_slots": dead}
     cfg = {
         "protocol": protocol,
         "n_symbols": 40,
         "seed": seed,
-        "detector": {"dark_count_prob": dark, "afterpulse_prob": afterpulse, "dead_time_slots": dead},
+        "detector": {**noise, **dict.fromkeys(zero_rails, 0.0)},
         "attack": {"kind": "blinding"},
     }
     outcome = run_scenario(scenario_from_dict(cfg)).attack
