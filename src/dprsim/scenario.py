@@ -340,8 +340,9 @@ def _run_blinding(
         # faithful replica measurement: reading j sits at his slot j + offset
         # and carries Alice's difference bit j - 1.
         diff = dps_reference_bits(clean.alice_bits)
-        run_alice = diff[bob_idx[(bob_idx >= 1) & (bob_idx <= diff.size)] - 1]
-        run_qber = float(np.mean(run_alice != bob_bits[: run_alice.size])) if run_alice.size else 0.0
+        keep = (bob_idx >= 1) & (bob_idx <= diff.size)
+        run_alice = diff[bob_idx[keep] - 1]
+        run_qber = float(np.mean(run_alice != bob_bits[keep])) if run_alice.size else 0.0
     else:
         run_alice = np.array([], dtype=np.int64)
         run_qber = None

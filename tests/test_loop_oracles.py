@@ -243,7 +243,8 @@ def test_blinding_bookkeeping_matches_loops(protocol, seed, dark, p_never):
         diff = np.bitwise_xor(np.asarray(run.alice_bits[1:]), np.asarray(run.alice_bits[:-1]))
         alice = oracle.blinding_sifted_alice_loop(diff, bob_idx)
         _same(run.sifted_alice, alice)
-        assert run.qber == (float(np.mean(alice != bob_bits[: alice.size])) if alice.size else 0.0)
+        paired = np.array([b for j, b in zip(bob_idx, bob_bits) if 1 <= j <= diff.size], dtype=np.int64)
+        assert run.qber == (float(np.mean(alice != paired)) if alice.size else 0.0)
 
 
 @given(

@@ -137,7 +137,7 @@ NOISY_RUN_HASHES = {
     "cow-backflash": "a2ca92037b93087e4156f72762ca0ce51edea35d6977360a5468b7e876cb0674",
     "dps-trojan": "d4a2efea461bf547f5c0bedb52e1a9149b596901bb6c1fcfeb8ac88f6beb25c0",
     "cow-trojan": "ff1221e51e0192bf279dd5a6f6b1a7df96914d0e6dbf2d5c0ba1b001d17042ff",
-    "dps-blinding-between-rails": "1dcc597e9a3dba7e6bd3c4b01aa5e90d4462001a3f6d2a844e5030090bf1d42d",
+    "dps-blinding-between-rails": "2606e79d2d89583f5ca4ca6d4fdcfac7776e87a880508827edd1819d20a4b171",
     "cow-blinding-weak-light": "3df4c4f22c66baf40153d582cbdbc06e2da2582a7eb7585a441020907d866f10",
 }
 
@@ -435,6 +435,22 @@ def test_blinding_derived_readings_round_trip():
     assert record.protocol_run.qber == 0.0
     assert record.attack.capture_fraction == 1.0
     assert record.attack.induced_qber == 0.0
+
+
+@pytest.mark.parametrize("seed", [2, 3, 13, 14])
+def test_derived_dps_blinding_qber_pairs_each_bit_with_its_own_slot(seed):
+    # Dark counts make Bob's reading 0 a click in these runs; that reading has
+    # no difference bit, and the QBER must not pair later bits one slot off.
+    cfg = {
+        "protocol": "dps",
+        "n_symbols": 40,
+        "seed": seed,
+        "detector": {"dark_count_prob": 0.2},
+        "attack": {"kind": "blinding"},
+    }
+    record = run_scenario(scenario_from_dict(cfg))
+    assert record.protocol_run.sifted_slots[0] == 0
+    assert record.protocol_run.qber == 0.0
 
 
 @pytest.mark.parametrize("name", sorted(NOISY_RUNS))
