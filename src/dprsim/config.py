@@ -52,8 +52,7 @@ def _floats(value: Any, path: str):
 
 
 def _check_finite(section: Any, path: str = "") -> None:
-    """Reject NaN in every float field and infinity in every field whose
-    default is finite, naming the field path."""
+    """Reject NaN and infinity in every float field, naming the field path."""
     for f in fields(section):
         where = f"{path}.{f.name}" if path else f.name
         value = getattr(section, f.name)
@@ -61,7 +60,7 @@ def _check_finite(section: Any, path: str = "") -> None:
             _check_finite(value, where)
             continue
         for sub, v in _floats(value, where):
-            if not (math.isfinite(v) or (v == math.inf and f.default == math.inf)):
+            if not math.isfinite(v):
                 raise ConfigError(f"{sub}: must be finite, got {v}")
 
 
@@ -110,20 +109,15 @@ class ChannelSettings:
     ``phase_tamper_half_turns`` is an in-channel phase modulator profile in
     units of pi, applied per grid slot from slot 0.  ``excess_loss_db`` maps a
     wavelength to extra one-way loss relative to the signal band.
-    ``bob_filter_extinction_db`` is Bob's entrance bandpass filter (infinite by
-    default, i.e. only the signal wavelength reaches his detectors).
     """
 
     phase_tamper_half_turns: tuple[float, ...] | None = None
     excess_loss_db: tuple[tuple[float, float], ...] = ((1924.0, 20.0),)
-    bob_filter_extinction_db: float = math.inf
 
     def validate(self, path: str) -> None:
         for nm, db in self.excess_loss_db:
             if nm <= 0 or db < 0:
                 raise ConfigError(f"{path}.excess_loss_db[{nm}]: wavelength must be > 0 and loss >= 0 dB")
-        if self.bob_filter_extinction_db < 0:
-            raise ConfigError(f"{path}.bob_filter_extinction_db: must be >= 0 dB")
 
     def excess_loss_for(self, wavelength: float) -> float:
         for nm, db in self.excess_loss_db:
@@ -354,8 +348,6 @@ def _plain(obj: Any) -> Any:
         return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, tuple):
         return [_plain(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
     return obj
 
 

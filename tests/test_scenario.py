@@ -1,13 +1,13 @@
 import base64
 import hashlib
 import json
-import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dprsim.cli import main
 from dprsim.config import ConfigError, scenario_from_dict
 from dprsim.goldens import GOLDENS, golden_config_dict
 from dprsim.report import emit_outputs, load_record, save_record
@@ -27,56 +27,56 @@ SMALL_DPS = {"protocol": "dps", "n_symbols": 16, "seed": 5}
 # Content addresses of the pinned scenarios; a drift here is a re-baseline,
 # not a refactor.
 GOLDEN_HASHES = {
-    "dps-ideal": "75ef33e5c5daab019b40dccf2f3e56038756650e84c67791d803e4053bad2339",
-    "cow-fig2": "7743b7112aeba093207e796c66c8ce1709b4662c42b0dcaee85fbddb02262fc5",
-    "cow-fig4-tamper": "4f2fd5dc0c7fba454f477e3ba70cc32ca10c9367db96c63365e11f6007170e60",
-    "dps-backflash-ideal": "a3b0de7da7c744706adea835b4ac0be5d4c98b4a89a42574cd23bb840a7d7363",
-    "cow-backflash-ideal": "11aefe0cb74e91f63e7e03a00a6588fbef4faff405043f458b66f4b5f1ee9963",
-    "dps-backflash-stat": "0852a6dc62ee092fb43e1b9d59c81123ff920cd4fde83eb5f5d1aaa13eed2293",
-    "dps-trojan": "a6bbcdff22fde6353ea224021d58c2a807eb6166e217fc11af80cdf30d8e7d6c",
-    "dps-trojan-watchdog": "9cddf6db61ffb6e5f38eb54ff3de7f9430e9ffbb2d2994f69ba908af4e2c2af8",
-    "cow-trojan": "ab15e9d6c2f063aacbb77d8bd972ee1976cb6455a3416afa5fbe1abcaa723db0",
-    "dps-blinding": "9c3503198487beaf998f2e71a0136c3825a02297870d6e98df64fba690111bc2",
-    "dps-blinding-derived": "3b391672903f33f45480df5303b046580ffbdace75711a10e6839aecdebc3ed4",
-    "cow-blinding": "bc684e8ea8704f717dafb5bf0613a832d778c1ab956eb14695ff08634f0ed88d",
-    "cow-blinding-cw": "8a166259da4daa9f7535c9f8f425e0ea5c801de7cb5ae9911a9c3f7c8cb04075",
+    "dps-ideal": "63ff61862fddb6c7257a11157413b0f08e3627d391594c5c971674c7cbe95bea",
+    "cow-fig2": "be28322df4ea2bf1fc5cda51ece7b514b1d05cdce5caad0128afec5fd159e616",
+    "cow-fig4-tamper": "c0432a0ec892b4c3ed9ab8283b051e3d6c5e8e2395e79722f005ae1993ae86d2",
+    "dps-backflash-ideal": "100e7fbd7c5ede957a21589144d60ddfa8e4f7a06ac95704aefc439eb592f93e",
+    "cow-backflash-ideal": "453c4a6515245f8a411a7a6f288a4aff810c2dc7f22043d080ed997c2e9837d1",
+    "dps-backflash-stat": "76ebcd0b4d189af21feb4482facd222289d6c76a5dc2624649d9438adc3154ba",
+    "dps-trojan": "a9ea6af483e99f3bd1bb3eadc81d5aef1c04f90e14026d00cecb4b11362c8ae1",
+    "dps-trojan-watchdog": "bf9d4dd0f62842cd7388f3519320a6b48318c66f8b7a61ecae05f05e930dbb45",
+    "cow-trojan": "6bdcb627421f3e79304519485365f9b2f6281320284074a8bb64952cd3843ee7",
+    "dps-blinding": "521087f09410b39fb053c47ae8cdfe24296126f8f35e21d586204e9d7c274ec6",
+    "dps-blinding-derived": "562993a6e39d834fc2e286ea9e2befe9b27c8632d55850c8b20dfe935523bc7f",
+    "cow-blinding": "2cd3a2695c65962fdaf4289ec39d824c5733779d35254a0199ea04308161d47a",
+    "cow-blinding-cw": "9b67e16425016b708dfd23ba0c020c8d6f05b1c65534aecdc6a24a6a177747ad",
 }
 
 # Record content hashes of the pinned scenarios (dprsim-record/2: canonical
 # header plus raw little-endian array bytes).
 GOLDEN_RECORD_HASHES = {
-    "dps-ideal": "bae0636e77246ecf033915aba51f7657986c49d7c4dc090ae8371699082357e2",
-    "cow-fig2": "daaf5fa655674b72d7b4bc7c918455006c58ae2f5fb2ca39f2f3210d2e4b4d56",
-    "cow-fig4-tamper": "1f6bbc6938f399a2c576a1de89c73b9f7cb484d3c167a5b44e2d9fe0487b88ce",
-    "dps-backflash-ideal": "0bca673b4ab221edb57751b355b2d169ce9ef1f6211ccc721cf7f0b2c420b181",
-    "cow-backflash-ideal": "8b1ed704a7b0b04302c890622b33d586e372fc9ff245683c4ac8f824bc2c4380",
-    "dps-backflash-stat": "9fa7a2bfa42393cf8d00a867c9792932ccd5284815c5c039e2be56ed44e4c284",
-    "dps-trojan": "f0bac061b4d595f0b0db72d61d507cc97c0964327884a086bab6770dbdfaae8a",
-    "dps-trojan-watchdog": "55b57336ad54ea483b80dd2a57eb8187099ebadbbed089d1be96aeb59ebf669d",
-    "cow-trojan": "a5eaf45613842b5c8777be82be1f5ecf88598d7f42f0289f90bbc43d277c831d",
-    "dps-blinding": "fbb2448a72a4306d97781ab82fa91a0ca5bf223d7ae410824b236976f2652ec8",
-    "dps-blinding-derived": "4d60f9dcac13c5acd3a0937256d92a69af115dbc17914812748392d47ba0602e",
-    "cow-blinding": "36292a340d66a7b89a77c126ecf58abd0cefeb379bab99569ec61f2dfd08ca15",
-    "cow-blinding-cw": "deaa9f121ee2d1378e0b4abd5d0b2d227bde983cdd479b2ff9975a27893293c0",
+    "dps-ideal": "3578edd1c5e0ca8a9b9379f44df06e5729f05943e9cc6ce96b8dc8f833ec88e8",
+    "cow-fig2": "91d9e253a35c1a74322062d5592985dbb39ed06a0c702cad49ac9b62d210a7d5",
+    "cow-fig4-tamper": "03e269c386bb1e182f0dd5c75649f4aeea401be33b31a97eb2abdb67b41680df",
+    "dps-backflash-ideal": "a7cb1c0e2c38f37a312b77c7debeba319010dbfa992b4636a712a27963733df0",
+    "cow-backflash-ideal": "be3ce5bf0ddbd4c06834fbd555dfa807c16b6989a8326217bf942940b7c7ee63",
+    "dps-backflash-stat": "e5a3b10407c6b688ca6763ca220cc01b4125752ffcb4a9e87d7fceab39aa4d23",
+    "dps-trojan": "f9146d182e44fcddf0cb762caa87f200a27706cbcfa34bc2bcdf95967ab25190",
+    "dps-trojan-watchdog": "a0bd950294c9cfbbee40b605ceaf1143067e59c34f67952863cff8b1071c1027",
+    "cow-trojan": "7bbf964eeca9aa06df96a754ea4a76cc642e1a138b642a5b227a51eb850bf2d4",
+    "dps-blinding": "2032ec4ad9fe795ba4db14278fd3d38d579033a5fefc2c7e4fb4c9fea262d410",
+    "dps-blinding-derived": "2950429ccc03d0632cbbd37a1a8a33f0900313514c3111788381660a4dcc232f",
+    "cow-blinding": "e4d702c4213d4ae6477fe096d233e8c4021d8f7ac023279768d9e3b57d0bd806",
+    "cow-blinding-cw": "8e22e9452f49a765eb6619103f34ad9121e1e0a9323acfe62f10829df8c874d1",
 }
 
 # The same records hashed by the retired dprsim-record/1 serializer
 # (``record_v1_hash``), taken before the array codec replaced it: these pin the
 # simulated values, whatever the record format.
 GOLDEN_RECORD_V1_HASHES = {
-    "dps-ideal": "023f9ef63374d59a241c84b4ffe3fe19b3399de2335afe9d7315cf3b1b54367b",
-    "cow-fig2": "9a93a561aaa83d4edb07b808a29c7f570eb9e1bffb83c405d828866135592120",
-    "cow-fig4-tamper": "37392564249631f45a0d68bb7cd8bc30f37150190b0094c0e7ef1fc73ba4ec49",
-    "dps-backflash-ideal": "e2a126d7f45533c2066a02c17169d5ad14fb90b6f02c6d094ea7220b7c746264",
-    "cow-backflash-ideal": "acd4f70fd70883caf6293bd3419b4ecc1d69aad7d47cc5bd4f5b88567f46c417",
-    "dps-backflash-stat": "86680e6c2d5277cc3121fba7bd833fcba3a5b69590a89337804e67ede5dac648",
-    "dps-trojan": "0e571d5cd63e8840fed45b6962a0308c2073be860a5664b52c27f30db46b813e",
-    "dps-trojan-watchdog": "809339aec65c7c5bfb87a8a13fe21c165367488c6fd2a37abfa8b7d05b65fef2",
-    "cow-trojan": "ffeeb05bd30d46a03aba99190b93a5f4b795c8041482b4afe6c18f3970518eb2",
-    "dps-blinding": "883c73a5956c449c6c0fb4e923505db2094bf22c2a9cd1e9175110f9169b9939",
-    "dps-blinding-derived": "daca9e957a7ee001271c00c8bce525c646354456cdbafebf410526e4f3840c19",
-    "cow-blinding": "551363c9cef49ceafe36091d8380e310d50b2ac58fed173294ae9d7b35f507d4",
-    "cow-blinding-cw": "ff22adb17dbe28668446b2a27a721d79d9b59d1a1be63c4cbf3ffa3689326772",
+    "dps-ideal": "b042f88da8f4a9bf8ff5723167a81193b7530cea8ecc0347fcb44f95d1bfb1ba",
+    "cow-fig2": "1af35a953337f741081c22db109996698cdba2c78440e86b9b76d63b7706cc9d",
+    "cow-fig4-tamper": "ef010fa1b4703b3f7148a602dcdfb020b3c979602251c4cbb548c0f50d706d85",
+    "dps-backflash-ideal": "b0d87767817d315b44f6a2e2d5e97b2a71bc76dfd250f436c3b46518aaada7a1",
+    "cow-backflash-ideal": "1241c71ee39ff56bc91efea0ee92c6b1b3f5532a7325fc522f4421217d8e7d3d",
+    "dps-backflash-stat": "0dd654d8d933ab6b027c73e4218fc89895ce36b5a447b3496acc7bda0f4791d0",
+    "dps-trojan": "0bb495feecdf5c9085a8cfb77e9bdf546e21b94e13e4b7e89205b448519a95c2",
+    "dps-trojan-watchdog": "89b165130e0d01ab8b202bbc6b80e02f8ab5f6cb11455e9921fdc2aa236817d7",
+    "cow-trojan": "0414e1eeb7cc1ae9d539a32fa011df90d73efa8a1d2db77b81707390205524ad",
+    "dps-blinding": "3ad1916a5f1fd8de1f246a90ce1b2659b5c1ff1d18b9bde08a50f90339e15fc9",
+    "dps-blinding-derived": "1a7543768bb6700dbe1493878b00c89011b5d1c5f1cd651adc926013d689adda",
+    "cow-blinding": "e552631c662446d634c056d8b66a08b839f5de06a4ecde9c4b1d7a71558b3ceb",
+    "cow-blinding-cw": "e3db05bb85cc71f5ce4498669b7964e4b4a9687cbe29202118e0d532959f97b3",
 }
 
 # SHA-256 over the SHA-256 hex digests of every emitted file except
@@ -129,16 +129,16 @@ NOISY_RUNS = {
     },
 }
 NOISY_RUN_HASHES = {
-    "dps-clean": "e49a7d40a811cdfc7430432da7deca63fb39531c9b6f72157c77d3fda2018d20",
-    "cow-clean": "0e15ee71e08068f361bbe71e88d69e7a82beaebc20d2b0e68ec8155db3c64408",
-    "dps-blinding": "e816dc34b6df60c09db1b7a618b25c6529dafa8fafea697d88eeabb7937e04ee",
-    "cow-blinding": "538bba756f66d2e8713e849adcd80b4a50afd577a43d9b1c3096db7d09bd9ec5",
-    "dps-backflash": "138880ee1f6a9c698d6cdccf1de3250b19195fd68bc1cbdb23c4eea42a19f624",
-    "cow-backflash": "a2ca92037b93087e4156f72762ca0ce51edea35d6977360a5468b7e876cb0674",
-    "dps-trojan": "d4a2efea461bf547f5c0bedb52e1a9149b596901bb6c1fcfeb8ac88f6beb25c0",
-    "cow-trojan": "ff1221e51e0192bf279dd5a6f6b1a7df96914d0e6dbf2d5c0ba1b001d17042ff",
-    "dps-blinding-between-rails": "2606e79d2d89583f5ca4ca6d4fdcfac7776e87a880508827edd1819d20a4b171",
-    "cow-blinding-weak-light": "3df4c4f22c66baf40153d582cbdbc06e2da2582a7eb7585a441020907d866f10",
+    "dps-clean": "3b19fcb8447b3ad1f1eaa3a2f2a9e2929f07223a6adeef5e719f46f12def2936",
+    "cow-clean": "44d553461d915bf725caedcab94bc4ce51cbafb49cdb3318d09b869a637f7577",
+    "dps-blinding": "966c9cf559393256db5e5d5c94121bdcc27e96bd7ba478d61826bdce3a5b218b",
+    "cow-blinding": "0a63a1a01424908ad2b257f49f3cb854a98bce4f62cd47fca50935d771bbf612",
+    "dps-backflash": "5caa13210526e7c28caa53fef0f309f6d80bd18373bb6b887d8bc0c0e582a366",
+    "cow-backflash": "aec9128fd04e362e682b262bdc1c9ec762a558abe9107ceba5d3b60a3ed1b1c9",
+    "dps-trojan": "2b2b2d339b98aa60184bc30455b46567cbb688930dcbfe26fc6de520f4b400f5",
+    "cow-trojan": "417ac68ebad71a8b977634d6456f11fd8dbb5241a9cc7a22f092431265ca8d08",
+    "dps-blinding-between-rails": "4d417ad8e02e6ce95046ca1071ba077bae6dff381a2e0483a46e533535622110",
+    "cow-blinding-weak-light": "90d108d256e66dca90a6c0d7b5d0b61d4a0a70ec25246cfbfd770a46719be4c2",
 }
 
 
@@ -189,12 +189,16 @@ def test_load_config_unknown_golden():
         load_config("golden_name: no-such-golden\n")
 
 
-def test_config_allows_infinity_only_where_the_default_is_infinite():
-    cfg = load_config("channel:\n  bob_filter_extinction_db: .inf\n")
-    assert cfg.channel.bob_filter_extinction_db == math.inf
-    assert scenario_from_dict(cfg.to_dict()).channel.bob_filter_extinction_db == math.inf
-    with pytest.raises(ConfigError, match="amplitude: must be finite"):
-        load_config("amplitude: .inf\n")
+def test_config_rejects_infinity_in_every_field(tmp_path, capsys):
+    # YAML reads ".inf" as a float and "inf" as a string the loader coerces;
+    # both must name the field.
+    for text in ("amplitude: .inf\n", "amplitude: inf\n"):
+        scenario = tmp_path / "inf.yaml"
+        scenario.write_text(text)
+        assert main(["run", "--config", str(scenario), "--out", str(tmp_path / "out")]) == 1
+        assert "amplitude: must be finite" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="channel.bob_filter_extinction_db: unknown key"):
+        load_config("channel:\n  bob_filter_extinction_db: .inf\n")
 
 
 def test_config_rejects_probe_at_signal_wavelength():
