@@ -1,7 +1,6 @@
-"""Result emission: per-slot event tables, key files, metric summaries and
-plot-ready per-detector traces.
+"""Result emission: per-slot event tables, key files and metric summaries.
 
-Formats are versioned through a header line (events, traces) or a ``format``
+Formats are versioned through a header line (events) or a ``format``
 key (metrics, records) and chosen so that every emitted file parses back into
 the in-memory values exactly: floats are written with ``repr``, which
 round-trips IEEE doubles.  ``record.json`` is ``dprsim-record/2``: one compact
@@ -37,7 +36,6 @@ __all__ = [
 ]
 
 EVENTS_HEADER = "# dprsim-events/1"
-TRACE_HEADER = "# dprsim-trace/1"
 METRICS_FORMAT = "dprsim-metrics/1"
 
 
@@ -131,11 +129,12 @@ def _write_key(path: Path, bits) -> None:
 def emit_outputs(record: RunRecord, directory: str | Path) -> list[Path]:
     """Write the full output set for one run into ``directory``.
 
-    * ``events.tsv``: slot, detector, intensity, click, mode per detector slot.
+    * ``events.tsv``: slot, detector, intensity, click, mode per detector
+      slot; :func:`read_events` parses it into per-detector arrays, ready to
+      plot.
     * ``alice.key`` / ``bob.key`` (and ``eve.key`` under attack): the sifted
       keys as ASCII bit strings, one line each.
     * ``metrics.json``: the recomputed :class:`MetricsSummary`.
-    * ``trace_<detector>.tsv``: plot-ready (slot, intensity) columns.
     * ``record.json``: the full serialized run record.
     """
     outdir = Path(directory)
@@ -144,7 +143,6 @@ def emit_outputs(record: RunRecord, directory: str | Path) -> list[Path]:
     names = run.record.names
     written: list[Path] = []
     slots = list(map(str, range(max((len(run.record[name]) for name in names), default=0))))
-    intensity = {name: _float_column(run.record[name].intensity) for name in names}
 
     events = outdir / "events.tsv"
     with events.open("w", encoding="utf-8") as fh:
@@ -152,7 +150,7 @@ def emit_outputs(record: RunRecord, directory: str | Path) -> list[Path]:
         fh.write("slot\tdetector\tintensity\tclick\tmode\n")
         for name in names:
             trace = run.record[name]
-            texts, codes = intensity[name]
+            texts, codes = _float_column(trace.intensity)
             table = [f"\t{name}\t{t}\t{c}\t{m}\n" for t in texts for c in (0, 1) for m in (GEIGER, LINEAR)]
             fh.write(_rows(slots, table, codes * 4 + trace.clicks * 2 + trace.linear_mode))
     written.append(events)
@@ -171,15 +169,6 @@ def emit_outputs(record: RunRecord, directory: str | Path) -> list[Path]:
     metrics = outdir / "metrics.json"
     metrics.write_text(json.dumps(summarize(record).to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
     written.append(metrics)
-
-    for name in names:
-        texts, codes = intensity[name]
-        path = outdir / f"trace_{name}.tsv"
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write(f"{TRACE_HEADER} detector={name}\n")
-            fh.write("slot\tintensity\n")
-            fh.write(_rows(slots, [f"\t{t}\n" for t in texts], codes))
-        written.append(path)
 
     record_path = outdir / "record.json"
     save_record(record, record_path)

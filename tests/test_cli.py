@@ -51,16 +51,6 @@ def test_emit_outputs_round_trip(tmp_path):
     assert summarize(clone).to_dict() == stored.to_dict()
 
 
-def test_trace_files_cover_every_detector(tmp_path):
-    record = run_golden("cow-fig2")
-    emit_outputs(record, tmp_path)
-    for name in record.protocol_run.record.names:
-        lines = (tmp_path / f"trace_{name}.tsv").read_text().splitlines()
-        assert lines[0].startswith("# dprsim-trace/1")
-        slots = [float(line.split("\t")[1]) for line in lines[2:]]
-        np.testing.assert_allclose(slots, record.protocol_run.record[name].intensity)
-
-
 # Few distinct values per trace, as in a pulse-level run, with the values a
 # table keyed on float equality would merge: 0.0 and -0.0.
 _VALUE = st.sampled_from([0.0, -0.0, math.nan, math.inf, 0.5]) | st.floats()
@@ -92,8 +82,6 @@ def test_tables_match_per_slot_formatting(tmp_path_factory, first, second):
         modes = trace.mode_labels()
         cells = [f"{float(v)!r}" for v in trace.intensity]
         rows += [f"{k}\t{name}\t{cell}\t{int(trace.clicks[k])}\t{modes[k]}" for k, cell in enumerate(cells)]
-        trace_lines = (out / f"trace_{name}.tsv").read_text().splitlines()[2:]
-        assert trace_lines == [f"{k}\t{cell}" for k, cell in enumerate(cells)]
     assert (out / "events.tsv").read_text().splitlines()[2:] == rows
 
 
@@ -180,10 +168,9 @@ def test_cli_derived_dps_blinding_with_dark_counts_completes(tmp_path, capsys):
 def test_cow_reference_run_destructive_monitor_trace_negligible(tmp_path):
     record = run_golden("cow-fig2")
     emit_outputs(record, tmp_path)
-    lines = (tmp_path / "trace_D_M2.tsv").read_text().splitlines()[2:]
-    values = [float(line.split("\t")[1]) for line in lines]
+    values = read_events(tmp_path / "events.tsv")["D_M2"]["intensity"]
     # Nothing above the quarter-intensity apparatus edges, and no detections.
-    assert max(values) <= 0.25 * 0.1 + 1e-12
+    assert values.max() <= 0.25 * 0.1 + 1e-12
     assert record.protocol_run.record["D_M2"].click_count == 0
 
 

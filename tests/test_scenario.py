@@ -82,19 +82,19 @@ GOLDEN_RECORD_V1_HASHES = {
 # SHA-256 over the SHA-256 hex digests of every emitted file except
 # record.json, concatenated in sorted file-name order.
 GOLDEN_OUTPUT_DIGESTS = {
-    "dps-ideal": "c4cf566443f4a34a2cab1bdbb78ce1b4c1092e112e833f4ef16e0b3c5811f23e",
-    "cow-fig2": "5fcd4ac310aeb8c330e056f13511e38f078aace36e6ee5ba3c9021322c8e7a1a",
-    "cow-fig4-tamper": "1fea69ccec82c6af8f84b427c50fc3e97a1d118c80c12f3d5a6975b3d9902324",
-    "dps-backflash-ideal": "d88362dd112442075acb4ab04047a5d55fa485f4503e76357d5385525e786538",
-    "cow-backflash-ideal": "1a5e794b7882344f44201b80d6f8e44d0f0554917b30c1a44d0c6cebb83ee933",
-    "dps-backflash-stat": "91fbbdf200eb5bb411288b91e766cf94ff59a968fba5f02e01a8c721686a5324",
-    "dps-trojan": "657b9ac99a570f90d5d3ae3ef2dc77b346443692204b131c6c23d48f8c5e31c9",
-    "dps-trojan-watchdog": "ce1f6291bc9f91a16dd3447a749c2b2d6a6224f30f60bb88346e3318ce573cc9",
-    "cow-trojan": "7aa6d7a030c51ed9de0bc3b86a30c574a3e183c1b86ce93b30f89b35017aab6d",
-    "dps-blinding": "0513100f94d1d1e55e8a8a4c5491f185360662418e7813a193ff8181fe6faa96",
-    "dps-blinding-derived": "9cfe4394b3f5c8b6ce6dc6b8d4f891368fb171cc0205a5ed0b92cb7299a5ba13",
-    "cow-blinding": "7de423ea21460f088167f53ad70fb64808ce146d2db0fcc8f9cdd98914223d29",
-    "cow-blinding-cw": "044f33a5b6ac5dd9c9d7d868c394f7ffcfbb7238bcc0deddce3ed003d85f3a03",
+    "dps-ideal": "de3e176ceeb8d1419a99d5a78a1f4345132d134db3e8661ba83f14780c9609bd",
+    "cow-fig2": "9862cbf9d2b651390d5001d44eb6fe89e63b046c65ab120ce4d7fe9da7d5e4d7",
+    "cow-fig4-tamper": "dd525cac3756b68083456138d176e6ce209a6d34f5fbc72c75f3bd49e90af80e",
+    "dps-backflash-ideal": "d706bb1d9705e78f3ebe6491dab1651d5f312ee0b50a5f9e1246245a0010d726",
+    "cow-backflash-ideal": "f2403a61788daf7b82b58121d2674116481cab72b6ffefbac6337c56dbfc5de3",
+    "dps-backflash-stat": "91e8a87ac2690461ed6ed1f4b7c2721ecf140a4603cbe3453e3298afa0d83b97",
+    "dps-trojan": "880744eac30066a5efe7b963e275214f5e8b83b69636a745e01d00258fa11d21",
+    "dps-trojan-watchdog": "ff42ae54ca1b8d8b4c2efa0137d0ace223be6972480ef1859da18e151056c4d6",
+    "cow-trojan": "5acc607e6dce8f52d5c949a8857fe2cc952211dbec611fb645fa9ea2ad76753b",
+    "dps-blinding": "9a14b9936a9da869475f219da75e302481f2df2ed782eb894c15bf93a2e6b77e",
+    "dps-blinding-derived": "1516fa4a40f0629291469fdf01a0101add1ec9663a98fc0ec82c4cb24280cbb0",
+    "cow-blinding": "54805a1f73bc8e235aa83f633d4980eec0853664d7a6e2a2eaf32f81c8c5264c",
+    "cow-blinding-cw": "d8121efea247401eeaa1a3014b15bf32efd5f45cb95d63d0b78197bac7fc2e9c",
 }
 
 
