@@ -129,6 +129,7 @@ def cw_laser(
 # Mach-Zehnder modulator
 # ---------------------------------------------------------------------------
 
+
 @dataclass(frozen=True)
 class MzmParams:
     """Voltage-to-phase model of a dual-arm Mach-Zehnder modulator."""

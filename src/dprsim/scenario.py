@@ -313,7 +313,7 @@ def _run_blinding(
 
     if cfg.protocol == "dps":
         plan = fsg_dps_phases(readings, s.policy, launch_intensity=rails.p_always)
-        feasibility = {"rail_gap": rails.p_always < 2.0 * rails.p_never}
+        feasibility = {"rail_gap": blinding_feasible(rails, cfg.t_b).rail_gap}
     else:
         plan = fsg_cow_drive(readings, cfg.t_b, rails, allow_infeasible=True)
         feasibility = blinding_feasible(rails, cfg.t_b).as_dict()

@@ -13,6 +13,4 @@ def test_every_exported_name_is_defined(name):
     module = importlib.import_module(f"dprsim.{name}")
     exported = getattr(module, "__all__", ())
     assert [attr for attr in exported if not hasattr(module, attr)] == []
-    namespace: dict = {}
-    exec(f"from dprsim.{name} import *", namespace)
-    assert set(exported) <= set(namespace)
+    exec(f"from dprsim.{name} import *", {})
