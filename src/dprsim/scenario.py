@@ -340,10 +340,14 @@ def _run_blinding(
         # faithful replica measurement: reading j sits at his slot j + offset
         # and carries Alice's difference bit j - 1.
         diff = dps_reference_bits(clean.alice_bits)
+        # Reading 0 and any reading past Alice's last pair carry no
+        # difference bit, so they stay out of all three sifted arrays.
         keep = (bob_idx >= 1) & (bob_idx <= diff.size)
-        run_alice = diff[bob_idx[keep] - 1]
-        run_qber = float(np.mean(run_alice != bob_bits[keep])) if run_alice.size else 0.0
+        run_slots, run_bob = bob_idx[keep], bob_bits[keep]
+        run_alice = diff[run_slots - 1]
+        run_qber = float(np.mean(run_alice != run_bob)) if run_alice.size else 0.0
     else:
+        run_slots, run_bob = bob_idx, bob_bits
         run_alice = np.array([], dtype=np.int64)
         run_qber = None
 
@@ -353,8 +357,8 @@ def _run_blinding(
         alice_symbols=clean.alice_symbols,
         record=record,
         sifted_alice=run_alice,
-        sifted_bob=bob_bits,
-        sifted_slots=bob_idx,
+        sifted_bob=run_bob,
+        sifted_slots=run_slots,
         qber=run_qber,
     )
     outcome = AttackOutcome(

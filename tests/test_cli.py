@@ -165,6 +165,24 @@ def test_cli_derived_dps_blinding_with_dark_counts_completes(tmp_path, capsys):
     assert code in (0, 3), capsys.readouterr().err
 
 
+def test_cli_derived_dps_blinding_writes_equal_length_keys(tmp_path):
+    # Dark counts make Bob's reading 0 a click here; it carries no difference
+    # bit, so it must not reach bob.key either.
+    path = tmp_path / "scenario.yaml"
+    scenario = {
+        "protocol": "dps",
+        "n_symbols": 40,
+        "seed": 2,
+        "detector": {"dark_count_prob": 0.2},
+        "attack": {"kind": "blinding"},
+    }
+    path.write_text(yaml.safe_dump(scenario))
+    out = tmp_path / "out"
+    assert main(["attack", "--config", str(path), "--out", str(out)]) in (0, 3)
+    alice, bob = (len(read_key(out / name)) for name in ("alice.key", "bob.key"))
+    assert alice == bob > 0
+
+
 def test_cow_reference_run_destructive_monitor_trace_negligible(tmp_path):
     record = run_golden("cow-fig2")
     emit_outputs(record, tmp_path)

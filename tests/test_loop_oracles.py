@@ -237,14 +237,19 @@ def test_blinding_bookkeeping_matches_loops(protocol, seed, dark, p_never):
     bob_idx, bob_bits = oracle.blinding_key_loop(protocol, outcome.bob_readings)
     _same(outcome.eve_key, eve_bits)
     _same(outcome.bob_key, bob_bits)
-    _same(run.sifted_slots, bob_idx)
     assert outcome.capture_fraction == oracle.capture_fraction_loop(bob_idx, bob_bits, eve_idx, eve_bits)
     if protocol == "dps":
+        # Only readings that carry one of Alice's difference bits are sifted.
         diff = np.bitwise_xor(np.asarray(run.alice_bits[1:]), np.asarray(run.alice_bits[:-1]))
         alice = oracle.blinding_sifted_alice_loop(diff, bob_idx)
         _same(run.sifted_alice, alice)
-        paired = np.array([b for j, b in zip(bob_idx, bob_bits) if 1 <= j <= diff.size], dtype=np.int64)
+        pairs = [(j, b) for j, b in zip(bob_idx, bob_bits) if 1 <= j <= diff.size]
+        _same(run.sifted_slots, np.array([j for j, _ in pairs], dtype=np.int64))
+        paired = np.array([b for _, b in pairs], dtype=np.int64)
+        _same(run.sifted_bob, paired)
         assert run.qber == (float(np.mean(alice != paired)) if alice.size else 0.0)
+    else:
+        _same(run.sifted_slots, bob_idx)
 
 
 @given(

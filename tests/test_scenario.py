@@ -137,7 +137,7 @@ NOISY_RUN_HASHES = {
     "cow-backflash": "aec9128fd04e362e682b262bdc1c9ec762a558abe9107ceba5d3b60a3ed1b1c9",
     "dps-trojan": "2b2b2d339b98aa60184bc30455b46567cbb688930dcbfe26fc6de520f4b400f5",
     "cow-trojan": "417ac68ebad71a8b977634d6456f11fd8dbb5241a9cc7a22f092431265ca8d08",
-    "dps-blinding-between-rails": "4d417ad8e02e6ce95046ca1071ba077bae6dff381a2e0483a46e533535622110",
+    "dps-blinding-between-rails": "e63fceaeaf095e2d483273e4a598693033d223cc616e82b7de3aa4d99487f26f",
     "cow-blinding-weak-light": "90d108d256e66dca90a6c0d7b5d0b61d4a0a70ec25246cfbfd770a46719be4c2",
 }
 
@@ -453,7 +453,7 @@ def test_derived_dps_blinding_qber_pairs_each_bit_with_its_own_slot(seed):
         "attack": {"kind": "blinding"},
     }
     record = run_scenario(scenario_from_dict(cfg))
-    assert record.protocol_run.sifted_slots[0] == 0
+    assert record.attack.bob_readings[0] in (1, 2)
     assert record.protocol_run.qber == 0.0
 
 
