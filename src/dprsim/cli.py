@@ -61,7 +61,12 @@ def _build_parser() -> _Parser:
     sweep_p.add_argument("--values", required=True, help="comma-separated numeric values")
 
     report_p = sub.add_parser("report", help="recompute the metric summary from a stored record")
-    report_p.add_argument("--record", required=True, help="path to a record.json")
+    report_p.add_argument(
+        "--record",
+        required=True,
+        help="path to a record.json of a run directory (format dprsim-record/3: a JSON header line, then "
+        "binary arrays; the name is kept from the all-JSON formats, which are no longer read)",
+    )
 
     goldens_p = sub.add_parser("goldens", help="list, dump or execute the pinned scenarios")
     goldens_p.add_argument("--run", metavar="NAME", help="execute one golden")

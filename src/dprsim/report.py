@@ -1,20 +1,24 @@
 """Result emission: per-slot event tables, key files and metric summaries.
 
-Formats are versioned through a header line (events) or a ``format``
-key (metrics, records) and chosen so that every emitted file parses back into
-the in-memory values exactly: floats are written with ``repr``, which
-round-trips IEEE doubles.  ``record.json`` is ``dprsim-record/2``: one compact
-JSON header in which every array is ``{"dtype", "shape"}`` with its
-little-endian bytes inline as base64 ``data`` (``<i8``, ``<f8``, ``|u1`` for
-booleans).  A record's content hash is SHA-256 over that header without the
-``data`` strings, followed by the raw bytes of each array in header key order;
-it excludes ``wall_time_s``.
+Text formats are versioned through a header line (events) or a ``format``
+key (metrics) and chosen so that every emitted file parses back into the
+in-memory values exactly: floats are written with ``repr``, which round-trips
+IEEE doubles.  ``record.json`` is ``dprsim-record/3``, the bytes that the
+record's content hash covers, framed by two text lines (see ``RunRecord``):
+a version line, the canonical JSON header (arrays as ``{"dtype", "shape"}``:
+``<i8``, ``<f8``, ``|u1`` for booleans), then the raw little-endian bytes of
+each array in header key order and a one-line JSON trailer holding
+``wall_time_s``, the one value outside the hash.  The arrays are written and
+read as they are, with no text encoding.  The file keeps its ``.json`` name,
+although only its header and trailer are JSON, so that scripts and tools that
+open ``record.json`` in a run directory still find it.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -22,7 +26,7 @@ from typing import Any
 import numpy as np
 
 from .detectors import GEIGER, LINEAR
-from .scenario import RunRecord
+from .scenario import RunRecord, _record_chunks, _record_from_bytes
 
 __all__ = [
     "MetricsSummary",
@@ -135,7 +139,7 @@ def emit_outputs(record: RunRecord, directory: str | Path) -> list[Path]:
     * ``alice.key`` / ``bob.key`` (and ``eve.key`` under attack): the sifted
       keys as ASCII bit strings, one line each.
     * ``metrics.json``: the recomputed :class:`MetricsSummary`.
-    * ``record.json``: the full serialized run record.
+    * ``record.json``: the full run record, ``dprsim-record/3``.
     """
     outdir = Path(directory)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -177,11 +181,16 @@ def emit_outputs(record: RunRecord, directory: str | Path) -> list[Path]:
 
 
 def save_record(record: RunRecord, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8")
+    with Path(path).open("wb") as fh:
+        fh.writelines(_record_chunks(record))
 
 
 def load_record(path: str | Path) -> RunRecord:
-    return RunRecord.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Read a record file; its arrays are writable views into one buffer."""
+    with Path(path).open("rb") as fh:
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        del data[fh.readinto(data) :]
+    return _record_from_bytes(data)
 
 
 def load_metrics(path: str | Path) -> MetricsSummary:

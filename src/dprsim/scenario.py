@@ -10,9 +10,9 @@ config reproduces every byte.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
+import math
 import time
 import types
 import typing
@@ -380,12 +380,16 @@ def _run_blinding(
 # Record assembly and serialization
 # ---------------------------------------------------------------------------
 
+# The header's format names the hashed layout, unchanged since the record
+# files of that name; the file around it has its own version line.
 RECORD_FORMAT = "dprsim-record/2"
+RECORD_VERSION = "dprsim-record/3"
 
 # Array dtype kind in memory -> stored little-endian dtype, and back.  Booleans
 # are stored as bytes, so every platform hashes and writes the same bits.
 _STORED = {"b": "|u1", "i": "<i8", "f": "<f8"}
 _LOADED = {"|u1": np.bool_, "<i8": np.int64, "<f8": np.float64}
+_SCALARS = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}
 
 
 def _field_hints(cls: type) -> list[tuple[str, Any]]:
@@ -401,6 +405,15 @@ def _inner(hint: Any) -> Any:
     return hint
 
 
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _expect(node: Any, kinds: tuple[type, ...], what: str, path: str) -> None:
+    if not isinstance(node, kinds) or (isinstance(node, bool) and bool not in kinds):
+        raise ValueError(f"{path}: expected {what}, got {type(node).__name__}")
+
+
 def _tree(value: Any, hint: Any) -> Any:
     """Plain tree of a record value, led by its type hint: dataclasses become
     field mappings, arrays and ``list[int]`` become contiguous arrays of a
@@ -412,49 +425,86 @@ def _tree(value: Any, hint: Any) -> Any:
         return {name: _tree(getattr(value, name), t) for name, t in _field_hints(hint)}
     origin = typing.get_origin(hint)
     if hint is np.ndarray or origin is list:
-        arr = np.asarray(value, dtype=np.int64 if origin is list else None)
-        return np.ascontiguousarray(arr.astype(_STORED[arr.dtype.kind], copy=False))
+        arr = np.fromiter(value, np.int64, len(value)) if origin is list else np.asarray(value)
+        arr = arr.view(np.uint8) if arr.dtype.kind == "b" else arr.astype(_STORED[arr.dtype.kind], copy=False)
+        return np.ascontiguousarray(arr)
     if origin is dict:
         return {k: _tree(v, typing.get_args(hint)[1]) for k, v in value.items()}
     return value
 
 
-def _untree(node: Any, hint: Any) -> Any:
-    """Inverse of ``_tree`` composed with ``_header(inline=True)``."""
-    if node is None:
+def _untree(node: Any, hint: Any, path: str) -> Any:
+    """Inverse of ``_tree``, checking each node against its type hint; errors
+    name the field path.  Stored arrays become the in-memory types without a
+    copy: ``|u1`` bytes, which must be 0 or 1, are viewed as booleans."""
+    inner = _inner(hint)
+    if node is None and inner is not hint:
         return None
-    hint = _inner(hint)
-    if is_dataclass(hint):
-        return hint(**{name: _untree(node[name], t) for name, t in _field_hints(hint)})
-    origin = typing.get_origin(hint)
-    if hint is np.ndarray or origin is list:
-        dtype = node["dtype"]
-        if dtype not in _LOADED:
-            raise ValueError(f"unsupported array dtype {dtype!r}")
-        data = bytearray(base64.b64decode(node["data"], validate=True))
-        arr = np.frombuffer(data, dtype=dtype).reshape(node["shape"]).astype(_LOADED[dtype], copy=False)
+    if is_dataclass(inner):
+        _expect(node, (dict,), "a mapping", path)
+        hints = _field_hints(inner)
+        for name, _ in hints:
+            if name not in node:
+                raise ValueError(f"missing field {_at(path, name)!r}")
+        return inner(**{name: _untree(node[name], t, _at(path, name)) for name, t in hints})
+    origin = typing.get_origin(inner)
+    if inner is np.ndarray or origin is list:
+        _expect(node, (np.ndarray,), "an array", path)
+        dtype = node.dtype.str
+        if dtype not in (("<i8",) if origin is list else _LOADED):
+            raise ValueError(f"{path}: unsupported array dtype {dtype!r}")
+        if dtype == "|u1" and node.size and node.max() > 1:
+            raise ValueError(f"{path}: byte {node.max()} is not a boolean (0 or 1)")
+        arr = node.view(np.bool_) if dtype == "|u1" else node.astype(_LOADED[dtype], copy=False)
         return arr.tolist() if origin is list else arr
     if origin is dict:
-        return {k: _untree(v, typing.get_args(hint)[1]) for k, v in node.items()}
+        _expect(node, (dict,), "a mapping", path)
+        return {k: _untree(v, typing.get_args(inner)[1], _at(path, k)) for k, v in node.items()}
+    if inner is not Any:
+        _expect(node, _SCALARS[inner], inner.__name__, path)
     return node
 
 
-def _header(node: Any, arrays: list[np.ndarray], inline: bool) -> Any:
-    """Replace each array of a tree by its dtype and shape, plus its bytes in
-    base64 when ``inline``; append the arrays to ``arrays`` in sorted-key order."""
+def _header(node: Any, arrays: list[np.ndarray]) -> Any:
+    """Replace each array of a tree by its dtype and shape; append the arrays
+    to ``arrays`` in sorted-key order."""
     if isinstance(node, np.ndarray):
         arrays.append(node)
-        leaf = {"dtype": node.dtype.str, "shape": list(node.shape)}
-        if inline:
-            leaf["data"] = base64.b64encode(node).decode("ascii")
-        return leaf
+        return {"dtype": node.dtype.str, "shape": list(node.shape)}
     if isinstance(node, dict):
-        return {k: _header(node[k], arrays, inline) for k in sorted(node)}
+        return {k: _header(node[k], arrays) for k in sorted(node)}
     return node
 
 
-def _canonical(header: dict[str, Any]) -> str:
-    return json.dumps(header, sort_keys=True, separators=(",", ":"))
+def _map_arrays(node: Any, data: bytearray, offset: int, path: str) -> tuple[Any, int]:
+    """Inverse of ``_header`` over a record file: each ``{"dtype", "shape"}``
+    leaf becomes a view of ``data`` from ``offset`` on, in sorted-key order;
+    returns the tree and the offset past its last array."""
+    if isinstance(node, dict) and node.keys() == {"dtype", "shape"}:
+        dtype, shape = node["dtype"], node["shape"]
+        if dtype not in _LOADED:
+            raise ValueError(f"{path}: unsupported array dtype {dtype!r}")
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise ValueError(f"{path}: expected a list of sizes as shape, got {shape!r}")
+        count = math.prod(shape)
+        end = offset + count * np.dtype(dtype).itemsize
+        if end > len(data):
+            raise ValueError(f"{path}: array bytes end at byte {end}, past the end of the file ({len(data)} bytes)")
+        return np.frombuffer(data, dtype, count, offset).reshape(shape), end
+    if isinstance(node, dict):
+        out = {}
+        for key in sorted(node):
+            out[key], offset = _map_arrays(node[key], data, offset, _at(path, key))
+        return out, offset
+    return node, offset
+
+
+def _canonical(header: dict[str, Any]) -> bytes:
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
+
+
+def _trailer(wall_time_s: float) -> bytes:
+    return json.dumps({"wall_time_s": wall_time_s}).encode("ascii") + b"\n"
 
 
 @dataclass(eq=False)
@@ -462,12 +512,23 @@ class RunRecord:
     """Everything one run produced: the config snapshot, Bob's records and
     sifting outcome, the attack outcome when present, and the wall time.
 
-    The serialized form (``dprsim-record/2``) is a JSON tree in which every
-    array is ``{"dtype", "shape"}`` with its little-endian bytes inline as
-    base64 ``data``.  The content hash is SHA-256 over the canonical header
-    (sorted keys, compact, arrays without ``data``, no wall time) followed by
-    the raw bytes of each array in header key order; the wall time, the only
-    non-reproducible field, is left out.
+    ``to_dict`` gives the record as a plain tree in which every array is
+    little-endian (``<i8``, ``<f8``, ``|u1`` for booleans); ``from_dict``
+    checks and inverts it.  The content hash is SHA-256 over the canonical
+    header (that tree with sorted keys, compact, each array as ``{"dtype",
+    "shape"}``, no wall time) followed by the raw bytes of each array in
+    header key order; the wall time, the only non-reproducible field, is left
+    out.
+
+    A record file (``dprsim-record/3``) holds exactly those hashed bytes
+    between a version line and a trailer::
+
+        dprsim-record/3
+        <canonical header>
+        <raw array bytes, in header key order>{"wall_time_s": <seconds>}
+
+    so SHA-256 over the file minus its version line, the header's newline and
+    the trailer is ``content_hash()``.
     """
 
     config: dict[str, Any]
@@ -475,38 +536,31 @@ class RunRecord:
     attack: AttackOutcome | None
     wall_time_s: float
 
-    def _split(self, inline: bool, include_volatile: bool) -> tuple[dict[str, Any], list[np.ndarray]]:
+    def to_dict(self) -> dict[str, Any]:
         tree = _tree(self, RunRecord)
         tree["format"] = RECORD_FORMAT
-        if not include_volatile:
-            del tree["wall_time_s"]
-        arrays: list[np.ndarray] = []
-        return _header(tree, arrays, inline), arrays
-
-    def to_dict(self) -> dict[str, Any]:
-        return self._split(inline=True, include_volatile=True)[0]
+        return tree
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "RunRecord":
         fmt = d.get("format") if isinstance(d, dict) else None
         if fmt != RECORD_FORMAT:
-            if fmt == "dprsim-record/1":
-                raise ValueError("a dprsim-record/1 file, which is no longer read; regenerate it by re-running its scenario")
             raise ValueError(f"unsupported record format {fmt!r}")
-        try:
-            return _untree(d, cls)
-        except KeyError as exc:
-            raise ValueError(f"missing field {exc}") from exc
-        except (TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed record: {exc}") from exc
+        return _untree(d, cls, "")
 
-    def canonical_json(self, include_volatile: bool = False) -> str:
-        header, _ = self._split(inline=False, include_volatile=include_volatile)
-        return _canonical(header)
+    def _hashed(self) -> tuple[bytes, list[np.ndarray]]:
+        """The canonical header and the arrays hashed after it."""
+        tree = self.to_dict()
+        del tree["wall_time_s"]
+        arrays: list[np.ndarray] = []
+        return _canonical(_header(tree, arrays)), arrays
+
+    def canonical_json(self) -> str:
+        return self._hashed()[0].decode("ascii")
 
     def content_hash(self) -> str:
-        header, arrays = self._split(inline=False, include_volatile=False)
-        digest = hashlib.sha256(_canonical(header).encode("utf-8"))
+        header, arrays = self._hashed()
+        digest = hashlib.sha256(header)
         for arr in arrays:
             digest.update(arr)
         return digest.hexdigest()
@@ -514,6 +568,60 @@ class RunRecord:
     @property
     def any_alarm(self) -> bool:
         return self.attack is not None and self.attack.any_alarm
+
+
+def _record_chunks(record: RunRecord) -> list[Any]:
+    """The byte strings of a record file, in order (see ``RunRecord``)."""
+    header, arrays = record._hashed()
+    return [f"{RECORD_VERSION}\n".encode("ascii"), header, b"\n", *arrays, _trailer(record.wall_time_s)]
+
+
+def _version_error(data: bytearray, end: int) -> str:
+    if data[:1] == b"{":  # older record files are one JSON document
+        try:
+            fmt = json.loads(data).get("format")
+        except (ValueError, AttributeError):
+            fmt = None
+        if fmt in ("dprsim-record/1", "dprsim-record/2"):
+            return f"a {fmt} file, which is no longer read; regenerate it by re-running its scenario"
+    if end < 0:
+        return f"missing version line {RECORD_VERSION!r}"
+    return f"unsupported record version {bytes(data[:end]).decode('ascii', 'replace')!r}"
+
+
+def _record_from_bytes(data: bytearray) -> RunRecord:
+    """Decode a record file; its arrays are writable views into ``data``."""
+    version_end = data.find(b"\n", 0, 64)
+    if version_end < 0 or data[:version_end] != RECORD_VERSION.encode("ascii"):
+        raise ValueError(_version_error(data, version_end))
+    header_end = data.find(b"\n", version_end + 1)
+    if header_end < 0:
+        raise ValueError("missing header line")
+    try:
+        header = json.loads(data[version_end + 1 : header_end])
+    except ValueError as exc:
+        raise ValueError(f"header is not JSON: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != RECORD_FORMAT:
+        raise ValueError(f"the header must be a JSON object of format {RECORD_FORMAT!r}")
+    start = header_end + 1
+    tree, end = _map_arrays(header, data, start, "")
+
+    line, newline, extra = bytes(data[end:]).partition(b"\n")
+    try:
+        trailer = json.loads(line)
+    except ValueError:
+        trailer = None
+    if not (newline and not extra and isinstance(trailer, dict) and trailer.keys() == {"wall_time_s"}):
+        found = data.find(b'{"wall_time_s"', start)
+        if found >= 0 and found != end:
+            raise ValueError(f"array bytes: the header's shapes take {end - start}, the file holds {found - start}")
+        if not line and not newline:
+            raise ValueError("missing trailer")
+        if newline and extra:
+            raise ValueError(f"{len(extra)} extra bytes after the trailer")
+        raise ValueError(f"malformed trailer {line[:80]!r}; expected {{\"wall_time_s\": <seconds>}}")
+    tree["wall_time_s"] = trailer["wall_time_s"]
+    return RunRecord.from_dict(tree)
 
 
 # ---------------------------------------------------------------------------

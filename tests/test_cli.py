@@ -18,6 +18,7 @@ from dprsim.report import (
     load_record,
     read_events,
     read_key,
+    save_record,
     summarize,
 )
 from dprsim.detectors import DetectionRecord, DetectorTrace
@@ -224,23 +225,94 @@ def test_cli_report_recomputes_stored_metrics(tmp_path, capsys):
     assert reported == stored
 
 
-# Unreadable record files: (file content or None for no file, expected reason).
+def _edit_header(change):
+    def edit(data: bytes) -> bytes:
+        version, header, rest = data.split(b"\n", 2)
+        tree = json.loads(header)
+        change(tree)
+        return b"\n".join([version, json.dumps(tree, sort_keys=True, separators=(",", ":")).encode(), rest])
+
+    return edit
+
+
+def _edit_trailer(trailer: bytes):
+    return lambda data: data[: data.rindex(b'{"wall_time_s"')] + trailer
+
+
+def _first_array_byte(value: int):
+    # The first array of a clean COW record is D_B's clicks, stored as |u1.
+    def edit(data: bytes) -> bytes:
+        at = data.index(b"\n", data.index(b"\n") + 1) + 1
+        return data[:at] + bytes([value]) + data[at + 1 :]
+
+    return edit
+
+
+def _drop_array_bytes(data: bytes) -> bytes:
+    at = data.index(b"\n", data.index(b"\n") + 1) + 1
+    return data[:at] + data[at + 3 :]
+
+
+def _set_clicks_dtype(tree):
+    tree["protocol_run"]["record"]["detectors"]["D_B"]["clicks"]["dtype"] = "<f4"
+
+
+# Unreadable record files: kind -> (edit of a good record file's bytes, or
+# None for no file; expected reason).
 BAD_RECORDS = {
     "missing": (None, "No such file"),
-    "invalid-json": ("{not json", "Expecting property name"),
-    "unknown-format": ('{"format": "dprsim-record/9"}', "unsupported record format 'dprsim-record/9'"),
-    "format-1": ('{"format": "dprsim-record/1", "config": {}}', "dprsim-record/1 file, which is no longer read"),
-    "truncated": ('{"format": "dprsim-record/2"}', "missing field 'config'"),
-    "mistyped": ('{"format": "dprsim-record/2", "config": []}', "'list' object has no attribute 'items'"),
+    "unknown-format": (
+        lambda d: b"dprsim-record/9" + d[d.index(b"\n") :],
+        "unsupported record version 'dprsim-record/9'",
+    ),
+    "no-version": (lambda d: d[d.index(b"\n") + 1 :], "missing version line 'dprsim-record/3'"),
+    "format-1": (
+        lambda d: b'{"format": "dprsim-record/1", "config": {}}',
+        "dprsim-record/1 file, which is no longer read",
+    ),
+    "format-2": (
+        lambda d: b'{"config":{},"format":"dprsim-record/2","protocol_run":{},"wall_time_s":0.5}\n',
+        "dprsim-record/2 file, which is no longer read",
+    ),
+    "invalid-json": (lambda d: b"dprsim-record/3\n{not json\n", "header is not JSON"),
+    "missing-field": (
+        _edit_header(lambda t: t["protocol_run"].pop("protocol")),
+        "missing field 'protocol_run.protocol'",
+    ),
+    "mistyped": (_edit_header(lambda t: t.update(config=[])), "config: expected a mapping, got list"),
+    "mistyped-scalar": (
+        _edit_header(lambda t: t["protocol_run"].update(qber="low")),
+        "protocol_run.qber: expected float, got str",
+    ),
+    "dtype": (
+        _edit_header(_set_clicks_dtype),
+        "protocol_run.record.detectors.D_B.clicks: unsupported array dtype '<f4'",
+    ),
+    "truncated": (lambda d: d[: d.index(b"\n", d.index(b"\n") + 1) + 9], "clicks: array bytes end at byte"),
+    "short-arrays": (_drop_array_bytes, "array bytes: the header's shapes take"),
+    "no-trailer": (_edit_trailer(b""), "missing trailer"),
+    "bad-trailer": (_edit_trailer(b'{"wall_time_s": }\n'), "malformed trailer"),
+    "extra-trailer": (lambda d: d + b'{"wall_time_s": 2.0}\n', "extra bytes after the trailer"),
+    "trailer-type": (_edit_trailer(b'{"wall_time_s": "soon"}\n'), "wall_time_s: expected float, got str"),
+    "bool-byte": (_first_array_byte(2), "protocol_run.record.detectors.D_B.clicks: byte 2 is not a boolean"),
 }
 
 
+@pytest.fixture(scope="module")
+def good_record(tmp_path_factory) -> bytes:
+    path = tmp_path_factory.mktemp("good") / "record.json"
+    save_record(run_scenario(scenario_from_dict({"protocol": "cow", "n_symbols": 8, "seed": 1})), path)
+    assert main(["report", "--record", str(path)]) == 0
+    return path.read_bytes()
+
+
 @pytest.mark.parametrize("kind", sorted(BAD_RECORDS))
-def test_cli_report_rejects_unreadable_record(tmp_path, capsys, kind):
-    content, reason = BAD_RECORDS[kind]
+def test_cli_report_rejects_unreadable_record(tmp_path, capsys, good_record, kind):
+    edit, reason = BAD_RECORDS[kind]
     path = tmp_path / "record.json"
-    if content is not None:
-        path.write_text(content)
+    if edit is not None:
+        path.write_bytes(edit(good_record))
+    capsys.readouterr()
     assert main(["report", "--record", str(path)]) == 1
     err = capsys.readouterr().err
     assert f"cannot read record {path}" in err

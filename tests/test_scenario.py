@@ -1,4 +1,3 @@
-import base64
 import hashlib
 import json
 
@@ -235,35 +234,49 @@ def test_seed_override_changes_and_reproduces():
     assert a.content_hash() != c.content_hash()
 
 
-def test_record_round_trips_through_plain_data():
+def _round_trips(record, tmp_path):
+    """The record rebuilt from its plain tree and reloaded from its file."""
+    path = tmp_path / "record.json"
+    save_record(record, path)
+    return RunRecord.from_dict(record.to_dict()), load_record(path)
+
+
+def _hashed_span(data: bytes) -> bytes:
+    """A record file minus its version line, its header's newline and its trailer."""
+    version, header, rest = data.split(b"\n", 2)
+    assert version == b"dprsim-record/3"
+    return header + rest[: rest.rindex(b'{"wall_time_s"')]
+
+
+def test_record_round_trips_through_plain_data(tmp_path):
     record = run_golden("cow-fig2")
-    clone = RunRecord.from_dict(json.loads(json.dumps(record.to_dict())))
-    assert clone.content_hash() == record.content_hash()
-    assert clone.protocol_run.qber == record.protocol_run.qber
-    np.testing.assert_array_equal(clone.protocol_run.sifted_bob, record.protocol_run.sifted_bob)
-    rec, orig = clone.protocol_run.record, record.protocol_run.record
-    assert rec.names == orig.names
-    for name in rec.names:
-        np.testing.assert_array_equal(rec[name].clicks, orig[name].clicks)
-        np.testing.assert_array_equal(rec[name].intensity, orig[name].intensity)
+    for clone in _round_trips(record, tmp_path):
+        assert clone.content_hash() == record.content_hash()
+        assert clone.protocol_run.qber == record.protocol_run.qber
+        np.testing.assert_array_equal(clone.protocol_run.sifted_bob, record.protocol_run.sifted_bob)
+        rec, orig = clone.protocol_run.record, record.protocol_run.record
+        assert rec.names == orig.names
+        for name in rec.names:
+            np.testing.assert_array_equal(rec[name].clicks, orig[name].clicks)
+            np.testing.assert_array_equal(rec[name].intensity, orig[name].intensity)
 
 
-def test_attack_record_round_trips():
+def test_attack_record_round_trips(tmp_path):
     record = run_golden("cow-blinding")
-    clone = RunRecord.from_dict(json.loads(json.dumps(record.to_dict())))
-    assert clone.attack.eve_readings == record.attack.eve_readings
-    assert clone.attack.feasibility == record.attack.feasibility
-    assert clone.content_hash() == record.content_hash()
+    for clone in _round_trips(record, tmp_path):
+        assert clone.attack.eve_readings == record.attack.eve_readings
+        assert clone.attack.feasibility == record.attack.feasibility
+        assert clone.content_hash() == record.content_hash()
 
 
-def test_content_hash_is_header_plus_raw_array_bytes():
+def test_content_hash_is_header_plus_raw_array_bytes(tmp_path):
     record = run_golden("cow-blinding")
     arrays: list[bytes] = []
 
     def strip(node):
-        if isinstance(node, dict) and set(node) == {"data", "dtype", "shape"}:
-            arrays.append(base64.b64decode(node["data"]))
-            return {"dtype": node["dtype"], "shape": node["shape"]}
+        if isinstance(node, np.ndarray):
+            arrays.append(node.tobytes())
+            return {"dtype": node.dtype.str, "shape": list(node.shape)}
         if isinstance(node, dict):
             return {k: strip(node[k]) for k in sorted(node)}
         return node
@@ -276,6 +289,11 @@ def test_content_hash_is_header_plus_raw_array_bytes():
     for data in arrays:
         digest.update(data)
     assert digest.hexdigest() == record.content_hash()
+    # The file holds exactly these bytes between its version line and trailer.
+    path = tmp_path / "record.json"
+    save_record(record, path)
+    trailer = json.dumps({"wall_time_s": record.wall_time_s}).encode() + b"\n"
+    assert path.read_bytes() == b"dprsim-record/3\n" + canonical.encode() + b"\n" + b"".join(arrays) + trailer
 
 
 def test_saved_record_is_compact_and_reloads_the_in_memory_types(tmp_path):
@@ -283,9 +301,18 @@ def test_saved_record_is_compact_and_reloads_the_in_memory_types(tmp_path):
     record.wall_time_s = 1.25
     path = tmp_path / "record.json"
     save_record(record, path)
-    text = path.read_text()
-    assert text.count("\n") == 1
-    assert json.loads(text)["wall_time_s"] == 1.25
+    data = path.read_bytes()
+    trailer = b'{"wall_time_s": 1.25}\n'
+    assert data.endswith(trailer)
+
+    def nbytes(node):
+        if isinstance(node, dict):
+            return sum(nbytes(v) for v in node.values())
+        return node.nbytes if isinstance(node, np.ndarray) else 0
+
+    # Version line, header line, raw arrays and trailer, with nothing between.
+    header = record.canonical_json().encode()
+    assert len(data) == len(b"dprsim-record/3\n") + len(header) + 1 + nbytes(record.to_dict()) + len(trailer)
     clone = load_record(path)
     assert clone.wall_time_s == 1.25
     assert clone.content_hash() == record.content_hash()
@@ -296,6 +323,38 @@ def test_saved_record_is_compact_and_reloads_the_in_memory_types(tmp_path):
     assert clone.protocol_run.sifted_bob.dtype == np.int64
     assert clone.attack.eve_readings == record.attack.eve_readings
     assert all(type(v) is int for v in clone.attack.eve_readings + clone.attack.bob_readings)
+
+
+def test_loaded_arrays_are_writable_and_keep_their_dtypes(tmp_path):
+    record = run_golden("dps-blinding-derived")
+    path = tmp_path / "record.json"
+    save_record(record, path)
+    clone = load_record(path)
+    run = clone.protocol_run
+    arrays = {"alice_bits": run.alice_bits, "sifted_bob": run.sifted_bob, "eve_key": clone.attack.eve_key}
+    for name in run.record.names:
+        trace = run.record[name]
+        arrays.update({f"{name}.clicks": trace.clicks, f"{name}.photocurrent": trace.photocurrent})
+    for name, arr in arrays.items():
+        assert arr.flags.writeable, name
+        want = np.bool_ if name.endswith(".clicks") else np.float64 if "." in name else np.int64
+        assert arr.dtype == want, name
+    run.record[run.record.names[0]].clicks[0] ^= True
+    run.sifted_bob[:] = 0
+    assert clone.content_hash() != record.content_hash()
+
+
+def test_saves_differ_only_in_the_trailer(tmp_path):
+    record = run_golden("dps-backflash-ideal")
+    files = []
+    for wall in (0.5, 123.0625):
+        record.wall_time_s = wall
+        save_record(record, tmp_path / "record.json")
+        data = (tmp_path / "record.json").read_bytes()
+        trailer = json.dumps({"wall_time_s": wall}).encode() + b"\n"
+        assert data.endswith(trailer)
+        files.append(data[: -len(trailer)])
+    assert files[0] == files[1]
 
 
 @pytest.fixture(scope="module")
@@ -311,6 +370,14 @@ def test_golden_records_keep_their_simulated_values(golden_records):
 
 def test_golden_record_hashes_are_pinned(golden_records):
     assert {name: record.content_hash() for name, record in golden_records.items()} == GOLDEN_RECORD_HASHES
+
+
+def test_saved_golden_files_hash_to_their_pins(golden_records, tmp_path):
+    for name, record in golden_records.items():
+        save_record(record, tmp_path / f"{name}.json")
+        span = _hashed_span((tmp_path / f"{name}.json").read_bytes())
+        digest = hashlib.sha256(span).hexdigest()
+        assert digest == record.content_hash() == GOLDEN_RECORD_HASHES[name], name
 
 
 def test_golden_text_outputs_are_pinned(golden_records, tmp_path):
