@@ -203,24 +203,31 @@ def read_key(path: str | Path) -> np.ndarray:
 
 
 def read_events(path: str | Path) -> dict[str, dict[str, np.ndarray]]:
-    """Parse an events table back into per-detector arrays (round-trip exact)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != EVENTS_HEADER:
+    """Parse an events table back into per-detector arrays (round-trip exact).
+
+    The table is parsed whole-array: its body is split into cells, five to a
+    row, and each column is converted at once (``float`` of each intensity
+    cell, so every ``repr`` comes back bit for bit).
+    """
+    head, _, rest = Path(path).read_text(encoding="utf-8").partition("\n")
+    if head != EVENTS_HEADER:
         raise ValueError(f"{path}: not an events table (missing {EVENTS_HEADER!r})")
-    out: dict[str, dict[str, list]] = {}
-    for line in lines[2:]:
-        slot, name, intensity, click, mode = line.split("\t")
-        d = out.setdefault(name, {"slot": [], "intensity": [], "click": [], "mode": []})
-        d["slot"].append(int(slot))
-        d["intensity"].append(float(intensity))
-        d["click"].append(bool(int(click)))
-        d["mode"].append(mode)
-    return {
-        name: {
-            "slot": np.array(d["slot"], dtype=np.int64),
-            "intensity": np.array(d["intensity"], dtype=np.float64),
-            "click": np.array(d["click"], dtype=bool),
-            "mode": np.array(d["mode"]),
-        }
-        for name, d in out.items()
+    cells = np.array(rest.partition("\n")[2].split(), dtype=object).reshape(-1, 5)
+    names = cells[:, 1]
+    columns = {
+        "slot": cells[:, 0].astype(np.int64),
+        "intensity": cells[:, 2].astype(np.float64),
+        "click": cells[:, 3].astype(np.int64) != 0,
     }
+    # Rows come in runs of one detector; a detector may have several runs.
+    bounds = [0, *(np.flatnonzero(names[1:] != names[:-1]) + 1).tolist(), len(names)]
+    rows: dict[str, list[np.ndarray]] = {}
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi > lo:
+            rows.setdefault(names[lo], []).append(np.arange(lo, hi))
+    out = {}
+    for name, runs in rows.items():
+        idx = np.concatenate(runs)
+        out[name] = {key: column[idx] for key, column in columns.items()}
+        out[name]["mode"] = cells[idx, 4].astype(str)
+    return out

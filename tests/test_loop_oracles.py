@@ -17,6 +17,7 @@ from dprsim.attacks import (
 from dprsim.config import DetectorSettings, scenario_from_dict
 from dprsim.detectors import ApdConfig, BlindingState, DetectionRecord, DetectorTrace, _blinding_trace, apd_detect
 from dprsim.optics import PulseTrain
+from dprsim.report import read_events
 from dprsim.protocols import (
     VISIBILITY_CLASSES,
     _cow_half_slots,
@@ -266,3 +267,31 @@ def test_blinding_trace_matches_loop_bit_for_bit(incident, stored, decay):
     assert trace.tobytes() == want.tobytes()
     _same(linear, want >= 1.0)
     assert final.stored_photocurrent == (float(want[-1]) if want.size else stored)
+
+
+# Event-table rows with the intensities that formatting and parsing can get
+# wrong: signed zeros, infinities, NaN, subnormals and arbitrary doubles.
+_intensity = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308]) | st.floats()
+_event = st.tuples(
+    st.integers(0, 2**40), st.sampled_from(["D1", "D2", "D_B", "D_M1"]), _intensity, st.integers(0, 1),
+    st.sampled_from(["geiger", "linear"]),
+)
+
+
+@given(st.lists(_event, max_size=60))
+@example([])
+@example([(0, "D_B", -0.0, 1, "linear"), (0, "D1", np.nan, 0, "geiger"), (1, "D_B", 5e-324, 0, "geiger")])
+@settings(max_examples=200)
+def test_read_events_matches_loop(tmp_path_factory, rows):
+    # Detectors interleave, so rows of one detector are not contiguous.
+    path = tmp_path_factory.mktemp("events") / "events.tsv"
+    body = "".join(f"{s}\t{n}\t{x!r}\t{c}\t{m}\n" for s, n, x, c, m in rows)
+    path.write_text("# dprsim-events/1\nslot\tdetector\tintensity\tclick\tmode\n" + body, encoding="utf-8")
+    got, want = read_events(path), oracle.read_events_loop(path)
+    assert list(got) == list(want)
+    for name, columns in want.items():
+        assert list(got[name]) == list(columns)
+        for key in ("slot", "click", "mode"):
+            _same(got[name][key], columns[key])
+        x, want_x = got[name]["intensity"], columns["intensity"]
+        assert x.dtype == want_x.dtype and x.tobytes() == want_x.tobytes()
