@@ -503,10 +503,6 @@ def _canonical(header: dict[str, Any]) -> bytes:
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
-def _trailer(wall_time_s: float) -> bytes:
-    return json.dumps({"wall_time_s": wall_time_s}).encode("ascii") + b"\n"
-
-
 @dataclass(eq=False)
 class RunRecord:
     """Everything one run produced: the config snapshot, Bob's records and
@@ -573,7 +569,8 @@ class RunRecord:
 def _record_chunks(record: RunRecord) -> list[Any]:
     """The byte strings of a record file, in order (see ``RunRecord``)."""
     header, arrays = record._hashed()
-    return [f"{RECORD_VERSION}\n".encode("ascii"), header, b"\n", *arrays, _trailer(record.wall_time_s)]
+    trailer = json.dumps({"wall_time_s": record.wall_time_s}) + "\n"
+    return [f"{RECORD_VERSION}\n".encode("ascii"), header, b"\n", *arrays, trailer.encode("ascii")]
 
 
 def _version_error(data: bytearray, end: int) -> str:
