@@ -386,8 +386,9 @@ RECORD_FORMAT = "dprsim-record/2"
 RECORD_VERSION = "dprsim-record/3"
 
 # Array dtype kind in memory -> stored little-endian dtype, and back.  Booleans
-# are stored as bytes, so every platform hashes and writes the same bits.
-_STORED = {"b": "|u1", "i": "<i8", "f": "<f8"}
+# are stored as their bytes (``|u1``), so every platform hashes and writes the
+# same bits.
+_STORED = {"i": "<i8", "f": "<f8"}
 _LOADED = {"|u1": np.bool_, "<i8": np.int64, "<f8": np.float64}
 _SCALARS = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}
 
@@ -446,6 +447,9 @@ def _untree(node: Any, hint: Any, path: str) -> Any:
         for name, _ in hints:
             if name not in node:
                 raise ValueError(f"missing field {_at(path, name)!r}")
+        unknown = sorted(node.keys() - dict(hints).keys())
+        if unknown:
+            raise ValueError(f"unknown field {_at(path, unknown[0])!r}")
         return inner(**{name: _untree(node[name], t, _at(path, name)) for name, t in hints})
     origin = typing.get_origin(inner)
     if inner is np.ndarray or origin is list:
@@ -482,7 +486,7 @@ def _map_arrays(node: Any, data: bytearray, offset: int, path: str) -> tuple[Any
     returns the tree and the offset past its last array."""
     if isinstance(node, dict) and node.keys() == {"dtype", "shape"}:
         dtype, shape = node["dtype"], node["shape"]
-        if dtype not in _LOADED:
+        if not isinstance(dtype, str) or dtype not in _LOADED:
             raise ValueError(f"{path}: unsupported array dtype {dtype!r}")
         if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
             raise ValueError(f"{path}: expected a list of sizes as shape, got {shape!r}")
@@ -533,16 +537,20 @@ class RunRecord:
     wall_time_s: float
 
     def to_dict(self) -> dict[str, Any]:
+        """The plain tree; its arrays share memory with the record's where
+        the stored dtype is the in-memory one."""
         tree = _tree(self, RunRecord)
         tree["format"] = RECORD_FORMAT
         return tree
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "RunRecord":
+        """The record of a plain tree, checked field by field; it keeps the
+        tree's arrays where no conversion is needed."""
         fmt = d.get("format") if isinstance(d, dict) else None
         if fmt != RECORD_FORMAT:
             raise ValueError(f"unsupported record format {fmt!r}")
-        return _untree(d, cls, "")
+        return _untree({k: v for k, v in d.items() if k != "format"}, cls, "")
 
     def _hashed(self) -> tuple[bytes, list[np.ndarray]]:
         """The canonical header and the arrays hashed after it."""
@@ -600,6 +608,9 @@ def _record_from_bytes(data: bytearray) -> RunRecord:
         raise ValueError(f"header is not JSON: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != RECORD_FORMAT:
         raise ValueError(f"the header must be a JSON object of format {RECORD_FORMAT!r}")
+    # The header is hashed as stored, so it must be the canonical text.
+    if _canonical(header) != data[version_end + 1 : header_end] or "wall_time_s" in header:
+        raise ValueError("the header is not canonical (sorted keys, compact JSON, no wall_time_s)")
     start = header_end + 1
     tree, end = _map_arrays(header, data, start, "")
 

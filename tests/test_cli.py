@@ -253,8 +253,11 @@ def _drop_array_bytes(data: bytes) -> bytes:
     return data[:at] + data[at + 3 :]
 
 
-def _set_clicks_dtype(tree):
-    tree["protocol_run"]["record"]["detectors"]["D_B"]["clicks"]["dtype"] = "<f4"
+def _set_clicks_dtype(dtype):
+    def change(tree):
+        tree["protocol_run"]["record"]["detectors"]["D_B"]["clicks"]["dtype"] = dtype
+
+    return _edit_header(change)
 
 
 # Unreadable record files: kind -> (edit of a good record file's bytes, or
@@ -275,6 +278,8 @@ BAD_RECORDS = {
         "dprsim-record/2 file, which is no longer read",
     ),
     "invalid-json": (lambda d: b"dprsim-record/3\n{not json\n", "header is not JSON"),
+    "not-canonical": (lambda d: d.replace(b'{"attack":null,', b'{"attack": null,', 1), "header is not canonical"),
+    "unknown-field": (_edit_header(lambda t: t["protocol_run"].update(qbr=0.0)), "unknown field 'protocol_run.qbr'"),
     "missing-field": (
         _edit_header(lambda t: t["protocol_run"].pop("protocol")),
         "missing field 'protocol_run.protocol'",
@@ -284,10 +289,8 @@ BAD_RECORDS = {
         _edit_header(lambda t: t["protocol_run"].update(qber="low")),
         "protocol_run.qber: expected float, got str",
     ),
-    "dtype": (
-        _edit_header(_set_clicks_dtype),
-        "protocol_run.record.detectors.D_B.clicks: unsupported array dtype '<f4'",
-    ),
+    "dtype": (_set_clicks_dtype("<f4"), "protocol_run.record.detectors.D_B.clicks: unsupported array dtype '<f4'"),
+    "dtype-type": (_set_clicks_dtype(["|u1"]), "clicks: unsupported array dtype ['|u1']"),
     "truncated": (lambda d: d[: d.index(b"\n", d.index(b"\n") + 1) + 9], "clicks: array bytes end at byte"),
     "short-arrays": (_drop_array_bytes, "array bytes: the header's shapes take"),
     "no-trailer": (_edit_trailer(b""), "missing trailer"),

@@ -358,6 +358,30 @@ def test_saves_differ_only_in_the_trailer(tmp_path):
 
 
 @pytest.fixture(scope="module")
+def blinding_record_file(tmp_path_factory) -> bytes:
+    path = tmp_path_factory.mktemp("record") / "record.json"
+    cfg = {"protocol": "dps", "n_symbols": 10, "seed": 2, "attack": {"kind": "blinding"}}
+    save_record(run_scenario(scenario_from_dict(cfg)), path)
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**20), st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, 255)), max_size=3))
+def test_damaged_record_files_load_or_raise_value_error(tmp_path_factory, blinding_record_file, cut, flips):
+    # A truncated or damaged file must never surface as another error, which
+    # the CLI would report as a runtime failure (exit 2) instead of exit 1.
+    data = bytearray(blinding_record_file[: max(1, cut % (len(blinding_record_file) + 1))])
+    for at, value in flips:
+        data[at % len(data)] = value
+    path = tmp_path_factory.mktemp("damaged") / "record.json"
+    path.write_bytes(data)
+    try:
+        load_record(path)
+    except ValueError:
+        pass
+
+
+@pytest.fixture(scope="module")
 def golden_records():
     return {name: run_golden(name) for name in GOLDENS}
 
