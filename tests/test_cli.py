@@ -239,17 +239,22 @@ def _edit_trailer(trailer: bytes):
     return lambda data: data[: data.rindex(b'{"wall_time_s"')] + trailer
 
 
+def _arrays_start(data: bytes) -> int:
+    """Offset of the first array byte, past the version and header lines."""
+    return data.index(b"\n", data.index(b"\n") + 1) + 1
+
+
 def _first_array_byte(value: int):
     # The first array of a clean COW record is D_B's clicks, stored as |u1.
     def edit(data: bytes) -> bytes:
-        at = data.index(b"\n", data.index(b"\n") + 1) + 1
+        at = _arrays_start(data)
         return data[:at] + bytes([value]) + data[at + 1 :]
 
     return edit
 
 
 def _drop_array_bytes(data: bytes) -> bytes:
-    at = data.index(b"\n", data.index(b"\n") + 1) + 1
+    at = _arrays_start(data)
     return data[:at] + data[at + 3 :]
 
 
@@ -291,7 +296,7 @@ BAD_RECORDS = {
     ),
     "dtype": (_set_clicks_dtype("<f4"), "protocol_run.record.detectors.D_B.clicks: unsupported array dtype '<f4'"),
     "dtype-type": (_set_clicks_dtype(["|u1"]), "clicks: unsupported array dtype ['|u1']"),
-    "truncated": (lambda d: d[: d.index(b"\n", d.index(b"\n") + 1) + 9], "clicks: array bytes end at byte"),
+    "truncated": (lambda d: d[: _arrays_start(d) + 9], "clicks: array bytes end at byte"),
     "short-arrays": (_drop_array_bytes, "array bytes: the header's shapes take"),
     "no-trailer": (_edit_trailer(b""), "missing trailer"),
     "bad-trailer": (_edit_trailer(b'{"wall_time_s": }\n'), "malformed trailer"),
