@@ -64,8 +64,8 @@ def _build_parser() -> _Parser:
     report_p.add_argument(
         "--record",
         required=True,
-        help="path to a record.json of a run directory (format dprsim-record/3: a JSON header line, then "
-        "binary arrays; the name is kept from the all-JSON formats, which are no longer read)",
+        help="path to a run directory's record.json (format dprsim-record/3: a JSON header line, then binary "
+        "arrays; it keeps the .json name so that tools that open record.json still find it)",
     )
 
     goldens_p = sub.add_parser("goldens", help="list, dump or execute the pinned scenarios")

@@ -528,7 +528,9 @@ class RunRecord:
         <raw array bytes, in header key order>{"wall_time_s": <seconds>}
 
     so SHA-256 over the file minus its version line, the header's newline and
-    the trailer is ``content_hash()``.
+    the trailer is ``content_hash()``.  Run directories still call it
+    ``record.json``, although only its header and trailer are JSON, so that
+    tools that open a run's record by that name keep working.
     """
 
     config: dict[str, Any]
