@@ -14,8 +14,6 @@ from .attacks import (
     blinding_feasible,
     fsg_cow_drive,
     fsg_dps_phases,
-    fsg_replay_cow,
-    fsg_replay_dps,
     trojan_decode,
     trojan_probe,
 )

@@ -24,9 +24,10 @@ varies slot to slot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
+import numpy.typing as npt
 
 from .config import DetectorSettings, TrojanSettings
 from .detectors import ApdConfig, DetectionRecord, apd_detect
@@ -43,8 +44,6 @@ __all__ = [
     "AttackOutcome",
     "fsg_dps_phases",
     "fsg_cow_drive",
-    "fsg_replay_dps",
-    "fsg_replay_cow",
     "decode_dps_readings",
     "decode_cow_readings",
     "blinding_feasible",
@@ -167,55 +166,30 @@ def fsg_cow_drive(
     return FsgPlan(tuple(readings.tolist()), _phase_plan(readings, _COW_STEPS), levels, 1)
 
 
-def _window(clicks: np.ndarray, offset: int, n: int) -> np.ndarray:
-    """Clicks of the ``n`` slots from ``offset``; slots past the record end are False."""
-    out = np.zeros(n, dtype=bool)
-    part = clicks[offset : offset + n]
+def _window(values: np.ndarray, offset: int, n: int) -> np.ndarray:
+    """Values of the ``n`` slots from ``offset``; slots past the end are zero
+    (no click)."""
+    out = np.zeros(n, dtype=values.dtype)
+    part = values[offset : offset + n]
     out[: part.size] = part
     return out
 
 
-def decode_dps_readings(record: DetectionRecord, offset: int, n_readings: int) -> list[int]:
+def decode_dps_readings(record: DetectionRecord, offset: int, n_readings: int) -> np.ndarray:
     """Readings observed by a DPS receiver: 0 none, 1 D1, 2 D2 (-1 if both)."""
     d1 = _window(record.clicks("D1"), offset, n_readings)
     d2 = _window(record.clicks("D2"), offset, n_readings)
-    return np.select([d1 & d2, d1, d2], [-1, 1, 2], 0).tolist()
+    return np.select([d1 & d2, d1, d2], np.array([-1, 1, 2], dtype=np.int64), 0)
 
 
-def decode_cow_readings(record: DetectionRecord, offset: int, n_readings: int) -> list[int]:
+def decode_cow_readings(record: DetectionRecord, offset: int, n_readings: int) -> np.ndarray:
     """Readings observed by a COW receiver: 0 none, 1 D_M2, 2 D_M1, 3 D_B.
 
     A data click takes precedence when it coincides with a monitor click (the
     single-symbol alphabet cannot carry both).
     """
     clicks = [_window(record.clicks(name), offset, n_readings) for name in ("D_B", "D_M1", "D_M2")]
-    return np.select(clicks, [3, 2, 1], 0).tolist()
-
-
-def fsg_replay_dps(
-    plan: FsgPlan,
-    detector: DetectorSettings = DetectorSettings(),
-    slot_period: float = 1.0,
-    rng: Callable[[str], np.random.Generator] | None = None,
-) -> list[int]:
-    """Send the plan into a linear-mode replica of the DPS receiver and decode
-    which detector fired per reading slot; ``rng`` is as in :func:`receive`."""
-    record, _ = receive("dps", plan.to_train(slot_period), detector, mode="linear", rng=rng)
-    return decode_dps_readings(record, plan.readings_slot_offset, len(plan.readings))
-
-
-def fsg_replay_cow(
-    plan: FsgPlan,
-    t_b: float,
-    detector: DetectorSettings = DetectorSettings(),
-    slot_period: float = 0.5,
-    rng: Callable[[str], np.random.Generator] | None = None,
-) -> list[int]:
-    """Send the plan into a linear-mode replica of the COW receiver and decode
-    the three-detector outcome per reading slot; ``rng`` is as in
-    :func:`receive`."""
-    record, _ = receive("cow", plan.to_train(slot_period), detector, t_b=t_b, mode="linear", rng=rng)
-    return decode_cow_readings(record, plan.readings_slot_offset, len(plan.readings))
+    return np.select(clicks, np.array([3, 2, 1], dtype=np.int64), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +364,8 @@ class AttackOutcome:
     induced_visibility_drop: float | None = None
     alarms: dict[str, bool] | None = None
     feasibility: dict[str, bool] | None = None
-    eve_readings: list[int] | None = None
-    bob_readings: list[int] | None = None
+    eve_readings: npt.NDArray[np.int64] | None = None
+    bob_readings: npt.NDArray[np.int64] | None = None
 
     def __post_init__(self) -> None:
         if self.alarms is None:

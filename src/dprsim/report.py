@@ -85,7 +85,7 @@ def summarize(record: RunRecord) -> MetricsSummary:
     detected = {name: run.record[name].detected_intensity for name in run.record.names}
     readings_match = None
     if outcome is not None and outcome.bob_readings is not None:
-        readings_match = outcome.bob_readings == outcome.eve_readings
+        readings_match = np.array_equal(outcome.bob_readings, outcome.eve_readings)
     return MetricsSummary(
         protocol=run.protocol,
         qber=run.qber,

@@ -25,6 +25,7 @@ import yaml
 
 from .attacks import (
     AttackOutcome,
+    _window,
     blinding_feasible,
     capture_fraction,
     decode_cow_readings,
@@ -55,7 +56,6 @@ from .protocols import (
     cow_occupancy,
     cow_sift,
     dps_encode,
-    dps_reference_bits,
     dps_sift,
     receive,
     visibility,
@@ -148,6 +148,13 @@ def _receive(
         rng=lambda name: rngs.get(f"{stream}-{name}"),
         **blinding,
     )
+
+
+def _sift(cfg: ScenarioConfig, bits: np.ndarray | None, symbols: str | None, record: DetectionRecord) -> ProtocolRun:
+    """Bob's sifting of a record on Alice's slot grid; COW adds visibility."""
+    if cfg.protocol == "dps":
+        return dps_sift(bits, record)
+    return cow_sift(symbols, record, visibility(record, symbols))
 
 
 # ---------------------------------------------------------------------------
@@ -277,16 +284,21 @@ def _blinding_background(style: str, level: float, period: int, n_slots: int) ->
     return bg
 
 
-def _reading_key(protocol: str, readings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Key positions and bits of a reading sequence.  Keys follow the
-    monitoring-detector readings for DPS (bit 0 constructive, bit 1
-    destructive); COW detector control is judged on record equality, so its
-    key is one 1 per data-detector reading."""
-    if protocol == "dps":
-        idx = np.flatnonzero((readings == 1) | (readings == 2))
-        return idx, readings[idx] - 1
-    idx = np.flatnonzero(readings == 3)
-    return idx, np.ones(idx.size, dtype=np.int64)
+def _reading_key(readings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eve's DPS key from her readings: the slots of a single D1 or D2
+    reading, and the bit each names (0 constructive, 1 destructive)."""
+    idx = np.flatnonzero((readings == 1) | (readings == 2))
+    return idx, readings[idx] - 1
+
+
+def _on_grid(record: DetectionRecord, offset: int, n_slots: int) -> DetectionRecord:
+    """The ``n_slots`` slots of ``record`` from ``offset`` on; slots past its
+    end are silent."""
+    traces = {
+        name: DetectorTrace(*(_window(getattr(trace, f.name), offset, n_slots) for f in fields(trace)))
+        for name, trace in record.detectors.items()
+    }
+    return DetectionRecord(traces, record.slot_period)
 
 
 def _run_blinding(
@@ -297,32 +309,44 @@ def _run_blinding(
 ) -> tuple[ProtocolRun, AttackOutcome]:
     """Three stages: Eve's replica measurement (or pinned readings), the
     faked-state plan, and the replay into Bob's blinded detectors with the
-    photocurrent monitor watching."""
+    photocurrent monitor watching.
+
+    Bob sifts the blinded record as he sifts a clean one, over the
+    ``len(train) + 1`` slots of Alice's grid, which start at the plan's
+    ``readings_slot_offset``; the stored record is the whole blinded one.
+    Pinned readings are sifted against Alice's material too: they do not
+    come from her train, so a QBER near 1/2 is the honest result.  Derived
+    COW blinding has no visibility: every interface slot is also a D_B pulse
+    slot, and a reading names one detector only, so Bob's monitors never
+    click at an interface.  Eve's key is her readings: D1/D2 readings for
+    DPS, her D_B readings decided like a backflash key for COW.
+    """
     s = cfg.attack.blinding
     rails = cfg.detector
     decode = decode_dps_readings if cfg.protocol == "dps" else decode_cow_readings
+    n_slots = len(train) + 1
 
-    derived = s.readings is None
-    if derived:
+    if s.readings is None:
         replica, _ = _receive(cfg, train, rngs, "eve-stage1")
         # A double click of the replica (DPS reading -1) names no detector:
         # Eve replays it as a vacuum event.
-        readings = np.maximum(decode(replica, 0, len(train) + 1), 0)
+        readings = np.maximum(decode(replica, 0, n_slots), 0)
     else:
         readings = np.array(s.readings, dtype=np.int64)
 
     if cfg.protocol == "dps":
         plan = fsg_dps_phases(readings, s.policy, launch_intensity=rails.p_always)
         feasibility = {"rail_gap": blinding_feasible(rails, cfg.t_b).rail_gap}
+        eve_slots, eve_bits = _reading_key(readings)
     else:
         plan = fsg_cow_drive(readings, cfg.t_b, rails, allow_infeasible=True)
         feasibility = blinding_feasible(rails, cfg.t_b).as_dict()
+        eve_slots, eve_bits = _cow_eve_key(clean.alice_symbols, _window(readings == 3, 0, n_slots))
 
     trigger = plan.to_train(cfg.slot_period, cfg.wavelength_nm)
     blind = BlindingState(0.0, s.decay_per_slot, s.blind_threshold)
     background = _blinding_background(s.style, s.illumination_level, s.pulse_period_slots, len(trigger) + 1)
     record, _ = _receive(cfg, trigger, rngs, "bob", blind=blind, background=background)
-    bob_readings = decode(record, plan.readings_slot_offset, readings.size)
 
     monitor_alarm = False
     cm = cfg.countermeasures.photocurrent_monitor
@@ -331,49 +355,25 @@ def _run_blinding(
             result = photocurrent_monitor(record[name].photocurrent, cm.window_slots, cm.alarm_threshold)
             monitor_alarm = monitor_alarm or result.alarm
 
-    eve_idx, eve_bits = _reading_key(cfg.protocol, readings)
-    bob_idx, bob_bits = _reading_key(cfg.protocol, np.array(bob_readings, dtype=np.int64))
-    frac = capture_fraction(bob_idx, bob_bits, eve_idx, eve_bits)
-
-    if derived and cfg.protocol == "dps":
-        # Bob's sifted bits map back to Alice's key stream through Eve's
-        # faithful replica measurement: reading j sits at his slot j + offset
-        # and carries Alice's difference bit j - 1.
-        diff = dps_reference_bits(clean.alice_bits)
-        # Reading 0 and any reading past Alice's last pair carry no
-        # difference bit, so they stay out of all three sifted arrays.
-        keep = (bob_idx >= 1) & (bob_idx <= diff.size)
-        run_slots, run_bob = bob_idx[keep], bob_bits[keep]
-        run_alice = diff[run_slots - 1]
-        run_qber = float(np.mean(run_alice != run_bob)) if run_alice.size else 0.0
-    else:
-        run_slots, run_bob = bob_idx, bob_bits
-        run_alice = np.array([], dtype=np.int64)
-        run_qber = None
-
-    attacked_run = ProtocolRun(
-        protocol=cfg.protocol,
-        alice_bits=clean.alice_bits,
-        alice_symbols=clean.alice_symbols,
-        record=record,
-        sifted_alice=run_alice,
-        sifted_bob=run_bob,
-        sifted_slots=run_slots,
-        qber=run_qber,
-    )
+    grid = _on_grid(record, plan.readings_slot_offset, n_slots)
+    run = replace(_sift(cfg, clean.alice_bits, clean.alice_symbols, grid), record=record)
+    drop = None
+    if cfg.protocol == "cow":
+        before, after = clean.visibility_report.overall_visibility, run.visibility_report.overall_visibility
+        drop = None if before is None or after is None else before - after
     outcome = AttackOutcome(
         attack="blinding",
         eve_key=eve_bits,
-        bob_key=bob_bits,
-        capture_fraction=frac,
-        induced_qber=(run_qber - clean.qber) if run_qber is not None and clean.qber is not None else None,
-        induced_visibility_drop=None,
+        bob_key=run.sifted_bob,
+        capture_fraction=capture_fraction(run.sifted_slots, run.sifted_bob, eve_slots, eve_bits),
+        induced_qber=run.qber - clean.qber,
+        induced_visibility_drop=drop,
         alarms={"watchdog": False, "photocurrent_monitor": monitor_alarm},
         feasibility=feasibility,
-        eve_readings=readings.tolist(),
-        bob_readings=bob_readings,
+        eve_readings=readings,
+        bob_readings=decode(record, plan.readings_slot_offset, readings.size),
     )
-    return attacked_run, outcome
+    return run, outcome
 
 
 # ---------------------------------------------------------------------------
@@ -417,16 +417,16 @@ def _expect(node: Any, kinds: tuple[type, ...], what: str, path: str) -> None:
 
 def _tree(value: Any, hint: Any) -> Any:
     """Plain tree of a record value, led by its type hint: dataclasses become
-    field mappings, arrays and ``list[int]`` become contiguous arrays of a
-    stored dtype, everything else stays as it is."""
+    field mappings, arrays become contiguous arrays of a stored dtype,
+    everything else stays as it is."""
     if value is None:
         return None
     hint = _inner(hint)
     if is_dataclass(hint):
         return {name: _tree(getattr(value, name), t) for name, t in _field_hints(hint)}
     origin = typing.get_origin(hint)
-    if hint is np.ndarray or origin is list:
-        arr = np.fromiter(value, np.int64, len(value)) if origin is list else np.asarray(value)
+    if hint is np.ndarray or origin is np.ndarray:
+        arr = np.asarray(value)
         arr = arr.view(np.uint8) if arr.dtype.kind == "b" else arr.astype(_STORED[arr.dtype.kind], copy=False)
         return np.ascontiguousarray(arr)
     if origin is dict:
@@ -452,15 +452,15 @@ def _untree(node: Any, hint: Any, path: str) -> Any:
             raise ValueError(f"unknown field {_at(path, unknown[0])!r}")
         return inner(**{name: _untree(node[name], t, _at(path, name)) for name, t in hints})
     origin = typing.get_origin(inner)
-    if inner is np.ndarray or origin is list:
+    if inner is np.ndarray or origin is np.ndarray:
         _expect(node, (np.ndarray,), "an array", path)
         dtype = node.dtype.str
-        if dtype not in (("<i8",) if origin is list else _LOADED):
+        # The one dtyped hint, ``NDArray[np.int64]``, is stored as ``<i8`` only.
+        if dtype not in (_LOADED if inner is np.ndarray else ("<i8",)):
             raise ValueError(f"{path}: unsupported array dtype {dtype!r}")
         if dtype == "|u1" and node.size and node.max() > 1:
             raise ValueError(f"{path}: byte {node.max()} is not a boolean (0 or 1)")
-        arr = node.view(np.bool_) if dtype == "|u1" else node.astype(_LOADED[dtype], copy=False)
-        return arr.tolist() if origin is list else arr
+        return node.view(np.bool_) if dtype == "|u1" else node.astype(_LOADED[dtype], copy=False)
     if origin is dict:
         _expect(node, (dict,), "a mapping", path)
         return {k: _untree(v, typing.get_args(inner)[1], _at(path, k)) for k, v in node.items()}
@@ -688,10 +688,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunRecord:
     alice_bits, alice_symbols = _alice_material(cfg, rngs)
     train = _transmit(cfg, alice_bits, alice_symbols)
     record, ports = _receive(cfg, train, rngs, "bob")
-    if cfg.protocol == "dps":
-        run = dps_sift(alice_bits, record)
-    else:
-        run = cow_sift(alice_symbols, record, visibility(record, alice_symbols))
+    run = _sift(cfg, alice_bits, alice_symbols, record)
 
     kind = cfg.attack.kind
     outcome = None

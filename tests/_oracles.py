@@ -117,8 +117,8 @@ def _v1_outcome(outcome) -> dict | None:
         "induced_visibility_drop": outcome.induced_visibility_drop,
         "alarms": dict(outcome.alarms),
         "feasibility": None if outcome.feasibility is None else dict(outcome.feasibility),
-        "eve_readings": outcome.eve_readings,
-        "bob_readings": outcome.bob_readings,
+        "eve_readings": None if outcome.eve_readings is None else [int(r) for r in outcome.eve_readings],
+        "bob_readings": None if outcome.bob_readings is None else [int(r) for r in outcome.bob_readings],
     }
 
 
@@ -321,16 +321,15 @@ def trojan_cow_key_loop(alice_symbols: str, sym: str) -> tuple[np.ndarray, np.nd
     return np.array(eve_slots_list, dtype=np.int64), np.array(eve_bits_list, dtype=np.int64)
 
 
-def blinding_key_loop(protocol: str, readings) -> tuple[np.ndarray, np.ndarray]:
-    """Key positions and bits of one reading sequence, as the blinding attack
-    bookkept them for Eve and for Bob."""
+def blinding_key_loop(protocol: str, readings, symbols: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Eve's key positions and bits from her blinding readings: her D1/D2
+    readings for DPS; for COW her D_B readings (3) as per-grid-slot clicks,
+    decided over Alice's ``symbols`` like a backflash key."""
     if protocol == "dps":
         idx = [j for j, r in enumerate(readings) if r in (1, 2)]
-        bits = np.array([readings[j] - 1 for j in idx], dtype=np.int64)
-    else:
-        idx = [j for j, r in enumerate(readings) if r == 3]
-        bits = np.array([1] * len(idx), dtype=np.int64)
-    return np.array(idx, dtype=np.int64), bits
+        return np.array(idx, dtype=np.int64), np.array([readings[j] - 1 for j in idx], dtype=np.int64)
+    clicks = [r == 3 for r in readings] + [False] * (2 * len(symbols))
+    return backflash_cow_key_loop(symbols, clicks)
 
 
 def blinding_sifted_alice_loop(diff, bob_idx) -> np.ndarray:

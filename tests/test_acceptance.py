@@ -14,8 +14,8 @@ import pytest
 from dprsim.attacks import (
     WORKED_EXAMPLE_PHASES,
     WORKED_EXAMPLE_READINGS,
+    decode_dps_readings,
     fsg_dps_phases,
-    fsg_replay_dps,
 )
 from dprsim.cli import main
 from dprsim.config import DetectorSettings
@@ -105,10 +105,14 @@ def test_fsg_sequence_reproduction():
     with criterion("fsg-sequence-reproduction"):
         plan = fsg_dps_phases(WORKED_EXAMPLE_READINGS, n_policy="worked-example")
         assert plan.phase_units == WORKED_EXAMPLE_PHASES == (0, 0, 2, 1, 1, 3, 1, 2, 0, 2, 1, 3, 2, 1, 2)
+        rails = DetectorSettings(p_never=0.2, p_always=0.39)
         started = time.perf_counter()
         for readings in itertools.product((0, 1, 2), repeat=8):
             canonical = fsg_dps_phases(readings, launch_intensity=0.39)
-            assert fsg_replay_dps(canonical, DetectorSettings(p_never=0.2, p_always=0.39)) == list(readings)
+            # Bob's blinded receiver, held in linear mode, decoded per reading.
+            record, _ = receive("dps", canonical.to_train(), rails, mode="linear")
+            replayed = decode_dps_readings(record, canonical.readings_slot_offset, len(readings))
+            assert replayed.tolist() == list(readings)
         assert time.perf_counter() - started < 60.0
 
 
@@ -121,7 +125,7 @@ def test_cow_blinding_control():
         assert outcome.feasibility["rail_gap"]
         assert outcome.feasibility["monitor_drive_hidden_from_data"]
         assert outcome.feasibility["data_drive_hidden_from_monitor"]
-        assert outcome.bob_readings == outcome.eve_readings
+        np.testing.assert_array_equal(outcome.bob_readings, outcome.eve_readings)
         # Zero spurious clicks: each reading fires exactly its target detector.
         bob = record.protocol_run.record
         readings = outcome.eve_readings

@@ -10,22 +10,34 @@ from dprsim.attacks import (
     WORKED_EXAMPLE_READINGS,
     blinding_feasible,
     capture_fraction,
+    decode_cow_readings,
+    decode_dps_readings,
     fsg_cow_drive,
     fsg_dps_phases,
-    fsg_replay_cow,
-    fsg_replay_dps,
     trojan_decode,
     trojan_probe,
 )
 from dprsim.config import DetectorSettings, TrojanSettings
 from dprsim.optics import attenuate
-from dprsim.protocols import cow_occupancy, dps_reference_bits
+from dprsim.protocols import cow_occupancy, dps_reference_bits, receive
 
 RAILS = DetectorSettings(p_never=0.2, p_always=0.39)
 COW_RAILS = DetectorSettings()
 
 dps_readings = st.lists(st.integers(0, 2), min_size=1, max_size=12)
 cow_readings = st.lists(st.integers(0, 3), min_size=1, max_size=12)
+
+
+def replay_dps(plan) -> list[int]:
+    """The readings a linear-mode DPS receiver decodes from a plan's train."""
+    record, _ = receive("dps", plan.to_train(1.0), RAILS, mode="linear")
+    return decode_dps_readings(record, plan.readings_slot_offset, len(plan.readings)).tolist()
+
+
+def replay_cow(plan, t_b) -> list[int]:
+    """The readings a linear-mode COW receiver decodes from a plan's train."""
+    record, _ = receive("cow", plan.to_train(0.5), COW_RAILS, t_b=t_b, mode="linear")
+    return decode_cow_readings(record, plan.readings_slot_offset, len(plan.readings)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +86,14 @@ def test_canonical_phase_steps_encode_the_readings(readings):
 @given(dps_readings)
 def test_fsg_dps_replay_reproduces_readings(readings):
     plan = fsg_dps_phases(readings, launch_intensity=RAILS.p_always)
-    assert fsg_replay_dps(plan, RAILS) == list(readings)
+    assert replay_dps(plan) == list(readings)
 
 
 def test_policies_agree_on_the_worked_example():
     worked = fsg_dps_phases(WORKED_EXAMPLE_READINGS, n_policy="worked-example")
     canonical = fsg_dps_phases(WORKED_EXAMPLE_READINGS, n_policy="canonical")
-    assert fsg_replay_dps(worked, RAILS) == list(WORKED_EXAMPLE_READINGS)
-    assert fsg_replay_dps(canonical, RAILS) == list(WORKED_EXAMPLE_READINGS)
+    assert replay_dps(worked) == list(WORKED_EXAMPLE_READINGS)
+    assert replay_dps(canonical) == list(WORKED_EXAMPLE_READINGS)
     # Same reading, same phase-step class, wherever a step encodes it.
     worked_steps = worked.phase_steps()  # step k encodes reading k+1
     canonical_steps = canonical.phase_steps()  # step k encodes reading k
@@ -127,14 +139,12 @@ def test_cow_drive_rejects_infeasible_thresholds_by_default():
 @given(cow_readings)
 def test_fsg_cow_replay_reproduces_readings(readings):
     plan = fsg_cow_drive(readings, 0.5, COW_RAILS)
-    assert fsg_replay_cow(plan, 0.5, COW_RAILS) == list(readings)
+    assert replay_cow(plan, 0.5) == list(readings)
 
 
 @settings(max_examples=60, deadline=None)
 @given(cow_readings)
 def test_fsg_cow_drive_never_leaks_into_silent_detectors(readings):
-    from dprsim.protocols import receive
-
     plan = fsg_cow_drive(readings, 0.5, COW_RAILS)
     record, _ = receive("cow", plan.to_train(0.5), COW_RAILS, t_b=0.5, mode="linear")
     offset = plan.readings_slot_offset

@@ -166,22 +166,82 @@ def test_cli_derived_dps_blinding_with_dark_counts_completes(tmp_path, capsys):
     assert code in (0, 3), capsys.readouterr().err
 
 
-def test_cli_derived_dps_blinding_writes_equal_length_keys(tmp_path):
-    # Dark counts make Bob's reading 0 a click here; it carries no difference
-    # bit, so it must not reach bob.key either.
+# Dark counts make Bob's reading 0 a click in this run; it carries no
+# difference bit, so it must reach neither bob.key nor Bob's attack key.
+DARK_DPS_BLINDING = {
+    "protocol": "dps",
+    "n_symbols": 40,
+    "seed": 2,
+    "detector": {"dark_count_prob": 0.2},
+    "attack": {"kind": "blinding"},
+}
+
+
+def _run_cli(tmp_path, scenario: dict, command: str = "attack"):
+    """Run ``scenario`` through the CLI; returns the exit code and the run directory."""
     path = tmp_path / "scenario.yaml"
-    scenario = {
-        "protocol": "dps",
-        "n_symbols": 40,
-        "seed": 2,
-        "detector": {"dark_count_prob": 0.2},
-        "attack": {"kind": "blinding"},
-    }
     path.write_text(yaml.safe_dump(scenario))
     out = tmp_path / "out"
-    assert main(["attack", "--config", str(path), "--out", str(out)]) in (0, 3)
+    return main([command, "--config", str(path), "--out", str(out)]), out
+
+
+def test_cli_derived_dps_blinding_writes_equal_length_keys(tmp_path):
+    code, out = _run_cli(tmp_path, DARK_DPS_BLINDING)
+    assert code in (0, 3)
     alice, bob = (len(read_key(out / name)) for name in ("alice.key", "bob.key"))
     assert alice == bob > 0
+
+
+def test_cli_derived_dps_blinding_bob_key_is_his_sifted_key(tmp_path):
+    code, out = _run_cli(tmp_path, DARK_DPS_BLINDING)
+    assert code in (0, 3)
+    record = load_record(out / "record.json")
+    np.testing.assert_array_equal(record.attack.bob_key, record.protocol_run.sifted_bob)
+    np.testing.assert_array_equal(read_key(out / "bob.key"), record.attack.bob_key)
+
+
+_noise = st.fixed_dictionaries(
+    {"dark_count_prob": st.floats(0.0, 0.1), "afterpulse_prob": st.floats(0.0, 0.2), "dead_time_slots": st.integers(0, 3)}
+)
+
+
+@st.composite
+def any_run(draw):
+    """A short run of either protocol under any attack kind, optionally with
+    detector noise or with pinned blinding readings."""
+    protocol = draw(st.sampled_from(["dps", "cow"]))
+    n = draw(st.integers(2, 30))
+    kind = draw(st.sampled_from(["none", "backflash", "trojan", "blinding", "pinned-blinding"]))
+    scenario = {
+        "protocol": protocol,
+        "n_symbols": n,
+        "seed": draw(st.integers(0, 2**16)),
+        "t_b": draw(st.sampled_from([0.5, 0.9])),
+    }
+    if draw(st.booleans()):
+        scenario["detector"] = draw(_noise)
+    if kind == "pinned-blinding":
+        readings = st.lists(st.integers(0, 2 if protocol == "dps" else 3), min_size=1, max_size=2 * n + 3)
+        scenario["attack"] = {"kind": "blinding", "blinding": {"readings": draw(readings)}}
+    elif kind != "none":
+        scenario["attack"] = {"kind": kind}
+    return scenario
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_run())
+@example({"protocol": "cow", "n_symbols": 30, "seed": 1, "t_b": 0.9, "attack": {"kind": "blinding"}})
+@example(DARK_DPS_BLINDING)
+def test_every_run_sifts_on_alices_grid_and_writes_equal_keys(tmp_path_factory, scenario):
+    code, out = _run_cli(tmp_path_factory.mktemp("run"), scenario, "run")
+    assert code in (0, 3)
+    run = load_record(out / "record.json").protocol_run
+    n = scenario["n_symbols"]
+    assert run.sifted_length <= (n - 1 if scenario["protocol"] == "dps" else n)
+    assert run.sifted_alice.size == run.sifted_bob.size == run.sifted_slots.size
+    assert run.qber is not None
+    alice, bob = (len(read_key(out / name)) for name in ("alice.key", "bob.key"))
+    assert alice == bob == run.sifted_length
 
 
 def test_cow_reference_run_destructive_monitor_trace_negligible(tmp_path):
@@ -265,8 +325,16 @@ def _set_clicks_dtype(dtype):
     return _edit_header(change)
 
 
+def _set_readings_dtype(dtype):
+    def change(tree):
+        tree["attack"]["eve_readings"]["dtype"] = dtype
+
+    return _edit_header(change)
+
+
 # Unreadable record files: kind -> (edit of a good record file's bytes, or
-# None for no file; expected reason).
+# None for no file; expected reason).  The kinds in ON_ATTACKED_RECORD edit
+# an attacked record, the others a clean one.
 BAD_RECORDS = {
     "missing": (None, "No such file"),
     "unknown-format": (
@@ -303,7 +371,10 @@ BAD_RECORDS = {
     "extra-trailer": (lambda d: d + b'{"wall_time_s": 2.0}\n', "extra bytes after the trailer"),
     "trailer-type": (_edit_trailer(b'{"wall_time_s": "soon"}\n'), "wall_time_s: expected float, got str"),
     "bool-byte": (_first_array_byte(2), "protocol_run.record.detectors.D_B.clicks: byte 2 is not a boolean"),
+    # Readings are int64 only, although float64 is a stored dtype elsewhere.
+    "readings-dtype": (_set_readings_dtype("<f8"), "attack.eve_readings: unsupported array dtype '<f8'"),
 }
+ON_ATTACKED_RECORD = {"readings-dtype"}
 
 
 @pytest.fixture(scope="module")
@@ -314,12 +385,21 @@ def good_record(tmp_path_factory) -> bytes:
     return path.read_bytes()
 
 
+@pytest.fixture(scope="module")
+def attacked_record(tmp_path_factory) -> bytes:
+    path = tmp_path_factory.mktemp("attacked") / "record.json"
+    scenario = {"protocol": "cow", "n_symbols": 8, "seed": 1, "t_b": 0.5, "attack": {"kind": "blinding"}}
+    save_record(run_scenario(scenario_from_dict(scenario)), path)
+    assert main(["report", "--record", str(path)]) == 0
+    return path.read_bytes()
+
+
 @pytest.mark.parametrize("kind", sorted(BAD_RECORDS))
-def test_cli_report_rejects_unreadable_record(tmp_path, capsys, good_record, kind):
+def test_cli_report_rejects_unreadable_record(tmp_path, capsys, good_record, attacked_record, kind):
     edit, reason = BAD_RECORDS[kind]
     path = tmp_path / "record.json"
     if edit is not None:
-        path.write_bytes(edit(good_record))
+        path.write_bytes(edit(attacked_record if kind in ON_ATTACKED_RECORD else good_record))
     capsys.readouterr()
     assert main(["report", "--record", str(path)]) == 1
     err = capsys.readouterr().err

@@ -24,6 +24,7 @@ from dprsim.protocols import (
     cow_interfaces,
     cow_occupancy,
     cow_sift,
+    dps_sift,
     receive,
     visibility,
 )
@@ -118,8 +119,8 @@ def test_decode_dps_readings_match_loop(c1, c2, data):
     offset = data.draw(st.integers(0, n_slots + 3))
     n = data.draw(st.integers(0, n_slots + 3))
     got = decode_dps_readings(_record(n_slots, D1=d1, D2=d2), offset, n)
-    assert got == oracle.decode_dps_readings_loop(d1, d2, offset, n)
-    assert all(type(r) is int for r in got)
+    assert got.tolist() == oracle.decode_dps_readings_loop(d1, d2, offset, n)
+    assert got.dtype == np.int64
 
 
 @given(st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=1, max_size=30), st.data())
@@ -129,8 +130,8 @@ def test_decode_cow_readings_match_loop(rows, data):
     offset = data.draw(st.integers(0, d_b.size + 3))
     n = data.draw(st.integers(0, d_b.size + 3))
     got = decode_cow_readings(_record(d_b.size, D_B=d_b, D_M1=m1, D_M2=m2), offset, n)
-    assert got == oracle.decode_cow_readings_loop(d_b, m1, m2, offset, n)
-    assert all(type(r) is int for r in got)
+    assert got.tolist() == oracle.decode_cow_readings_loop(d_b, m1, m2, offset, n)
+    assert got.dtype == np.int64
 
 
 @given(st.lists(st.integers(-2, 5), min_size=0, max_size=30), st.sampled_from([(0, 1, 2), (0, 1, 2, 3)]))
@@ -206,12 +207,11 @@ def test_alice_symbols_match_loop(seed, n):
     assert got == oracle.alice_symbols_loop(idx)
 
 
-@given(st.sampled_from(["dps", "cow"]), st.lists(st.integers(-1, 3), min_size=0, max_size=40))
+@given(st.lists(st.integers(0, 2), min_size=0, max_size=40))
 @settings(max_examples=200)
-def test_reading_keys_match_loop(protocol, readings):
-    # Bob's DPS readings hold -1 where both detectors clicked.
-    got = _reading_key(protocol, np.array(readings, dtype=np.int64))
-    for a, b in zip(got, oracle.blinding_key_loop(protocol, readings)):
+def test_reading_keys_match_loop(readings):
+    got = _reading_key(np.array(readings, dtype=np.int64))
+    for a, b in zip(got, oracle.blinding_key_loop("dps", readings)):
         _same(a, b)
 
 
@@ -234,23 +234,34 @@ def test_blinding_bookkeeping_matches_loops(protocol, seed, dark, p_never):
         cfg["t_b"] = 0.5
     record = run_scenario(scenario_from_dict(cfg))
     outcome, run = record.attack, record.protocol_run
-    eve_idx, eve_bits = oracle.blinding_key_loop(protocol, outcome.eve_readings)
-    bob_idx, bob_bits = oracle.blinding_key_loop(protocol, outcome.bob_readings)
-    _same(outcome.eve_key, eve_bits)
-    _same(outcome.bob_key, bob_bits)
-    assert outcome.capture_fraction == oracle.capture_fraction_loop(bob_idx, bob_bits, eve_idx, eve_bits)
+    # Eve's derived plan puts reading j at Bob's slot j + 1; Bob sifts the
+    # slots of Alice's grid (its length plus one) from there on.
+    n_slots = (run.alice_bits.size if protocol == "dps" else 2 * len(run.alice_symbols)) + 1
+    grid = _record(n_slots, **{name: run.record.clicks(name)[1 : 1 + n_slots] for name in run.record.names})
     if protocol == "dps":
-        # Only readings that carry one of Alice's difference bits are sifted.
+        want = dps_sift(run.alice_bits, grid)
+        eve_idx, eve_bits = oracle.blinding_key_loop(protocol, outcome.eve_readings)
+        # Only Bob's single-click readings that carry one of Alice's
+        # difference bits are sifted.
+        bob_idx, bob_bits = oracle.blinding_key_loop(protocol, outcome.bob_readings)
         diff = np.bitwise_xor(np.asarray(run.alice_bits[1:]), np.asarray(run.alice_bits[:-1]))
         alice = oracle.blinding_sifted_alice_loop(diff, bob_idx)
-        _same(run.sifted_alice, alice)
         pairs = [(j, b) for j, b in zip(bob_idx, bob_bits) if 1 <= j <= diff.size]
-        _same(run.sifted_slots, np.array([j for j, _ in pairs], dtype=np.int64))
         paired = np.array([b for _, b in pairs], dtype=np.int64)
-        _same(run.sifted_bob, paired)
-        assert run.qber == (float(np.mean(alice != paired)) if alice.size else 0.0)
+        loop = (alice, paired, np.array([j for j, _ in pairs], dtype=np.int64))
     else:
-        _same(run.sifted_slots, bob_idx)
+        want = cow_sift(run.alice_symbols, grid, visibility(grid, run.alice_symbols))
+        eve_idx, eve_bits = oracle.blinding_key_loop(protocol, outcome.eve_readings, run.alice_symbols)
+        # A D_B click is always read as 3, so Bob's 3s are his data clicks.
+        loop = oracle.cow_sift_loop(run.alice_symbols, outcome.bob_readings == 3)[:3]
+        assert run.visibility_report.overall == want.visibility_report.overall
+    for name, arr in zip(("sifted_alice", "sifted_bob", "sifted_slots"), loop):
+        _same(getattr(run, name), getattr(want, name))
+        _same(getattr(run, name), arr)
+    assert run.qber == want.qber == (float(np.mean(loop[0] != loop[1])) if loop[0].size else 0.0)
+    _same(outcome.eve_key, eve_bits)
+    _same(outcome.bob_key, run.sifted_bob)
+    assert outcome.capture_fraction == oracle.capture_fraction_loop(run.sifted_slots, run.sifted_bob, eve_idx, eve_bits)
 
 
 @given(

@@ -53,10 +53,10 @@ GOLDEN_RECORD_HASHES = {
     "dps-trojan": "f9146d182e44fcddf0cb762caa87f200a27706cbcfa34bc2bcdf95967ab25190",
     "dps-trojan-watchdog": "a0bd950294c9cfbbee40b605ceaf1143067e59c34f67952863cff8b1071c1027",
     "cow-trojan": "7bbf964eeca9aa06df96a754ea4a76cc642e1a138b642a5b227a51eb850bf2d4",
-    "dps-blinding": "2032ec4ad9fe795ba4db14278fd3d38d579033a5fefc2c7e4fb4c9fea262d410",
+    "dps-blinding": "3f6382e04ad0b3c9210eec0c820c40d6f0279dc7ea02a78274e7b4d537498cda",
     "dps-blinding-derived": "2950429ccc03d0632cbbd37a1a8a33f0900313514c3111788381660a4dcc232f",
-    "cow-blinding": "e4d702c4213d4ae6477fe096d233e8c4021d8f7ac023279768d9e3b57d0bd806",
-    "cow-blinding-cw": "8e22e9452f49a765eb6619103f34ad9121e1e0a9323acfe62f10829df8c874d1",
+    "cow-blinding": "c873e7deaa5552b78498323efffd318a71f1945e241ece26be0097c4d45e6640",
+    "cow-blinding-cw": "77c2cc709a147b362d530a3e5fddc6016f57f1b48d041474f960d3927b0ad482",
 }
 
 # The same records hashed by the retired dprsim-record/1 serializer
@@ -72,10 +72,10 @@ GOLDEN_RECORD_V1_HASHES = {
     "dps-trojan": "0bb495feecdf5c9085a8cfb77e9bdf546e21b94e13e4b7e89205b448519a95c2",
     "dps-trojan-watchdog": "89b165130e0d01ab8b202bbc6b80e02f8ab5f6cb11455e9921fdc2aa236817d7",
     "cow-trojan": "0414e1eeb7cc1ae9d539a32fa011df90d73efa8a1d2db77b81707390205524ad",
-    "dps-blinding": "3ad1916a5f1fd8de1f246a90ce1b2659b5c1ff1d18b9bde08a50f90339e15fc9",
+    "dps-blinding": "6f3ea521850d83450d28dfcff128335cee1680ccc8283411753eab3b16ee7635",
     "dps-blinding-derived": "1a7543768bb6700dbe1493878b00c89011b5d1c5f1cd651adc926013d689adda",
-    "cow-blinding": "e552631c662446d634c056d8b66a08b839f5de06a4ecde9c4b1d7a71558b3ceb",
-    "cow-blinding-cw": "e3db05bb85cc71f5ce4498669b7964e4b4a9687cbe29202118e0d532959f97b3",
+    "cow-blinding": "c1b1e50c96086b0cafc0d29b9f0fa1546106ce6e95f651c5a816a096662d8eab",
+    "cow-blinding-cw": "0d8e32c026af2a65e78a66c2e9dbbce054c398b971512c5719b82df1c89d2521",
 }
 
 # SHA-256 over the SHA-256 hex digests of every emitted file except
@@ -90,10 +90,10 @@ GOLDEN_OUTPUT_DIGESTS = {
     "dps-trojan": "880744eac30066a5efe7b963e275214f5e8b83b69636a745e01d00258fa11d21",
     "dps-trojan-watchdog": "ff42ae54ca1b8d8b4c2efa0137d0ace223be6972480ef1859da18e151056c4d6",
     "cow-trojan": "5acc607e6dce8f52d5c949a8857fe2cc952211dbec611fb645fa9ea2ad76753b",
-    "dps-blinding": "9a14b9936a9da869475f219da75e302481f2df2ed782eb894c15bf93a2e6b77e",
+    "dps-blinding": "3439f9980d056b5a8c6f4b75c2e9bfbf03f523b8bb5eb24928c84f484e34060c",
     "dps-blinding-derived": "1516fa4a40f0629291469fdf01a0101add1ec9663a98fc0ec82c4cb24280cbb0",
-    "cow-blinding": "54805a1f73bc8e235aa83f633d4980eec0853664d7a6e2a2eaf32f81c8c5264c",
-    "cow-blinding-cw": "d8121efea247401eeaa1a3014b15bf32efd5f45cb95d63d0b78197bac7fc2e9c",
+    "cow-blinding": "f5605d86dcfaf1887598c8748c7f44f5439351a051db21ab85664d6a69b5a30b",
+    "cow-blinding-cw": "af38fffc75125253ca94f9a7071495646f100f70482ce3923b9a45fb8c890e82",
 }
 
 
@@ -131,13 +131,13 @@ NOISY_RUN_HASHES = {
     "dps-clean": "3b19fcb8447b3ad1f1eaa3a2f2a9e2929f07223a6adeef5e719f46f12def2936",
     "cow-clean": "44d553461d915bf725caedcab94bc4ce51cbafb49cdb3318d09b869a637f7577",
     "dps-blinding": "966c9cf559393256db5e5d5c94121bdcc27e96bd7ba478d61826bdce3a5b218b",
-    "cow-blinding": "0a63a1a01424908ad2b257f49f3cb854a98bce4f62cd47fca50935d771bbf612",
+    "cow-blinding": "61abf5a0c40af99364e36f9900d6b878f5423b7222404ac5071c556f0a90eccc",
     "dps-backflash": "5caa13210526e7c28caa53fef0f309f6d80bd18373bb6b887d8bc0c0e582a366",
     "cow-backflash": "aec9128fd04e362e682b262bdc1c9ec762a558abe9107ceba5d3b60a3ed1b1c9",
     "dps-trojan": "2b2b2d339b98aa60184bc30455b46567cbb688930dcbfe26fc6de520f4b400f5",
     "cow-trojan": "417ac68ebad71a8b977634d6456f11fd8dbb5241a9cc7a22f092431265ca8d08",
-    "dps-blinding-between-rails": "e63fceaeaf095e2d483273e4a598693033d223cc616e82b7de3aa4d99487f26f",
-    "cow-blinding-weak-light": "90d108d256e66dca90a6c0d7b5d0b61d4a0a70ec25246cfbfd770a46719be4c2",
+    "dps-blinding-between-rails": "c82fcde4e6b3ee0ef1676f7c449ad6e8c9f08fba7e7e2f3ecd357562ac0562b8",
+    "cow-blinding-weak-light": "26498c4d77a9bd3d758d260746f7a22618816d9475b453b607036618868b2c02",
 }
 
 
@@ -264,7 +264,7 @@ def test_record_round_trips_through_plain_data(tmp_path):
 def test_attack_record_round_trips(tmp_path):
     record = run_golden("cow-blinding")
     for clone in _round_trips(record, tmp_path):
-        assert clone.attack.eve_readings == record.attack.eve_readings
+        np.testing.assert_array_equal(clone.attack.eve_readings, record.attack.eve_readings)
         assert clone.attack.feasibility == record.attack.feasibility
         assert clone.content_hash() == record.content_hash()
 
@@ -321,8 +321,8 @@ def test_saved_record_is_compact_and_reloads_the_in_memory_types(tmp_path):
         assert (trace.clicks.dtype, trace.linear_mode.dtype) == (np.bool_, np.bool_)
         assert (trace.intensity.dtype, trace.photocurrent.dtype) == (np.float64, np.float64)
     assert clone.protocol_run.sifted_bob.dtype == np.int64
-    assert clone.attack.eve_readings == record.attack.eve_readings
-    assert all(type(v) is int for v in clone.attack.eve_readings + clone.attack.bob_readings)
+    np.testing.assert_array_equal(clone.attack.eve_readings, record.attack.eve_readings)
+    assert clone.attack.eve_readings.dtype == clone.attack.bob_readings.dtype == np.int64
 
 
 def test_loaded_arrays_are_writable_and_keep_their_dtypes(tmp_path):
@@ -526,7 +526,7 @@ def test_cow_backflash_ideal_data_records_match():
 
 def test_blinding_derived_readings_round_trip():
     record = run_golden("dps-blinding-derived")
-    assert record.attack.eve_readings == record.attack.bob_readings
+    np.testing.assert_array_equal(record.attack.eve_readings, record.attack.bob_readings)
     assert record.protocol_run.qber == 0.0
     assert record.attack.capture_fraction == 1.0
     assert record.attack.induced_qber == 0.0
