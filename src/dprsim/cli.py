@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands: ``run`` and ``attack`` execute a scenario (from a file, a golden
-name or ``--golden``) and write the output set; ``goldens`` lists, dumps or
-executes the pinned scenarios; ``sweep`` runs a parameter sweep; ``report``
-recomputes the metric summary from a stored run record.
+name or ``--golden``) and write its run directory (the key files,
+``metrics.json`` and ``record.json``, which holds every per-slot trace);
+``goldens`` lists, dumps or executes the pinned scenarios; ``sweep`` runs a
+parameter sweep; ``report`` recomputes the metric summary from a stored run
+record.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime error, 3 a
 countermeasure alarm was raised.  The output root defaults to the
@@ -137,10 +139,13 @@ def _cmd_sweep(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     any_alarm = False
-    for i, (value, record) in enumerate(zip(values, records)):
+    for i, record in enumerate(records):
         point_dir = outdir / f"point_{i:03d}"
         emit_outputs(record, point_dir)
         m = summarize(record)
+        value = record.config  # the value the point ran with: an int for an integer parameter
+        for key in args.param.split("."):
+            value = value[key]
         rows.append({"index": i, "value": value, "qber": m.qber, "capture_fraction": m.capture_fraction,
                      "visibility_overall": m.visibility_overall, "alarms": m.alarms,
                      "feasibility": m.feasibility})

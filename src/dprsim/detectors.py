@@ -159,9 +159,6 @@ class DetectorTrace:
         """Total incident intensity over clicked slots only."""
         return float(np.sum(self.avalanche_intensity))
 
-    def mode_labels(self) -> list[str]:
-        return [LINEAR if m else GEIGER for m in self.linear_mode]
-
 
 @dataclass(eq=False)
 class DetectionRecord:

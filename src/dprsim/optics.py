@@ -86,10 +86,6 @@ class PulseTrain:
         """Per-slot optical power ``|a|**2``."""
         return np.abs(self.slots) ** 2
 
-    @property
-    def total_power(self) -> float:
-        return float(np.sum(self.intensities))
-
     @classmethod
     def vacuum(cls, n_slots: int, slot_period: float = 1.0, wavelength: float = 1550.0) -> "PulseTrain":
         return cls(np.zeros(n_slots, dtype=np.complex128), slot_period, wavelength)

@@ -1,22 +1,21 @@
-"""Result emission: per-slot event tables, key files and metric summaries.
+"""Result emission: key files, metric summaries and the run record.
 
-Text formats are versioned through a header line (events) or a ``format``
-key (metrics) and chosen so that every emitted file parses back into the
-in-memory values exactly: floats are written with ``repr``, which round-trips
-IEEE doubles.  ``record.json`` is ``dprsim-record/3``, the bytes that the
-record's content hash covers, framed by two text lines (see ``RunRecord``):
-a version line, the canonical JSON header (arrays as ``{"dtype", "shape"}``:
-``<i8``, ``<f8``, ``|u1`` for booleans), then the raw little-endian bytes of
-each array in header key order and a one-line JSON trailer holding
-``wall_time_s``, the one value outside the hash.  The arrays are written and
-read as they are, with no text encoding.  The file keeps its ``.json`` name,
-although only its header and trailer are JSON, so that scripts and tools that
-open ``record.json`` in a run directory still find it.
+Every emitted file parses back into the in-memory values exactly.
+``metrics.json`` carries a ``format`` key.  ``record.json`` is
+``dprsim-record/3``, the bytes that the record's content hash covers, framed
+by two text lines (see ``RunRecord``): a version line, the canonical JSON
+header (arrays as ``{"dtype", "shape"}``: ``<i8``, ``<f8``, ``|u1`` for
+booleans), then the raw little-endian bytes of each array in header key order
+and a one-line JSON trailer holding ``wall_time_s``, the one value outside the
+hash.  The arrays are written and read as they are, with no text encoding;
+the record is the one per-slot output, and :func:`load_record` maps it back
+into per-detector arrays.  The file keeps its ``.json`` name, although only
+its header and trailer are JSON, so that scripts and tools that open
+``record.json`` in a run directory still find it.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from dataclasses import asdict, dataclass, field, fields
@@ -25,7 +24,6 @@ from typing import Any
 
 import numpy as np
 
-from .detectors import GEIGER, LINEAR
 from .scenario import RunRecord, _record_chunks, _record_from_bytes
 
 __all__ = [
@@ -34,12 +32,8 @@ __all__ = [
     "emit_outputs",
     "save_record",
     "load_record",
-    "read_events",
-    "read_key",
-    "load_metrics",
 ]
 
-EVENTS_HEADER = "# dprsim-events/1"
 METRICS_FORMAT = "dprsim-metrics/1"
 
 
@@ -108,67 +102,25 @@ def summarize(record: RunRecord) -> MetricsSummary:
 # ---------------------------------------------------------------------------
 
 
-def _float_column(values: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """``repr`` of each distinct float64 bit pattern, and each element's index
-    into that table.
-
-    Bit patterns keep ``-0.0``, ``0.0`` and NaNs apart; a pulse-level trace
-    holds only a few distinct values, so each is formatted once.
-    """
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-    patterns, codes = np.unique(bits, return_inverse=True)
-    return [repr(v) for v in patterns.view(np.float64).tolist()], codes
-
-
-def _rows(slots: list[str], table: list[str], codes: np.ndarray) -> str:
-    """One line per slot: its number followed by the table entry of its code."""
-    cells = np.array(table, dtype=object)[codes].tolist()
-    return "".join(itertools.chain.from_iterable(zip(slots, cells)))
-
-
-def _write_key(path: Path, bits) -> None:
-    path.write_bytes((np.asarray(bits, dtype=np.uint8) + ord("0")).tobytes() + b"\n")
-
-
 def emit_outputs(record: RunRecord, directory: str | Path) -> list[Path]:
     """Write the full output set for one run into ``directory``.
 
-    * ``events.tsv``: slot, detector, intensity, click, mode per detector
-      slot; :func:`read_events` parses it into per-detector arrays, ready to
-      plot.
     * ``alice.key`` / ``bob.key`` (and ``eve.key`` under attack): the sifted
       keys as ASCII bit strings, one line each.
     * ``metrics.json``: the recomputed :class:`MetricsSummary`.
-    * ``record.json``: the full run record, ``dprsim-record/3``.
+    * ``record.json``: the full run record, ``dprsim-record/3``, which holds
+      every per-detector slot trace; :func:`load_record` reads it back.
     """
     outdir = Path(directory)
     outdir.mkdir(parents=True, exist_ok=True)
-    run = record.protocol_run
-    names = run.record.names
-    written: list[Path] = []
-    slots = list(map(str, range(max((len(run.record[name]) for name in names), default=0))))
-
-    events = outdir / "events.tsv"
-    with events.open("w", encoding="utf-8") as fh:
-        fh.write(EVENTS_HEADER + "\n")
-        fh.write("slot\tdetector\tintensity\tclick\tmode\n")
-        for name in names:
-            trace = run.record[name]
-            texts, codes = _float_column(trace.intensity)
-            table = [f"\t{name}\t{t}\t{c}\t{m}\n" for t in texts for c in (0, 1) for m in (GEIGER, LINEAR)]
-            fh.write(_rows(slots, table, codes * 4 + trace.clicks * 2 + trace.linear_mode))
-    written.append(events)
-
-    alice_key = outdir / "alice.key"
-    _write_key(alice_key, run.sifted_alice)
-    written.append(alice_key)
-    bob_key = outdir / "bob.key"
-    _write_key(bob_key, run.sifted_bob)
-    written.append(bob_key)
+    keys = {"alice": record.protocol_run.sifted_alice, "bob": record.protocol_run.sifted_bob}
     if record.attack is not None:
-        eve_key = outdir / "eve.key"
-        _write_key(eve_key, record.attack.eve_key)
-        written.append(eve_key)
+        keys["eve"] = record.attack.eve_key
+    written: list[Path] = []
+    for who, bits in keys.items():
+        path = outdir / f"{who}.key"
+        path.write_bytes((np.asarray(bits, dtype=np.uint8) + ord("0")).tobytes() + b"\n")
+        written.append(path)
 
     metrics = outdir / "metrics.json"
     metrics.write_text(json.dumps(summarize(record).to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -191,43 +143,3 @@ def load_record(path: str | Path) -> RunRecord:
         data = bytearray(os.fstat(fh.fileno()).st_size)
         del data[fh.readinto(data) :]
     return _record_from_bytes(data)
-
-
-def load_metrics(path: str | Path) -> MetricsSummary:
-    return MetricsSummary.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-def read_key(path: str | Path) -> np.ndarray:
-    text = Path(path).read_text(encoding="utf-8").strip()
-    return np.array([int(c) for c in text], dtype=np.int64)
-
-
-def read_events(path: str | Path) -> dict[str, dict[str, np.ndarray]]:
-    """Parse an events table back into per-detector arrays (round-trip exact).
-
-    The table is parsed whole-array: its body is split into cells, five to a
-    row, and each column is converted at once (``float`` of each intensity
-    cell, so every ``repr`` comes back bit for bit).
-    """
-    head, _, rest = Path(path).read_text(encoding="utf-8").partition("\n")
-    if head != EVENTS_HEADER:
-        raise ValueError(f"{path}: not an events table (missing {EVENTS_HEADER!r})")
-    cells = np.array(rest.partition("\n")[2].split(), dtype=object).reshape(-1, 5)
-    names = cells[:, 1]
-    columns = {
-        "slot": cells[:, 0].astype(np.int64),
-        "intensity": cells[:, 2].astype(np.float64),
-        "click": cells[:, 3].astype(np.int64) != 0,
-    }
-    # Rows come in runs of one detector; a detector may have several runs.
-    bounds = [0, *(np.flatnonzero(names[1:] != names[:-1]) + 1).tolist(), len(names)]
-    rows: dict[str, list[np.ndarray]] = {}
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi > lo:
-            rows.setdefault(names[lo], []).append(np.arange(lo, hi))
-    out = {}
-    for name, runs in rows.items():
-        idx = np.concatenate(runs)
-        out[name] = {key: column[idx] for key, column in columns.items()}
-        out[name]["mode"] = cells[idx, 4].astype(str)
-    return out

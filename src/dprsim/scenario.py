@@ -716,29 +716,33 @@ def sweep(cfg: ScenarioConfig, parameter_path: str, values: Sequence[Any]) -> li
     The parameter is addressed by its dotted path (e.g.
     ``attack.backflash.photons_per_electron``); each point runs with a seed
     derived deterministically from the base seed and the point index, so the
-    results do not depend on execution order.
+    results do not depend on execution order and ``seed`` itself cannot be
+    swept.  An integral float given for an integer parameter runs as an int.
     """
     cfg.validate()
     base = cfg.to_dict()
     keys = parameter_path.split(".")
-    node = base
+    if keys == ["seed"]:
+        raise ConfigError("seed: cannot be swept; each point's seed is derived from the base seed")
+    node, owner = base, cfg
     for k in keys[:-1]:
         if not isinstance(node, dict) or k not in node:
             raise ConfigError(f"{parameter_path}: no such parameter")
-        node = node[k]
+        node, owner = node[k], getattr(owner, k)
     leaf = keys[-1]
     if not isinstance(node, dict) or leaf not in node:
         raise ConfigError(f"{parameter_path}: no such parameter")
     current = node[leaf]
     if not isinstance(current, (int, float)) or isinstance(current, bool):
         raise ConfigError(f"{parameter_path}: not a numeric parameter (current value {current!r})")
+    integral = next(f.type for f in fields(owner) if f.name == leaf) == "int"
     records: list[RunRecord] = []
     for index, value in enumerate(values):
         point = json.loads(json.dumps(base))
         target = point
         for k in keys[:-1]:
             target = target[k]
-        target[leaf] = value
+        target[leaf] = int(value) if integral and isinstance(value, float) and value.is_integer() else value
         point["seed"] = derive_sweep_seed(cfg.seed, index)
         records.append(run_scenario(scenario_from_dict(point)))
     return records

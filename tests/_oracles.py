@@ -344,29 +344,3 @@ def blinding_trace_loop(stored_photocurrent: float, decay_per_slot: float, incid
         s = s * d + incident[k]
         stored[k] = s
     return stored
-
-
-def read_events_loop(path) -> dict[str, dict[str, np.ndarray]]:
-    """Parse an events table line by line (``report.read_events`` before it
-    parsed whole-array)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "# dprsim-events/1":
-        raise ValueError(f"{path}: not an events table")
-    out: dict[str, dict[str, list]] = {}
-    for line in lines[2:]:
-        slot, name, intensity, click, mode = line.split("\t")
-        d = out.setdefault(name, {"slot": [], "intensity": [], "click": [], "mode": []})
-        d["slot"].append(int(slot))
-        d["intensity"].append(float(intensity))
-        d["click"].append(bool(int(click)))
-        d["mode"].append(mode)
-    return {
-        name: {
-            "slot": np.array(d["slot"], dtype=np.int64),
-            "intensity": np.array(d["intensity"], dtype=np.float64),
-            "click": np.array(d["click"], dtype=bool),
-            "mode": np.array(d["mode"]),
-        }
-        for name, d in out.items()
-    }

@@ -11,17 +11,7 @@ from hypothesis import strategies as st
 
 from dprsim.cli import main
 from dprsim.config import ScenarioConfig, scenario_from_dict
-from dprsim.report import (
-    MetricsSummary,
-    emit_outputs,
-    load_metrics,
-    load_record,
-    read_events,
-    read_key,
-    save_record,
-    summarize,
-)
-from dprsim.detectors import DetectionRecord, DetectorTrace
+from dprsim.report import MetricsSummary, emit_outputs, load_record, save_record, summarize
 from dprsim.scenario import run_golden, run_scenario
 
 
@@ -30,60 +20,52 @@ from dprsim.scenario import run_golden, run_scenario
 # ---------------------------------------------------------------------------
 
 
+def _key_text(bits) -> str:
+    """The contents of a key file holding ``bits``."""
+    return "".join(str(int(b)) for b in bits) + "\n"
+
+
+def _key_length(path) -> int:
+    return len(path.read_text(encoding="utf-8").strip())
+
+
+def _metrics(path) -> MetricsSummary:
+    return MetricsSummary.from_dict(json.loads(path.read_text(encoding="utf-8")))
+
+
 def test_emit_outputs_round_trip(tmp_path):
     record = run_golden("cow-fig2")
     emit_outputs(record, tmp_path)
 
-    events = read_events(tmp_path / "events.tsv")
-    bob = record.protocol_run.record
-    assert set(events) == set(bob.names)
-    for name in bob.names:
-        np.testing.assert_array_equal(events[name]["click"], bob[name].clicks)
-        np.testing.assert_array_equal(events[name]["intensity"], bob[name].intensity)
+    assert (tmp_path / "alice.key").read_text() == _key_text(record.protocol_run.sifted_alice)
+    assert (tmp_path / "bob.key").read_text() == _key_text(record.protocol_run.sifted_bob)
 
-    assert read_key(tmp_path / "alice.key").tolist() == record.protocol_run.sifted_alice.tolist()
-    assert read_key(tmp_path / "bob.key").tolist() == record.protocol_run.sifted_bob.tolist()
-
-    stored = load_metrics(tmp_path / "metrics.json")
+    stored = _metrics(tmp_path / "metrics.json")
     assert stored.to_dict() == summarize(record).to_dict()
 
     clone = load_record(tmp_path / "record.json")
     assert clone.content_hash() == record.content_hash()
     assert summarize(clone).to_dict() == stored.to_dict()
+    bob = record.protocol_run.record
+    assert clone.protocol_run.record.names == bob.names
+    for name in bob.names:
+        trace = clone.protocol_run.record[name]
+        np.testing.assert_array_equal(trace.clicks, bob[name].clicks)
+        np.testing.assert_array_equal(trace.intensity, bob[name].intensity)
+        np.testing.assert_array_equal(trace.linear_mode, bob[name].linear_mode)
 
 
-# Few distinct values per trace, as in a pulse-level run, with the values a
-# table keyed on float equality would merge: 0.0 and -0.0.
-_VALUE = st.sampled_from([0.0, -0.0, math.nan, math.inf, 0.5]) | st.floats()
-_SLOT = st.tuples(_VALUE, st.booleans(), st.booleans())
+_OUTPUT_SET = {"alice.key", "bob.key", "metrics.json", "record.json"}
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(_SLOT, max_size=40), st.lists(_SLOT, max_size=40))
-@example([(0.0, False, False), (-0.0, True, True), (math.nan, True, False)], [])
-def test_tables_match_per_slot_formatting(tmp_path_factory, first, second):
-    # NaN, infinities and both zeros included: each value must print as its
-    # own repr, exactly as a per-slot loop writes it.
-    base = run_scenario(scenario_from_dict({"protocol": "dps", "n_symbols": 4, "seed": 1}))
-    traces = {}
-    for name, slots in (("D1", first), ("D2", second)):
-        values = np.array([v for v, _, _ in slots], dtype=np.float64)
-        traces[name] = DetectorTrace(
-            clicks=np.array([c for _, c, _ in slots], dtype=bool),
-            intensity=values,
-            photocurrent=values,
-            linear_mode=np.array([m for _, _, m in slots], dtype=bool),
-        )
-    run = dataclasses.replace(base.protocol_run, record=DetectionRecord(traces))
-    record = dataclasses.replace(base, protocol_run=run)
-    out = tmp_path_factory.mktemp("tables")
-    emit_outputs(record, out)
-    rows = []
-    for name, trace in traces.items():
-        modes = trace.mode_labels()
-        cells = [f"{float(v)!r}" for v in trace.intensity]
-        rows += [f"{k}\t{name}\t{cell}\t{int(trace.clicks[k])}\t{modes[k]}" for k, cell in enumerate(cells)]
-    assert (out / "events.tsv").read_text().splitlines()[2:] == rows
+@pytest.mark.parametrize(
+    ("attack", "files"),
+    [("none", _OUTPUT_SET), ("backflash", _OUTPUT_SET | {"eve.key"})],
+)
+def test_emit_outputs_writes_exactly_the_output_set(tmp_path, attack, files):
+    cfg = scenario_from_dict({"protocol": "dps", "n_symbols": 16, "seed": 3, "attack": {"kind": attack}})
+    written = emit_outputs(run_scenario(cfg), tmp_path)
+    assert {path.name for path in written} == {path.name for path in tmp_path.iterdir()} == files
 
 
 def test_emit_outputs_empty_run_writes_valid_files(tmp_path):
@@ -101,10 +83,9 @@ def test_emit_outputs_empty_run_writes_valid_files(tmp_path):
     record = run_scenario(cfg)
     assert record.protocol_run.sifted_length == 0
     emit_outputs(record, tmp_path)
-    assert read_key(tmp_path / "alice.key").size == 0
-    assert read_key(tmp_path / "bob.key").size == 0
-    assert load_metrics(tmp_path / "metrics.json").sifted_length == 0
-    assert read_events(tmp_path / "events.tsv")["D1"]["click"].sum() == 0
+    assert (tmp_path / "alice.key").read_text() == (tmp_path / "bob.key").read_text() == "\n"
+    assert _metrics(tmp_path / "metrics.json").sifted_length == 0
+    assert load_record(tmp_path / "record.json").protocol_run.record["D1"].click_count == 0
 
 
 def test_metrics_recomputation_is_idempotent():
@@ -125,7 +106,7 @@ def test_cli_run_golden_by_config_name(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "visibility_overall=1.000000" in out
     assert (tmp_path / "out" / "metrics.json").exists()
-    assert read_key(tmp_path / "out" / "alice.key").tolist() == read_key(tmp_path / "out" / "bob.key").tolist()
+    assert (tmp_path / "out" / "alice.key").read_text() == (tmp_path / "out" / "bob.key").read_text()
 
 
 def test_cli_run_config_file(tmp_path):
@@ -147,7 +128,7 @@ def test_cli_attack_runs_and_reports_capture(tmp_path, capsys):
     assert "capture_fraction=1.000000" in out
     assert "bob_record_equals_eve_readings=True" in out
     assert (tmp_path / "out" / "eve.key").exists()
-    metrics = load_metrics(tmp_path / "out" / "metrics.json")
+    metrics = _metrics(tmp_path / "out" / "metrics.json")
     assert metrics.bob_record_equals_eve_readings is True
 
 
@@ -188,7 +169,7 @@ def _run_cli(tmp_path, scenario: dict, command: str = "attack"):
 def test_cli_derived_dps_blinding_writes_equal_length_keys(tmp_path):
     code, out = _run_cli(tmp_path, DARK_DPS_BLINDING)
     assert code in (0, 3)
-    alice, bob = (len(read_key(out / name)) for name in ("alice.key", "bob.key"))
+    alice, bob = (_key_length(out / name) for name in ("alice.key", "bob.key"))
     assert alice == bob > 0
 
 
@@ -197,7 +178,7 @@ def test_cli_derived_dps_blinding_bob_key_is_his_sifted_key(tmp_path):
     assert code in (0, 3)
     record = load_record(out / "record.json")
     np.testing.assert_array_equal(record.attack.bob_key, record.protocol_run.sifted_bob)
-    np.testing.assert_array_equal(read_key(out / "bob.key"), record.attack.bob_key)
+    assert (out / "bob.key").read_text() == _key_text(record.attack.bob_key)
 
 
 _noise = st.fixed_dictionaries(
@@ -240,14 +221,14 @@ def test_every_run_sifts_on_alices_grid_and_writes_equal_keys(tmp_path_factory, 
     assert run.sifted_length <= (n - 1 if scenario["protocol"] == "dps" else n)
     assert run.sifted_alice.size == run.sifted_bob.size == run.sifted_slots.size
     assert run.qber is not None
-    alice, bob = (len(read_key(out / name)) for name in ("alice.key", "bob.key"))
+    alice, bob = (_key_length(out / name) for name in ("alice.key", "bob.key"))
     assert alice == bob == run.sifted_length
 
 
 def test_cow_reference_run_destructive_monitor_trace_negligible(tmp_path):
     record = run_golden("cow-fig2")
     emit_outputs(record, tmp_path)
-    values = read_events(tmp_path / "events.tsv")["D_M2"]["intensity"]
+    values = load_record(tmp_path / "record.json").protocol_run.record["D_M2"].intensity
     # Nothing above the quarter-intensity apparatus edges, and no detections.
     assert values.max() <= 0.25 * 0.1 + 1e-12
     assert record.protocol_run.record["D_M2"].click_count == 0
@@ -485,6 +466,31 @@ def test_cli_sweep(tmp_path):
     assert (tmp_path / "sw" / "point_000" / "metrics.json").exists()
 
 
+@pytest.mark.parametrize(
+    ("param", "values"),
+    [("n_symbols", "16,32"), ("detector.dead_time_slots", "0,2"), ("n_symbols", "16.0,3.2e1")],
+)
+def test_cli_sweep_integer_parameter(tmp_path, param, values):
+    assert main(["sweep", "--config", "dps-ideal", "--param", param, "--values", values, "--out", str(tmp_path)]) == 0
+    points = json.loads((tmp_path / "sweep.json").read_text())["points"]
+    ran = [load_record(tmp_path / f"point_{i:03d}" / "record.json").config for i in range(len(points))]
+    for point, config in zip(points, ran):
+        for key in param.split("."):
+            config = config[key]
+        assert type(point["value"]) is int and point["value"] == config
+
+
+def test_cli_sweep_integer_parameter_rejects_fraction(tmp_path, capsys):
+    assert main(["sweep", "--config", "dps-ideal", "--param", "n_symbols", "--values", "16.5", "--out", str(tmp_path)]) == 1
+    assert "n_symbols" in capsys.readouterr().err
+
+
+def test_cli_sweep_rejects_seed(tmp_path, capsys):
+    assert main(["sweep", "--config", "dps-ideal", "--param", "seed", "--values", "1e30", "--out", str(tmp_path)]) == 1
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.json").exists()
+
+
 def test_cli_sweep_bad_values(capsys):
     assert main(["sweep", "--config", "dps-ideal", "--param", "t_b", "--values", "a,b"]) == 1
     assert "comma-separated" in capsys.readouterr().err
@@ -494,6 +500,6 @@ def test_metrics_format_guard(tmp_path):
     bad = tmp_path / "m.json"
     bad.write_text(json.dumps({"format": "other/9"}))
     with pytest.raises(ValueError):
-        load_metrics(bad)
+        _metrics(bad)
     with pytest.raises(ValueError):
         MetricsSummary.from_dict({"format": "nope"})

@@ -126,7 +126,7 @@ def test_linear_interpolates_between_rails():
 def test_linear_mode_trace_labels():
     cfg = ApdConfig(mode="linear", p_never=0.2, p_always=0.4)
     rec = apd_detect(intensity_train([0.4]), cfg)
-    assert rec["D"].mode_labels() == ["linear"]
+    assert rec["D"].linear_mode.tolist() == [True]
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,7 @@ def test_backflash_no_clicks_is_vacuum():
     incident = cw_laser(6, 1.0)
     rec = apd_detect(PulseTrain.vacuum(6), ApdConfig(mode="geiger", click_threshold=0.5))
     out = backflash_emit(rec, incident, BackflashSettings(ideal=True))
-    assert out.total_power == 0.0
+    assert out.intensities.sum() == 0.0
 
 
 def test_backflash_default_probability_value():

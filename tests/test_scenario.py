@@ -81,19 +81,19 @@ GOLDEN_RECORD_V1_HASHES = {
 # SHA-256 over the SHA-256 hex digests of every emitted file except
 # record.json, concatenated in sorted file-name order.
 GOLDEN_OUTPUT_DIGESTS = {
-    "dps-ideal": "de3e176ceeb8d1419a99d5a78a1f4345132d134db3e8661ba83f14780c9609bd",
-    "cow-fig2": "9862cbf9d2b651390d5001d44eb6fe89e63b046c65ab120ce4d7fe9da7d5e4d7",
-    "cow-fig4-tamper": "dd525cac3756b68083456138d176e6ce209a6d34f5fbc72c75f3bd49e90af80e",
-    "dps-backflash-ideal": "d706bb1d9705e78f3ebe6491dab1651d5f312ee0b50a5f9e1246245a0010d726",
-    "cow-backflash-ideal": "f2403a61788daf7b82b58121d2674116481cab72b6ffefbac6337c56dbfc5de3",
-    "dps-backflash-stat": "91e8a87ac2690461ed6ed1f4b7c2721ecf140a4603cbe3453e3298afa0d83b97",
-    "dps-trojan": "880744eac30066a5efe7b963e275214f5e8b83b69636a745e01d00258fa11d21",
-    "dps-trojan-watchdog": "ff42ae54ca1b8d8b4c2efa0137d0ace223be6972480ef1859da18e151056c4d6",
-    "cow-trojan": "5acc607e6dce8f52d5c949a8857fe2cc952211dbec611fb645fa9ea2ad76753b",
-    "dps-blinding": "3439f9980d056b5a8c6f4b75c2e9bfbf03f523b8bb5eb24928c84f484e34060c",
-    "dps-blinding-derived": "1516fa4a40f0629291469fdf01a0101add1ec9663a98fc0ec82c4cb24280cbb0",
-    "cow-blinding": "f5605d86dcfaf1887598c8748c7f44f5439351a051db21ab85664d6a69b5a30b",
-    "cow-blinding-cw": "af38fffc75125253ca94f9a7071495646f100f70482ce3923b9a45fb8c890e82",
+    "dps-ideal": "351d805236f7d362676e3efa7ad2e16e9e3ae58e0379309d5910a3a7eed70ff9",
+    "cow-fig2": "f1a702bb0d9e29b72c498c111cd6f47734542a2422eb25c874f249f9f9a21f74",
+    "cow-fig4-tamper": "0d10549c0485bc04a364e51885523f421adc2bd4dcd949e599ae19c16eb92539",
+    "dps-backflash-ideal": "9aaac1ff21891ca4ba12d82f94a49c062032617b078abd9e9d9c254e736bdcea",
+    "cow-backflash-ideal": "cb0139b38bc717808e4026389d5e729feb61a719d956945c9fb9aded925b3663",
+    "dps-backflash-stat": "eda1372fab2afe6f49db868e3758421e3d9d16d721842075b911db9a8a7a5051",
+    "dps-trojan": "676a62ab49fd82003fde768eeba4e8886fc3e4250a0c374e589216f6ce0c4eca",
+    "dps-trojan-watchdog": "857bb1969e3a6586ff92124dc231a1fe7b5afcae2f0ce47bab8f0742a78fb6cd",
+    "cow-trojan": "91a93bf78f68b21247c437d7d12aa29cdabb3600c6e6dddb4b73647e438c6691",
+    "dps-blinding": "7330c57610da8e0788b4466794d343bfc9c37631cb5a21185c9e42ae5c0de25d",
+    "dps-blinding-derived": "2d044718afeb572ba5faabcff965ca6fd58b918eac05bb306c14903e23537d39",
+    "cow-blinding": "3484b90814acafae79472a6c5aa3a027ef2db310afd789f4a95a8ebc6c3d0020",
+    "cow-blinding-cw": "9fc242060146f71122f64d3859dfea324967b2fcac9893ec73fb5aa2a6a96a75",
 }
 
 
@@ -438,6 +438,23 @@ def test_sweep_rejects_non_numeric_path():
         sweep(cfg, "protocol", [1.0])
     with pytest.raises(ConfigError, match="no such parameter"):
         sweep(cfg, "detector.nope", [1.0])
+
+
+def test_sweep_rejects_seed():
+    # Each point's seed is derived from the base seed, so a swept seed would
+    # never reach a run.
+    cfg = scenario_from_dict(SMALL_DPS)
+    with pytest.raises(ConfigError, match="seed"):
+        sweep(cfg, "seed", [1e30])
+
+
+def test_sweep_integer_parameter_runs_integral_floats_as_ints():
+    cfg = scenario_from_dict(SMALL_DPS)
+    records = sweep(cfg, "n_symbols", [16.0, 32])
+    assert [r.config["n_symbols"] for r in records] == [16, 32]
+    assert all(type(r.config["n_symbols"]) is int for r in records)
+    with pytest.raises(ConfigError, match="n_symbols"):
+        sweep(cfg, "n_symbols", [16.5])
 
 
 def test_sweep_transmittance_flips_feasibility_flags():
