@@ -25,7 +25,6 @@ from .detectors import (
     DetectorTrace,
     apd_detect,
     backflash_emit,
-    blinding_update,
     photocurrent_monitor,
     watchdog,
 )

@@ -34,7 +34,6 @@ __all__ = [
     "MonitorResult",
     "WatchdogResult",
     "apd_detect",
-    "blinding_update",
     "backflash_emit",
     "photocurrent_monitor",
     "watchdog",
@@ -120,16 +119,6 @@ def _blinding_trace(state: BlindingState, incident: np.ndarray) -> tuple[np.ndar
     linear = stored >= state.blind_threshold
     final = float(stored[-1]) if stored.size else start
     return stored, linear, replace(state, stored_photocurrent=final)
-
-
-def blinding_update(state: BlindingState, incident_intensity_per_slot: np.ndarray) -> tuple[BlindingState, np.ndarray]:
-    """Advance the stored photocurrent; returns the new state and the per-slot
-    mode trace (True = linear / blinded)."""
-    incident = np.asarray(incident_intensity_per_slot, dtype=np.float64)
-    if np.any(incident < 0.0):
-        raise ValueError("incident intensities must be >= 0")
-    _, linear, new_state = _blinding_trace(state, incident)
-    return new_state, linear
 
 
 @dataclass(eq=False)
@@ -310,7 +299,8 @@ def backflash_emit(
             raise ValueError("backflash emission below certainty draws from an rng: pass one")
         draws = rng.random(len(incident))
         emit &= draws < cfg.emission_probability
-    out = np.where(emit, cfg.emission_gain * incident.slots, 0.0 + 0.0j)
+    out = np.zeros(len(incident), dtype=np.complex128)
+    out[emit] = cfg.emission_gain * incident.slots[emit]
     return incident.with_slots(out)
 
 

@@ -12,6 +12,9 @@ downstream depends on these):
 
 * 2x2 coupler: ``out_a = sqrt(t)*in_a + 1j*sqrt(1-t)*in_b`` and
   ``out_b = 1j*sqrt(1-t)*in_a + sqrt(t)*in_b`` (the cross port picks up ``1j``).
+* An unused (vacuum) coupler input is passed as ``None`` and costs no
+  arithmetic: the outputs are ``sqrt(t)*in_a`` and ``1j*sqrt(1-t)*in_a``, equal
+  to an all-zero ``in_b`` up to the sign of an exactly-zero component.
 * Delay-line interferometer built from two 50:50 couplers with the delay in the
   cross arm.  With that convention the *second* output port is the constructive
   one: ``constructive_k = 1j*(a_k + a_{k-d})/2`` and
@@ -85,13 +88,6 @@ class PulseTrain:
     def intensities(self) -> np.ndarray:
         """Per-slot optical power ``|a|**2``."""
         return np.abs(self.slots) ** 2
-
-    @classmethod
-    def vacuum(cls, n_slots: int, slot_period: float = 1.0, wavelength: float = 1550.0) -> "PulseTrain":
-        return cls(np.zeros(n_slots, dtype=np.complex128), slot_period, wavelength)
-
-    def vacuum_like(self, n_slots: int | None = None) -> "PulseTrain":
-        return PulseTrain.vacuum(len(self) if n_slots is None else n_slots, self.slot_period, self.wavelength)
 
     def with_slots(self, slots: np.ndarray) -> "PulseTrain":
         return PulseTrain(slots, self.slot_period, self.wavelength)
@@ -232,19 +228,24 @@ class CouplerRatio:
             raise ValueError(f"transmittance must be within [0, 1], got {self.transmittance}")
 
 
-def coupler_2x2(in_a: PulseTrain, in_b: PulseTrain, ratio: CouplerRatio | float = CouplerRatio()) -> tuple[PulseTrain, PulseTrain]:
+def coupler_2x2(
+    in_a: PulseTrain, in_b: PulseTrain | None, ratio: CouplerRatio | float = CouplerRatio()
+) -> tuple[PulseTrain, PulseTrain]:
     """Unitary 2x2 coupler; the cross port carries a ``1j`` phase factor.  The
-    shorter input is padded with vacuum; inputs must share grid and channel."""
+    shorter input is padded with vacuum, and ``in_b=None`` is an all-vacuum
+    port; inputs must share grid and channel."""
     if not isinstance(ratio, CouplerRatio):
         ratio = CouplerRatio(ratio)
+    t = math.sqrt(ratio.transmittance)
+    k = 1j * math.sqrt(1.0 - ratio.transmittance)
+    if in_b is None:
+        return in_a.with_slots(t * in_a.slots), in_a.with_slots(k * in_a.slots)
     if in_a.slot_period != in_b.slot_period:
         raise IncompatibleTrains(f"slot_period mismatch: {in_a.slot_period} vs {in_b.slot_period}")
     if in_a.wavelength != in_b.wavelength:
         raise IncompatibleTrains(f"wavelength mismatch: {in_a.wavelength} nm vs {in_b.wavelength} nm")
     n = max(len(in_a), len(in_b))
     a, b = in_a.padded_to(n), in_b.padded_to(n)
-    t = math.sqrt(ratio.transmittance)
-    k = 1j * math.sqrt(1.0 - ratio.transmittance)
     out_a = t * a.slots + k * b.slots
     out_b = k * a.slots + t * b.slots
     return a.with_slots(out_a), a.with_slots(out_b)
@@ -275,7 +276,7 @@ def dli(train: PulseTrain, delay_slots: int = 1) -> tuple[PulseTrain, PulseTrain
             f"DLI delay {delay_slots} >= train length {len(train)}: no slot pair interferes",
             stacklevel=2,
         )
-    arm_a, arm_b = coupler_2x2(train, train.vacuum_like(), CouplerRatio(0.5))
+    arm_a, arm_b = coupler_2x2(train, None, CouplerRatio(0.5))
     arm_b = delay_line(arm_b, delay_slots)
     arm_a = arm_a.padded_to(len(arm_b))
     destructive, constructive = coupler_2x2(arm_a, arm_b, CouplerRatio(0.5))

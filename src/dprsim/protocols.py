@@ -131,7 +131,7 @@ def receive(
     elif protocol == "cow":
         if not (0.0 < t_b < 1.0):
             raise ValueError(f"t_b must be within (0, 1), got {t_b}")
-        data_line, monitor_line = coupler_2x2(train, train.vacuum_like(), CouplerRatio(t_b))
+        data_line, monitor_line = coupler_2x2(train, None, CouplerRatio(t_b))
         constructive, destructive = dli(monitor_line, 1)
         monitor = 1.0 - t_b
         lines = {"D_B": (data_line, t_b, "_b"), "D_M1": (constructive, monitor, "_m"), "D_M2": (destructive, monitor, "_m")}
@@ -183,11 +183,14 @@ def dps_encode(
     mzm: MzmParams | None = None,
 ) -> PulseTrain:
     """Alice's transmitter: CW laser, pulse carver, then a common-drive phase
-    modulator applying 0 or pi per slot according to the bit."""
+    modulator applying 0 or pi per slot according to the bit.  Every component
+    is slot-local, so running the chain once over bits 0 and 1 and giving each
+    slot its bit's value equals the chain over the whole train, bit for bit."""
     bits = _as_bits(phase_bits)
-    source = cw_laser(bits.size, pulse_amplitude, wavelength, slot_period)
-    carved = pulse_carver(source, np.ones(bits.size), mzm)
-    return phase_modulator(carved, np.pi * bits, mzm)
+    source = cw_laser(2, pulse_amplitude, wavelength, slot_period)
+    carved = pulse_carver(source, np.ones(2), mzm)
+    per_bit = phase_modulator(carved, np.pi * np.arange(2), mzm)
+    return per_bit.with_slots(per_bit.slots[bits])
 
 
 def dps_reference_bits(phase_bits) -> np.ndarray:
@@ -287,10 +290,13 @@ def cow_encode(
     mzm: MzmParams | None = None,
 ) -> PulseTrain:
     """Alice's transmitter: CW laser carved into the two-slot occupancy pattern;
-    all pulses stay mutually coherent (common phase 0)."""
-    occ = cow_occupancy(symbols)
-    source = cw_laser(occ.size, amplitude, wavelength, slot_period)
-    return pulse_carver(source, occ, mzm)
+    all pulses stay mutually coherent (common phase 0).  Laser and carver are
+    slot-local, so carving the six slots of the three symbols once and giving
+    each symbol its pair equals carving the whole train, bit for bit."""
+    codes = _as_symbols(symbols)[1]
+    source = cw_laser(_PULSES.size, amplitude, wavelength, slot_period)
+    per_symbol = pulse_carver(source, _PULSES.reshape(-1), mzm).slots.reshape(_PULSES.shape)
+    return source.with_slots(per_symbol[codes].reshape(-1))
 
 
 # Cross-boundary interface class by (later, earlier) symbol code, as an index

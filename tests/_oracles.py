@@ -7,7 +7,10 @@ both are right.  ``record_v1_hash`` keeps the retired list-based record
 serializer, so that record values can still be compared with hashes pinned
 before the array codec.  The ``*_loop`` functions keep the per-slot and
 per-symbol Python loops that whole-array code replaced, so the replacements
-can be compared with them on random inputs.
+can be compared with them on random inputs.  The ``*_chain`` functions keep
+Alice's transmitters as they ran over every slot of the train, before the
+encoders evaluated the chain once per symbol value, and
+``backflash_emit_where`` keeps the emission as it multiplied every slot.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import json
 import math
 
 import numpy as np
+
+from dprsim.optics import PulseTrain, cw_laser, phase_modulator, pulse_carver
 
 
 def brute_force_dli_ports(amplitudes, delay: int = 1) -> tuple[list[float], list[float]]:
@@ -344,3 +349,20 @@ def blinding_trace_loop(stored_photocurrent: float, decay_per_slot: float, incid
         s = s * d + incident[k]
         stored[k] = s
     return stored
+
+
+def dps_encode_chain(bits, amplitude: float, slot_period: float, wavelength: float, mzm) -> PulseTrain:
+    bits = np.asarray(bits, dtype=np.int64)
+    source = cw_laser(bits.size, amplitude, wavelength, slot_period)
+    carved = pulse_carver(source, np.ones(bits.size), mzm)
+    return phase_modulator(carved, np.pi * bits, mzm)
+
+
+def cow_encode_chain(sym: str, amplitude: float, slot_period: float, wavelength: float, mzm) -> PulseTrain:
+    occ = cow_occupancy_loop(sym)
+    source = cw_laser(occ.size, amplitude, wavelength, slot_period)
+    return pulse_carver(source, occ, mzm)
+
+
+def backflash_emit_where(emit, gain: float, slots) -> np.ndarray:
+    return np.where(emit, gain * slots, 0.0 + 0.0j)

@@ -156,7 +156,7 @@ def test_countermeasure_discrimination():
             pulsed[::8] = level
             for background, expected in ((cw, True), (pulsed, False)):
                 rec = apd_detect(
-                    PulseTrain.vacuum(n),
+                    PulseTrain(np.zeros(n)),
                     cfg,
                     blind=BlindingState(0.0, 0.8, 4.0),
                     background=background,

@@ -9,7 +9,6 @@ from dprsim.detectors import (
     DetectionRecord,
     apd_detect,
     backflash_emit,
-    blinding_update,
     photocurrent_monitor,
     watchdog,
 )
@@ -27,7 +26,7 @@ def intensity_train(values) -> PulseTrain:
 
 
 def test_geiger_vacuum_never_clicks():
-    rec = apd_detect(PulseTrain.vacuum(8), ApdConfig(mode="geiger", click_threshold=0.5))
+    rec = apd_detect(PulseTrain(np.zeros(8)), ApdConfig(mode="geiger", click_threshold=0.5))
     assert rec["D"].click_count == 0
 
 
@@ -134,9 +133,16 @@ def test_linear_mode_trace_labels():
 # ---------------------------------------------------------------------------
 
 
+def blinded(state: BlindingState, incident: np.ndarray):
+    """A dark signal port lit by ``incident`` background: the detector's
+    per-slot linear-mode trace and its stored photocurrent."""
+    trace = apd_detect(PulseTrain(np.zeros(incident.size)), ApdConfig(), blind=state, background=incident)["D"]
+    return trace.linear_mode, trace.photocurrent
+
+
 def test_no_illumination_stays_geiger():
     state = BlindingState(0.0, 0.5, 1.0)
-    _, linear = blinding_update(state, np.zeros(20))
+    linear, _ = blinded(state, np.zeros(20))
     assert not linear.any()
 
 
@@ -144,9 +150,9 @@ def test_sustained_illumination_converges_to_blinded_fixed_point():
     decay, threshold = 0.8, 1.0
     level = threshold / (1.0 - decay)
     state = BlindingState(0.0, decay, threshold)
-    new_state, linear = blinding_update(state, np.full(200, level))
+    linear, stored = blinded(state, np.full(200, level))
     fixed_point = level / (1.0 - decay)
-    assert new_state.stored_photocurrent == pytest.approx(fixed_point, rel=1e-9)
+    assert stored[-1] == pytest.approx(fixed_point, rel=1e-9)
     assert fixed_point >= threshold
     assert linear[-1]
 
@@ -157,7 +163,7 @@ def test_single_bright_pulse_blinds_for_log2_slots():
     state = BlindingState(0.0, 0.5, 1.0)
     incident = np.zeros(10)
     incident[0] = 10.0
-    _, linear = blinding_update(state, incident)
+    linear, _ = blinded(state, incident)
     assert int(linear.sum()) == 4
     assert linear[:4].all() and not linear[4:].any()
 
@@ -168,7 +174,7 @@ def test_blinded_period_monotone_in_pulse_energy(energy, extra, decay):
     def blinded_slots(e):
         incident = np.zeros(64)
         incident[0] = e
-        _, linear = blinding_update(BlindingState(0.0, decay, 1.0), incident)
+        linear, _ = blinded(BlindingState(0.0, decay, 1.0), incident)
         return int(linear.sum())
 
     assert blinded_slots(energy + extra) >= blinded_slots(energy)
@@ -179,7 +185,7 @@ def test_apd_detect_blinding_transition():
     # Geiger only after the stored current decays below threshold.
     cfg = ApdConfig(mode="geiger", click_threshold=0.5, p_never=0.2, p_always=0.4)
     background = np.array([10.0, 10.0, 10.0, 10.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    rec = apd_detect(PulseTrain.vacuum(10), cfg, blind=BlindingState(0.0, 0.5, 1.0), background=background)
+    rec = apd_detect(PulseTrain(np.zeros(10)), cfg, blind=BlindingState(0.0, 0.5, 1.0), background=background)
     trace = rec["D"]
     assert trace.linear_mode[:4].all()
     assert not trace.linear_mode[-1]
@@ -200,7 +206,7 @@ def test_backflash_ideal_copies_every_clicked_slot():
 
 def test_backflash_no_clicks_is_vacuum():
     incident = cw_laser(6, 1.0)
-    rec = apd_detect(PulseTrain.vacuum(6), ApdConfig(mode="geiger", click_threshold=0.5))
+    rec = apd_detect(PulseTrain(np.zeros(6)), ApdConfig(mode="geiger", click_threshold=0.5))
     out = backflash_emit(rec, incident, BackflashSettings(ideal=True))
     assert out.intensities.sum() == 0.0
 

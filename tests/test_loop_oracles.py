@@ -14,15 +14,25 @@ from dprsim.attacks import (
     fsg_dps_phases,
     trojan_decode,
 )
-from dprsim.config import DetectorSettings, scenario_from_dict
-from dprsim.detectors import ApdConfig, BlindingState, DetectionRecord, DetectorTrace, _blinding_trace, apd_detect
-from dprsim.optics import PulseTrain
+from dprsim.config import BackflashSettings, DetectorSettings, scenario_from_dict
+from dprsim.detectors import (
+    ApdConfig,
+    BlindingState,
+    DetectionRecord,
+    DetectorTrace,
+    _blinding_trace,
+    apd_detect,
+    backflash_emit,
+)
+from dprsim.optics import MzmParams, PulseTrain, coupler_2x2
 from dprsim.protocols import (
     VISIBILITY_CLASSES,
     _cow_half_slots,
+    cow_encode,
     cow_interfaces,
     cow_occupancy,
     cow_sift,
+    dps_encode,
     dps_sift,
     receive,
     visibility,
@@ -277,3 +287,71 @@ def test_blinding_trace_matches_loop_bit_for_bit(incident, stored, decay):
     assert trace.tobytes() == want.tobytes()
     _same(linear, want >= 1.0)
     assert final.stored_photocurrent == (float(want[-1]) if want.size else stored)
+
+
+# Alice's transmitter settings: amplitude, slot period, wavelength and the
+# modulator (None for the default), with bias points anywhere on the arms.
+transmitters = st.tuples(
+    st.floats(0.0, 10.0),
+    st.floats(0.01, 2.0),
+    st.floats(500.0, 2000.0),
+    st.none()
+    | st.builds(
+        MzmParams,
+        v_pi_rf=st.floats(0.5, 8.0),
+        v_pi_dc=st.floats(0.5, 8.0),
+        v_bias_1=st.floats(-8.0, 8.0),
+        v_bias_2=st.floats(-8.0, 8.0),
+    ),
+)
+
+
+def _same_train(a: PulseTrain, b: PulseTrain) -> None:
+    assert (a.slot_period, a.wavelength) == (b.slot_period, b.wavelength)
+    _same(a.slots.view(np.uint64), b.slots.view(np.uint64))
+
+
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=60), transmitters)
+@example([0], (1.0, 1.0, 1550.0, None))
+@example([1, 1, 0, 1], (0.3, 0.5, 1310.0, MzmParams(3.0, 5.0, 1.5, -2.5)))
+@settings(max_examples=300)
+def test_dps_encode_matches_chain(bits, tx):
+    _same_train(dps_encode(bits, *tx), oracle.dps_encode_chain(bits, *tx))
+
+
+@given(symbols, transmitters)
+@example("d", (1.0, 0.5, 1550.0, None))
+@example("01d10", (0.3, 0.25, 1310.0, MzmParams(3.0, 5.0, 1.5, -2.5)))
+@settings(max_examples=300)
+def test_cow_encode_matches_chain(sym, tx):
+    _same_train(cow_encode(sym, *tx), oracle.cow_encode_chain(sym, *tx))
+
+
+complex_slots = st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(lambda t: complex(*t)), min_size=1, max_size=40)
+
+
+@given(complex_slots, st.floats(0.0, 1.0))
+@example([0j, -0.0 - 0.0j, 1.0 - 0.0j], 0.5)
+@settings(max_examples=300)
+def test_coupler_vacuum_port_matches_zero_train(slots, t):
+    x = PulseTrain(np.array(slots), 0.5, 1310.0)
+    got = coupler_2x2(x, None, t)
+    want = coupler_2x2(x, PulseTrain(np.zeros(len(slots)), 0.5, 1310.0), t)
+    for g, w in zip(got, want):
+        assert (g.slot_period, g.wavelength) == (w.slot_period, w.wavelength)
+        # Equal amplitudes; only the sign of an exactly-zero component may differ.
+        assert np.array_equal(g.slots, w.slots)
+        _same(g.intensities, w.intensities)
+
+
+@given(complex_slots, st.data(), st.booleans(), st.floats(0.0, 3.0), st.floats(0.0, 1.5), st.integers(0, 2**32))
+@settings(max_examples=300)
+def test_backflash_emit_matches_where(slots, data, ideal, gain, p, seed):
+    clicks = np.array(data.draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots))))
+    incident = PulseTrain(np.array(slots))
+    cfg = BackflashSettings(electrons_per_avalanche=p, photons_per_electron=1.0, ideal=ideal, emission_gain=gain)
+    out = backflash_emit(_record(len(slots), D=clicks), incident, cfg, rng=np.random.default_rng(seed))
+    emit = clicks.copy()
+    if not ideal and cfg.emission_probability < 1.0:
+        emit &= np.random.default_rng(seed).random(len(slots)) < cfg.emission_probability
+    _same(out.slots.view(np.uint64), oracle.backflash_emit_where(emit, gain, incident.slots).view(np.uint64))

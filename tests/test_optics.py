@@ -116,14 +116,14 @@ def test_phase_modulator_preserves_amplitude():
 
 def test_coupler_50_50_splits_single_pulse():
     pulse = PulseTrain(np.array([1.0 + 0j]))
-    out_a, out_b = coupler_2x2(pulse, pulse.vacuum_like(), CouplerRatio(0.5))
+    out_a, out_b = coupler_2x2(pulse, None, CouplerRatio(0.5))
     assert out_a.intensities[0] == pytest.approx(0.5)
     assert out_b.intensities[0] == pytest.approx(0.5)
 
 
 def test_coupler_90_10_split():
     pulse = PulseTrain(np.array([1.0 + 0j]))
-    out_a, out_b = coupler_2x2(pulse, pulse.vacuum_like(), CouplerRatio(0.9))
+    out_a, out_b = coupler_2x2(pulse, None, CouplerRatio(0.9))
     assert out_a.intensities[0] == pytest.approx(0.9)
     assert out_b.intensities[0] == pytest.approx(0.1)
 
