@@ -28,7 +28,7 @@ from .detectors import (
     photocurrent_monitor,
     watchdog,
 )
-from .goldens import GOLDENS, golden_config_dict, golden_names
+from .goldens import GOLDENS, golden_config_dict
 from .optics import (
     CouplerRatio,
     DriveProfile,

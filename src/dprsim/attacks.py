@@ -81,14 +81,6 @@ class FsgPlan:
         if len(self.phase_units) != self.intensity_per_slot.shape[0]:
             raise ValueError("one intensity per pulse required")
 
-    def __len__(self) -> int:
-        return len(self.phase_units)
-
-    def phase_steps(self) -> list[int]:
-        """Consecutive phase differences mod 4, one per pulse after the first."""
-        p = self.phase_units
-        return [(p[k] - p[k - 1]) % 4 for k in range(1, len(p))]
-
     def to_train(self, slot_period: float = 1.0, wavelength: float = 1550.0) -> PulseTrain:
         amps = np.sqrt(self.intensity_per_slot) * np.exp(1j * (np.pi / 2.0) * np.asarray(self.phase_units))
         return PulseTrain(amps, slot_period, wavelength)
@@ -343,22 +335,21 @@ def capture_fraction(
     # equal slots is Eve's last entry for that slot.
     eve_slots = eve_slots.astype(np.int64)
     order = np.argsort(eve_slots, kind="stable")
-    slots, bits = eve_slots[order], eve_bits.astype(np.int64)[order]
+    slots, bits = eve_slots[order], eve_bits[order]
     bob_slots = bob_slots.astype(np.int64)
     at = np.searchsorted(slots, bob_slots, side="right") - 1
-    hits = (at >= 0) & (slots[at] == bob_slots) & (bits[at] == bob_bits.astype(np.int64))
+    hits = (at >= 0) & (slots[at] == bob_slots) & (bits[at] == bob_bits)
     return int(np.count_nonzero(hits)) / bob_slots.size
 
 
 @dataclass(eq=False)
 class AttackOutcome:
-    """What the eavesdropper got and what it cost: Eve's key estimate next to
-    Bob's, the learned fraction, the disturbance induced on the legitimate run
-    and which countermeasure alarms fired."""
+    """What the eavesdropper got and what it cost: Eve's key estimate (Bob's
+    key is the run's ``sifted_bob``), the learned fraction, the disturbance
+    induced on the legitimate run and which countermeasure alarms fired."""
 
     attack: str
     eve_key: np.ndarray
-    bob_key: np.ndarray
     capture_fraction: float
     induced_qber: float | None = None
     induced_visibility_drop: float | None = None

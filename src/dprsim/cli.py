@@ -25,7 +25,7 @@ import yaml
 from .config import ConfigError, ScenarioConfig, scenario_from_dict
 from .goldens import GOLDENS, golden_config_dict
 from .report import emit_outputs, load_record, summarize
-from .scenario import load_config, run_scenario, sweep
+from .scenario import load_config, run_golden, run_scenario, sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,8 +66,9 @@ def _build_parser() -> _Parser:
     report_p.add_argument(
         "--record",
         required=True,
-        help="path to a run directory's record.json (format dprsim-record/3: a JSON header line, then binary "
-        "arrays; it keeps the .json name so that tools that open record.json still find it)",
+        help="path to a run directory's record.json (format dprsim-record/4: a JSON header line, then the "
+        "binary arrays, each value once: Bob's key only as sifted_bob, photocurrent only under blinding, key bits "
+        "as bytes; it keeps the .json name so that tools that open record.json still find it)",
     )
 
     goldens_p = sub.add_parser("goldens", help="list, dump or execute the pinned scenarios")
@@ -180,7 +181,7 @@ def _cmd_goldens(args) -> int:
     for name in names:
         if name not in GOLDENS:
             raise _UsageError(f"unknown golden {name!r}; available: {', '.join(GOLDENS)}")
-        record = run_scenario(scenario_from_dict(golden_config_dict(name)), seed=args.seed)
+        record = run_golden(name, seed=args.seed)
         outdir = Path(args.out) / name if args.out else _out_root() / f"dprsim-{name}"
         _emit_and_report(record, outdir)
         if record.any_alarm:

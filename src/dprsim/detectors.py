@@ -32,7 +32,6 @@ __all__ = [
     "DetectorTrace",
     "DetectionRecord",
     "MonitorResult",
-    "WatchdogResult",
     "apd_detect",
     "backflash_emit",
     "photocurrent_monitor",
@@ -124,11 +123,13 @@ def _blinding_trace(state: BlindingState, incident: np.ndarray) -> tuple[np.ndar
 @dataclass(eq=False)
 class DetectorTrace:
     """Per-slot outcome of one detector: clicks, incident signal intensity,
-    photocurrent and the Geiger/linear mode actually in force."""
+    the stored photocurrent of a detector under blinding (``None`` for one
+    that is not, whose photocurrent is its ``intensity``) and the
+    Geiger/linear mode actually in force."""
 
     clicks: np.ndarray
     intensity: np.ndarray
-    photocurrent: np.ndarray
+    photocurrent: np.ndarray | None
     linear_mode: np.ndarray
 
     def __len__(self) -> int:
@@ -197,31 +198,32 @@ def apd_detect(
 ) -> DetectionRecord:
     """Detect a pulse train with one APD.
 
-    ``background`` is per-slot illumination (blinding light) that feeds the
-    photocurrent and the blinding dynamics but not the click discriminator;
-    clicks are decided from the signal train alone.  When ``blind`` is given
-    the per-slot mode follows the stored photocurrent, otherwise the mode is
-    fixed by ``cfg.mode``.  Raises ``ValueError`` when the detector may draw
-    (afterpulses, dark counts, a linear-mode slot between the rails) and no
-    ``rng`` is given.
+    When ``blind`` is given, the per-slot mode follows the stored
+    photocurrent, which the trace keeps; otherwise the mode is fixed by
+    ``cfg.mode`` and the trace keeps no photocurrent.  ``background`` is
+    per-slot illumination (blinding light) that feeds the stored photocurrent
+    but not the click discriminator, so it needs ``blind``; clicks are decided
+    from the signal train alone.  Raises ``ValueError`` when the detector may
+    draw (afterpulses, dark counts, a linear-mode slot between the rails) and
+    no ``rng`` is given.
     """
     intensity = train.intensities
     n = intensity.shape[0]
-    if background is not None:
-        background = np.asarray(background, dtype=np.float64)
-        if background.shape[0] != n:
-            raise ValueError("background length must match the train")
-        if np.any(background < 0.0):
-            raise ValueError("background must be >= 0")
-        total = intensity + background
+    if blind is None:
+        if background is not None:
+            raise ValueError("background illumination acts only through the blinding state: pass blind")
+        photocurrent = None
+        linear = np.full(n, cfg.mode == LINEAR)
     else:
         total = intensity
-
-    if blind is not None:
+        if background is not None:
+            background = np.asarray(background, dtype=np.float64)
+            if background.shape[0] != n:
+                raise ValueError("background length must match the train")
+            if np.any(background < 0.0):
+                raise ValueError("background must be >= 0")
+            total = intensity + background
         photocurrent, linear, _ = _blinding_trace(blind, total)
-    else:
-        photocurrent = total.copy()
-        linear = np.full(n, cfg.mode == LINEAR)
 
     clicks = np.zeros(n, dtype=bool)
     always_rail = cfg.p_always * (1.0 - _RAIL_TOL)
@@ -276,23 +278,17 @@ def apd_detect(
 
 
 def backflash_emit(
-    record: DetectionRecord,
+    trace: DetectorTrace,
     incident: PulseTrain,
     cfg: BackflashSettings,
     rng: np.random.Generator | None = None,
-    detector_id: str | None = None,
 ) -> PulseTrain:
-    """Re-emit, for each click, the incident slot amplitude (phase preserved)
-    scaled by the emission gain; all other slots stay vacuum.  Unless ``ideal``
-    forces emission on every click, an emission probability below 1 draws
-    from ``rng``, which must then be given."""
-    if detector_id is None:
-        if len(record.detectors) != 1:
-            raise ValueError("record holds several detectors; pass detector_id")
-        detector_id = next(iter(record.detectors))
-    trace = record[detector_id]
+    """Re-emit, for each click of ``trace``, the incident slot amplitude
+    (phase preserved) scaled by the emission gain; all other slots stay
+    vacuum.  Unless ``ideal`` forces emission on every click, an emission
+    probability below 1 draws from ``rng``, which must then be given."""
     if len(trace) != len(incident):
-        raise ValueError("record and incident train lengths differ")
+        raise ValueError("trace and incident train lengths differ")
     emit = trace.clicks.copy()
     if not cfg.ideal and cfg.emission_probability < 1.0:
         if rng is None:
@@ -344,17 +340,12 @@ def photocurrent_monitor(
     return MonitorResult(alarm=alarm, filtered=filtered)
 
 
-@dataclass(frozen=True, eq=False)
-class WatchdogResult:
-    alarm: bool
-
-
-def watchdog(train: PulseTrain, tap_fraction: float, intensity_threshold: float) -> WatchdogResult:
+def watchdog(train: PulseTrain, tap_fraction: float, intensity_threshold: float) -> bool:
     """Entrance monitor tapping a fraction of all incoming radiation.
 
-    Alarms when the tapped peak intensity reaches the threshold.
+    Returns the alarm: whether the tapped peak intensity reaches the threshold.
     """
     if not (0.0 < tap_fraction < 1.0):
         raise ValueError("tap_fraction must be within (0, 1)")
     peak = float(np.max(train.intensities)) if len(train) else 0.0
-    return WatchdogResult(alarm=tap_fraction * peak >= intensity_threshold)
+    return tap_fraction * peak >= intensity_threshold

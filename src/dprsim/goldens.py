@@ -16,7 +16,7 @@ from __future__ import annotations
 import copy
 from typing import Any
 
-__all__ = ["GOLDENS", "golden_config_dict", "golden_names"]
+__all__ = ["GOLDENS", "golden_config_dict"]
 
 # In-channel phase pattern of the tamper run, in half turns per grid slot,
 # applied from slot 0: five slots unshifted, twelve slots shifted by pi, three
@@ -170,10 +170,6 @@ GOLDENS: dict[str, dict[str, Any]] = {
         },
     },
 }
-
-
-def golden_names() -> list[str]:
-    return list(GOLDENS)
 
 
 def golden_config_dict(name: str) -> dict[str, Any]:

@@ -50,7 +50,6 @@ __all__ = [
     "dps_reference_bits",
     "cow_occupancy",
     "cow_encode",
-    "cow_interfaces",
     "visibility",
     "cow_sift",
 ]
@@ -194,18 +193,19 @@ def dps_encode(
 
 
 def dps_reference_bits(phase_bits) -> np.ndarray:
-    """Alice's key stream: XOR of neighbouring phase bits (one per interior slot)."""
+    """Alice's key stream: XOR of neighbouring phase bits (one boolean per
+    interior slot)."""
     bits = _as_bits(phase_bits)
-    return np.bitwise_xor(bits[1:], bits[:-1])
+    return bits[1:] != bits[:-1]
 
 
 def dps_sift(alice_bits, record: DetectionRecord) -> ProtocolRun:
     """Keep interior slots where exactly one detector clicked.
 
-    Bob's bit is 0 for D1 and 1 for D2; Alice's matching bit is the XOR of the
-    two phase bits interfering at that slot.  Slots with no click or a double
-    click are discarded.  QBER is the mismatch fraction (0 when nothing was
-    sifted).
+    Bob's bit is 0 (``False``) for D1 and 1 for D2; Alice's matching bit is
+    the XOR of the two phase bits interfering at that slot.  Slots with no
+    click or a double click are discarded.  QBER is the mismatch fraction (0
+    when nothing was sifted).
     """
     bits = _as_bits(alice_bits)
     n = bits.size
@@ -216,7 +216,7 @@ def dps_sift(alice_bits, record: DetectionRecord) -> ProtocolRun:
     interior = slice(1, n)
     one_click = np.logical_xor(d1[interior], d2[interior])
     slots = np.nonzero(one_click)[0] + 1
-    bob = d2[slots].astype(np.int64)
+    bob = d2[slots]
     alice = dps_reference_bits(bits)[slots - 1]
     errors = int(np.sum(bob != alice))
     qber = errors / slots.size if slots.size else 0.0
@@ -268,9 +268,9 @@ def _cow_half_slots(symbols, clicks: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Arrival-time decision on each data symbol from per-grid-slot clicks.
 
     Returns the indices of the data symbols (decoys dropped) whose pair of
-    half-slots clicked at all, the bit each one names (1 for a late click, 0
-    for an early one) and whether both half-slots clicked, in which case the
-    bit is undecided.
+    half-slots clicked at all, the bit each one names (``True`` for a late
+    click, ``False`` for an early one) and whether both half-slots clicked, in
+    which case the bit is undecided.
     """
     codes = _as_symbols(symbols)[1]
     n = codes.size
@@ -279,7 +279,7 @@ def _cow_half_slots(symbols, clicks: np.ndarray) -> tuple[np.ndarray, np.ndarray
     pairs = clicks[: 2 * n].astype(bool).reshape(n, 2)
     early, late = pairs[:, 0], pairs[:, 1]
     kept = np.flatnonzero((codes != _DECOY) & (early | late))
-    return kept, late[kept].astype(np.int64), early[kept] & late[kept]
+    return kept, late[kept], early[kept] & late[kept]
 
 
 def cow_encode(
@@ -306,24 +306,18 @@ _CROSS_CLASS[(0, 0, 2, 2), (1, 2, 1, 2)] = (1, 2, 3, 4)  # "01", "0d", "d1", "dd
 
 
 def _interfaces(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Interferometer slots of all interfaces and their class indices."""
+    """Interferometer slots of all interfaces and their class indices.
+
+    The slot is where the later pulse interferes with the earlier one in the
+    one-slot-delay interferometer; every adjacent occupied pair has exactly
+    one class of :data:`VISIBILITY_CLASSES`.
+    """
     cls = np.full(2 * codes.size, -1, dtype=np.int64)
     # Intra-symbol pair at odd slots: only the decoy occupies both of its slots.
     cls[1::2] = np.where(codes == _DECOY, 0, -1)
     cls[2::2] = _CROSS_CLASS[codes[1:], codes[:-1]]
     slots = np.flatnonzero(cls >= 0)
     return slots, cls[slots]
-
-
-def cow_interfaces(symbols) -> list[tuple[int, str]]:
-    """All neighbouring-pulse interfaces as ``(interferometer slot, class)``.
-
-    The slot index is where the later pulse interferes with the earlier one in
-    the one-slot-delay interferometer.  Every adjacent occupied pair maps to
-    exactly one class of :data:`VISIBILITY_CLASSES`.
-    """
-    slots, classes = _interfaces(_as_symbols(symbols)[1])
-    return list(zip(slots.tolist(), np.array(VISIBILITY_CLASSES)[classes].tolist()))
 
 
 @dataclass
@@ -351,14 +345,6 @@ class VisibilityReport:
 
     per_class: dict[str, ClassCounts] = field(default_factory=dict)
     overall: ClassCounts = field(default_factory=ClassCounts)
-
-    @property
-    def populated_classes(self) -> list[str]:
-        return [s for s, c in self.per_class.items() if c.total > 0]
-
-    @property
-    def defined(self) -> bool:
-        return self.overall.total > 0
 
     @property
     def overall_visibility(self) -> float | None:
@@ -400,8 +386,8 @@ def cow_sift(
     """
     sym, codes = _as_symbols(symbols)
     kept, late, both = _cow_half_slots(sym, record.clicks("D_B"))
-    alice = codes[kept]
-    bob_bits = np.where(both, 1 - alice, late)
+    alice = codes[kept] == 1
+    bob_bits = np.where(both, ~alice, late)
     qber = int(np.sum(alice != bob_bits)) / kept.size if kept.size else 0.0
     return ProtocolRun(
         protocol="cow",

@@ -172,10 +172,10 @@ def _cow_eve_key(symbols: str, clicks: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _readout_key(symbols: str, readout: str) -> tuple[np.ndarray, np.ndarray]:
     """Eve's COW key from her probe read-out (see ``trojan_decode``): the data
     symbols she read as "0" or "1", and that bit; "?" and "d" decide none."""
-    bits = np.frombuffer(readout.encode("ascii"), dtype=np.uint8).astype(np.int64) - ord("0")
-    data = np.frombuffer(symbols.encode("ascii"), dtype=np.uint8)[: bits.size] != ord("d")
-    kept = np.flatnonzero(data & ((bits == 0) | (bits == 1)))
-    return kept, bits[kept]
+    read = np.frombuffer(readout.encode("ascii"), dtype=np.uint8)
+    data = np.frombuffer(symbols.encode("ascii"), dtype=np.uint8)[: read.size] != ord("d")
+    kept = np.flatnonzero(data & ((read == ord("0")) | (read == ord("1"))))
+    return kept, read[kept] == ord("1")
 
 
 def _run_backflash(
@@ -191,12 +191,7 @@ def _run_backflash(
     gain2 = bf.emission_gain**2
 
     def eve_detect(detector: str, threshold: float) -> DetectorTrace:
-        emission = backflash_emit(
-            DetectionRecord.single(detector, run.record[detector], cfg.slot_period),
-            ports[detector],
-            bf,
-            rng=rngs.get(f"backflash-{detector}"),
-        )
+        emission = backflash_emit(run.record[detector], ports[detector], bf, rng=rngs.get(f"backflash-{detector}"))
         # A lossless circulator routes the emission from Bob's port to Eve.
         cfg_eve = ApdConfig(mode="geiger", click_threshold=threshold)
         rec = apd_detect(emission, cfg_eve, f"EVE_{detector}", rng=rngs.get(f"eve-{detector}"))
@@ -209,7 +204,7 @@ def _run_backflash(
         eve_d2 = eve_detect("D2", rel * gain2 * nominal)
         one = np.logical_xor(eve_d1.clicks, eve_d2.clicks)
         eve_slots = np.nonzero(one)[0]
-        eve_bits = eve_d2.clicks[eve_slots].astype(np.int64)
+        eve_bits = eve_d2.clicks[eve_slots]
     else:
         eve_db = eve_detect("D_B", rel * gain2 * cfg.t_b * nominal)
         eve_slots, eve_bits = _cow_eve_key(run.alice_symbols, eve_db.clicks)
@@ -218,27 +213,25 @@ def _run_backflash(
     return AttackOutcome(
         attack="backflash",
         eve_key=eve_bits,
-        bob_key=run.sifted_bob,
         capture_fraction=frac,
         induced_qber=0.0,
         induced_visibility_drop=0.0 if cfg.protocol == "cow" else None,
     )
 
 
-def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun, train: PulseTrain) -> AttackOutcome:
+def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun) -> AttackOutcome:
     """Backward probe pass: watchdog tap at Alice's entrance, reflection off her
     modulator, wavelength separation and Eve's replica decode.  The forward
     signal is untouched; Bob's entrance filter keeps the probe band away from
     his detectors."""
     s = cfg.attack.trojan
-    probe_in = cw_laser(len(train), s.probe_amplitude, s.probe_wavelength_nm, cfg.slot_period)
-
     wd_alarm = False
     probe_amplitude = s.probe_amplitude
     cm = cfg.countermeasures.watchdog
     if cm.enabled:
-        wd = watchdog(probe_in, cm.tap_fraction, cm.intensity_threshold)
-        wd_alarm = wd.alarm
+        # The probe is continuous-wave, so one slot of it shows the watchdog its peak.
+        probe_in = cw_laser(1, s.probe_amplitude, s.probe_wavelength_nm, cfg.slot_period)
+        wd_alarm = watchdog(probe_in, cm.tap_fraction, cm.intensity_threshold)
         probe_amplitude = s.probe_amplitude * float(np.sqrt(1.0 - cm.tap_fraction))
 
     if cfg.protocol == "dps":
@@ -259,7 +252,7 @@ def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun, train: PulseTrain) -> Att
     if cfg.protocol == "dps":
         decoded = trojan_decode(reflected, "dps", s.eve_min_intensity)
         eve_slots = np.nonzero(decoded >= 0)[0] + 1
-        eve_bits = decoded[decoded >= 0].astype(np.int64)
+        eve_bits = decoded[decoded >= 0] == 1
     else:
         readout = trojan_decode(reflected, "cow", s.eve_min_intensity)
         eve_slots, eve_bits = _readout_key(run.alice_symbols, readout)
@@ -268,7 +261,6 @@ def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun, train: PulseTrain) -> Att
     return AttackOutcome(
         attack="trojan",
         eve_key=eve_bits,
-        bob_key=run.sifted_bob,
         capture_fraction=frac,
         induced_qber=0.0,
         induced_visibility_drop=0.0 if cfg.protocol == "cow" else None,
@@ -288,7 +280,7 @@ def _reading_key(readings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eve's DPS key from her readings: the slots of a single D1 or D2
     reading, and the bit each names (0 constructive, 1 destructive)."""
     idx = np.flatnonzero((readings == 1) | (readings == 2))
-    return idx, readings[idx] - 1
+    return idx, readings[idx] == 2
 
 
 def _on_grid(record: DetectionRecord, offset: int, n_slots: int) -> DetectionRecord:
@@ -364,7 +356,6 @@ def _run_blinding(
     outcome = AttackOutcome(
         attack="blinding",
         eve_key=eve_bits,
-        bob_key=run.sifted_bob,
         capture_fraction=capture_fraction(run.sifted_slots, run.sifted_bob, eve_slots, eve_bits),
         induced_qber=run.qber - clean.qber,
         induced_visibility_drop=drop,
@@ -380,10 +371,10 @@ def _run_blinding(
 # Record assembly and serialization
 # ---------------------------------------------------------------------------
 
-# The header's format names the hashed layout, unchanged since the record
-# files of that name; the file around it has its own version line.
-RECORD_FORMAT = "dprsim-record/2"
-RECORD_VERSION = "dprsim-record/3"
+# The record format: the file's version line and its header's ``format``.
+RECORD_FORMAT = "dprsim-record/4"
+# Formats of older record files, which are no longer read.
+_RETIRED_FORMATS = ("dprsim-record/1", "dprsim-record/2", "dprsim-record/3")
 
 # Array dtype kind in memory -> stored little-endian dtype, and back.  Booleans
 # are stored as their bytes (``|u1``), so every platform hashes and writes the
@@ -512,18 +503,24 @@ class RunRecord:
     """Everything one run produced: the config snapshot, Bob's records and
     sifting outcome, the attack outcome when present, and the wall time.
 
+    Each run value is stored once.  Bob's key is ``protocol_run.sifted_bob``
+    only; a detector trace keeps a ``photocurrent`` only under blinding (the
+    stored current), since otherwise it is the ``intensity``; key bits
+    (``sifted_alice``, ``sifted_bob``, ``eve_key``) are booleans.
+
     ``to_dict`` gives the record as a plain tree in which every array is
-    little-endian (``<i8``, ``<f8``, ``|u1`` for booleans); ``from_dict``
-    checks and inverts it.  The content hash is SHA-256 over the canonical
-    header (that tree with sorted keys, compact, each array as ``{"dtype",
-    "shape"}``, no wall time) followed by the raw bytes of each array in
-    header key order; the wall time, the only non-reproducible field, is left
-    out.
+    little-endian (``<i8`` for Alice's bits, slots and readings, ``<f8`` for
+    intensities and photocurrents, ``|u1`` for booleans: clicks, modes and key
+    bits); ``from_dict`` checks and inverts it.  The content hash is SHA-256
+    over the canonical header (that tree with sorted keys, compact, each array
+    as ``{"dtype", "shape"}``, no wall time) followed by the raw bytes of each
+    array in header key order; the wall time, the only non-reproducible
+    field, is left out.
 
-    A record file (``dprsim-record/3``) holds exactly those hashed bytes
-    between a version line and a trailer::
+    A record file (``dprsim-record/4``, also the header's ``format``) holds
+    exactly those hashed bytes between a version line and a trailer::
 
-        dprsim-record/3
+        dprsim-record/4
         <canonical header>
         <raw array bytes, in header key order>{"wall_time_s": <seconds>}
 
@@ -580,26 +577,28 @@ def _record_chunks(record: RunRecord) -> list[Any]:
     """The byte strings of a record file, in order (see ``RunRecord``)."""
     header, arrays = record._hashed()
     trailer = json.dumps({"wall_time_s": record.wall_time_s}) + "\n"
-    return [f"{RECORD_VERSION}\n".encode("ascii"), header, b"\n", *arrays, trailer.encode("ascii")]
+    return [f"{RECORD_FORMAT}\n".encode("ascii"), header, b"\n", *arrays, trailer.encode("ascii")]
 
 
 def _version_error(data: bytearray, end: int) -> str:
-    if data[:1] == b"{":  # older record files are one JSON document
+    version = bytes(data[:end]).decode("ascii", "replace") if end >= 0 else None
+    fmt = version
+    if data[:1] == b"{":  # /1 and /2 record files are one JSON document
         try:
             fmt = json.loads(data).get("format")
         except (ValueError, AttributeError):
             fmt = None
-        if fmt in ("dprsim-record/1", "dprsim-record/2"):
-            return f"a {fmt} file, which is no longer read; regenerate it by re-running its scenario"
-    if end < 0:
-        return f"missing version line {RECORD_VERSION!r}"
-    return f"unsupported record version {bytes(data[:end]).decode('ascii', 'replace')!r}"
+    if fmt in _RETIRED_FORMATS:
+        return f"a {fmt} file, which is no longer read; regenerate it by re-running its scenario"
+    if version is None:
+        return f"missing version line {RECORD_FORMAT!r}"
+    return f"unsupported record version {version!r}"
 
 
 def _record_from_bytes(data: bytearray) -> RunRecord:
     """Decode a record file; its arrays are writable views into ``data``."""
     version_end = data.find(b"\n", 0, 64)
-    if version_end < 0 or data[:version_end] != RECORD_VERSION.encode("ascii"):
+    if version_end < 0 or data[:version_end] != RECORD_FORMAT.encode("ascii"):
         raise ValueError(_version_error(data, version_end))
     header_end = data.find(b"\n", version_end + 1)
     if header_end < 0:
@@ -695,7 +694,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunRecord:
     if kind == "backflash":
         outcome = _run_backflash(cfg, rngs, run, ports)
     elif kind == "trojan":
-        outcome = _run_trojan(cfg, run, train)
+        outcome = _run_trojan(cfg, run)
     elif kind == "blinding":
         run, outcome = _run_blinding(cfg, rngs, run, train)
     elif kind != "none":  # pragma: no cover - config validation rejects this

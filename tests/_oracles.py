@@ -5,7 +5,8 @@ is scalar complex arithmetic expanding the coupler / delay / coupler
 composition slot by slot, so the simulator and the oracle can only agree if
 both are right.  ``record_v1_hash`` keeps the retired list-based record
 serializer, so that record values can still be compared with hashes pinned
-before the array codec.  The ``*_loop`` functions keep the per-slot and
+before the array codec; it reads Bob's key and an unblinded detector's
+photocurrent from where the record now keeps them.  The ``*_loop`` functions keep the per-slot and
 per-symbol Python loops that whole-array code replaced, so the replacements
 can be compared with them on random inputs.  The ``*_chain`` functions keep
 Alice's transmitters as they ran over every slot of the train, before the
@@ -76,10 +77,12 @@ def brute_force_cow_monitor(
 
 
 def _v1_trace(trace) -> dict:
+    # A trace that was not blinded keeps no photocurrent: it equals the intensity.
+    photocurrent = trace.intensity if trace.photocurrent is None else trace.photocurrent
     return {
         "clicks": [int(v) for v in trace.clicks],
         "intensity": [float(v) for v in trace.intensity],
-        "photocurrent": [float(v) for v in trace.photocurrent],
+        "photocurrent": [float(v) for v in photocurrent],
         "linear_mode": [int(v) for v in trace.linear_mode],
     }
 
@@ -110,13 +113,14 @@ def _v1_run(run) -> dict:
     }
 
 
-def _v1_outcome(outcome) -> dict | None:
+def _v1_outcome(outcome, run) -> dict | None:
     if outcome is None:
         return None
     return {
         "attack": outcome.attack,
         "eve_key": [int(b) for b in outcome.eve_key],
-        "bob_key": [int(b) for b in outcome.bob_key],
+        # Bob's key, which the outcome no longer repeats.
+        "bob_key": [int(b) for b in run.sifted_bob],
         "capture_fraction": outcome.capture_fraction,
         "induced_qber": outcome.induced_qber,
         "induced_visibility_drop": outcome.induced_visibility_drop,
@@ -139,7 +143,7 @@ def record_v1_hash(record) -> str:
         "format": "dprsim-record/1",
         "config": record.config,
         "protocol_run": _v1_run(record.protocol_run),
-        "attack": _v1_outcome(record.attack),
+        "attack": _v1_outcome(record.attack, record.protocol_run),
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -147,7 +151,8 @@ def record_v1_hash(record) -> str:
 
 # ---------------------------------------------------------------------------
 # Retired per-slot loops.  Each body is the loop as it stood in the package;
-# record arguments are replaced by their click arrays.
+# record arguments are replaced by their click arrays, and key bits come out
+# as booleans, the dtype the package keeps them in.
 # ---------------------------------------------------------------------------
 
 COW_SYMBOLS = ("0", "1", "d")
@@ -206,8 +211,8 @@ def cow_sift_loop(sym: str, clicks) -> tuple[np.ndarray, np.ndarray, np.ndarray,
         if early or late:
             kept.append(i)
             bob.append(int(late) if early != late else 1 - int(s))
-    alice = np.array([int(sym[i]) for i in kept], dtype=np.int64)
-    bob_bits = np.array(bob, dtype=np.int64)
+    alice = np.array([int(sym[i]) for i in kept], dtype=bool)
+    bob_bits = np.array(bob, dtype=bool)
     qber = int(np.sum(alice != bob_bits)) / len(kept) if kept else 0.0
     return alice, bob_bits, np.array(kept, dtype=np.int64), float(qber)
 
@@ -311,7 +316,7 @@ def backflash_cow_key_loop(sym: str, clicks) -> tuple[np.ndarray, np.ndarray]:
         if early != late:
             eve_slots_list.append(i)
             eve_bits_list.append(int(late))
-    return np.array(eve_slots_list, dtype=np.int64), np.array(eve_bits_list, dtype=np.int64)
+    return np.array(eve_slots_list, dtype=np.int64), np.array(eve_bits_list, dtype=bool)
 
 
 def trojan_cow_key_loop(alice_symbols: str, sym: str) -> tuple[np.ndarray, np.ndarray]:
@@ -323,7 +328,7 @@ def trojan_cow_key_loop(alice_symbols: str, sym: str) -> tuple[np.ndarray, np.nd
             continue
         eve_slots_list.append(i)
         eve_bits_list.append(int(c))
-    return np.array(eve_slots_list, dtype=np.int64), np.array(eve_bits_list, dtype=np.int64)
+    return np.array(eve_slots_list, dtype=np.int64), np.array(eve_bits_list, dtype=bool)
 
 
 def blinding_key_loop(protocol: str, readings, symbols: str | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -332,13 +337,13 @@ def blinding_key_loop(protocol: str, readings, symbols: str | None = None) -> tu
     decided over Alice's ``symbols`` like a backflash key."""
     if protocol == "dps":
         idx = [j for j, r in enumerate(readings) if r in (1, 2)]
-        return np.array(idx, dtype=np.int64), np.array([readings[j] - 1 for j in idx], dtype=np.int64)
+        return np.array(idx, dtype=np.int64), np.array([readings[j] - 1 for j in idx], dtype=bool)
     clicks = [r == 3 for r in readings] + [False] * (2 * len(symbols))
     return backflash_cow_key_loop(symbols, clicks)
 
 
 def blinding_sifted_alice_loop(diff, bob_idx) -> np.ndarray:
-    return np.array([diff[j - 1] for j in bob_idx if 1 <= j <= diff.size], dtype=np.int64)
+    return np.array([diff[j - 1] for j in bob_idx if 1 <= j <= diff.size], dtype=bool)
 
 
 def blinding_trace_loop(stored_photocurrent: float, decay_per_slot: float, incident) -> np.ndarray:

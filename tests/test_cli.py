@@ -177,8 +177,7 @@ def test_cli_derived_dps_blinding_bob_key_is_his_sifted_key(tmp_path):
     code, out = _run_cli(tmp_path, DARK_DPS_BLINDING)
     assert code in (0, 3)
     record = load_record(out / "record.json")
-    np.testing.assert_array_equal(record.attack.bob_key, record.protocol_run.sifted_bob)
-    assert (out / "bob.key").read_text() == _key_text(record.attack.bob_key)
+    assert (out / "bob.key").read_text() == _key_text(record.protocol_run.sifted_bob)
 
 
 _noise = st.fixed_dictionaries(
@@ -322,7 +321,7 @@ BAD_RECORDS = {
         lambda d: b"dprsim-record/9" + d[d.index(b"\n") :],
         "unsupported record version 'dprsim-record/9'",
     ),
-    "no-version": (lambda d: d[d.index(b"\n") + 1 :], "missing version line 'dprsim-record/3'"),
+    "no-version": (lambda d: d[d.index(b"\n") + 1 :], "missing version line 'dprsim-record/4'"),
     "format-1": (
         lambda d: b'{"format": "dprsim-record/1", "config": {}}',
         "dprsim-record/1 file, which is no longer read",
@@ -331,7 +330,11 @@ BAD_RECORDS = {
         lambda d: b'{"config":{},"format":"dprsim-record/2","protocol_run":{},"wall_time_s":0.5}\n',
         "dprsim-record/2 file, which is no longer read",
     ),
-    "invalid-json": (lambda d: b"dprsim-record/3\n{not json\n", "header is not JSON"),
+    "format-3": (
+        lambda d: b"dprsim-record/3" + d[d.index(b"\n") :],
+        "dprsim-record/3 file, which is no longer read",
+    ),
+    "invalid-json": (lambda d: b"dprsim-record/4\n{not json\n", "header is not JSON"),
     "not-canonical": (lambda d: d.replace(b'{"attack":null,', b'{"attack": null,', 1), "header is not canonical"),
     "unknown-field": (_edit_header(lambda t: t["protocol_run"].update(qbr=0.0)), "unknown field 'protocol_run.qbr'"),
     "missing-field": (

@@ -192,6 +192,15 @@ def test_apd_detect_blinding_transition():
     assert trace.photocurrent[0] == pytest.approx(10.0)
 
 
+def test_photocurrent_is_kept_only_under_blinding():
+    # Without blinding the photocurrent is the intensity, so the trace does
+    # not repeat it; background light acts only through the blinding state.
+    cfg = ApdConfig(mode="geiger", click_threshold=0.5)
+    assert apd_detect(cw_laser(4, 1.0), cfg)["D"].photocurrent is None
+    with pytest.raises(ValueError, match="blind"):
+        apd_detect(PulseTrain(np.zeros(4)), cfg, background=np.ones(4))
+
+
 # ---------------------------------------------------------------------------
 # Backflash emission
 # ---------------------------------------------------------------------------
@@ -200,14 +209,14 @@ def test_apd_detect_blinding_transition():
 def test_backflash_ideal_copies_every_clicked_slot():
     incident = cw_laser(6, 1.0)
     rec = apd_detect(incident, ApdConfig(mode="geiger", click_threshold=0.5))
-    out = backflash_emit(rec, incident, BackflashSettings(ideal=True, emission_gain=0.5))
+    out = backflash_emit(rec["D"], incident, BackflashSettings(ideal=True, emission_gain=0.5))
     np.testing.assert_allclose(out.slots, 0.5 * incident.slots)
 
 
 def test_backflash_no_clicks_is_vacuum():
     incident = cw_laser(6, 1.0)
     rec = apd_detect(PulseTrain(np.zeros(6)), ApdConfig(mode="geiger", click_threshold=0.5))
-    out = backflash_emit(rec, incident, BackflashSettings(ideal=True))
+    out = backflash_emit(rec["D"], incident, BackflashSettings(ideal=True))
     assert out.intensities.sum() == 0.0
 
 
@@ -220,7 +229,7 @@ def test_backflash_statistics_converge_to_emission_probability():
     incident = cw_laser(n, 1.0)
     rec = apd_detect(incident, ApdConfig(mode="geiger", click_threshold=0.5))
     cfg = BackflashSettings()
-    out = backflash_emit(rec, incident, cfg, rng=np.random.default_rng(7))
+    out = backflash_emit(rec["D"], incident, cfg, rng=np.random.default_rng(7))
     emitted = int(np.sum(out.intensities > 0))
     p = cfg.emission_probability
     sigma = np.sqrt(p * (1 - p) / n)
@@ -231,14 +240,14 @@ def test_backflash_below_certainty_needs_an_rng():
     incident = cw_laser(6, 1.0)
     rec = apd_detect(incident, ApdConfig(mode="geiger", click_threshold=0.5))
     with pytest.raises(ValueError, match="rng"):
-        backflash_emit(rec, incident, BackflashSettings())
+        backflash_emit(rec["D"], incident, BackflashSettings())
 
 
 def test_backflash_length_mismatch_rejected():
     incident = cw_laser(6, 1.0)
     rec = apd_detect(incident, ApdConfig(mode="geiger", click_threshold=0.5))
     with pytest.raises(ValueError):
-        backflash_emit(rec, cw_laser(5, 1.0), BackflashSettings())
+        backflash_emit(rec["D"], cw_laser(5, 1.0), BackflashSettings())
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +284,12 @@ def test_monitor_zero_trace_silent():
 
 def test_watchdog_alarms_on_bright_probe():
     probe = cw_laser(4, 10.0)
-    result = watchdog(probe, 0.1, 5.0)
-    assert result.alarm
+    assert watchdog(probe, 0.1, 5.0) is True
 
 
 def test_watchdog_passes_weak_signal():
     weak = cw_laser(4, 0.1)
-    result = watchdog(weak, 0.1, 5.0)
-    assert not result.alarm
+    assert watchdog(weak, 0.1, 5.0) is False
 
 
 def test_record_merge_rejects_duplicates():

@@ -27,9 +27,10 @@ from dprsim.detectors import (
 from dprsim.optics import MzmParams, PulseTrain, coupler_2x2
 from dprsim.protocols import (
     VISIBILITY_CLASSES,
+    _as_symbols,
     _cow_half_slots,
+    _interfaces,
     cow_encode,
-    cow_interfaces,
     cow_occupancy,
     cow_sift,
     dps_encode,
@@ -69,7 +70,11 @@ def _same(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def test_empty_symbol_string_is_rejected():
-    for f in (cow_occupancy, cow_interfaces, lambda s: _cow_half_slots(s, np.zeros(2, dtype=bool))):
+    for f in (
+        cow_occupancy,
+        lambda s: visibility(_record(2, D_M1=[], D_M2=[]), s),
+        lambda s: _cow_half_slots(s, np.zeros(2, dtype=bool)),
+    ):
         with pytest.raises(ValueError, match="nonempty"):
             f("")
 
@@ -80,7 +85,8 @@ def test_empty_symbol_string_is_rejected():
 @settings(max_examples=200)
 def test_occupancy_and_interfaces_match_loops(sym):
     _same(cow_occupancy(sym), oracle.cow_occupancy_loop(sym))
-    assert cow_interfaces(sym) == oracle.cow_interfaces_loop(sym)
+    slots, classes = _interfaces(_as_symbols(sym)[1])
+    assert list(zip(slots.tolist(), [VISIBILITY_CLASSES[c] for c in classes])) == oracle.cow_interfaces_loop(sym)
 
 
 @given(symbols_and_clicks(n_lines=2, extra=1))
@@ -256,7 +262,7 @@ def test_blinding_bookkeeping_matches_loops(protocol, seed, dark, p_never):
         diff = np.bitwise_xor(np.asarray(run.alice_bits[1:]), np.asarray(run.alice_bits[:-1]))
         alice = oracle.blinding_sifted_alice_loop(diff, bob_idx)
         pairs = [(j, b) for j, b in zip(bob_idx, bob_bits) if 1 <= j <= diff.size]
-        paired = np.array([b for _, b in pairs], dtype=np.int64)
+        paired = np.array([b for _, b in pairs], dtype=bool)
         loop = (alice, paired, np.array([j for j, _ in pairs], dtype=np.int64))
     else:
         want = cow_sift(run.alice_symbols, grid, visibility(grid, run.alice_symbols))
@@ -269,7 +275,6 @@ def test_blinding_bookkeeping_matches_loops(protocol, seed, dark, p_never):
         _same(getattr(run, name), arr)
     assert run.qber == want.qber == (float(np.mean(loop[0] != loop[1])) if loop[0].size else 0.0)
     _same(outcome.eve_key, eve_bits)
-    _same(outcome.bob_key, run.sifted_bob)
     assert outcome.capture_fraction == oracle.capture_fraction_loop(run.sifted_slots, run.sifted_bob, eve_idx, eve_bits)
 
 
@@ -350,7 +355,7 @@ def test_backflash_emit_matches_where(slots, data, ideal, gain, p, seed):
     clicks = np.array(data.draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots))))
     incident = PulseTrain(np.array(slots))
     cfg = BackflashSettings(electrons_per_avalanche=p, photons_per_electron=1.0, ideal=ideal, emission_gain=gain)
-    out = backflash_emit(_record(len(slots), D=clicks), incident, cfg, rng=np.random.default_rng(seed))
+    out = backflash_emit(_record(len(slots), D=clicks)["D"], incident, cfg, rng=np.random.default_rng(seed))
     emit = clicks.copy()
     if not ideal and cfg.emission_probability < 1.0:
         emit &= np.random.default_rng(seed).random(len(slots)) < cfg.emission_probability

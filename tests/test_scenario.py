@@ -41,22 +41,22 @@ GOLDEN_HASHES = {
     "cow-blinding-cw": "9b67e16425016b708dfd23ba0c020c8d6f05b1c65534aecdc6a24a6a177747ad",
 }
 
-# Record content hashes of the pinned scenarios (dprsim-record/2: canonical
-# header plus raw little-endian array bytes).
+# Record content hashes of the pinned scenarios (dprsim-record/4: canonical
+# header plus raw little-endian array bytes, each run value stored once).
 GOLDEN_RECORD_HASHES = {
-    "dps-ideal": "3578edd1c5e0ca8a9b9379f44df06e5729f05943e9cc6ce96b8dc8f833ec88e8",
-    "cow-fig2": "91d9e253a35c1a74322062d5592985dbb39ed06a0c702cad49ac9b62d210a7d5",
-    "cow-fig4-tamper": "03e269c386bb1e182f0dd5c75649f4aeea401be33b31a97eb2abdb67b41680df",
-    "dps-backflash-ideal": "a7cb1c0e2c38f37a312b77c7debeba319010dbfa992b4636a712a27963733df0",
-    "cow-backflash-ideal": "be3ce5bf0ddbd4c06834fbd555dfa807c16b6989a8326217bf942940b7c7ee63",
-    "dps-backflash-stat": "e5a3b10407c6b688ca6763ca220cc01b4125752ffcb4a9e87d7fceab39aa4d23",
-    "dps-trojan": "f9146d182e44fcddf0cb762caa87f200a27706cbcfa34bc2bcdf95967ab25190",
-    "dps-trojan-watchdog": "a0bd950294c9cfbbee40b605ceaf1143067e59c34f67952863cff8b1071c1027",
-    "cow-trojan": "7bbf964eeca9aa06df96a754ea4a76cc642e1a138b642a5b227a51eb850bf2d4",
-    "dps-blinding": "3f6382e04ad0b3c9210eec0c820c40d6f0279dc7ea02a78274e7b4d537498cda",
-    "dps-blinding-derived": "2950429ccc03d0632cbbd37a1a8a33f0900313514c3111788381660a4dcc232f",
-    "cow-blinding": "c873e7deaa5552b78498323efffd318a71f1945e241ece26be0097c4d45e6640",
-    "cow-blinding-cw": "77c2cc709a147b362d530a3e5fddc6016f57f1b48d041474f960d3927b0ad482",
+    "dps-ideal": "d8f71a94d857b7b11f3c6ddb2e97db60ba170278d56587184ec6eda0bed2522c",
+    "cow-fig2": "52483e46e933723a04fec9d8c78866de1a73c7fe6404b0772f7cbee45a03c339",
+    "cow-fig4-tamper": "0aeb6fa6c5d12eb7ae590ec1909e420a348f9f7c9e57ed25d747d4bd49473657",
+    "dps-backflash-ideal": "c95c5752db4c33e3cfc68a9430a7e7584c09bf0f6e5dfe5001d3a993312f1eda",
+    "cow-backflash-ideal": "f50c25990e472605c7894b5644fa3f84f1a4cc9506a317b42936666bcdad06c6",
+    "dps-backflash-stat": "bfe3655fb2f640e582ba760fdd07f3881a7759efe8fbf61b7090e0dde7475818",
+    "dps-trojan": "a2b482a59655ca0bac48b27eeca833705293fe5624cf73a33a4ad2263bbdd905",
+    "dps-trojan-watchdog": "24352806c6467550481cf078f19ec95d51d7e17cb8c37b0bdd38c5919152856e",
+    "cow-trojan": "cc218d72040c7f7e30e9aa83930c9a7bb0a5afe8cef5e9dbe47836b7b292a102",
+    "dps-blinding": "78d135318ac5b924e9bf3e58b80af0906d5d1181d68a13fe4502f42a2518876d",
+    "dps-blinding-derived": "89a89739f580cef23ff2bd414c226d2ee535e042b9d16b2c02375363473f84d3",
+    "cow-blinding": "8e6ae93114de80ac576b6a9d2aecb741c0bf475a1b4e70464d9b095a7a2c101d",
+    "cow-blinding-cw": "f28cf05fb24758389d8487912d894f25c566b863efbd5f899ca7cf860e4d67b3",
 }
 
 # The same records hashed by the retired dprsim-record/1 serializer
@@ -127,17 +127,33 @@ NOISY_RUNS = {
         "attack": {"kind": "blinding", "blinding": {"illumination_level": 5.0}},
     },
 }
+# Record content hashes of the noisy runs (dprsim-record/4).
 NOISY_RUN_HASHES = {
-    "dps-clean": "3b19fcb8447b3ad1f1eaa3a2f2a9e2929f07223a6adeef5e719f46f12def2936",
-    "cow-clean": "44d553461d915bf725caedcab94bc4ce51cbafb49cdb3318d09b869a637f7577",
-    "dps-blinding": "966c9cf559393256db5e5d5c94121bdcc27e96bd7ba478d61826bdce3a5b218b",
-    "cow-blinding": "61abf5a0c40af99364e36f9900d6b878f5423b7222404ac5071c556f0a90eccc",
-    "dps-backflash": "5caa13210526e7c28caa53fef0f309f6d80bd18373bb6b887d8bc0c0e582a366",
-    "cow-backflash": "aec9128fd04e362e682b262bdc1c9ec762a558abe9107ceba5d3b60a3ed1b1c9",
-    "dps-trojan": "2b2b2d339b98aa60184bc30455b46567cbb688930dcbfe26fc6de520f4b400f5",
-    "cow-trojan": "417ac68ebad71a8b977634d6456f11fd8dbb5241a9cc7a22f092431265ca8d08",
-    "dps-blinding-between-rails": "c82fcde4e6b3ee0ef1676f7c449ad6e8c9f08fba7e7e2f3ecd357562ac0562b8",
-    "cow-blinding-weak-light": "26498c4d77a9bd3d758d260746f7a22618816d9475b453b607036618868b2c02",
+    "dps-clean": "35663e722c843339913c142c1c4cab185ab51e5c58e3f7bc72a9aba9a87f7973",
+    "cow-clean": "c7dc9341914daaaf68f9547327cc16fd93e19d94d43ce79d54b2ef2aa7e6db71",
+    "dps-blinding": "e14c3a78007cef65f7fe5b39e9c34ccf4ea3fe14824e33139452d50e84e2f8be",
+    "cow-blinding": "a5c38c75211cf6fa2d340edf4c327e7be397d1bf8f22abe2d37e623c7fbabbe0",
+    "dps-backflash": "09ba5ac99958131ab54459dafedebee02a7a9a810354cf3dc1d107a5fec7b427",
+    "cow-backflash": "f332d89a49525acf3fb8342462c5857c6d3d7e05a1c47a3ae661edac45a74392",
+    "dps-trojan": "ccd7ca10ea259a0a9cbd3c6d82ab613333b15e5879080316b5cf3e3ae97fefe4",
+    "cow-trojan": "24607e0c3084b632fc56e434856a40c7489fcaaf56c5ccb9e00b2b83cf47c897",
+    "dps-blinding-between-rails": "1e800895b877a2defe25d48281aa4140df6756d3ed6a0daa8e82572ffe787638",
+    "cow-blinding-weak-light": "619d6ef5c15a845b5e436374538dda186da92e1f8c0991c29baf599d1b4f8487",
+}
+
+# The same runs hashed by ``record_v1_hash``, taken before dprsim-record/4:
+# these pin the simulated values of the noisy runs, whatever the record format.
+NOISY_RUN_V1_HASHES = {
+    "dps-clean": "392b30d0ab188e54258d77b1e9ed60e277ffa509970e78212fe117cc5f426296",
+    "cow-clean": "a50f82c013a542a25dc02a5c1efc10fc06920377bd5d12f1f10cf3e536e1b45c",
+    "dps-blinding": "8b8855a6558c0bb53d972277a868b65558c07d59f3adf26e0f6994caad21698b",
+    "cow-blinding": "4ef98b36a0a7b49525fe9b8c7e55ba363f48ee081abe37a44990695833800834",
+    "dps-backflash": "6f5373e24ce0fb1ca136fa6cf09184a18631e711b7e60d23d149979e23c2f60b",
+    "cow-backflash": "7638854edd57ffbcf98a144a39e568feb2d226bae244e4240682785e7ed96fff",
+    "dps-trojan": "b18ae3e8cf3a4410773269c06a852a0ba10e66553331d295a9e3397b01a7b27c",
+    "cow-trojan": "3aa6bbe2b61a0192516c0ce683937028ff4b0d026aca8fc2699dd09b0087a9ef",
+    "dps-blinding-between-rails": "c436de6a6541fdca07684eb5f0d6bab2eca55dfad9643f95bd2f1bd2ab87a1a3",
+    "cow-blinding-weak-light": "8a59e5418a33644e2ee17578d7a6e0fd375970b4ff94df0dd8c81746a55a77bc",
 }
 
 
@@ -244,7 +260,7 @@ def _round_trips(record, tmp_path):
 def _hashed_span(data: bytes) -> bytes:
     """A record file minus its version line, its header's newline and its trailer."""
     version, header, rest = data.split(b"\n", 2)
-    assert version == b"dprsim-record/3"
+    assert version == b"dprsim-record/4"
     return header + rest[: rest.rindex(b'{"wall_time_s"')]
 
 
@@ -293,7 +309,8 @@ def test_content_hash_is_header_plus_raw_array_bytes(tmp_path):
     path = tmp_path / "record.json"
     save_record(record, path)
     trailer = json.dumps({"wall_time_s": record.wall_time_s}).encode() + b"\n"
-    assert path.read_bytes() == b"dprsim-record/3\n" + canonical.encode() + b"\n" + b"".join(arrays) + trailer
+    assert path.read_bytes() == b"dprsim-record/4\n" + canonical.encode() + b"\n" + b"".join(arrays) + trailer
+    assert json.loads(canonical)["format"] == "dprsim-record/4"
 
 
 def test_saved_record_is_compact_and_reloads_the_in_memory_types(tmp_path):
@@ -312,17 +329,28 @@ def test_saved_record_is_compact_and_reloads_the_in_memory_types(tmp_path):
 
     # Version line, header line, raw arrays and trailer, with nothing between.
     header = record.canonical_json().encode()
-    assert len(data) == len(b"dprsim-record/3\n") + len(header) + 1 + nbytes(record.to_dict()) + len(trailer)
+    assert len(data) == len(b"dprsim-record/4\n") + len(header) + 1 + nbytes(record.to_dict()) + len(trailer)
     clone = load_record(path)
     assert clone.wall_time_s == 1.25
     assert clone.content_hash() == record.content_hash()
+    # Blinded detectors keep their stored photocurrent.
     for name in clone.protocol_run.record.names:
         trace = clone.protocol_run.record[name]
         assert (trace.clicks.dtype, trace.linear_mode.dtype) == (np.bool_, np.bool_)
         assert (trace.intensity.dtype, trace.photocurrent.dtype) == (np.float64, np.float64)
-    assert clone.protocol_run.sifted_bob.dtype == np.int64
+    # Key bits are booleans, and Bob's key is stored once, as sifted_bob.
+    run = clone.protocol_run
+    assert run.sifted_alice.dtype == run.sifted_bob.dtype == clone.attack.eve_key.dtype == np.bool_
+    assert run.sifted_slots.dtype == np.int64
+    assert "bob_key" not in record.to_dict()["attack"] and not hasattr(clone.attack, "bob_key")
     np.testing.assert_array_equal(clone.attack.eve_readings, record.attack.eve_readings)
     assert clone.attack.eve_readings.dtype == clone.attack.bob_readings.dtype == np.int64
+    # A detector that was not blinded stores no photocurrent: it is its intensity.
+    clean = run_golden("cow-fig2")
+    save_record(clean, path)
+    for trace in load_record(path).protocol_run.record.detectors.values():
+        assert trace.photocurrent is None
+    assert clean.to_dict()["protocol_run"]["record"]["detectors"]["D_B"]["photocurrent"] is None
 
 
 def test_loaded_arrays_are_writable_and_keep_their_dtypes(tmp_path):
@@ -337,10 +365,10 @@ def test_loaded_arrays_are_writable_and_keep_their_dtypes(tmp_path):
         arrays.update({f"{name}.clicks": trace.clicks, f"{name}.photocurrent": trace.photocurrent})
     for name, arr in arrays.items():
         assert arr.flags.writeable, name
-        want = np.bool_ if name.endswith(".clicks") else np.float64 if "." in name else np.int64
+        want = np.float64 if name.endswith(".photocurrent") else np.int64 if name == "alice_bits" else np.bool_
         assert arr.dtype == want, name
     run.record[run.record.names[0]].clicks[0] ^= True
-    run.sifted_bob[:] = 0
+    run.sifted_bob[:] = False
     assert clone.content_hash() != record.content_hash()
 
 
@@ -538,7 +566,7 @@ def test_backflash_capture_is_one_only_in_ideal_mode():
 def test_cow_backflash_ideal_data_records_match():
     record = run_golden("cow-backflash-ideal")
     assert record.attack.capture_fraction == 1.0
-    np.testing.assert_array_equal(record.attack.eve_key, record.attack.bob_key)
+    np.testing.assert_array_equal(record.attack.eve_key, record.protocol_run.sifted_bob)
 
 
 def test_blinding_derived_readings_round_trip():
@@ -570,6 +598,7 @@ def test_noisy_receiver_runs_are_pinned(name):
     cfg = dict(NOISY_RUNS[name])
     cfg["detector"] = {**NOISY_DETECTOR, **cfg.get("detector", {})}
     record = run_scenario(scenario_from_dict(cfg))
+    assert record_v1_hash(record) == NOISY_RUN_V1_HASHES[name]
     assert record.content_hash() == NOISY_RUN_HASHES[name]
 
 

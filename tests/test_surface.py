@@ -1,11 +1,14 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import dprsim
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(dprsim.__path__))
+PACKAGE = Path(dprsim.__file__).parent
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -14,3 +17,25 @@ def test_every_exported_name_is_defined(name):
     exported = getattr(module, "__all__", ())
     assert [attr for attr in exported if not hasattr(module, attr)] == []
     exec(f"from dprsim.{name} import *", {})
+
+
+def test_every_exported_name_is_used_by_the_package():
+    # A public name that only tests call is surface to maintain for nothing.
+    # A use is a read of the name, or of an attribute of that name, anywhere
+    # in the package's modules except ``__init__.py``; the definition, the
+    # ``__all__`` entry (a string) and imports are not reads.
+    used: set[str] = set()
+    for name in MODULES:
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [
+        f"{name}.{attr}"
+        for name in MODULES
+        for attr in getattr(importlib.import_module(f"dprsim.{name}"), "__all__", ())
+        if attr not in used
+    ]
+    assert unused == []
