@@ -30,10 +30,6 @@ from .detectors import (
 )
 from .goldens import GOLDENS, golden_config_dict
 from .optics import (
-    CouplerRatio,
-    DriveProfile,
-    IncompatibleTrains,
-    MzmParams,
     PulseTrain,
     attenuate,
     coupler_2x2,

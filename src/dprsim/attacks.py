@@ -81,9 +81,9 @@ class FsgPlan:
         if len(self.phase_units) != self.intensity_per_slot.shape[0]:
             raise ValueError("one intensity per pulse required")
 
-    def to_train(self, slot_period: float = 1.0, wavelength: float = 1550.0) -> PulseTrain:
+    def to_train(self, slot_period: float = 1.0) -> PulseTrain:
         amps = np.sqrt(self.intensity_per_slot) * np.exp(1j * (np.pi / 2.0) * np.asarray(self.phase_units))
-        return PulseTrain(amps, slot_period, wavelength)
+        return PulseTrain(amps, slot_period)
 
 
 def _check_readings(readings, allowed: tuple[int, ...]) -> np.ndarray:
@@ -260,27 +260,33 @@ def trojan_probe(
     the timing offset is zero; a nonzero offset shifts which slot's modulation
     each probe pulse picks up.  Total attenuation is the reflection loss plus
     the wavelength-dependent excess loss of the probe band.
+
+    The shifted modulation holds only 0 and 1, and the modulator is
+    slot-local, so the reflection of each value is computed once, on a
+    two-slot probe, and each slot takes its value's, bit for bit.
     """
     if probe.probe_wavelength_nm == signal_wavelength:
         raise ValueError("probe wavelength must differ from the signal wavelength")
     if probe.probe_amplitude <= 0.0:
         raise ValueError("zero-amplitude probe")
-    mod = np.asarray(alice_modulation, dtype=np.float64)
+    mod = np.asarray(alice_modulation)
     n = mod.size
-    shifted = np.zeros(n, dtype=np.float64)
+    if mod.ndim != 1 or n < 1 or not np.all((mod == 0) | (mod == 1)):
+        raise ValueError("alice_modulation must be a nonempty sequence of 0s and 1s")
+    # Probe slot k picks up Alice's slot k - offset, where that slot exists.
     off = probe.timing_offset_slots
-    if off >= 0:
-        shifted[off:] = mod[: n - off] if off < n else []
-    else:
-        shifted[: n + off] = mod[-off:]
-    source = cw_laser(n, probe.probe_amplitude, probe.probe_wavelength_nm, slot_period)
+    lo, hi = max(off, 0), min(n, n + off)
+    shifted = np.zeros(n, dtype=np.int64)
+    if lo < hi:
+        shifted[lo:hi] = mod[lo - off : hi - off]
+    source = cw_laser(2, probe.probe_amplitude, slot_period)
     if protocol == "dps":
-        reflected = phase_modulator(source, np.pi * shifted)
+        per_value = phase_modulator(source, np.pi * np.arange(2))
     elif protocol == "cow":
-        reflected = pulse_carver(source, shifted)
+        per_value = pulse_carver(source, np.arange(2))
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
-    return attenuate(reflected, probe.reflection_db + excess_loss_db)
+    return attenuate(per_value.with_slots(per_value.slots[shifted]), probe.reflection_db + excess_loss_db)
 
 
 def trojan_decode(
@@ -349,7 +355,7 @@ class AttackOutcome:
     induced on the legitimate run and which countermeasure alarms fired."""
 
     attack: str
-    eve_key: np.ndarray
+    eve_key: npt.NDArray[np.bool_]
     capture_fraction: float
     induced_qber: float | None = None
     induced_visibility_drop: float | None = None

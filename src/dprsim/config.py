@@ -9,7 +9,10 @@ loudly.  Identical configs plus the same seed give bit-identical runs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import sys
+import typing
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
@@ -43,24 +46,34 @@ def _require_int(value, path: str) -> None:
 
 
 def _floats(value: Any, path: str):
-    """Every float in a field value, nested tuples included, with its path."""
-    if isinstance(value, float):
+    """Every number in a field value, nested tuples included, with its path."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         yield path, value
     elif isinstance(value, tuple):
         for i, v in enumerate(value):
             yield from _floats(v, f"{path}[{i}]")
 
 
-def _check_finite(section: Any, path: str = "") -> None:
-    """Reject NaN and infinity in every float field, naming the field path."""
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def _check_numbers(section: Any, path: str = "") -> None:
+    """Reject a value that is not a number in every float field, and NaN and
+    infinity in every numeric field, naming the field path.  (PyYAML reads
+    ``1e-5`` as a string; ``1.0e-5`` is the float.)"""
+    hints = _type_hints(type(section))
     for f in fields(section):
         where = f"{path}.{f.name}" if path else f.name
         value = getattr(section, f.name)
         if dataclasses.is_dataclass(value):
-            _check_finite(value, where)
+            _check_numbers(value, where)
             continue
+        if float in (hints[f.name], *typing.get_args(hints[f.name])) and value is not None:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{where}: must be a number, got {value!r}")
         for sub, v in _floats(value, where):
-            if not math.isfinite(v):
+            # Compared, not converted: an int too large for a float is not finite either.
+            if not abs(v) <= sys.float_info.max:
                 raise ConfigError(f"{sub}: must be finite, got {v}")
 
 
@@ -284,7 +297,7 @@ class ScenarioConfig:
     golden_name: str | None = None
 
     def validate(self) -> None:
-        _check_finite(self)
+        _check_numbers(self)
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"protocol: must be one of {PROTOCOLS}, got {self.protocol!r}")
         _require_int(self.n_symbols, "n_symbols")
@@ -295,6 +308,15 @@ class ScenarioConfig:
             raise ConfigError(f"seed: must be an unsigned 64-bit integer, got {self.seed}")
         if self.amplitude <= 0:
             raise ConfigError(f"amplitude: must be > 0, got {self.amplitude}")
+        # The optics square these field amplitudes into intensities.
+        gain = float(self.attack.backflash.emission_gain)
+        for where, a in (
+            ("amplitude", float(self.amplitude)),
+            ("attack.backflash.emission_gain", max(gain, gain * float(self.amplitude))),
+            ("attack.trojan.probe_amplitude", float(self.attack.trojan.probe_amplitude)),
+        ):
+            if not math.isfinite(a * a):
+                raise ConfigError(f"{where}: too large: the field amplitude it sets, {a}, squares to an infinite intensity")
         if self.wavelength_nm <= 0:
             raise ConfigError(f"wavelength_nm: must be > 0, got {self.wavelength_nm}")
         if self.slot_period_s is not None and self.slot_period_s <= 0:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import numpy.typing as npt
 
 from .config import BackflashSettings
 from .optics import PulseTrain
@@ -127,10 +128,16 @@ class DetectorTrace:
     that is not, whose photocurrent is its ``intensity``) and the
     Geiger/linear mode actually in force."""
 
-    clicks: np.ndarray
-    intensity: np.ndarray
-    photocurrent: np.ndarray | None
-    linear_mode: np.ndarray
+    clicks: npt.NDArray[np.bool_]
+    intensity: npt.NDArray[np.float64]
+    photocurrent: npt.NDArray[np.float64] | None
+    linear_mode: npt.NDArray[np.bool_]
+
+    def __post_init__(self) -> None:
+        for name in ("intensity", "photocurrent", "linear_mode"):
+            values = getattr(self, name)
+            if values is not None and len(values) != len(self.clicks):
+                raise ValueError(f"{name}: {len(values)} slots, but clicks has {len(self.clicks)}")
 
     def __len__(self) -> int:
         return self.clicks.shape[0]

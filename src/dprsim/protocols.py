@@ -24,19 +24,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import numpy.typing as npt
 
 from .config import DetectorSettings
 from .detectors import ApdConfig, BlindingState, DetectionRecord, apd_detect
-from .optics import (
-    CouplerRatio,
-    MzmParams,
-    PulseTrain,
-    coupler_2x2,
-    cw_laser,
-    dli,
-    phase_modulator,
-    pulse_carver,
-)
+from .optics import PulseTrain, coupler_2x2, cw_laser, dli, phase_modulator, pulse_carver
 
 __all__ = [
     "COW_SYMBOLS",
@@ -68,14 +60,23 @@ class ProtocolRun:
     records and the sifting outcome, handed to the scenario engine."""
 
     protocol: str
-    alice_bits: np.ndarray | None
+    alice_bits: npt.NDArray[np.int64] | None
     alice_symbols: str | None
     record: DetectionRecord
-    sifted_alice: np.ndarray
-    sifted_bob: np.ndarray
-    sifted_slots: np.ndarray
+    sifted_alice: npt.NDArray[np.bool_]
+    sifted_bob: npt.NDArray[np.bool_]
+    sifted_slots: npt.NDArray[np.int64]
     qber: float | None
     visibility_report: VisibilityReport | None = None
+
+    def __post_init__(self) -> None:
+        n = len(self.sifted_slots)
+        for name in ("sifted_alice", "sifted_bob"):
+            if len(getattr(self, name)) != n:
+                raise ValueError(f"{name}: {len(getattr(self, name))} bits for {n} sifted_slots")
+        grid = len(self.alice_symbols or "") if self.alice_bits is None else len(self.alice_bits)
+        if n and not (0 <= self.sifted_slots.min() and self.sifted_slots.max() < grid):
+            raise ValueError(f"sifted_slots: a slot lies outside Alice's grid of {grid}")
 
     @property
     def sifted_length(self) -> int:
@@ -130,7 +131,7 @@ def receive(
     elif protocol == "cow":
         if not (0.0 < t_b < 1.0):
             raise ValueError(f"t_b must be within (0, 1), got {t_b}")
-        data_line, monitor_line = coupler_2x2(train, None, CouplerRatio(t_b))
+        data_line, monitor_line = coupler_2x2(train, None, t_b)
         constructive, destructive = dli(monitor_line, 1)
         monitor = 1.0 - t_b
         lines = {"D_B": (data_line, t_b, "_b"), "D_M1": (constructive, monitor, "_m"), "D_M2": (destructive, monitor, "_m")}
@@ -174,21 +175,15 @@ def _as_bits(bits) -> np.ndarray:
     return arr
 
 
-def dps_encode(
-    phase_bits,
-    pulse_amplitude: float = 1.0,
-    slot_period: float = 1.0,
-    wavelength: float = 1550.0,
-    mzm: MzmParams | None = None,
-) -> PulseTrain:
+def dps_encode(phase_bits, pulse_amplitude: float = 1.0, slot_period: float = 1.0) -> PulseTrain:
     """Alice's transmitter: CW laser, pulse carver, then a common-drive phase
     modulator applying 0 or pi per slot according to the bit.  Every component
     is slot-local, so running the chain once over bits 0 and 1 and giving each
     slot its bit's value equals the chain over the whole train, bit for bit."""
     bits = _as_bits(phase_bits)
-    source = cw_laser(2, pulse_amplitude, wavelength, slot_period)
-    carved = pulse_carver(source, np.ones(2), mzm)
-    per_bit = phase_modulator(carved, np.pi * np.arange(2), mzm)
+    source = cw_laser(2, pulse_amplitude, slot_period)
+    carved = pulse_carver(source, np.ones(2))
+    per_bit = phase_modulator(carved, np.pi * np.arange(2))
     return per_bit.with_slots(per_bit.slots[bits])
 
 
@@ -282,20 +277,14 @@ def _cow_half_slots(symbols, clicks: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return kept, late[kept], early[kept] & late[kept]
 
 
-def cow_encode(
-    symbols,
-    amplitude: float = 1.0,
-    slot_period: float = 0.5,
-    wavelength: float = 1550.0,
-    mzm: MzmParams | None = None,
-) -> PulseTrain:
+def cow_encode(symbols, amplitude: float = 1.0, slot_period: float = 0.5) -> PulseTrain:
     """Alice's transmitter: CW laser carved into the two-slot occupancy pattern;
     all pulses stay mutually coherent (common phase 0).  Laser and carver are
     slot-local, so carving the six slots of the three symbols once and giving
     each symbol its pair equals carving the whole train, bit for bit."""
     codes = _as_symbols(symbols)[1]
-    source = cw_laser(_PULSES.size, amplitude, wavelength, slot_period)
-    per_symbol = pulse_carver(source, _PULSES.reshape(-1), mzm).slots.reshape(_PULSES.shape)
+    source = cw_laser(_PULSES.size, amplitude, slot_period)
+    per_symbol = pulse_carver(source, _PULSES.reshape(-1)).slots.reshape(_PULSES.shape)
     return source.with_slots(per_symbol[codes].reshape(-1))
 
 

@@ -117,9 +117,9 @@ def _alice_material(cfg: ScenarioConfig, rngs: RngFactory) -> tuple[np.ndarray |
 def _transmit(cfg: ScenarioConfig, alice_bits: np.ndarray | None, alice_symbols: str | None) -> PulseTrain:
     """Alice's encoder and the channel: the train arriving at Bob."""
     if cfg.protocol == "dps":
-        train = dps_encode(alice_bits, cfg.amplitude, cfg.slot_period, cfg.wavelength_nm)
+        train = dps_encode(alice_bits, cfg.amplitude, cfg.slot_period)
     else:
-        train = cow_encode(alice_symbols, cfg.amplitude, cfg.slot_period, cfg.wavelength_nm)
+        train = cow_encode(alice_symbols, cfg.amplitude, cfg.slot_period)
     pattern = cfg.channel.phase_tamper_half_turns
     if pattern is None:
         return train
@@ -230,7 +230,7 @@ def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun) -> AttackOutcome:
     cm = cfg.countermeasures.watchdog
     if cm.enabled:
         # The probe is continuous-wave, so one slot of it shows the watchdog its peak.
-        probe_in = cw_laser(1, s.probe_amplitude, s.probe_wavelength_nm, cfg.slot_period)
+        probe_in = cw_laser(1, s.probe_amplitude, cfg.slot_period)
         wd_alarm = watchdog(probe_in, cm.tap_fraction, cm.intensity_threshold)
         probe_amplitude = s.probe_amplitude * float(np.sqrt(1.0 - cm.tap_fraction))
 
@@ -335,7 +335,7 @@ def _run_blinding(
         feasibility = blinding_feasible(rails, cfg.t_b).as_dict()
         eve_slots, eve_bits = _cow_eve_key(clean.alice_symbols, _window(readings == 3, 0, n_slots))
 
-    trigger = plan.to_train(cfg.slot_period, cfg.wavelength_nm)
+    trigger = plan.to_train(cfg.slot_period)
     blind = BlindingState(0.0, s.decay_per_slot, s.blind_threshold)
     background = _blinding_background(s.style, s.illumination_level, s.pulse_period_slots, len(trigger) + 1)
     record, _ = _receive(cfg, trigger, rngs, "bob", blind=blind, background=background)
@@ -376,17 +376,14 @@ RECORD_FORMAT = "dprsim-record/4"
 # Formats of older record files, which are no longer read.
 _RETIRED_FORMATS = ("dprsim-record/1", "dprsim-record/2", "dprsim-record/3")
 
-# Array dtype kind in memory -> stored little-endian dtype, and back.  Booleans
-# are stored as their bytes (``|u1``), so every platform hashes and writes the
-# same bits.
-_STORED = {"i": "<i8", "f": "<f8"}
-_LOADED = {"|u1": np.bool_, "<i8": np.int64, "<f8": np.float64}
+# ``X`` of an ``NDArray[X]`` hint -> stored little-endian dtype (bools as bytes, the same on every platform).
+_STORED = {np.bool_: "|u1", np.int64: "<i8", np.float64: "<f8"}
 _SCALARS = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}
 
 
-def _field_hints(cls: type) -> list[tuple[str, Any]]:
+def _field_hints(cls: type) -> dict[str, Any]:
     hints = typing.get_type_hints(cls)
-    return [(f.name, hints[f.name]) for f in fields(cls)]
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
 def _inner(hint: Any) -> Any:
@@ -395,6 +392,11 @@ def _inner(hint: Any) -> Any:
     if typing.get_origin(hint) in (typing.Union, types.UnionType) and len(args) == 1:
         return args[0]
     return hint
+
+
+def _scalar(hint: Any) -> Any:
+    """The ``X`` of an ``NDArray[X]`` hint; None for any other hint."""
+    return typing.get_args(typing.get_args(hint)[1])[0] if typing.get_origin(hint) is np.ndarray else None
 
 
 def _at(path: str, key: str) -> str:
@@ -408,51 +410,49 @@ def _expect(node: Any, kinds: tuple[type, ...], what: str, path: str) -> None:
 
 def _tree(value: Any, hint: Any) -> Any:
     """Plain tree of a record value, led by its type hint: dataclasses become
-    field mappings, arrays become contiguous arrays of a stored dtype,
-    everything else stays as it is."""
+    field mappings, arrays become contiguous arrays of their hint's stored
+    dtype, everything else stays as it is."""
     if value is None:
         return None
     hint = _inner(hint)
     if is_dataclass(hint):
-        return {name: _tree(getattr(value, name), t) for name, t in _field_hints(hint)}
-    origin = typing.get_origin(hint)
-    if hint is np.ndarray or origin is np.ndarray:
-        arr = np.asarray(value)
-        arr = arr.view(np.uint8) if arr.dtype.kind == "b" else arr.astype(_STORED[arr.dtype.kind], copy=False)
-        return np.ascontiguousarray(arr)
-    if origin is dict:
+        return {name: _tree(getattr(value, name), t) for name, t in _field_hints(hint).items()}
+    scalar = _scalar(hint)
+    if scalar is not None:
+        arr = np.ascontiguousarray(value, dtype=scalar)
+        return arr.view(np.uint8) if scalar is np.bool_ else arr.astype(_STORED[scalar], copy=False)
+    if typing.get_origin(hint) is dict:
         return {k: _tree(v, typing.get_args(hint)[1]) for k, v in value.items()}
     return value
 
 
 def _untree(node: Any, hint: Any, path: str) -> Any:
-    """Inverse of ``_tree``, checking each node against its type hint; errors
-    name the field path.  Stored arrays become the in-memory types without a
-    copy: ``|u1`` bytes, which must be 0 or 1, are viewed as booleans."""
+    """Inverse of ``_tree``, checking each node against its hint (an array: its
+    stored dtype, one dimension) and each dataclass against its invariants;
+    errors name the field.  Arrays are not copied: ``|u1`` is viewed as bool."""
     inner = _inner(hint)
     if node is None and inner is not hint:
         return None
     if is_dataclass(inner):
         _expect(node, (dict,), "a mapping", path)
         hints = _field_hints(inner)
-        for name, _ in hints:
-            if name not in node:
-                raise ValueError(f"missing field {_at(path, name)!r}")
-        unknown = sorted(node.keys() - dict(hints).keys())
-        if unknown:
-            raise ValueError(f"unknown field {_at(path, unknown[0])!r}")
-        return inner(**{name: _untree(node[name], t, _at(path, name)) for name, t in hints})
-    origin = typing.get_origin(inner)
-    if inner is np.ndarray or origin is np.ndarray:
+        missing, unknown = [name for name in hints if name not in node], sorted(node.keys() - hints.keys())
+        if missing or unknown:
+            raise ValueError(f"{'missing' if missing else 'unknown'} field {_at(path, (missing or unknown)[0])!r}")
+        values = {name: _untree(node[name], t, _at(path, name)) for name, t in hints.items()}
+        try:
+            return inner(**values)
+        except ValueError as exc:
+            raise ValueError(_at(path, str(exc))) from exc
+    scalar = _scalar(inner)
+    if scalar is not None:
         _expect(node, (np.ndarray,), "an array", path)
-        dtype = node.dtype.str
-        # The one dtyped hint, ``NDArray[np.int64]``, is stored as ``<i8`` only.
-        if dtype not in (_LOADED if inner is np.ndarray else ("<i8",)):
-            raise ValueError(f"{path}: unsupported array dtype {dtype!r}")
-        if dtype == "|u1" and node.size and node.max() > 1:
+        if node.dtype.str != _STORED[scalar] or node.ndim != 1:
+            raise ValueError(f"{path}: unsupported array dtype {node.dtype.str!r} or shape {list(node.shape)}")
+        if scalar is np.bool_ and node.size and node.max() > 1:
             raise ValueError(f"{path}: byte {node.max()} is not a boolean (0 or 1)")
-        return node.view(np.bool_) if dtype == "|u1" else node.astype(_LOADED[dtype], copy=False)
-    if origin is dict:
+        return node.view(np.bool_) if scalar is np.bool_ else node.astype(scalar, copy=False)
+    if typing.get_origin(inner) is dict:
         _expect(node, (dict,), "a mapping", path)
         return {k: _untree(v, typing.get_args(inner)[1], _at(path, k)) for k, v in node.items()}
     if inner is not Any:
@@ -477,7 +477,7 @@ def _map_arrays(node: Any, data: bytearray, offset: int, path: str) -> tuple[Any
     returns the tree and the offset past its last array."""
     if isinstance(node, dict) and node.keys() == {"dtype", "shape"}:
         dtype, shape = node["dtype"], node["shape"]
-        if not isinstance(dtype, str) or dtype not in _LOADED:
+        if not isinstance(dtype, str) or dtype not in _STORED.values():
             raise ValueError(f"{path}: unsupported array dtype {dtype!r}")
         if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
             raise ValueError(f"{path}: expected a list of sizes as shape, got {shape!r}")

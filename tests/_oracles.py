@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from dprsim.optics import PulseTrain, cw_laser, phase_modulator, pulse_carver
+from dprsim.optics import PulseTrain, attenuate, cw_laser, phase_modulator, pulse_carver
 
 
 def brute_force_dli_ports(amplitudes, delay: int = 1) -> tuple[list[float], list[float]]:
@@ -356,17 +356,34 @@ def blinding_trace_loop(stored_photocurrent: float, decay_per_slot: float, incid
     return stored
 
 
-def dps_encode_chain(bits, amplitude: float, slot_period: float, wavelength: float, mzm) -> PulseTrain:
+def dps_encode_chain(bits, amplitude: float, slot_period: float) -> PulseTrain:
     bits = np.asarray(bits, dtype=np.int64)
-    source = cw_laser(bits.size, amplitude, wavelength, slot_period)
-    carved = pulse_carver(source, np.ones(bits.size), mzm)
-    return phase_modulator(carved, np.pi * bits, mzm)
+    source = cw_laser(bits.size, amplitude, slot_period)
+    carved = pulse_carver(source, np.ones(bits.size))
+    return phase_modulator(carved, np.pi * bits)
 
 
-def cow_encode_chain(sym: str, amplitude: float, slot_period: float, wavelength: float, mzm) -> PulseTrain:
+def cow_encode_chain(sym: str, amplitude: float, slot_period: float) -> PulseTrain:
     occ = cow_occupancy_loop(sym)
-    source = cw_laser(occ.size, amplitude, wavelength, slot_period)
-    return pulse_carver(source, occ, mzm)
+    source = cw_laser(occ.size, amplitude, slot_period)
+    return pulse_carver(source, occ)
+
+
+def trojan_probe_chain(protocol: str, modulation, probe, slot_period: float, excess_loss_db: float) -> PulseTrain:
+    """The probe's reflection with the modulator run over every slot."""
+    mod = np.asarray(modulation, dtype=np.float64)
+    n = mod.size
+    shifted = np.zeros(n, dtype=np.float64)
+    for k in range(n):
+        src = k - probe.timing_offset_slots
+        if 0 <= src < n:
+            shifted[k] = mod[src]
+    source = cw_laser(n, probe.probe_amplitude, slot_period)
+    if protocol == "dps":
+        reflected = phase_modulator(source, np.pi * shifted)
+    else:
+        reflected = pulse_carver(source, shifted)
+    return attenuate(reflected, probe.reflection_db + excess_loss_db)
 
 
 def backflash_emit_where(emit, gain: float, slots) -> np.ndarray:

@@ -1,7 +1,10 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 from dprsim.cli import main
 from dprsim.config import ScenarioConfig, scenario_from_dict
 from dprsim.report import MetricsSummary, emit_outputs, load_record, save_record, summarize
-from dprsim.scenario import run_golden, run_scenario
+from dprsim.scenario import RunRecord, run_golden, run_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +315,22 @@ def _set_readings_dtype(dtype):
     return _edit_header(change)
 
 
+def _move_elements(source: tuple[str, ...], target: tuple[str, ...], count: int):
+    # Shorten one array and lengthen another of the same dtype by ``count``
+    # elements: the file still frames, but the arrays' lengths no longer agree.
+    def change(tree):
+        for path, step in ((source, -count), (target, count)):
+            leaf = tree
+            for key in path:
+                leaf = leaf[key]
+            leaf["shape"] = [leaf["shape"][0] + step]
+
+    return _edit_header(change)
+
+
+_D_B = ("protocol_run", "record", "detectors", "D_B")
+
+
 # Unreadable record files: kind -> (edit of a good record file's bytes, or
 # None for no file; expected reason).  The kinds in ON_ATTACKED_RECORD edit
 # an attacked record, the others a clean one.
@@ -355,6 +374,18 @@ BAD_RECORDS = {
     "extra-trailer": (lambda d: d + b'{"wall_time_s": 2.0}\n', "extra bytes after the trailer"),
     "trailer-type": (_edit_trailer(b'{"wall_time_s": "soon"}\n'), "wall_time_s: expected float, got str"),
     "bool-byte": (_first_array_byte(2), "protocol_run.record.detectors.D_B.clicks: byte 2 is not a boolean"),
+    "trace-lengths": (
+        _move_elements((*_D_B, "linear_mode"), ("protocol_run", "record", "detectors", "D_M1", "clicks"), 6),
+        "protocol_run.record.detectors.D_B.linear_mode: 10 slots, but clicks has 16",
+    ),
+    "sifted-lengths": (
+        _move_elements(("protocol_run", "sifted_alice"), ("protocol_run", "sifted_bob"), 1),
+        "protocol_run.sifted_alice: 3 bits for 4 sifted_slots",
+    ),
+    "two-dimensional": (
+        _edit_header(lambda t: t["protocol_run"]["record"]["detectors"]["D_B"]["intensity"].update(shape=[2, 8])),
+        "protocol_run.record.detectors.D_B.intensity: unsupported array dtype '<f8' or shape [2, 8]",
+    ),
     # Readings are int64 only, although float64 is a stored dtype elsewhere.
     "readings-dtype": (_set_readings_dtype("<f8"), "attack.eve_readings: unsupported array dtype '<f8'"),
 }
@@ -391,6 +422,102 @@ def test_cli_report_rejects_unreadable_record(tmp_path, capsys, good_record, att
     assert reason in err
 
 
+def test_cli_report_names_a_clicks_array_retyped_to_int64(tmp_path, capsys):
+    # The same 16 bytes read as two int64 "clicks" would index past the
+    # trace; a clicks array is stored as |u1 only.
+    path = tmp_path / "record.json"
+    save_record(run_scenario(scenario_from_dict({"protocol": "dps", "n_symbols": 15, "seed": 1})), path)
+
+    def change(tree):
+        leaf = tree["protocol_run"]["record"]["detectors"]["D1"]["clicks"]
+        assert leaf == {"dtype": "|u1", "shape": [16]}
+        leaf.update(dtype="<i8", shape=[2])
+
+    path.write_bytes(_edit_header(change)(path.read_bytes()))
+    capsys.readouterr()
+    assert main(["report", "--record", str(path)]) == 1
+    assert "protocol_run.record.detectors.D1.clicks: unsupported array dtype '<i8'" in capsys.readouterr().err
+
+
+def test_loading_rejects_a_sifted_slot_outside_alices_grid():
+    record = run_scenario(scenario_from_dict({"protocol": "cow", "n_symbols": 8, "seed": 1}))
+    tree = record.to_dict()
+    tree["protocol_run"]["sifted_slots"] = tree["protocol_run"]["sifted_slots"] + 8
+    with pytest.raises(ValueError, match="^protocol_run.sifted_slots: a slot lies outside Alice's grid of 8"):
+        RunRecord.from_dict(tree)
+
+
+def _leaves(node, path=()):
+    """Paths of the ``{"dtype", "shape"}`` leaves of a record header, in file order."""
+    if isinstance(node, dict) and node.keys() == {"dtype", "shape"}:
+        yield path
+    elif isinstance(node, dict):
+        for key in sorted(node):
+            yield from _leaves(node[key], (*path, key))
+
+
+def _field_paths(node, path=""):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            where = f"{path}.{key}" if path else key
+            yield where
+            yield from _field_paths(value, where)
+
+
+@st.composite
+def _byte_preserving_rewrites(draw, header: dict):
+    """New dtypes and shapes for one to three header leaves that together
+    keep the bytes they had, so the file still frames; returns the edited
+    header."""
+    leaves = list(_leaves(header))
+    chosen = draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=3, unique=True))
+    nodes = []
+    for path in chosen:
+        node = header
+        for key in path:
+            node = node[key]
+        nodes.append(node)
+    budget = sum(np.dtype(n["dtype"]).itemsize * math.prod(n["shape"]) for n in nodes)
+    for i, node in enumerate(nodes):
+        last = i == len(nodes) - 1
+        dtypes = [d for d in ("|u1", "<i8", "<f8") if not last or budget % np.dtype(d).itemsize == 0]
+        dtype = draw(st.sampled_from(dtypes))
+        size = np.dtype(dtype).itemsize
+        count = budget // size if last else draw(st.integers(0, budget // size))
+        budget -= count * size
+        rows = draw(st.sampled_from([None] + [d for d in range(1, count + 1) if count % d == 0]))
+        node.update(dtype=dtype, shape=[count] if rows is None else [rows, count // rows])
+    return header
+
+
+@pytest.fixture(scope="module")
+def blinded_record_file(tmp_path_factory) -> bytes:
+    path = tmp_path_factory.mktemp("blinded") / "record.json"
+    scenario = {"protocol": "dps", "n_symbols": 15, "seed": 1, "attack": {"kind": "blinding"}}
+    save_record(run_scenario(scenario_from_dict(scenario)), path)
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rewritten_header_leaves_report_or_name_a_field(tmp_path_factory, blinded_record_file, data):
+    # A header that claims other dtypes or shapes for the same array bytes
+    # either loads as a record that summarize can read, or fails to load
+    # with a ValueError naming a field; never a runtime error (exit 2).
+    version, header, rest = blinded_record_file.split(b"\n", 2)
+    tree = data.draw(_byte_preserving_rewrites(json.loads(header)))
+    path = tmp_path_factory.mktemp("rewritten") / "record.json"
+    path.write_bytes(b"\n".join([version, json.dumps(tree, sort_keys=True, separators=(",", ":")).encode(), rest]))
+    try:
+        record = load_record(path)
+    except ValueError as exc:
+        assert any(str(exc).startswith(f"{field}:") for field in _field_paths(tree)), str(exc)
+        return
+    json.dumps(summarize(record).to_dict())
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["report", "--record", str(path)]) == 0
+
+
 def _float_field_paths(cls: type = ScenarioConfig, prefix: str = ""):
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
@@ -410,16 +537,71 @@ NAN_FIELDS = [(path, math.nan, path) for path in _float_field_paths()] + [
 
 @pytest.mark.parametrize("path,value,named", NAN_FIELDS, ids=[case[0] for case in NAN_FIELDS])
 def test_cli_rejects_nan_in_every_float_field(tmp_path, capsys, path, value, named):
+    assert _run_document(tmp_path, yaml.safe_dump(_at_path(path, value))) == 1
+    assert f"{named}: must be finite" in capsys.readouterr().err
+
+
+def _at_path(path: str, value) -> dict:
+    """A scenario document that sets the field at a dotted path."""
     doc: dict = {}
     node = doc
     *parents, leaf = path.split(".")
     for key in parents:
         node = node.setdefault(key, {})
     node[leaf] = value
-    scenario = tmp_path / "nan.yaml"
-    scenario.write_text(yaml.safe_dump(doc))
-    assert main(["run", "--config", str(scenario), "--out", str(tmp_path / "out")]) == 1
-    assert f"{named}: must be finite" in capsys.readouterr().err
+    return doc
+
+
+def _run_document(tmp_path, text: str) -> int:
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(text)
+    return main(["run", "--config", str(scenario), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("path", list(_float_field_paths()))
+def test_cli_rejects_a_string_in_every_float_field(tmp_path, capsys, path):
+    assert _run_document(tmp_path, yaml.safe_dump(_at_path(path, "1e-5"))) == 1
+    assert f"{path}: must be a number, got '1e-5'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,named",
+    [
+        # PyYAML reads an exponent without a dot as a string.
+        ("detector: {dark_count_prob: 1e-5}", "detector.dark_count_prob: must be a number, got '1e-5'"),
+        ('amplitude: "abc"', "amplitude: must be a number, got 'abc'"),
+        ("amplitude: true", "amplitude: must be a number, got True"),
+        ("amplitude: " + "9" * 400, "amplitude: must be finite"),
+    ],
+)
+def test_cli_names_a_float_field_holding_a_non_number(tmp_path, capsys, text, named):
+    assert _run_document(tmp_path, text) == 1
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,named",
+    [
+        ("amplitude: 1.0e+160", "amplitude"),
+        ("attack: {kind: backflash, backflash: {emission_gain: 1.0e+200}}", "attack.backflash.emission_gain"),
+        ("amplitude: 1.0e+100\nattack: {kind: backflash, backflash: {emission_gain: 1.0e+60}}", "attack.backflash.emission_gain"),
+        ("amplitude: 1.0e-100\nattack: {kind: backflash, backflash: {emission_gain: 1.0e+160}}", "attack.backflash.emission_gain"),
+        ("attack: {kind: trojan, trojan: {probe_amplitude: 1.0e+200}}", "attack.trojan.probe_amplitude"),
+    ],
+)
+def test_cli_rejects_an_amplitude_whose_intensity_overflows(tmp_path, capsys, text, named):
+    assert _run_document(tmp_path, text) == 1
+    assert f"{named}: too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["backflash", "trojan", "blinding"])
+def test_cli_runs_at_the_largest_amplitudes_it_accepts(tmp_path, kind):
+    text = f"amplitude: 1.0e+150\nattack: {{kind: {kind}, backflash: {{emission_gain: 1.0}}, trojan: {{probe_amplitude: 1.0e+150}}}}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run_document(tmp_path, text) == 0
+    run = load_record(tmp_path / "out" / "record.json").protocol_run
+    assert np.all(np.isfinite(run.record["D1"].intensity))
 
 
 def test_cli_goldens_listing(capsys):

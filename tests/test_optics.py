@@ -6,10 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dprsim.optics import (
-    CouplerRatio,
-    DriveProfile,
-    IncompatibleTrains,
-    MzmParams,
+    _V_PI_RF,
     PulseTrain,
     attenuate,
     coupler_2x2,
@@ -26,8 +23,8 @@ from _oracles import brute_force_dli_ports
 QUARTER_PHASES = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)
 
 
-def unit_train(n=4, amplitude=1.0, **kw):
-    return cw_laser(n, amplitude, **kw)
+def unit_train(n=4, amplitude=1.0):
+    return cw_laser(n, amplitude)
 
 
 # ---------------------------------------------------------------------------
@@ -39,15 +36,27 @@ def test_pulse_train_rejects_bad_grid():
     with pytest.raises(ValueError):
         PulseTrain(np.ones(3), slot_period=0.0)
     with pytest.raises(ValueError):
-        PulseTrain(np.ones(3), wavelength=-1.0)
+        PulseTrain(np.ones((2, 3)))
     with pytest.raises(ValueError):
         PulseTrain(np.array([1.0, np.inf]))
 
 
+def test_public_pulse_train_copies_caller_data_and_rejects_nan():
+    data = np.array([1.0 + 0j, 0.5j])
+    train = PulseTrain(data)
+    data[0] = 7.0
+    assert train.slots[0] == 1.0 + 0j
+    assert not train.slots.flags.writeable
+    with pytest.raises(ValueError, match="finite"):
+        PulseTrain(np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="finite"):
+        PulseTrain([complex(0.0, np.nan)])
+
+
 def test_cw_laser_contract():
-    train = cw_laser(5, 1.0, 1550.0)
+    train = cw_laser(5, 1.0, slot_period=0.25)
     assert len(train) == 5
-    assert train.wavelength == 1550.0
+    assert train.slot_period == 0.25
     np.testing.assert_allclose(train.intensities, np.ones(5))
 
 
@@ -58,42 +67,43 @@ def test_cw_laser_contract():
 
 def test_mzm_identity_at_zero_drive():
     train = unit_train()
-    out = mzm_transfer(train, DriveProfile.balanced(np.zeros(4)))
+    out = mzm_transfer(train, np.zeros(4), -np.zeros(4))
     np.testing.assert_allclose(out.slots, train.slots, atol=1e-15)
 
 
 def test_mzm_common_full_pi_drive_flips_sign():
-    params = MzmParams(v_pi_rf=4.0)
     train = unit_train()
-    out = mzm_transfer(train, DriveProfile.common(np.full(4, 4.0)), params)
+    out = mzm_transfer(train, np.full(4, _V_PI_RF), np.full(4, _V_PI_RF))
     np.testing.assert_allclose(out.slots, -train.slots, atol=1e-12)
 
 
 def test_mzm_balanced_half_pi_drive_extinguishes():
-    params = MzmParams(v_pi_rf=4.0)
     train = unit_train()
-    out = mzm_transfer(train, DriveProfile.balanced(np.full(4, 2.0)), params)
+    out = mzm_transfer(train, np.full(4, _V_PI_RF / 2), np.full(4, -_V_PI_RF / 2))
     np.testing.assert_allclose(np.abs(out.slots), 0.0, atol=1e-12)
 
 
 def test_mzm_drive_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        mzm_transfer(unit_train(4), DriveProfile.balanced(np.zeros(3)))
+        mzm_transfer(unit_train(4), np.zeros(3), np.zeros(3))
+    with pytest.raises(ValueError):
+        mzm_transfer(unit_train(4), np.zeros(4), np.zeros(5))
 
 
 def test_mzm_non_finite_drive_rejected():
-    with pytest.raises(ValueError):
-        DriveProfile.common(np.array([0.0, np.nan]))
+    with pytest.raises(ValueError, match="finite"):
+        mzm_transfer(unit_train(2), np.array([0.0, np.nan]), np.zeros(2))
+    with pytest.raises(ValueError, match="finite"):
+        phase_modulator(unit_train(2), [0.0, np.inf])
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-10, 10), min_size=1, max_size=16))
 def test_mzm_periodic_in_two_v_pi(voltages):
-    params = MzmParams(v_pi_rf=3.0)
     train = cw_laser(len(voltages), 1.0)
     v = np.array(voltages)
-    base = mzm_transfer(train, DriveProfile.common(v), params)
-    shifted = mzm_transfer(train, DriveProfile.common(v + 2.0 * params.v_pi_rf), params)
+    base = mzm_transfer(train, v, v)
+    shifted = mzm_transfer(train, v + 2.0 * _V_PI_RF, v + 2.0 * _V_PI_RF)
     np.testing.assert_allclose(shifted.slots, base.slots, atol=1e-12)
 
 
@@ -101,6 +111,10 @@ def test_pulse_carver_occupancy():
     train = unit_train(4)
     out = pulse_carver(train, [1, 0, 1, 0])
     np.testing.assert_allclose(out.intensities, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+    # A carved pulse keeps its phase; an extinguished slot leaves a residue far
+    # below any click threshold.
+    np.testing.assert_array_equal(out.slots[[0, 2]], train.slots[[0, 2]])
+    assert np.all(out.intensities[[1, 3]] < 1e-30)
 
 
 def test_phase_modulator_preserves_amplitude():
@@ -116,14 +130,14 @@ def test_phase_modulator_preserves_amplitude():
 
 def test_coupler_50_50_splits_single_pulse():
     pulse = PulseTrain(np.array([1.0 + 0j]))
-    out_a, out_b = coupler_2x2(pulse, None, CouplerRatio(0.5))
+    out_a, out_b = coupler_2x2(pulse, None, 0.5)
     assert out_a.intensities[0] == pytest.approx(0.5)
     assert out_b.intensities[0] == pytest.approx(0.5)
 
 
 def test_coupler_90_10_split():
     pulse = PulseTrain(np.array([1.0 + 0j]))
-    out_a, out_b = coupler_2x2(pulse, None, CouplerRatio(0.9))
+    out_a, out_b = coupler_2x2(pulse, None, 0.9)
     assert out_a.intensities[0] == pytest.approx(0.9)
     assert out_b.intensities[0] == pytest.approx(0.1)
 
@@ -140,16 +154,18 @@ complex_slot = st.tuples(st.floats(-2, 2), st.floats(-2, 2)).map(lambda t: compl
 def test_coupler_conserves_power(a, b, t):
     in_a = PulseTrain(np.array(a))
     in_b = PulseTrain(np.array(b))
-    out_a, out_b = coupler_2x2(in_a, in_b, CouplerRatio(t))
+    out_a, out_b = coupler_2x2(in_a, in_b, t)
     total_in = in_a.intensities.sum() + in_b.intensities.sum()
     assert out_a.intensities.sum() + out_b.intensities.sum() == pytest.approx(total_in, abs=1e-12)
 
 
-def test_coupler_rejects_channel_mix():
-    a = cw_laser(2, 1.0, wavelength=1550.0)
-    b = cw_laser(2, 1.0, wavelength=1000.0)
-    with pytest.raises(IncompatibleTrains):
-        coupler_2x2(a, b)
+def test_coupler_rejects_bad_transmittance_and_grid_mix():
+    pulse = PulseTrain(np.array([1.0 + 0j]))
+    for t in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="transmittance"):
+            coupler_2x2(pulse, None, t)
+    with pytest.raises(ValueError, match="slot_period"):
+        coupler_2x2(cw_laser(2, 1.0, 1.0), cw_laser(2, 1.0, 0.5))
 
 
 def test_delay_line_identity_and_shift():
@@ -166,8 +182,9 @@ def test_attenuate():
     train = unit_train(2)
     np.testing.assert_allclose(attenuate(train, 0.0).slots, train.slots)
     assert attenuate(train, 20.0).intensities[0] == pytest.approx(0.01)
-    with pytest.raises(ValueError):
-        attenuate(train, -1.0)
+    for db in (-1.0, np.nan):
+        with pytest.raises(ValueError):
+            attenuate(train, db)
 
 
 # ---------------------------------------------------------------------------
