@@ -2,8 +2,10 @@
 
 For each cell the tool times ``run_scenario`` (the simulation alone) and
 ``dprsim run`` end to end (in-process ``cli.main``: simulation, record
-assembly, hashing and every output file), each ``--repeats`` times, and
-writes the medians, every run and the environment to one JSON file:
+assembly, hashing and every output file), each ``--repeats`` times.  One
+more, untimed ``run_scenario`` per cell records its peak memory as traced by
+``tracemalloc`` and the bytes of its record's arrays.  The tool writes the
+medians, every run, the memory figures and the environment to one JSON file:
 
     python benchmarks/matrix.py                              # 1e3, 1e5, 1e6 symbols, 5 repeats
     python benchmarks/matrix.py --sizes 1000 --repeats 1     # smoke run, seconds
@@ -28,6 +30,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -85,6 +88,15 @@ def time_cell(doc: dict, repeats: int, workdir: Path) -> dict:
         run_scenario(cfg)
         sim.append(time.perf_counter() - started)
 
+    tracemalloc.start()
+    try:
+        record = run_scenario(scenario_from_dict(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    record_bytes = sum(arr.nbytes for arr in record._hashed()[1])
+    del record
+
     config = workdir / "scenario.yaml"
     config.write_text(yaml.safe_dump(doc), encoding="utf-8")
     end_to_end, codes = [], []
@@ -103,6 +115,9 @@ def time_cell(doc: dict, repeats: int, workdir: Path) -> dict:
         "scenario": doc,
         "run_scenario_s": _summary(sim),
         "run_scenario_us_per_symbol": statistics.median(sim) / n * 1e6,
+        "run_scenario_peak_bytes": peak,
+        "record_array_bytes": record_bytes,
+        "peak_to_record": peak / record_bytes,
         "cli_run_s": _summary(end_to_end),
         "cli_exit_codes": codes,
     }
@@ -127,7 +142,8 @@ def main(argv: list[str] | None = None) -> int:
                     print(
                         f"{protocol:3} {attack:9} n={n:<8} run_scenario {cell['run_scenario_s']['median']:8.3f} s"
                         f" ({cell['run_scenario_us_per_symbol']:6.2f} us/symbol)"
-                        f"  dprsim run {cell['cli_run_s']['median']:8.3f} s",
+                        f"  dprsim run {cell['cli_run_s']['median']:8.3f} s"
+                        f"  peak/record {cell['peak_to_record']:5.2f}",
                         flush=True,
                     )
     result = {

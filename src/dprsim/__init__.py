@@ -34,7 +34,6 @@ from .optics import (
     attenuate,
     coupler_2x2,
     cw_laser,
-    delay_line,
     dli,
     mzm_transfer,
     phase_modulator,

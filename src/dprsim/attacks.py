@@ -159,10 +159,12 @@ def fsg_cow_drive(
 
 
 def _window(values: np.ndarray, offset: int, n: int) -> np.ndarray:
-    """Values of the ``n`` slots from ``offset``; slots past the end are zero
-    (no click)."""
-    out = np.zeros(n, dtype=values.dtype)
+    """Values of the ``n`` slots from ``offset``: a view where they lie inside
+    ``values``, else a copy whose slots past the end are zero (no click)."""
     part = values[offset : offset + n]
+    if part.size == n:
+        return part
+    out = np.zeros(n, dtype=values.dtype)
     out[: part.size] = part
     return out
 
@@ -333,7 +335,7 @@ def capture_fraction(
 
     Matches by slot: Bob's bit at slot ``s`` counts when Eve holds the same
     bit at ``s``.  Where Eve lists a slot more than once, her last entry for
-    it wins.
+    it wins.  Bits are booleans (or 0 and 1).
     """
     if bob_slots.size == 0 or eve_slots.size == 0:
         return 0.0
@@ -342,10 +344,17 @@ def capture_fraction(
     eve_slots = eve_slots.astype(np.int64)
     order = np.argsort(eve_slots, kind="stable")
     slots, bits = eve_slots[order], eve_bits[order]
-    bob_slots = bob_slots.astype(np.int64)
-    at = np.searchsorted(slots, bob_slots, side="right") - 1
-    hits = (at >= 0) & (slots[at] == bob_slots) & (bits[at] == bob_bits)
-    return int(np.count_nonzero(hits)) / bob_slots.size
+    last = np.append(slots[1:] != slots[:-1], True)
+    # A match is an equal (slot, bit) key; Eve's are sorted and unique.  The
+    # shorter list is searched into the longer one.
+    eve_keys, bob_keys = 2 * slots[last] + bits[last], 2 * bob_slots.astype(np.int64) + bob_bits
+    if bob_keys.size <= eve_keys.size:
+        at = np.minimum(np.searchsorted(eve_keys, bob_keys), eve_keys.size - 1)
+        hits = np.count_nonzero(eve_keys[at] == bob_keys)
+    else:
+        bob_keys = np.sort(bob_keys, kind="stable")  # timsort: one pass where sifting left them sorted
+        hits = np.sum(np.searchsorted(bob_keys, eve_keys, "right") - np.searchsorted(bob_keys, eve_keys, "left"))
+    return int(hits) / bob_slots.size
 
 
 @dataclass(eq=False)

@@ -24,7 +24,7 @@ import yaml
 
 from .config import ConfigError, ScenarioConfig, scenario_from_dict
 from .goldens import GOLDENS, golden_config_dict
-from .report import emit_outputs, load_record, summarize
+from .report import MetricsSummary, emit_outputs, load_record, summarize
 from .scenario import load_config, run_golden, run_scenario, sweep
 
 EXIT_OK = 0
@@ -99,9 +99,14 @@ def _resolve_config(args) -> ScenarioConfig:
     raise _UsageError(f"no such file or golden scenario: {args.config}")
 
 
-def _emit_and_report(record, outdir: Path) -> None:
+def _emit(record, outdir: Path) -> MetricsSummary:
+    """Write a run directory; returns its ``metrics.json``, read back rather than summarized again."""
     emit_outputs(record, outdir)
-    m = summarize(record)
+    return MetricsSummary.from_dict(json.loads((outdir / "metrics.json").read_text(encoding="utf-8")))
+
+
+def _emit_and_report(record, outdir: Path) -> None:
+    m = _emit(record, outdir)
     print(f"wrote {outdir}")
     qber = "n/a" if m.qber is None else f"{m.qber:.6f}"
     print(f"protocol={m.protocol} sifted={m.sifted_length} qber={qber}")
@@ -141,9 +146,7 @@ def _cmd_sweep(args) -> int:
     rows = []
     any_alarm = False
     for i, record in enumerate(records):
-        point_dir = outdir / f"point_{i:03d}"
-        emit_outputs(record, point_dir)
-        m = summarize(record)
+        m = _emit(record, outdir / f"point_{i:03d}")
         value = record.config  # the value the point ran with: an int for an integer parameter
         for key in args.param.split("."):
             value = value[key]
@@ -214,10 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except KeyError as exc:
+    except (FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # runtime failure in an otherwise valid run

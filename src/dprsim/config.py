@@ -317,6 +317,8 @@ class ScenarioConfig:
         ):
             if not math.isfinite(a * a):
                 raise ConfigError(f"{where}: too large: the field amplitude it sets, {a}, squares to an infinite intensity")
+        if self.amplitude * self.amplitude < sys.float_info.min:  # subnormal thresholds lose their digits
+            raise ConfigError(f"amplitude: too small: it squares to {self.amplitude**2}, under the smallest normal float")
         if self.wavelength_nm <= 0:
             raise ConfigError(f"wavelength_nm: must be > 0, got {self.wavelength_nm}")
         if self.slot_period_s is not None and self.slot_period_s <= 0:
@@ -341,13 +343,22 @@ class ScenarioConfig:
         self.countermeasures.validate("countermeasures")
         if self.attack.kind == "trojan" and self.attack.trojan.probe_wavelength_nm == self.wavelength_nm:
             raise ConfigError("attack.trojan.probe_wavelength_nm: probe must differ from the signal wavelength")
-        if self.attack.kind == "blinding" and self.attack.blinding.readings is not None:
-            allowed = (0, 1, 2) if self.protocol == "dps" else (0, 1, 2, 3)
-            for i, r in enumerate(self.attack.blinding.readings):
-                if r not in allowed:
-                    raise ConfigError(
-                        f"attack.blinding.readings[{i}]: must be in {allowed} for {self.protocol}, got {r}"
-                    )
+        if self.attack.kind == "blinding":
+            self._check_blinding()
+
+    def _check_blinding(self) -> None:
+        d, b = self.detector, self.attack.blinding
+        # Eve's trigger pulses launch at intensities the always-click rails set, and a blinded
+        # detector stores them and the blinding light over about 1 / (1 - decay_per_slot) slots.
+        launched = {"detector.p_always": d.p_always} if self.protocol == "dps" else {
+            "detector.p_always_m": d.p_always_m / (1.0 - self.t_b), "detector.p_always_b": d.p_always_b / self.t_b}
+        for where, level in {**launched, "attack.blinding.illumination_level": b.illumination_level}.items():
+            if not level / (1.0 - b.decay_per_slot) <= sys.float_info.max / 3:
+                raise ConfigError(f"{where}: too large: a blinded detector stores {level} / (1 - decay_per_slot) of it, which overflows")
+        allowed = (0, 1, 2) if self.protocol == "dps" else (0, 1, 2, 3)
+        for i, r in enumerate(b.readings or ()):
+            if r not in allowed:
+                raise ConfigError(f"attack.blinding.readings[{i}]: must be in {allowed} for {self.protocol}, got {r}")
 
     @property
     def slot_period(self) -> float:

@@ -109,11 +109,13 @@ def _blinding_trace(state: BlindingState, incident: np.ndarray) -> tuple[np.ndar
     d = state.decay_per_slot
 
     def accumulate():
-        # Python floats do the same IEEE double arithmetic as numpy scalars, faster.
+        # Python floats do the same IEEE double arithmetic as numpy scalars,
+        # faster; 4096 slots at a time, so that the trace is never all Python floats.
         s = start
-        for x in incident.tolist():
-            s = s * d + x
-            yield s
+        for block in range(0, incident.shape[0], 4096):
+            for x in incident[block : block + 4096].tolist():
+                s = s * d + x
+                yield s
 
     stored = np.fromiter(accumulate(), dtype=np.float64, count=incident.shape[0])
     linear = stored >= state.blind_threshold
@@ -164,9 +166,6 @@ class DetectionRecord:
     detectors: dict[str, DetectorTrace]
     slot_period: float = 1.0
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.detectors
-
     def __getitem__(self, name: str) -> DetectorTrace:
         return self.detectors[name]
 
@@ -176,10 +175,6 @@ class DetectionRecord:
 
     def clicks(self, name: str) -> np.ndarray:
         return self.detectors[name].clicks
-
-    @classmethod
-    def single(cls, name: str, trace: DetectorTrace, slot_period: float = 1.0) -> "DetectionRecord":
-        return cls({name: trace}, slot_period)
 
     @classmethod
     def merged(cls, *records: "DetectionRecord") -> "DetectionRecord":
@@ -276,7 +271,7 @@ def apd_detect(
                 afterpulse_at = live_from
 
     trace = DetectorTrace(clicks=clicks, intensity=intensity, photocurrent=photocurrent, linear_mode=linear)
-    return DetectionRecord.single(detector_id, trace, train.slot_period)
+    return DetectionRecord({detector_id: trace}, train.slot_period)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ __all__ = [
     "phase_modulator",
     "pulse_carver",
     "coupler_2x2",
-    "delay_line",
     "dli",
     "attenuate",
 ]
@@ -82,7 +81,9 @@ class PulseTrain:
     @property
     def intensities(self) -> np.ndarray:
         """Per-slot optical power ``|a|**2``."""
-        return np.abs(self.slots) ** 2
+        power = np.abs(self.slots)
+        power **= 2
+        return power
 
     def with_slots(self, slots: np.ndarray) -> "PulseTrain":
         """A train on this grid that takes ownership of ``slots``: the
@@ -172,23 +173,12 @@ def coupler_2x2(in_a: PulseTrain, in_b: PulseTrain | None, transmittance: float 
     return a.with_slots(out_a), a.with_slots(out_b)
 
 
-def delay_line(train: PulseTrain, delay_slots: int) -> PulseTrain:
-    """Shift the train later by ``delay_slots``; leading slots are vacuum and the
-    length grows by the delay so no energy is lost."""
-    if delay_slots < 0:
-        raise ValueError("delay_slots must be >= 0")
-    if delay_slots == 0:
-        return train
-    out = np.zeros(len(train) + delay_slots, dtype=np.complex128)
-    out[delay_slots:] = train.slots
-    return train.with_slots(out)
-
-
 def dli(train: PulseTrain, delay_slots: int = 1) -> tuple[PulseTrain, PulseTrain]:
     """Delay-line interferometer: 50:50 coupler, delay in the cross arm, 50:50 coupler.
 
     Returns ``(constructive, destructive)``: equal-phase consecutive pulses exit
     entirely at the constructive port.  Output length is ``len(train) + delay``.
+    Each slot takes the arithmetic of :func:`coupler_2x2` on the two arms.
     """
     if delay_slots < 1:
         raise ValueError("delay_slots must be >= 1")
@@ -197,11 +187,16 @@ def dli(train: PulseTrain, delay_slots: int = 1) -> tuple[PulseTrain, PulseTrain
             f"DLI delay {delay_slots} >= train length {len(train)}: no slot pair interferes",
             stacklevel=2,
         )
-    arm_a, arm_b = coupler_2x2(train, None)
-    arm_b = delay_line(arm_b, delay_slots)
-    arm_a = arm_a.padded_to(len(arm_b))
-    destructive, constructive = coupler_2x2(arm_a, arm_b)
-    return constructive, destructive
+    n, t, k = len(train), math.sqrt(0.5), 1j * math.sqrt(0.5)
+    # First coupler; the cross arm is delayed, and both are padded with vacuum.
+    arm_a, arm_b = np.zeros((2, n + delay_slots), dtype=np.complex128)
+    np.multiply(t, train.slots, out=arm_a[:n])
+    np.multiply(k, train.slots, out=arm_b[delay_slots:])
+    # Second coupler, in four slot-length arrays: destructive t*a + k*b, constructive k*a + t*b.
+    destructive, constructive = t * arm_a, k * arm_a
+    destructive += np.multiply(k, arm_b, out=arm_a)
+    constructive += np.multiply(t, arm_b, out=arm_b)
+    return train.with_slots(constructive), train.with_slots(destructive)
 
 
 def attenuate(train: PulseTrain, db: float) -> PulseTrain:

@@ -35,7 +35,7 @@ from .attacks import (
     trojan_decode,
     trojan_probe,
 )
-from .config import ConfigError, ScenarioConfig, scenario_from_dict
+from .config import ConfigError, ScenarioConfig, _type_hints, scenario_from_dict
 from .detectors import (
     ApdConfig,
     BlindingState,
@@ -107,7 +107,7 @@ def _alice_material(cfg: ScenarioConfig, rngs: RngFactory) -> tuple[np.ndarray |
     if cfg.protocol == "dps":
         if cfg.bits is not None:
             return np.array(cfg.bits, dtype=np.int64), None
-        return rngs.get("alice-source").integers(0, 2, cfg.n_symbols).astype(np.int64), None
+        return rngs.get("alice-source").integers(0, 2, cfg.n_symbols, dtype=np.int64), None
     if cfg.symbols is not None:
         return None, cfg.symbols
     idx = rngs.get("alice-source").integers(0, 3, cfg.n_symbols)
@@ -190,24 +190,21 @@ def _run_backflash(
     bf = cfg.attack.backflash
     gain2 = bf.emission_gain**2
 
-    def eve_detect(detector: str, threshold: float) -> DetectorTrace:
+    def eve_clicks(detector: str, threshold: float) -> np.ndarray:
         emission = backflash_emit(run.record[detector], ports[detector], bf, rng=rngs.get(f"backflash-{detector}"))
         # A lossless circulator routes the emission from Bob's port to Eve.
         cfg_eve = ApdConfig(mode="geiger", click_threshold=threshold)
-        rec = apd_detect(emission, cfg_eve, f"EVE_{detector}", rng=rngs.get(f"eve-{detector}"))
-        return rec[f"EVE_{detector}"]
+        return apd_detect(emission, cfg_eve, f"EVE_{detector}", rng=rngs.get(f"eve-{detector}")).clicks(f"EVE_{detector}")
 
     rel = cfg.detector.click_threshold_rel
     nominal = cfg.amplitude**2
     if cfg.protocol == "dps":
-        eve_d1 = eve_detect("D1", rel * gain2 * nominal)
-        eve_d2 = eve_detect("D2", rel * gain2 * nominal)
-        one = np.logical_xor(eve_d1.clicks, eve_d2.clicks)
-        eve_slots = np.nonzero(one)[0]
-        eve_bits = eve_d2.clicks[eve_slots]
+        eve_d1 = eve_clicks("D1", rel * gain2 * nominal)
+        eve_d2 = eve_clicks("D2", rel * gain2 * nominal)
+        eve_slots = np.nonzero(np.logical_xor(eve_d1, eve_d2))[0]
+        eve_bits = eve_d2[eve_slots]
     else:
-        eve_db = eve_detect("D_B", rel * gain2 * cfg.t_b * nominal)
-        eve_slots, eve_bits = _cow_eve_key(run.alice_symbols, eve_db.clicks)
+        eve_slots, eve_bits = _cow_eve_key(run.alice_symbols, eve_clicks("D_B", rel * gain2 * cfg.t_b * nominal))
 
     frac = capture_fraction(run.sifted_slots, run.sifted_bob, eve_slots, eve_bits)
     return AttackOutcome(
@@ -319,10 +316,9 @@ def _run_blinding(
     n_slots = len(train) + 1
 
     if s.readings is None:
-        replica, _ = _receive(cfg, train, rngs, "eve-stage1")
-        # A double click of the replica (DPS reading -1) names no detector:
-        # Eve replays it as a vacuum event.
-        readings = np.maximum(decode(replica, 0, n_slots), 0)
+        # A double click of Eve's replica (DPS reading -1) names no detector:
+        # she replays it as a vacuum event.
+        readings = np.maximum(decode(_receive(cfg, train, rngs, "eve-stage1")[0], 0, n_slots), 0)
     else:
         readings = np.array(s.readings, dtype=np.int64)
 
@@ -338,7 +334,7 @@ def _run_blinding(
     trigger = plan.to_train(cfg.slot_period)
     blind = BlindingState(0.0, s.decay_per_slot, s.blind_threshold)
     background = _blinding_background(s.style, s.illumination_level, s.pulse_period_slots, len(trigger) + 1)
-    record, _ = _receive(cfg, trigger, rngs, "bob", blind=blind, background=background)
+    record = _receive(cfg, trigger, rngs, "bob", blind=blind, background=background)[0]
 
     monitor_alarm = False
     cm = cfg.countermeasures.photocurrent_monitor
@@ -382,7 +378,7 @@ _SCALARS = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}
 
 
 def _field_hints(cls: type) -> dict[str, Any]:
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     return {f.name: hints[f.name] for f in fields(cls)}
 
 
@@ -690,6 +686,12 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunRecord:
     run = _sift(cfg, alice_bits, alice_symbols, record)
 
     kind = cfg.attack.kind
+    # Drop what no later stage reads: Alice's train serves only Eve's
+    # blinding replica, and the port fields only the backflash pass.
+    if kind != "blinding":
+        del train
+    if kind != "backflash":
+        del ports
     outcome = None
     if kind == "backflash":
         outcome = _run_backflash(cfg, rngs, run, ports)

@@ -10,8 +10,10 @@ photocurrent from where the record now keeps them.  The ``*_loop`` functions kee
 per-symbol Python loops that whole-array code replaced, so the replacements
 can be compared with them on random inputs.  The ``*_chain`` functions keep
 Alice's transmitters as they ran over every slot of the train, before the
-encoders evaluated the chain once per symbol value, and
-``backflash_emit_where`` keeps the emission as it multiplied every slot.
+encoders evaluated the chain once per symbol value, ``dli_chain`` keeps the
+interferometer as the coupler -> delay line -> coupler composition it was
+before it computed its two ports in place, and ``backflash_emit_where`` keeps
+the emission as it multiplied every slot.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 
 import numpy as np
 
-from dprsim.optics import PulseTrain, attenuate, cw_laser, phase_modulator, pulse_carver
+from dprsim.optics import PulseTrain, attenuate, coupler_2x2, cw_laser, phase_modulator, pulse_carver
 
 
 def brute_force_dli_ports(amplitudes, delay: int = 1) -> tuple[list[float], list[float]]:
@@ -388,3 +390,14 @@ def trojan_probe_chain(protocol: str, modulation, probe, slot_period: float, exc
 
 def backflash_emit_where(emit, gain: float, slots) -> np.ndarray:
     return np.where(emit, gain * slots, 0.0 + 0.0j)
+
+
+def dli_chain(train: PulseTrain, delay_slots: int) -> tuple[PulseTrain, PulseTrain]:
+    """``(constructive, destructive)``: a 50:50 coupler, the cross arm delayed
+    by ``delay_slots`` vacuum slots and both arms padded to the output length,
+    then a second 50:50 coupler."""
+    arm_a, arm_b = coupler_2x2(train, None)
+    delayed = np.zeros(len(arm_b) + delay_slots, dtype=np.complex128)
+    delayed[delay_slots:] = arm_b.slots
+    destructive, constructive = coupler_2x2(arm_a, arm_b.with_slots(delayed))
+    return constructive, destructive

@@ -32,4 +32,6 @@ def test_matrix_smoke_writes_every_cell(tmp_path):
             assert len(cell[entry]["runs"]) == 1
             assert cell[entry]["median"] == cell[entry]["runs"][0] > 0.0
         assert cell["run_scenario_us_per_symbol"] > 0.0
+        assert cell["run_scenario_peak_bytes"] >= cell["record_array_bytes"] > 0
+        assert cell["peak_to_record"] == cell["run_scenario_peak_bytes"] / cell["record_array_bytes"]
         assert cell["cli_exit_codes"] == [0]

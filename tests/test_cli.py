@@ -12,6 +12,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dprsim import cli, report
 from dprsim.cli import main
 from dprsim.config import ScenarioConfig, scenario_from_dict
 from dprsim.report import MetricsSummary, emit_outputs, load_record, save_record, summarize
@@ -602,6 +603,60 @@ def test_cli_runs_at_the_largest_amplitudes_it_accepts(tmp_path, kind):
         assert _run_document(tmp_path, text) == 0
     run = load_record(tmp_path / "out" / "record.json").protocol_run
     assert np.all(np.isfinite(run.record["D1"].intensity))
+
+
+@pytest.mark.parametrize(
+    "text,named",
+    [
+        ("amplitude: 1.0e-200", "amplitude: too small"),
+        ("amplitude: 1.0e-155", "amplitude: too small"),  # squares to a subnormal float
+        ("detector: {p_never: 1.0e+300, p_always: 1.0e+308}\nattack: {kind: blinding}", "detector.p_always: too large"),
+        ("protocol: cow\nt_b: 0.5\ndetector: {p_always_m: 2.0e+307}\nattack: {kind: blinding}", "detector.p_always_m: too large"),
+        ("protocol: cow\nt_b: 0.5\ndetector: {p_always_b: 2.0e+307}\nattack: {kind: blinding}", "detector.p_always_b: too large"),
+        ("attack: {kind: blinding, blinding: {illumination_level: 1.0e+308}}", "attack.blinding.illumination_level: too large"),
+    ],
+)
+def test_cli_rejects_an_intensity_that_underflows_or_overflows(tmp_path, capsys, text, named):
+    assert _run_document(tmp_path, text) == 1
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("protocol", ["dps", "cow"])
+def test_cli_runs_at_the_smallest_amplitude_it_accepts(tmp_path, protocol):
+    # 1.5e-154 squares to just over the smallest normal float; Bob sifts as at amplitude 1.
+    runs = []
+    for amplitude in ("1.5e-154", "1.0"):
+        (tmp_path / amplitude).mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run_document(tmp_path / amplitude, f"protocol: {protocol}\namplitude: {amplitude}") == 0
+        runs.append(load_record(tmp_path / amplitude / "out" / "record.json").protocol_run)
+    small, unit = runs
+    assert small.sifted_length > 0 and small.qber == unit.qber == 0.0
+    np.testing.assert_array_equal(small.sifted_slots, unit.sifted_slots)
+    np.testing.assert_array_equal(small.sifted_bob, unit.sifted_bob)
+
+
+@pytest.mark.parametrize(
+    "argv,summaries",
+    [
+        (["run", "--config", "cow-fig2"], 1),
+        (["attack", "--golden", "dps-backflash-ideal"], 1),
+        (["goldens", "--run", "dps-blinding"], 1),
+        (["sweep", "--config", "dps-ideal", "--param", "n_symbols", "--values", "16,32,48"], 3),
+    ],
+)
+def test_cli_summarizes_each_record_once(tmp_path, monkeypatch, capsys, argv, summaries):
+    calls, original = [], report.summarize
+
+    def counted(record):
+        calls.append(record)
+        return original(record)
+
+    for module in (cli, report):  # the CLI's own name for it, and the one emit_outputs reads
+        monkeypatch.setattr(module, "summarize", counted)
+    assert main([*argv, "--out", str(tmp_path)]) in (0, 3)
+    assert len(calls) == summaries == len({id(record) for record in calls})
 
 
 def test_cli_goldens_listing(capsys):

@@ -1,5 +1,7 @@
 """Whole-array code against the per-slot loops it replaced (``tests/_oracles.py``)."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +27,7 @@ from dprsim.detectors import (
     apd_detect,
     backflash_emit,
 )
-from dprsim.optics import PulseTrain, coupler_2x2
+from dprsim.optics import PulseTrain, coupler_2x2, dli
 from dprsim.protocols import (
     VISIBILITY_CLASSES,
     _as_symbols,
@@ -207,6 +209,7 @@ slot_lists = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 1)), min_size
 @example([], [(1, 0)])
 @example([(1, 0)], [])
 @example([(3, 1), (3, 1)], [(3, 0), (5, 1), (3, 1), (0, 0)])  # duplicate Eve slot: the last entry wins
+@example([(5, 0), (3, 1), (3, 1), (3, 0)], [(3, 0), (3, 1)])  # Eve's list is the shorter one
 @settings(max_examples=400)
 def test_capture_fraction_matches_loop(bob, eve):
     # Slots arrive unsorted and repeat, on both sides.
@@ -350,6 +353,21 @@ def test_coupler_vacuum_port_matches_zero_train(slots, t):
         # Equal amplitudes; only the sign of an exactly-zero component may differ.
         assert np.array_equal(g.slots, w.slots)
         _same(g.intensities, w.intensities)
+
+
+signed_parts = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324])
+
+
+@given(st.lists(st.tuples(signed_parts, signed_parts).map(lambda t: complex(*t)), min_size=1, max_size=40), st.integers(1, 3))
+@example([-0.0 - 0.0j, 1.0 - 0.0j], 3)  # signed zeros, and a delay past the train
+@settings(max_examples=300)
+def test_dli_matches_chain(slots, delay):
+    train = PulseTrain(np.array(slots), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a delay at or past the train's length warns
+        got = dli(train, delay)
+    for g, w in zip(got, oracle.dli_chain(train, delay)):
+        _same_train(g, w)
 
 
 @given(complex_slots, st.data(), st.booleans(), st.floats(0.0, 3.0), st.floats(0.0, 1.5), st.integers(0, 2**32))

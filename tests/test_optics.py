@@ -11,7 +11,6 @@ from dprsim.optics import (
     attenuate,
     coupler_2x2,
     cw_laser,
-    delay_line,
     dli,
     mzm_transfer,
     phase_modulator,
@@ -169,13 +168,20 @@ def test_coupler_rejects_bad_transmittance_and_grid_mix():
 
 
 def test_delay_line_identity_and_shift():
+    # The DLI's cross arm is its delay line: a lone pulse leaves each port at
+    # its own slot and again ``delay`` slots later, and the ports grow by the delay.
     pulse = PulseTrain(np.array([1.0 + 0j, 0.0]))
-    assert delay_line(pulse, 0) is pulse
-    out = delay_line(pulse, 1)
-    assert len(out) == 3
-    np.testing.assert_allclose(out.slots, [0.0, 1.0, 0.0])
-    with pytest.raises(ValueError):
-        delay_line(pulse, -1)
+    for delay in (1, 2, 3):
+        expected = np.zeros(2 + delay)
+        expected[[0, delay]] = 0.25
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ports = dli(pulse, delay)
+        for port in ports:
+            np.testing.assert_allclose(port.intensities, expected, atol=1e-15)
+    for delay in (0, -1):
+        with pytest.raises(ValueError):
+            dli(pulse, delay)
 
 
 def test_attenuate():
@@ -247,8 +253,13 @@ def test_dli_matches_slot_by_slot_oracle(slots, delay):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(complex_slot, min_size=1, max_size=16), st.integers(0, 5))
+@given(st.lists(complex_slot, min_size=1, max_size=16), st.integers(1, 5))
 def test_delay_and_circulator_preserve_power(slots, delay):
+    # The DLI's delay line loses no power: its two ports carry all of any input.
     train = PulseTrain(np.array(slots))
-    assert delay_line(train, delay).intensities.sum() == pytest.approx(train.intensities.sum(), abs=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        constructive, destructive = dli(train, delay)
+    total = constructive.intensities.sum() + destructive.intensities.sum()
+    assert total == pytest.approx(train.intensities.sum(), abs=1e-12)
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -534,6 +535,37 @@ def test_run_scenario_no_attack_has_no_outcome():
     assert record.attack is None
     assert record.protocol_run.qber == 0.0
     assert record.wall_time_s > 0.0
+
+
+# Peak traced memory of ``run_scenario`` over its record's array bytes, at 2e4
+# symbols; measured 2.65 and 3.24 (3.56 and 5.31 before the run dropped each
+# value after its last reader).
+PEAK_TO_RECORD = [
+    ({"golden_name": "dps-backflash-stat", "n_symbols": 20_000}, 2.9),
+    (
+        {
+            "protocol": "cow",
+            "n_symbols": 20_000,
+            "t_b": 0.5,
+            "attack": {"kind": "blinding"},
+            "countermeasures": {"photocurrent_monitor": {"enabled": True}},
+        },
+        3.5,
+    ),
+]
+
+
+@pytest.mark.parametrize("doc,bound", PEAK_TO_RECORD)
+def test_run_allocates_little_beyond_its_record(doc, bound):
+    cfg = load_config(json.dumps(doc))
+    run_scenario(cfg)  # caches filled once per process stay out of the peak
+    tracemalloc.start()
+    try:
+        record = run_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / sum(a.nbytes for a in record._hashed()[1]) <= bound
 
 
 def test_attack_consumers_do_not_perturb_alice_stream():
