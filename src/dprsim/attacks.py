@@ -137,7 +137,6 @@ def fsg_cow_drive(
     eve_readings: Sequence[int],
     t_b: float,
     detector: DetectorSettings = DetectorSettings(),
-    allow_infeasible: bool = False,
 ) -> FsgPlan:
     """Drive plan for a blinded COW receiver.
 
@@ -148,10 +147,8 @@ def fsg_cow_drive(
     staying below its never-click rail when the threshold inequalities hold.
     """
     readings = _check_readings(eve_readings, (0, 1, 2, 3))
-    report = blinding_feasible(detector, t_b)
-    if not (report.all_satisfied or allow_infeasible):
-        failed = [k for k, v in report.as_dict().items() if k != "marginal" and not v]
-        raise ValueError(f"infeasible blinding thresholds: {', '.join(failed)} violated")
+    if not (0.0 < t_b < 1.0):
+        raise ValueError(f"t_b must be strictly within (0, 1), got {t_b}")
     base = detector.p_always_m / (1.0 - t_b)
     data = detector.p_always_b / t_b
     levels = np.concatenate([[base], np.where(readings == 3, data, base)])
@@ -212,10 +209,6 @@ class FeasibilityReport:
     monitor_drive_hidden_from_data: bool
     data_drive_hidden_from_monitor: bool
     marginal: bool
-
-    @property
-    def all_satisfied(self) -> bool:
-        return self.rail_gap and self.monitor_drive_hidden_from_data and self.data_drive_hidden_from_monitor
 
     def as_dict(self) -> dict[str, bool]:
         return {

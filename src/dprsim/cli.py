@@ -217,8 +217,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FileNotFoundError, KeyError) as exc:  # a KeyError names an unknown golden
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # runtime failure in an otherwise valid run
         print(f"runtime error: {exc}", file=sys.stderr)

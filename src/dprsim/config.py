@@ -1,9 +1,11 @@
 """Declarative scenario configuration: typed sections, defaults and validation.
 
-A scenario document is a nested key-value mapping (YAML on disk).  Unknown keys
-are rejected and every domain violation names the offending field path, so a
-config either loads into a fully-populated :class:`ScenarioConfig` or fails
-loudly.  Identical configs plus the same seed give bit-identical runs.
+A scenario document is a nested key-value mapping (YAML on disk).  Each
+field's type hint is the one place that states its type: the document is read
+against the hints, unknown keys are rejected, and every type or domain
+violation names the offending field path, so a config either loads into a
+fully-populated :class:`ScenarioConfig` or fails loudly.  Identical configs
+plus the same seed give bit-identical runs.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import dataclasses
 import functools
 import math
 import sys
+import types
 import typing
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
@@ -40,43 +43,6 @@ class ConfigError(ValueError):
     """Configuration rejected; the message carries the offending field path."""
 
 
-def _require_int(value, path: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: must be an integer, got {value!r}")
-
-
-def _floats(value: Any, path: str):
-    """Every number in a field value, nested tuples included, with its path."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        yield path, value
-    elif isinstance(value, tuple):
-        for i, v in enumerate(value):
-            yield from _floats(v, f"{path}[{i}]")
-
-
-_type_hints = functools.cache(typing.get_type_hints)
-
-
-def _check_numbers(section: Any, path: str = "") -> None:
-    """Reject a value that is not a number in every float field, and NaN and
-    infinity in every numeric field, naming the field path.  (PyYAML reads
-    ``1e-5`` as a string; ``1.0e-5`` is the float.)"""
-    hints = _type_hints(type(section))
-    for f in fields(section):
-        where = f"{path}.{f.name}" if path else f.name
-        value = getattr(section, f.name)
-        if dataclasses.is_dataclass(value):
-            _check_numbers(value, where)
-            continue
-        if float in (hints[f.name], *typing.get_args(hints[f.name])) and value is not None:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{where}: must be a number, got {value!r}")
-        for sub, v in _floats(value, where):
-            # Compared, not converted: an int too large for a float is not finite either.
-            if not abs(v) <= sys.float_info.max:
-                raise ConfigError(f"{sub}: must be finite, got {v}")
-
-
 @dataclass(frozen=True)
 class DetectorSettings:
     """Bob's detector parameters.
@@ -101,7 +67,6 @@ class DetectorSettings:
     def validate(self, path: str) -> None:
         if not (0.0 < self.click_threshold_rel < 1.0):
             raise ConfigError(f"{path}.click_threshold_rel: must be within (0, 1), got {self.click_threshold_rel}")
-        _require_int(self.dead_time_slots, f"{path}.dead_time_slots")
         if self.dead_time_slots < 0:
             raise ConfigError(f"{path}.dead_time_slots: must be >= 0, got {self.dead_time_slots}")
         for name in ("afterpulse_prob", "dark_count_prob"):
@@ -173,7 +138,6 @@ class TrojanSettings:
     eve_min_intensity: float = 1e-15
 
     def validate(self, path: str) -> None:
-        _require_int(self.timing_offset_slots, f"{path}.timing_offset_slots")
         if self.probe_wavelength_nm <= 0:
             raise ConfigError(f"{path}.probe_wavelength_nm: must be > 0, got {self.probe_wavelength_nm}")
         if self.probe_amplitude <= 0:
@@ -210,7 +174,6 @@ class BlindingSettings:
             raise ConfigError(f"{path}.style: must be one of {BLINDING_STYLES}, got {self.style!r}")
         if self.illumination_level <= 0:
             raise ConfigError(f"{path}.illumination_level: must be > 0")
-        _require_int(self.pulse_period_slots, f"{path}.pulse_period_slots")
         if self.pulse_period_slots < 1:
             raise ConfigError(f"{path}.pulse_period_slots: must be >= 1")
         if not (0.0 < self.decay_per_slot < 1.0):
@@ -260,7 +223,6 @@ class MonitorSettings:
     alarm_threshold: float = 40.0
 
     def validate(self, path: str) -> None:
-        _require_int(self.window_slots, f"{path}.window_slots")
         if self.window_slots < 1:
             raise ConfigError(f"{path}.window_slots: must be >= 1, got {self.window_slots}")
         if self.alarm_threshold < 0:
@@ -297,26 +259,27 @@ class ScenarioConfig:
     golden_name: str | None = None
 
     def validate(self) -> None:
-        _check_numbers(self)
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"protocol: must be one of {PROTOCOLS}, got {self.protocol!r}")
-        _require_int(self.n_symbols, "n_symbols")
         if self.n_symbols < 2:
             raise ConfigError(f"n_symbols: must be >= 2, got {self.n_symbols}")
-        _require_int(self.seed, "seed")
         if not (0 <= self.seed < 2**64):
             raise ConfigError(f"seed: must be an unsigned 64-bit integer, got {self.seed}")
         if self.amplitude <= 0:
             raise ConfigError(f"amplitude: must be > 0, got {self.amplitude}")
-        # The optics square these field amplitudes into intensities.
-        gain = float(self.attack.backflash.emission_gain)
+        # The optics square these field amplitudes into intensities, and a run's summary sums
+        # them over its slots: no trace is longer than 2 * (n + 2) slots for n symbols or readings.
+        n = max(self.n_symbols, *(len(v or ()) for v in (self.bits, self.symbols, self.attack.blinding.readings)))
+        slots = 2 * (n + 2)
+        gain = self.attack.backflash.emission_gain
         for where, a in (
-            ("amplitude", float(self.amplitude)),
-            ("attack.backflash.emission_gain", max(gain, gain * float(self.amplitude))),
-            ("attack.trojan.probe_amplitude", float(self.attack.trojan.probe_amplitude)),
+            ("amplitude", self.amplitude),
+            ("attack.backflash.emission_gain", max(gain, gain * self.amplitude)),
+            ("attack.trojan.probe_amplitude", self.attack.trojan.probe_amplitude),
         ):
-            if not math.isfinite(a * a):
-                raise ConfigError(f"{where}: too large: the field amplitude it sets, {a}, squares to an infinite intensity")
+            if not math.isfinite(a * a * slots):
+                raise ConfigError(f"{where}: too large: the field amplitude it sets, {a}, squares to an intensity "
+                                  f"whose sum over {slots} slots is infinite")
         if self.amplitude * self.amplitude < sys.float_info.min:  # subnormal thresholds lose their digits
             raise ConfigError(f"amplitude: too small: it squares to {self.amplitude**2}, under the smallest normal float")
         if self.wavelength_nm <= 0:
@@ -344,17 +307,19 @@ class ScenarioConfig:
         if self.attack.kind == "trojan" and self.attack.trojan.probe_wavelength_nm == self.wavelength_nm:
             raise ConfigError("attack.trojan.probe_wavelength_nm: probe must differ from the signal wavelength")
         if self.attack.kind == "blinding":
-            self._check_blinding()
+            self._check_blinding(slots)
 
-    def _check_blinding(self) -> None:
+    def _check_blinding(self, slots: int) -> None:
         d, b = self.detector, self.attack.blinding
         # Eve's trigger pulses launch at intensities the always-click rails set, and a blinded
-        # detector stores them and the blinding light over about 1 / (1 - decay_per_slot) slots.
+        # detector stores them and the blinding light over about 1 / (1 - decay_per_slot) slots;
+        # the run's summary sums what it stores over its slots.
         launched = {"detector.p_always": d.p_always} if self.protocol == "dps" else {
             "detector.p_always_m": d.p_always_m / (1.0 - self.t_b), "detector.p_always_b": d.p_always_b / self.t_b}
         for where, level in {**launched, "attack.blinding.illumination_level": b.illumination_level}.items():
-            if not level / (1.0 - b.decay_per_slot) <= sys.float_info.max / 3:
-                raise ConfigError(f"{where}: too large: a blinded detector stores {level} / (1 - decay_per_slot) of it, which overflows")
+            if not level / (1.0 - b.decay_per_slot) * slots <= sys.float_info.max / 3:
+                raise ConfigError(f"{where}: too large: a blinded detector stores {level} / (1 - decay_per_slot) of it, "
+                                  f"which summed over {slots} slots overflows")
         allowed = (0, 1, 2) if self.protocol == "dps" else (0, 1, 2, 3)
         for i, r in enumerate(b.readings or ()):
             if r not in allowed:
@@ -384,76 +349,69 @@ def _plain(obj: Any) -> Any:
     return obj
 
 
-_SECTION_TYPES = {
-    DetectorSettings,
-    ChannelSettings,
-    BackflashSettings,
-    TrojanSettings,
-    BlindingSettings,
-    AttackSettings,
-    WatchdogSettings,
-    MonitorSettings,
-    CountermeasureSettings,
-}
+_type_hints = functools.cache(typing.get_type_hints)
+
+# Scalar hint -> the Python types it accepts (never a bool, unless the hint is bool) and its name in errors.
+_SCALARS = {float: ((int, float), "a number"), int: ((int,), "an integer"), bool: ((bool,), "a boolean"),
+            str: ((str,), "a string")}
 
 
-def _coerce(value: Any, f: dataclasses.Field, path: str) -> Any:
-    target = f.type
-    if value is None:
+def _inner(hint: Any) -> Any:
+    """The ``X`` of an ``X | None`` hint; any other hint unchanged."""
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    if typing.get_origin(hint) in (typing.Union, types.UnionType) and len(args) == 1:
+        return args[0]
+    return hint
+
+
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _typed(value: Any, hint: Any, path: str) -> Any:
+    """``value`` read as a field of type ``hint``; every error names the field path.
+
+    A dataclass comes from a mapping: unknown keys are rejected and missing
+    keys take their defaults.  ``X | None`` accepts null.  ``tuple[X, ...]``
+    comes from a list, each element read as ``X``; a tuple of pairs also
+    comes from a mapping, as its sorted items.  A float accepts an int, must
+    be finite and is stored as a float; an int, a bool and a str accept only
+    their own type.  (PyYAML reads ``1e-5`` as a string; ``1.0e-5`` is the
+    float.)
+    """
+    inner = _inner(hint)
+    if value is None and inner is not hint:
         return None
-    for section in _SECTION_TYPES:
-        if target == section.__name__ or target is section:
-            if not isinstance(value, Mapping):
-                raise ConfigError(f"{path}: expected a mapping")
-            return _from_mapping(section, value, path)
-    if f.name == "excess_loss_db":
-        if isinstance(value, Mapping):
-            pairs = tuple(sorted((float(k), float(v)) for k, v in value.items()))
-        else:
-            pairs = tuple((float(k), float(v)) for k, v in value)
-        return pairs
-    if isinstance(value, str) and value.lower() in ("inf", ".inf", "infinity"):
-        return math.inf
-    if isinstance(value, list):
-        if f.name == "symbols":
-            return "".join(str(v) for v in value)
-        if f.name in ("bits", "readings"):
-            return tuple(int(v) for v in value)
-        return tuple(float(v) for v in value)
+    if dataclasses.is_dataclass(inner):
+        if not isinstance(value, Mapping):
+            raise ConfigError(f"{path or 'scenario document'}: must be a mapping, got {value!r}")
+        hints = _type_hints(inner)
+        for key in value:
+            if key not in hints:
+                raise ConfigError(f"{_at(path, key)}: unknown key (allowed: {', '.join(sorted(hints))})")
+        return inner(**{key: _typed(v, hints[key], _at(path, key)) for key, v in value.items()})
+    if typing.get_origin(inner) is tuple:
+        args = typing.get_args(inner)
+        if isinstance(value, Mapping) and typing.get_origin(args[0]) is tuple:
+            return tuple(sorted(_typed(list(value.items()), inner, path)))
+        sized = args[-1] is not Ellipsis
+        if not isinstance(value, (list, tuple)) or (sized and len(value) != len(args)):
+            raise ConfigError(f"{path}: must be a list{f' of {len(args)}' if sized else ''}, got {value!r}")
+        kinds = args if sized else args[:1] * len(value)
+        return tuple(_typed(v, t, f"{path}[{i}]") for i, (v, t) in enumerate(zip(value, kinds)))
+    kinds, name = _SCALARS[inner]
+    if not isinstance(value, kinds) or (isinstance(value, bool) and inner is not bool):
+        raise ConfigError(f"{path}: must be {name}, got {value!r}")
+    if inner is float:
+        # Compared, not converted: an int too large for a float is not finite either.
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{path}: must be finite, got {value}")
+        return float(value)
     return value
-
-
-def _from_mapping(cls: type, data: Mapping[str, Any], path: str = "") -> Any:
-    known = {f.name: f for f in fields(cls)}
-    kwargs: dict[str, Any] = {}
-    for key, value in data.items():
-        if key not in known:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(f"{where}: unknown key (allowed: {', '.join(sorted(known))})")
-        where = f"{path}.{key}" if path else key
-        try:
-            kwargs[key] = _coerce(value, known[key], where)
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"{where}: {exc}") from exc
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path or cls.__name__}: {exc}") from exc
 
 
 def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
     """Build and validate a config from a plain mapping; unknown keys rejected."""
-    if not isinstance(data, Mapping):
-        raise ConfigError("scenario document must be a mapping")
-    cfg = _from_mapping(ScenarioConfig, data)
-    try:
-        cfg.validate()
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:  # malformed value of an unexpected shape
-        raise ConfigError(str(exc)) from exc
+    cfg = _typed(data, ScenarioConfig, "")
+    cfg.validate()
     return cfg

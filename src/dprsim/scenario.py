@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import time
-import types
 import typing
 import zlib
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -35,7 +34,7 @@ from .attacks import (
     trojan_decode,
     trojan_probe,
 )
-from .config import ConfigError, ScenarioConfig, _type_hints, scenario_from_dict
+from .config import _SCALARS, ConfigError, ScenarioConfig, _at, _inner, _type_hints, _typed, scenario_from_dict
 from .detectors import (
     ApdConfig,
     BlindingState,
@@ -327,7 +326,7 @@ def _run_blinding(
         feasibility = {"rail_gap": blinding_feasible(rails, cfg.t_b).rail_gap}
         eve_slots, eve_bits = _reading_key(readings)
     else:
-        plan = fsg_cow_drive(readings, cfg.t_b, rails, allow_infeasible=True)
+        plan = fsg_cow_drive(readings, cfg.t_b, rails)
         feasibility = blinding_feasible(rails, cfg.t_b).as_dict()
         eve_slots, eve_bits = _cow_eve_key(clean.alice_symbols, _window(readings == 3, 0, n_slots))
 
@@ -374,7 +373,6 @@ _RETIRED_FORMATS = ("dprsim-record/1", "dprsim-record/2", "dprsim-record/3")
 
 # ``X`` of an ``NDArray[X]`` hint -> stored little-endian dtype (bools as bytes, the same on every platform).
 _STORED = {np.bool_: "|u1", np.int64: "<i8", np.float64: "<f8"}
-_SCALARS = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}
 
 
 def _field_hints(cls: type) -> dict[str, Any]:
@@ -382,21 +380,9 @@ def _field_hints(cls: type) -> dict[str, Any]:
     return {f.name: hints[f.name] for f in fields(cls)}
 
 
-def _inner(hint: Any) -> Any:
-    """The ``X`` of an ``X | None`` hint; any other hint unchanged."""
-    args = [a for a in typing.get_args(hint) if a is not type(None)]
-    if typing.get_origin(hint) in (typing.Union, types.UnionType) and len(args) == 1:
-        return args[0]
-    return hint
-
-
 def _scalar(hint: Any) -> Any:
     """The ``X`` of an ``NDArray[X]`` hint; None for any other hint."""
     return typing.get_args(typing.get_args(hint)[1])[0] if typing.get_origin(hint) is np.ndarray else None
-
-
-def _at(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
 
 
 def _expect(node: Any, kinds: tuple[type, ...], what: str, path: str) -> None:
@@ -452,7 +438,7 @@ def _untree(node: Any, hint: Any, path: str) -> Any:
         _expect(node, (dict,), "a mapping", path)
         return {k: _untree(v, typing.get_args(inner)[1], _at(path, k)) for k, v in node.items()}
     if inner is not Any:
-        _expect(node, _SCALARS[inner], inner.__name__, path)
+        _expect(node, _SCALARS[inner][0], inner.__name__, path)
     return node
 
 
@@ -655,9 +641,9 @@ def load_config(text: str) -> ScenarioConfig:
     name = data.get("golden_name")
     if name is not None:
         try:
-            base = golden_config_dict(name)
+            base = golden_config_dict(_typed(name, str, "golden_name"))
         except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(exc.args[0]) from exc
         overlay = {k: v for k, v in data.items() if k != "golden_name"}
         data = _merge(base, overlay)
     return scenario_from_dict(data)
@@ -677,7 +663,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunRecord:
     """Execute one scenario deterministically; ``seed`` overrides the config seed."""
     cfg.validate()
     if seed is not None:
-        cfg = scenario_from_dict({**cfg.to_dict(), "seed": int(seed)})
+        cfg = scenario_from_dict({**cfg.to_dict(), "seed": seed})
     started = time.perf_counter()
     rngs = RngFactory(cfg.seed)
     alice_bits, alice_symbols = _alice_material(cfg, rngs)
@@ -719,31 +705,28 @@ def sweep(cfg: ScenarioConfig, parameter_path: str, values: Sequence[Any]) -> li
     derived deterministically from the base seed and the point index, so the
     results do not depend on execution order and ``seed`` itself cannot be
     swept.  An integral float given for an integer parameter runs as an int.
+    Every point is read and checked before the first one runs.
     """
     cfg.validate()
-    base = cfg.to_dict()
     keys = parameter_path.split(".")
     if keys == ["seed"]:
         raise ConfigError("seed: cannot be swept; each point's seed is derived from the base seed")
-    node, owner = base, cfg
-    for k in keys[:-1]:
-        if not isinstance(node, dict) or k not in node:
+    hint: Any = ScenarioConfig
+    for k in keys:
+        hints = _type_hints(hint) if is_dataclass(hint) else {}
+        if k not in hints:
             raise ConfigError(f"{parameter_path}: no such parameter")
-        node, owner = node[k], getattr(owner, k)
-    leaf = keys[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(f"{parameter_path}: no such parameter")
-    current = node[leaf]
-    if not isinstance(current, (int, float)) or isinstance(current, bool):
-        raise ConfigError(f"{parameter_path}: not a numeric parameter (current value {current!r})")
-    integral = next(f.type for f in fields(owner) if f.name == leaf) == "int"
-    records: list[RunRecord] = []
+        hint = _inner(hints[k])
+    if hint not in (int, float):
+        raise ConfigError(f"{parameter_path}: not a numeric parameter")
+    base = cfg.to_dict()
+    points = []
     for index, value in enumerate(values):
         point = json.loads(json.dumps(base))
         target = point
         for k in keys[:-1]:
             target = target[k]
-        target[leaf] = int(value) if integral and isinstance(value, float) and value.is_integer() else value
+        target[keys[-1]] = int(value) if hint is int and isinstance(value, float) and value.is_integer() else value
         point["seed"] = derive_sweep_seed(cfg.seed, index)
-        records.append(run_scenario(scenario_from_dict(point)))
-    return records
+        points.append(scenario_from_dict(point))
+    return [run_scenario(point) for point in points]

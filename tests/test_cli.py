@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from dprsim import cli, report
 from dprsim.cli import main
-from dprsim.config import ScenarioConfig, scenario_from_dict
+from dprsim.config import ScenarioConfig, _inner, scenario_from_dict
 from dprsim.report import MetricsSummary, emit_outputs, load_record, save_record, summarize
-from dprsim.scenario import RunRecord, run_golden, run_scenario
+from dprsim.scenario import RunRecord, load_config, run_golden, run_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -519,18 +519,37 @@ def test_rewritten_header_leaves_report_or_name_a_field(tmp_path_factory, blinde
         assert main(["report", "--record", str(path)]) == 0
 
 
-def _float_field_paths(cls: type = ScenarioConfig, prefix: str = ""):
+def _kind(hint) -> str:
+    """What the config loader reads a field hint as: a scalar type's name, "tuple" (of
+    such scalars or tuples), "section" (a dataclass), or "other" for a hint it cannot read."""
+    hint = _inner(hint)
+    if dataclasses.is_dataclass(hint):
+        return "section"
+    if typing.get_origin(hint) is tuple:
+        elements = [_kind(arg) for arg in typing.get_args(hint) if arg is not Ellipsis]
+        return "tuple" if all(kind not in ("section", "other") for kind in elements) else "other"
+    return hint.__name__ if hint in (float, int, bool, str) else "other"
+
+
+def _config_fields(kind: str, cls: type = ScenarioConfig, prefix: str = ""):
+    """Dotted paths of the config fields whose hint, ``X | None`` unwrapped, is of ``kind``."""
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
-        hint = hints[f.name]
-        if dataclasses.is_dataclass(hint):
-            yield from _float_field_paths(hint, f"{prefix}{f.name}.")
-        elif hint is float or float in typing.get_args(hint):
+        hint = _inner(hints[f.name])
+        found = _kind(hint)
+        if found == "section":
+            yield from _config_fields(kind, hint, f"{prefix}{f.name}.")
+        elif found == kind:
             yield f"{prefix}{f.name}"
 
 
+def test_every_config_field_hint_is_a_kind_the_loader_reads():
+    assert list(_config_fields("other")) == []
+    assert scenario_from_dict(ScenarioConfig().to_dict()) == ScenarioConfig()
+
+
 # (field path, value carrying a NaN, path the error must name)
-NAN_FIELDS = [(path, math.nan, path) for path in _float_field_paths()] + [
+NAN_FIELDS = [(path, math.nan, path) for path in _config_fields("float")] + [
     ("channel.phase_tamper_half_turns", [0.0, math.nan], "channel.phase_tamper_half_turns[1]"),
     ("channel.excess_loss_db", {1924.0: math.nan}, "channel.excess_loss_db[0][1]"),
 ]
@@ -559,10 +578,88 @@ def _run_document(tmp_path, text: str) -> int:
     return main(["run", "--config", str(scenario), "--out", str(tmp_path / "out")])
 
 
-@pytest.mark.parametrize("path", list(_float_field_paths()))
+@pytest.mark.parametrize("path", list(_config_fields("float")))
 def test_cli_rejects_a_string_in_every_float_field(tmp_path, capsys, path):
     assert _run_document(tmp_path, yaml.safe_dump(_at_path(path, "1e-5"))) == 1
     assert f"{path}: must be a number, got '1e-5'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["no", 0])
+@pytest.mark.parametrize("path", list(_config_fields("bool")))
+def test_cli_rejects_a_non_boolean_in_every_bool_field(tmp_path, capsys, path, value):
+    assert _run_document(tmp_path, yaml.safe_dump(_at_path(path, value))) == 1
+    assert f"{path}: must be a boolean, got {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [1.5, True])
+@pytest.mark.parametrize("path", list(_config_fields("int")))
+def test_cli_rejects_a_non_integer_in_every_int_field(tmp_path, capsys, path, value):
+    assert _run_document(tmp_path, yaml.safe_dump(_at_path(path, value))) == 1
+    assert f"{path}: must be an integer, got {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", list(_config_fields("str")))
+def test_cli_rejects_a_list_in_every_str_field(tmp_path, capsys, path):
+    assert _run_document(tmp_path, yaml.safe_dump(_at_path(path, ["dps"]))) == 1
+    assert f"{path}: must be a string, got ['dps']" in capsys.readouterr().err
+
+
+def _element(hint):
+    """A well-typed value for an element hint of a tuple field."""
+    args = typing.get_args(hint)
+    return [_element(arg) for arg in args] if args else {int: 0, float: 0.0}[hint]
+
+
+@pytest.mark.parametrize("path", list(_config_fields("tuple")))
+def test_cli_rejects_a_string_in_every_tuple_field_and_names_a_bad_element(tmp_path, capsys, path):
+    assert _run_document(tmp_path, yaml.safe_dump(_at_path(path, "01"))) == 1
+    assert f"{path}: must be a list, got '01'" in capsys.readouterr().err
+    hint = ScenarioConfig
+    for key in path.split("."):
+        hint = _inner(typing.get_type_hints(hint)[key])
+    first = _element(typing.get_args(hint)[0])
+    assert _run_document(tmp_path, yaml.safe_dump(_at_path(path, [first, "x"]))) == 1
+    assert f"{path}[1]: must be " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,named",
+    [
+        # Each of these used to run: a string read as true, a fraction truncated, a
+        # string reaching the optics, a number iterated, a list used as a golden name.
+        ("golden_name: dps-trojan\ncountermeasures: {watchdog: {enabled: 'no'}}",
+         "countermeasures.watchdog.enabled: must be a boolean, got 'no'"),
+        ("golden_name: dps-backflash-ideal\nattack: {backflash: {ideal: 'false'}}",
+         "attack.backflash.ideal: must be a boolean, got 'false'"),
+        ("bits: [0, 1, 1.5, 0]", "bits[2]: must be an integer, got 1.5"),
+        ("attack: {kind: blinding, blinding: {readings: [1, 2.7, 0]}}",
+         "attack.blinding.readings[1]: must be an integer, got 2.7"),
+        ("channel: {phase_tamper_half_turns: 'abc'}", "channel.phase_tamper_half_turns: must be a list, got 'abc'"),
+        ("protocol: cow\nsymbols: 1011", "symbols: must be a string, got 1011"),
+        ("golden_name: [dps-ideal]", "golden_name: must be a string, got ['dps-ideal']"),
+        ("golden_name: nope", "config error: unknown golden 'nope'; available: dps-ideal"),
+        # Intensities that square to a finite value but sum to infinity over the run.
+        ("amplitude: 1.3e+154\nn_symbols: 1000", "amplitude: too large"),
+        ("detector: {p_never: 0.6e+307, p_always: 1.0e+307}\nattack: {kind: blinding}", "detector.p_always: too large"),
+    ],
+    ids=["enabled", "ideal", "bits", "readings", "phase_tamper", "symbols", "golden_name", "unknown_golden",
+         "amplitude_sum", "p_always_sum"],
+)
+def test_cli_rejects_a_mistyped_or_overflowing_document_at_load(tmp_path, capsys, text, named):
+    assert _run_document(tmp_path, text) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_names_an_unknown_golden_without_quotes(capsys):
+    assert main(["run", "--golden", "nope"]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown golden 'nope'; available: dps-ideal")
+
+
+def test_an_integer_and_a_float_amplitude_are_the_same_scenario():
+    runs = [run_scenario(load_config(f"n_symbols: 32\namplitude: {a}")) for a in ("1", "1.0")]
+    assert type(runs[0].config["amplitude"]) is float
+    assert runs[0].content_hash() == runs[1].content_hash()
 
 
 @pytest.mark.parametrize(

@@ -178,7 +178,7 @@ def test_canonical_dps_phases_match_loop(readings):
 @settings(max_examples=200)
 def test_cow_drive_matches_loop(readings, t_b):
     th = DetectorSettings()
-    plan = fsg_cow_drive(readings, t_b, th, allow_infeasible=True)
+    plan = fsg_cow_drive(readings, t_b, th)
     phases, levels = oracle.fsg_cow_drive_loop(readings, th.p_always_m / (1.0 - t_b), th.p_always_b / t_b)
     assert plan.phase_units == phases
     _same(plan.intensity_per_slot, levels)

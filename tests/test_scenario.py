@@ -206,13 +206,13 @@ def test_load_config_unknown_golden():
 
 
 def test_config_rejects_infinity_in_every_field(tmp_path, capsys):
-    # YAML reads ".inf" as a float and "inf" as a string the loader coerces;
-    # both must name the field.
-    for text in ("amplitude: .inf\n", "amplitude: inf\n"):
+    # YAML reads ".inf" as a float and "inf" as a string; both must name the field.
+    for text, named in (("amplitude: .inf\n", "amplitude: must be finite"),
+                        ("amplitude: inf\n", "amplitude: must be a number, got 'inf'")):
         scenario = tmp_path / "inf.yaml"
         scenario.write_text(text)
         assert main(["run", "--config", str(scenario), "--out", str(tmp_path / "out")]) == 1
-        assert "amplitude: must be finite" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
     with pytest.raises(ConfigError, match="channel.bob_filter_extinction_db: unknown key"):
         load_config("channel:\n  bob_filter_extinction_db: .inf\n")
 
