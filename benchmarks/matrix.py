@@ -12,9 +12,12 @@ medians, every run, the memory figures and the environment to one JSON file:
 
 Run it from the root of a checkout; it imports ``dprsim`` from ``src/`` next
 to this directory, so the same file measures any checkout it is copied into.
-Blinding cells turn the photocurrent monitor on, and COW blinding cells use
-``t_b`` 0.5, the splitter at which the detection-control inequalities hold;
-every other cell uses the scenario defaults.  One process, one run at a time.
+Every attack kind runs with ideal detectors; the clean run also runs with
+each detector imperfection of ``NOISY``, and a cell's ``detector`` names its
+set.  Blinding cells turn the photocurrent monitor on, and COW blinding cells
+use ``t_b`` 0.5, the splitter at which the detection-control inequalities
+hold; every other setting is the scenario default.  One process, one run at a
+time.
 """
 
 from __future__ import annotations
@@ -44,7 +47,9 @@ from dprsim.scenario import run_scenario  # noqa: E402
 
 PROTOCOLS = ("dps", "cow")
 ATTACKS = ("none", "backflash", "trojan", "blinding")
-FORMAT = "dprsim-bench-matrix/1"
+# Detector sections of the noisy clean cells, by the label a cell's ``detector`` holds.
+NOISY = {"dark-1e-5": {"dark_count_prob": 1e-5}}
+FORMAT = "dprsim-bench-matrix/2"
 SEED = 1
 
 
@@ -67,8 +72,10 @@ def environment() -> dict:
     }
 
 
-def scenario(protocol: str, attack: str, n_symbols: int) -> dict:
+def scenario(protocol: str, attack: str, n_symbols: int, detector: str = "ideal") -> dict:
     doc = {"protocol": protocol, "n_symbols": n_symbols, "seed": SEED, "attack": {"kind": attack}}
+    if detector != "ideal":
+        doc["detector"] = dict(NOISY[detector])
     if attack == "blinding":
         doc["countermeasures"] = {"photocurrent_monitor": {"enabled": True}}
         if protocol == "cow":
@@ -80,7 +87,7 @@ def _summary(times: list[float]) -> dict:
     return {"median": statistics.median(times), "runs": times}
 
 
-def time_cell(doc: dict, repeats: int, workdir: Path) -> dict:
+def time_cell(doc: dict, detector: str, repeats: int, workdir: Path) -> dict:
     sim = []
     for _ in range(repeats):
         cfg = scenario_from_dict(doc)
@@ -111,6 +118,7 @@ def time_cell(doc: dict, repeats: int, workdir: Path) -> dict:
     return {
         "protocol": doc["protocol"],
         "attack": doc["attack"]["kind"],
+        "detector": detector,
         "n_symbols": n,
         "scenario": doc,
         "run_scenario_s": _summary(sim),
@@ -136,11 +144,13 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="dprsim-matrix-") as tmp:
         for n in args.sizes:
             for protocol in PROTOCOLS:
-                for attack in ATTACKS:
-                    cell = time_cell(scenario(protocol, attack, n), args.repeats, Path(tmp))
+                kinds = [(attack, "ideal") for attack in ATTACKS] + [("none", detector) for detector in NOISY]
+                for attack, detector in kinds:
+                    cell = time_cell(scenario(protocol, attack, n, detector), detector, args.repeats, Path(tmp))
                     cells.append(cell)
                     print(
-                        f"{protocol:3} {attack:9} n={n:<8} run_scenario {cell['run_scenario_s']['median']:8.3f} s"
+                        f"{protocol:3} {attack:9} {detector:9} n={n:<8}"
+                        f" run_scenario {cell['run_scenario_s']['median']:8.3f} s"
                         f" ({cell['run_scenario_us_per_symbol']:6.2f} us/symbol)"
                         f"  dprsim run {cell['cli_run_s']['median']:8.3f} s"
                         f"  peak/record {cell['peak_to_record']:5.2f}",

@@ -19,6 +19,7 @@ the photocurrent monitor countermeasure low-pass filters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -104,23 +105,97 @@ class BlindingState:
 
 
 def _blinding_trace(state: BlindingState, incident: np.ndarray) -> tuple[np.ndarray, np.ndarray, BlindingState]:
-    """Stored-current trace, per-slot linear-mode mask and final state."""
+    """Stored-current trace, per-slot linear-mode mask and final state.
+
+    The trace is ``s[k] = s[k-1] * d + incident[k]``, computed by an exact
+    lane-parallel scan (``_decay_scan``).  The slots split into about
+    ``sqrt(n)`` lanes of ``block`` consecutive slots, which one whole-row
+    ``multiply`` and ``add`` step at once.  Lane 0 starts from the stored
+    current, every other lane from a guess: its predecessor's block filtered
+    from zero.  A repair pass restarts each lane whose start differs from its
+    predecessor's last value and steps it until its row equals the stored one
+    bit for bit; passes repeat until no start changes.
+
+    Exact: each value takes the loop's two IEEE roundings, a multiply and then
+    an add, which numpy never fuses and neither does CPython, so a lane that
+    meets the loop's trajectory stays on it.  A block of at least
+    ``2 * _FORGET_BITS / -log2(d)`` slots lets a lane forget a wrong start
+    within it, so one repair pass is the rule.  The plain loop runs instead on
+    traces shorter than ``_MIN_LANES`` such blocks (slow decays need long
+    ones), and from the first lane still inexact after two repair passes on (a
+    stretch of pure decay never forgets its start): the worst case is the loop
+    plus the scan and two passes.  No slot-length array is allocated beyond
+    the returned trace.
+    """
     start = float(state.stored_photocurrent)
-    d = state.decay_per_slot
-
-    def accumulate():
-        # Python floats do the same IEEE double arithmetic as numpy scalars,
-        # faster; 4096 slots at a time, so that the trace is never all Python floats.
-        s = start
-        for block in range(0, incident.shape[0], 4096):
-            for x in incident[block : block + 4096].tolist():
-                s = s * d + x
-                yield s
-
-    stored = np.fromiter(accumulate(), dtype=np.float64, count=incident.shape[0])
+    stored = np.empty(incident.shape[0], dtype=np.float64)
+    _decay_scan(start, state.decay_per_slot, incident, stored)
     linear = stored >= state.blind_threshold
     final = float(stored[-1]) if stored.size else start
     return stored, linear, replace(state, stored_photocurrent=final)
+
+
+# Bits by which a wrong lane start must decay to fall below the last bit of the
+# values it feeds; a block spans twice the slots that takes.
+_FORGET_BITS = 60
+# Below about this many lanes the per-step numpy calls cost more than the loop saves.
+_MIN_LANES = 32
+
+
+def _decay_loop(s: float, d: float, incident: np.ndarray, out: np.ndarray) -> None:
+    """``out[k] = s = s * d + incident[k]``, one slot at a time."""
+    # Python floats do the same IEEE double arithmetic as numpy scalars,
+    # faster; 4096 slots at a time, so that the trace is never all Python floats.
+    for b in range(0, incident.shape[0], 4096):
+        out[b : b + 4096] = [s := s * d + x for x in incident[b : b + 4096].tolist()]
+
+
+def _decay_scan(s: float, d: float, incident: np.ndarray, out: np.ndarray) -> None:
+    """``_decay_loop`` into ``out``, as the exact lane-parallel scan of ``_blinding_trace``."""
+    n = incident.shape[0]
+    block = max(math.isqrt(n), 2 * math.ceil(_FORGET_BITS / -math.log2(d)))
+    lanes = n // block
+    if lanes < _MIN_LANES:
+        _decay_loop(s, d, incident, out)
+        return
+    m = lanes * block
+    xs = incident[:m].reshape(lanes, block)
+    ss = out[:m].reshape(lanes, block)
+    starts = np.empty(lanes)
+    starts[0] = s
+    # Whatever came before the predecessor's block has decayed by d**block < 2**-120.
+    # einsum, not matmul: a threaded BLAS leaves workers spinning against the steps below.
+    starts[1:] = np.einsum("ij,j->i", xs[:-1], d ** np.arange(block - 1, -1, -1.0))
+    row = starts
+    # A lane is a strided column of ``ss``, and an op on a whole row of columns
+    # touches one page per lane: step the lanes in contiguous panels of 64 slots.
+    panel = np.empty((2, 64, lanes))
+    for t0 in range(0, block, 64):
+        xp, sp = panel[:, : block - t0]
+        np.copyto(xp, xs[:, t0 : t0 + 64].T)
+        for x_t, s_t in zip(xp, sp):
+            np.multiply(row, d, out=s_t)
+            np.add(s_t, x_t, out=s_t)
+            row = s_t
+        ss[:, t0 : t0 + 64] = sp.T
+    for repairs in range(3):
+        ends = ss[:-1, -1]
+        changed = np.flatnonzero(ends.view(np.uint64) != starts[1:].view(np.uint64))
+        if changed.size == 0:
+            break
+        lo = int(changed[0]) + 1
+        if repairs == 2:
+            _decay_loop(float(ends[lo - 1]), d, incident[lo * block :], out[lo * block :])
+            return
+        starts[lo:] = ends[lo - 1 :]
+        row = starts[lo:]
+        for t in range(block):
+            step = row * d
+            step += xs[lo:, t]
+            if np.array_equal(step.view(np.uint64), ss[lo:, t].view(np.uint64)):
+                break
+            ss[lo:, t] = row = step
+    _decay_loop(float(out[m - 1]), d, incident[m:], out[m:])
 
 
 @dataclass(eq=False)

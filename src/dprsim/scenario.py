@@ -289,19 +289,35 @@ def _on_grid(record: DetectionRecord, offset: int, n_slots: int) -> DetectionRec
     return DetectionRecord(traces, record.slot_period)
 
 
+def _eve_readings(cfg: ScenarioConfig, rngs: RngFactory, train: PulseTrain) -> tuple[np.ndarray, int]:
+    """The blinding attack's first stage: the readings Eve replays, pinned or
+    measured by her replica of Bob on Alice's train, and the ``len(train) + 1``
+    slots of Alice's grid that Bob sifts."""
+    n_slots = len(train) + 1
+    readings = cfg.attack.blinding.readings
+    if readings is not None:
+        return np.array(readings, dtype=np.int64), n_slots
+    decode = decode_dps_readings if cfg.protocol == "dps" else decode_cow_readings
+    # A double click of Eve's replica (DPS reading -1) names no detector:
+    # she replays it as a vacuum event.
+    return np.maximum(decode(_receive(cfg, train, rngs, "eve-stage1")[0], 0, n_slots), 0), n_slots
+
+
 def _run_blinding(
     cfg: ScenarioConfig,
     rngs: RngFactory,
     clean: ProtocolRun,
-    train: PulseTrain,
+    readings: np.ndarray,
+    n_slots: int,
 ) -> tuple[ProtocolRun, AttackOutcome]:
-    """Three stages: Eve's replica measurement (or pinned readings), the
-    faked-state plan, and the replay into Bob's blinded detectors with the
-    photocurrent monitor watching.
+    """The faked-state plan for Eve's ``readings`` (see ``_eve_readings``) and
+    its replay into Bob's blinded detectors with the photocurrent monitor
+    watching.
 
     Bob sifts the blinded record as he sifts a clean one, over the
-    ``len(train) + 1`` slots of Alice's grid, which start at the plan's
+    ``n_slots`` slots of Alice's grid, which start at the plan's
     ``readings_slot_offset``; the stored record is the whole blinded one.
+    Of ``clean`` only Alice's material, the QBER and the visibility are read.
     Pinned readings are sifted against Alice's material too: they do not
     come from her train, so a QBER near 1/2 is the honest result.  Derived
     COW blinding has no visibility: every interface slot is also a D_B pulse
@@ -312,14 +328,6 @@ def _run_blinding(
     s = cfg.attack.blinding
     rails = cfg.detector
     decode = decode_dps_readings if cfg.protocol == "dps" else decode_cow_readings
-    n_slots = len(train) + 1
-
-    if s.readings is None:
-        # A double click of Eve's replica (DPS reading -1) names no detector:
-        # she replays it as a vacuum event.
-        readings = np.maximum(decode(_receive(cfg, train, rngs, "eve-stage1")[0], 0, n_slots), 0)
-    else:
-        readings = np.array(s.readings, dtype=np.int64)
 
     if cfg.protocol == "dps":
         plan = fsg_dps_phases(readings, s.policy, launch_intensity=rails.p_always)
@@ -660,10 +668,12 @@ def _merge(base: dict[str, Any], overlay: dict[str, Any]) -> dict[str, Any]:
 
 
 def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunRecord:
-    """Execute one scenario deterministically; ``seed`` overrides the config seed."""
-    cfg.validate()
-    if seed is not None:
-        cfg = scenario_from_dict({**cfg.to_dict(), "seed": seed})
+    """Execute one scenario deterministically; ``seed`` overrides the config seed.
+
+    The config is read once through the config walker, the override folded in,
+    so a config built in Python is typed and checked as a document is.
+    """
+    cfg = scenario_from_dict({**cfg.to_dict(), "seed": cfg.seed if seed is None else seed})
     started = time.perf_counter()
     rngs = RngFactory(cfg.seed)
     alice_bits, alice_symbols = _alice_material(cfg, rngs)
@@ -674,8 +684,9 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunRecord:
     kind = cfg.attack.kind
     # Drop what no later stage reads: Alice's train serves only Eve's
     # blinding replica, and the port fields only the backflash pass.
-    if kind != "blinding":
-        del train
+    if kind == "blinding":
+        stage1 = _eve_readings(cfg, rngs, train)
+    del train, record
     if kind != "backflash":
         del ports
     outcome = None
@@ -684,7 +695,9 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunRecord:
     elif kind == "trojan":
         outcome = _run_trojan(cfg, run)
     elif kind == "blinding":
-        run, outcome = _run_blinding(cfg, rngs, run, train)
+        # Bob's blinded receive is where a run peaks; the clean record is not read again.
+        run = replace(run, record=DetectionRecord({}))
+        run, outcome = _run_blinding(cfg, rngs, run, *stage1)
     elif kind != "none":  # pragma: no cover - config validation rejects this
         raise ConfigError(f"attack.kind: unknown kind {kind!r}")
 

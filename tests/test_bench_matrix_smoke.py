@@ -19,15 +19,17 @@ def test_matrix_smoke_writes_every_cell(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out.read_text(encoding="utf-8"))
-    assert result["format"] == "dprsim-bench-matrix/1"
+    assert result["format"] == "dprsim-bench-matrix/2"
     assert set(result["environment"]) == {"nproc", "cpu_model", "python", "numpy", "pyyaml"}
     assert result["settings"] == {"sizes": [1000], "repeats": 1, "seed": 1}
     cells = result["cells"]
-    assert sorted((c["protocol"], c["attack"]) for c in cells) == sorted(
-        (p, a) for p in ("dps", "cow") for a in ("none", "backflash", "trojan", "blinding")
+    kinds = [(a, "ideal") for a in ("none", "backflash", "trojan", "blinding")] + [("none", "dark-1e-5")]
+    assert sorted((c["protocol"], c["attack"], c["detector"]) for c in cells) == sorted(
+        (p, a, d) for p in ("dps", "cow") for a, d in kinds
     )
     for cell in cells:
         assert cell["n_symbols"] == 1000
+        assert cell["scenario"].get("detector") == ({"dark_count_prob": 1e-5} if cell["detector"] == "dark-1e-5" else None)
         for entry in ("run_scenario_s", "cli_run_s"):
             assert len(cell[entry]["runs"]) == 1
             assert cell[entry]["median"] == cell[entry]["runs"][0] > 0.0

@@ -24,6 +24,7 @@ from dprsim.detectors import (
     DetectionRecord,
     DetectorTrace,
     _blinding_trace,
+    _decay_loop,
     apd_detect,
     backflash_emit,
 )
@@ -282,20 +283,59 @@ def test_blinding_bookkeeping_matches_loops(protocol, seed, dark, p_never):
     assert outcome.capture_fraction == oracle.capture_fraction_loop(run.sifted_slots, run.sifted_bob, eve_idx, eve_bits)
 
 
-@given(
-    st.lists(st.floats(0.0, 1e3), min_size=0, max_size=200),
-    st.floats(0.0, 10.0),
-    st.floats(0.01, 0.99),
-)
-@settings(max_examples=200)
-def test_blinding_trace_matches_loop_bit_for_bit(incident, stored, decay):
-    x = np.array(incident, dtype=np.float64)
-    state = BlindingState(stored, decay, 1.0)
-    trace, linear, final = _blinding_trace(state, x)
+def _incident(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
+    """A detector's incident intensity: sparse signal pulses on top of wide-range
+    random values, continuous blinding light, or light every few slots."""
+    signal = rng.random(n) * (rng.random(n) < rng.random()) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if kind == "random":
+        return signal + rng.random(n) * 10.0 ** rng.uniform(-300.0, 3.0)
+    if kind == "cw":
+        return signal + rng.uniform(0.0, 50.0)
+    background = np.zeros(n)
+    background[:: int(rng.integers(1, 40))] = rng.uniform(0.0, 50.0)
+    return signal + background
+
+
+def _check_blinding_trace(stored: float, decay: float, x: np.ndarray) -> None:
+    trace, linear, final = _blinding_trace(BlindingState(stored, decay, 1.0), x)
     want = oracle.blinding_trace_loop(stored, decay, x)
     assert trace.tobytes() == want.tobytes()
     _same(linear, want >= 1.0)
     assert final.stored_photocurrent == (float(want[-1]) if want.size else stored)
+
+
+# Lengths reach the lane-parallel scan for decays up to about 0.85; slower
+# decays need longer lanes than 2e4 slots can fill, and run the plain loop.
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 20_000),
+    st.floats(0.01, 0.99),
+    st.floats(0.0, 10.0),
+    st.sampled_from(["random", "cw", "pulsed"]),
+)
+@example(seed=1, n=20_000, decay=0.8, stored=0.0, kind="pulsed")
+@example(seed=2, n=20_000, decay=0.01, stored=10.0, kind="random")
+@settings(max_examples=150, deadline=None)
+def test_blinding_trace_matches_loop_bit_for_bit(seed, n, decay, stored, kind):
+    _check_blinding_trace(stored, decay, _incident(np.random.default_rng(seed), n, kind))
+
+
+@pytest.mark.parametrize("quiet_lanes,fallback", [(2, False), (4, True)], ids=["second-repair-pass", "loop-fallback"])
+def test_blinding_trace_repairs_and_falls_back_exactly(monkeypatch, quiet_lanes, fallback):
+    # 2e4 slots at decay 0.5 make 141 lanes of 141 slots.  No light reaches the
+    # first lanes, so the stored current of 1.0 only decays there: lane 1
+    # starts from a guess of 0 and never meets 2**-141 * 0.5**k, so the first
+    # repair pass changes its last value.  With two quiet lanes lane 2 is lit,
+    # forgets its start at once and the second pass converges; with four,
+    # lane 3 is still wrong after two passes and the loop takes over from it.
+    looped = []
+    monkeypatch.setattr(
+        "dprsim.detectors._decay_loop", lambda s, d, x, out: looped.append(x.shape[0]) or _decay_loop(s, d, x, out)
+    )
+    x = np.random.default_rng(7).random(20_000)
+    x[: quiet_lanes * 141] = 0.0
+    _check_blinding_trace(1.0, 0.5, x)
+    assert looped == ([20_000 - 3 * 141] if fallback else [20_000 - 141 * 141])
 
 
 # Alice's transmitter settings: amplitude and slot period.

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dprsim.cli import main
-from dprsim.config import ConfigError, scenario_from_dict
+from dprsim.config import ConfigError, ScenarioConfig, scenario_from_dict
 from dprsim.goldens import GOLDENS, golden_config_dict
 from dprsim.report import emit_outputs, load_record, save_record
 from dprsim.scenario import (
@@ -550,7 +550,7 @@ PEAK_TO_RECORD = [
             "attack": {"kind": "blinding"},
             "countermeasures": {"photocurrent_monitor": {"enabled": True}},
         },
-        3.5,
+        2.85,
     ),
 ]
 
@@ -566,6 +566,24 @@ def test_run_allocates_little_beyond_its_record(doc, bound):
     finally:
         tracemalloc.stop()
     assert peak / sum(a.nbytes for a in record._hashed()[1]) <= bound
+
+
+def test_run_scenario_reads_a_python_config_as_a_document(monkeypatch):
+    # A config built in Python goes through the same walker as a document:
+    # a mistyped field fails naming it, and an integer float field runs as a float.
+    with pytest.raises(ConfigError, match="^n_symbols: must be an integer, got 2.5$"):
+        run_scenario(ScenarioConfig(n_symbols=2.5))
+    as_int = run_scenario(ScenarioConfig(amplitude=1, n_symbols=32))
+    assert as_int.config["amplitude"] == 1.0 and isinstance(as_int.config["amplitude"], float)
+    assert as_int.content_hash() == run_scenario(ScenarioConfig(amplitude=1.0, n_symbols=32)).content_hash()
+    # One walk per run, with or without a seed override.
+    walks = []
+    monkeypatch.setattr(
+        "dprsim.scenario.scenario_from_dict", lambda data: walks.append(data["seed"]) or scenario_from_dict(data)
+    )
+    assert run_scenario(ScenarioConfig(n_symbols=32, seed=3), seed=9).config["seed"] == 9
+    assert run_scenario(ScenarioConfig(n_symbols=32, seed=3)).config["seed"] == 3
+    assert walks == [9, 3]
 
 
 def test_attack_consumers_do_not_perturb_alice_stream():

@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,19 @@ def test_every_exported_name_is_used_by_the_package():
         if attr not in used
     ]
     assert unused == []
+
+
+def test_a_blinding_run_imports_no_scipy():
+    # The package promises numpy only, and ``import scipy.signal`` alone takes
+    # about a second, more than a 1e5-symbol blinding run.
+    code = (
+        "import sys, dprsim\n"
+        "from dprsim.config import scenario_from_dict\n"
+        "from dprsim.scenario import run_scenario\n"
+        "run_scenario(scenario_from_dict({'protocol': 'cow', 'n_symbols': 1000, 'attack': {'kind': 'blinding'}}))\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
