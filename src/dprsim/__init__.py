@@ -19,8 +19,6 @@ from .attacks import (
 )
 from .config import ConfigError, ScenarioConfig, scenario_from_dict
 from .detectors import (
-    ApdConfig,
-    BlindingState,
     DetectionRecord,
     DetectorTrace,
     apd_detect,

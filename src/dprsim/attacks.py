@@ -30,7 +30,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .config import DetectorSettings, TrojanSettings
-from .detectors import ApdConfig, DetectionRecord, apd_detect
+from .detectors import DetectionRecord, apd_detect
 from .optics import PulseTrain, attenuate, cw_laser, phase_modulator, pulse_carver
 from .protocols import receive
 
@@ -302,13 +302,15 @@ def trojan_decode(
     peak = float(np.max(reflected.intensities)) if len(reflected) else 0.0
     if peak <= min_intensity:
         return np.array([], dtype=np.int64) if protocol == "dps" else ""
+    # Eve's replica detectors are noise-free.
+    eve = DetectorSettings()
     if protocol == "dps":
-        record, _ = receive("dps", reflected, nominal=peak)
+        record, _ = receive("dps", reflected, eve, peak)
         d1, d2 = record.clicks("D1")[1 : len(reflected)], record.clicks("D2")[1 : len(reflected)]
         return np.where(d1 != d2, d2, -1).astype(np.int64)
     if protocol == "cow":
-        cfg = ApdConfig(mode="geiger", click_threshold=0.5 * peak)
-        clicks = apd_detect(reflected, cfg, "EVE_B")["EVE_B"].clicks
+        rails = (eve.p_never_b, eve.p_always_b)
+        clicks = apd_detect(reflected, eve.click_threshold_rel * peak, rails, eve, "EVE_B")["EVE_B"].clicks
         pairs = clicks[: clicks.size // 2 * 2].astype(np.int64).reshape(-1, 2)
         # The symbol read from a pair, indexed by 2 * early + late.
         return np.frombuffer(b"?10d", dtype=np.uint8)[2 * pairs[:, 0] + pairs[:, 1]].tobytes().decode("ascii")

@@ -1,36 +1,32 @@
 """Avalanche photodiode click models, blinding dynamics and countermeasure monitors.
 
-Two detection regimes:
+A detector runs in Geiger mode: any slot whose intensity exceeds the click
+threshold fires, subject to dead time and an optional afterpulse in the first
+live slot after a click.
 
-* Geiger mode: any slot whose intensity exceeds the click threshold fires,
-  subject to dead time and an optional afterpulse in the first live slot after
-  a click.
-* Linear mode (a blinded detector): the trigger-pulse rails ``p_always`` /
-  ``p_never`` decide clicks.  At or above ``p_always`` the detector always
-  clicks, at or below ``p_never`` it never does, and strictly between the rails
-  the click probability interpolates linearly.
-
-Bright illumination drives the transition between the regimes through
-:class:`BlindingState`: stored photocurrent accumulates slot by slot with a
-one-pole (geometric) decay, and the detector is linear whenever the stored
-current sits at or above the blind threshold.  The stored trace is also what
-the photocurrent monitor countermeasure low-pass filters.
+Only bright illumination takes it out of that regime, as in the faked-state
+attack.  Under the run's blinding settings, stored photocurrent accumulates
+slot by slot with a one-pole (geometric) decay, and the detector is in linear
+mode whenever the stored current sits at or above the blind threshold.  There
+the trigger-pulse rails ``p_always`` / ``p_never`` decide clicks: at or above
+``p_always`` the detector always clicks, at or below ``p_never`` it never
+does, and strictly between the rails the click probability interpolates
+linearly.  The stored trace is also what the photocurrent monitor
+countermeasure low-pass filters.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
 
-from .config import BackflashSettings
+from .config import BackflashSettings, BlindingSettings, DetectorSettings
 from .optics import PulseTrain
 
 __all__ = [
-    "ApdConfig",
-    "BlindingState",
     "DetectorTrace",
     "DetectionRecord",
     "MonitorResult",
@@ -40,78 +36,21 @@ __all__ = [
     "watchdog",
 ]
 
-GEIGER = "geiger"
-LINEAR = "linear"
-
 # Relative guard band on the linear-mode rails: an intensity engineered to sit
 # exactly on a rail may land one ulp off after propagating through the
 # interferometer arithmetic, and the rails are decision boundaries.
 _RAIL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ApdConfig:
-    """Click rules for one avalanche photodiode.
-
-    ``click_threshold`` is the Geiger-mode intensity above which a live slot
-    fires.  ``p_never`` and ``p_always`` are the linear-mode rails.  Dead time,
-    afterpulsing and dark counts are disabled by default.
-    """
-
-    mode: str = GEIGER
-    click_threshold: float = 0.5
-    p_never: float = 0.2
-    p_always: float = 0.4
-    dead_time_slots: int = 0
-    afterpulse_prob: float = 0.0
-    dark_count_prob: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.mode not in (GEIGER, LINEAR):
-            raise ValueError(f"mode must be '{GEIGER}' or '{LINEAR}'")
-        if self.click_threshold < 0.0:
-            raise ValueError("click_threshold must be >= 0")
-        if not (0.0 <= self.p_never < self.p_always):
-            raise ValueError(f"need 0 <= p_never < p_always, got {self.p_never}, {self.p_always}")
-        if self.dead_time_slots < 0:
-            raise ValueError("dead_time_slots must be >= 0")
-        for name in ("afterpulse_prob", "dark_count_prob"):
-            p = getattr(self, name)
-            if not (0.0 <= p <= 1.0):
-                raise ValueError(f"{name} must be within [0, 1]")
-
-
-@dataclass(frozen=True)
-class BlindingState:
-    """Stored photocurrent of a detector under bright illumination.
-
-    Per slot the stored current decays geometrically and then absorbs the
-    incident intensity; the detector is in linear mode while the stored value
-    is at or above ``blind_threshold``, so it stays blinded for a while after
-    the illumination stops.
-    """
-
-    stored_photocurrent: float = 0.0
-    decay_per_slot: float = 0.8
-    blind_threshold: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.stored_photocurrent < 0.0:
-            raise ValueError("stored_photocurrent must be >= 0")
-        if not (0.0 < self.decay_per_slot < 1.0):
-            raise ValueError("decay_per_slot must be within (0, 1)")
-        if self.blind_threshold <= 0.0:
-            raise ValueError("blind_threshold must be > 0")
-
-
-def _blinding_trace(state: BlindingState, incident: np.ndarray) -> tuple[np.ndarray, np.ndarray, BlindingState]:
-    """Stored-current trace, per-slot linear-mode mask and final state.
+def _blinding_trace(blinding: BlindingSettings, incident: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stored-current trace and per-slot linear-mode mask of a detector that
+    starts with no stored current.
 
     The trace is ``s[k] = s[k-1] * d + incident[k]``, computed by an exact
     lane-parallel scan (``_decay_scan``).  The slots split into about
     ``sqrt(n)`` lanes of ``block`` consecutive slots, which one whole-row
-    ``multiply`` and ``add`` step at once.  Lane 0 starts from the stored
-    current, every other lane from a guess: its predecessor's block filtered
+    ``multiply`` and ``add`` step at once.  Lane 0 starts from the scan's
+    start, every other lane from a guess: its predecessor's block filtered
     from zero.  A repair pass restarts each lane whose start differs from its
     predecessor's last value and steps it until its row equals the stored one
     bit for bit; passes repeat until no start changes.
@@ -127,12 +66,9 @@ def _blinding_trace(state: BlindingState, incident: np.ndarray) -> tuple[np.ndar
     plus the scan and two passes.  No slot-length array is allocated beyond
     the returned trace.
     """
-    start = float(state.stored_photocurrent)
     stored = np.empty(incident.shape[0], dtype=np.float64)
-    _decay_scan(start, state.decay_per_slot, incident, stored)
-    linear = stored >= state.blind_threshold
-    final = float(stored[-1]) if stored.size else start
-    return stored, linear, replace(state, stored_photocurrent=final)
+    _decay_scan(0.0, blinding.decay_per_slot, incident, stored)
+    return stored, stored >= blinding.blind_threshold
 
 
 # Bits by which a wrong lane start must decay to fall below the last bit of the
@@ -251,46 +187,37 @@ class DetectionRecord:
     def clicks(self, name: str) -> np.ndarray:
         return self.detectors[name].clicks
 
-    @classmethod
-    def merged(cls, *records: "DetectionRecord") -> "DetectionRecord":
-        out: dict[str, DetectorTrace] = {}
-        period = records[0].slot_period
-        for rec in records:
-            if rec.slot_period != period:
-                raise ValueError("cannot merge records with different slot periods")
-            for name, trace in rec.detectors.items():
-                if name in out:
-                    raise ValueError(f"duplicate detector id {name!r}")
-                out[name] = trace
-        return cls(out, period)
-
 
 def apd_detect(
     train: PulseTrain,
-    cfg: ApdConfig,
+    click_threshold: float,
+    rails: tuple[float, float],
+    detector: DetectorSettings,
     detector_id: str = "D",
-    blind: BlindingState | None = None,
+    blinding: BlindingSettings | None = None,
     background: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ) -> DetectionRecord:
     """Detect a pulse train with one APD.
 
-    When ``blind`` is given, the per-slot mode follows the stored
-    photocurrent, which the trace keeps; otherwise the mode is fixed by
-    ``cfg.mode`` and the trace keeps no photocurrent.  ``background`` is
-    per-slot illumination (blinding light) that feeds the stored photocurrent
-    but not the click discriminator, so it needs ``blind``; clicks are decided
-    from the signal train alone.  Raises ``ValueError`` when the detector may
-    draw (afterpulses, dark counts, a linear-mode slot between the rails) and
-    no ``rng`` is given.
+    ``click_threshold`` is the Geiger-mode intensity above which a live slot
+    fires, ``rails`` the line's ``(p_never, p_always)`` pair and ``detector``
+    the run's dead time, afterpulsing and dark counts.  The detector runs in
+    Geiger mode, and the trace keeps no photocurrent, unless ``blinding`` is
+    given: then the per-slot mode follows the stored photocurrent, which the
+    trace keeps.  ``background`` is per-slot illumination (blinding light)
+    that feeds the stored photocurrent but not the click discriminator, so it
+    needs ``blinding``; clicks are decided from the signal train alone.
+    Raises ``ValueError`` when the detector may draw (afterpulses, dark
+    counts, a linear-mode slot between the rails) and no ``rng`` is given.
     """
     intensity = train.intensities
     n = intensity.shape[0]
-    if blind is None:
+    if blinding is None:
         if background is not None:
-            raise ValueError("background illumination acts only through the blinding state: pass blind")
+            raise ValueError("background illumination acts only through blinding: pass blinding")
         photocurrent = None
-        linear = np.full(n, cfg.mode == LINEAR)
+        linear = np.zeros(n, dtype=bool)
     else:
         total = intensity
         if background is not None:
@@ -300,21 +227,23 @@ def apd_detect(
             if np.any(background < 0.0):
                 raise ValueError("background must be >= 0")
             total = intensity + background
-        photocurrent, linear, _ = _blinding_trace(blind, total)
+        photocurrent, linear = _blinding_trace(blinding, total)
 
     clicks = np.zeros(n, dtype=bool)
-    always_rail = cfg.p_always * (1.0 - _RAIL_TOL)
-    never_rail = cfg.p_never * (1.0 + _RAIL_TOL)
+    p_never, p_always = rails
+    dead, afterpulse, dark = detector.dead_time_slots, detector.afterpulse_prob, detector.dark_count_prob
+    always_rail = p_always * (1.0 - _RAIL_TOL)
+    never_rail = p_never * (1.0 + _RAIL_TOL)
     needs_rng = (
-        cfg.afterpulse_prob > 0.0
-        or cfg.dark_count_prob > 0.0
+        afterpulse > 0.0
+        or dark > 0.0
         or bool(np.any(linear & (intensity > never_rail) & (intensity < always_rail)))
     )
-    stateful = cfg.dead_time_slots > 0 or cfg.afterpulse_prob > 0.0 or cfg.dark_count_prob > 0.0
+    stateful = dead > 0 or afterpulse > 0.0 or dark > 0.0
 
     if not stateful and not needs_rng:
         # Deterministic fast path: thresholds only.
-        geiger_clicks = ~linear & (intensity > cfg.click_threshold)
+        geiger_clicks = ~linear & (intensity > click_threshold)
         linear_clicks = linear & (intensity >= always_rail)
         clicks = geiger_clicks | linear_clicks
     else:
@@ -322,7 +251,7 @@ def apd_detect(
             raise ValueError(f"detector {detector_id} draws random clicks: pass an rng")
         live_from = 0
         afterpulse_at = -1
-        span = cfg.p_always - cfg.p_never
+        span = p_always - p_never
         for k in range(n):
             if k < live_from:
                 continue
@@ -331,18 +260,18 @@ def apd_detect(
                 if intensity[k] >= always_rail:
                     fired = True
                 elif intensity[k] > never_rail:
-                    p = min(1.0, max(0.0, (intensity[k] - cfg.p_never) / span))
+                    p = min(1.0, max(0.0, (intensity[k] - p_never) / span))
                     fired = bool(rng.random() < p)
             else:
-                if k == afterpulse_at and cfg.afterpulse_prob > 0.0 and rng.random() < cfg.afterpulse_prob:
+                if k == afterpulse_at and afterpulse > 0.0 and rng.random() < afterpulse:
                     fired = True
-                if not fired and intensity[k] > cfg.click_threshold:
+                if not fired and intensity[k] > click_threshold:
                     fired = True
-                if not fired and cfg.dark_count_prob > 0.0 and rng.random() < cfg.dark_count_prob:
+                if not fired and dark > 0.0 and rng.random() < dark:
                     fired = True
             if fired:
                 clicks[k] = True
-                live_from = k + 1 + cfg.dead_time_slots
+                live_from = k + 1 + dead
                 afterpulse_at = live_from
 
     trace = DetectorTrace(clicks=clicks, intensity=intensity, photocurrent=photocurrent, linear_mode=linear)

@@ -26,8 +26,8 @@ from typing import Callable
 import numpy as np
 import numpy.typing as npt
 
-from .config import DetectorSettings
-from .detectors import ApdConfig, BlindingState, DetectionRecord, apd_detect
+from .config import BlindingSettings, DetectorSettings
+from .detectors import DetectionRecord, apd_detect
 from .optics import PulseTrain, coupler_2x2, cw_laser, dli, phase_modulator, pulse_carver
 
 __all__ = [
@@ -91,12 +91,11 @@ class ProtocolRun:
 def receive(
     protocol: str,
     train: PulseTrain,
-    detector: DetectorSettings = DetectorSettings(),
-    nominal: float | None = None,
+    detector: DetectorSettings,
+    nominal: float,
     t_b: float = 0.9,
-    mode: str = "geiger",
     rng: Callable[[str], np.random.Generator] | None = None,
-    blind: BlindingState | None = None,
+    blinding: BlindingSettings | None = None,
     background: np.ndarray | None = None,
 ) -> tuple[DetectionRecord, dict[str, PulseTrain]]:
     """Bob's receiver, or any replica of it.
@@ -107,58 +106,52 @@ def receive(
     D_M2 (destructive).
 
     Each Geiger threshold is ``detector.click_threshold_rel`` times the
-    nominal intensity of its line: ``nominal`` (default: the peak intensity of
-    ``train``) on the DPS lines, times ``t_b`` on D_B and ``1 - t_b`` on the
-    monitoring line.  At 0.5 a lone pulse still clicks the data line while the
-    quarter-intensity interferometer edges, where a pulse meets a vacuum
-    neighbour, stay silent.  The linear-mode rails are the plain ``p_*`` pair
-    for DPS and the ``_b``/``_m`` pairs for COW; ``mode`` fixes the regime of
-    every detector unless ``blind`` is given.  ``rng`` maps a detector name
-    to its generator.
-    ``blind`` and ``background`` drive every detector into blinding;
-    ``background`` must cover the longest port, ``len(train) + 1`` slots, and
-    each detector sees its leading part.
+    nominal intensity of its line: ``nominal`` on the DPS lines, times ``t_b``
+    on D_B and ``1 - t_b`` on the monitoring line.  At 0.5 a lone pulse still
+    clicks the data line while the quarter-intensity interferometer edges,
+    where a pulse meets a vacuum neighbour, stay silent.  Every detector runs
+    in Geiger mode unless ``blinding`` is given; ``blinding`` and
+    ``background`` drive every detector into blinding, where a detector in
+    linear mode clicks by the plain ``p_*`` rails for DPS and the ``_b``/``_m``
+    pairs for COW.  ``background`` must cover the longest port,
+    ``len(train) + 1`` slots, and each detector sees its leading part.
+    ``rng`` maps a detector name to its generator.
 
-    Returns the merged record and the field incident on each detector.
+    Returns the record of every detector and the field incident on each.
     """
-    if nominal is None:
-        nominal = float(np.max(train.intensities)) if len(train) else 1.0
     if protocol == "dps":
         if len(train) < 2:
             raise ValueError("DPS measurement needs at least two slots")
         constructive, destructive = dli(train, 1)
-        lines = {"D1": (constructive, 1.0, ""), "D2": (destructive, 1.0, "")}
+        pair = (detector.p_never, detector.p_always)
+        lines = {"D1": (constructive, 1.0, pair), "D2": (destructive, 1.0, pair)}
     elif protocol == "cow":
         if not (0.0 < t_b < 1.0):
             raise ValueError(f"t_b must be within (0, 1), got {t_b}")
         data_line, monitor_line = coupler_2x2(train, None, t_b)
         constructive, destructive = dli(monitor_line, 1)
-        monitor = 1.0 - t_b
-        lines = {"D_B": (data_line, t_b, "_b"), "D_M1": (constructive, monitor, "_m"), "D_M2": (destructive, monitor, "_m")}
+        monitor, pair = 1.0 - t_b, (detector.p_never_m, detector.p_always_m)
+        lines = {
+            "D_B": (data_line, t_b, (detector.p_never_b, detector.p_always_b)),
+            "D_M1": (constructive, monitor, pair),
+            "D_M2": (destructive, monitor, pair),
+        }
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
-    records = []
-    for name, (port, share, rails) in lines.items():
-        cfg = ApdConfig(
-            mode=mode,
-            click_threshold=detector.click_threshold_rel * share * nominal,
-            p_never=getattr(detector, f"p_never{rails}"),
-            p_always=getattr(detector, f"p_always{rails}"),
-            dead_time_slots=detector.dead_time_slots,
-            afterpulse_prob=detector.afterpulse_prob,
-            dark_count_prob=detector.dark_count_prob,
-        )
-        records.append(
-            apd_detect(
-                port,
-                cfg,
-                name,
-                blind=blind,
-                background=None if background is None else background[: len(port)],
-                rng=None if rng is None else rng(name),
-            )
-        )
-    return DetectionRecord.merged(*records), {name: line[0] for name, line in lines.items()}
+    traces = {
+        name: apd_detect(
+            port,
+            detector.click_threshold_rel * share * nominal,
+            rails,
+            detector,
+            name,
+            blinding=blinding,
+            background=None if background is None else background[: len(port)],
+            rng=None if rng is None else rng(name),
+        )[name]
+        for name, (port, share, rails) in lines.items()
+    }
+    return DetectionRecord(traces, train.slot_period), {name: line[0] for name, line in lines.items()}
 
 
 # ---------------------------------------------------------------------------

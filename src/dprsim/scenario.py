@@ -34,10 +34,19 @@ from .attacks import (
     trojan_decode,
     trojan_probe,
 )
-from .config import _SCALARS, ConfigError, ScenarioConfig, _at, _inner, _type_hints, _typed, scenario_from_dict
+from .config import (
+    _SCALARS,
+    BlindingSettings,
+    ConfigError,
+    DetectorSettings,
+    ScenarioConfig,
+    _at,
+    _inner,
+    _type_hints,
+    _typed,
+    scenario_from_dict,
+)
 from .detectors import (
-    ApdConfig,
-    BlindingState,
     DetectionRecord,
     DetectorTrace,
     apd_detect,
@@ -133,7 +142,8 @@ def _receive(
     train: PulseTrain,
     rngs: RngFactory,
     stream: str,
-    **blinding: Any,
+    blinding: BlindingSettings | None = None,
+    background: np.ndarray | None = None,
 ) -> tuple[DetectionRecord, dict[str, PulseTrain]]:
     """Bob's receiver, or Eve's replica of it, at the scenario's detector
     settings and nominal level ``amplitude**2``; detector ``X`` draws from the
@@ -145,7 +155,8 @@ def _receive(
         cfg.amplitude**2,
         t_b=cfg.t_b,
         rng=lambda name: rngs.get(f"{stream}-{name}"),
-        **blinding,
+        blinding=blinding,
+        background=background,
     )
 
 
@@ -191,9 +202,11 @@ def _run_backflash(
 
     def eve_clicks(detector: str, threshold: float) -> np.ndarray:
         emission = backflash_emit(run.record[detector], ports[detector], bf, rng=rngs.get(f"backflash-{detector}"))
-        # A lossless circulator routes the emission from Bob's port to Eve.
-        cfg_eve = ApdConfig(mode="geiger", click_threshold=threshold)
-        return apd_detect(emission, cfg_eve, f"EVE_{detector}", rng=rngs.get(f"eve-{detector}")).clicks(f"EVE_{detector}")
+        # A lossless circulator routes the emission from Bob's port to Eve's
+        # replica detector, which is noise-free.
+        eve, name = DetectorSettings(), f"EVE_{detector}"
+        rails = (eve.p_never, eve.p_always)
+        return apd_detect(emission, threshold, rails, eve, name, rng=rngs.get(f"eve-{detector}"))[name].clicks
 
     rel = cfg.detector.click_threshold_rel
     nominal = cfg.amplitude**2
@@ -289,18 +302,24 @@ def _on_grid(record: DetectionRecord, offset: int, n_slots: int) -> DetectionRec
     return DetectionRecord(traces, record.slot_period)
 
 
-def _eve_readings(cfg: ScenarioConfig, rngs: RngFactory, train: PulseTrain) -> tuple[np.ndarray, int]:
+def _eve_readings(
+    cfg: ScenarioConfig, rngs: RngFactory, train: PulseTrain, clean: DetectionRecord
+) -> tuple[np.ndarray, int]:
     """The blinding attack's first stage: the readings Eve replays, pinned or
     measured by her replica of Bob on Alice's train, and the ``len(train) + 1``
-    slots of Alice's grid that Bob sifts."""
+    slots of Alice's grid that Bob sifts.  Detectors that draw nothing record
+    the same train alike, so then her replica's record is Bob's ``clean`` one."""
     n_slots = len(train) + 1
     readings = cfg.attack.blinding.readings
     if readings is not None:
         return np.array(readings, dtype=np.int64), n_slots
+    record = clean
+    if cfg.detector.afterpulse_prob > 0.0 or cfg.detector.dark_count_prob > 0.0:
+        record = _receive(cfg, train, rngs, "eve-stage1")[0]
     decode = decode_dps_readings if cfg.protocol == "dps" else decode_cow_readings
     # A double click of Eve's replica (DPS reading -1) names no detector:
     # she replays it as a vacuum event.
-    return np.maximum(decode(_receive(cfg, train, rngs, "eve-stage1")[0], 0, n_slots), 0), n_slots
+    return np.maximum(decode(record, 0, n_slots), 0), n_slots
 
 
 def _run_blinding(
@@ -339,9 +358,8 @@ def _run_blinding(
         eve_slots, eve_bits = _cow_eve_key(clean.alice_symbols, _window(readings == 3, 0, n_slots))
 
     trigger = plan.to_train(cfg.slot_period)
-    blind = BlindingState(0.0, s.decay_per_slot, s.blind_threshold)
     background = _blinding_background(s.style, s.illumination_level, s.pulse_period_slots, len(trigger) + 1)
-    record = _receive(cfg, trigger, rngs, "bob", blind=blind, background=background)[0]
+    record = _receive(cfg, trigger, rngs, "bob", blinding=s, background=background)[0]
 
     monitor_alarm = False
     cm = cfg.countermeasures.photocurrent_monitor
@@ -685,7 +703,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunRecord:
     # Drop what no later stage reads: Alice's train serves only Eve's
     # blinding replica, and the port fields only the backflash pass.
     if kind == "blinding":
-        stage1 = _eve_readings(cfg, rngs, train)
+        stage1 = _eve_readings(cfg, rngs, train, record)
     del train, record
     if kind != "backflash":
         del ports

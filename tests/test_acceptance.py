@@ -18,7 +18,7 @@ from dprsim.attacks import (
     fsg_dps_phases,
 )
 from dprsim.cli import main
-from dprsim.config import DetectorSettings
+from dprsim.config import BlindingSettings, DetectorSettings
 from dprsim.optics import PulseTrain, dli
 from dprsim.protocols import cow_occupancy, dps_encode, dps_sift, receive
 from dprsim.scenario import run_golden
@@ -76,7 +76,7 @@ def test_dps_round_trip_thousand_runs():
         started = time.perf_counter()
         for _ in range(1000):
             bits = rng.integers(0, 2, 256)
-            record, _ = receive("dps", dps_encode(bits))
+            record, _ = receive("dps", dps_encode(bits), DetectorSettings(), 1.0)
             km = dps_sift(bits, record)
             assert km.qber == 0.0
             assert km.sifted_length == 255
@@ -107,11 +107,16 @@ def test_fsg_sequence_reproduction():
         plan = fsg_dps_phases(WORKED_EXAMPLE_READINGS, n_policy="worked-example")
         assert plan.phase_units == WORKED_EXAMPLE_PHASES == (0, 0, 2, 1, 1, 3, 1, 2, 0, 2, 1, 3, 2, 1, 2)
         rails = DetectorSettings(p_never=0.2, p_always=0.39)
+        blinding = BlindingSettings()
         started = time.perf_counter()
         for readings in itertools.product((0, 1, 2), repeat=8):
             canonical = fsg_dps_phases(readings, launch_intensity=0.39)
-            # Bob's blinded receiver, held in linear mode, decoded per reading.
-            record, _ = receive("dps", canonical.to_train(), rails, mode="linear")
+            # Bob's blinded receiver, held in linear mode by blinding light at
+            # the blind threshold on every slot, decoded per reading.
+            train = canonical.to_train()
+            background = np.full(len(train) + 1, blinding.blind_threshold)
+            record, _ = receive("dps", train, rails, 1.0, blinding=blinding, background=background)
+            assert record["D1"].linear_mode.all() and record["D2"].linear_mode.all()
             replayed = decode_dps_readings(record, canonical.readings_slot_offset, len(readings))
             assert replayed.tolist() == list(readings)
         assert time.perf_counter() - started < 60.0
@@ -146,10 +151,10 @@ def test_countermeasure_discrimination():
         assert run_golden("cow-blinding").attack.alarms["photocurrent_monitor"] is False
 
         # Property over window sizes >= 8: same per-pulse energy, exact booleans.
-        from dprsim.detectors import ApdConfig, BlindingState, apd_detect, photocurrent_monitor
+        from dprsim.detectors import apd_detect, photocurrent_monitor
 
         level, threshold = 20.0, 40.0
-        cfg = ApdConfig(mode="geiger", click_threshold=0.5)
+        blinding = BlindingSettings(decay_per_slot=0.8, blind_threshold=4.0)
         for window in (8, 10, 16):
             n = 8 * window
             cw = np.full(n, level)
@@ -158,8 +163,10 @@ def test_countermeasure_discrimination():
             for background, expected in ((cw, True), (pulsed, False)):
                 rec = apd_detect(
                     PulseTrain(np.zeros(n)),
-                    cfg,
-                    blind=BlindingState(0.0, 0.8, 4.0),
+                    0.5,
+                    (0.2, 0.39),
+                    DetectorSettings(),
+                    blinding=blinding,
                     background=background,
                 )
                 result = photocurrent_monitor(rec["D"].photocurrent, window, threshold)

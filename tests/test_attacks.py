@@ -17,7 +17,7 @@ from dprsim.attacks import (
     trojan_decode,
     trojan_probe,
 )
-from dprsim.config import DetectorSettings, TrojanSettings
+from dprsim.config import BlindingSettings, DetectorSettings, TrojanSettings
 from dprsim.optics import attenuate
 from dprsim.protocols import cow_occupancy, dps_reference_bits, receive
 
@@ -33,15 +33,25 @@ def phase_steps(plan) -> list[int]:
     return (np.diff(plan.phase_units) % 4).tolist()
 
 
+def held_blind(protocol, train, rails, t_b=0.9):
+    """Bob's record of a train, his detectors held in linear mode by blinding
+    light at the blind threshold on every slot."""
+    blinding = BlindingSettings()
+    background = np.full(len(train) + 1, blinding.blind_threshold)
+    record, _ = receive(protocol, train, rails, 1.0, t_b=t_b, blinding=blinding, background=background)
+    assert all(record[name].linear_mode.all() for name in record.names)
+    return record
+
+
 def replay_dps(plan) -> list[int]:
     """The readings a linear-mode DPS receiver decodes from a plan's train."""
-    record, _ = receive("dps", plan.to_train(1.0), RAILS, mode="linear")
+    record = held_blind("dps", plan.to_train(1.0), RAILS)
     return decode_dps_readings(record, plan.readings_slot_offset, len(plan.readings)).tolist()
 
 
 def replay_cow(plan, t_b) -> list[int]:
     """The readings a linear-mode COW receiver decodes from a plan's train."""
-    record, _ = receive("cow", plan.to_train(0.5), COW_RAILS, t_b=t_b, mode="linear")
+    record = held_blind("cow", plan.to_train(0.5), COW_RAILS, t_b)
     return decode_cow_readings(record, plan.readings_slot_offset, len(plan.readings)).tolist()
 
 
@@ -145,7 +155,7 @@ def test_fsg_cow_replay_reproduces_readings(readings):
 @given(cow_readings)
 def test_fsg_cow_drive_never_leaks_into_silent_detectors(readings):
     plan = fsg_cow_drive(readings, 0.5, COW_RAILS)
-    record, _ = receive("cow", plan.to_train(0.5), COW_RAILS, t_b=0.5, mode="linear")
+    record = held_blind("cow", plan.to_train(0.5), COW_RAILS, 0.5)
     offset = plan.readings_slot_offset
     for j, r in enumerate(readings):
         slot = offset + j

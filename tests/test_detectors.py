@@ -4,20 +4,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dprsim.detectors import (
-    ApdConfig,
-    BlindingState,
-    DetectionRecord,
     apd_detect,
     backflash_emit,
     photocurrent_monitor,
     watchdog,
 )
-from dprsim.config import BackflashSettings
+from dprsim.config import BackflashSettings, BlindingSettings, DetectorSettings
 from dprsim.optics import PulseTrain, cw_laser
+
+# A detector with no dead time, afterpulses or dark counts, and its
+# linear-mode rails (p_never, p_always).
+IDEAL = DetectorSettings()
+RAILS = (0.2, 0.4)
+# Blinding light at the blind threshold on every slot holds the stored
+# current at or above it, so the detector is in linear mode throughout.
+BLIND = BlindingSettings(decay_per_slot=0.5, blind_threshold=1.0)
 
 
 def intensity_train(values) -> PulseTrain:
     return PulseTrain(np.sqrt(np.asarray(values, dtype=np.float64)).astype(np.complex128))
+
+
+def held_blind(train: PulseTrain, rng=None):
+    """A detector held in linear mode, as blinding light holds Bob's."""
+    background = np.full(len(train), BLIND.blind_threshold)
+    return apd_detect(train, 0.5, RAILS, IDEAL, blinding=BLIND, background=background, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -26,22 +37,20 @@ def intensity_train(values) -> PulseTrain:
 
 
 def test_geiger_vacuum_never_clicks():
-    rec = apd_detect(PulseTrain(np.zeros(8)), ApdConfig(mode="geiger", click_threshold=0.5))
+    rec = apd_detect(PulseTrain(np.zeros(8)), 0.5, RAILS, IDEAL)
     assert rec["D"].click_count == 0
 
 
 def test_geiger_threshold_is_strict():
     # Amplitudes 0.5, 0.75, 0.25 give exactly representable intensities
     # 0.25, 0.5625, 0.0625 against a threshold of 0.25.
-    cfg = ApdConfig(mode="geiger", click_threshold=0.25)
     train = PulseTrain(np.array([0.5, 0.75, 0.25], dtype=np.complex128))
-    rec = apd_detect(train, cfg)
+    rec = apd_detect(train, 0.25, RAILS, IDEAL)
     assert rec["D"].clicks.tolist() == [False, True, False]
 
 
 def test_geiger_dead_time_blocks_following_slots():
-    cfg = ApdConfig(mode="geiger", click_threshold=0.5, dead_time_slots=2)
-    rec = apd_detect(cw_laser(7, 1.0), cfg)
+    rec = apd_detect(cw_laser(7, 1.0), 0.5, RAILS, DetectorSettings(dead_time_slots=2))
     assert rec["D"].clicks.tolist() == [True, False, False, True, False, False, True]
 
 
@@ -51,30 +60,29 @@ def test_geiger_dead_time_blocks_following_slots():
     st.integers(0, 4),
 )
 def test_dead_time_exclusion_invariant(pattern, dead):
-    cfg = ApdConfig(mode="geiger", click_threshold=0.5, dead_time_slots=dead)
-    rec = apd_detect(intensity_train(pattern), cfg)
+    rec = apd_detect(intensity_train(pattern), 0.5, RAILS, DetectorSettings(dead_time_slots=dead))
     clicked = np.nonzero(rec["D"].clicks)[0]
     assert np.all(np.diff(clicked) > dead) if clicked.size > 1 else True
 
 
 def test_afterpulse_fires_in_first_live_slot():
-    cfg = ApdConfig(mode="geiger", click_threshold=0.5, dead_time_slots=1, afterpulse_prob=1.0)
-    rec = apd_detect(intensity_train([1.0, 0.0, 0.0, 0.0]), cfg, rng=np.random.default_rng(0))
+    detector = DetectorSettings(dead_time_slots=1, afterpulse_prob=1.0)
+    rec = apd_detect(intensity_train([1.0, 0.0, 0.0, 0.0]), 0.5, RAILS, detector, rng=np.random.default_rng(0))
     # Click at 0, dead at 1, certain afterpulse at 2, dead at 3.
     assert rec["D"].clicks.tolist() == [True, False, True, False]
 
 
 def test_dark_counts_without_afterpulses_draw_once_per_live_subthreshold_slot():
     dead = 2
-    cfg = ApdConfig(mode="geiger", click_threshold=0.5, dead_time_slots=dead, dark_count_prob=0.3)
+    detector = DetectorSettings(dead_time_slots=dead, dark_count_prob=0.3)
     pattern = np.random.default_rng(1).choice([0.0, 1.0], size=200, p=[0.7, 0.3])
     rng = np.random.default_rng(7)
-    clicks = apd_detect(intensity_train(pattern), cfg, rng=rng)["D"].clicks
+    clicks = apd_detect(intensity_train(pattern), 0.5, RAILS, detector, rng=rng)["D"].clicks
     draws, live_from = 0, 0
     for k, fired in enumerate(clicks):
         if k < live_from:
             continue
-        draws += pattern[k] <= cfg.click_threshold
+        draws += pattern[k] <= 0.5
         if fired:
             live_from = k + 1 + dead
     assert 0 < clicks.sum() < draws
@@ -86,19 +94,20 @@ def test_dark_counts_without_afterpulses_draw_once_per_live_subthreshold_slot():
 @pytest.mark.parametrize(
     "cfg, intensities",
     [
-        (ApdConfig(mode="geiger", click_threshold=0.5, dark_count_prob=0.1), [1.0, 0.0]),
-        (ApdConfig(mode="geiger", click_threshold=0.5, afterpulse_prob=0.1), [1.0, 0.0]),
-        (ApdConfig(mode="linear", p_never=0.2, p_always=0.4), [0.3]),
+        ((DetectorSettings(dark_count_prob=0.1), None), [1.0, 0.0]),
+        ((DetectorSettings(afterpulse_prob=0.1), None), [1.0, 0.0]),
+        ((IDEAL, BLIND), [0.3]),
     ],
 )
 def test_random_clicks_need_an_rng(cfg, intensities):
+    (detector, blinding), train = cfg, intensity_train(intensities)
+    background = None if blinding is None else np.full(len(train), blinding.blind_threshold)
     with pytest.raises(ValueError, match="rng"):
-        apd_detect(intensity_train(intensities), cfg)
+        apd_detect(train, 0.5, RAILS, detector, blinding=blinding, background=background)
 
 
 def test_avalanche_intensity_tracks_click_slots():
-    cfg = ApdConfig(mode="geiger", click_threshold=0.5)
-    rec = apd_detect(intensity_train([1.0, 0.0, 2.0]), cfg)
+    rec = apd_detect(intensity_train([1.0, 0.0, 2.0]), 0.5, RAILS, IDEAL)
     np.testing.assert_allclose(rec["D"].avalanche_intensity, [1.0, 2.0])
 
 
@@ -108,23 +117,21 @@ def test_avalanche_intensity_tracks_click_slots():
 
 
 def test_linear_rails_are_deterministic():
-    cfg = ApdConfig(mode="linear", p_never=0.2, p_always=0.4)
+    # Every intensity lies below the Geiger threshold of 0.5: the rails alone decide.
     for _ in range(50):
-        rec = apd_detect(intensity_train([0.4, 0.2, 0.41, 0.19]), cfg)
+        rec = held_blind(intensity_train([0.4, 0.2, 0.41, 0.19]))
         assert rec["D"].clicks.tolist() == [True, False, True, False]
 
 
 def test_linear_interpolates_between_rails():
-    cfg = ApdConfig(mode="linear", p_never=0.2, p_always=0.4)
     midpoint = intensity_train([0.3] * 10_000)
-    rec = apd_detect(midpoint, cfg, rng=np.random.default_rng(42))
+    rec = held_blind(midpoint, rng=np.random.default_rng(42))
     # Bernoulli(0.5): 3 sigma over 10k trials is +-150.
     assert abs(rec["D"].click_count - 5000) < 150
 
 
 def test_linear_mode_trace_labels():
-    cfg = ApdConfig(mode="linear", p_never=0.2, p_always=0.4)
-    rec = apd_detect(intensity_train([0.4]), cfg)
+    rec = held_blind(intensity_train([0.4]))
     assert rec["D"].linear_mode.tolist() == [True]
 
 
@@ -133,24 +140,24 @@ def test_linear_mode_trace_labels():
 # ---------------------------------------------------------------------------
 
 
-def blinded(state: BlindingState, incident: np.ndarray):
+def blinded(blinding: BlindingSettings, incident: np.ndarray):
     """A dark signal port lit by ``incident`` background: the detector's
     per-slot linear-mode trace and its stored photocurrent."""
-    trace = apd_detect(PulseTrain(np.zeros(incident.size)), ApdConfig(), blind=state, background=incident)["D"]
+    trace = apd_detect(PulseTrain(np.zeros(incident.size)), 0.5, RAILS, IDEAL, blinding=blinding, background=incident)["D"]
     return trace.linear_mode, trace.photocurrent
 
 
 def test_no_illumination_stays_geiger():
-    state = BlindingState(0.0, 0.5, 1.0)
-    linear, _ = blinded(state, np.zeros(20))
+    blinding = BlindingSettings(decay_per_slot=0.5, blind_threshold=1.0)
+    linear, _ = blinded(blinding, np.zeros(20))
     assert not linear.any()
 
 
 def test_sustained_illumination_converges_to_blinded_fixed_point():
     decay, threshold = 0.8, 1.0
     level = threshold / (1.0 - decay)
-    state = BlindingState(0.0, decay, threshold)
-    linear, stored = blinded(state, np.full(200, level))
+    blinding = BlindingSettings(decay_per_slot=decay, blind_threshold=threshold)
+    linear, stored = blinded(blinding, np.full(200, level))
     fixed_point = level / (1.0 - decay)
     assert stored[-1] == pytest.approx(fixed_point, rel=1e-9)
     assert fixed_point >= threshold
@@ -160,10 +167,10 @@ def test_sustained_illumination_converges_to_blinded_fixed_point():
 def test_single_bright_pulse_blinds_for_log2_slots():
     # 10x threshold with decay 1/2: stored = 10, 5, 2.5, 1.25, 0.625 ...
     # so the detector is linear for ceil(log2(10)) = 4 slots.
-    state = BlindingState(0.0, 0.5, 1.0)
+    blinding = BlindingSettings(decay_per_slot=0.5, blind_threshold=1.0)
     incident = np.zeros(10)
     incident[0] = 10.0
-    linear, _ = blinded(state, incident)
+    linear, _ = blinded(blinding, incident)
     assert int(linear.sum()) == 4
     assert linear[:4].all() and not linear[4:].any()
 
@@ -174,7 +181,7 @@ def test_blinded_period_monotone_in_pulse_energy(energy, extra, decay):
     def blinded_slots(e):
         incident = np.zeros(64)
         incident[0] = e
-        linear, _ = blinded(BlindingState(0.0, decay, 1.0), incident)
+        linear, _ = blinded(BlindingSettings(decay_per_slot=decay, blind_threshold=1.0), incident)
         return int(linear.sum())
 
     assert blinded_slots(energy + extra) >= blinded_slots(energy)
@@ -183,9 +190,8 @@ def test_blinded_period_monotone_in_pulse_energy(energy, extra, decay):
 def test_apd_detect_blinding_transition():
     # Bright background for 4 slots, then dark: the detector drops back to
     # Geiger only after the stored current decays below threshold.
-    cfg = ApdConfig(mode="geiger", click_threshold=0.5, p_never=0.2, p_always=0.4)
     background = np.array([10.0, 10.0, 10.0, 10.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    rec = apd_detect(PulseTrain(np.zeros(10)), cfg, blind=BlindingState(0.0, 0.5, 1.0), background=background)
+    rec = apd_detect(PulseTrain(np.zeros(10)), 0.5, RAILS, IDEAL, blinding=BLIND, background=background)
     trace = rec["D"]
     assert trace.linear_mode[:4].all()
     assert not trace.linear_mode[-1]
@@ -194,11 +200,10 @@ def test_apd_detect_blinding_transition():
 
 def test_photocurrent_is_kept_only_under_blinding():
     # Without blinding the photocurrent is the intensity, so the trace does
-    # not repeat it; background light acts only through the blinding state.
-    cfg = ApdConfig(mode="geiger", click_threshold=0.5)
-    assert apd_detect(cw_laser(4, 1.0), cfg)["D"].photocurrent is None
+    # not repeat it; background light acts only under blinding.
+    assert apd_detect(cw_laser(4, 1.0), 0.5, RAILS, IDEAL)["D"].photocurrent is None
     with pytest.raises(ValueError, match="blind"):
-        apd_detect(PulseTrain(np.zeros(4)), cfg, background=np.ones(4))
+        apd_detect(PulseTrain(np.zeros(4)), 0.5, RAILS, IDEAL, background=np.ones(4))
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +213,14 @@ def test_photocurrent_is_kept_only_under_blinding():
 
 def test_backflash_ideal_copies_every_clicked_slot():
     incident = cw_laser(6, 1.0)
-    rec = apd_detect(incident, ApdConfig(mode="geiger", click_threshold=0.5))
+    rec = apd_detect(incident, 0.5, RAILS, IDEAL)
     out = backflash_emit(rec["D"], incident, BackflashSettings(ideal=True, emission_gain=0.5))
     np.testing.assert_allclose(out.slots, 0.5 * incident.slots)
 
 
 def test_backflash_no_clicks_is_vacuum():
     incident = cw_laser(6, 1.0)
-    rec = apd_detect(PulseTrain(np.zeros(6)), ApdConfig(mode="geiger", click_threshold=0.5))
+    rec = apd_detect(PulseTrain(np.zeros(6)), 0.5, RAILS, IDEAL)
     out = backflash_emit(rec["D"], incident, BackflashSettings(ideal=True))
     assert out.intensities.sum() == 0.0
 
@@ -227,7 +232,7 @@ def test_backflash_default_probability_value():
 def test_backflash_statistics_converge_to_emission_probability():
     n = 100_000
     incident = cw_laser(n, 1.0)
-    rec = apd_detect(incident, ApdConfig(mode="geiger", click_threshold=0.5))
+    rec = apd_detect(incident, 0.5, RAILS, IDEAL)
     cfg = BackflashSettings()
     out = backflash_emit(rec["D"], incident, cfg, rng=np.random.default_rng(7))
     emitted = int(np.sum(out.intensities > 0))
@@ -238,14 +243,14 @@ def test_backflash_statistics_converge_to_emission_probability():
 
 def test_backflash_below_certainty_needs_an_rng():
     incident = cw_laser(6, 1.0)
-    rec = apd_detect(incident, ApdConfig(mode="geiger", click_threshold=0.5))
+    rec = apd_detect(incident, 0.5, RAILS, IDEAL)
     with pytest.raises(ValueError, match="rng"):
         backflash_emit(rec["D"], incident, BackflashSettings())
 
 
 def test_backflash_length_mismatch_rejected():
     incident = cw_laser(6, 1.0)
-    rec = apd_detect(incident, ApdConfig(mode="geiger", click_threshold=0.5))
+    rec = apd_detect(incident, 0.5, RAILS, IDEAL)
     with pytest.raises(ValueError):
         backflash_emit(rec["D"], cw_laser(5, 1.0), BackflashSettings())
 
@@ -291,8 +296,3 @@ def test_watchdog_passes_weak_signal():
     weak = cw_laser(4, 0.1)
     assert watchdog(weak, 0.1, 5.0) is False
 
-
-def test_record_merge_rejects_duplicates():
-    rec = apd_detect(cw_laser(2, 1.0), ApdConfig(mode="geiger", click_threshold=0.5), "D1")
-    with pytest.raises(ValueError):
-        DetectionRecord.merged(rec, rec)

@@ -17,14 +17,13 @@ from dprsim.attacks import (
     trojan_decode,
     trojan_probe,
 )
-from dprsim.config import BackflashSettings, DetectorSettings, TrojanSettings, scenario_from_dict
+from dprsim.config import BackflashSettings, BlindingSettings, DetectorSettings, TrojanSettings, scenario_from_dict
 from dprsim.detectors import (
-    ApdConfig,
-    BlindingState,
     DetectionRecord,
     DetectorTrace,
     _blinding_trace,
     _decay_loop,
+    _decay_scan,
     apd_detect,
     backflash_emit,
 )
@@ -197,9 +196,9 @@ def test_trojan_decode_matches_loops(intensity, phase):
     if peak <= 1e-15:
         assert dps.size == 0 and cow == ""
         return
-    record, _ = receive("dps", reflected, nominal=peak)
+    record, _ = receive("dps", reflected, DetectorSettings(), peak)
     _same(dps, oracle.trojan_decode_dps_loop(record.clicks("D1"), record.clicks("D2"), n))
-    eve = apd_detect(reflected, ApdConfig(mode="geiger", click_threshold=0.5 * peak), "EVE_B")
+    eve = apd_detect(reflected, 0.5 * peak, (0.392, 0.398), DetectorSettings(), "EVE_B")
     assert cow == oracle.trojan_decode_cow_loop(eve["EVE_B"].clicks)
 
 
@@ -297,11 +296,10 @@ def _incident(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
 
 
 def _check_blinding_trace(stored: float, decay: float, x: np.ndarray) -> None:
-    trace, linear, final = _blinding_trace(BlindingState(stored, decay, 1.0), x)
-    want = oracle.blinding_trace_loop(stored, decay, x)
-    assert trace.tobytes() == want.tobytes()
-    _same(linear, want >= 1.0)
-    assert final.stored_photocurrent == (float(want[-1]) if want.size else stored)
+    """The scan under a detector's trace, from any stored current."""
+    trace = np.empty(x.shape[0])
+    _decay_scan(stored, decay, x, trace)
+    assert trace.tobytes() == oracle.blinding_trace_loop(stored, decay, x).tobytes()
 
 
 # Lengths reach the lane-parallel scan for decays up to about 0.85; slower
@@ -317,7 +315,13 @@ def _check_blinding_trace(stored: float, decay: float, x: np.ndarray) -> None:
 @example(seed=2, n=20_000, decay=0.01, stored=10.0, kind="random")
 @settings(max_examples=150, deadline=None)
 def test_blinding_trace_matches_loop_bit_for_bit(seed, n, decay, stored, kind):
-    _check_blinding_trace(stored, decay, _incident(np.random.default_rng(seed), n, kind))
+    x = _incident(np.random.default_rng(seed), n, kind)
+    _check_blinding_trace(stored, decay, x)
+    # A detector's trace starts from no stored current.
+    trace, linear = _blinding_trace(BlindingSettings(decay_per_slot=decay, blind_threshold=1.0), x)
+    want = oracle.blinding_trace_loop(0.0, decay, x)
+    assert trace.tobytes() == want.tobytes()
+    _same(linear, want >= 1.0)
 
 
 @pytest.mark.parametrize("quiet_lanes,fallback", [(2, False), (4, True)], ids=["second-repair-pass", "loop-fallback"])

@@ -26,12 +26,13 @@ bit_lists = st.lists(st.integers(0, 1), min_size=2, max_size=64)
 symbol_strings = st.text(alphabet="01d", min_size=1, max_size=24)
 
 
+# Every train here is launched at amplitude 1, so its nominal intensity is 1.
 def dps_record(train, detector=DetectorSettings()):
-    return receive("dps", train, detector)[0]
+    return receive("dps", train, detector, 1.0)[0]
 
 
 def cow_record(train, t_b=0.9):
-    return receive("cow", train, t_b=t_b)[0]
+    return receive("cow", train, DetectorSettings(), 1.0, t_b=t_b)[0]
 
 
 def interface_classes(symbols) -> dict[int, str]:

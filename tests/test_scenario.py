@@ -12,7 +12,11 @@ from dprsim.config import ConfigError, ScenarioConfig, scenario_from_dict
 from dprsim.goldens import GOLDENS, golden_config_dict
 from dprsim.report import emit_outputs, load_record, save_record
 from dprsim.scenario import (
+    RngFactory,
     RunRecord,
+    _alice_material,
+    _receive,
+    _transmit,
     derive_sweep_seed,
     load_config,
     run_golden,
@@ -625,6 +629,38 @@ def test_blinding_derived_readings_round_trip():
     assert record.protocol_run.qber == 0.0
     assert record.attack.capture_fraction == 1.0
     assert record.attack.induced_qber == 0.0
+
+
+@pytest.mark.parametrize("protocol", ["dps", "cow"])
+def test_noise_free_derived_blinding_decodes_bobs_clean_record(monkeypatch, protocol):
+    # Eve's first stage runs her own receive, on its own streams, only where
+    # a detector draws; dead time alone draws nothing.
+    names = []
+    get = RngFactory.get
+    monkeypatch.setattr(RngFactory, "get", lambda self, name: names.append(name) or get(self, name))
+    for detector, replica in (({}, False), ({"dead_time_slots": 3}, False), ({"dark_count_prob": 1e-3}, True)):
+        names.clear()
+        doc = {"protocol": protocol, "n_symbols": 200, "detector": detector, "attack": {"kind": "blinding"}}
+        run_scenario(scenario_from_dict(doc))
+        assert any(name.startswith("eve-stage1-") for name in names) is replica
+
+
+@pytest.mark.parametrize("protocol", ["dps", "cow"])
+@pytest.mark.parametrize("t_b", [0.5, 0.9])
+@pytest.mark.parametrize("tamper", [False, True])
+@pytest.mark.parametrize("dead", [0, 3])
+def test_detectors_that_draw_nothing_record_a_train_alike(protocol, t_b, tamper, dead):
+    # Why derived blinding may decode Bob's clean record: Eve's replica on
+    # Alice's train would record every click the same.
+    doc = {"protocol": protocol, "n_symbols": 3000, "seed": 5, "t_b": t_b, "detector": {"dead_time_slots": dead}}
+    if tamper:
+        doc["channel"] = {"phase_tamper_half_turns": [0.0] * 700 + [1.0] * 900 + [0.5] * 400}
+    cfg = scenario_from_dict(doc)
+    rngs = RngFactory(cfg.seed)
+    train = _transmit(cfg, *_alice_material(cfg, rngs))
+    bob, eve = _receive(cfg, train, rngs, "bob")[0], _receive(cfg, train, rngs, "eve-stage1")[0]
+    for name in bob.names:
+        np.testing.assert_array_equal(bob.clicks(name), eve.clicks(name))
 
 
 @pytest.mark.parametrize("seed", [2, 3, 13, 14])

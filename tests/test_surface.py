@@ -44,6 +44,41 @@ def test_every_exported_name_is_used_by_the_package():
     assert unused == []
 
 
+def test_every_defaulted_parameter_is_passed_by_the_package():
+    # A parameter with a default that no call in the package passes is a
+    # knob only tests turn.  A call passes a parameter by position or by
+    # keyword; ``*args`` covers every positional slot, but ``**kwargs`` names
+    # nothing this scan can see, so the package passes such values by name.
+    trees = {name: ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8")) for name in MODULES}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+                calls.setdefault(callee, []).append(node)
+
+    def passes(call: ast.Call, index: int | None, param: str) -> bool:
+        starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+        positional = index is not None and (starred or index < len(call.args))
+        return positional or any(kw.arg == param for kw in call.keywords)
+
+    knobs = []
+    for name, tree in trees.items():
+        exported = set(getattr(importlib.import_module(f"dprsim.{name}"), "__all__", ()))
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name not in exported:
+                continue
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            for index, param in defaulted:
+                if not any(passes(call, index, param) for call in calls.get(fn.name, [])):
+                    knobs.append(f"{name}.{fn.name}({param})")
+    assert knobs == []
+
+
 def test_a_blinding_run_imports_no_scipy():
     # The package promises numpy only, and ``import scipy.signal`` alone takes
     # about a second, more than a 1e5-symbol blinding run.
