@@ -74,8 +74,8 @@ class FsgPlan:
     intensities, plus where the first reading lands in Bob's interferometer
     output (``readings_slot_offset``)."""
 
-    readings: tuple[int, ...]
-    phase_units: tuple[int, ...]
+    readings: npt.NDArray[np.int64]
+    phase_units: npt.NDArray[np.int64]
     intensity_per_slot: np.ndarray
     readings_slot_offset: int
 
@@ -84,24 +84,25 @@ class FsgPlan:
             raise ValueError("one intensity per pulse required")
 
     def to_train(self, slot_period: float = 1.0) -> PulseTrain:
-        phases = np.fromiter(self.phase_units, np.int64, len(self.phase_units)) % 4
-        return PulseTrain(np.sqrt(self.intensity_per_slot) * _QUARTER_TURNS[phases], slot_period)
+        return PulseTrain(np.sqrt(self.intensity_per_slot) * _QUARTER_TURNS[self.phase_units % 4], slot_period)
 
 
 def _check_readings(readings, allowed: tuple[int, ...]) -> np.ndarray:
+    """``readings`` as int64, each checked to lie in ``allowed``, a run of
+    consecutive ints."""
     readings = np.asarray(readings).astype(np.int64)
     if readings.size == 0:
         raise ValueError("need at least one reading")
-    bad = np.flatnonzero(~np.isin(readings, allowed))
+    bad = np.flatnonzero((readings < allowed[0]) | (readings > allowed[-1]))
     if bad.size:
         raise ValueError(f"readings[{bad[0]}] = {readings[bad[0]]} not in {allowed}")
     return readings
 
 
-def _phase_plan(readings: np.ndarray, steps: np.ndarray) -> tuple[int, ...]:
+def _phase_plan(readings: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Quarter-turn phases of an anchor pulse (phase 0) and one pulse per
     reading, each stepping from the previous one by its reading's step."""
-    return (0, *(np.cumsum(steps[readings]) % 4).tolist())
+    return np.concatenate(([0], np.cumsum(steps[readings]) % 4))
 
 
 def fsg_dps_phases(
@@ -125,14 +126,14 @@ def fsg_dps_phases(
         phases = _phase_plan(readings, _DPS_STEPS)
         offset = 1
     elif n_policy == "worked-example":
-        if readings.tolist() != list(WORKED_EXAMPLE_READINGS):
+        if not np.array_equal(readings, WORKED_EXAMPLE_READINGS):
             raise ValueError("the worked-example policy is defined only for its published reading sequence")
-        phases = WORKED_EXAMPLE_PHASES
+        phases = np.array(WORKED_EXAMPLE_PHASES, dtype=np.int64)
         offset = 0
     else:
         raise ValueError(f"unknown policy {n_policy!r}")
     intensity = np.full(len(phases), launch_intensity, dtype=np.float64)
-    return FsgPlan(tuple(readings.tolist()), phases, intensity, offset)
+    return FsgPlan(readings, phases, intensity, offset)
 
 
 def fsg_cow_drive(
@@ -154,7 +155,7 @@ def fsg_cow_drive(
     base = detector.p_always_m / (1.0 - t_b)
     data = detector.p_always_b / t_b
     levels = np.concatenate([[base], np.where(readings == 3, data, base)])
-    return FsgPlan(tuple(readings.tolist()), _phase_plan(readings, _COW_STEPS), levels, 1)
+    return FsgPlan(readings, _phase_plan(readings, _COW_STEPS), levels, 1)
 
 
 def _window(values: np.ndarray, offset: int, n: int) -> np.ndarray:
@@ -332,26 +333,15 @@ def capture_fraction(
 
     Matches by slot: Bob's bit at slot ``s`` counts when Eve holds the same
     bit at ``s``.  Where Eve lists a slot more than once, her last entry for
-    it wins.  Bits are booleans (or 0 and 1).
+    it wins.  Slots are grid indices (>= 0); bits are booleans (or 0 and 1).
     """
     if bob_slots.size == 0 or eve_slots.size == 0:
         return 0.0
-    # A stable sort keeps duplicates in list order, so the last of each run of
-    # equal slots is Eve's last entry for that slot.
-    eve_slots = eve_slots.astype(np.int64)
-    order = np.argsort(eve_slots, kind="stable")
-    slots, bits = eve_slots[order], eve_bits[order]
-    last = np.append(slots[1:] != slots[:-1], True)
-    # A match is an equal (slot, bit) key; Eve's are sorted and unique.  The
-    # shorter list is searched into the longer one.
-    eve_keys, bob_keys = 2 * slots[last] + bits[last], 2 * bob_slots.astype(np.int64) + bob_bits
-    if bob_keys.size <= eve_keys.size:
-        at = np.minimum(np.searchsorted(eve_keys, bob_keys), eve_keys.size - 1)
-        hits = np.count_nonzero(eve_keys[at] == bob_keys)
-    else:
-        bob_keys = np.sort(bob_keys, kind="stable")  # timsort: one pass where sifting left them sorted
-        hits = np.sum(np.searchsorted(bob_keys, eve_keys, "right") - np.searchsorted(bob_keys, eve_keys, "left"))
-    return int(hits) / bob_slots.size
+    # Eve's bit per grid slot, -1 where she has none.  An assignment through
+    # one index array runs in index order, so her last entry for a slot wins.
+    held = np.full(max(bob_slots.max(), eve_slots.max()) + 1, -1, dtype=np.int8)
+    held[eve_slots] = eve_bits
+    return int(np.count_nonzero(held[bob_slots] == bob_bits)) / bob_slots.size
 
 
 @dataclass(eq=False)

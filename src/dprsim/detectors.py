@@ -157,12 +157,12 @@ class DetectorTrace:
 
     @property
     def click_count(self) -> int:
-        return int(np.sum(self.clicks))
+        return int(np.count_nonzero(self.clicks))
 
     @property
     def avalanche_intensity(self) -> np.ndarray:
         """Incident intensity at each click slot, in click order."""
-        return self.intensity[self.clicks]
+        return self.intensity[np.flatnonzero(self.clicks)]
 
     @property
     def detected_intensity(self) -> float:
@@ -288,22 +288,22 @@ def backflash_emit(
     incident: PulseTrain,
     cfg: BackflashSettings,
     rng: np.random.Generator | None = None,
-) -> PulseTrain:
-    """Re-emit, for each click of ``trace``, the incident slot amplitude
-    (phase preserved) scaled by the emission gain; all other slots stay
-    vacuum.  Unless ``ideal`` forces emission on every click, an emission
-    probability below 1 draws from ``rng``, which must then be given."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Re-emission of a detector's clicks, in sparse form: the slots that
+    re-emit, in order (int64), and the field each one emits, its incident
+    amplitude (phase preserved) scaled by the emission gain.  Every other
+    slot stays vacuum.  Unless ``ideal`` forces emission on every click, an
+    emission probability below 1 draws one number per slot from ``rng``, which
+    must then be given, and a click re-emits where its draw falls below it."""
     if len(trace) != len(incident):
         raise ValueError("trace and incident train lengths differ")
-    emit = trace.clicks.copy()
+    emit = trace.clicks
     if not cfg.ideal and cfg.emission_probability < 1.0:
         if rng is None:
             raise ValueError("backflash emission below certainty draws from an rng: pass one")
-        draws = rng.random(len(incident))
-        emit &= draws < cfg.emission_probability
-    out = np.zeros(len(incident), dtype=np.complex128)
-    out[emit] = cfg.emission_gain * incident.slots[emit]
-    return incident.with_slots(out)
+        emit = emit & (rng.random(len(incident)) < cfg.emission_probability)
+    slots = np.flatnonzero(emit)
+    return slots, cfg.emission_gain * incident.slots[slots]
 
 
 # ---------------------------------------------------------------------------

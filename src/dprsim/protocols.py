@@ -195,7 +195,8 @@ def dps_sift(alice_bits, record: DetectionRecord) -> ProtocolRun:
     click or a double click are discarded.  QBER is the mismatch fraction (0
     when nothing was sifted).
     """
-    bits = _as_bits(alice_bits)
+    reference = dps_reference_bits(alice_bits)  # checks Alice's bits, once
+    bits = np.asarray(alice_bits, dtype=np.int64)
     n = bits.size
     d1 = record.clicks("D1")
     d2 = record.clicks("D2")
@@ -205,7 +206,7 @@ def dps_sift(alice_bits, record: DetectionRecord) -> ProtocolRun:
     one_click = np.logical_xor(d1[interior], d2[interior])
     slots = np.nonzero(one_click)[0] + 1
     bob = d2[slots]
-    alice = dps_reference_bits(bits)[slots - 1]
+    alice = reference[slots - 1]
     errors = int(np.sum(bob != alice))
     qber = errors / slots.size if slots.size else 0.0
     return ProtocolRun(

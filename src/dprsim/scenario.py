@@ -36,9 +36,9 @@ from .attacks import (
 )
 from .config import (
     _SCALARS,
+    BackflashSettings,
     BlindingSettings,
     ConfigError,
-    DetectorSettings,
     ScenarioConfig,
     _at,
     _inner,
@@ -49,7 +49,6 @@ from .config import (
 from .detectors import (
     DetectionRecord,
     DetectorTrace,
-    apd_detect,
     backflash_emit,
     photocurrent_monitor,
     watchdog,
@@ -188,6 +187,22 @@ def _readout_key(symbols: str, readout: str) -> tuple[np.ndarray, np.ndarray]:
     return kept, read[kept] == ord("1")
 
 
+def _backflash_replica_clicks(
+    trace: DetectorTrace, port: PulseTrain, bf: BackflashSettings, rng: np.random.Generator, threshold: float
+) -> np.ndarray:
+    """Eve's replica clicks on the re-emission of Bob's detector ``trace`` at
+    ``port``, one per port slot.  A lossless circulator routes the emission to
+    her replica detector, which is noise-free: it clicks where the intensity
+    exceeds ``threshold`` (>= 0).  A vacuum slot never does, so only the
+    emitting slots are evaluated."""
+    slots, field = backflash_emit(trace, port, bf, rng=rng)
+    power = np.abs(field)
+    power **= 2
+    clicks = np.zeros(len(trace), dtype=bool)
+    clicks[slots[power > threshold]] = True
+    return clicks
+
+
 def _run_backflash(
     cfg: ScenarioConfig,
     rngs: RngFactory,
@@ -201,12 +216,8 @@ def _run_backflash(
     gain2 = bf.emission_gain**2
 
     def eve_clicks(detector: str, threshold: float) -> np.ndarray:
-        emission = backflash_emit(run.record[detector], ports[detector], bf, rng=rngs.get(f"backflash-{detector}"))
-        # A lossless circulator routes the emission from Bob's port to Eve's
-        # replica detector, which is noise-free.
-        eve, name = DetectorSettings(), f"EVE_{detector}"
-        rails = (eve.p_never, eve.p_always)
-        return apd_detect(emission, threshold, rails, eve, name, rng=rngs.get(f"eve-{detector}"))[name].clicks
+        rng = rngs.get(f"backflash-{detector}")
+        return _backflash_replica_clicks(run.record[detector], ports[detector], bf, rng, threshold)
 
     rel = cfg.detector.click_threshold_rel
     nominal = cfg.amplitude**2

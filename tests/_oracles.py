@@ -12,8 +12,10 @@ can be compared with them on random inputs.  The ``*_chain`` functions keep
 Alice's transmitters as they ran over every slot of the train, before the
 encoders evaluated the chain once per symbol value, ``dli_chain`` keeps the
 interferometer as the coupler -> delay line -> coupler composition it was
-before it computed its two ports in place, and ``backflash_emit_where`` keeps
-the emission as it multiplied every slot.
+before it computed its two ports in place, ``backflash_emit_where`` keeps
+the emission as it multiplied every slot, and ``backflash_replica_dense``
+keeps the backflash reverse pass as it ran Eve's replica detector over every
+slot of that emission.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import math
 
 import numpy as np
 
+from dprsim.config import DetectorSettings
+from dprsim.detectors import apd_detect
 from dprsim.optics import PulseTrain, attenuate, coupler_2x2, cw_laser, phase_modulator, pulse_carver
 
 
@@ -390,6 +394,17 @@ def trojan_probe_chain(protocol: str, modulation, probe, slot_period: float, exc
 
 def backflash_emit_where(emit, gain: float, slots) -> np.ndarray:
     return np.where(emit, gain * slots, 0.0 + 0.0j)
+
+
+def backflash_replica_dense(trace, incident: PulseTrain, cfg, rng, threshold: float) -> np.ndarray:
+    """Eve's replica clicks on the re-emission of ``trace``: the slot-length
+    emission train, then a noise-free ``apd_detect`` over all of it."""
+    emit = trace.clicks.copy()
+    if not cfg.ideal and cfg.emission_probability < 1.0:
+        emit &= rng.random(len(incident)) < cfg.emission_probability
+    emission = incident.with_slots(backflash_emit_where(emit, cfg.emission_gain, incident.slots))
+    eve = DetectorSettings()
+    return apd_detect(emission, threshold, (eve.p_never, eve.p_always), eve, "EVE")["EVE"].clicks
 
 
 def dli_chain(train: PulseTrain, delay_slots: int) -> tuple[PulseTrain, PulseTrain]:

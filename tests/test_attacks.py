@@ -62,7 +62,7 @@ def replay_cow(plan, t_b) -> list[int]:
 
 def test_worked_example_phase_table():
     plan = fsg_dps_phases(WORKED_EXAMPLE_READINGS, n_policy="worked-example")
-    assert plan.phase_units == WORKED_EXAMPLE_PHASES
+    assert plan.phase_units.tolist() == list(WORKED_EXAMPLE_PHASES)
     assert plan.readings_slot_offset == 0
 
 
@@ -73,7 +73,7 @@ def test_worked_example_policy_restricted_to_its_sequence():
 
 def test_canonical_all_constructive_readings_keep_phase_constant():
     plan = fsg_dps_phases([1] * 10)
-    assert plan.phase_units == (0,) * 11
+    assert plan.phase_units.tolist() == [0] * 11
 
 
 def test_canonical_plan_has_anchor_pulse():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dprsim.detectors import (
+    DetectorTrace,
     apd_detect,
     backflash_emit,
     photocurrent_monitor,
@@ -111,6 +112,19 @@ def test_avalanche_intensity_tracks_click_slots():
     np.testing.assert_allclose(rec["D"].avalanche_intensity, [1.0, 2.0])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.floats(0.0, 1e300)), max_size=60), st.sampled_from([None, False, True]))
+def test_avalanche_intensity_gathers_as_the_mask(slots, every):
+    # The gather by index takes the same elements in the same order as the
+    # boolean mask, so the sum over them is the same to the bit.
+    clicks = np.array([c if every is None else every for c, _ in slots], dtype=bool)
+    intensity = np.array([x for _, x in slots], dtype=np.float64)
+    trace = DetectorTrace(clicks, intensity, None, np.zeros(clicks.size, dtype=bool))
+    got, want = trace.avalanche_intensity, intensity[clicks]
+    assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert trace.detected_intensity.hex() == float(np.sum(want)).hex()
+
+
 # ---------------------------------------------------------------------------
 # Linear mode
 # ---------------------------------------------------------------------------
@@ -214,15 +228,16 @@ def test_photocurrent_is_kept_only_under_blinding():
 def test_backflash_ideal_copies_every_clicked_slot():
     incident = cw_laser(6, 1.0)
     rec = apd_detect(incident, 0.5, RAILS, IDEAL)
-    out = backflash_emit(rec["D"], incident, BackflashSettings(ideal=True, emission_gain=0.5))
-    np.testing.assert_allclose(out.slots, 0.5 * incident.slots)
+    slots, field = backflash_emit(rec["D"], incident, BackflashSettings(ideal=True, emission_gain=0.5))
+    assert slots.dtype == np.int64 and slots.tolist() == list(range(6))
+    np.testing.assert_allclose(field, 0.5 * incident.slots)
 
 
 def test_backflash_no_clicks_is_vacuum():
     incident = cw_laser(6, 1.0)
     rec = apd_detect(PulseTrain(np.zeros(6)), 0.5, RAILS, IDEAL)
-    out = backflash_emit(rec["D"], incident, BackflashSettings(ideal=True))
-    assert out.intensities.sum() == 0.0
+    slots, field = backflash_emit(rec["D"], incident, BackflashSettings(ideal=True))
+    assert slots.size == field.size == 0
 
 
 def test_backflash_default_probability_value():
@@ -234,8 +249,9 @@ def test_backflash_statistics_converge_to_emission_probability():
     incident = cw_laser(n, 1.0)
     rec = apd_detect(incident, 0.5, RAILS, IDEAL)
     cfg = BackflashSettings()
-    out = backflash_emit(rec["D"], incident, cfg, rng=np.random.default_rng(7))
-    emitted = int(np.sum(out.intensities > 0))
+    slots, field = backflash_emit(rec["D"], incident, cfg, rng=np.random.default_rng(7))
+    assert np.all(np.abs(field) > 0)
+    emitted = slots.size
     p = cfg.emission_probability
     sigma = np.sqrt(p * (1 - p) / n)
     assert abs(emitted / n - p) < 3 * sigma

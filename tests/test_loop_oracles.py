@@ -41,7 +41,15 @@ from dprsim.protocols import (
     receive,
     visibility,
 )
-from dprsim.scenario import RngFactory, _alice_material, _cow_eve_key, _reading_key, _readout_key, run_scenario
+from dprsim.scenario import (
+    RngFactory,
+    _alice_material,
+    _backflash_replica_clicks,
+    _cow_eve_key,
+    _reading_key,
+    _readout_key,
+    run_scenario,
+)
 
 import _oracles as oracle
 
@@ -169,9 +177,8 @@ def test_check_readings_matches_loop_and_names_the_first_bad_index(readings, all
 @settings(max_examples=200)
 def test_canonical_dps_phases_match_loop(readings):
     plan = fsg_dps_phases(readings)
-    assert plan.phase_units == oracle.fsg_dps_canonical_phases_loop(readings)
-    assert plan.readings == tuple(readings)
-    assert all(type(p) is int for p in plan.phase_units + plan.readings)
+    _same(plan.phase_units, np.array(oracle.fsg_dps_canonical_phases_loop(readings), dtype=np.int64))
+    _same(plan.readings, np.array(readings, dtype=np.int64))
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=60), st.sampled_from([0.3, 0.5, 0.7]))
@@ -180,9 +187,9 @@ def test_cow_drive_matches_loop(readings, t_b):
     th = DetectorSettings()
     plan = fsg_cow_drive(readings, t_b, th)
     phases, levels = oracle.fsg_cow_drive_loop(readings, th.p_always_m / (1.0 - t_b), th.p_always_b / t_b)
-    assert plan.phase_units == phases
+    _same(plan.phase_units, np.array(phases, dtype=np.int64))
+    _same(plan.readings, np.array(readings, dtype=np.int64))
     _same(plan.intensity_per_slot, levels)
-    assert all(type(p) is int for p in plan.phase_units + plan.readings)
 
 
 @given(st.lists(st.floats(0.0, 2.0), min_size=2, max_size=40), st.lists(st.floats(0.0, 6.3), min_size=40, max_size=40))
@@ -420,8 +427,49 @@ def test_backflash_emit_matches_where(slots, data, ideal, gain, p, seed):
     clicks = np.array(data.draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots))))
     incident = PulseTrain(np.array(slots))
     cfg = BackflashSettings(electrons_per_avalanche=p, photons_per_electron=1.0, ideal=ideal, emission_gain=gain)
-    out = backflash_emit(_record(len(slots), D=clicks)["D"], incident, cfg, rng=np.random.default_rng(seed))
+    at, field = backflash_emit(_record(len(slots), D=clicks)["D"], incident, cfg, rng=np.random.default_rng(seed))
+    assert at.dtype == np.int64 and np.all(np.diff(at) > 0)
     emit = clicks.copy()
     if not ideal and cfg.emission_probability < 1.0:
         emit &= np.random.default_rng(seed).random(len(slots)) < cfg.emission_probability
-    _same(out.slots.view(np.uint64), oracle.backflash_emit_where(emit, gain, incident.slots).view(np.uint64))
+    scattered = np.zeros(len(slots), dtype=np.complex128)
+    scattered[at] = field
+    _same(scattered.view(np.uint64), oracle.backflash_emit_where(emit, gain, incident.slots).view(np.uint64))
+
+
+@st.composite
+def backflash_ports(draw):
+    """A port of Bob's receiver (DPS D1/D2 or COW D_B) and a click mask over
+    it: none, every slot or random."""
+    protocol = draw(st.sampled_from(["dps", "cow"]))
+    if protocol == "dps":
+        train = dps_encode(draw(st.lists(st.integers(0, 1), min_size=2, max_size=30)))
+        name = draw(st.sampled_from(["D1", "D2"]))
+    else:
+        train = cow_encode(draw(symbols))
+        name = "D_B"
+    port = receive(protocol, train, DetectorSettings(), 1.0)[1][name]
+    n = len(port)
+    clicks = draw(
+        st.sampled_from([np.zeros(n, dtype=bool), np.ones(n, dtype=bool)])
+        | st.lists(st.booleans(), min_size=n, max_size=n).map(lambda c: np.array(c, dtype=bool))
+    )
+    return port, clicks
+
+
+@given(
+    backflash_ports(),
+    st.booleans(),
+    st.sampled_from([0.0, 3.0]) | st.floats(0.0, 3.0),
+    st.sampled_from([0.0, 0.0648, 0.5, 1.0, 1.5]),  # emission probabilities below, at and capped to 1
+    st.floats(0.01, 0.99),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=300, deadline=None)
+def test_backflash_replica_clicks_match_dense_pass(case, ideal, gain, p, rel, seed):
+    port, clicks = case
+    trace = _record(len(port), D=clicks)["D"]
+    cfg = BackflashSettings(electrons_per_avalanche=p, photons_per_electron=1.0, ideal=ideal, emission_gain=gain)
+    threshold = rel * gain**2  # the replica's threshold at nominal level 1
+    got = _backflash_replica_clicks(trace, port, cfg, np.random.default_rng(seed), threshold)
+    _same(got, oracle.backflash_replica_dense(trace, port, cfg, np.random.default_rng(seed), threshold))
