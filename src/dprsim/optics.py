@@ -17,10 +17,10 @@ downstream depends on these):
 * An unused (vacuum) coupler input is passed as ``None`` and costs no
   arithmetic: the outputs are ``sqrt(t)*in_a`` and ``1j*sqrt(1-t)*in_a``, equal
   to an all-zero ``in_b`` up to the sign of an exactly-zero component.
-* Delay-line interferometer built from two 50:50 couplers with the delay in the
-  cross arm.  With that convention the *second* output port is the constructive
-  one: ``constructive_k = 1j*(a_k + a_{k-d})/2`` and
-  ``destructive_k = (a_k - a_{k-d})/2``.
+* Delay-line interferometer built from two 50:50 couplers with a one-slot
+  delay in the cross arm.  With that convention the *second* output port is
+  the constructive one: ``constructive_k = 1j*(a_k + a_{k-1})/2`` and
+  ``destructive_k = (a_k - a_{k-1})/2``.
 * Mach-Zehnder modulator: ``E_out = E_in * (exp(1j*phi1) + exp(1j*phi2)) / 2``
   with ``phi_{1,2} = pi*V_{1,2}/V_pi`` and ``V_pi = 4`` volts on both arms; the
   factor ``1/2`` keeps pure phase modulation amplitude-preserving.  The phase
@@ -31,7 +31,6 @@ downstream depends on these):
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -173,25 +172,19 @@ def coupler_2x2(in_a: PulseTrain, in_b: PulseTrain | None, transmittance: float 
     return a.with_slots(out_a), a.with_slots(out_b)
 
 
-def dli(train: PulseTrain, delay_slots: int = 1) -> tuple[PulseTrain, PulseTrain]:
-    """Delay-line interferometer: 50:50 coupler, delay in the cross arm, 50:50 coupler.
+def dli(train: PulseTrain) -> tuple[PulseTrain, PulseTrain]:
+    """One-slot delay-line interferometer: 50:50 coupler, one-slot delay in the
+    cross arm, 50:50 coupler.
 
     Returns ``(constructive, destructive)``: equal-phase consecutive pulses exit
-    entirely at the constructive port.  Output length is ``len(train) + delay``.
+    entirely at the constructive port.  Output length is ``len(train) + 1``.
     Each slot takes the arithmetic of :func:`coupler_2x2` on the two arms.
     """
-    if delay_slots < 1:
-        raise ValueError("delay_slots must be >= 1")
-    if delay_slots >= len(train):
-        warnings.warn(
-            f"DLI delay {delay_slots} >= train length {len(train)}: no slot pair interferes",
-            stacklevel=2,
-        )
     n, t, k = len(train), math.sqrt(0.5), 1j * math.sqrt(0.5)
     # First coupler; the cross arm is delayed, and both are padded with vacuum.
-    arm_a, arm_b = np.zeros((2, n + delay_slots), dtype=np.complex128)
+    arm_a, arm_b = np.zeros((2, n + 1), dtype=np.complex128)
     np.multiply(t, train.slots, out=arm_a[:n])
-    np.multiply(k, train.slots, out=arm_b[delay_slots:])
+    np.multiply(k, train.slots, out=arm_b[1:])
     # Second coupler, in four slot-length arrays: destructive t*a + k*b, constructive k*a + t*b.
     destructive, constructive = t * arm_a, k * arm_a
     destructive += np.multiply(k, arm_b, out=arm_a)

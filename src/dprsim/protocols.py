@@ -122,14 +122,14 @@ def receive(
     if protocol == "dps":
         if len(train) < 2:
             raise ValueError("DPS measurement needs at least two slots")
-        constructive, destructive = dli(train, 1)
+        constructive, destructive = dli(train)
         pair = (detector.p_never, detector.p_always)
         lines = {"D1": (constructive, 1.0, pair), "D2": (destructive, 1.0, pair)}
     elif protocol == "cow":
         if not (0.0 < t_b < 1.0):
             raise ValueError(f"t_b must be within (0, 1), got {t_b}")
         data_line, monitor_line = coupler_2x2(train, None, t_b)
-        constructive, destructive = dli(monitor_line, 1)
+        constructive, destructive = dli(monitor_line)
         monitor, pair = 1.0 - t_b, (detector.p_never_m, detector.p_always_m)
         lines = {
             "D_B": (data_line, t_b, (detector.p_never_b, detector.p_always_b)),

@@ -213,12 +213,8 @@ def test_dli_oracle_equivalence():
 
 
 def _compare_ports(amps):
-    import warnings
-
     train = PulseTrain(np.asarray(amps, dtype=np.complex128))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        constructive, destructive = dli(train, 1)
+    constructive, destructive = dli(train)
     oracle_c, oracle_d = brute_force_dli_ports(train.slots, 1)
     np.testing.assert_allclose(constructive.intensities, oracle_c, atol=1e-12)
     np.testing.assert_allclose(destructive.intensities, oracle_d, atol=1e-12)

@@ -1,4 +1,3 @@
-import warnings
 
 import numpy as np
 import pytest
@@ -169,19 +168,10 @@ def test_coupler_rejects_bad_transmittance_and_grid_mix():
 
 def test_delay_line_identity_and_shift():
     # The DLI's cross arm is its delay line: a lone pulse leaves each port at
-    # its own slot and again ``delay`` slots later, and the ports grow by the delay.
+    # its own slot and again one slot later, and the ports grow by one slot.
     pulse = PulseTrain(np.array([1.0 + 0j, 0.0]))
-    for delay in (1, 2, 3):
-        expected = np.zeros(2 + delay)
-        expected[[0, delay]] = 0.25
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ports = dli(pulse, delay)
-        for port in ports:
-            np.testing.assert_allclose(port.intensities, expected, atol=1e-15)
-    for delay in (0, -1):
-        with pytest.raises(ValueError):
-            dli(pulse, delay)
+    for port in dli(pulse):
+        np.testing.assert_allclose(port.intensities, [0.25, 0.25, 0.0], atol=1e-15)
 
 
 def test_attenuate():
@@ -200,7 +190,7 @@ def test_attenuate():
 
 def test_dli_uniform_train_exits_constructive_port():
     train = unit_train(6)
-    constructive, destructive = dli(train, 1)
+    constructive, destructive = dli(train)
     np.testing.assert_allclose(constructive.intensities[1:6], np.ones(5), atol=1e-12)
     np.testing.assert_allclose(destructive.intensities[1:6], np.zeros(5), atol=1e-12)
 
@@ -208,25 +198,18 @@ def test_dli_uniform_train_exits_constructive_port():
 def test_dli_alternating_phases_exit_destructive_port():
     phases = np.array([0.0, np.pi, 0.0, np.pi])
     train = phase_modulator(unit_train(4), phases)
-    constructive, destructive = dli(train, 1)
+    constructive, destructive = dli(train)
     np.testing.assert_allclose(destructive.intensities[1:4], np.ones(3), atol=1e-12)
     np.testing.assert_allclose(constructive.intensities[1:4], np.zeros(3), atol=1e-12)
 
 
 def test_dli_single_pulse_splits_half_per_port():
     pulse = PulseTrain(np.array([1.0 + 0j]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        constructive, destructive = dli(pulse, 1)
+    constructive, destructive = dli(pulse)
     np.testing.assert_allclose(constructive.intensities, [0.25, 0.25], atol=1e-12)
     np.testing.assert_allclose(destructive.intensities, [0.25, 0.25], atol=1e-12)
     assert constructive.intensities.sum() == pytest.approx(0.5, abs=1e-12)
     assert destructive.intensities.sum() == pytest.approx(0.5, abs=1e-12)
-
-
-def test_dli_delay_beyond_train_warns():
-    with pytest.warns(UserWarning):
-        dli(unit_train(2), 5)
 
 
 @settings(max_examples=150, deadline=None)
@@ -236,15 +219,12 @@ def test_dli_delay_beyond_train_warns():
         min_size=1,
         max_size=32,
     ),
-    st.integers(1, 3),
 )
-def test_dli_matches_slot_by_slot_oracle(slots, delay):
+def test_dli_matches_slot_by_slot_oracle(slots):
     amps = np.array([a * np.exp(1j * ph) for a, ph in slots])
     train = PulseTrain(amps)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        constructive, destructive = dli(train, delay)
-    oracle_c, oracle_d = brute_force_dli_ports(amps, delay)
+    constructive, destructive = dli(train)
+    oracle_c, oracle_d = brute_force_dli_ports(amps)
     np.testing.assert_allclose(constructive.intensities, oracle_c, atol=1e-12)
     np.testing.assert_allclose(destructive.intensities, oracle_d, atol=1e-12)
     # Lossless composition: both ports together carry the input power.
@@ -253,13 +233,11 @@ def test_dli_matches_slot_by_slot_oracle(slots, delay):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(complex_slot, min_size=1, max_size=16), st.integers(1, 5))
-def test_delay_and_circulator_preserve_power(slots, delay):
+@given(st.lists(complex_slot, min_size=1, max_size=16))
+def test_delay_and_circulator_preserve_power(slots):
     # The DLI's delay line loses no power: its two ports carry all of any input.
     train = PulseTrain(np.array(slots))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        constructive, destructive = dli(train, delay)
+    constructive, destructive = dli(train)
     total = constructive.intensities.sum() + destructive.intensities.sum()
     assert total == pytest.approx(train.intensities.sum(), abs=1e-12)
 

@@ -44,11 +44,15 @@ def test_every_exported_name_is_used_by_the_package():
     assert unused == []
 
 
-def test_every_defaulted_parameter_is_passed_by_the_package():
-    # A parameter with a default that no call in the package passes is a
-    # knob only tests turn.  A call passes a parameter by position or by
-    # keyword; ``*args`` covers every positional slot, but ``**kwargs`` names
-    # nothing this scan can see, so the package passes such values by name.
+def _defaulted_parameters() -> list[tuple[str, list[ast.expr | None]]]:
+    """Each defaulted parameter of an exported function, as ``module.fn(param)``,
+    with what every package call passes for it: the argument node, or None
+    where the call leaves it to its default.
+
+    A call passes a parameter by position or by keyword; ``*args`` covers
+    every positional slot (its node stands for an unknown value), but
+    ``**kwargs`` names nothing this scan can see, so the package passes such
+    values by name."""
     trees = {name: ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8")) for name in MODULES}
     calls: dict[str, list[ast.Call]] = {}
     for tree in trees.values():
@@ -58,12 +62,16 @@ def test_every_defaulted_parameter_is_passed_by_the_package():
                 callee = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
                 calls.setdefault(callee, []).append(node)
 
-    def passes(call: ast.Call, index: int | None, param: str) -> bool:
-        starred = any(isinstance(arg, ast.Starred) for arg in call.args)
-        positional = index is not None and (starred or index < len(call.args))
-        return positional or any(kw.arg == param for kw in call.keywords)
+    def argument(call: ast.Call, index: int | None, param: str) -> ast.expr | None:
+        if index is not None:
+            starred = [arg for arg in call.args if isinstance(arg, ast.Starred)]
+            if starred:
+                return starred[0]
+            if index < len(call.args):
+                return call.args[index]
+        return next((kw.value for kw in call.keywords if kw.arg == param), None)
 
-    knobs = []
+    found = []
     for name, tree in trees.items():
         exported = set(getattr(importlib.import_module(f"dprsim.{name}"), "__all__", ()))
         for fn in tree.body:
@@ -74,9 +82,30 @@ def test_every_defaulted_parameter_is_passed_by_the_package():
             defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
             defaulted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
             for index, param in defaulted:
-                if not any(passes(call, index, param) for call in calls.get(fn.name, [])):
-                    knobs.append(f"{name}.{fn.name}({param})")
+                passed = [argument(call, index, param) for call in calls.get(fn.name, [])]
+                found.append((f"{name}.{fn.name}({param})", passed))
+    return found
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package():
+    # A parameter with a default that no call in the package passes is a
+    # knob only tests turn.
+    knobs = [knob for knob, passed in _defaulted_parameters() if all(arg is None for arg in passed)]
     assert knobs == []
+
+
+def test_no_defaulted_parameter_takes_one_literal_from_every_package_call():
+    # A parameter to which every call in the package passes the same literal
+    # is a knob only tests turn too: the package never varies it.
+    def literal(arg: ast.expr | None) -> tuple[type, object] | None:
+        return (type(arg.value), arg.value) if isinstance(arg, ast.Constant) else None
+
+    pinned = [
+        knob
+        for knob, passed in _defaulted_parameters()
+        if passed and None not in passed and literal(passed[0]) is not None and len({literal(a) for a in passed}) == 1
+    ]
+    assert pinned == []
 
 
 def test_a_blinding_run_imports_no_scipy():
