@@ -23,6 +23,7 @@ varies slot to slot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -291,30 +292,24 @@ def trojan_decode(
     reflected: PulseTrain,
     protocol: str,
     min_intensity: float = 1e-15,
-) -> np.ndarray | str:
-    """Eve's read-out of the reflected probe with a replica of Bob's receiver.
+) -> DetectionRecord:
+    """Eve's read-out of the reflected probe: the record of her noise-free
+    replica of Bob's receiver, with thresholds set by the probe's peak.
 
-    DPS: interferometric decode of the phase differences; the result has one
-    entry per interior slot, ``-1`` where no single detector fired.  COW:
-    arrival-time read of the intensity pattern, returned as the symbol string
-    (``?`` for a pair with no click).  A probe too weak to detect yields an
-    empty estimate.
+    DPS: the one-slot interferometer with D1 and D2, one slot longer than the
+    train; a phase difference clicks one of them at each interior slot.  COW:
+    the arrival-time detector D_B alone, one slot per train slot, which reads
+    the intensity pattern.  A probe at or below ``min_intensity`` clicks no
+    detector.  Eve's key comes from these clicks as in the other attacks.
     """
     peak = float(np.max(reflected.intensities)) if len(reflected) else 0.0
-    if peak <= min_intensity:
-        return np.array([], dtype=np.int64) if protocol == "dps" else ""
-    # Eve's replica detectors are noise-free.
+    # Below Eve's sensitivity her thresholds are out of reach.
+    nominal = peak if peak > min_intensity else math.inf
     eve = DetectorSettings()
     if protocol == "dps":
-        record, _ = receive("dps", reflected, eve, peak)
-        d1, d2 = record.clicks("D1")[1 : len(reflected)], record.clicks("D2")[1 : len(reflected)]
-        return np.where(d1 != d2, d2, -1).astype(np.int64)
+        return receive("dps", reflected, eve, nominal)[0]
     if protocol == "cow":
-        rails = (eve.p_never_b, eve.p_always_b)
-        clicks = apd_detect(reflected, eve.click_threshold_rel * peak, rails, eve, "EVE_B")["EVE_B"].clicks
-        pairs = clicks[: clicks.size // 2 * 2].astype(np.int64).reshape(-1, 2)
-        # The symbol read from a pair, indexed by 2 * early + late.
-        return np.frombuffer(b"?10d", dtype=np.uint8)[2 * pairs[:, 0] + pairs[:, 1]].tobytes().decode("ascii")
+        return apd_detect(reflected, eve.click_threshold_rel * nominal, (eve.p_never_b, eve.p_always_b), eve, "D_B")
     raise ValueError(f"unknown protocol {protocol!r}")
 
 

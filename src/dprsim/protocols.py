@@ -16,6 +16,8 @@ coherence of neighbouring pulses via the visibility statistic.
 
 Each protocol has an encoder and a sifting step; both share one receiver,
 :func:`receive`, which also serves every replica of Bob in the attacks.
+Alice's material is one int64 code per symbol: a DPS phase bit (0 or 1), or
+a COW symbol code, 0, 1 and 2 for ``0``, ``1`` and ``d``.
 """
 
 from __future__ import annotations
@@ -56,12 +58,11 @@ VISIBILITY_CLASSES = ("d", "01", "0d", "d1", "dd")
 
 @dataclass(eq=False)
 class ProtocolRun:
-    """One executed protocol pipeline: Alice's source material, Bob's detector
-    records and the sifting outcome, handed to the scenario engine."""
+    """One executed protocol pipeline: Alice's codes, Bob's detector records
+    and the sifting outcome, handed to the scenario engine."""
 
     protocol: str
-    alice_bits: npt.NDArray[np.int64] | None
-    alice_symbols: str | None
+    alice_codes: npt.NDArray[np.int64]
     record: DetectionRecord
     sifted_alice: npt.NDArray[np.bool_]
     sifted_bob: npt.NDArray[np.bool_]
@@ -74,7 +75,7 @@ class ProtocolRun:
         for name in ("sifted_alice", "sifted_bob"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name}: {len(getattr(self, name))} bits for {n} sifted_slots")
-        grid = len(self.alice_symbols or "") if self.alice_bits is None else len(self.alice_bits)
+        grid = len(self.alice_codes)
         if n and not (0 <= self.sifted_slots.min() and self.sifted_slots.max() < grid):
             raise ValueError(f"sifted_slots: a slot lies outside Alice's grid of {grid}")
 
@@ -159,12 +160,15 @@ def receive(
 # ---------------------------------------------------------------------------
 
 
-def _as_bits(bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.int64)
+def _as_codes(codes, top: int) -> np.ndarray:
+    """Alice's codes as int64, checked to be a nonempty one-dimensional
+    sequence of values in ``0..top``: 1 for DPS phase bits, 2 for COW symbol
+    codes."""
+    arr = np.asarray(codes, dtype=np.int64)
     if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("need a nonempty one-dimensional bit sequence")
-    if not np.all((arr == 0) | (arr == 1)):
-        raise ValueError("bits must be 0 or 1")
+        raise ValueError("need a nonempty one-dimensional code sequence")
+    if arr.min() < 0 or arr.max() > top:
+        raise ValueError(f"codes must lie in 0..{top}, got {arr[(arr < 0) | (arr > top)][0]}")
     return arr
 
 
@@ -173,7 +177,7 @@ def dps_encode(phase_bits, pulse_amplitude: float = 1.0, slot_period: float = 1.
     modulator applying 0 or pi per slot according to the bit.  Every component
     is slot-local, so running the chain once over bits 0 and 1 and giving each
     slot its bit's value equals the chain over the whole train, bit for bit."""
-    bits = _as_bits(phase_bits)
+    bits = _as_codes(phase_bits, 1)
     source = cw_laser(2, pulse_amplitude, slot_period)
     carved = pulse_carver(source, np.ones(2))
     per_bit = phase_modulator(carved, np.pi * np.arange(2))
@@ -183,11 +187,11 @@ def dps_encode(phase_bits, pulse_amplitude: float = 1.0, slot_period: float = 1.
 def dps_reference_bits(phase_bits) -> np.ndarray:
     """Alice's key stream: XOR of neighbouring phase bits (one boolean per
     interior slot)."""
-    bits = _as_bits(phase_bits)
+    bits = _as_codes(phase_bits, 1)
     return bits[1:] != bits[:-1]
 
 
-def dps_sift(alice_bits, record: DetectionRecord) -> ProtocolRun:
+def dps_sift(phase_bits, record: DetectionRecord) -> ProtocolRun:
     """Keep interior slots where exactly one detector clicked.
 
     Bob's bit is 0 (``False``) for D1 and 1 for D2; Alice's matching bit is
@@ -195,8 +199,8 @@ def dps_sift(alice_bits, record: DetectionRecord) -> ProtocolRun:
     click or a double click are discarded.  QBER is the mismatch fraction (0
     when nothing was sifted).
     """
-    reference = dps_reference_bits(alice_bits)  # checks Alice's bits, once
-    bits = np.asarray(alice_bits, dtype=np.int64)
+    reference = dps_reference_bits(phase_bits)  # checks Alice's bits, once
+    bits = np.asarray(phase_bits, dtype=np.int64)
     n = bits.size
     d1 = record.clicks("D1")
     d2 = record.clicks("D2")
@@ -211,8 +215,7 @@ def dps_sift(alice_bits, record: DetectionRecord) -> ProtocolRun:
     qber = errors / slots.size if slots.size else 0.0
     return ProtocolRun(
         protocol="dps",
-        alice_bits=bits,
-        alice_symbols=None,
+        alice_codes=bits,
         record=record,
         sifted_alice=alice,
         sifted_bob=bob,
@@ -235,33 +238,20 @@ _DECOY = 2
 _PULSES = np.array([(1, 0), (0, 1), (1, 1)], dtype=np.int64)
 
 
-def _as_symbols(symbols) -> tuple[str, np.ndarray]:
-    """The symbols as a string and as symbol codes."""
-    if not isinstance(symbols, str):
-        symbols = "".join(symbols)
-    if not symbols:
-        raise ValueError("need a nonempty symbol sequence")
-    codes = _CODE[np.frombuffer(symbols.encode("utf-8"), dtype=np.uint8)]
-    if np.any(codes < 0):
-        bad = set(symbols) - set(COW_SYMBOLS)
-        raise ValueError(f"invalid COW symbols {sorted(bad)}; allowed: {COW_SYMBOLS}")
-    return symbols, codes
+def cow_occupancy(codes) -> np.ndarray:
+    """Per-grid-slot pulse occupancy of COW symbol codes, two slots per symbol."""
+    return _PULSES[_as_codes(codes, 2)].reshape(-1)
 
 
-def cow_occupancy(symbols) -> np.ndarray:
-    """Per-grid-slot pulse occupancy, two slots per symbol."""
-    return _PULSES[_as_symbols(symbols)[1]].reshape(-1)
-
-
-def _cow_half_slots(symbols, clicks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrival-time decision on each data symbol from per-grid-slot clicks.
+def _cow_half_slots(codes: np.ndarray, clicks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrival-time decision on each data symbol of Alice's checked ``codes``
+    from per-grid-slot clicks.
 
     Returns the indices of the data symbols (decoys dropped) whose pair of
     half-slots clicked at all, the bit each one names (``True`` for a late
     click, ``False`` for an early one) and whether both half-slots clicked, in
     which case the bit is undecided.
     """
-    codes = _as_symbols(symbols)[1]
     n = codes.size
     if clicks.shape[0] < 2 * n:
         raise ValueError(f"click record too short ({clicks.shape[0]} slots) for {n} symbols")
@@ -271,12 +261,12 @@ def _cow_half_slots(symbols, clicks: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return kept, late[kept], early[kept] & late[kept]
 
 
-def cow_encode(symbols, amplitude: float = 1.0, slot_period: float = 0.5) -> PulseTrain:
+def cow_encode(codes, amplitude: float = 1.0, slot_period: float = 0.5) -> PulseTrain:
     """Alice's transmitter: CW laser carved into the two-slot occupancy pattern;
     all pulses stay mutually coherent (common phase 0).  Laser and carver are
     slot-local, so carving the six slots of the three symbols once and giving
     each symbol its pair equals carving the whole train, bit for bit."""
-    codes = _as_symbols(symbols)[1]
+    codes = _as_codes(codes, 2)
     source = cw_laser(_PULSES.size, amplitude, slot_period)
     per_symbol = pulse_carver(source, _PULSES.reshape(-1)).slots.reshape(_PULSES.shape)
     return source.with_slots(per_symbol[codes].reshape(-1))
@@ -334,17 +324,17 @@ class VisibilityReport:
         return self.overall.visibility
 
 
-def visibility(monitor: DetectionRecord, symbols) -> VisibilityReport:
+def visibility(monitor: DetectionRecord, codes) -> VisibilityReport:
     """Count threshold-crossing detections per interface class.
 
     Only interface slots enter the statistic; apparatus edges where a pulse
     meets a vacuum neighbour are not interfaces.
     """
-    sym, codes = _as_symbols(symbols)
+    codes = _as_codes(codes, 2)
     m1 = monitor.clicks("D_M1")
     m2 = monitor.clicks("D_M2")
-    if m1.shape[0] < 2 * len(sym):
-        raise ValueError(f"monitor record too short ({m1.shape[0]} slots) for {len(sym)} symbols")
+    if m1.shape[0] < 2 * codes.size:
+        raise ValueError(f"monitor record too short ({m1.shape[0]} slots) for {codes.size} symbols")
     slots, classes = _interfaces(codes)
     n1 = np.bincount(classes[m1[slots].astype(bool)], minlength=len(VISIBILITY_CLASSES))
     n2 = np.bincount(classes[m2[slots].astype(bool)], minlength=len(VISIBILITY_CLASSES))
@@ -355,7 +345,7 @@ def visibility(monitor: DetectionRecord, symbols) -> VisibilityReport:
 
 
 def cow_sift(
-    symbols,
+    codes,
     record: DetectionRecord,
     report: VisibilityReport | None = None,
 ) -> ProtocolRun:
@@ -367,15 +357,14 @@ def cow_sift(
     nothing was sifted.  The visibility report rides along as the
     eavesdropping witness.
     """
-    sym, codes = _as_symbols(symbols)
-    kept, late, both = _cow_half_slots(sym, record.clicks("D_B"))
+    codes = _as_codes(codes, 2)
+    kept, late, both = _cow_half_slots(codes, record.clicks("D_B"))
     alice = codes[kept] == 1
     bob_bits = np.where(both, ~alice, late)
     qber = int(np.sum(alice != bob_bits)) / kept.size if kept.size else 0.0
     return ProtocolRun(
         protocol="cow",
-        alice_bits=None,
-        alice_symbols=sym,
+        alice_codes=codes,
         record=record,
         sifted_alice=alice,
         sifted_bob=bob_bits,

@@ -56,10 +56,10 @@ from .detectors import (
 from .goldens import golden_config_dict
 from .optics import PulseTrain, cw_laser, phase_modulator
 from .protocols import (
-    COW_SYMBOLS,
+    _CODE,
     ProtocolRun,
-    cow_encode,
     _cow_half_slots,
+    cow_encode,
     cow_occupancy,
     cow_sift,
     dps_encode,
@@ -110,23 +110,22 @@ def derive_sweep_seed(base_seed: int, index: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _alice_material(cfg: ScenarioConfig, rngs: RngFactory) -> tuple[np.ndarray | None, str | None]:
-    if cfg.protocol == "dps":
-        if cfg.bits is not None:
-            return np.array(cfg.bits, dtype=np.int64), None
-        return rngs.get("alice-source").integers(0, 2, cfg.n_symbols, dtype=np.int64), None
-    if cfg.symbols is not None:
-        return None, cfg.symbols
-    idx = rngs.get("alice-source").integers(0, 3, cfg.n_symbols)
-    return None, np.frombuffer("".join(COW_SYMBOLS).encode(), dtype=np.uint8)[idx].tobytes().decode("ascii")
+def _alice_material(cfg: ScenarioConfig, rngs: RngFactory) -> np.ndarray:
+    """Alice's codes (see ``ProtocolRun``): the config's pinned bits or
+    symbols, or else ``n_symbols`` draws from the ``alice-source`` stream."""
+    if cfg.protocol == "dps" and cfg.bits is not None:
+        return np.array(cfg.bits, dtype=np.int64)
+    if cfg.protocol == "cow" and cfg.symbols is not None:
+        return _CODE[np.frombuffer(cfg.symbols.encode("ascii"), dtype=np.uint8)]
+    return rngs.get("alice-source").integers(0, 2 if cfg.protocol == "dps" else 3, cfg.n_symbols, dtype=np.int64)
 
 
-def _transmit(cfg: ScenarioConfig, alice_bits: np.ndarray | None, alice_symbols: str | None) -> PulseTrain:
+def _transmit(cfg: ScenarioConfig, codes: np.ndarray) -> PulseTrain:
     """Alice's encoder and the channel: the train arriving at Bob."""
     if cfg.protocol == "dps":
-        train = dps_encode(alice_bits, cfg.amplitude, cfg.slot_period)
+        train = dps_encode(codes, cfg.amplitude, cfg.slot_period)
     else:
-        train = cow_encode(alice_symbols, cfg.amplitude, cfg.slot_period)
+        train = cow_encode(codes, cfg.amplitude, cfg.slot_period)
     pattern = cfg.channel.phase_tamper_half_turns
     if pattern is None:
         return train
@@ -159,11 +158,11 @@ def _receive(
     )
 
 
-def _sift(cfg: ScenarioConfig, bits: np.ndarray | None, symbols: str | None, record: DetectionRecord) -> ProtocolRun:
+def _sift(cfg: ScenarioConfig, codes: np.ndarray, record: DetectionRecord) -> ProtocolRun:
     """Bob's sifting of a record on Alice's slot grid; COW adds visibility."""
     if cfg.protocol == "dps":
-        return dps_sift(bits, record)
-    return cow_sift(symbols, record, visibility(record, symbols))
+        return dps_sift(codes, record)
+    return cow_sift(codes, record, visibility(record, codes))
 
 
 # ---------------------------------------------------------------------------
@@ -171,20 +170,19 @@ def _sift(cfg: ScenarioConfig, bits: np.ndarray | None, symbols: str | None, rec
 # ---------------------------------------------------------------------------
 
 
-def _cow_eve_key(symbols: str, clicks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eve's COW key from her per-grid-slot clicks: the data symbols where
-    exactly one half-slot clicked, and the bit that half-slot names."""
-    kept, bits, both = _cow_half_slots(symbols, clicks)
+def _dps_eve_key(d1: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eve's DPS key from her per-slot D1 and D2 clicks: the slots where
+    exactly one detector clicked, and the bit it names (1 for D2)."""
+    slots = np.flatnonzero(d1 != d2)
+    return slots, d2[slots]
+
+
+def _cow_eve_key(codes: np.ndarray, clicks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eve's COW key from her per-grid-slot D_B clicks over Alice's codes: the
+    data symbols where exactly one half-slot clicked, and the bit that
+    half-slot names."""
+    kept, bits, both = _cow_half_slots(codes, clicks)
     return kept[~both], bits[~both]
-
-
-def _readout_key(symbols: str, readout: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eve's COW key from her probe read-out (see ``trojan_decode``): the data
-    symbols she read as "0" or "1", and that bit; "?" and "d" decide none."""
-    read = np.frombuffer(readout.encode("ascii"), dtype=np.uint8)
-    data = np.frombuffer(symbols.encode("ascii"), dtype=np.uint8)[: read.size] != ord("d")
-    kept = np.flatnonzero(data & ((read == ord("0")) | (read == ord("1"))))
-    return kept, read[kept] == ord("1")
 
 
 def _backflash_replica_clicks(
@@ -213,21 +211,17 @@ def _run_backflash(
     the channel circulator, decoded with her replica of the corresponding
     detector."""
     bf = cfg.attack.backflash
-    gain2 = bf.emission_gain**2
 
     def eve_clicks(detector: str, threshold: float) -> np.ndarray:
         rng = rngs.get(f"backflash-{detector}")
         return _backflash_replica_clicks(run.record[detector], ports[detector], bf, rng, threshold)
 
-    rel = cfg.detector.click_threshold_rel
+    level = cfg.detector.click_threshold_rel * bf.emission_gain**2
     nominal = cfg.amplitude**2
     if cfg.protocol == "dps":
-        eve_d1 = eve_clicks("D1", rel * gain2 * nominal)
-        eve_d2 = eve_clicks("D2", rel * gain2 * nominal)
-        eve_slots = np.nonzero(np.logical_xor(eve_d1, eve_d2))[0]
-        eve_bits = eve_d2[eve_slots]
+        eve_slots, eve_bits = _dps_eve_key(eve_clicks("D1", level * nominal), eve_clicks("D2", level * nominal))
     else:
-        eve_slots, eve_bits = _cow_eve_key(run.alice_symbols, eve_clicks("D_B", rel * gain2 * cfg.t_b * nominal))
+        eve_slots, eve_bits = _cow_eve_key(run.alice_codes, eve_clicks("D_B", level * cfg.t_b * nominal))
 
     frac = capture_fraction(run.sifted_slots, run.sifted_bob, eve_slots, eve_bits)
     return AttackOutcome(
@@ -254,10 +248,7 @@ def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun) -> AttackOutcome:
         wd_alarm = watchdog(probe_in, cm.tap_fraction, cm.intensity_threshold)
         probe_amplitude = s.probe_amplitude * float(np.sqrt(1.0 - cm.tap_fraction))
 
-    if cfg.protocol == "dps":
-        modulation: Sequence[int] = run.alice_bits
-    else:
-        modulation = cow_occupancy(run.alice_symbols)
+    modulation = run.alice_codes if cfg.protocol == "dps" else cow_occupancy(run.alice_codes)
     probe_cfg = s if probe_amplitude == s.probe_amplitude else replace(s, probe_amplitude=probe_amplitude)
     reflected = trojan_probe(
         cfg.protocol,
@@ -269,13 +260,11 @@ def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun) -> AttackOutcome:
     )
     # Both bands co-propagate back up Alice's output fiber; Eve's ideal
     # bandpass filter strips the signal band and passes the probe band whole.
+    eve = trojan_decode(reflected, cfg.protocol, s.eve_min_intensity)
     if cfg.protocol == "dps":
-        decoded = trojan_decode(reflected, "dps", s.eve_min_intensity)
-        eve_slots = np.nonzero(decoded >= 0)[0] + 1
-        eve_bits = decoded[decoded >= 0] == 1
+        eve_slots, eve_bits = _dps_eve_key(eve.clicks("D1"), eve.clicks("D2"))
     else:
-        readout = trojan_decode(reflected, "cow", s.eve_min_intensity)
-        eve_slots, eve_bits = _readout_key(run.alice_symbols, readout)
+        eve_slots, eve_bits = _cow_eve_key(run.alice_codes, eve.clicks("D_B"))
 
     frac = capture_fraction(run.sifted_slots, run.sifted_bob, eve_slots, eve_bits)
     return AttackOutcome(
@@ -294,13 +283,6 @@ def _blinding_background(style: str, level: float, period: int, n_slots: int) ->
     bg = np.zeros(n_slots, dtype=np.float64)
     bg[::period] = level
     return bg
-
-
-def _reading_key(readings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eve's DPS key from her readings: the slots of a single D1 or D2
-    reading, and the bit each names (0 constructive, 1 destructive)."""
-    idx = np.flatnonzero((readings == 1) | (readings == 2))
-    return idx, readings[idx] == 2
 
 
 def _on_grid(record: DetectionRecord, offset: int, n_slots: int) -> DetectionRecord:
@@ -347,7 +329,7 @@ def _run_blinding(
     Bob sifts the blinded record as he sifts a clean one, over the
     ``n_slots`` slots of Alice's grid, which start at the plan's
     ``readings_slot_offset``; the stored record is the whole blinded one.
-    Of ``clean`` only Alice's material, the QBER and the visibility are read.
+    Of ``clean`` only Alice's codes, the QBER and the visibility are read.
     Pinned readings are sifted against Alice's material too: they do not
     come from her train, so a QBER near 1/2 is the honest result.  Derived
     COW blinding has no visibility: every interface slot is also a D_B pulse
@@ -362,11 +344,11 @@ def _run_blinding(
     if cfg.protocol == "dps":
         plan = fsg_dps_phases(readings, s.policy, launch_intensity=rails.p_always)
         feasibility = {"rail_gap": blinding_feasible(rails, cfg.t_b).rail_gap}
-        eve_slots, eve_bits = _reading_key(readings)
+        eve_slots, eve_bits = _dps_eve_key(readings == 1, readings == 2)
     else:
         plan = fsg_cow_drive(readings, cfg.t_b, rails)
         feasibility = blinding_feasible(rails, cfg.t_b).as_dict()
-        eve_slots, eve_bits = _cow_eve_key(clean.alice_symbols, _window(readings == 3, 0, n_slots))
+        eve_slots, eve_bits = _cow_eve_key(clean.alice_codes, _window(readings == 3, 0, n_slots))
 
     trigger = plan.to_train(cfg.slot_period)
     background = _blinding_background(s.style, s.illumination_level, s.pulse_period_slots, len(trigger) + 1)
@@ -380,7 +362,7 @@ def _run_blinding(
             monitor_alarm = monitor_alarm or result.alarm
 
     grid = _on_grid(record, plan.readings_slot_offset, n_slots)
-    run = replace(_sift(cfg, clean.alice_bits, clean.alice_symbols, grid), record=record)
+    run = replace(_sift(cfg, clean.alice_codes, grid), record=record)
     drop = None
     if cfg.protocol == "cow":
         before, after = clean.visibility_report.overall_visibility, run.visibility_report.overall_visibility
@@ -404,9 +386,9 @@ def _run_blinding(
 # ---------------------------------------------------------------------------
 
 # The record format: the file's version line and its header's ``format``.
-RECORD_FORMAT = "dprsim-record/4"
+RECORD_FORMAT = "dprsim-record/5"
 # Formats of older record files, which are no longer read.
-_RETIRED_FORMATS = ("dprsim-record/1", "dprsim-record/2", "dprsim-record/3")
+_RETIRED_FORMATS = ("dprsim-record/1", "dprsim-record/2", "dprsim-record/3", "dprsim-record/4")
 
 # ``X`` of an ``NDArray[X]`` hint -> stored little-endian dtype (bools as bytes, the same on every platform).
 _STORED = {np.bool_: "|u1", np.int64: "<i8", np.float64: "<f8"}
@@ -525,10 +507,12 @@ class RunRecord:
     Each run value is stored once.  Bob's key is ``protocol_run.sifted_bob``
     only; a detector trace keeps a ``photocurrent`` only under blinding (the
     stored current), since otherwise it is the ``intensity``; key bits
-    (``sifted_alice``, ``sifted_bob``, ``eve_key``) are booleans.
+    (``sifted_alice``, ``sifted_bob``, ``eve_key``) are booleans.  Alice's
+    material is ``protocol_run.alice_codes``: DPS phase bits, or COW symbol
+    codes 0, 1 and 2 for ``0``, ``1`` and ``d``.
 
     ``to_dict`` gives the record as a plain tree in which every array is
-    little-endian (``<i8`` for Alice's bits, slots and readings, ``<f8`` for
+    little-endian (``<i8`` for Alice's codes, slots and readings, ``<f8`` for
     intensities and photocurrents, ``|u1`` for booleans: clicks, modes and key
     bits); ``from_dict`` checks and inverts it.  The content hash is SHA-256
     over the canonical header (that tree with sorted keys, compact, each array
@@ -536,10 +520,10 @@ class RunRecord:
     array in header key order; the wall time, the only non-reproducible
     field, is left out.
 
-    A record file (``dprsim-record/4``, also the header's ``format``) holds
+    A record file (``dprsim-record/5``, also the header's ``format``) holds
     exactly those hashed bytes between a version line and a trailer::
 
-        dprsim-record/4
+        dprsim-record/5
         <canonical header>
         <raw array bytes, in header key order>{"wall_time_s": <seconds>}
 
@@ -705,10 +689,10 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunRecord:
     cfg = scenario_from_dict({**cfg.to_dict(), "seed": cfg.seed if seed is None else seed})
     started = time.perf_counter()
     rngs = RngFactory(cfg.seed)
-    alice_bits, alice_symbols = _alice_material(cfg, rngs)
-    train = _transmit(cfg, alice_bits, alice_symbols)
+    codes = _alice_material(cfg, rngs)
+    train = _transmit(cfg, codes)
     record, ports = _receive(cfg, train, rngs, "bob")
-    run = _sift(cfg, alice_bits, alice_symbols, record)
+    run = _sift(cfg, codes, record)
 
     kind = cfg.attack.kind
     # Drop what no later stage reads: Alice's train serves only Eve's

@@ -103,10 +103,12 @@ def _v1_visibility(report) -> dict | None:
 
 
 def _v1_run(run) -> dict:
+    # v1 kept DPS phase bits as ``alice_bits`` and COW symbols as the string ``alice_symbols``.
+    dps = run.protocol == "dps"
     return {
         "protocol": run.protocol,
-        "alice_bits": None if run.alice_bits is None else [int(b) for b in run.alice_bits],
-        "alice_symbols": run.alice_symbols,
+        "alice_bits": [int(b) for b in run.alice_codes] if dps else None,
+        "alice_symbols": None if dps else "".join(COW_SYMBOLS[c] for c in run.alice_codes),
         "record": {
             "slot_period": run.record.slot_period,
             "detectors": {name: _v1_trace(run.record[name]) for name in run.record.names},

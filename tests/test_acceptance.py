@@ -20,10 +20,10 @@ from dprsim.attacks import (
 from dprsim.cli import main
 from dprsim.config import BlindingSettings, DetectorSettings
 from dprsim.optics import PulseTrain, dli
-from dprsim.protocols import cow_occupancy, dps_encode, dps_sift, receive
+from dprsim.protocols import dps_encode, dps_sift, receive
 from dprsim.scenario import run_golden
 
-from _oracles import brute_force_cow_monitor, brute_force_dli_ports
+from _oracles import brute_force_cow_monitor, brute_force_dli_ports, cow_occupancy_loop
 
 QUARTER_PHASES = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)
 
@@ -60,7 +60,7 @@ def test_cow_tamper_visibility():
         assert report.overall_visibility == pytest.approx(1.0 / 5.0, abs=1e-6)
         # Independent slot-by-slot interference oracle over the 20-slot train.
         cfg = record.config
-        occupancy = cow_occupancy(cfg["symbols"])
+        occupancy = cow_occupancy_loop(cfg["symbols"])
         phases = np.array(cfg["channel"]["phase_tamper_half_turns"]) * np.pi
         m1, m2 = brute_force_cow_monitor(occupancy, phases[: occupancy.size], cfg["amplitude"], cfg["t_b"])
         bob = record.protocol_run.record

@@ -249,6 +249,15 @@ def dps_probe(**kw):
     return TrojanSettings(**defaults)
 
 
+def dps_readout(reflected) -> list[int]:
+    """Eve's bit at each interior slot of her replica's record: 1 for a D2
+    click, 0 for D1; exactly one of them clicks at each."""
+    record = trojan_decode(reflected, "dps")
+    d1, d2 = (record.clicks(name)[1 : len(reflected)] for name in ("D1", "D2"))
+    assert np.all(d1 != d2)
+    return d2.astype(int).tolist()
+
+
 def test_probe_reflects_alices_phase_sequence():
     bits = np.array([0, 1, 1, 0, 1])
     reflected = trojan_probe("dps", bits, dps_probe(), slot_period=1.0)
@@ -259,19 +268,18 @@ def test_probe_reflects_alices_phase_sequence():
 def test_probe_decode_recovers_the_key():
     bits = np.array([0, 1, 0, 0, 1, 1, 0])
     reflected = trojan_probe("dps", bits, dps_probe(), slot_period=1.0)
-    decoded = trojan_decode(reflected, "dps")
-    assert decoded.tolist() == dps_reference_bits(bits).tolist()
+    assert dps_readout(reflected) == dps_reference_bits(bits).tolist()
 
 
 def test_probe_timing_offset_shifts_the_decoded_key():
     bits = np.array([0, 1, 0, 0, 1, 1, 0, 1])
-    aligned = trojan_decode(trojan_probe("dps", bits, dps_probe(), 1.0), "dps")
-    shifted = trojan_decode(trojan_probe("dps", bits, dps_probe(timing_offset_slots=1), 1.0), "dps")
-    assert shifted.tolist() != aligned.tolist()
+    aligned = dps_readout(trojan_probe("dps", bits, dps_probe(), 1.0))
+    shifted = dps_readout(trojan_probe("dps", bits, dps_probe(timing_offset_slots=1), 1.0))
+    assert shifted != aligned
     # The shifted profile is the same bit stream delayed by one slot with a
     # vacuum-slot lead-in, so the tail of the decoded key matches.
     shifted_profile = np.concatenate([[0], bits[:-1]])
-    assert shifted.tolist() == dps_reference_bits(shifted_profile).tolist()
+    assert shifted == dps_reference_bits(shifted_profile).tolist()
 
 
 def test_probe_excess_loss_at_long_wavelength():
@@ -285,15 +293,20 @@ def test_probe_excess_loss_at_long_wavelength():
 def test_probe_below_eve_sensitivity_gives_empty_estimate():
     bits = np.array([0, 1, 0])
     reflected = attenuate(trojan_probe("dps", bits, dps_probe(), 1.0), 200.0)
-    decoded = trojan_decode(reflected, "dps", min_intensity=1e-15)
-    assert decoded.size == 0
+    record = trojan_decode(reflected, "dps", min_intensity=1e-15)
+    assert record.names == ["D1", "D2"] and len(record["D1"]) == 4
+    assert record["D1"].click_count == record["D2"].click_count == 0
+    cow = attenuate(trojan_probe("cow", [1, 0, 1, 1], dps_probe(), 0.5), 200.0)
+    assert trojan_decode(cow, "cow", min_intensity=1e-15)["D_B"].click_count == 0
 
 
 def test_probe_reads_cow_intensity_pattern():
-    symbols = "01d10001d1"
+    symbols = [0, 1, 2, 1, 0, 0, 0, 1, 2, 1]  # "01d10001d1"
     occ = cow_occupancy(symbols)
     reflected = trojan_probe("cow", occ, dps_probe(), slot_period=0.5)
-    assert trojan_decode(reflected, "cow") == symbols
+    record = trojan_decode(reflected, "cow")
+    assert record.names == ["D_B"]
+    assert record.clicks("D_B").tolist() == occ.astype(bool).tolist()
 
 
 def test_probe_rejects_signal_wavelength():

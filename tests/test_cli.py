@@ -16,7 +16,7 @@ from dprsim import cli, report
 from dprsim.cli import main
 from dprsim.config import ScenarioConfig, _inner, scenario_from_dict
 from dprsim.report import MetricsSummary, emit_outputs, load_record, save_record, summarize
-from dprsim.scenario import RunRecord, load_config, run_golden, run_scenario
+from dprsim.scenario import RECORD_FORMAT, RunRecord, load_config, run_golden, run_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +288,17 @@ def _arrays_start(data: bytes) -> int:
     return data.index(b"\n", data.index(b"\n") + 1) + 1
 
 
-def _first_array_byte(value: int):
-    # The first array of a clean COW record is D_B's clicks, stored as |u1.
+def _clicks_start(data: bytes) -> int:
+    """Offset of D_B's first click byte (|u1) in a clean COW record: past
+    Alice's codes, the one array stored before it."""
+    codes = json.loads(data.split(b"\n", 2)[1])["protocol_run"]["alice_codes"]
+    assert codes["dtype"] == "<i8"
+    return _arrays_start(data) + 8 * codes["shape"][0]
+
+
+def _first_click_byte(value: int):
     def edit(data: bytes) -> bytes:
-        at = _arrays_start(data)
+        at = _clicks_start(data)
         return data[:at] + bytes([value]) + data[at + 1 :]
 
     return edit
@@ -341,7 +348,7 @@ BAD_RECORDS = {
         lambda d: b"dprsim-record/9" + d[d.index(b"\n") :],
         "unsupported record version 'dprsim-record/9'",
     ),
-    "no-version": (lambda d: d[d.index(b"\n") + 1 :], "missing version line 'dprsim-record/4'"),
+    "no-version": (lambda d: d[d.index(b"\n") + 1 :], f"missing version line {RECORD_FORMAT!r}"),
     "format-1": (
         lambda d: b'{"format": "dprsim-record/1", "config": {}}',
         "dprsim-record/1 file, which is no longer read",
@@ -354,7 +361,11 @@ BAD_RECORDS = {
         lambda d: b"dprsim-record/3" + d[d.index(b"\n") :],
         "dprsim-record/3 file, which is no longer read",
     ),
-    "invalid-json": (lambda d: b"dprsim-record/4\n{not json\n", "header is not JSON"),
+    "format-4": (
+        lambda d: b"dprsim-record/4" + d[d.index(b"\n") :],
+        "dprsim-record/4 file, which is no longer read",
+    ),
+    "invalid-json": (lambda d: RECORD_FORMAT.encode() + b"\n{not json\n", "header is not JSON"),
     "not-canonical": (lambda d: d.replace(b'{"attack":null,', b'{"attack": null,', 1), "header is not canonical"),
     "unknown-field": (_edit_header(lambda t: t["protocol_run"].update(qbr=0.0)), "unknown field 'protocol_run.qbr'"),
     "missing-field": (
@@ -368,13 +379,13 @@ BAD_RECORDS = {
     ),
     "dtype": (_set_clicks_dtype("<f4"), "protocol_run.record.detectors.D_B.clicks: unsupported array dtype '<f4'"),
     "dtype-type": (_set_clicks_dtype(["|u1"]), "clicks: unsupported array dtype ['|u1']"),
-    "truncated": (lambda d: d[: _arrays_start(d) + 9], "clicks: array bytes end at byte"),
+    "truncated": (lambda d: d[: _clicks_start(d) + 9], "clicks: array bytes end at byte"),
     "short-arrays": (_drop_array_bytes, "array bytes: the header's shapes take"),
     "no-trailer": (_edit_trailer(b""), "missing trailer"),
     "bad-trailer": (_edit_trailer(b'{"wall_time_s": }\n'), "malformed trailer"),
     "extra-trailer": (lambda d: d + b'{"wall_time_s": 2.0}\n', "extra bytes after the trailer"),
     "trailer-type": (_edit_trailer(b'{"wall_time_s": "soon"}\n'), "wall_time_s: expected float, got str"),
-    "bool-byte": (_first_array_byte(2), "protocol_run.record.detectors.D_B.clicks: byte 2 is not a boolean"),
+    "bool-byte": (_first_click_byte(2), "protocol_run.record.detectors.D_B.clicks: byte 2 is not a boolean"),
     "trace-lengths": (
         _move_elements((*_D_B, "linear_mode"), ("protocol_run", "record", "detectors", "D_M1", "clicks"), 6),
         "protocol_run.record.detectors.D_B.linear_mode: 10 slots, but clicks has 16",

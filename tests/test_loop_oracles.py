@@ -28,8 +28,6 @@ from dprsim.detectors import (
 from dprsim.optics import PulseTrain, coupler_2x2, dli
 from dprsim.protocols import (
     VISIBILITY_CLASSES,
-    _as_symbols,
-    _cow_half_slots,
     _interfaces,
     cow_encode,
     cow_occupancy,
@@ -44,14 +42,20 @@ from dprsim.scenario import (
     _alice_material,
     _backflash_replica_clicks,
     _cow_eve_key,
-    _reading_key,
-    _readout_key,
+    _dps_eve_key,
     run_scenario,
 )
 
 import _oracles as oracle
 
 symbols = st.text(alphabet="01d", min_size=1, max_size=40)
+
+
+def codes(sym: str) -> np.ndarray:
+    """Alice's COW symbol codes: 0, 1 and 2 for "0", "1" and "d"."""
+    return np.array(["01d".index(c) for c in sym], dtype=np.int64)
+
+
 all_decoys = [st.integers(1, 40).map(lambda n: "d" * n)]
 
 
@@ -81,11 +85,11 @@ def _same(a: np.ndarray, b: np.ndarray) -> None:
 def test_empty_symbol_string_is_rejected():
     for f in (
         cow_occupancy,
-        lambda s: visibility(_record(2, D_M1=[], D_M2=[]), s),
-        lambda s: _cow_half_slots(s, np.zeros(2, dtype=bool)),
+        lambda c: visibility(_record(2, D_M1=[], D_M2=[]), c),
+        lambda c: cow_sift(c, _record(2, D_B=[])),
     ):
         with pytest.raises(ValueError, match="nonempty"):
-            f("")
+            f(codes(""))
 
 
 @given(symbols)
@@ -93,8 +97,8 @@ def test_empty_symbol_string_is_rejected():
 @example("dddd")
 @settings(max_examples=200)
 def test_occupancy_and_interfaces_match_loops(sym):
-    _same(cow_occupancy(sym), oracle.cow_occupancy_loop(sym))
-    slots, classes = _interfaces(_as_symbols(sym)[1])
+    _same(cow_occupancy(codes(sym)), oracle.cow_occupancy_loop(sym))
+    slots, classes = _interfaces(codes(sym))
     assert list(zip(slots.tolist(), [VISIBILITY_CLASSES[c] for c in classes])) == oracle.cow_interfaces_loop(sym)
 
 
@@ -102,7 +106,7 @@ def test_occupancy_and_interfaces_match_loops(sym):
 @settings(max_examples=200)
 def test_visibility_matches_loop(case):
     sym, (m1, m2) = case
-    report = visibility(_record(m1.size, D_M1=m1, D_M2=m2), sym)
+    report = visibility(_record(m1.size, D_M1=m1, D_M2=m2), codes(sym))
     per_class, overall = oracle.visibility_loop(m1, m2, sym)
     assert list(report.per_class) == list(VISIBILITY_CLASSES)
     assert {s: [c.d_m1, c.d_m2] for s, c in report.per_class.items()} == per_class
@@ -115,21 +119,29 @@ def test_visibility_matches_loop(case):
 @settings(max_examples=200)
 def test_cow_sift_and_eve_keys_match_loops(case):
     sym, (clicks,) = case
-    run = cow_sift(sym, _record(clicks.size, D_B=clicks))
+    run = cow_sift(codes(sym), _record(clicks.size, D_B=clicks))
     alice, bob, slots, qber = oracle.cow_sift_loop(sym, clicks)
     _same(run.sifted_alice, alice)
     _same(run.sifted_bob, bob)
     _same(run.sifted_slots, slots)
     assert run.qber == qber
-    for got, want in zip(_cow_eve_key(sym, clicks), oracle.backflash_cow_key_loop(sym, clicks)):
+    for got, want in zip(_cow_eve_key(codes(sym), clicks), oracle.backflash_cow_key_loop(sym, clicks)):
         _same(got, want)
 
 
-@given(st.one_of(symbols, *all_decoys), st.data())
+def _trojan_cow_key_loop(alice: str, clicks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eve's COW trojan key as it was built: her replica's clicks read out as
+    a symbol string, then keyed over Alice's symbols."""
+    return oracle.trojan_cow_key_loop(alice, oracle.trojan_decode_cow_loop(clicks))
+
+
+@given(symbols_and_clicks(extra=0))
+@example(("0d1", [np.zeros(6, dtype=bool)]))  # a probe below Eve's sensitivity clicks nowhere
+@example(("0d1", [np.ones(6, dtype=bool)]))
 @settings(max_examples=200)
-def test_trojan_cow_key_matches_loop(alice, data):
-    readout = data.draw(st.one_of(st.just(""), st.text(alphabet="01d?", min_size=len(alice), max_size=len(alice))))
-    for got, want in zip(_readout_key(alice, readout), oracle.trojan_cow_key_loop(alice, readout)):
+def test_trojan_cow_key_matches_loop(case):
+    alice, (clicks,) = case
+    for got, want in zip(_cow_eve_key(codes(alice), clicks), _trojan_cow_key_loop(alice, clicks)):
         _same(got, want)
 
 
@@ -190,21 +202,38 @@ def test_cow_drive_matches_loop(readings, t_b):
     _same(plan.intensity_per_slot, levels)
 
 
-@given(st.lists(st.floats(0.0, 2.0), min_size=2, max_size=40), st.lists(st.floats(0.0, 6.3), min_size=40, max_size=40))
+@given(
+    st.lists(st.floats(0.0, 2.0), min_size=2, max_size=40),
+    st.lists(st.floats(0.0, 6.3), min_size=40, max_size=40),
+    st.text(alphabet="01d", min_size=20, max_size=20),
+)
+@example([0.0, 1e-20, 0.0], [0.0] * 40, ("01d" * 7)[:20])  # a probe below Eve's sensitivity
 @settings(max_examples=200)
-def test_trojan_decode_matches_loops(intensity, phase):
+def test_trojan_decode_matches_loops(intensity, phase, symbols):
     n = len(intensity)
     reflected = PulseTrain(np.sqrt(intensity) * np.exp(1j * np.array(phase[:n])))
     peak = float(np.max(reflected.intensities))
-    dps = trojan_decode(reflected, "dps")
-    cow = trojan_decode(reflected, "cow")
-    if peak <= 1e-15:
-        assert dps.size == 0 and cow == ""
-        return
-    record, _ = receive("dps", reflected, DetectorSettings(), peak)
-    _same(dps, oracle.trojan_decode_dps_loop(record.clicks("D1"), record.clicks("D2"), n))
-    eve = apd_detect(reflected, 0.5 * peak, (0.392, 0.398), DetectorSettings(), "EVE_B")
-    assert cow == oracle.trojan_decode_cow_loop(eve["EVE_B"].clicks)
+    dps, cow = trojan_decode(reflected, "dps"), trojan_decode(reflected, "cow")
+    # Eve's noise-free replicas threshold at half the probe's peak; below
+    # her sensitivity nothing clicks.
+    d1 = d2 = np.zeros(n + 1, dtype=bool)
+    d_b = np.zeros(n, dtype=bool)
+    if peak > 1e-15:
+        record, _ = receive("dps", reflected, DetectorSettings(), peak)
+        d1, d2 = record.clicks("D1"), record.clicks("D2")
+        d_b = apd_detect(reflected, 0.5 * peak, (0.392, 0.398), DetectorSettings(), "EVE_B")["EVE_B"].clicks
+    _same(dps.clicks("D1"), d1)
+    _same(dps.clicks("D2"), d2)
+    _same(cow.clicks("D_B"), d_b)
+    # DPS: the key holds the interior slots the per-slot decode read, and their bits.
+    read = oracle.trojan_decode_dps_loop(d1, d2, n)
+    slots, bits = _dps_eve_key(dps.clicks("D1"), dps.clicks("D2"))
+    _same(slots, np.flatnonzero(read >= 0) + 1)
+    _same(bits, read[read >= 0] == 1)
+    # COW: Alice sent one symbol per pair of slots.
+    alice = symbols[: n // 2]
+    for got, want in zip(_cow_eve_key(codes(alice), cow.clicks("D_B")), _trojan_cow_key_loop(alice, d_b)):
+        _same(got, want)
 
 
 slot_lists = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 1)), min_size=0, max_size=25)
@@ -225,16 +254,21 @@ def test_capture_fraction_matches_loop(bob, eve):
 @given(st.integers(0, 2**32), st.integers(2, 300))
 @settings(max_examples=100)
 def test_alice_symbols_match_loop(seed, n):
+    # Drawn symbols are their alice-source values, and pinning the same
+    # symbols as a string gives the same codes.
     cfg = scenario_from_dict({"protocol": "cow", "n_symbols": n, "seed": seed})
-    _, got = _alice_material(cfg, RngFactory(seed))
+    got = _alice_material(cfg, RngFactory(seed))
     idx = RngFactory(seed).get("alice-source").integers(0, 3, n)
-    assert got == oracle.alice_symbols_loop(idx)
+    _same(got, idx)
+    pinned = scenario_from_dict({"protocol": "cow", "symbols": oracle.alice_symbols_loop(idx), "seed": seed})
+    _same(_alice_material(pinned, RngFactory(seed)), got)
 
 
 @given(st.lists(st.integers(0, 2), min_size=0, max_size=40))
 @settings(max_examples=200)
 def test_reading_keys_match_loop(readings):
-    got = _reading_key(np.array(readings, dtype=np.int64))
+    r = np.array(readings, dtype=np.int64)
+    got = _dps_eve_key(r == 1, r == 2)
     for a, b in zip(got, oracle.blinding_key_loop("dps", readings)):
         _same(a, b)
 
@@ -260,24 +294,25 @@ def test_blinding_bookkeeping_matches_loops(protocol, seed, dark, p_never):
     outcome, run = record.attack, record.protocol_run
     # Eve's derived plan puts reading j at Bob's slot j + 1; Bob sifts the
     # slots of Alice's grid (its length plus one) from there on.
-    n_slots = (run.alice_bits.size if protocol == "dps" else 2 * len(run.alice_symbols)) + 1
+    n_slots = run.alice_codes.size * (1 if protocol == "dps" else 2) + 1
     grid = _record(n_slots, **{name: run.record.clicks(name)[1 : 1 + n_slots] for name in run.record.names})
     if protocol == "dps":
-        want = dps_sift(run.alice_bits, grid)
+        want = dps_sift(run.alice_codes, grid)
         eve_idx, eve_bits = oracle.blinding_key_loop(protocol, outcome.eve_readings)
         # Only Bob's single-click readings that carry one of Alice's
         # difference bits are sifted.
         bob_idx, bob_bits = oracle.blinding_key_loop(protocol, outcome.bob_readings)
-        diff = np.bitwise_xor(np.asarray(run.alice_bits[1:]), np.asarray(run.alice_bits[:-1]))
+        diff = np.bitwise_xor(run.alice_codes[1:], run.alice_codes[:-1])
         alice = oracle.blinding_sifted_alice_loop(diff, bob_idx)
         pairs = [(j, b) for j, b in zip(bob_idx, bob_bits) if 1 <= j <= diff.size]
         paired = np.array([b for _, b in pairs], dtype=bool)
         loop = (alice, paired, np.array([j for j, _ in pairs], dtype=np.int64))
     else:
-        want = cow_sift(run.alice_symbols, grid, visibility(grid, run.alice_symbols))
-        eve_idx, eve_bits = oracle.blinding_key_loop(protocol, outcome.eve_readings, run.alice_symbols)
+        want = cow_sift(run.alice_codes, grid, visibility(grid, run.alice_codes))
+        alice = "".join("01d"[c] for c in run.alice_codes)
+        eve_idx, eve_bits = oracle.blinding_key_loop(protocol, outcome.eve_readings, alice)
         # A D_B click is always read as 3, so Bob's 3s are his data clicks.
-        loop = oracle.cow_sift_loop(run.alice_symbols, outcome.bob_readings == 3)[:3]
+        loop = oracle.cow_sift_loop(alice, outcome.bob_readings == 3)[:3]
         assert run.visibility_report.overall == want.visibility_report.overall
     for name, arr in zip(("sifted_alice", "sifted_bob", "sifted_slots"), loop):
         _same(getattr(run, name), getattr(want, name))
@@ -369,7 +404,7 @@ def test_dps_encode_matches_chain(bits, tx):
 @example("01d10", (0.3, 0.25))
 @settings(max_examples=300)
 def test_cow_encode_matches_chain(sym, tx):
-    _same_train(cow_encode(sym, *tx), oracle.cow_encode_chain(sym, *tx))
+    _same_train(cow_encode(codes(sym), *tx), oracle.cow_encode_chain(sym, *tx))
 
 
 complex_slots = st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(lambda t: complex(*t)), min_size=1, max_size=40)
@@ -443,7 +478,7 @@ def backflash_ports(draw):
         train = dps_encode(draw(st.lists(st.integers(0, 1), min_size=2, max_size=30)))
         name = draw(st.sampled_from(["D1", "D2"]))
     else:
-        train = cow_encode(draw(symbols))
+        train = cow_encode(codes(draw(symbols)))
         name = "D_B"
     port = receive(protocol, train, DetectorSettings(), 1.0)[1][name]
     n = len(port)

@@ -20,10 +20,16 @@ from dprsim.protocols import (
 
 from _oracles import brute_force_cow_monitor
 
-REFERENCE_SYMBOLS = "01d10001d1"
+
+def codes(symbols: str) -> np.ndarray:
+    """Alice's COW symbol codes: 0, 1 and 2 for "0", "1" and "d"."""
+    return np.array(["01d".index(s) for s in symbols], dtype=np.int64)
+
+
+REFERENCE_SYMBOLS = codes("01d10001d1")
 
 bit_lists = st.lists(st.integers(0, 1), min_size=2, max_size=64)
-symbol_strings = st.text(alphabet="01d", min_size=1, max_size=24)
+symbol_codes = st.text(alphabet="01d", min_size=1, max_size=24).map(codes)
 
 
 # Every train here is launched at amplitude 1, so its nominal intensity is 1.
@@ -173,9 +179,9 @@ def test_dps_sift_rejects_misaligned_record():
 
 
 def test_cow_occupancy_convention():
-    assert cow_occupancy("0").tolist() == [1, 0]
-    assert cow_occupancy("1").tolist() == [0, 1]
-    assert cow_occupancy("d").tolist() == [1, 1]
+    assert cow_occupancy(codes("0")).tolist() == [1, 0]
+    assert cow_occupancy(codes("1")).tolist() == [0, 1]
+    assert cow_occupancy(codes("d")).tolist() == [1, 1]
 
 
 def test_cow_encode_reference_sequence_pulse_pattern():
@@ -186,8 +192,9 @@ def test_cow_encode_reference_sequence_pulse_pattern():
 
 
 def test_cow_encode_rejects_bad_symbols():
-    with pytest.raises(ValueError):
-        cow_encode("01x")
+    for bad in ([0, 1, 3], [-1], []):
+        with pytest.raises(ValueError, match="0..2|nonempty"):
+            cow_encode(bad)
 
 
 def test_cow_measure_reference_run():
@@ -210,7 +217,7 @@ def test_cow_interface_classes_of_reference_sequence():
 
 
 @settings(max_examples=80, deadline=None)
-@given(symbol_strings)
+@given(symbol_codes)
 def test_cow_every_interface_classified(symbols):
     occ = cow_occupancy(symbols)
     adjacent = sum(1 for k in range(1, occ.size) if occ[k - 1] and occ[k])
@@ -220,7 +227,7 @@ def test_cow_every_interface_classified(symbols):
 
 
 @settings(max_examples=50, deadline=None)
-@given(symbol_strings)
+@given(symbol_codes)
 def test_cow_coherent_stream_has_unit_visibility(symbols):
     record = cow_record(cow_encode(symbols), t_b=0.9)
     assert record["D_M2"].click_count == 0
@@ -230,15 +237,15 @@ def test_cow_coherent_stream_has_unit_visibility(symbols):
 
 
 def test_cow_all_decoy_stream():
-    record = cow_record(cow_encode("dddd"), t_b=0.9)
-    report = visibility(record, "dddd")
+    record = cow_record(cow_encode(codes("dddd")), t_b=0.9)
+    report = visibility(record, codes("dddd"))
     assert record["D_M2"].click_count == 0
     assert report.per_class["d"].visibility == 1.0
 
 
 def test_cow_single_data_symbol_has_no_interference():
-    record = cow_record(cow_encode("0"), t_b=0.9)
-    report = visibility(record, "0")
+    record = cow_record(cow_encode(codes("0")), t_b=0.9)
+    report = visibility(record, codes("0"))
     assert report.overall.total == 0 and report.overall_visibility is None
     assert record.clicks("D_B").tolist() == [True, False]
     assert record["D_M1"].click_count == 0
@@ -279,8 +286,8 @@ def test_cow_tamper_matches_brute_force_oracle():
 
 def test_cow_balanced_counts_give_zero_visibility():
     phases = np.array([0.0, 0.0, np.pi, np.pi, np.pi, np.pi, np.pi, np.pi])
-    record, _ = tampered_monitor("1010", phases)
-    report = visibility(record, "1010")
+    record, _ = tampered_monitor(codes("1010"), phases)
+    report = visibility(record, codes("1010"))
     assert report.overall.d_m1 == 1 and report.overall.d_m2 == 1
     assert report.overall_visibility == 0.0
 
@@ -312,8 +319,8 @@ def test_cow_sift_reference_run():
 
 
 def test_cow_sift_decoy_only_stream_is_empty():
-    record = cow_record(cow_encode("ddd"), t_b=0.9)
-    km = cow_sift("ddd", record)
+    record = cow_record(cow_encode(codes("ddd")), t_b=0.9)
+    km = cow_sift(codes("ddd"), record)
     assert km.sifted_length == 0
     assert km.qber == 0.0
 
@@ -331,12 +338,12 @@ def test_cow_sift_wrong_half_slot_click_gives_one_error():
 
 
 def test_cow_sift_double_half_slot_counts_as_error():
-    record = cow_record(cow_encode("00"), t_b=0.9)
+    record = cow_record(cow_encode(codes("00")), t_b=0.9)
     clicks = record.clicks("D_B").copy()
     clicks[1] = True  # both half-slots of the first symbol now click
     trace = record["D_B"]
     tampered = DetectionRecord({"D_B": DetectorTrace(clicks, trace.intensity, trace.photocurrent, trace.linear_mode)})
-    km = cow_sift("00", tampered)
+    km = cow_sift(codes("00"), tampered)
     # The inconsistent first symbol is kept as an error.
     assert km.sifted_slots.tolist() == [0, 1]
     assert km.sifted_alice.tolist() == [0, 0]

@@ -46,22 +46,22 @@ GOLDEN_HASHES = {
     "cow-blinding-cw": "9b67e16425016b708dfd23ba0c020c8d6f05b1c65534aecdc6a24a6a177747ad",
 }
 
-# Record content hashes of the pinned scenarios (dprsim-record/4: canonical
+# Record content hashes of the pinned scenarios (dprsim-record/5: canonical
 # header plus raw little-endian array bytes, each run value stored once).
 GOLDEN_RECORD_HASHES = {
-    "dps-ideal": "d8f71a94d857b7b11f3c6ddb2e97db60ba170278d56587184ec6eda0bed2522c",
-    "cow-fig2": "52483e46e933723a04fec9d8c78866de1a73c7fe6404b0772f7cbee45a03c339",
-    "cow-fig4-tamper": "0aeb6fa6c5d12eb7ae590ec1909e420a348f9f7c9e57ed25d747d4bd49473657",
-    "dps-backflash-ideal": "c95c5752db4c33e3cfc68a9430a7e7584c09bf0f6e5dfe5001d3a993312f1eda",
-    "cow-backflash-ideal": "f50c25990e472605c7894b5644fa3f84f1a4cc9506a317b42936666bcdad06c6",
-    "dps-backflash-stat": "bfe3655fb2f640e582ba760fdd07f3881a7759efe8fbf61b7090e0dde7475818",
-    "dps-trojan": "a2b482a59655ca0bac48b27eeca833705293fe5624cf73a33a4ad2263bbdd905",
-    "dps-trojan-watchdog": "24352806c6467550481cf078f19ec95d51d7e17cb8c37b0bdd38c5919152856e",
-    "cow-trojan": "cc218d72040c7f7e30e9aa83930c9a7bb0a5afe8cef5e9dbe47836b7b292a102",
-    "dps-blinding": "78d135318ac5b924e9bf3e58b80af0906d5d1181d68a13fe4502f42a2518876d",
-    "dps-blinding-derived": "89a89739f580cef23ff2bd414c226d2ee535e042b9d16b2c02375363473f84d3",
-    "cow-blinding": "8e6ae93114de80ac576b6a9d2aecb741c0bf475a1b4e70464d9b095a7a2c101d",
-    "cow-blinding-cw": "f28cf05fb24758389d8487912d894f25c566b863efbd5f899ca7cf860e4d67b3",
+    "dps-ideal": "42ef290c29e4422bd14a520df610d83c4c62a9c0bb387552e5770ea6a524d3b8",
+    "cow-fig2": "1c419579a0ea0d1996e2f0e269ec99769e6043efd1c3a298e21699e97cac90e9",
+    "cow-fig4-tamper": "e1d8abefda20af1f56feb9c2da825e4f8c862564a9615257792584d5dda8a5cd",
+    "dps-backflash-ideal": "44fb2ca9360c916d28485b6621efaace01778b14518a2e38dc64b418c9fd5d74",
+    "cow-backflash-ideal": "497f5f9b78cba0df6e17ffbdc1dba62bcfa8c85c29a416f831758e70d5cfcbfb",
+    "dps-backflash-stat": "9c2c3bc726fdaaea268bf6ef8e739312a212a7a3b88d5abee3fb4a7f16afdf51",
+    "dps-trojan": "1f4eb8b52095ba01df08e122a97fc47e7abe19b35103ecac15f8de0b07f08c12",
+    "dps-trojan-watchdog": "b7e0d43ab92d040fdac4182188a59f48efc7b39f20de6d64959a3f80dde7215f",
+    "cow-trojan": "08726c333e16149081918d92263121d99deb0ae2e366ad6143e1c59a616313c4",
+    "dps-blinding": "a93e3fb855224b5e93e82675a8cf14cfc25680f6792ed592a49d51a387c7c640",
+    "dps-blinding-derived": "d3273a3dd0c18b058765af864137924038d3ddc3db0ce8de45d657bf607327ac",
+    "cow-blinding": "6fd3f0db0b1c51e9f40688e49aaa3b87f9e4b82373c6d6e216818e93312ce38a",
+    "cow-blinding-cw": "02f0f8601aec1fcb5f2888d0fcbadce9720b976d2843213f07e16de0a14990c8",
 }
 
 # The same records hashed by the retired dprsim-record/1 serializer
@@ -132,18 +132,18 @@ NOISY_RUNS = {
         "attack": {"kind": "blinding", "blinding": {"illumination_level": 5.0}},
     },
 }
-# Record content hashes of the noisy runs (dprsim-record/4).
+# Record content hashes of the noisy runs (dprsim-record/5).
 NOISY_RUN_HASHES = {
-    "dps-clean": "35663e722c843339913c142c1c4cab185ab51e5c58e3f7bc72a9aba9a87f7973",
-    "cow-clean": "c7dc9341914daaaf68f9547327cc16fd93e19d94d43ce79d54b2ef2aa7e6db71",
-    "dps-blinding": "e14c3a78007cef65f7fe5b39e9c34ccf4ea3fe14824e33139452d50e84e2f8be",
-    "cow-blinding": "a5c38c75211cf6fa2d340edf4c327e7be397d1bf8f22abe2d37e623c7fbabbe0",
-    "dps-backflash": "09ba5ac99958131ab54459dafedebee02a7a9a810354cf3dc1d107a5fec7b427",
-    "cow-backflash": "f332d89a49525acf3fb8342462c5857c6d3d7e05a1c47a3ae661edac45a74392",
-    "dps-trojan": "ccd7ca10ea259a0a9cbd3c6d82ab613333b15e5879080316b5cf3e3ae97fefe4",
-    "cow-trojan": "24607e0c3084b632fc56e434856a40c7489fcaaf56c5ccb9e00b2b83cf47c897",
-    "dps-blinding-between-rails": "1e800895b877a2defe25d48281aa4140df6756d3ed6a0daa8e82572ffe787638",
-    "cow-blinding-weak-light": "619d6ef5c15a845b5e436374538dda186da92e1f8c0991c29baf599d1b4f8487",
+    "dps-clean": "18d2edc7279910307fea198b9b4685342860e80056527619329d4d10e2c0e300",
+    "cow-clean": "e619da1b614e348f7279aba547e7d8c3884bed88add3efba943afc79ddad73b4",
+    "dps-blinding": "30110442598a5ed513dc15e2bf03bb4859116d4435e60c5e6d8f8e51ee68090c",
+    "cow-blinding": "2464186c485e44956f1e425c407b63df8f0010fbd47ece951f57c75030f3920e",
+    "dps-backflash": "927f811f98cc7eee45a4d3102e68af47ecd51a08fcd20f048fc527a2ec22bfa3",
+    "cow-backflash": "e45b16067e4b33ea92e9fbc9a7d107b3351e36c0ea9d231cd67abe4d1cb84f93",
+    "dps-trojan": "1010359094309cb40fa676da86dad134e65e104f575333d237338a9648a713ba",
+    "cow-trojan": "275209d1ef66475c12d3733a0d21d5bcd2da61ecc65aa9530a8ed671391be9f2",
+    "dps-blinding-between-rails": "b106412ea386c624345743c724446a7d513dce25e28bd6d1e1480ceeab751710",
+    "cow-blinding-weak-light": "47946dadda29bb471a55af333d7471b8e4e13bc4e2ddf7f6b0648b5f89de7a98",
 }
 
 # The same runs hashed by ``record_v1_hash``, taken before dprsim-record/4:
@@ -265,7 +265,7 @@ def _round_trips(record, tmp_path):
 def _hashed_span(data: bytes) -> bytes:
     """A record file minus its version line, its header's newline and its trailer."""
     version, header, rest = data.split(b"\n", 2)
-    assert version == b"dprsim-record/4"
+    assert version == b"dprsim-record/5"
     return header + rest[: rest.rindex(b'{"wall_time_s"')]
 
 
@@ -314,8 +314,8 @@ def test_content_hash_is_header_plus_raw_array_bytes(tmp_path):
     path = tmp_path / "record.json"
     save_record(record, path)
     trailer = json.dumps({"wall_time_s": record.wall_time_s}).encode() + b"\n"
-    assert path.read_bytes() == b"dprsim-record/4\n" + canonical.encode() + b"\n" + b"".join(arrays) + trailer
-    assert json.loads(canonical)["format"] == "dprsim-record/4"
+    assert path.read_bytes() == b"dprsim-record/5\n" + canonical.encode() + b"\n" + b"".join(arrays) + trailer
+    assert json.loads(canonical)["format"] == "dprsim-record/5"
 
 
 def test_saved_record_is_compact_and_reloads_the_in_memory_types(tmp_path):
@@ -334,7 +334,7 @@ def test_saved_record_is_compact_and_reloads_the_in_memory_types(tmp_path):
 
     # Version line, header line, raw arrays and trailer, with nothing between.
     header = record.canonical_json().encode()
-    assert len(data) == len(b"dprsim-record/4\n") + len(header) + 1 + nbytes(record.to_dict()) + len(trailer)
+    assert len(data) == len(b"dprsim-record/5\n") + len(header) + 1 + nbytes(record.to_dict()) + len(trailer)
     clone = load_record(path)
     assert clone.wall_time_s == 1.25
     assert clone.content_hash() == record.content_hash()
@@ -347,6 +347,9 @@ def test_saved_record_is_compact_and_reloads_the_in_memory_types(tmp_path):
     run = clone.protocol_run
     assert run.sifted_alice.dtype == run.sifted_bob.dtype == clone.attack.eve_key.dtype == np.bool_
     assert run.sifted_slots.dtype == np.int64
+    # Alice's COW symbols are int64 codes: 0, 1 and 2 for "0", "1" and "d".
+    assert run.alice_codes.dtype == np.int64 and set(run.alice_codes.tolist()) == {0, 1, 2}
+    np.testing.assert_array_equal(run.alice_codes, record.protocol_run.alice_codes)
     assert "bob_key" not in record.to_dict()["attack"] and not hasattr(clone.attack, "bob_key")
     np.testing.assert_array_equal(clone.attack.eve_readings, record.attack.eve_readings)
     assert clone.attack.eve_readings.dtype == clone.attack.bob_readings.dtype == np.int64
@@ -364,13 +367,13 @@ def test_loaded_arrays_are_writable_and_keep_their_dtypes(tmp_path):
     save_record(record, path)
     clone = load_record(path)
     run = clone.protocol_run
-    arrays = {"alice_bits": run.alice_bits, "sifted_bob": run.sifted_bob, "eve_key": clone.attack.eve_key}
+    arrays = {"alice_codes": run.alice_codes, "sifted_bob": run.sifted_bob, "eve_key": clone.attack.eve_key}
     for name in run.record.names:
         trace = run.record[name]
         arrays.update({f"{name}.clicks": trace.clicks, f"{name}.photocurrent": trace.photocurrent})
     for name, arr in arrays.items():
         assert arr.flags.writeable, name
-        want = np.float64 if name.endswith(".photocurrent") else np.int64 if name == "alice_bits" else np.bool_
+        want = np.float64 if name.endswith(".photocurrent") else np.int64 if name == "alice_codes" else np.bool_
         assert arr.dtype == want, name
     run.record[run.record.names[0]].clicks[0] ^= True
     run.sifted_bob[:] = False
@@ -595,7 +598,7 @@ def test_attack_consumers_do_not_perturb_alice_stream():
     # not change what Alice sends.
     base = run_scenario(scenario_from_dict(SMALL_DPS))
     attacked = run_scenario(scenario_from_dict({**SMALL_DPS, "attack": {"kind": "backflash"}}))
-    np.testing.assert_array_equal(base.protocol_run.alice_bits, attacked.protocol_run.alice_bits)
+    np.testing.assert_array_equal(base.protocol_run.alice_codes, attacked.protocol_run.alice_codes)
     np.testing.assert_array_equal(base.protocol_run.sifted_bob, attacked.protocol_run.sifted_bob)
 
 
@@ -657,7 +660,7 @@ def test_detectors_that_draw_nothing_record_a_train_alike(protocol, t_b, tamper,
         doc["channel"] = {"phase_tamper_half_turns": [0.0] * 700 + [1.0] * 900 + [0.5] * 400}
     cfg = scenario_from_dict(doc)
     rngs = RngFactory(cfg.seed)
-    train = _transmit(cfg, *_alice_material(cfg, rngs))
+    train = _transmit(cfg, _alice_material(cfg, rngs))
     bob, eve = _receive(cfg, train, rngs, "bob")[0], _receive(cfg, train, rngs, "eve-stage1")[0]
     for name in bob.names:
         np.testing.assert_array_equal(bob.clicks(name), eve.clicks(name))
