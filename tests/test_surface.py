@@ -103,7 +103,7 @@ def test_no_defaulted_parameter_takes_one_literal_from_every_package_call():
     pinned = [
         knob
         for knob, passed in _defaulted_parameters()
-        if passed and None not in passed and literal(passed[0]) is not None and len({literal(a) for a in passed}) == 1
+        if len({literal(a) for a in passed}) == 1 and literal(passed[0]) is not None
     ]
     assert pinned == []
 
