@@ -33,7 +33,7 @@ import numpy.typing as npt
 from .config import DetectorSettings, TrojanSettings
 from .detectors import DetectionRecord, apd_detect
 from .optics import PulseTrain, attenuate, cw_laser, phase_modulator, pulse_carver
-from .protocols import receive
+from .protocols import _as_codes, receive
 
 __all__ = [
     "DPS_PHASE_STEP",
@@ -251,18 +251,21 @@ def trojan_probe(
     slot_period: float,
     excess_loss_db: float = 0.0,
     signal_wavelength: float = 1550.0,
-) -> PulseTrain:
+) -> tuple[PulseTrain, np.ndarray]:
     """Back-reflection of Eve's probe off Alice's modulator.
 
     ``alice_modulation`` is Alice's per-slot drive: phase bits for DPS, slot
     occupancy for COW.  The reflected train carries the same modulation when
     the timing offset is zero; a nonzero offset shifts which slot's modulation
-    each probe pulse picks up.  Total attenuation is the reflection loss plus
-    the wavelength-dependent excess loss of the probe band.
+    each probe pulse picks up (0 where it meets no slot of Alice's).  Total
+    attenuation is the reflection loss plus the wavelength-dependent excess
+    loss of the probe band.
 
-    The shifted modulation holds only 0 and 1, and the modulator is
-    slot-local, so the reflection of each value is computed once, on a
-    two-slot probe, and each slot takes its value's, bit for bit.
+    Returns the reflection in coded form (see ``protocols.receive``): the
+    reflected fields of modulation values 0 and 1, and the shifted
+    modulation, one code per slot.  The modulator and the attenuation are
+    slot-local, so each value's reflection, computed once on a two-slot
+    probe, equals that of every slot that carries it, bit for bit.
     """
     if probe.probe_wavelength_nm == signal_wavelength:
         raise ValueError("probe wavelength must differ from the signal wavelength")
@@ -285,16 +288,18 @@ def trojan_probe(
         per_value = pulse_carver(source, np.arange(2))
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
-    return attenuate(per_value.with_slots(per_value.slots[shifted]), probe.reflection_db + excess_loss_db)
+    return attenuate(per_value, probe.reflection_db + excess_loss_db), shifted
 
 
 def trojan_decode(
     reflected: PulseTrain,
+    codes: np.ndarray,
     protocol: str,
     min_intensity: float = 1e-15,
 ) -> DetectionRecord:
-    """Eve's read-out of the reflected probe: the record of her noise-free
-    replica of Bob's receiver, with thresholds set by the probe's peak.
+    """Eve's read-out of the reflected probe, given in coded form as
+    :func:`trojan_probe` returns it: the record of her noise-free replica of
+    Bob's receiver, with thresholds set by the probe's peak over its slots.
 
     DPS: the one-slot interferometer with D1 and D2, one slot longer than the
     train; a phase difference clicks one of them at each interior slot.  COW:
@@ -302,14 +307,20 @@ def trojan_decode(
     the intensity pattern.  A probe at or below ``min_intensity`` clicks no
     detector.  Eve's key comes from these clicks as in the other attacks.
     """
-    peak = float(np.max(reflected.intensities)) if len(reflected) else 0.0
+    codes = _as_codes(codes, 1)
+    power = reflected.intensities
+    # The peak over the values some slot carries: the codes are 0 and 1, so
+    # those from the least code to the greatest.
+    peak = float(np.max(power[codes.min() : codes.max() + 1]))
     # Below Eve's sensitivity her thresholds are out of reach.
     nominal = peak if peak > min_intensity else math.inf
     eve = DetectorSettings()
     if protocol == "dps":
-        return receive("dps", reflected, eve, nominal)[0]
+        return receive("dps", reflected, eve, nominal, codes=codes)[0]
     if protocol == "cow":
-        return apd_detect(reflected, eve.click_threshold_rel * nominal, (eve.p_never_b, eve.p_always_b), eve, "D_B")
+        rails = (eve.p_never_b, eve.p_always_b)
+        d_b = apd_detect(power[codes], eve.click_threshold_rel * nominal, rails, eve, "D_B")
+        return DetectionRecord(d_b.detectors, reflected.slot_period)
     raise ValueError(f"unknown protocol {protocol!r}")
 
 

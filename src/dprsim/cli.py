@@ -15,6 +15,7 @@ countermeasure alarm was raised.  The output root defaults to the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -42,7 +43,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="dprsim", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command")
 
@@ -85,11 +88,19 @@ def _out_root() -> Path:
     return Path(os.environ.get("DPRSIM_OUT_ROOT", "."))
 
 
+def _golden(name: str) -> dict:
+    """The pinned scenario document of ``name``; an unknown name is a usage error."""
+    try:
+        return golden_config_dict(name)
+    except KeyError as exc:  # its message names the golden and the available ones
+        raise _UsageError(exc.args[0]) from None
+
+
 def _resolve_config(args) -> ScenarioConfig:
     if args.golden and args.config:
         raise _UsageError("give either --config or --golden, not both")
     if args.golden:
-        return scenario_from_dict(golden_config_dict(args.golden))
+        return scenario_from_dict(_golden(args.golden))
     if not args.config:
         raise _UsageError("a scenario is required: --config PATH|NAME or --golden NAME")
     path = Path(args.config)
@@ -174,7 +185,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_goldens(args) -> int:
     if args.dump:
-        print(yaml.safe_dump(golden_config_dict(args.dump), sort_keys=True), end="")
+        print(yaml.safe_dump(_golden(args.dump), sort_keys=True), end="")
         return EXIT_OK
     names = [args.run] if args.run else (list(GOLDENS) if args.run_all else None)
     if names is None:
@@ -218,8 +229,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, KeyError) as exc:  # a KeyError names an unknown golden
-        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
+    except FileNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # runtime failure in an otherwise valid run
         print(f"runtime error: {exc}", file=sys.stderr)

@@ -189,7 +189,7 @@ class DetectionRecord:
 
 
 def apd_detect(
-    train: PulseTrain,
+    intensity: np.ndarray,
     click_threshold: float,
     rails: tuple[float, float],
     detector: DetectorSettings,
@@ -198,7 +198,8 @@ def apd_detect(
     background: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ) -> DetectionRecord:
-    """Detect a pulse train with one APD.
+    """Detect light with one APD, from its per-slot incident intensity: an
+    APD sees power, not phase.
 
     ``click_threshold`` is the Geiger-mode intensity above which a live slot
     fires, ``rails`` the line's ``(p_never, p_always)`` pair and ``detector``
@@ -207,11 +208,16 @@ def apd_detect(
     given: then the per-slot mode follows the stored photocurrent, which the
     trace keeps.  ``background`` is per-slot illumination (blinding light)
     that feeds the stored photocurrent but not the click discriminator, so it
-    needs ``blinding``; clicks are decided from the signal train alone.
+    needs ``blinding``; clicks are decided from the signal intensity alone.
     Raises ``ValueError`` when the detector may draw (afterpulses, dark
     counts, a linear-mode slot between the rails) and no ``rng`` is given.
+    The trace keeps ``intensity`` as given, and the record holds this one
+    detector on the default slot clock; a receiver assembles its detectors'
+    traces on its own clock.
     """
-    intensity = train.intensities
+    intensity = np.asarray(intensity, dtype=np.float64)
+    if intensity.ndim != 1:
+        raise ValueError(f"intensity must be one-dimensional, got shape {intensity.shape}")
     n = intensity.shape[0]
     if blinding is None:
         if background is not None:
@@ -223,7 +229,7 @@ def apd_detect(
         if background is not None:
             background = np.asarray(background, dtype=np.float64)
             if background.shape[0] != n:
-                raise ValueError("background length must match the train")
+                raise ValueError("background length must match the intensity")
             if np.any(background < 0.0):
                 raise ValueError("background must be >= 0")
             total = intensity + background
@@ -275,7 +281,7 @@ def apd_detect(
                 afterpulse_at = live_from
 
     trace = DetectorTrace(clicks=clicks, intensity=intensity, photocurrent=photocurrent, linear_mode=linear)
-    return DetectionRecord({detector_id: trace}, train.slot_period)
+    return DetectionRecord({detector_id: trace})
 
 
 # ---------------------------------------------------------------------------
@@ -288,22 +294,26 @@ def backflash_emit(
     incident: PulseTrain,
     cfg: BackflashSettings,
     rng: np.random.Generator | None = None,
+    codes: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Re-emission of a detector's clicks, in sparse form: the slots that
     re-emit, in order (int64), and the field each one emits, its incident
     amplitude (phase preserved) scaled by the emission gain.  Every other
-    slot stays vacuum.  Unless ``ideal`` forces emission on every click, an
+    slot stays vacuum.  ``incident`` holds one field per slot or, with
+    ``codes``, the fields that slot ``k`` indexes by ``codes[k]`` (a port of
+    a coded receive).  Unless ``ideal`` forces emission on every click, an
     emission probability below 1 draws one number per slot from ``rng``, which
     must then be given, and a click re-emits where its draw falls below it."""
-    if len(trace) != len(incident):
+    n = len(incident) if codes is None else codes.shape[0]
+    if len(trace) != n:
         raise ValueError("trace and incident train lengths differ")
     emit = trace.clicks
     if not cfg.ideal and cfg.emission_probability < 1.0:
         if rng is None:
             raise ValueError("backflash emission below certainty draws from an rng: pass one")
-        emit = emit & (rng.random(len(incident)) < cfg.emission_probability)
+        emit = emit & (rng.random(n) < cfg.emission_probability)
     slots = np.flatnonzero(emit)
-    return slots, cfg.emission_gain * incident.slots[slots]
+    return slots, cfg.emission_gain * incident.slots[slots if codes is None else codes[slots]]
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,10 @@ def dli(train: PulseTrain) -> tuple[PulseTrain, PulseTrain]:
 
     Returns ``(constructive, destructive)``: equal-phase consecutive pulses exit
     entirely at the constructive port.  Output length is ``len(train) + 1``.
-    Each slot takes the arithmetic of :func:`coupler_2x2` on the two arms.
+    Each slot takes the arithmetic of :func:`coupler_2x2` on the two arms, so
+    output slot ``k`` depends on input slots ``k - 1`` and ``k`` alone (vacuum
+    outside the train).  That lets the receiver of a coded train run it once
+    on a short train that holds each neighbour pair and gather from there.
     """
     n, t, k = len(train), math.sqrt(0.5), 1j * math.sqrt(0.5)
     # First coupler; the cross arm is delayed, and both are padded with vacuum.

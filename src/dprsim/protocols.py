@@ -15,7 +15,9 @@ interferometer with D_M1 constructive / D_M2 destructive) that checks the
 coherence of neighbouring pulses via the visibility statistic.
 
 Each protocol has an encoder and a sifting step; both share one receiver,
-:func:`receive`, which also serves every replica of Bob in the attacks.
+:func:`receive`, which also serves every replica of Bob in the attacks.  An
+encoder gives Alice's train coded: the field of each value once, and one
+code per slot that picks it.
 Alice's material is one int64 code per symbol: a DPS phase bit (0 or 1), or
 a COW symbol code, 0, 1 and 2 for ``0``, ``1`` and ``d``.
 """
@@ -89,6 +91,46 @@ class ProtocolRun:
 # ---------------------------------------------------------------------------
 
 
+# Ten slots over code 0, code 1 and vacuum (code 2) in which each of the nine
+# (previous, current) pairs occurs once: a de Bruijn sequence.
+_VACUUM = 2
+_DE_BRUIJN = np.array([0, 0, 1, 0, 2, 1, 1, 2, 2, 0], dtype=np.intp)
+# Pair index ``3 * previous + current`` -> the interferometer output slot of
+# the de Bruijn train where that pair interferes.
+_PAIR_SLOT = np.argsort(3 * _DE_BRUIJN[:-1] + _DE_BRUIJN[1:]) + 1
+
+# A receiver port: a train of fields and the index of each slot's field in it
+# (``None`` when the train holds one field per slot).
+_Port = tuple[PulseTrain, np.ndarray | None]
+
+
+def _interfere(train: PulseTrain, codes: np.ndarray | None) -> tuple[_Port, _Port]:
+    """The one-slot interferometer's constructive and destructive ports.
+
+    Output slot ``k`` of :func:`dli` reads only input slots ``k - 1`` and
+    ``k``, so a coded train has one output field per (previous, current) pair
+    of code 0, code 1 and the vacuum around the train.  The unchanged ``dli``
+    runs once on the de Bruijn train, which holds each pair once, and each
+    output slot indexes its pair's field: the same arithmetic on the same
+    operands as the full-length interferometer, bit for bit.
+    """
+    if codes is None:
+        constructive, destructive = dli(train)
+        return (constructive, None), (destructive, None)
+    fields = np.append(train.slots, 0j)  # codes 0 and 1, then vacuum
+    constructive, destructive = dli(train.with_slots(fields[_DE_BRUIJN]))
+    n = codes.shape[0]
+    index = np.empty(n + 1, dtype=np.intp)
+    np.multiply(codes, 3, out=index[1:])
+    index[0] = 3 * _VACUUM
+    index[:n] += codes
+    index[n] += _VACUUM
+    return (
+        (constructive.with_slots(constructive.slots[_PAIR_SLOT]), index),
+        (destructive.with_slots(destructive.slots[_PAIR_SLOT]), index),
+    )
+
+
 def receive(
     protocol: str,
     train: PulseTrain,
@@ -98,13 +140,22 @@ def receive(
     rng: Callable[[str], np.random.Generator] | None = None,
     blinding: BlindingSettings | None = None,
     background: np.ndarray | None = None,
-) -> tuple[DetectionRecord, dict[str, PulseTrain]]:
+    codes: np.ndarray | None = None,
+) -> tuple[DetectionRecord, dict[str, _Port]]:
     """Bob's receiver, or any replica of it.
 
     DPS: one-slot DLI, constructive port to D1, destructive to D2.  COW:
     splitter with transmittance ``t_b`` to the data line (arrival-time
     detector D_B), the rest into a one-slot DLI with D_M1 (constructive) and
     D_M2 (destructive).
+
+    ``train`` holds one field per slot or, with ``codes``, it is coded: the
+    fields of codes 0 and 1, and slot ``k`` carries ``train.slots[codes[k]]``,
+    as Alice's encoders and the trojan probe give it.  Then the splitter acts
+    on the two fields and the interferometer runs once per neighbour pair
+    (``_interfere``): each detector's intensity is a gather from a small
+    table, bit for bit that of the gathered train, and no slot-length field
+    is built.
 
     Each Geiger threshold is ``detector.click_threshold_rel`` times the
     nominal intensity of its line: ``nominal`` on the DPS lines, times ``t_b``
@@ -114,44 +165,51 @@ def receive(
     in Geiger mode unless ``blinding`` is given; ``blinding`` and
     ``background`` drive every detector into blinding, where a detector in
     linear mode clicks by the plain ``p_*`` rails for DPS and the ``_b``/``_m``
-    pairs for COW.  ``background`` must cover the longest port,
-    ``len(train) + 1`` slots, and each detector sees its leading part.
-    ``rng`` maps a detector name to its generator.
+    pairs for COW.  ``background`` must cover the longest port, one slot
+    more than the train, and each detector sees its leading part.  ``rng``
+    maps a detector name to its generator.
 
-    Returns the record of every detector and the field incident on each.
+    Returns the record of every detector and the field incident on each, as
+    a train and the index of each slot's field in it (``None`` without codes).
     """
+    if codes is not None:
+        codes = _as_codes(codes, 1)
+        if len(train) != 2:
+            raise ValueError(f"a coded train holds the fields of codes 0 and 1, got {len(train)} slots")
+    n = len(train) if codes is None else codes.shape[0]
     if protocol == "dps":
-        if len(train) < 2:
+        if n < 2:
             raise ValueError("DPS measurement needs at least two slots")
-        constructive, destructive = dli(train)
+        constructive, destructive = _interfere(train, codes)
         pair = (detector.p_never, detector.p_always)
         lines = {"D1": (constructive, 1.0, pair), "D2": (destructive, 1.0, pair)}
     elif protocol == "cow":
         if not (0.0 < t_b < 1.0):
             raise ValueError(f"t_b must be within (0, 1), got {t_b}")
         data_line, monitor_line = coupler_2x2(train, None, t_b)
-        constructive, destructive = dli(monitor_line)
+        constructive, destructive = _interfere(monitor_line, codes)
         monitor, pair = 1.0 - t_b, (detector.p_never_m, detector.p_always_m)
         lines = {
-            "D_B": (data_line, t_b, (detector.p_never_b, detector.p_always_b)),
+            "D_B": ((data_line, codes), t_b, (detector.p_never_b, detector.p_always_b)),
             "D_M1": (constructive, monitor, pair),
             "D_M2": (destructive, monitor, pair),
         }
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
-    traces = {
-        name: apd_detect(
-            port,
+    traces = {}
+    for name, (port, share, rails) in lines.items():
+        field, index = port
+        intensity = field.intensities if index is None else field.intensities[index]
+        traces[name] = apd_detect(
+            intensity,
             detector.click_threshold_rel * share * nominal,
             rails,
             detector,
             name,
             blinding=blinding,
-            background=None if background is None else background[: len(port)],
+            background=None if background is None else background[: intensity.shape[0]],
             rng=None if rng is None else rng(name),
         )[name]
-        for name, (port, share, rails) in lines.items()
-    }
     return DetectionRecord(traces, train.slot_period), {name: line[0] for name, line in lines.items()}
 
 
@@ -172,16 +230,18 @@ def _as_codes(codes, top: int) -> np.ndarray:
     return arr
 
 
-def dps_encode(phase_bits, pulse_amplitude: float = 1.0, slot_period: float = 1.0) -> PulseTrain:
+def dps_encode(phase_bits, pulse_amplitude: float = 1.0, slot_period: float = 1.0) -> tuple[PulseTrain, np.ndarray]:
     """Alice's transmitter: CW laser, pulse carver, then a common-drive phase
-    modulator applying 0 or pi per slot according to the bit.  Every component
-    is slot-local, so running the chain once over bits 0 and 1 and giving each
-    slot its bit's value equals the chain over the whole train, bit for bit."""
+    modulator applying 0 or pi per slot according to the bit.
+
+    Returns the train in coded form (see :func:`receive`): the fields of bits
+    0 and 1, and the checked bits, one code per slot.  Every component is
+    slot-local, so running the chain once over bits 0 and 1 gives each slot
+    its bit's value of the chain over the whole train, bit for bit."""
     bits = _as_codes(phase_bits, 1)
     source = cw_laser(2, pulse_amplitude, slot_period)
     carved = pulse_carver(source, np.ones(2))
-    per_bit = phase_modulator(carved, np.pi * np.arange(2))
-    return per_bit.with_slots(per_bit.slots[bits])
+    return phase_modulator(carved, np.pi * np.arange(2)), bits
 
 
 def dps_reference_bits(phase_bits) -> np.ndarray:
@@ -261,15 +321,18 @@ def _cow_half_slots(codes: np.ndarray, clicks: np.ndarray) -> tuple[np.ndarray, 
     return kept, late[kept], early[kept] & late[kept]
 
 
-def cow_encode(codes, amplitude: float = 1.0, slot_period: float = 0.5) -> PulseTrain:
+def cow_encode(codes, amplitude: float = 1.0, slot_period: float = 0.5) -> tuple[PulseTrain, np.ndarray]:
     """Alice's transmitter: CW laser carved into the two-slot occupancy pattern;
-    all pulses stay mutually coherent (common phase 0).  Laser and carver are
-    slot-local, so carving the six slots of the three symbols once and giving
-    each symbol its pair equals carving the whole train, bit for bit."""
-    codes = _as_codes(codes, 2)
-    source = cw_laser(_PULSES.size, amplitude, slot_period)
-    per_symbol = pulse_carver(source, _PULSES.reshape(-1)).slots.reshape(_PULSES.shape)
-    return source.with_slots(per_symbol[codes].reshape(-1))
+    all pulses stay mutually coherent (common phase 0).
+
+    Returns the train in coded form (see :func:`receive`): the fields of an
+    extinguished slot and of a pulse, and the grid's occupancy
+    (:func:`cow_occupancy`), one code per slot.  Laser and carver are
+    slot-local, so carving the two values once equals carving the whole
+    train, bit for bit."""
+    occupancy = cow_occupancy(codes)
+    source = cw_laser(2, amplitude, slot_period)
+    return pulse_carver(source, np.arange(2)), occupancy
 
 
 # Cross-boundary interface class by (later, earlier) symbol code, as an index

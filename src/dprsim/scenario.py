@@ -58,6 +58,7 @@ from .optics import PulseTrain, cw_laser, phase_modulator
 from .protocols import (
     _CODE,
     ProtocolRun,
+    _Port,
     _cow_half_slots,
     cow_encode,
     cow_occupancy,
@@ -120,32 +121,37 @@ def _alice_material(cfg: ScenarioConfig, rngs: RngFactory) -> np.ndarray:
     return rngs.get("alice-source").integers(0, 2 if cfg.protocol == "dps" else 3, cfg.n_symbols, dtype=np.int64)
 
 
-def _transmit(cfg: ScenarioConfig, codes: np.ndarray) -> PulseTrain:
-    """Alice's encoder and the channel: the train arriving at Bob."""
+def _transmit(cfg: ScenarioConfig, codes: np.ndarray) -> tuple[PulseTrain, np.ndarray | None]:
+    """Alice's encoder and the channel: the train arriving at Bob, coded as
+    the encoders give it (see ``receive``), or with one field per slot (codes
+    ``None``) where the channel's phase tamper gives each slot its own."""
     if cfg.protocol == "dps":
-        train = dps_encode(codes, cfg.amplitude, cfg.slot_period)
+        train, slot_codes = dps_encode(codes, cfg.amplitude, cfg.slot_period)
     else:
-        train = cow_encode(codes, cfg.amplitude, cfg.slot_period)
+        train, slot_codes = cow_encode(codes, cfg.amplitude, cfg.slot_period)
     pattern = cfg.channel.phase_tamper_half_turns
     if pattern is None:
-        return train
+        return train, slot_codes
+    train = train.with_slots(train.slots[slot_codes])
     phases = np.zeros(len(train), dtype=np.float64)
     m = min(len(train), len(pattern))
     phases[:m] = np.asarray(pattern[:m], dtype=np.float64) * np.pi
-    return phase_modulator(train, phases)
+    return phase_modulator(train, phases), None
 
 
 def _receive(
     cfg: ScenarioConfig,
     train: PulseTrain,
+    codes: np.ndarray | None,
     rngs: RngFactory,
     stream: str,
     blinding: BlindingSettings | None = None,
     background: np.ndarray | None = None,
-) -> tuple[DetectionRecord, dict[str, PulseTrain]]:
+) -> tuple[DetectionRecord, dict[str, _Port]]:
     """Bob's receiver, or Eve's replica of it, at the scenario's detector
-    settings and nominal level ``amplitude**2``; detector ``X`` draws from the
-    stream ``<stream>-X``."""
+    settings and nominal level ``amplitude**2``, on a train coded by
+    ``codes`` or with one field per slot (``None``); detector ``X`` draws
+    from the stream ``<stream>-X``."""
     return receive(
         cfg.protocol,
         train,
@@ -155,6 +161,7 @@ def _receive(
         rng=lambda name: rngs.get(f"{stream}-{name}"),
         blinding=blinding,
         background=background,
+        codes=codes,
     )
 
 
@@ -186,14 +193,15 @@ def _cow_eve_key(codes: np.ndarray, clicks: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _backflash_replica_clicks(
-    trace: DetectorTrace, port: PulseTrain, bf: BackflashSettings, rng: np.random.Generator, threshold: float
+    trace: DetectorTrace, port: _Port, bf: BackflashSettings, rng: np.random.Generator, threshold: float
 ) -> np.ndarray:
     """Eve's replica clicks on the re-emission of Bob's detector ``trace`` at
-    ``port``, one per port slot.  A lossless circulator routes the emission to
-    her replica detector, which is noise-free: it clicks where the intensity
-    exceeds ``threshold`` (>= 0).  A vacuum slot never does, so only the
-    emitting slots are evaluated."""
-    slots, field = backflash_emit(trace, port, bf, rng=rng)
+    ``port``, one per port slot.  A lossless circulator routes the emission to her replica
+    detector, which is noise-free: it clicks where the intensity exceeds
+    ``threshold`` (>= 0).  A vacuum slot never does, so only the emitting
+    slots are evaluated."""
+    incident, codes = port
+    slots, field = backflash_emit(trace, incident, bf, rng=rng, codes=codes)
     power = np.abs(field)
     power **= 2
     clicks = np.zeros(len(trace), dtype=bool)
@@ -205,7 +213,7 @@ def _run_backflash(
     cfg: ScenarioConfig,
     rngs: RngFactory,
     run: ProtocolRun,
-    ports: dict[str, PulseTrain],
+    ports: dict[str, _Port],
 ) -> AttackOutcome:
     """Reverse pass: re-emission from Bob's clicked detectors, routed to Eve by
     the channel circulator, decoded with her replica of the corresponding
@@ -250,7 +258,7 @@ def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun) -> AttackOutcome:
 
     modulation = run.alice_codes if cfg.protocol == "dps" else cow_occupancy(run.alice_codes)
     probe_cfg = s if probe_amplitude == s.probe_amplitude else replace(s, probe_amplitude=probe_amplitude)
-    reflected = trojan_probe(
+    reflected, codes = trojan_probe(
         cfg.protocol,
         modulation,
         probe_cfg,
@@ -260,7 +268,7 @@ def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun) -> AttackOutcome:
     )
     # Both bands co-propagate back up Alice's output fiber; Eve's ideal
     # bandpass filter strips the signal band and passes the probe band whole.
-    eve = trojan_decode(reflected, cfg.protocol, s.eve_min_intensity)
+    eve = trojan_decode(reflected, codes, cfg.protocol, s.eve_min_intensity)
     if cfg.protocol == "dps":
         eve_slots, eve_bits = _dps_eve_key(eve.clicks("D1"), eve.clicks("D2"))
     else:
@@ -296,19 +304,20 @@ def _on_grid(record: DetectionRecord, offset: int, n_slots: int) -> DetectionRec
 
 
 def _eve_readings(
-    cfg: ScenarioConfig, rngs: RngFactory, train: PulseTrain, clean: DetectionRecord
+    cfg: ScenarioConfig, rngs: RngFactory, train: PulseTrain, codes: np.ndarray | None, clean: DetectionRecord
 ) -> tuple[np.ndarray, int]:
     """The blinding attack's first stage: the readings Eve replays, pinned or
-    measured by her replica of Bob on Alice's train, and the ``len(train) + 1``
-    slots of Alice's grid that Bob sifts.  Detectors that draw nothing record
-    the same train alike, so then her replica's record is Bob's ``clean`` one."""
-    n_slots = len(train) + 1
+    measured by her replica of Bob on Alice's train (coded by ``codes``, see
+    ``_receive``), and the slots of Alice's grid that Bob sifts, one more than
+    the train's.  Detectors that draw nothing record the same train alike, so
+    then her replica's record is Bob's ``clean`` one."""
+    n_slots = (len(train) if codes is None else codes.size) + 1
     readings = cfg.attack.blinding.readings
     if readings is not None:
         return np.array(readings, dtype=np.int64), n_slots
     record = clean
     if cfg.detector.afterpulse_prob > 0.0 or cfg.detector.dark_count_prob > 0.0:
-        record = _receive(cfg, train, rngs, "eve-stage1")[0]
+        record = _receive(cfg, train, codes, rngs, "eve-stage1")[0]
     decode = decode_dps_readings if cfg.protocol == "dps" else decode_cow_readings
     # A double click of Eve's replica (DPS reading -1) names no detector:
     # she replays it as a vacuum event.
@@ -352,7 +361,7 @@ def _run_blinding(
 
     trigger = plan.to_train(cfg.slot_period)
     background = _blinding_background(s.style, s.illumination_level, s.pulse_period_slots, len(trigger) + 1)
-    record = _receive(cfg, trigger, rngs, "bob", blinding=s, background=background)[0]
+    record = _receive(cfg, trigger, None, rngs, "bob", blinding=s, background=background)[0]
 
     monitor_alarm = False
     cm = cfg.countermeasures.photocurrent_monitor
@@ -690,16 +699,16 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunRecord:
     started = time.perf_counter()
     rngs = RngFactory(cfg.seed)
     codes = _alice_material(cfg, rngs)
-    train = _transmit(cfg, codes)
-    record, ports = _receive(cfg, train, rngs, "bob")
+    train, slot_codes = _transmit(cfg, codes)
+    record, ports = _receive(cfg, train, slot_codes, rngs, "bob")
     run = _sift(cfg, codes, record)
 
     kind = cfg.attack.kind
     # Drop what no later stage reads: Alice's train serves only Eve's
     # blinding replica, and the port fields only the backflash pass.
     if kind == "blinding":
-        stage1 = _eve_readings(cfg, rngs, train, record)
-    del train, record
+        stage1 = _eve_readings(cfg, rngs, train, slot_codes, record)
+    del train, slot_codes, record
     if kind != "backflash":
         del ports
     outcome = None

@@ -15,7 +15,10 @@ interferometer as the coupler -> delay line -> coupler composition it was
 before it computed its two ports in place, ``backflash_emit_where`` keeps
 the emission as it multiplied every slot, and ``backflash_replica_dense``
 keeps the backflash reverse pass as it ran Eve's replica detector over every
-slot of that emission.
+slot of that emission.  ``receive_dense`` keeps the receive of a coded train
+(per-value fields and per-slot codes) as it ran before the interferometer was
+evaluated once per neighbour pair: on the ``gathered`` train, one field per
+slot.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import numpy as np
 from dprsim.config import DetectorSettings
 from dprsim.detectors import apd_detect
 from dprsim.optics import PulseTrain, attenuate, coupler_2x2, cw_laser, phase_modulator, pulse_carver
+from dprsim.protocols import receive
 
 
 def brute_force_dli_ports(amplitudes, delay: int = 1) -> tuple[list[float], list[float]]:
@@ -406,7 +410,7 @@ def backflash_replica_dense(trace, incident: PulseTrain, cfg, rng, threshold: fl
         emit &= rng.random(len(incident)) < cfg.emission_probability
     emission = incident.with_slots(backflash_emit_where(emit, cfg.emission_gain, incident.slots))
     eve = DetectorSettings()
-    return apd_detect(emission, threshold, (eve.p_never, eve.p_always), eve, "EVE")["EVE"].clicks
+    return apd_detect(emission.intensities, threshold, (eve.p_never, eve.p_always), eve, "EVE")["EVE"].clicks
 
 
 def dli_chain(train: PulseTrain, delay_slots: int) -> tuple[PulseTrain, PulseTrain]:
@@ -418,3 +422,14 @@ def dli_chain(train: PulseTrain, delay_slots: int) -> tuple[PulseTrain, PulseTra
     delayed[delay_slots:] = arm_b.slots
     destructive, constructive = coupler_2x2(arm_a, arm_b.with_slots(delayed))
     return constructive, destructive
+
+
+def gathered(train: PulseTrain, codes) -> PulseTrain:
+    """A coded train with one field per slot: slot ``k`` takes ``train.slots[codes[k]]``."""
+    return train.with_slots(train.slots[np.asarray(codes)])
+
+
+def receive_dense(protocol: str, train: PulseTrain, codes, *args, **kwargs):
+    """``receive`` of a coded train run on its gathered train, one field per
+    slot, and so through the full-length interferometer."""
+    return receive(protocol, gathered(train, codes), *args, **kwargs)

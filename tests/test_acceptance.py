@@ -76,7 +76,8 @@ def test_dps_round_trip_thousand_runs():
         started = time.perf_counter()
         for _ in range(1000):
             bits = rng.integers(0, 2, 256)
-            record, _ = receive("dps", dps_encode(bits), DetectorSettings(), 1.0)
+            train, codes = dps_encode(bits)
+            record, _ = receive("dps", train, DetectorSettings(), 1.0, codes=codes)
             km = dps_sift(bits, record)
             assert km.qber == 0.0
             assert km.sifted_length == 255
@@ -162,7 +163,7 @@ def test_countermeasure_discrimination():
             pulsed[::8] = level
             for background, expected in ((cw, True), (pulsed, False)):
                 rec = apd_detect(
-                    PulseTrain(np.zeros(n)),
+                    np.zeros(n),
                     0.5,
                     (0.2, 0.39),
                     DetectorSettings(),

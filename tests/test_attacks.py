@@ -21,6 +21,8 @@ from dprsim.config import BlindingSettings, DetectorSettings, TrojanSettings
 from dprsim.optics import attenuate
 from dprsim.protocols import cow_occupancy, dps_reference_bits, receive
 
+from _oracles import gathered
+
 RAILS = DetectorSettings(p_never=0.2, p_always=0.39)
 COW_RAILS = DetectorSettings()
 
@@ -249,18 +251,19 @@ def dps_probe(**kw):
     return TrojanSettings(**defaults)
 
 
-def dps_readout(reflected) -> list[int]:
+def dps_readout(coded) -> list[int]:
     """Eve's bit at each interior slot of her replica's record: 1 for a D2
     click, 0 for D1; exactly one of them clicks at each."""
-    record = trojan_decode(reflected, "dps")
-    d1, d2 = (record.clicks(name)[1 : len(reflected)] for name in ("D1", "D2"))
+    reflected, codes = coded
+    record = trojan_decode(reflected, codes, "dps")
+    d1, d2 = (record.clicks(name)[1 : len(codes)] for name in ("D1", "D2"))
     assert np.all(d1 != d2)
     return d2.astype(int).tolist()
 
 
 def test_probe_reflects_alices_phase_sequence():
     bits = np.array([0, 1, 1, 0, 1])
-    reflected = trojan_probe("dps", bits, dps_probe(), slot_period=1.0)
+    reflected = gathered(*trojan_probe("dps", bits, dps_probe(), slot_period=1.0))
     expected = np.exp(1j * np.pi * bits)
     np.testing.assert_allclose(reflected.slots, expected, atol=1e-12)
 
@@ -284,29 +287,41 @@ def test_probe_timing_offset_shifts_the_decoded_key():
 
 def test_probe_excess_loss_at_long_wavelength():
     bits = np.array([0, 1, 0])
-    base = trojan_probe("dps", bits, dps_probe(), 1.0, excess_loss_db=0.0)
-    lossy = trojan_probe("dps", bits, dps_probe(probe_wavelength_nm=1924.0), 1.0, excess_loss_db=20.0)
+    base = gathered(*trojan_probe("dps", bits, dps_probe(), 1.0, excess_loss_db=0.0))
+    lossy = gathered(*trojan_probe("dps", bits, dps_probe(probe_wavelength_nm=1924.0), 1.0, excess_loss_db=20.0))
     ratio = lossy.intensities[0] / base.intensities[0]
     assert ratio == pytest.approx(0.01)
 
 
 def test_probe_below_eve_sensitivity_gives_empty_estimate():
     bits = np.array([0, 1, 0])
-    reflected = attenuate(trojan_probe("dps", bits, dps_probe(), 1.0), 200.0)
-    record = trojan_decode(reflected, "dps", min_intensity=1e-15)
+    reflected, codes = trojan_probe("dps", bits, dps_probe(), 1.0)
+    record = trojan_decode(attenuate(reflected, 200.0), codes, "dps", min_intensity=1e-15)
     assert record.names == ["D1", "D2"] and len(record["D1"]) == 4
     assert record["D1"].click_count == record["D2"].click_count == 0
-    cow = attenuate(trojan_probe("cow", [1, 0, 1, 1], dps_probe(), 0.5), 200.0)
-    assert trojan_decode(cow, "cow", min_intensity=1e-15)["D_B"].click_count == 0
+    cow, codes = trojan_probe("cow", [1, 0, 1, 1], dps_probe(), 0.5)
+    assert trojan_decode(attenuate(cow, 200.0), codes, "cow", min_intensity=1e-15)["D_B"].click_count == 0
 
 
 def test_probe_reads_cow_intensity_pattern():
     symbols = [0, 1, 2, 1, 0, 0, 0, 1, 2, 1]  # "01d10001d1"
     occ = cow_occupancy(symbols)
-    reflected = trojan_probe("cow", occ, dps_probe(), slot_period=0.5)
-    record = trojan_decode(reflected, "cow")
-    assert record.names == ["D_B"]
+    reflected, codes = trojan_probe("cow", occ, dps_probe(), slot_period=0.5)
+    record = trojan_decode(reflected, codes, "cow")
+    assert record.names == ["D_B"] and record.slot_period == 0.5
     assert record.clicks("D_B").tolist() == occ.astype(bool).tolist()
+
+
+def test_probe_threshold_follows_the_values_its_slots_carry():
+    # A timing offset past the train's end leaves every probe slot on the
+    # carver's extinguished value, whose faint light Eve's threshold then
+    # follows: every slot clicks alike.  A peak over both values would take
+    # the pulse level that no slot carries, and nothing would click.
+    occ = cow_occupancy([0, 1, 2])
+    reflected, codes = trojan_probe("cow", occ, dps_probe(timing_offset_slots=occ.size), 0.5)
+    assert not codes.any() and 0.0 < reflected.intensities[0] < 1e-30
+    record = trojan_decode(reflected, codes, "cow", min_intensity=0.0)
+    assert record.clicks("D_B").all()
 
 
 def test_probe_rejects_signal_wavelength():

@@ -667,6 +667,25 @@ def test_cli_names_an_unknown_golden_without_quotes(capsys):
     assert capsys.readouterr().err.startswith("error: unknown golden 'nope'; available: dps-ideal")
 
 
+def test_cli_dump_names_an_unknown_golden_as_a_usage_error(capsys):
+    assert main(["goldens", "--dump", "nope"]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown golden 'nope'; available: dps-ideal")
+
+
+def test_cli_reports_an_internal_key_error_as_a_runtime_error(monkeypatch, capsys):
+    # Only a golden lookup is a usage error; a KeyError from inside a run is a fault.
+    def fails(cfg, seed=None):
+        raise KeyError("D1")
+
+    monkeypatch.setattr(cli, "run_scenario", fails)
+    assert main(["run", "--golden", "dps-ideal"]) == 2
+    assert capsys.readouterr().err == "runtime error: 'D1'\n"
+
+
+def test_cli_builds_its_parser_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_an_integer_and_a_float_amplitude_are_the_same_scenario():
     runs = [run_scenario(load_config(f"n_symbols: 32\namplitude: {a}")) for a in ("1", "1.0")]
     assert type(runs[0].config["amplitude"]) is float

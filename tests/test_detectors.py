@@ -22,14 +22,15 @@ RAILS = (0.2, 0.4)
 BLIND = BlindingSettings(decay_per_slot=0.5, blind_threshold=1.0)
 
 
-def intensity_train(values) -> PulseTrain:
-    return PulseTrain(np.sqrt(np.asarray(values, dtype=np.float64)).astype(np.complex128))
+def power(values) -> np.ndarray:
+    """Per-slot incident intensities, as a detector takes them."""
+    return np.asarray(values, dtype=np.float64)
 
 
-def held_blind(train: PulseTrain, rng=None):
+def held_blind(intensity: np.ndarray, rng=None):
     """A detector held in linear mode, as blinding light holds Bob's."""
-    background = np.full(len(train), BLIND.blind_threshold)
-    return apd_detect(train, 0.5, RAILS, IDEAL, blinding=BLIND, background=background, rng=rng)
+    background = np.full(len(intensity), BLIND.blind_threshold)
+    return apd_detect(intensity, 0.5, RAILS, IDEAL, blinding=BLIND, background=background, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +39,7 @@ def held_blind(train: PulseTrain, rng=None):
 
 
 def test_geiger_vacuum_never_clicks():
-    rec = apd_detect(PulseTrain(np.zeros(8)), 0.5, RAILS, IDEAL)
+    rec = apd_detect(np.zeros(8), 0.5, RAILS, IDEAL)
     assert rec["D"].click_count == 0
 
 
@@ -46,12 +47,12 @@ def test_geiger_threshold_is_strict():
     # Amplitudes 0.5, 0.75, 0.25 give exactly representable intensities
     # 0.25, 0.5625, 0.0625 against a threshold of 0.25.
     train = PulseTrain(np.array([0.5, 0.75, 0.25], dtype=np.complex128))
-    rec = apd_detect(train, 0.25, RAILS, IDEAL)
+    rec = apd_detect(train.intensities, 0.25, RAILS, IDEAL)
     assert rec["D"].clicks.tolist() == [False, True, False]
 
 
 def test_geiger_dead_time_blocks_following_slots():
-    rec = apd_detect(cw_laser(7, 1.0), 0.5, RAILS, DetectorSettings(dead_time_slots=2))
+    rec = apd_detect(np.ones(7), 0.5, RAILS, DetectorSettings(dead_time_slots=2))
     assert rec["D"].clicks.tolist() == [True, False, False, True, False, False, True]
 
 
@@ -61,14 +62,14 @@ def test_geiger_dead_time_blocks_following_slots():
     st.integers(0, 4),
 )
 def test_dead_time_exclusion_invariant(pattern, dead):
-    rec = apd_detect(intensity_train(pattern), 0.5, RAILS, DetectorSettings(dead_time_slots=dead))
+    rec = apd_detect(power(pattern), 0.5, RAILS, DetectorSettings(dead_time_slots=dead))
     clicked = np.nonzero(rec["D"].clicks)[0]
     assert np.all(np.diff(clicked) > dead) if clicked.size > 1 else True
 
 
 def test_afterpulse_fires_in_first_live_slot():
     detector = DetectorSettings(dead_time_slots=1, afterpulse_prob=1.0)
-    rec = apd_detect(intensity_train([1.0, 0.0, 0.0, 0.0]), 0.5, RAILS, detector, rng=np.random.default_rng(0))
+    rec = apd_detect(power([1.0, 0.0, 0.0, 0.0]), 0.5, RAILS, detector, rng=np.random.default_rng(0))
     # Click at 0, dead at 1, certain afterpulse at 2, dead at 3.
     assert rec["D"].clicks.tolist() == [True, False, True, False]
 
@@ -78,7 +79,7 @@ def test_dark_counts_without_afterpulses_draw_once_per_live_subthreshold_slot():
     detector = DetectorSettings(dead_time_slots=dead, dark_count_prob=0.3)
     pattern = np.random.default_rng(1).choice([0.0, 1.0], size=200, p=[0.7, 0.3])
     rng = np.random.default_rng(7)
-    clicks = apd_detect(intensity_train(pattern), 0.5, RAILS, detector, rng=rng)["D"].clicks
+    clicks = apd_detect(power(pattern), 0.5, RAILS, detector, rng=rng)["D"].clicks
     draws, live_from = 0, 0
     for k, fired in enumerate(clicks):
         if k < live_from:
@@ -101,14 +102,14 @@ def test_dark_counts_without_afterpulses_draw_once_per_live_subthreshold_slot():
     ],
 )
 def test_random_clicks_need_an_rng(cfg, intensities):
-    (detector, blinding), train = cfg, intensity_train(intensities)
-    background = None if blinding is None else np.full(len(train), blinding.blind_threshold)
+    (detector, blinding), intensity = cfg, power(intensities)
+    background = None if blinding is None else np.full(len(intensity), blinding.blind_threshold)
     with pytest.raises(ValueError, match="rng"):
-        apd_detect(train, 0.5, RAILS, detector, blinding=blinding, background=background)
+        apd_detect(intensity, 0.5, RAILS, detector, blinding=blinding, background=background)
 
 
 def test_avalanche_intensity_tracks_click_slots():
-    rec = apd_detect(intensity_train([1.0, 0.0, 2.0]), 0.5, RAILS, IDEAL)
+    rec = apd_detect(power([1.0, 0.0, 2.0]), 0.5, RAILS, IDEAL)
     np.testing.assert_allclose(rec["D"].avalanche_intensity, [1.0, 2.0])
 
 
@@ -133,19 +134,19 @@ def test_avalanche_intensity_gathers_as_the_mask(slots, every):
 def test_linear_rails_are_deterministic():
     # Every intensity lies below the Geiger threshold of 0.5: the rails alone decide.
     for _ in range(50):
-        rec = held_blind(intensity_train([0.4, 0.2, 0.41, 0.19]))
+        rec = held_blind(power([0.4, 0.2, 0.41, 0.19]))
         assert rec["D"].clicks.tolist() == [True, False, True, False]
 
 
 def test_linear_interpolates_between_rails():
-    midpoint = intensity_train([0.3] * 10_000)
+    midpoint = power([0.3] * 10_000)
     rec = held_blind(midpoint, rng=np.random.default_rng(42))
     # Bernoulli(0.5): 3 sigma over 10k trials is +-150.
     assert abs(rec["D"].click_count - 5000) < 150
 
 
 def test_linear_mode_trace_labels():
-    rec = held_blind(intensity_train([0.4]))
+    rec = held_blind(power([0.4]))
     assert rec["D"].linear_mode.tolist() == [True]
 
 
@@ -157,7 +158,7 @@ def test_linear_mode_trace_labels():
 def blinded(blinding: BlindingSettings, incident: np.ndarray):
     """A dark signal port lit by ``incident`` background: the detector's
     per-slot linear-mode trace and its stored photocurrent."""
-    trace = apd_detect(PulseTrain(np.zeros(incident.size)), 0.5, RAILS, IDEAL, blinding=blinding, background=incident)["D"]
+    trace = apd_detect(np.zeros(incident.size), 0.5, RAILS, IDEAL, blinding=blinding, background=incident)["D"]
     return trace.linear_mode, trace.photocurrent
 
 
@@ -205,7 +206,7 @@ def test_apd_detect_blinding_transition():
     # Bright background for 4 slots, then dark: the detector drops back to
     # Geiger only after the stored current decays below threshold.
     background = np.array([10.0, 10.0, 10.0, 10.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    rec = apd_detect(PulseTrain(np.zeros(10)), 0.5, RAILS, IDEAL, blinding=BLIND, background=background)
+    rec = apd_detect(np.zeros(10), 0.5, RAILS, IDEAL, blinding=BLIND, background=background)
     trace = rec["D"]
     assert trace.linear_mode[:4].all()
     assert not trace.linear_mode[-1]
@@ -215,9 +216,9 @@ def test_apd_detect_blinding_transition():
 def test_photocurrent_is_kept_only_under_blinding():
     # Without blinding the photocurrent is the intensity, so the trace does
     # not repeat it; background light acts only under blinding.
-    assert apd_detect(cw_laser(4, 1.0), 0.5, RAILS, IDEAL)["D"].photocurrent is None
+    assert apd_detect(np.ones(4), 0.5, RAILS, IDEAL)["D"].photocurrent is None
     with pytest.raises(ValueError, match="blind"):
-        apd_detect(PulseTrain(np.zeros(4)), 0.5, RAILS, IDEAL, background=np.ones(4))
+        apd_detect(np.zeros(4), 0.5, RAILS, IDEAL, background=np.ones(4))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +228,7 @@ def test_photocurrent_is_kept_only_under_blinding():
 
 def test_backflash_ideal_copies_every_clicked_slot():
     incident = cw_laser(6, 1.0)
-    rec = apd_detect(incident, 0.5, RAILS, IDEAL)
+    rec = apd_detect(incident.intensities, 0.5, RAILS, IDEAL)
     slots, field = backflash_emit(rec["D"], incident, BackflashSettings(ideal=True, emission_gain=0.5))
     assert slots.dtype == np.int64 and slots.tolist() == list(range(6))
     np.testing.assert_allclose(field, 0.5 * incident.slots)
@@ -235,7 +236,7 @@ def test_backflash_ideal_copies_every_clicked_slot():
 
 def test_backflash_no_clicks_is_vacuum():
     incident = cw_laser(6, 1.0)
-    rec = apd_detect(PulseTrain(np.zeros(6)), 0.5, RAILS, IDEAL)
+    rec = apd_detect(np.zeros(6), 0.5, RAILS, IDEAL)
     slots, field = backflash_emit(rec["D"], incident, BackflashSettings(ideal=True))
     assert slots.size == field.size == 0
 
@@ -247,7 +248,7 @@ def test_backflash_default_probability_value():
 def test_backflash_statistics_converge_to_emission_probability():
     n = 100_000
     incident = cw_laser(n, 1.0)
-    rec = apd_detect(incident, 0.5, RAILS, IDEAL)
+    rec = apd_detect(incident.intensities, 0.5, RAILS, IDEAL)
     cfg = BackflashSettings()
     slots, field = backflash_emit(rec["D"], incident, cfg, rng=np.random.default_rng(7))
     assert np.all(np.abs(field) > 0)
@@ -259,14 +260,14 @@ def test_backflash_statistics_converge_to_emission_probability():
 
 def test_backflash_below_certainty_needs_an_rng():
     incident = cw_laser(6, 1.0)
-    rec = apd_detect(incident, 0.5, RAILS, IDEAL)
+    rec = apd_detect(incident.intensities, 0.5, RAILS, IDEAL)
     with pytest.raises(ValueError, match="rng"):
         backflash_emit(rec["D"], incident, BackflashSettings())
 
 
 def test_backflash_length_mismatch_rejected():
     incident = cw_laser(6, 1.0)
-    rec = apd_detect(incident, 0.5, RAILS, IDEAL)
+    rec = apd_detect(incident.intensities, 0.5, RAILS, IDEAL)
     with pytest.raises(ValueError):
         backflash_emit(rec["D"], cw_laser(5, 1.0), BackflashSettings())
 

@@ -203,25 +203,29 @@ def test_cow_drive_matches_loop(readings, t_b):
 
 
 @given(
-    st.lists(st.floats(0.0, 2.0), min_size=2, max_size=40),
-    st.lists(st.floats(0.0, 6.3), min_size=40, max_size=40),
+    st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+    st.tuples(st.floats(0.0, 6.3), st.floats(0.0, 6.3)),
+    st.lists(st.integers(0, 1), min_size=2, max_size=40),
     st.text(alphabet="01d", min_size=20, max_size=20),
 )
-@example([0.0, 1e-20, 0.0], [0.0] * 40, ("01d" * 7)[:20])  # a probe below Eve's sensitivity
+@example((0.0, 1e-20), (0.0, 0.0), [0, 1, 0], ("01d" * 7)[:20])  # a probe below Eve's sensitivity
+@example((1.0, 4.0), (0.0, 0.0), [0, 0, 0], ("01d" * 7)[:20])  # the brighter value on no slot
 @settings(max_examples=200)
-def test_trojan_decode_matches_loops(intensity, phase, symbols):
-    n = len(intensity)
-    reflected = PulseTrain(np.sqrt(intensity) * np.exp(1j * np.array(phase[:n])))
+def test_trojan_decode_matches_loops(intensity, phase, slot_codes, symbols):
+    # A reflection in coded form, as the probe returns it: two values and a code per slot.
+    values = PulseTrain(np.sqrt(intensity) * np.exp(1j * np.array(phase)))
+    reflected = oracle.gathered(values, slot_codes)
+    n = len(slot_codes)
     peak = float(np.max(reflected.intensities))
-    dps, cow = trojan_decode(reflected, "dps"), trojan_decode(reflected, "cow")
-    # Eve's noise-free replicas threshold at half the probe's peak; below
-    # her sensitivity nothing clicks.
+    dps, cow = trojan_decode(values, slot_codes, "dps"), trojan_decode(values, slot_codes, "cow")
+    # Eve's noise-free replicas threshold at half the probe's peak over its
+    # slots; below her sensitivity nothing clicks.
     d1 = d2 = np.zeros(n + 1, dtype=bool)
     d_b = np.zeros(n, dtype=bool)
     if peak > 1e-15:
         record, _ = receive("dps", reflected, DetectorSettings(), peak)
         d1, d2 = record.clicks("D1"), record.clicks("D2")
-        d_b = apd_detect(reflected, 0.5 * peak, (0.392, 0.398), DetectorSettings(), "EVE_B")["EVE_B"].clicks
+        d_b = apd_detect(reflected.intensities, 0.5 * peak, (0.392, 0.398), DetectorSettings(), "EVE_B")["EVE_B"].clicks
     _same(dps.clicks("D1"), d1)
     _same(dps.clicks("D2"), d2)
     _same(cow.clicks("D_B"), d_b)
@@ -396,7 +400,9 @@ def _same_train(a: PulseTrain, b: PulseTrain) -> None:
 @example([1, 1, 0, 1], (0.3, 0.5))
 @settings(max_examples=300)
 def test_dps_encode_matches_chain(bits, tx):
-    _same_train(dps_encode(bits, *tx), oracle.dps_encode_chain(bits, *tx))
+    train, slot_codes = dps_encode(bits, *tx)
+    _same(slot_codes, np.array(bits, dtype=np.int64))
+    _same_train(oracle.gathered(train, slot_codes), oracle.dps_encode_chain(bits, *tx))
 
 
 @given(symbols, transmitters)
@@ -404,7 +410,9 @@ def test_dps_encode_matches_chain(bits, tx):
 @example("01d10", (0.3, 0.25))
 @settings(max_examples=300)
 def test_cow_encode_matches_chain(sym, tx):
-    _same_train(cow_encode(codes(sym), *tx), oracle.cow_encode_chain(sym, *tx))
+    train, slot_codes = cow_encode(codes(sym), *tx)
+    _same(slot_codes, oracle.cow_occupancy_loop(sym))
+    _same_train(oracle.gathered(train, slot_codes), oracle.cow_encode_chain(sym, *tx))
 
 
 complex_slots = st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(lambda t: complex(*t)), min_size=1, max_size=40)
@@ -421,7 +429,7 @@ complex_slots = st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).m
 @settings(max_examples=300)
 def test_trojan_probe_matches_full_length_chain(modulation, protocol, amplitude, offset, reflection_db):
     probe = TrojanSettings(probe_amplitude=amplitude, timing_offset_slots=offset, reflection_db=reflection_db)
-    got = trojan_probe(protocol, modulation, probe, 0.5, excess_loss_db=3.0)
+    got = oracle.gathered(*trojan_probe(protocol, modulation, probe, 0.5, excess_loss_db=3.0))
     _same_train(got, oracle.trojan_probe_chain(protocol, modulation, probe, 0.5, 3.0))
 
 
@@ -471,22 +479,24 @@ def test_backflash_emit_matches_where(slots, data, ideal, gain, p, seed):
 
 @st.composite
 def backflash_ports(draw):
-    """A port of Bob's receiver (DPS D1/D2 or COW D_B) and a click mask over
-    it: none, every slot or random."""
+    """A port of Bob's receiver (DPS D1/D2 or COW D_B), as the coded receive
+    or the full-length one gives it, that port with one field per slot, and
+    a click mask over it: none, every slot or random."""
     protocol = draw(st.sampled_from(["dps", "cow"]))
     if protocol == "dps":
-        train = dps_encode(draw(st.lists(st.integers(0, 1), min_size=2, max_size=30)))
+        coded = dps_encode(draw(st.lists(st.integers(0, 1), min_size=2, max_size=30)))
         name = draw(st.sampled_from(["D1", "D2"]))
     else:
-        train = cow_encode(codes(draw(symbols)))
+        coded = cow_encode(codes(draw(symbols)))
         name = "D_B"
-    port = receive(protocol, train, DetectorSettings(), 1.0)[1][name]
-    n = len(port)
+    dense = oracle.receive_dense(protocol, *coded, DetectorSettings(), 1.0)[1][name]
+    port = receive(protocol, coded[0], DetectorSettings(), 1.0, codes=coded[1])[1][name] if draw(st.booleans()) else dense
+    n = len(dense[0])
     clicks = draw(
         st.sampled_from([np.zeros(n, dtype=bool), np.ones(n, dtype=bool)])
         | st.lists(st.booleans(), min_size=n, max_size=n).map(lambda c: np.array(c, dtype=bool))
     )
-    return port, clicks
+    return port, dense[0], clicks
 
 
 @given(
@@ -499,9 +509,72 @@ def backflash_ports(draw):
 )
 @settings(max_examples=300, deadline=None)
 def test_backflash_replica_clicks_match_dense_pass(case, ideal, gain, p, rel, seed):
-    port, clicks = case
-    trace = _record(len(port), D=clicks)["D"]
+    port, dense, clicks = case
+    trace = _record(len(dense), D=clicks)["D"]
     cfg = BackflashSettings(electrons_per_avalanche=p, photons_per_electron=1.0, ideal=ideal, emission_gain=gain)
     threshold = rel * gain**2  # the replica's threshold at nominal level 1
     got = _backflash_replica_clicks(trace, port, cfg, np.random.default_rng(seed), threshold)
-    _same(got, oracle.backflash_replica_dense(trace, port, cfg, np.random.default_rng(seed), threshold))
+    _same(got, oracle.backflash_replica_dense(trace, dense, cfg, np.random.default_rng(seed), threshold))
+
+
+# Detector settings of the coded-receive oracle: ideal, and each imperfection.
+RECEIVE_DETECTORS = [
+    DetectorSettings(),
+    DetectorSettings(dead_time_slots=2),
+    DetectorSettings(dark_count_prob=0.05, afterpulse_prob=0.3, dead_time_slots=1),
+    DetectorSettings(click_threshold_rel=0.1, dark_count_prob=0.2),
+]
+_LONG = np.random.default_rng(5).integers(0, 3, 20_000).tolist()
+
+
+@given(
+    st.sampled_from(["dps", "cow"]),
+    st.lists(st.integers(0, 2), min_size=2, max_size=300),
+    st.floats(0.01, 10.0),
+    st.floats(0.05, 0.95),
+    st.sampled_from(RECEIVE_DETECTORS),
+    st.booleans(),
+    st.sampled_from([None, True, False]),
+    st.integers(0, 2**32),
+)
+@example("dps", _LONG, 1.0, 0.5, RECEIVE_DETECTORS[0], False, None, 1)  # whole-array loops past their tails
+@example("cow", _LONG, 3.0, 0.9, RECEIVE_DETECTORS[2], False, False, 2)
+@settings(max_examples=200, deadline=None)
+def test_coded_receive_matches_dense_receive(protocol, alice, amplitude, t_b, detector, blind, ideal, seed):
+    """The receive of an encoder's coded train equals the receive of its
+    gathered train bit for bit: intensities, clicks and modes, the draws from
+    every detector's stream, and the backflash field at the clicked slots
+    (``ideal`` None: no backflash)."""
+    if protocol == "dps":
+        train, slot_codes = dps_encode(np.array(alice) % 2, amplitude, 1.0)
+    else:
+        train, slot_codes = cow_encode(alice, amplitude, 0.5)
+    blinding = background = None
+    if blind:
+        blinding = BlindingSettings()
+        background = np.full(slot_codes.size + 1, blinding.blind_threshold)
+    streams = RngFactory(seed), RngFactory(seed)
+    got, got_ports = receive(
+        protocol, train, detector, amplitude**2, t_b, streams[0].get, blinding, background, codes=slot_codes
+    )
+    want, want_ports = oracle.receive_dense(
+        protocol, train, slot_codes, detector, amplitude**2, t_b, streams[1].get, blinding, background
+    )
+    assert got.names == want.names and got.slot_period == want.slot_period
+    for name in want.names:
+        g, w = got[name], want[name]
+        _same(g.intensity.view(np.uint64), w.intensity.view(np.uint64))
+        _same(g.clicks, w.clicks)
+        _same(g.linear_mode, w.linear_mode)
+        assert (g.photocurrent is None) == (w.photocurrent is None) == (blinding is None)
+        if blinding is not None:
+            _same(g.photocurrent.view(np.uint64), w.photocurrent.view(np.uint64))
+        # Each stream ends where the full-length receive left it.
+        assert streams[0].get(name).random() == streams[1].get(name).random()
+        if ideal is not None:
+            bf = BackflashSettings(ideal=ideal, emission_gain=0.7)
+            field, index = got_ports[name]
+            at, emitted = backflash_emit(g, field, bf, np.random.default_rng(seed), codes=index)
+            at_w, emitted_w = backflash_emit(w, want_ports[name][0], bf, np.random.default_rng(seed))
+            _same(at, at_w)
+            _same(emitted.view(np.uint64), emitted_w.view(np.uint64))

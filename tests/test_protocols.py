@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dprsim import protocols
 from dprsim.config import DetectorSettings
 from dprsim.detectors import DetectionRecord, DetectorTrace
-from dprsim.optics import phase_modulator
+from dprsim.optics import dli, phase_modulator
 from dprsim.protocols import (
     VISIBILITY_CLASSES,
     cow_encode,
@@ -18,7 +19,7 @@ from dprsim.protocols import (
     visibility,
 )
 
-from _oracles import brute_force_cow_monitor
+from _oracles import brute_force_cow_monitor, gathered
 
 
 def codes(symbols: str) -> np.ndarray:
@@ -33,12 +34,15 @@ symbol_codes = st.text(alphabet="01d", min_size=1, max_size=24).map(codes)
 
 
 # Every train here is launched at amplitude 1, so its nominal intensity is 1.
+# A train is an encoder's coded pair or one field per slot.
 def dps_record(train, detector=DetectorSettings()):
-    return receive("dps", train, detector, 1.0)[0]
+    train, slot_codes = train if isinstance(train, tuple) else (train, None)
+    return receive("dps", train, detector, 1.0, codes=slot_codes)[0]
 
 
 def cow_record(train, t_b=0.9):
-    return receive("cow", train, DetectorSettings(), 1.0, t_b=t_b)[0]
+    train, slot_codes = train if isinstance(train, tuple) else (train, None)
+    return receive("cow", train, DetectorSettings(), 1.0, t_b=t_b, codes=slot_codes)[0]
 
 
 def interface_classes(symbols) -> dict[int, str]:
@@ -66,13 +70,25 @@ def lossless_dps(bits):
     return dps_sift(bits, record)
 
 
+def test_coded_receive_runs_the_interferometer_once_per_neighbour_pair(monkeypatch):
+    # An encoder's train stays coded through the receiver: the interferometer
+    # sees ten slots, and each port holds at most nine fields, whatever the
+    # train's length.
+    lengths = []
+    monkeypatch.setattr(protocols, "dli", lambda train: lengths.append(len(train)) or dli(train))
+    for protocol, (train, slot_codes) in (("dps", dps_encode(np.zeros(1000))), ("cow", cow_encode(np.zeros(500)))):
+        _, ports = receive(protocol, train, DetectorSettings(), 1.0, codes=slot_codes)
+        assert all(len(field) <= 9 for field, _ in ports.values())
+    assert lengths == [10, 10]
+
+
 # ---------------------------------------------------------------------------
 # DPS encoding and measurement
 # ---------------------------------------------------------------------------
 
 
 def test_dps_encode_phases_follow_bits():
-    train = dps_encode([0, 1, 0, 1])
+    train = gathered(*dps_encode([0, 1, 0, 1]))
     np.testing.assert_allclose(train.intensities, np.ones(4), atol=1e-12)
     np.testing.assert_allclose(train.slots[1], -train.slots[0], atol=1e-12)
     np.testing.assert_allclose(train.slots[2], train.slots[0], atol=1e-12)
@@ -185,7 +201,7 @@ def test_cow_occupancy_convention():
 
 
 def test_cow_encode_reference_sequence_pulse_pattern():
-    train = cow_encode(REFERENCE_SYMBOLS)
+    train = gathered(*cow_encode(REFERENCE_SYMBOLS))
     assert len(train) == 20
     expected = cow_occupancy(REFERENCE_SYMBOLS).astype(float)
     np.testing.assert_allclose(train.intensities, expected, atol=1e-12)
@@ -260,7 +276,7 @@ TAMPER = np.array([0.0] * 5 + [np.pi] * 12 + [0.0] * 3)
 
 
 def tampered_monitor(symbols=REFERENCE_SYMBOLS, phases=TAMPER, t_b=0.9):
-    train = cow_encode(symbols)
+    train = gathered(*cow_encode(symbols))
     train = phase_modulator(train, phases[: len(train)])
     return cow_record(train, t_b=t_b), train
 
@@ -295,8 +311,8 @@ def test_cow_balanced_counts_give_zero_visibility():
 @settings(max_examples=30, deadline=None)
 @given(st.floats(0, 2 * np.pi))
 def test_cow_visibility_invariant_under_global_phase(global_phase):
-    train = cow_encode(REFERENCE_SYMBOLS)
-    rotated = train.with_slots(train.slots * np.exp(1j * global_phase))
+    train, slot_codes = cow_encode(REFERENCE_SYMBOLS)
+    rotated = train.with_slots(train.slots * np.exp(1j * global_phase)), slot_codes
     report = visibility(cow_record(rotated, t_b=0.9), REFERENCE_SYMBOLS)
     assert report.overall_visibility == 1.0
     assert 0.0 <= report.overall_visibility <= 1.0

@@ -548,7 +548,7 @@ def test_run_scenario_no_attack_has_no_outcome():
 # symbols; measured 2.65 and 3.24 (3.56 and 5.31 before the run dropped each
 # value after its last reader).
 PEAK_TO_RECORD = [
-    ({"golden_name": "dps-backflash-stat", "n_symbols": 20_000}, 2.9),
+    ({"golden_name": "dps-backflash-stat", "n_symbols": 20_000}, 1.6),
     (
         {
             "protocol": "cow",
@@ -660,8 +660,8 @@ def test_detectors_that_draw_nothing_record_a_train_alike(protocol, t_b, tamper,
         doc["channel"] = {"phase_tamper_half_turns": [0.0] * 700 + [1.0] * 900 + [0.5] * 400}
     cfg = scenario_from_dict(doc)
     rngs = RngFactory(cfg.seed)
-    train = _transmit(cfg, _alice_material(cfg, rngs))
-    bob, eve = _receive(cfg, train, rngs, "bob")[0], _receive(cfg, train, rngs, "eve-stage1")[0]
+    train, codes = _transmit(cfg, _alice_material(cfg, rngs))
+    bob, eve = _receive(cfg, train, codes, rngs, "bob")[0], _receive(cfg, train, codes, rngs, "eve-stage1")[0]
     for name in bob.names:
         np.testing.assert_array_equal(bob.clicks(name), eve.clicks(name))
 
