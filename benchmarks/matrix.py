@@ -2,9 +2,11 @@
 
 For each cell the tool times ``run_scenario`` (the simulation alone) and
 ``dprsim run`` end to end (in-process ``cli.main``: simulation, record
-assembly, hashing and every output file), each ``--repeats`` times.  One
-more, untimed ``run_scenario`` per cell records its peak memory as traced by
-``tracemalloc`` and the bytes of its record's arrays.  The tool writes the
+assembly, hashing and every output file), each ``--repeats`` times.  The
+repeats are interleaved: each one runs every cell once before the next
+starts, so drift of the host spreads over all cells instead of landing on
+whole ones.  One more, untimed ``run_scenario`` per cell records its peak
+memory as traced by ``tracemalloc`` and the bytes of its record's arrays.  The tool writes the
 medians, every run, the memory figures and the environment to one JSON file:
 
     python benchmarks/matrix.py                              # 1e3, 1e5, 1e6 symbols, 5 repeats
@@ -87,33 +89,35 @@ def _summary(times: list[float]) -> dict:
     return {"median": statistics.median(times), "runs": times}
 
 
-def time_cell(doc: dict, detector: str, repeats: int, workdir: Path) -> dict:
-    sim = []
-    for _ in range(repeats):
-        cfg = scenario_from_dict(doc)
-        started = time.perf_counter()
-        run_scenario(cfg)
-        sim.append(time.perf_counter() - started)
+def time_sim(doc: dict) -> float:
+    cfg = scenario_from_dict(doc)
+    started = time.perf_counter()
+    run_scenario(cfg)
+    return time.perf_counter() - started
 
+
+def time_cli(config: Path, outdir: Path) -> tuple[float, int]:
+    started = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["run", "--config", str(config), "--out", str(outdir)])
+    elapsed = time.perf_counter() - started
+    shutil.rmtree(outdir)
+    return elapsed, code
+
+
+def memory(doc: dict) -> tuple[int, int]:
+    """Peak traced bytes of one ``run_scenario`` and its record's array bytes."""
     tracemalloc.start()
     try:
         record = run_scenario(scenario_from_dict(doc))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    record_bytes = sum(arr.nbytes for arr in record._hashed()[1])
-    del record
+    return peak, sum(arr.nbytes for arr in record._hashed()[1])
 
-    config = workdir / "scenario.yaml"
-    config.write_text(yaml.safe_dump(doc), encoding="utf-8")
-    end_to_end, codes = [], []
-    for i in range(repeats):
-        outdir = workdir / f"run{i}"
-        started = time.perf_counter()
-        with contextlib.redirect_stdout(io.StringIO()):
-            codes.append(cli.main(["run", "--config", str(config), "--out", str(outdir)]))
-        end_to_end.append(time.perf_counter() - started)
-        shutil.rmtree(outdir)
+
+def cell_result(doc: dict, detector: str, sim: list[float], end_to_end: list[float], codes: list[int]) -> dict:
+    peak, record_bytes = memory(doc)
     n = doc["n_symbols"]
     return {
         "protocol": doc["protocol"],
@@ -140,22 +144,34 @@ def main(argv: list[str] | None = None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
 
-    cells = []
+    kinds = [(attack, "ideal") for attack in ATTACKS] + [("none", detector) for detector in NOISY]
+    plan = [(scenario(p, a, n, d), d) for n in args.sizes for p in PROTOCOLS for a, d in kinds]
+    sim, end_to_end, codes = ([[] for _ in plan] for _ in range(3))
     with tempfile.TemporaryDirectory(prefix="dprsim-matrix-") as tmp:
-        for n in args.sizes:
-            for protocol in PROTOCOLS:
-                kinds = [(attack, "ideal") for attack in ATTACKS] + [("none", detector) for detector in NOISY]
-                for attack, detector in kinds:
-                    cell = time_cell(scenario(protocol, attack, n, detector), detector, args.repeats, Path(tmp))
-                    cells.append(cell)
-                    print(
-                        f"{protocol:3} {attack:9} {detector:9} n={n:<8}"
-                        f" run_scenario {cell['run_scenario_s']['median']:8.3f} s"
-                        f" ({cell['run_scenario_us_per_symbol']:6.2f} us/symbol)"
-                        f"  dprsim run {cell['cli_run_s']['median']:8.3f} s"
-                        f"  peak/record {cell['peak_to_record']:5.2f}",
-                        flush=True,
-                    )
+        configs = []
+        for i, (doc, _) in enumerate(plan):
+            configs.append(Path(tmp) / f"cell{i}.yaml")
+            configs[i].write_text(yaml.safe_dump(doc), encoding="utf-8")
+        # Each repeat runs every cell once, so that drift of the host spreads over all cells.
+        for repeat in range(args.repeats):
+            for i, (doc, _) in enumerate(plan):
+                sim[i].append(time_sim(doc))
+                seconds, code = time_cli(configs[i], Path(tmp) / "run")
+                end_to_end[i].append(seconds)
+                codes[i].append(code)
+            print(f"repeat {repeat + 1} of {args.repeats} done", flush=True)
+    cells = []
+    for (doc, detector), *runs in zip(plan, sim, end_to_end, codes):
+        cell = cell_result(doc, detector, *runs)
+        cells.append(cell)
+        print(
+            f"{cell['protocol']:3} {cell['attack']:9} {detector:9} n={cell['n_symbols']:<8}"
+            f" run_scenario {cell['run_scenario_s']['median']:8.3f} s"
+            f" ({cell['run_scenario_us_per_symbol']:6.2f} us/symbol)"
+            f"  dprsim run {cell['cli_run_s']['median']:8.3f} s"
+            f"  peak/record {cell['peak_to_record']:5.2f}",
+            flush=True,
+        )
     result = {
         "format": FORMAT,
         "environment": environment(),

@@ -72,20 +72,26 @@ WORKED_EXAMPLE_PHASES = (0, 0, 2, 1, 1, 3, 1, 2, 0, 2, 1, 3, 2, 1, 2)
 @dataclass(frozen=True, eq=False)
 class FsgPlan:
     """A faked-state drive plan: per-pulse phases (quarter turns) and launch
-    intensities, plus where the first reading lands in Bob's interferometer
-    output (``readings_slot_offset``)."""
+    intensities, pulse ``k`` at ``levels[level_codes[k]]``, plus where the
+    first reading lands in Bob's interferometer output
+    (``readings_slot_offset``)."""
 
     readings: npt.NDArray[np.int64]
     phase_units: npt.NDArray[np.int64]
-    intensity_per_slot: np.ndarray
+    levels: npt.NDArray[np.float64]
+    level_codes: npt.NDArray[np.int64]
     readings_slot_offset: int
 
     def __post_init__(self) -> None:
-        if len(self.phase_units) != self.intensity_per_slot.shape[0]:
-            raise ValueError("one intensity per pulse required")
+        if len(self.phase_units) != self.level_codes.shape[0]:
+            raise ValueError("one launch level per pulse required")
 
-    def to_train(self, slot_period: float = 1.0) -> PulseTrain:
-        return PulseTrain(np.sqrt(self.intensity_per_slot) * _QUARTER_TURNS[self.phase_units % 4], slot_period)
+    def trigger(self, slot_period: float = 1.0) -> tuple[PulseTrain, np.ndarray]:
+        """Eve's trigger train, coded (see ``protocols.receive``): the field
+        ``sqrt(level) * i**q`` of each (launch level, quarter turn) pair, 4
+        for DPS and 8 for COW, and the code of each pulse's pair."""
+        fields = np.sqrt(self.levels)[:, np.newaxis] * _QUARTER_TURNS
+        return PulseTrain(fields.reshape(-1), slot_period), 4 * self.level_codes + self.phase_units % 4
 
 
 def _check_readings(readings, allowed: tuple[int, ...]) -> np.ndarray:
@@ -133,8 +139,8 @@ def fsg_dps_phases(
         offset = 0
     else:
         raise ValueError(f"unknown policy {n_policy!r}")
-    intensity = np.full(len(phases), launch_intensity, dtype=np.float64)
-    return FsgPlan(readings, phases, intensity, offset)
+    levels = np.array([launch_intensity], dtype=np.float64)
+    return FsgPlan(readings, phases, levels, np.zeros(len(phases), dtype=np.int64), offset)
 
 
 def fsg_cow_drive(
@@ -153,10 +159,9 @@ def fsg_cow_drive(
     readings = _check_readings(eve_readings, (0, 1, 2, 3))
     if not (0.0 < t_b < 1.0):
         raise ValueError(f"t_b must be strictly within (0, 1), got {t_b}")
-    base = detector.p_always_m / (1.0 - t_b)
-    data = detector.p_always_b / t_b
-    levels = np.concatenate([[base], np.where(readings == 3, data, base)])
-    return FsgPlan(readings, _phase_plan(readings, _COW_STEPS), levels, 1)
+    levels = np.array([detector.p_always_m / (1.0 - t_b), detector.p_always_b / t_b])  # base, data
+    level_codes = np.concatenate(([0], readings == 3)).astype(np.int64)
+    return FsgPlan(readings, _phase_plan(readings, _COW_STEPS), levels, level_codes, 1)
 
 
 def _window(values: np.ndarray, offset: int, n: int) -> np.ndarray:
@@ -316,7 +321,7 @@ def trojan_decode(
     nominal = peak if peak > min_intensity else math.inf
     eve = DetectorSettings()
     if protocol == "dps":
-        return receive("dps", reflected, eve, nominal, codes=codes)[0]
+        return receive("dps", reflected, codes, eve, nominal)[0]
     if protocol == "cow":
         rails = (eve.p_never_b, eve.p_always_b)
         d_b = apd_detect(power[codes], eve.click_threshold_rel * nominal, rails, eve, "D_B")

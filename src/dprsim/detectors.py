@@ -235,26 +235,24 @@ def apd_detect(
             total = intensity + background
         photocurrent, linear = _blinding_trace(blinding, total)
 
-    clicks = np.zeros(n, dtype=bool)
     p_never, p_always = rails
     dead, afterpulse, dark = detector.dead_time_slots, detector.afterpulse_prob, detector.dark_count_prob
     always_rail = p_always * (1.0 - _RAIL_TOL)
     never_rail = p_never * (1.0 + _RAIL_TOL)
-    needs_rng = (
-        afterpulse > 0.0
-        or dark > 0.0
-        or bool(np.any(linear & (intensity > never_rail) & (intensity < always_rail)))
-    )
+    needs_rng = afterpulse > 0.0 or dark > 0.0
+    if blinding is not None:
+        needs_rng = needs_rng or bool(np.any(linear & (intensity > never_rail) & (intensity < always_rail)))
     stateful = dead > 0 or afterpulse > 0.0 or dark > 0.0
 
     if not stateful and not needs_rng:
-        # Deterministic fast path: thresholds only.
-        geiger_clicks = ~linear & (intensity > click_threshold)
-        linear_clicks = linear & (intensity >= always_rail)
-        clicks = geiger_clicks | linear_clicks
+        # Deterministic fast path: thresholds only, and without blinding no slot is linear.
+        clicks = intensity > click_threshold
+        if blinding is not None:
+            clicks = (~linear & clicks) | (linear & (intensity >= always_rail))
     else:
         if needs_rng and rng is None:
             raise ValueError(f"detector {detector_id} draws random clicks: pass an rng")
+        clicks = np.zeros(n, dtype=bool)
         live_from = 0
         afterpulse_at = -1
         span = p_always - p_never
@@ -292,19 +290,19 @@ def apd_detect(
 def backflash_emit(
     trace: DetectorTrace,
     incident: PulseTrain,
+    codes: np.ndarray,
     cfg: BackflashSettings,
     rng: np.random.Generator | None = None,
-    codes: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Re-emission of a detector's clicks, in sparse form: the slots that
     re-emit, in order (int64), and the field each one emits, its incident
     amplitude (phase preserved) scaled by the emission gain.  Every other
-    slot stays vacuum.  ``incident`` holds one field per slot or, with
-    ``codes``, the fields that slot ``k`` indexes by ``codes[k]`` (a port of
-    a coded receive).  Unless ``ideal`` forces emission on every click, an
-    emission probability below 1 draws one number per slot from ``rng``, which
-    must then be given, and a click re-emits where its draw falls below it."""
-    n = len(incident) if codes is None else codes.shape[0]
+    slot stays vacuum.  The incident light is a port of a receive: slot ``k``
+    sees ``incident.slots[codes[k]]``.  Unless ``ideal`` forces emission on
+    every click, an emission probability below 1 draws one number per slot
+    from ``rng``, which must then be given, and a click re-emits where its
+    draw falls below it."""
+    n = codes.shape[0]
     if len(trace) != n:
         raise ValueError("trace and incident train lengths differ")
     emit = trace.clicks
@@ -313,7 +311,7 @@ def backflash_emit(
             raise ValueError("backflash emission below certainty draws from an rng: pass one")
         emit = emit & (rng.random(n) < cfg.emission_probability)
     slots = np.flatnonzero(emit)
-    return slots, cfg.emission_gain * incident.slots[slots if codes is None else codes[slots]]
+    return slots, cfg.emission_gain * incident.slots[codes[slots]]
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ downstream depends on these):
 
 * 2x2 coupler: ``out_a = sqrt(t)*in_a + 1j*sqrt(1-t)*in_b`` and
   ``out_b = 1j*sqrt(1-t)*in_a + sqrt(t)*in_b`` (the cross port picks up ``1j``).
-* An unused (vacuum) coupler input is passed as ``None`` and costs no
-  arithmetic: the outputs are ``sqrt(t)*in_a`` and ``1j*sqrt(1-t)*in_a``, equal
-  to an all-zero ``in_b`` up to the sign of an exactly-zero component.
+* Every coupler of the pipeline takes light at one input only, its other
+  input is vacuum and costs no arithmetic: :func:`coupler_2x2` gives
+  ``sqrt(t)*in_a`` and ``1j*sqrt(1-t)*in_a``, equal to an all-zero ``in_b``
+  up to the sign of an exactly-zero component.
 * Delay-line interferometer built from two 50:50 couplers with a one-slot
   delay in the cross arm.  With that convention the *second* output port is
   the constructive one: ``constructive_k = 1j*(a_k + a_{k-1})/2`` and
@@ -95,16 +96,6 @@ class PulseTrain:
         object.__setattr__(train, "slot_period", self.slot_period)
         return train
 
-    def padded_to(self, n_slots: int) -> "PulseTrain":
-        """Extend with trailing vacuum slots; never truncates."""
-        if n_slots < len(self):
-            raise ValueError("padded_to never truncates")
-        if n_slots == len(self):
-            return self
-        out = np.zeros(n_slots, dtype=np.complex128)
-        out[: len(self)] = self.slots
-        return self.with_slots(out)
-
 
 def cw_laser(n_slots: int, amplitude: float = 1.0, slot_period: float = 1.0) -> PulseTrain:
     """Constant-amplitude, phase-0 source: the single-frequency CW laser."""
@@ -153,23 +144,15 @@ def pulse_carver(train: PulseTrain, occupancy: Sequence[int] | np.ndarray) -> Pu
 # ---------------------------------------------------------------------------
 
 
-def coupler_2x2(in_a: PulseTrain, in_b: PulseTrain | None, transmittance: float = 0.5) -> tuple[PulseTrain, PulseTrain]:
-    """Unitary 2x2 coupler with through-port power ``transmittance``; the cross
-    port carries a ``1j`` phase factor.  The shorter input is padded with
-    vacuum, and ``in_b=None`` is an all-vacuum port; inputs must share a grid."""
+def coupler_2x2(in_a: PulseTrain, transmittance: float = 0.5) -> tuple[PulseTrain, PulseTrain]:
+    """Unitary 2x2 coupler with through-port power ``transmittance``, lit at
+    one input, the other vacuum: the through and cross ports, the cross port
+    with a ``1j`` phase factor."""
     if not (0.0 <= transmittance <= 1.0):
         raise ValueError(f"transmittance must be within [0, 1], got {transmittance}")
     t = math.sqrt(transmittance)
     k = 1j * math.sqrt(1.0 - transmittance)
-    if in_b is None:
-        return in_a.with_slots(t * in_a.slots), in_a.with_slots(k * in_a.slots)
-    if in_a.slot_period != in_b.slot_period:
-        raise ValueError(f"slot_period mismatch: {in_a.slot_period} vs {in_b.slot_period}")
-    n = max(len(in_a), len(in_b))
-    a, b = in_a.padded_to(n), in_b.padded_to(n)
-    out_a = t * a.slots + k * b.slots
-    out_b = k * a.slots + t * b.slots
-    return a.with_slots(out_a), a.with_slots(out_b)
+    return in_a.with_slots(t * in_a.slots), in_a.with_slots(k * in_a.slots)
 
 
 def dli(train: PulseTrain) -> tuple[PulseTrain, PulseTrain]:
@@ -178,10 +161,11 @@ def dli(train: PulseTrain) -> tuple[PulseTrain, PulseTrain]:
 
     Returns ``(constructive, destructive)``: equal-phase consecutive pulses exit
     entirely at the constructive port.  Output length is ``len(train) + 1``.
-    Each slot takes the arithmetic of :func:`coupler_2x2` on the two arms, so
-    output slot ``k`` depends on input slots ``k - 1`` and ``k`` alone (vacuum
-    outside the train).  That lets the receiver of a coded train run it once
-    on a short train that holds each neighbour pair and gather from there.
+    Each slot takes the two-input coupler arithmetic of the conventions above
+    on the two arms, so output slot ``k`` depends on input slots ``k - 1`` and
+    ``k`` alone (vacuum outside the train).  That lets the receiver of a coded
+    train run it once on a short train that holds each neighbour pair and
+    gather from there.
     """
     n, t, k = len(train), math.sqrt(0.5), 1j * math.sqrt(0.5)
     # First coupler; the cross arm is delayed, and both are padded with vacuum.

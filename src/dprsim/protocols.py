@@ -91,56 +91,57 @@ class ProtocolRun:
 # ---------------------------------------------------------------------------
 
 
-# Ten slots over code 0, code 1 and vacuum (code 2) in which each of the nine
-# (previous, current) pairs occurs once: a de Bruijn sequence.
-_VACUUM = 2
-_DE_BRUIJN = np.array([0, 0, 1, 0, 2, 1, 1, 2, 2, 0], dtype=np.intp)
-# Pair index ``3 * previous + current`` -> the interferometer output slot of
-# the de Bruijn train where that pair interferes.
-_PAIR_SLOT = np.argsort(3 * _DE_BRUIJN[:-1] + _DE_BRUIJN[1:]) + 1
-
-# A receiver port: a train of fields and the index of each slot's field in it
-# (``None`` when the train holds one field per slot).
-_Port = tuple[PulseTrain, np.ndarray | None]
+# A receiver port: the fields at the port and the index of each slot's field.
+_Port = tuple[PulseTrain, np.ndarray]
 
 
-def _interfere(train: PulseTrain, codes: np.ndarray | None) -> tuple[_Port, _Port]:
-    """The one-slot interferometer's constructive and destructive ports.
+def _interfere(train: PulseTrain, codes: np.ndarray) -> tuple[_Port, _Port]:
+    """The one-slot interferometer's constructive and destructive ports of the
+    coded train ``train``, ``codes`` (see :func:`receive`).
 
     Output slot ``k`` of :func:`dli` reads only input slots ``k - 1`` and
-    ``k``, so a coded train has one output field per (previous, current) pair
-    of code 0, code 1 and the vacuum around the train.  The unchanged ``dli``
-    runs once on the de Bruijn train, which holds each pair once, and each
-    output slot indexes its pair's field: the same arithmetic on the same
-    operands as the full-length interferometer, bit for bit.
+    ``k``, so the output fields are those of the (previous, current) pairs of
+    the train's K fields and the vacuum around it, field K, and slot ``k``'s
+    pair has index ``(K + 1) * previous + current``.  The unchanged ``dli``
+    runs once on the pairs laid out two slots each, and output slot ``2p + 1``
+    is the field of pair ``p``: the same arithmetic on the same operands as
+    the full-length interferometer, bit for bit.  The pairs are all
+    ``(K + 1)**2`` of them while they fit in the port, else the ones that
+    occur (``np.unique``): on a train shorter than its pair table, or under
+    a long tamper of many distinct phases.
     """
-    if codes is None:
-        constructive, destructive = dli(train)
-        return (constructive, None), (destructive, None)
-    fields = np.append(train.slots, 0j)  # codes 0 and 1, then vacuum
-    constructive, destructive = dli(train.with_slots(fields[_DE_BRUIJN]))
+    k = len(train)
     n = codes.shape[0]
     index = np.empty(n + 1, dtype=np.intp)
-    np.multiply(codes, 3, out=index[1:])
-    index[0] = 3 * _VACUUM
+    np.multiply(codes, k + 1, out=index[1:])
+    index[0] = (k + 1) * k
     index[:n] += codes
-    index[n] += _VACUUM
+    index[n] += k
+    if (k + 1) ** 2 <= n + 1:
+        pairs = np.arange((k + 1) ** 2)
+    else:
+        pairs, index = np.unique(index, return_inverse=True)
+    fields = np.append(train.slots, 0j)
+    layout = np.empty(2 * pairs.size, dtype=np.complex128)
+    layout[0::2] = fields[pairs // (k + 1)]
+    layout[1::2] = fields[pairs % (k + 1)]
+    constructive, destructive = dli(train.with_slots(layout))
     return (
-        (constructive.with_slots(constructive.slots[_PAIR_SLOT]), index),
-        (destructive.with_slots(destructive.slots[_PAIR_SLOT]), index),
+        (constructive.with_slots(constructive.slots[1::2]), index),
+        (destructive.with_slots(destructive.slots[1::2]), index),
     )
 
 
 def receive(
     protocol: str,
     train: PulseTrain,
+    codes: np.ndarray,
     detector: DetectorSettings,
     nominal: float,
     t_b: float = 0.9,
     rng: Callable[[str], np.random.Generator] | None = None,
     blinding: BlindingSettings | None = None,
     background: np.ndarray | None = None,
-    codes: np.ndarray | None = None,
 ) -> tuple[DetectionRecord, dict[str, _Port]]:
     """Bob's receiver, or any replica of it.
 
@@ -149,13 +150,14 @@ def receive(
     detector D_B), the rest into a one-slot DLI with D_M1 (constructive) and
     D_M2 (destructive).
 
-    ``train`` holds one field per slot or, with ``codes``, it is coded: the
-    fields of codes 0 and 1, and slot ``k`` carries ``train.slots[codes[k]]``,
-    as Alice's encoders and the trojan probe give it.  Then the splitter acts
-    on the two fields and the interferometer runs once per neighbour pair
+    The train is coded: ``train`` holds a few distinct fields and slot ``k``
+    carries ``train.slots[codes[k]]``, as Alice's encoders, the channel's
+    tamper, the trojan probe and Eve's faked-state trigger give it (a train
+    with one field per slot is coded by ``arange``).  The splitter acts on
+    the fields and the interferometer runs once per neighbour pair
     (``_interfere``): each detector's intensity is a gather from a small
-    table, bit for bit that of the gathered train, and no slot-length field
-    is built.
+    table, bit for bit that of the full-length train, and no slot-length
+    field is built.
 
     Each Geiger threshold is ``detector.click_threshold_rel`` times the
     nominal intensity of its line: ``nominal`` on the DPS lines, times ``t_b``
@@ -170,15 +172,11 @@ def receive(
     maps a detector name to its generator.
 
     Returns the record of every detector and the field incident on each, as
-    a train and the index of each slot's field in it (``None`` without codes).
+    a train of fields and the index of each slot's field in it.
     """
-    if codes is not None:
-        codes = _as_codes(codes, 1)
-        if len(train) != 2:
-            raise ValueError(f"a coded train holds the fields of codes 0 and 1, got {len(train)} slots")
-    n = len(train) if codes is None else codes.shape[0]
+    codes = _as_codes(codes, len(train) - 1)
     if protocol == "dps":
-        if n < 2:
+        if codes.shape[0] < 2:
             raise ValueError("DPS measurement needs at least two slots")
         constructive, destructive = _interfere(train, codes)
         pair = (detector.p_never, detector.p_always)
@@ -186,7 +184,7 @@ def receive(
     elif protocol == "cow":
         if not (0.0 < t_b < 1.0):
             raise ValueError(f"t_b must be within (0, 1), got {t_b}")
-        data_line, monitor_line = coupler_2x2(train, None, t_b)
+        data_line, monitor_line = coupler_2x2(train, t_b)
         constructive, destructive = _interfere(monitor_line, codes)
         monitor, pair = 1.0 - t_b, (detector.p_never_m, detector.p_always_m)
         lines = {
@@ -197,9 +195,8 @@ def receive(
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
     traces = {}
-    for name, (port, share, rails) in lines.items():
-        field, index = port
-        intensity = field.intensities if index is None else field.intensities[index]
+    for name, ((field, index), share, rails) in lines.items():
+        intensity = field.intensities[index]
         traces[name] = apd_detect(
             intensity,
             detector.click_threshold_rel * share * nominal,
@@ -219,9 +216,9 @@ def receive(
 
 
 def _as_codes(codes, top: int) -> np.ndarray:
-    """Alice's codes as int64, checked to be a nonempty one-dimensional
-    sequence of values in ``0..top``: 1 for DPS phase bits, 2 for COW symbol
-    codes."""
+    """Codes as int64, checked to be a nonempty one-dimensional sequence of
+    values in ``0..top``: 1 for DPS phase bits, 2 for COW symbol codes, one
+    less than its train's fields for a coded train."""
     arr = np.asarray(codes, dtype=np.int64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("need a nonempty one-dimensional code sequence")

@@ -121,10 +121,13 @@ def _alice_material(cfg: ScenarioConfig, rngs: RngFactory) -> np.ndarray:
     return rngs.get("alice-source").integers(0, 2 if cfg.protocol == "dps" else 3, cfg.n_symbols, dtype=np.int64)
 
 
-def _transmit(cfg: ScenarioConfig, codes: np.ndarray) -> tuple[PulseTrain, np.ndarray | None]:
-    """Alice's encoder and the channel: the train arriving at Bob, coded as
-    the encoders give it (see ``receive``), or with one field per slot (codes
-    ``None``) where the channel's phase tamper gives each slot its own."""
+def _transmit(cfg: ScenarioConfig, codes: np.ndarray) -> tuple[PulseTrain, np.ndarray]:
+    """Alice's encoder and the channel: the train arriving at Bob, coded (see
+    ``receive``).  The channel's phase tamper modulates slot ``k`` by the
+    pattern's ``k``-th phase and the slots past the pattern's end by 0.  The
+    modulator is slot-local, so it runs once on each pair of Alice's field
+    and distinct phase, and each slot takes its pair's code: bit for bit the
+    modulation of the full-length train."""
     if cfg.protocol == "dps":
         train, slot_codes = dps_encode(codes, cfg.amplitude, cfg.slot_period)
     else:
@@ -132,17 +135,21 @@ def _transmit(cfg: ScenarioConfig, codes: np.ndarray) -> tuple[PulseTrain, np.nd
     pattern = cfg.channel.phase_tamper_half_turns
     if pattern is None:
         return train, slot_codes
-    train = train.with_slots(train.slots[slot_codes])
-    phases = np.zeros(len(train), dtype=np.float64)
-    m = min(len(train), len(pattern))
-    phases[:m] = np.asarray(pattern[:m], dtype=np.float64) * np.pi
-    return phase_modulator(train, phases), None
+    n = slot_codes.shape[0]
+    m = min(n, len(pattern))
+    phases = np.append(np.asarray(pattern[:m], dtype=np.float64) * np.pi, 0.0)
+    distinct, inverse = np.unique(phases, return_inverse=True)
+    phase_codes = np.full(n, inverse[m])
+    phase_codes[:m] = inverse[:m]
+    j = distinct.size
+    pairs = train.with_slots(np.repeat(train.slots, j))  # field a * j + p: Alice's field a at phase p
+    return phase_modulator(pairs, np.tile(distinct, len(train))), slot_codes * j + phase_codes
 
 
 def _receive(
     cfg: ScenarioConfig,
     train: PulseTrain,
-    codes: np.ndarray | None,
+    codes: np.ndarray,
     rngs: RngFactory,
     stream: str,
     blinding: BlindingSettings | None = None,
@@ -150,18 +157,17 @@ def _receive(
 ) -> tuple[DetectionRecord, dict[str, _Port]]:
     """Bob's receiver, or Eve's replica of it, at the scenario's detector
     settings and nominal level ``amplitude**2``, on a train coded by
-    ``codes`` or with one field per slot (``None``); detector ``X`` draws
-    from the stream ``<stream>-X``."""
+    ``codes``; detector ``X`` draws from the stream ``<stream>-X``."""
     return receive(
         cfg.protocol,
         train,
+        codes,
         cfg.detector,
         cfg.amplitude**2,
         t_b=cfg.t_b,
         rng=lambda name: rngs.get(f"{stream}-{name}"),
         blinding=blinding,
         background=background,
-        codes=codes,
     )
 
 
@@ -200,8 +206,7 @@ def _backflash_replica_clicks(
     detector, which is noise-free: it clicks where the intensity exceeds
     ``threshold`` (>= 0).  A vacuum slot never does, so only the emitting
     slots are evaluated."""
-    incident, codes = port
-    slots, field = backflash_emit(trace, incident, bf, rng=rng, codes=codes)
+    slots, field = backflash_emit(trace, *port, bf, rng=rng)
     power = np.abs(field)
     power **= 2
     clicks = np.zeros(len(trace), dtype=bool)
@@ -304,14 +309,14 @@ def _on_grid(record: DetectionRecord, offset: int, n_slots: int) -> DetectionRec
 
 
 def _eve_readings(
-    cfg: ScenarioConfig, rngs: RngFactory, train: PulseTrain, codes: np.ndarray | None, clean: DetectionRecord
+    cfg: ScenarioConfig, rngs: RngFactory, train: PulseTrain, codes: np.ndarray, clean: DetectionRecord
 ) -> tuple[np.ndarray, int]:
     """The blinding attack's first stage: the readings Eve replays, pinned or
     measured by her replica of Bob on Alice's train (coded by ``codes``, see
     ``_receive``), and the slots of Alice's grid that Bob sifts, one more than
     the train's.  Detectors that draw nothing record the same train alike, so
     then her replica's record is Bob's ``clean`` one."""
-    n_slots = (len(train) if codes is None else codes.size) + 1
+    n_slots = codes.size + 1
     readings = cfg.attack.blinding.readings
     if readings is not None:
         return np.array(readings, dtype=np.int64), n_slots
@@ -359,9 +364,9 @@ def _run_blinding(
         feasibility = blinding_feasible(rails, cfg.t_b).as_dict()
         eve_slots, eve_bits = _cow_eve_key(clean.alice_codes, _window(readings == 3, 0, n_slots))
 
-    trigger = plan.to_train(cfg.slot_period)
-    background = _blinding_background(s.style, s.illumination_level, s.pulse_period_slots, len(trigger) + 1)
-    record = _receive(cfg, trigger, None, rngs, "bob", blinding=s, background=background)[0]
+    trigger, trigger_codes = plan.trigger(cfg.slot_period)
+    background = _blinding_background(s.style, s.illumination_level, s.pulse_period_slots, trigger_codes.size + 1)
+    record = _receive(cfg, trigger, trigger_codes, rngs, "bob", blinding=s, background=background)[0]
 
     monitor_alarm = False
     cm = cfg.countermeasures.photocurrent_monitor

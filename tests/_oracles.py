@@ -12,13 +12,15 @@ can be compared with them on random inputs.  The ``*_chain`` functions keep
 Alice's transmitters as they ran over every slot of the train, before the
 encoders evaluated the chain once per symbol value, ``dli_chain`` keeps the
 interferometer as the coupler -> delay line -> coupler composition it was
-before it computed its two ports in place, ``backflash_emit_where`` keeps
-the emission as it multiplied every slot, and ``backflash_replica_dense``
-keeps the backflash reverse pass as it ran Eve's replica detector over every
-slot of that emission.  ``receive_dense`` keeps the receive of a coded train
-(per-value fields and per-slot codes) as it ran before the interferometer was
-evaluated once per neighbour pair: on the ``gathered`` train, one field per
-slot.
+before it computed its two ports in place, with ``coupler_two_inputs``, the
+coupler as it stood when both of its inputs could be lit;
+``backflash_emit_where`` keeps the emission as it multiplied every slot, and
+``backflash_replica_dense`` keeps the backflash reverse pass as it ran Eve's
+replica detector over every slot of that emission.  ``receive_dense`` is the
+receiver as it ran on a train with one field per slot, before every input
+reached it coded (the encoders' trains, the channel's tamper, the probe and
+Eve's faked-state trigger): the ``gathered`` train, the splitter, the
+full-length interferometer and one ``apd_detect`` per line.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ import math
 import numpy as np
 
 from dprsim.config import DetectorSettings
-from dprsim.detectors import apd_detect
-from dprsim.optics import PulseTrain, attenuate, coupler_2x2, cw_laser, phase_modulator, pulse_carver
-from dprsim.protocols import receive
+from dprsim.detectors import DetectionRecord, apd_detect
+from dprsim.optics import PulseTrain, attenuate, coupler_2x2, cw_laser, dli, phase_modulator, pulse_carver
 
 
 def brute_force_dli_ports(amplitudes, delay: int = 1) -> tuple[list[float], list[float]]:
@@ -413,14 +414,52 @@ def backflash_replica_dense(trace, incident: PulseTrain, cfg, rng, threshold: fl
     return apd_detect(emission.intensities, threshold, (eve.p_never, eve.p_always), eve, "EVE")["EVE"].clicks
 
 
+def transmit_dense(protocol: str, alice, amplitude: float, slot_period: float, pattern) -> PulseTrain:
+    """Alice's train, one field per slot, through the channel's phase tamper:
+    ``pattern`` (half turns) on its leading slots and phase 0 on the rest."""
+    alice = np.asarray(alice, dtype=np.int64)
+    if protocol == "dps":
+        train = dps_encode_chain(alice, amplitude, slot_period)
+    else:
+        train = cow_encode_chain("".join(COW_SYMBOLS[c] for c in alice), amplitude, slot_period)
+    if pattern is None:
+        return train
+    phases = np.zeros(len(train), dtype=np.float64)
+    m = min(len(train), len(pattern))
+    phases[:m] = np.asarray(pattern[:m], dtype=np.float64) * np.pi
+    return phase_modulator(train, phases)
+
+
+_QUARTER_TURNS = np.exp(1j * (np.pi / 2.0) * np.arange(4))
+
+
+def fsg_train(plan, slot_period: float) -> PulseTrain:
+    """A faked-state plan's trigger with one field per pulse."""
+    intensity = plan.levels[plan.level_codes]
+    return PulseTrain(np.sqrt(intensity) * _QUARTER_TURNS[plan.phase_units % 4], slot_period)
+
+
+def coupler_two_inputs(in_a: PulseTrain, in_b: PulseTrain, transmittance: float = 0.5) -> tuple[PulseTrain, PulseTrain]:
+    """The 2x2 coupler with light at both inputs, the shorter padded with
+    vacuum: ``out_a = sqrt(t)*in_a + 1j*sqrt(1-t)*in_b`` and ``out_b =
+    1j*sqrt(1-t)*in_a + sqrt(t)*in_b``."""
+    if in_a.slot_period != in_b.slot_period:
+        raise ValueError(f"slot_period mismatch: {in_a.slot_period} vs {in_b.slot_period}")
+    t = math.sqrt(transmittance)
+    k = 1j * math.sqrt(1.0 - transmittance)
+    a, b = np.zeros((2, max(len(in_a), len(in_b))), dtype=np.complex128)
+    a[: len(in_a)], b[: len(in_b)] = in_a.slots, in_b.slots
+    return in_a.with_slots(t * a + k * b), in_a.with_slots(k * a + t * b)
+
+
 def dli_chain(train: PulseTrain, delay_slots: int) -> tuple[PulseTrain, PulseTrain]:
     """``(constructive, destructive)``: a 50:50 coupler, the cross arm delayed
     by ``delay_slots`` vacuum slots and both arms padded to the output length,
     then a second 50:50 coupler."""
-    arm_a, arm_b = coupler_2x2(train, None)
+    arm_a, arm_b = coupler_2x2(train)
     delayed = np.zeros(len(arm_b) + delay_slots, dtype=np.complex128)
     delayed[delay_slots:] = arm_b.slots
-    destructive, constructive = coupler_2x2(arm_a, arm_b.with_slots(delayed))
+    destructive, constructive = coupler_two_inputs(arm_a, arm_b.with_slots(delayed))
     return constructive, destructive
 
 
@@ -429,7 +468,43 @@ def gathered(train: PulseTrain, codes) -> PulseTrain:
     return train.with_slots(train.slots[np.asarray(codes)])
 
 
-def receive_dense(protocol: str, train: PulseTrain, codes, *args, **kwargs):
-    """``receive`` of a coded train run on its gathered train, one field per
-    slot, and so through the full-length interferometer."""
-    return receive(protocol, gathered(train, codes), *args, **kwargs)
+def receive_dense(
+    protocol: str,
+    train: PulseTrain,
+    codes,
+    detector: DetectorSettings,
+    nominal: float,
+    t_b: float = 0.9,
+    rng=None,
+    blinding=None,
+    background=None,
+) -> tuple[DetectionRecord, dict[str, PulseTrain]]:
+    """``protocols.receive`` of a coded train, run on its gathered train: the
+    record and the full-length train incident on each detector."""
+    train = gathered(train, codes)
+    if protocol == "dps":
+        constructive, destructive = dli(train)
+        pair = (detector.p_never, detector.p_always)
+        lines = {"D1": (constructive, 1.0, pair), "D2": (destructive, 1.0, pair)}
+    else:
+        data_line, monitor_line = coupler_2x2(train, t_b)
+        constructive, destructive = dli(monitor_line)
+        monitor, pair = 1.0 - t_b, (detector.p_never_m, detector.p_always_m)
+        lines = {
+            "D_B": (data_line, t_b, (detector.p_never_b, detector.p_always_b)),
+            "D_M1": (constructive, monitor, pair),
+            "D_M2": (destructive, monitor, pair),
+        }
+    traces = {}
+    for name, (port, share, rails) in lines.items():
+        traces[name] = apd_detect(
+            port.intensities,
+            detector.click_threshold_rel * share * nominal,
+            rails,
+            detector,
+            name,
+            blinding=blinding,
+            background=None if background is None else background[: len(port)],
+            rng=None if rng is None else rng(name),
+        )[name]
+    return DetectionRecord(traces, train.slot_period), {name: line[0] for name, line in lines.items()}

@@ -18,10 +18,10 @@ from dprsim.attacks import (
     fsg_dps_phases,
 )
 from dprsim.cli import main
-from dprsim.config import BlindingSettings, DetectorSettings
+from dprsim.config import BlindingSettings, DetectorSettings, scenario_from_dict
 from dprsim.optics import PulseTrain, dli
 from dprsim.protocols import dps_encode, dps_sift, receive
-from dprsim.scenario import run_golden
+from dprsim.scenario import run_golden, run_scenario
 
 from _oracles import brute_force_cow_monitor, brute_force_dli_ports, cow_occupancy_loop
 
@@ -77,7 +77,7 @@ def test_dps_round_trip_thousand_runs():
         for _ in range(1000):
             bits = rng.integers(0, 2, 256)
             train, codes = dps_encode(bits)
-            record, _ = receive("dps", train, DetectorSettings(), 1.0, codes=codes)
+            record, _ = receive("dps", train, codes, DetectorSettings(), 1.0)
             km = dps_sift(bits, record)
             assert km.qber == 0.0
             assert km.sifted_length == 255
@@ -103,6 +103,25 @@ def test_backflash_statistics():
         assert abs(record.attack.capture_fraction - p) <= 3.0 * sigma
 
 
+@pytest.mark.parametrize("protocol", ["dps", "cow"])
+@pytest.mark.parametrize("p", [0.0648, 0.3, 0.702])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_backflash_capture_matches_emission_probability(protocol, p, seed):
+    # Closed form: each of Bob's sifted clicks re-emits independently with
+    # probability min(1, electrons_per_avalanche * photons_per_electron), and
+    # Eve's noise-free replica reads every re-emission, so the captured count
+    # is binomial over Bob's sifted length.
+    with criterion("backflash-closed-form"):
+        electrons = 2.7e8
+        backflash = {"electrons_per_avalanche": electrons, "photons_per_electron": p / electrons}
+        doc = {"protocol": protocol, "n_symbols": 20_000, "seed": seed}
+        record = run_scenario(scenario_from_dict({**doc, "attack": {"kind": "backflash", "backflash": backflash}}))
+        emission = min(1.0, electrons * (p / electrons))
+        n = record.protocol_run.sifted_length
+        sigma = np.sqrt(emission * (1.0 - emission) / n)
+        assert abs(record.attack.capture_fraction - emission) <= 5.0 * sigma
+
+
 def test_fsg_sequence_reproduction():
     with criterion("fsg-sequence-reproduction"):
         plan = fsg_dps_phases(WORKED_EXAMPLE_READINGS, n_policy="worked-example")
@@ -114,9 +133,9 @@ def test_fsg_sequence_reproduction():
             canonical = fsg_dps_phases(readings, launch_intensity=0.39)
             # Bob's blinded receiver, held in linear mode by blinding light at
             # the blind threshold on every slot, decoded per reading.
-            train = canonical.to_train()
-            background = np.full(len(train) + 1, blinding.blind_threshold)
-            record, _ = receive("dps", train, rails, 1.0, blinding=blinding, background=background)
+            train, codes = canonical.trigger()
+            background = np.full(codes.size + 1, blinding.blind_threshold)
+            record, _ = receive("dps", train, codes, rails, 1.0, blinding=blinding, background=background)
             assert record["D1"].linear_mode.all() and record["D2"].linear_mode.all()
             replayed = decode_dps_readings(record, canonical.readings_slot_offset, len(readings))
             assert replayed.tolist() == list(readings)

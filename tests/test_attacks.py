@@ -35,25 +35,26 @@ def phase_steps(plan) -> list[int]:
     return (np.diff(plan.phase_units) % 4).tolist()
 
 
-def held_blind(protocol, train, rails, t_b=0.9):
-    """Bob's record of a train, his detectors held in linear mode by blinding
-    light at the blind threshold on every slot."""
+def held_blind(protocol, trigger, rails, t_b=0.9):
+    """Bob's record of a coded trigger, as a plan gives it, his detectors held
+    in linear mode by blinding light at the blind threshold on every slot."""
+    train, codes = trigger
     blinding = BlindingSettings()
-    background = np.full(len(train) + 1, blinding.blind_threshold)
-    record, _ = receive(protocol, train, rails, 1.0, t_b=t_b, blinding=blinding, background=background)
+    background = np.full(codes.size + 1, blinding.blind_threshold)
+    record, _ = receive(protocol, train, codes, rails, 1.0, t_b=t_b, blinding=blinding, background=background)
     assert all(record[name].linear_mode.all() for name in record.names)
     return record
 
 
 def replay_dps(plan) -> list[int]:
     """The readings a linear-mode DPS receiver decodes from a plan's train."""
-    record = held_blind("dps", plan.to_train(1.0), RAILS)
+    record = held_blind("dps", plan.trigger(1.0), RAILS)
     return decode_dps_readings(record, plan.readings_slot_offset, len(plan.readings)).tolist()
 
 
 def replay_cow(plan, t_b) -> list[int]:
     """The readings a linear-mode COW receiver decodes from a plan's train."""
-    record = held_blind("cow", plan.to_train(0.5), COW_RAILS, t_b)
+    record = held_blind("cow", plan.trigger(0.5), COW_RAILS, t_b)
     return decode_cow_readings(record, plan.readings_slot_offset, len(plan.readings)).tolist()
 
 
@@ -80,7 +81,7 @@ def test_canonical_all_constructive_readings_keep_phase_constant():
 
 def test_canonical_plan_has_anchor_pulse():
     plan = fsg_dps_phases([2, 0, 1])
-    assert len(plan.phase_units) == plan.intensity_per_slot.size == 4
+    assert len(plan.phase_units) == plan.level_codes.size == 4
     assert plan.phase_units[0] == 0
     assert plan.readings_slot_offset == 1
 
@@ -141,9 +142,9 @@ def test_cow_drive_levels_symmetric_splitter():
     # levels are 2P.
     th = DetectorSettings(p_always_b=0.39, p_never_b=0.2, p_always_m=0.39, p_never_m=0.2)
     plan = fsg_cow_drive([2, 3], 0.5, th)
-    np.testing.assert_allclose(plan.intensity_per_slot, [0.78, 0.78, 0.78])
+    np.testing.assert_allclose(plan.levels[plan.level_codes], [0.78, 0.78, 0.78])
     plan_data = fsg_cow_drive([3], 0.5, th)
-    assert plan_data.intensity_per_slot[1] == pytest.approx(2 * 0.39)
+    assert plan_data.levels[plan_data.level_codes[1]] == pytest.approx(2 * 0.39)
 
 
 @settings(max_examples=100, deadline=None)
@@ -157,7 +158,7 @@ def test_fsg_cow_replay_reproduces_readings(readings):
 @given(cow_readings)
 def test_fsg_cow_drive_never_leaks_into_silent_detectors(readings):
     plan = fsg_cow_drive(readings, 0.5, COW_RAILS)
-    record = held_blind("cow", plan.to_train(0.5), COW_RAILS, 0.5)
+    record = held_blind("cow", plan.trigger(0.5), COW_RAILS, 0.5)
     offset = plan.readings_slot_offset
     for j, r in enumerate(readings):
         slot = offset + j

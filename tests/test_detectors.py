@@ -226,18 +226,21 @@ def test_photocurrent_is_kept_only_under_blinding():
 # ---------------------------------------------------------------------------
 
 
+# A port of one field, 1, that every slot sees.
+INCIDENT = cw_laser(1, 1.0)
+
+
 def test_backflash_ideal_copies_every_clicked_slot():
-    incident = cw_laser(6, 1.0)
-    rec = apd_detect(incident.intensities, 0.5, RAILS, IDEAL)
-    slots, field = backflash_emit(rec["D"], incident, BackflashSettings(ideal=True, emission_gain=0.5))
+    rec = apd_detect(np.ones(6), 0.5, RAILS, IDEAL)
+    cfg = BackflashSettings(ideal=True, emission_gain=0.5)
+    slots, field = backflash_emit(rec["D"], INCIDENT, np.zeros(6, dtype=np.int64), cfg)
     assert slots.dtype == np.int64 and slots.tolist() == list(range(6))
-    np.testing.assert_allclose(field, 0.5 * incident.slots)
+    np.testing.assert_allclose(field, np.full(6, 0.5))
 
 
 def test_backflash_no_clicks_is_vacuum():
-    incident = cw_laser(6, 1.0)
     rec = apd_detect(np.zeros(6), 0.5, RAILS, IDEAL)
-    slots, field = backflash_emit(rec["D"], incident, BackflashSettings(ideal=True))
+    slots, field = backflash_emit(rec["D"], INCIDENT, np.zeros(6, dtype=np.int64), BackflashSettings(ideal=True))
     assert slots.size == field.size == 0
 
 
@@ -247,10 +250,9 @@ def test_backflash_default_probability_value():
 
 def test_backflash_statistics_converge_to_emission_probability():
     n = 100_000
-    incident = cw_laser(n, 1.0)
-    rec = apd_detect(incident.intensities, 0.5, RAILS, IDEAL)
+    rec = apd_detect(np.ones(n), 0.5, RAILS, IDEAL)
     cfg = BackflashSettings()
-    slots, field = backflash_emit(rec["D"], incident, cfg, rng=np.random.default_rng(7))
+    slots, field = backflash_emit(rec["D"], INCIDENT, np.zeros(n, dtype=np.int64), cfg, rng=np.random.default_rng(7))
     assert np.all(np.abs(field) > 0)
     emitted = slots.size
     p = cfg.emission_probability
@@ -259,17 +261,15 @@ def test_backflash_statistics_converge_to_emission_probability():
 
 
 def test_backflash_below_certainty_needs_an_rng():
-    incident = cw_laser(6, 1.0)
-    rec = apd_detect(incident.intensities, 0.5, RAILS, IDEAL)
+    rec = apd_detect(np.ones(6), 0.5, RAILS, IDEAL)
     with pytest.raises(ValueError, match="rng"):
-        backflash_emit(rec["D"], incident, BackflashSettings())
+        backflash_emit(rec["D"], INCIDENT, np.zeros(6, dtype=np.int64), BackflashSettings())
 
 
 def test_backflash_length_mismatch_rejected():
-    incident = cw_laser(6, 1.0)
-    rec = apd_detect(incident.intensities, 0.5, RAILS, IDEAL)
-    with pytest.raises(ValueError):
-        backflash_emit(rec["D"], cw_laser(5, 1.0), BackflashSettings())
+    rec = apd_detect(np.ones(6), 0.5, RAILS, IDEAL)
+    with pytest.raises(ValueError, match="lengths differ"):
+        backflash_emit(rec["D"], INCIDENT, np.zeros(5, dtype=np.int64), BackflashSettings())
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dprsim.attacks import (
+    WORKED_EXAMPLE_READINGS,
     _check_readings,
     capture_fraction,
     decode_cow_readings,
@@ -15,7 +16,14 @@ from dprsim.attacks import (
     trojan_decode,
     trojan_probe,
 )
-from dprsim.config import BackflashSettings, BlindingSettings, DetectorSettings, TrojanSettings, scenario_from_dict
+from dprsim.config import (
+    BLINDING_STYLES,
+    BackflashSettings,
+    BlindingSettings,
+    DetectorSettings,
+    TrojanSettings,
+    scenario_from_dict,
+)
 from dprsim.detectors import (
     DetectionRecord,
     DetectorTrace,
@@ -41,8 +49,10 @@ from dprsim.scenario import (
     RngFactory,
     _alice_material,
     _backflash_replica_clicks,
+    _blinding_background,
     _cow_eve_key,
     _dps_eve_key,
+    _transmit,
     run_scenario,
 )
 
@@ -199,7 +209,7 @@ def test_cow_drive_matches_loop(readings, t_b):
     phases, levels = oracle.fsg_cow_drive_loop(readings, th.p_always_m / (1.0 - t_b), th.p_always_b / t_b)
     _same(plan.phase_units, np.array(phases, dtype=np.int64))
     _same(plan.readings, np.array(readings, dtype=np.int64))
-    _same(plan.intensity_per_slot, levels)
+    _same(plan.levels[plan.level_codes], levels)
 
 
 @given(
@@ -223,7 +233,7 @@ def test_trojan_decode_matches_loops(intensity, phase, slot_codes, symbols):
     d1 = d2 = np.zeros(n + 1, dtype=bool)
     d_b = np.zeros(n, dtype=bool)
     if peak > 1e-15:
-        record, _ = receive("dps", reflected, DetectorSettings(), peak)
+        record, _ = oracle.receive_dense("dps", values, slot_codes, DetectorSettings(), peak)
         d1, d2 = record.clicks("D1"), record.clicks("D2")
         d_b = apd_detect(reflected.intensities, 0.5 * peak, (0.392, 0.398), DetectorSettings(), "EVE_B")["EVE_B"].clicks
     _same(dps.clicks("D1"), d1)
@@ -438,8 +448,8 @@ def test_trojan_probe_matches_full_length_chain(modulation, protocol, amplitude,
 @settings(max_examples=300)
 def test_coupler_vacuum_port_matches_zero_train(slots, t):
     x = PulseTrain(np.array(slots), 0.5)
-    got = coupler_2x2(x, None, t)
-    want = coupler_2x2(x, PulseTrain(np.zeros(len(slots)), 0.5), t)
+    got = coupler_2x2(x, t)
+    want = oracle.coupler_two_inputs(x, PulseTrain(np.zeros(len(slots)), 0.5), t)
     for g, w in zip(got, want):
         assert g.slot_period == w.slot_period
         # Equal amplitudes; only the sign of an exactly-zero component may differ.
@@ -467,7 +477,8 @@ def test_backflash_emit_matches_where(slots, data, ideal, gain, p, seed):
     clicks = np.array(data.draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots))))
     incident = PulseTrain(np.array(slots))
     cfg = BackflashSettings(electrons_per_avalanche=p, photons_per_electron=1.0, ideal=ideal, emission_gain=gain)
-    at, field = backflash_emit(_record(len(slots), D=clicks)["D"], incident, cfg, rng=np.random.default_rng(seed))
+    trace = _record(len(slots), D=clicks)["D"]
+    at, field = backflash_emit(trace, incident, np.arange(len(slots)), cfg, rng=np.random.default_rng(seed))
     assert at.dtype == np.int64 and np.all(np.diff(at) > 0)
     emit = clicks.copy()
     if not ideal and cfg.emission_probability < 1.0:
@@ -480,8 +491,9 @@ def test_backflash_emit_matches_where(slots, data, ideal, gain, p, seed):
 @st.composite
 def backflash_ports(draw):
     """A port of Bob's receiver (DPS D1/D2 or COW D_B), as the coded receive
-    or the full-length one gives it, that port with one field per slot, and
-    a click mask over it: none, every slot or random."""
+    gives it or as the full-length one does, coded by ``arange``, that port
+    with one field per slot, and a click mask over it: none, every slot or
+    random."""
     protocol = draw(st.sampled_from(["dps", "cow"]))
     if protocol == "dps":
         coded = dps_encode(draw(st.lists(st.integers(0, 1), min_size=2, max_size=30)))
@@ -490,13 +502,13 @@ def backflash_ports(draw):
         coded = cow_encode(codes(draw(symbols)))
         name = "D_B"
     dense = oracle.receive_dense(protocol, *coded, DetectorSettings(), 1.0)[1][name]
-    port = receive(protocol, coded[0], DetectorSettings(), 1.0, codes=coded[1])[1][name] if draw(st.booleans()) else dense
-    n = len(dense[0])
+    n = len(dense)
+    port = receive(protocol, *coded, DetectorSettings(), 1.0)[1][name] if draw(st.booleans()) else (dense, np.arange(n))
     clicks = draw(
         st.sampled_from([np.zeros(n, dtype=bool), np.ones(n, dtype=bool)])
         | st.lists(st.booleans(), min_size=n, max_size=n).map(lambda c: np.array(c, dtype=bool))
     )
-    return port, dense[0], clicks
+    return port, dense, clicks
 
 
 @given(
@@ -525,6 +537,44 @@ RECEIVE_DETECTORS = [
     DetectorSettings(click_threshold_rel=0.1, dark_count_prob=0.2),
 ]
 _LONG = np.random.default_rng(5).integers(0, 3, 20_000).tolist()
+_LONG_READINGS = np.random.default_rng(6).integers(0, 4, 20_000).tolist()
+
+
+def tamper_pattern(kind: str | None, n_slots: int, seed: int) -> list[float] | None:
+    """A channel phase tamper in half turns: none, a few phases over the
+    train's first half or over twice its length, or a phase per slot, most
+    of them distinct, so that the interferometer meets more pairs than its
+    port has slots.  Both signed zeros occur, and the coded tamper takes them
+    as one phase."""
+    if kind is None:
+        return None
+    rng = np.random.default_rng(seed)
+    if kind == "many":
+        pattern = rng.uniform(-2.0, 2.0, n_slots)
+        pattern[:2] = (0.0, -0.0)
+        return pattern.tolist()
+    length = max(1, n_slots // 2) if kind == "short" else 2 * n_slots
+    return rng.choice([0.0, -0.0, 0.5, 1.0, 1.5], length).tolist()
+
+
+def _same_receive(got, want, streams) -> None:
+    """A coded receive against the full-length one, bit for bit: each
+    detector's intensity, photocurrent, clicks and modes, the field at every
+    slot of its port, and where its stream ends."""
+    (record, ports), (want_record, want_ports) = got, want
+    assert record.names == want_record.names and record.slot_period == want_record.slot_period
+    for name in want_record.names:
+        g, w = record[name], want_record[name]
+        _same(g.intensity.view(np.uint64), w.intensity.view(np.uint64))
+        _same(g.clicks, w.clicks)
+        _same(g.linear_mode, w.linear_mode)
+        assert (g.photocurrent is None) == (w.photocurrent is None)
+        if w.photocurrent is not None:
+            _same(g.photocurrent.view(np.uint64), w.photocurrent.view(np.uint64))
+        field, index = ports[name]
+        _same(field.slots[index].view(np.uint64), want_ports[name].slots.view(np.uint64))
+        # Each stream ends where the full-length receive left it.
+        assert streams[0].get(name).random() == streams[1].get(name).random()
 
 
 @given(
@@ -533,48 +583,81 @@ _LONG = np.random.default_rng(5).integers(0, 3, 20_000).tolist()
     st.floats(0.01, 10.0),
     st.floats(0.05, 0.95),
     st.sampled_from(RECEIVE_DETECTORS),
+    st.sampled_from([None, "short", "long", "many"]),
     st.booleans(),
     st.sampled_from([None, True, False]),
     st.integers(0, 2**32),
 )
-@example("dps", _LONG, 1.0, 0.5, RECEIVE_DETECTORS[0], False, None, 1)  # whole-array loops past their tails
-@example("cow", _LONG, 3.0, 0.9, RECEIVE_DETECTORS[2], False, False, 2)
+@example("dps", _LONG, 1.0, 0.5, RECEIVE_DETECTORS[0], None, False, None, 1)  # whole-array loops past their tails
+@example("cow", _LONG, 3.0, 0.9, RECEIVE_DETECTORS[2], "short", False, False, 2)  # a tamper by the pair table
+@example("dps", _LONG, 0.5, 0.5, RECEIVE_DETECTORS[1], "many", True, True, 3)  # by the pairs that occur
 @settings(max_examples=200, deadline=None)
-def test_coded_receive_matches_dense_receive(protocol, alice, amplitude, t_b, detector, blind, ideal, seed):
-    """The receive of an encoder's coded train equals the receive of its
-    gathered train bit for bit: intensities, clicks and modes, the draws from
-    every detector's stream, and the backflash field at the clicked slots
-    (``ideal`` None: no backflash)."""
-    if protocol == "dps":
-        train, slot_codes = dps_encode(np.array(alice) % 2, amplitude, 1.0)
-    else:
-        train, slot_codes = cow_encode(alice, amplitude, 0.5)
+def test_coded_receive_matches_dense_receive(protocol, alice, amplitude, t_b, detector, tamper, blind, ideal, seed):
+    """The receive of Alice's coded train after the channel, its phase tamper
+    included, equals the receive of that train with one field per slot bit
+    for bit (``_same_receive``), and so does the backflash field at the
+    clicked slots (``ideal`` None: no backflash)."""
+    alice = np.array(alice) % (2 if protocol == "dps" else 3)
+    n_slots = alice.size * (1 if protocol == "dps" else 2)
+    pattern = tamper_pattern(tamper, n_slots, seed)
+    doc = {"protocol": protocol, "amplitude": amplitude, "t_b": t_b}
+    if pattern is not None:
+        doc["channel"] = {"phase_tamper_half_turns": pattern}
+    cfg = scenario_from_dict(doc)
+    train, slot_codes = _transmit(cfg, alice)
+    dense = oracle.transmit_dense(protocol, alice, amplitude, cfg.slot_period, pattern)
+    _same_train(oracle.gathered(train, slot_codes), dense)
     blinding = background = None
     if blind:
         blinding = BlindingSettings()
-        background = np.full(slot_codes.size + 1, blinding.blind_threshold)
+        background = np.full(n_slots + 1, blinding.blind_threshold)
     streams = RngFactory(seed), RngFactory(seed)
-    got, got_ports = receive(
-        protocol, train, detector, amplitude**2, t_b, streams[0].get, blinding, background, codes=slot_codes
+    got = receive(protocol, train, slot_codes, detector, amplitude**2, t_b, streams[0].get, blinding, background)
+    want = oracle.receive_dense(
+        protocol, dense, np.arange(n_slots), detector, amplitude**2, t_b, streams[1].get, blinding, background
     )
-    want, want_ports = oracle.receive_dense(
-        protocol, train, slot_codes, detector, amplitude**2, t_b, streams[1].get, blinding, background
-    )
-    assert got.names == want.names and got.slot_period == want.slot_period
-    for name in want.names:
-        g, w = got[name], want[name]
-        _same(g.intensity.view(np.uint64), w.intensity.view(np.uint64))
-        _same(g.clicks, w.clicks)
-        _same(g.linear_mode, w.linear_mode)
-        assert (g.photocurrent is None) == (w.photocurrent is None) == (blinding is None)
-        if blinding is not None:
-            _same(g.photocurrent.view(np.uint64), w.photocurrent.view(np.uint64))
-        # Each stream ends where the full-length receive left it.
-        assert streams[0].get(name).random() == streams[1].get(name).random()
-        if ideal is not None:
-            bf = BackflashSettings(ideal=ideal, emission_gain=0.7)
-            field, index = got_ports[name]
-            at, emitted = backflash_emit(g, field, bf, np.random.default_rng(seed), codes=index)
-            at_w, emitted_w = backflash_emit(w, want_ports[name][0], bf, np.random.default_rng(seed))
+    _same_receive(got, want, streams)
+    if ideal is not None:
+        bf = BackflashSettings(ideal=ideal, emission_gain=0.7)
+        for name in want[0].names:
+            g, w = got[0][name], want[0][name]
+            at, emitted = backflash_emit(g, *got[1][name], bf, np.random.default_rng(seed))
+            at_w, emitted_w = backflash_emit(w, want[1][name], np.arange(len(w)), bf, np.random.default_rng(seed))
             _same(at, at_w)
             _same(emitted.view(np.uint64), emitted_w.view(np.uint64))
+
+
+@given(
+    st.sampled_from(["canonical", "worked-example", "cow"]),
+    st.lists(st.integers(0, 3), min_size=1, max_size=200),
+    st.sampled_from([0.5, 0.9]) | st.floats(0.05, 0.95),
+    st.sampled_from(BLINDING_STYLES),
+    st.sampled_from(RECEIVE_DETECTORS),
+    st.integers(0, 2**32),
+)
+@example("canonical", _LONG, 0.5, "pulsed", RECEIVE_DETECTORS[0], 1)  # the pair table of 4 fields
+@example("cow", _LONG_READINGS, 0.5, "cw", RECEIVE_DETECTORS[0], 2)  # of 8 fields
+@settings(max_examples=100, deadline=None)
+def test_coded_trigger_receive_matches_dense_receive(policy, readings, t_b, style, detector, seed):
+    """Eve's coded faked-state trigger equals its train with one field per
+    pulse, and Bob's blinded receive of it equals the full-length receive of
+    that train bit for bit (``_same_receive``), under either blinding style."""
+    if policy == "cow":
+        protocol, plan, period = "cow", fsg_cow_drive(readings, t_b, detector), 0.5
+    elif policy == "canonical":
+        protocol, period = "dps", 1.0
+        plan = fsg_dps_phases(np.array(readings) % 3, policy, launch_intensity=detector.p_always)
+    else:
+        protocol, period = "dps", 1.0
+        plan = fsg_dps_phases(WORKED_EXAMPLE_READINGS, policy, launch_intensity=detector.p_always)
+    trigger, codes = plan.trigger(period)
+    dense = oracle.fsg_train(plan, period)
+    _same_train(oracle.gathered(trigger, codes), dense)
+    blinding = BlindingSettings(style=style)
+    background = _blinding_background(style, blinding.illumination_level, blinding.pulse_period_slots, codes.size + 1)
+    streams = RngFactory(seed), RngFactory(seed)
+    got = receive(protocol, trigger, codes, detector, 1.0, t_b, streams[0].get, blinding, background)
+    want = oracle.receive_dense(
+        protocol, dense, np.arange(codes.size), detector, 1.0, t_b, streams[1].get, blinding, background
+    )
+    _same_receive(got, want, streams)

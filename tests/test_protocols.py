@@ -34,15 +34,17 @@ symbol_codes = st.text(alphabet="01d", min_size=1, max_size=24).map(codes)
 
 
 # Every train here is launched at amplitude 1, so its nominal intensity is 1.
-# A train is an encoder's coded pair or one field per slot.
+# A train is an encoder's coded pair, or one field per slot, which ``arange`` codes.
+def coded(train):
+    return train if isinstance(train, tuple) else (train, np.arange(len(train)))
+
+
 def dps_record(train, detector=DetectorSettings()):
-    train, slot_codes = train if isinstance(train, tuple) else (train, None)
-    return receive("dps", train, detector, 1.0, codes=slot_codes)[0]
+    return receive("dps", *coded(train), detector, 1.0)[0]
 
 
 def cow_record(train, t_b=0.9):
-    train, slot_codes = train if isinstance(train, tuple) else (train, None)
-    return receive("cow", train, DetectorSettings(), 1.0, t_b=t_b, codes=slot_codes)[0]
+    return receive("cow", *coded(train), DetectorSettings(), 1.0, t_b=t_b)[0]
 
 
 def interface_classes(symbols) -> dict[int, str]:
@@ -72,14 +74,20 @@ def lossless_dps(bits):
 
 def test_coded_receive_runs_the_interferometer_once_per_neighbour_pair(monkeypatch):
     # An encoder's train stays coded through the receiver: the interferometer
-    # sees ten slots, and each port holds at most nine fields, whatever the
-    # train's length.
+    # sees the nine (previous, current) pairs of two fields and the vacuum,
+    # two slots each, and each port holds at most nine fields, whatever the
+    # train's length.  A train with more distinct fields than its port has
+    # slots runs the pairs that occur.
     lengths = []
     monkeypatch.setattr(protocols, "dli", lambda train: lengths.append(len(train)) or dli(train))
     for protocol, (train, slot_codes) in (("dps", dps_encode(np.zeros(1000))), ("cow", cow_encode(np.zeros(500)))):
-        _, ports = receive(protocol, train, DetectorSettings(), 1.0, codes=slot_codes)
+        _, ports = receive(protocol, train, slot_codes, DetectorSettings(), 1.0)
         assert all(len(field) <= 9 for field, _ in ports.values())
-    assert lengths == [10, 10]
+    assert lengths == [18, 18]
+    lengths.clear()
+    train = gathered(*dps_encode([0, 1, 1, 0, 1]))
+    _, ports = receive("dps", train, np.arange(5), DetectorSettings(), 1.0)
+    assert lengths == [12] and all(len(field) == 6 for field, _ in ports.values())
 
 
 # ---------------------------------------------------------------------------
