@@ -48,6 +48,7 @@ from .protocols import (
     visibility,
 )
 from .report import MetricsSummary, emit_outputs, load_record, save_record, summarize
-from .scenario import RngFactory, RunRecord, load_config, run_golden, run_scenario, sweep
+from .record import RunRecord
+from .scenario import RngFactory, load_config, run_golden, run_scenario, sweep
 
 __version__ = "0.1.0"

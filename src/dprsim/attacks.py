@@ -56,8 +56,8 @@ __all__ = [
 # Quarter-turn phase step per reading (canonical policy, N = 0).
 DPS_PHASE_STEP = {0: 1, 1: 0, 2: 2}
 COW_PHASE_STEP = {0: 1, 1: 2, 2: 0, 3: 1}
-_DPS_STEPS = np.array([DPS_PHASE_STEP[r] for r in range(3)], dtype=np.int64)
-_COW_STEPS = np.array([COW_PHASE_STEP[r] for r in range(4)], dtype=np.int64)
+_DPS_STEPS = np.array([DPS_PHASE_STEP[r] for r in range(3)], dtype=np.int8)
+_COW_STEPS = np.array([COW_PHASE_STEP[r] for r in range(4)], dtype=np.int8)
 # The phase factor of each quarter turn, computed once instead of once per pulse.
 _QUARTER_TURNS = np.exp(1j * (np.pi / 2.0) * np.arange(4))
 
@@ -76,10 +76,10 @@ class FsgPlan:
     first reading lands in Bob's interferometer output
     (``readings_slot_offset``)."""
 
-    readings: npt.NDArray[np.int64]
-    phase_units: npt.NDArray[np.int64]
+    readings: npt.NDArray[np.int8]
+    phase_units: npt.NDArray[np.int8]
     levels: npt.NDArray[np.float64]
-    level_codes: npt.NDArray[np.int64]
+    level_codes: npt.NDArray[np.int8]
     readings_slot_offset: int
 
     def __post_init__(self) -> None:
@@ -95,21 +95,28 @@ class FsgPlan:
 
 
 def _check_readings(readings, allowed: tuple[int, ...]) -> np.ndarray:
-    """``readings`` as int64, each checked to lie in ``allowed``, a run of
-    consecutive ints."""
-    readings = np.asarray(readings).astype(np.int64)
+    """``readings`` as int8, each checked to lie in ``allowed``, a run of
+    consecutive small ints."""
+    readings = np.asarray(readings)
+    if readings.dtype.kind not in "iu":
+        readings = readings.astype(np.int64)
     if readings.size == 0:
         raise ValueError("need at least one reading")
     bad = np.flatnonzero((readings < allowed[0]) | (readings > allowed[-1]))
     if bad.size:
         raise ValueError(f"readings[{bad[0]}] = {readings[bad[0]]} not in {allowed}")
-    return readings
+    return readings.astype(np.int8, copy=False)
 
 
 def _phase_plan(readings: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Quarter-turn phases of an anchor pulse (phase 0) and one pulse per
-    reading, each stepping from the previous one by its reading's step."""
-    return np.concatenate(([0], np.cumsum(steps[readings]) % 4))
+    reading, each stepping from the previous one by its reading's step.  The
+    int8 running sum wraps modulo 256, a multiple of 4, so its value modulo 4
+    is exact."""
+    phases = np.zeros(readings.size + 1, dtype=np.int8)
+    np.cumsum(steps[readings], dtype=np.int8, out=phases[1:])
+    phases %= 4
+    return phases
 
 
 def fsg_dps_phases(
@@ -135,12 +142,12 @@ def fsg_dps_phases(
     elif n_policy == "worked-example":
         if not np.array_equal(readings, WORKED_EXAMPLE_READINGS):
             raise ValueError("the worked-example policy is defined only for its published reading sequence")
-        phases = np.array(WORKED_EXAMPLE_PHASES, dtype=np.int64)
+        phases = np.array(WORKED_EXAMPLE_PHASES, dtype=np.int8)
         offset = 0
     else:
         raise ValueError(f"unknown policy {n_policy!r}")
     levels = np.array([launch_intensity], dtype=np.float64)
-    return FsgPlan(readings, phases, levels, np.zeros(len(phases), dtype=np.int64), offset)
+    return FsgPlan(readings, phases, levels, np.zeros(len(phases), dtype=np.int8), offset)
 
 
 def fsg_cow_drive(
@@ -160,7 +167,8 @@ def fsg_cow_drive(
     if not (0.0 < t_b < 1.0):
         raise ValueError(f"t_b must be strictly within (0, 1), got {t_b}")
     levels = np.array([detector.p_always_m / (1.0 - t_b), detector.p_always_b / t_b])  # base, data
-    level_codes = np.concatenate(([0], readings == 3)).astype(np.int64)
+    level_codes = np.zeros(readings.size + 1, dtype=np.int8)
+    np.equal(readings, 3, out=level_codes[1:])
     return FsgPlan(readings, _phase_plan(readings, _COW_STEPS), levels, level_codes, 1)
 
 
@@ -176,20 +184,28 @@ def _window(values: np.ndarray, offset: int, n: int) -> np.ndarray:
 
 
 def decode_dps_readings(record: DetectionRecord, offset: int, n_readings: int) -> np.ndarray:
-    """Readings observed by a DPS receiver: 0 none, 1 D1, 2 D2 (-1 if both)."""
+    """Readings observed by a DPS receiver, int8: 0 none, 1 D1, 2 D2 (-1 if
+    both), that is ``d1 + 2 * d2 - 4 * (d1 & d2)``."""
     d1 = _window(record.clicks("D1"), offset, n_readings)
     d2 = _window(record.clicks("D2"), offset, n_readings)
-    return np.select([d1 & d2, d1, d2], np.array([-1, 1, 2], dtype=np.int64), 0)
+    readings = np.add(d1, d2, dtype=np.int8)
+    readings += d2
+    readings -= np.multiply(d1 & d2, 4, dtype=np.int8)
+    return readings
 
 
 def decode_cow_readings(record: DetectionRecord, offset: int, n_readings: int) -> np.ndarray:
-    """Readings observed by a COW receiver: 0 none, 1 D_M2, 2 D_M1, 3 D_B.
+    """Readings observed by a COW receiver, int8: 0 none, 1 D_M2, 2 D_M1, 3 D_B.
 
     A data click takes precedence when it coincides with a monitor click (the
-    single-symbol alphabet cannot carry both).
+    single-symbol alphabet cannot carry both), and D_M1 over D_M2: the
+    reading is the greatest of ``3 * d_b``, ``2 * d_m1`` and ``d_m2``.
     """
-    clicks = [_window(record.clicks(name), offset, n_readings) for name in ("D_B", "D_M1", "D_M2")]
-    return np.select(clicks, np.array([3, 2, 1], dtype=np.int64), 0)
+    d_b, m1, m2 = (_window(record.clicks(name), offset, n_readings) for name in ("D_B", "D_M1", "D_M2"))
+    readings = np.multiply(d_b, 3, dtype=np.int8)
+    np.maximum(readings, np.multiply(m1, 2, dtype=np.int8), out=readings)
+    np.maximum(readings, m2, out=readings)
+    return readings
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +384,8 @@ class AttackOutcome:
     induced_visibility_drop: float | None = None
     alarms: dict[str, bool] | None = None
     feasibility: dict[str, bool] | None = None
-    eve_readings: npt.NDArray[np.int64] | None = None
-    bob_readings: npt.NDArray[np.int64] | None = None
+    eve_readings: npt.NDArray[np.int8] | None = None
+    bob_readings: npt.NDArray[np.int8] | None = None
 
     def __post_init__(self) -> None:
         if self.alarms is None:

@@ -286,6 +286,9 @@ def apd_detect(
 # Backflash emission
 # ---------------------------------------------------------------------------
 
+# Uniforms drawn per block of emission decisions.
+_DRAW_BLOCK = 1 << 12
+
 
 def backflash_emit(
     trace: DetectorTrace,
@@ -309,7 +312,13 @@ def backflash_emit(
     if not cfg.ideal and cfg.emission_probability < 1.0:
         if rng is None:
             raise ValueError("backflash emission below certainty draws from an rng: pass one")
-        emit = emit & (rng.random(n) < cfg.emission_probability)
+        # Drawn a block at a time, which leaves the stream where one draw of
+        # ``n`` leaves it, without a slot-length array of floats.
+        emit = np.empty(n, dtype=bool)
+        for start in range(0, n, _DRAW_BLOCK):
+            block = emit[start : start + _DRAW_BLOCK]
+            np.less(rng.random(block.shape[0]), cfg.emission_probability, out=block)
+        emit &= trace.clicks
     slots = np.flatnonzero(emit)
     return slots, cfg.emission_gain * incident.slots[codes[slots]]
 

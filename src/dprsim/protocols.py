@@ -18,7 +18,7 @@ Each protocol has an encoder and a sifting step; both share one receiver,
 :func:`receive`, which also serves every replica of Bob in the attacks.  An
 encoder gives Alice's train coded: the field of each value once, and one
 code per slot that picks it.
-Alice's material is one int64 code per symbol: a DPS phase bit (0 or 1), or
+Alice's material is one int8 code per symbol: a DPS phase bit (0 or 1), or
 a COW symbol code, 0, 1 and 2 for ``0``, ``1`` and ``d``.
 """
 
@@ -64,7 +64,7 @@ class ProtocolRun:
     and the sifting outcome, handed to the scenario engine."""
 
     protocol: str
-    alice_codes: npt.NDArray[np.int64]
+    alice_codes: npt.NDArray[np.int8]
     record: DetectionRecord
     sifted_alice: npt.NDArray[np.bool_]
     sifted_bob: npt.NDArray[np.bool_]
@@ -113,7 +113,7 @@ def _interfere(train: PulseTrain, codes: np.ndarray) -> tuple[_Port, _Port]:
     k = len(train)
     n = codes.shape[0]
     index = np.empty(n + 1, dtype=np.intp)
-    np.multiply(codes, k + 1, out=index[1:])
+    np.multiply(codes, k + 1, out=index[1:], dtype=np.intp)
     index[0] = (k + 1) * k
     index[:n] += codes
     index[n] += k
@@ -216,10 +216,13 @@ def receive(
 
 
 def _as_codes(codes, top: int) -> np.ndarray:
-    """Codes as int64, checked to be a nonempty one-dimensional sequence of
-    values in ``0..top``: 1 for DPS phase bits, 2 for COW symbol codes, one
-    less than its train's fields for a coded train."""
-    arr = np.asarray(codes, dtype=np.int64)
+    """Codes as an integer array (int64 unless they are one already),
+    checked to be a nonempty one-dimensional sequence of values in
+    ``0..top``: 1 for DPS phase bits, 2 for COW symbol codes, one less than
+    its train's fields for a coded train."""
+    arr = np.asarray(codes)
+    if arr.dtype.kind not in "iu":
+        arr = arr.astype(np.int64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("need a nonempty one-dimensional code sequence")
     if arr.min() < 0 or arr.max() > top:
@@ -256,8 +259,8 @@ def dps_sift(phase_bits, record: DetectionRecord) -> ProtocolRun:
     click or a double click are discarded.  QBER is the mismatch fraction (0
     when nothing was sifted).
     """
-    reference = dps_reference_bits(phase_bits)  # checks Alice's bits, once
-    bits = np.asarray(phase_bits, dtype=np.int64)
+    bits = _as_codes(phase_bits, 1)
+    reference = dps_reference_bits(bits)
     n = bits.size
     d1 = record.clicks("D1")
     d2 = record.clicks("D2")
@@ -265,9 +268,10 @@ def dps_sift(phase_bits, record: DetectionRecord) -> ProtocolRun:
         raise ValueError(f"record not aligned to the slot clock: {d1.shape[0]} slots for {n} pulses")
     interior = slice(1, n)
     one_click = np.logical_xor(d1[interior], d2[interior])
-    slots = np.nonzero(one_click)[0] + 1
+    slots = np.flatnonzero(one_click)
+    slots += 1
     bob = d2[slots]
-    alice = reference[slots - 1]
+    alice = reference[one_click]
     errors = int(np.sum(bob != alice))
     qber = errors / slots.size if slots.size else 0.0
     return ProtocolRun(
@@ -287,12 +291,12 @@ def dps_sift(phase_bits, record: DetectionRecord) -> ProtocolRun:
 
 
 # Byte -> symbol code: 0 and 1 the bits, 2 the decoy, -1 any other byte.
-_CODE = np.full(256, -1, dtype=np.int64)
+_CODE = np.full(256, -1, dtype=np.int8)
 _CODE[[ord(s) for s in COW_SYMBOLS]] = (0, 1, 2)
 _DECOY = 2
 
 # Symbol code -> pulse occupancy of its (early, late) slots.
-_PULSES = np.array([(1, 0), (0, 1), (1, 1)], dtype=np.int64)
+_PULSES = np.array([(1, 0), (0, 1), (1, 1)], dtype=np.int8)
 
 
 def cow_occupancy(codes) -> np.ndarray:
@@ -334,7 +338,7 @@ def cow_encode(codes, amplitude: float = 1.0, slot_period: float = 0.5) -> tuple
 
 # Cross-boundary interface class by (later, earlier) symbol code, as an index
 # into VISIBILITY_CLASSES; -1 where the two slots are not both occupied.
-_CROSS_CLASS = np.full((3, 3), -1, dtype=np.int64)
+_CROSS_CLASS = np.full((3, 3), -1, dtype=np.int8)
 _CROSS_CLASS[(0, 0, 2, 2), (1, 2, 1, 2)] = (1, 2, 3, 4)  # "01", "0d", "d1", "dd"
 
 
@@ -345,7 +349,7 @@ def _interfaces(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     one-slot-delay interferometer; every adjacent occupied pair has exactly
     one class of :data:`VISIBILITY_CLASSES`.
     """
-    cls = np.full(2 * codes.size, -1, dtype=np.int64)
+    cls = np.full(2 * codes.size, -1, dtype=np.int8)
     # Intra-symbol pair at odd slots: only the decoy occupies both of its slots.
     cls[1::2] = np.where(codes == _DECOY, 0, -1)
     cls[2::2] = _CROSS_CLASS[codes[1:], codes[:-1]]
@@ -384,18 +388,20 @@ class VisibilityReport:
         return self.overall.visibility
 
 
-def visibility(monitor: DetectionRecord, codes) -> VisibilityReport:
+def visibility(monitor: DetectionRecord, codes, interfaces: tuple[np.ndarray, ...] | None = None) -> VisibilityReport:
     """Count threshold-crossing detections per interface class.
 
     Only interface slots enter the statistic; apparatus edges where a pulse
-    meets a vacuum neighbour are not interfaces.
+    meets a vacuum neighbour are not interfaces.  ``interfaces`` are those of
+    ``codes`` (``_interfaces``), found here unless given: a run that sifts
+    twice over the same codes finds them once.
     """
     codes = _as_codes(codes, 2)
     m1 = monitor.clicks("D_M1")
     m2 = monitor.clicks("D_M2")
     if m1.shape[0] < 2 * codes.size:
         raise ValueError(f"monitor record too short ({m1.shape[0]} slots) for {codes.size} symbols")
-    slots, classes = _interfaces(codes)
+    slots, classes = _interfaces(codes) if interfaces is None else interfaces
     n1 = np.bincount(classes[m1[slots].astype(bool)], minlength=len(VISIBILITY_CLASSES))
     n2 = np.bincount(classes[m2[slots].astype(bool)], minlength=len(VISIBILITY_CLASSES))
     return VisibilityReport(

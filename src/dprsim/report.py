@@ -2,21 +2,23 @@
 
 Every emitted file parses back into the in-memory values exactly.
 ``metrics.json`` carries a ``format`` key.  ``record.json`` is
-``dprsim-record/5``, the bytes that the record's content hash covers, framed
-by two text lines (see ``RunRecord``): a version line, the canonical JSON
-header (arrays as ``{"dtype", "shape"}``: ``<i8`` for Alice's codes, slots
-and readings, ``<f8`` for intensities and photocurrents, ``|u1`` for clicks,
-modes and key bits), then the raw little-endian bytes of each array in header
-key order and a one-line JSON trailer holding ``wall_time_s``, the one value
-outside the hash.  Alice's codes are her DPS phase bits, or her COW symbols
-``0``, ``1`` and ``d`` as 0, 1 and 2.  Each run value is stored once: Bob's
-key only as the run's ``sifted_bob``, and a detector's photocurrent only
-where blinding makes it differ from its intensity.  The arrays are written
-and read as they are, with no text encoding; the record is the one per-slot
-output, and :func:`load_record` maps it back into per-detector arrays.  The
-file keeps its ``.json`` name, although only its header and trailer are JSON,
-so that scripts and tools that open ``record.json`` in a run directory still
-find it.
+``dprsim-record/6``, the bytes that the record's content hash covers, framed
+by two text lines and padding (see ``RunRecord``): a version line, the
+canonical JSON header (arrays as ``{"dtype", "shape"}``: ``|i1`` for Alice's
+codes and the readings, ``<i8`` for slots, ``<f8`` for intensities and
+photocurrents, ``|u1`` for clicks, modes and key bits), then the raw
+little-endian bytes of each array in header key order, each zero-padded to
+start at a multiple of 8 bytes, and a one-line JSON trailer holding
+``wall_time_s``, the one value outside the hash.  Alice's codes are her DPS
+phase bits, or her COW symbols ``0``, ``1`` and ``d`` as 0, 1 and 2.  Each
+run value is stored once: Bob's key only as the run's ``sifted_bob``, and a
+detector's photocurrent only where blinding makes it differ from its
+intensity.  The arrays are written and read as they are, with no text
+encoding; the record is the one per-slot output, and :func:`load_record`
+maps it back into per-detector arrays, aligned views of the one buffer it
+reads the file into.  The file keeps its ``.json`` name, although only its
+header and trailer are JSON, so that scripts and tools that open
+``record.json`` in a run directory still find it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Any
 
 import numpy as np
 
-from .scenario import RunRecord, _record_chunks, _record_from_bytes
+from .record import RunRecord, _record_chunks, _record_from_bytes
 
 __all__ = [
     "MetricsSummary",
@@ -113,7 +115,7 @@ def emit_outputs(record: RunRecord, directory: str | Path) -> list[Path]:
     * ``alice.key`` / ``bob.key`` (and ``eve.key`` under attack): the sifted
       keys as ASCII bit strings, one line each.
     * ``metrics.json``: the recomputed :class:`MetricsSummary`.
-    * ``record.json``: the full run record, ``dprsim-record/5``, which holds
+    * ``record.json``: the full run record, ``dprsim-record/6``, which holds
       every per-detector slot trace; :func:`load_record` reads it back.
     """
     outdir = Path(directory)
@@ -143,8 +145,9 @@ def save_record(record: RunRecord, path: str | Path) -> None:
 
 
 def load_record(path: str | Path) -> RunRecord:
-    """Read a record file; its arrays are writable views into one buffer."""
+    """Read a record file; its arrays are writable, aligned views into one
+    buffer, allocated unzeroed and filled by one read."""
     with Path(path).open("rb") as fh:
-        data = bytearray(os.fstat(fh.fileno()).st_size)
-        del data[fh.readinto(data) :]
-    return _record_from_bytes(data)
+        data = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+        size = fh.readinto(data)
+    return _record_from_bytes(data[:size])

@@ -10,13 +10,10 @@ config reproduces every byte.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import math
 import time
-import typing
 import zlib
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -35,12 +32,10 @@ from .attacks import (
     trojan_probe,
 )
 from .config import (
-    _SCALARS,
     BackflashSettings,
     BlindingSettings,
     ConfigError,
     ScenarioConfig,
-    _at,
     _inner,
     _type_hints,
     _typed,
@@ -58,8 +53,9 @@ from .optics import PulseTrain, cw_laser, phase_modulator
 from .protocols import (
     _CODE,
     ProtocolRun,
-    _Port,
     _cow_half_slots,
+    _interfaces,
+    _Port,
     cow_encode,
     cow_occupancy,
     cow_sift,
@@ -68,10 +64,10 @@ from .protocols import (
     receive,
     visibility,
 )
+from .record import RunRecord
 
 __all__ = [
     "RngFactory",
-    "RunRecord",
     "load_config",
     "run_scenario",
     "run_golden",
@@ -112,13 +108,15 @@ def derive_sweep_seed(base_seed: int, index: int) -> int:
 
 
 def _alice_material(cfg: ScenarioConfig, rngs: RngFactory) -> np.ndarray:
-    """Alice's codes (see ``ProtocolRun``): the config's pinned bits or
-    symbols, or else ``n_symbols`` draws from the ``alice-source`` stream."""
+    """Alice's int8 codes (see ``ProtocolRun``): the config's pinned bits or
+    symbols, or else ``n_symbols`` int64 draws from the ``alice-source``
+    stream, narrowed."""
     if cfg.protocol == "dps" and cfg.bits is not None:
-        return np.array(cfg.bits, dtype=np.int64)
+        return np.array(cfg.bits, dtype=np.int8)
     if cfg.protocol == "cow" and cfg.symbols is not None:
         return _CODE[np.frombuffer(cfg.symbols.encode("ascii"), dtype=np.uint8)]
-    return rngs.get("alice-source").integers(0, 2 if cfg.protocol == "dps" else 3, cfg.n_symbols, dtype=np.int64)
+    draws = rngs.get("alice-source").integers(0, 2 if cfg.protocol == "dps" else 3, cfg.n_symbols, dtype=np.int64)
+    return draws.astype(np.int8)
 
 
 def _transmit(cfg: ScenarioConfig, codes: np.ndarray) -> tuple[PulseTrain, np.ndarray]:
@@ -143,7 +141,11 @@ def _transmit(cfg: ScenarioConfig, codes: np.ndarray) -> tuple[PulseTrain, np.nd
     phase_codes[:m] = inverse[:m]
     j = distinct.size
     pairs = train.with_slots(np.repeat(train.slots, j))  # field a * j + p: Alice's field a at phase p
-    return phase_modulator(pairs, np.tile(distinct, len(train))), slot_codes * j + phase_codes
+    # In int64: Alice's codes are int8, and a tamper of many phases takes
+    # ``j`` past what int8 holds.
+    codes = np.multiply(slot_codes, j, dtype=np.int64)
+    codes += phase_codes
+    return phase_modulator(pairs, np.tile(distinct, len(train))), codes
 
 
 def _receive(
@@ -171,11 +173,12 @@ def _receive(
     )
 
 
-def _sift(cfg: ScenarioConfig, codes: np.ndarray, record: DetectionRecord) -> ProtocolRun:
-    """Bob's sifting of a record on Alice's slot grid; COW adds visibility."""
+def _sift(cfg: ScenarioConfig, codes: np.ndarray, record: DetectionRecord, interfaces: tuple | None) -> ProtocolRun:
+    """Bob's sifting of a record on Alice's slot grid; COW adds visibility
+    over the ``interfaces`` of Alice's codes (``protocols._interfaces``)."""
     if cfg.protocol == "dps":
         return dps_sift(codes, record)
-    return cow_sift(codes, record, visibility(record, codes))
+    return cow_sift(codes, record, visibility(record, codes, interfaces))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +322,7 @@ def _eve_readings(
     n_slots = codes.size + 1
     readings = cfg.attack.blinding.readings
     if readings is not None:
-        return np.array(readings, dtype=np.int64), n_slots
+        return np.array(readings, dtype=np.int8), n_slots
     record = clean
     if cfg.detector.afterpulse_prob > 0.0 or cfg.detector.dark_count_prob > 0.0:
         record = _receive(cfg, train, codes, rngs, "eve-stage1")[0]
@@ -333,12 +336,14 @@ def _run_blinding(
     cfg: ScenarioConfig,
     rngs: RngFactory,
     clean: ProtocolRun,
+    interfaces: tuple | None,
     readings: np.ndarray,
     n_slots: int,
 ) -> tuple[ProtocolRun, AttackOutcome]:
     """The faked-state plan for Eve's ``readings`` (see ``_eve_readings``) and
     its replay into Bob's blinded detectors with the photocurrent monitor
-    watching.
+    watching; ``interfaces`` are those of Alice's codes, as ``_sift`` takes
+    them.
 
     Bob sifts the blinded record as he sifts a clean one, over the
     ``n_slots`` slots of Alice's grid, which start at the plan's
@@ -376,7 +381,7 @@ def _run_blinding(
             monitor_alarm = monitor_alarm or result.alarm
 
     grid = _on_grid(record, plan.readings_slot_offset, n_slots)
-    run = replace(_sift(cfg, clean.alice_codes, grid), record=record)
+    run = replace(_sift(cfg, clean.alice_codes, grid, interfaces), record=record)
     drop = None
     if cfg.protocol == "cow":
         before, after = clean.visibility_report.overall_visibility, run.visibility_report.overall_visibility
@@ -393,261 +398,6 @@ def _run_blinding(
         bob_readings=decode(record, plan.readings_slot_offset, readings.size),
     )
     return run, outcome
-
-
-# ---------------------------------------------------------------------------
-# Record assembly and serialization
-# ---------------------------------------------------------------------------
-
-# The record format: the file's version line and its header's ``format``.
-RECORD_FORMAT = "dprsim-record/5"
-# Formats of older record files, which are no longer read.
-_RETIRED_FORMATS = ("dprsim-record/1", "dprsim-record/2", "dprsim-record/3", "dprsim-record/4")
-
-# ``X`` of an ``NDArray[X]`` hint -> stored little-endian dtype (bools as bytes, the same on every platform).
-_STORED = {np.bool_: "|u1", np.int64: "<i8", np.float64: "<f8"}
-
-
-def _field_hints(cls: type) -> dict[str, Any]:
-    hints = _type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)}
-
-
-def _scalar(hint: Any) -> Any:
-    """The ``X`` of an ``NDArray[X]`` hint; None for any other hint."""
-    return typing.get_args(typing.get_args(hint)[1])[0] if typing.get_origin(hint) is np.ndarray else None
-
-
-def _expect(node: Any, kinds: tuple[type, ...], what: str, path: str) -> None:
-    if not isinstance(node, kinds) or (isinstance(node, bool) and bool not in kinds):
-        raise ValueError(f"{path}: expected {what}, got {type(node).__name__}")
-
-
-def _tree(value: Any, hint: Any) -> Any:
-    """Plain tree of a record value, led by its type hint: dataclasses become
-    field mappings, arrays become contiguous arrays of their hint's stored
-    dtype, everything else stays as it is."""
-    if value is None:
-        return None
-    hint = _inner(hint)
-    if is_dataclass(hint):
-        return {name: _tree(getattr(value, name), t) for name, t in _field_hints(hint).items()}
-    scalar = _scalar(hint)
-    if scalar is not None:
-        arr = np.ascontiguousarray(value, dtype=scalar)
-        return arr.view(np.uint8) if scalar is np.bool_ else arr.astype(_STORED[scalar], copy=False)
-    if typing.get_origin(hint) is dict:
-        return {k: _tree(v, typing.get_args(hint)[1]) for k, v in value.items()}
-    return value
-
-
-def _untree(node: Any, hint: Any, path: str) -> Any:
-    """Inverse of ``_tree``, checking each node against its hint (an array: its
-    stored dtype, one dimension) and each dataclass against its invariants;
-    errors name the field.  Arrays are not copied: ``|u1`` is viewed as bool."""
-    inner = _inner(hint)
-    if node is None and inner is not hint:
-        return None
-    if is_dataclass(inner):
-        _expect(node, (dict,), "a mapping", path)
-        hints = _field_hints(inner)
-        missing, unknown = [name for name in hints if name not in node], sorted(node.keys() - hints.keys())
-        if missing or unknown:
-            raise ValueError(f"{'missing' if missing else 'unknown'} field {_at(path, (missing or unknown)[0])!r}")
-        values = {name: _untree(node[name], t, _at(path, name)) for name, t in hints.items()}
-        try:
-            return inner(**values)
-        except ValueError as exc:
-            raise ValueError(_at(path, str(exc))) from exc
-    scalar = _scalar(inner)
-    if scalar is not None:
-        _expect(node, (np.ndarray,), "an array", path)
-        if node.dtype.str != _STORED[scalar] or node.ndim != 1:
-            raise ValueError(f"{path}: unsupported array dtype {node.dtype.str!r} or shape {list(node.shape)}")
-        if scalar is np.bool_ and node.size and node.max() > 1:
-            raise ValueError(f"{path}: byte {node.max()} is not a boolean (0 or 1)")
-        return node.view(np.bool_) if scalar is np.bool_ else node.astype(scalar, copy=False)
-    if typing.get_origin(inner) is dict:
-        _expect(node, (dict,), "a mapping", path)
-        return {k: _untree(v, typing.get_args(inner)[1], _at(path, k)) for k, v in node.items()}
-    if inner is not Any:
-        _expect(node, _SCALARS[inner][0], inner.__name__, path)
-    return node
-
-
-def _header(node: Any, arrays: list[np.ndarray]) -> Any:
-    """Replace each array of a tree by its dtype and shape; append the arrays
-    to ``arrays`` in sorted-key order."""
-    if isinstance(node, np.ndarray):
-        arrays.append(node)
-        return {"dtype": node.dtype.str, "shape": list(node.shape)}
-    if isinstance(node, dict):
-        return {k: _header(node[k], arrays) for k in sorted(node)}
-    return node
-
-
-def _map_arrays(node: Any, data: bytearray, offset: int, path: str) -> tuple[Any, int]:
-    """Inverse of ``_header`` over a record file: each ``{"dtype", "shape"}``
-    leaf becomes a view of ``data`` from ``offset`` on, in sorted-key order;
-    returns the tree and the offset past its last array."""
-    if isinstance(node, dict) and node.keys() == {"dtype", "shape"}:
-        dtype, shape = node["dtype"], node["shape"]
-        if not isinstance(dtype, str) or dtype not in _STORED.values():
-            raise ValueError(f"{path}: unsupported array dtype {dtype!r}")
-        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
-            raise ValueError(f"{path}: expected a list of sizes as shape, got {shape!r}")
-        count = math.prod(shape)
-        end = offset + count * np.dtype(dtype).itemsize
-        if end > len(data):
-            raise ValueError(f"{path}: array bytes end at byte {end}, past the end of the file ({len(data)} bytes)")
-        return np.frombuffer(data, dtype, count, offset).reshape(shape), end
-    if isinstance(node, dict):
-        out = {}
-        for key in sorted(node):
-            out[key], offset = _map_arrays(node[key], data, offset, _at(path, key))
-        return out, offset
-    return node, offset
-
-
-def _canonical(header: dict[str, Any]) -> bytes:
-    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
-
-
-@dataclass(eq=False)
-class RunRecord:
-    """Everything one run produced: the config snapshot, Bob's records and
-    sifting outcome, the attack outcome when present, and the wall time.
-
-    Each run value is stored once.  Bob's key is ``protocol_run.sifted_bob``
-    only; a detector trace keeps a ``photocurrent`` only under blinding (the
-    stored current), since otherwise it is the ``intensity``; key bits
-    (``sifted_alice``, ``sifted_bob``, ``eve_key``) are booleans.  Alice's
-    material is ``protocol_run.alice_codes``: DPS phase bits, or COW symbol
-    codes 0, 1 and 2 for ``0``, ``1`` and ``d``.
-
-    ``to_dict`` gives the record as a plain tree in which every array is
-    little-endian (``<i8`` for Alice's codes, slots and readings, ``<f8`` for
-    intensities and photocurrents, ``|u1`` for booleans: clicks, modes and key
-    bits); ``from_dict`` checks and inverts it.  The content hash is SHA-256
-    over the canonical header (that tree with sorted keys, compact, each array
-    as ``{"dtype", "shape"}``, no wall time) followed by the raw bytes of each
-    array in header key order; the wall time, the only non-reproducible
-    field, is left out.
-
-    A record file (``dprsim-record/5``, also the header's ``format``) holds
-    exactly those hashed bytes between a version line and a trailer::
-
-        dprsim-record/5
-        <canonical header>
-        <raw array bytes, in header key order>{"wall_time_s": <seconds>}
-
-    so SHA-256 over the file minus its version line, the header's newline and
-    the trailer is ``content_hash()``.  Run directories still call it
-    ``record.json``, although only its header and trailer are JSON, so that
-    tools that open a run's record by that name keep working.
-    """
-
-    config: dict[str, Any]
-    protocol_run: ProtocolRun
-    attack: AttackOutcome | None
-    wall_time_s: float
-
-    def to_dict(self) -> dict[str, Any]:
-        """The plain tree; its arrays share memory with the record's where
-        the stored dtype is the in-memory one."""
-        tree = _tree(self, RunRecord)
-        tree["format"] = RECORD_FORMAT
-        return tree
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "RunRecord":
-        """The record of a plain tree, checked field by field; it keeps the
-        tree's arrays where no conversion is needed."""
-        fmt = d.get("format") if isinstance(d, dict) else None
-        if fmt != RECORD_FORMAT:
-            raise ValueError(f"unsupported record format {fmt!r}")
-        return _untree({k: v for k, v in d.items() if k != "format"}, cls, "")
-
-    def _hashed(self) -> tuple[bytes, list[np.ndarray]]:
-        """The canonical header and the arrays hashed after it."""
-        tree = self.to_dict()
-        del tree["wall_time_s"]
-        arrays: list[np.ndarray] = []
-        return _canonical(_header(tree, arrays)), arrays
-
-    def canonical_json(self) -> str:
-        return self._hashed()[0].decode("ascii")
-
-    def content_hash(self) -> str:
-        header, arrays = self._hashed()
-        digest = hashlib.sha256(header)
-        for arr in arrays:
-            digest.update(arr)
-        return digest.hexdigest()
-
-    @property
-    def any_alarm(self) -> bool:
-        return self.attack is not None and self.attack.any_alarm
-
-
-def _record_chunks(record: RunRecord) -> list[Any]:
-    """The byte strings of a record file, in order (see ``RunRecord``)."""
-    header, arrays = record._hashed()
-    trailer = json.dumps({"wall_time_s": record.wall_time_s}) + "\n"
-    return [f"{RECORD_FORMAT}\n".encode("ascii"), header, b"\n", *arrays, trailer.encode("ascii")]
-
-
-def _version_error(data: bytearray, end: int) -> str:
-    version = bytes(data[:end]).decode("ascii", "replace") if end >= 0 else None
-    fmt = version
-    if data[:1] == b"{":  # /1 and /2 record files are one JSON document
-        try:
-            fmt = json.loads(data).get("format")
-        except (ValueError, AttributeError):
-            fmt = None
-    if fmt in _RETIRED_FORMATS:
-        return f"a {fmt} file, which is no longer read; regenerate it by re-running its scenario"
-    if version is None:
-        return f"missing version line {RECORD_FORMAT!r}"
-    return f"unsupported record version {version!r}"
-
-
-def _record_from_bytes(data: bytearray) -> RunRecord:
-    """Decode a record file; its arrays are writable views into ``data``."""
-    version_end = data.find(b"\n", 0, 64)
-    if version_end < 0 or data[:version_end] != RECORD_FORMAT.encode("ascii"):
-        raise ValueError(_version_error(data, version_end))
-    header_end = data.find(b"\n", version_end + 1)
-    if header_end < 0:
-        raise ValueError("missing header line")
-    try:
-        header = json.loads(data[version_end + 1 : header_end])
-    except ValueError as exc:
-        raise ValueError(f"header is not JSON: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != RECORD_FORMAT:
-        raise ValueError(f"the header must be a JSON object of format {RECORD_FORMAT!r}")
-    # The header is hashed as stored, so it must be the canonical text.
-    if _canonical(header) != data[version_end + 1 : header_end] or "wall_time_s" in header:
-        raise ValueError("the header is not canonical (sorted keys, compact JSON, no wall_time_s)")
-    start = header_end + 1
-    tree, end = _map_arrays(header, data, start, "")
-
-    line, newline, extra = bytes(data[end:]).partition(b"\n")
-    try:
-        trailer = json.loads(line)
-    except ValueError:
-        trailer = None
-    if not (newline and not extra and isinstance(trailer, dict) and trailer.keys() == {"wall_time_s"}):
-        found = data.find(b'{"wall_time_s"', start)
-        if found >= 0 and found != end:
-            raise ValueError(f"array bytes: the header's shapes take {end - start}, the file holds {found - start}")
-        if not line and not newline:
-            raise ValueError("missing trailer")
-        if newline and extra:
-            raise ValueError(f"{len(extra)} extra bytes after the trailer")
-        raise ValueError(f"malformed trailer {line[:80]!r}; expected {{\"wall_time_s\": <seconds>}}")
-    tree["wall_time_s"] = trailer["wall_time_s"]
-    return RunRecord.from_dict(tree)
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +456,8 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunRecord:
     codes = _alice_material(cfg, rngs)
     train, slot_codes = _transmit(cfg, codes)
     record, ports = _receive(cfg, train, slot_codes, rngs, "bob")
-    run = _sift(cfg, codes, record)
+    interfaces = _interfaces(codes) if cfg.protocol == "cow" else None
+    run = _sift(cfg, codes, record, interfaces)
 
     kind = cfg.attack.kind
     # Drop what no later stage reads: Alice's train serves only Eve's
@@ -724,7 +475,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunRecord:
     elif kind == "blinding":
         # Bob's blinded receive is where a run peaks; the clean record is not read again.
         run = replace(run, record=DetectionRecord({}))
-        run, outcome = _run_blinding(cfg, rngs, run, *stage1)
+        run, outcome = _run_blinding(cfg, rngs, run, interfaces, *stage1)
     elif kind != "none":  # pragma: no cover - config validation rejects this
         raise ConfigError(f"attack.kind: unknown kind {kind!r}")
 

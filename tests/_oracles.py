@@ -6,7 +6,9 @@ composition slot by slot, so the simulator and the oracle can only agree if
 both are right.  ``record_v1_hash`` keeps the retired list-based record
 serializer, so that record values can still be compared with hashes pinned
 before the array codec; it reads Bob's key and an unblinded detector's
-photocurrent from where the record now keeps them.  The ``*_loop`` functions keep the per-slot and
+photocurrent from where the record now keeps them.  ``split_record_file``
+and ``join_record_file`` read and write the layout of a record file, its
+padded arrays included, independently of the package's codec.  The ``*_loop`` functions keep the per-slot and
 per-symbol Python loops that whole-array code replaced, so the replacements
 can be compared with them on random inputs.  The ``*_chain`` functions keep
 Alice's transmitters as they ran over every slot of the train, before the
@@ -163,6 +165,59 @@ def record_v1_hash(record) -> str:
 
 
 # ---------------------------------------------------------------------------
+# The dprsim-record/6 file layout, read and written without the package's codec
+# ---------------------------------------------------------------------------
+
+
+def array_leaves(node, path=()):
+    """Paths and nodes of the ``{"dtype", "shape"}`` leaves of a record header, in file order."""
+    if isinstance(node, dict) and node.keys() == {"dtype", "shape"}:
+        yield path, node
+    elif isinstance(node, dict):
+        for key in sorted(node):
+            yield from array_leaves(node[key], (*path, key))
+
+
+def _array_bytes(leaf) -> int:
+    try:
+        itemsize = np.dtype(leaf["dtype"]).itemsize
+    except TypeError:
+        return 0  # not a dtype: the loader rejects the leaf before it reads a byte
+    return itemsize * math.prod(leaf["shape"])
+
+
+def split_record_file(data: bytes):
+    """A record file's version line, its header tree, the file offset of each
+    array by header path, the arrays' unpadded bytes and what follows the
+    last array (the trailer): each array starts at the first multiple of 8
+    bytes from the file's start at or past the end of the one before it."""
+    version, header, _ = data.split(b"\n", 2)
+    tree = json.loads(header)
+    at = len(version) + len(header) + 2
+    offsets, raw = {}, []
+    for path, leaf in array_leaves(tree):
+        at += -at % 8
+        offsets[path] = at
+        raw.append(data[at : at + _array_bytes(leaf)])
+        at += _array_bytes(leaf)
+    return version, tree, offsets, b"".join(raw), data[at:]
+
+
+def join_record_file(version: bytes, tree: dict, raw: bytes, trailer: bytes) -> bytes:
+    """The record file of a version line, a header tree (written canonical),
+    the arrays' unpadded bytes, each array zero-padded to start at a multiple
+    of 8 bytes, and a trailer; raw bytes past the header's shapes go before
+    the trailer."""
+    out = bytearray(version + b"\n" + json.dumps(tree, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+    at = 0
+    for _, leaf in array_leaves(tree):
+        out += bytes(-len(out) % 8)
+        out += raw[at : at + _array_bytes(leaf)]
+        at += _array_bytes(leaf)
+    return bytes(out + raw[at:] + trailer)
+
+
+# ---------------------------------------------------------------------------
 # Retired per-slot loops.  Each body is the loop as it stood in the package;
 # record arguments are replaced by their click arrays, and key bits come out
 # as booleans, the dtype the package keeps them in.
@@ -176,7 +231,7 @@ COW_PHASE_STEP = {0: 1, 1: 2, 2: 0, 3: 1}
 
 
 def cow_occupancy_loop(sym: str) -> np.ndarray:
-    occ = np.empty(2 * len(sym), dtype=np.int64)
+    occ = np.empty(2 * len(sym), dtype=np.int8)
     for i, s in enumerate(sym):
         occ[2 * i], occ[2 * i + 1] = _OCCUPANCY[s]
     return occ

@@ -15,8 +15,11 @@ from hypothesis import strategies as st
 from dprsim import cli, report
 from dprsim.cli import main
 from dprsim.config import ScenarioConfig, _inner, scenario_from_dict
+from dprsim.record import RECORD_FORMAT, RunRecord
 from dprsim.report import MetricsSummary, emit_outputs, load_record, save_record, summarize
-from dprsim.scenario import RECORD_FORMAT, RunRecord, load_config, run_golden, run_scenario
+from dprsim.scenario import load_config, run_golden, run_scenario
+
+from _oracles import array_leaves, join_record_file, split_record_file
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +273,12 @@ def test_cli_report_recomputes_stored_metrics(tmp_path, capsys):
 
 
 def _edit_header(change):
+    # The same array bytes under the changed header, framed as the writer
+    # frames them: each array padded to start at a multiple of 8 bytes.
     def edit(data: bytes) -> bytes:
-        version, header, rest = data.split(b"\n", 2)
-        tree = json.loads(header)
+        version, tree, _, raw, trailer = split_record_file(data)
         change(tree)
-        return b"\n".join([version, json.dumps(tree, sort_keys=True, separators=(",", ":")).encode(), rest])
+        return join_record_file(version, tree, raw, trailer)
 
     return edit
 
@@ -283,17 +287,14 @@ def _edit_trailer(trailer: bytes):
     return lambda data: data[: data.rindex(b'{"wall_time_s"')] + trailer
 
 
-def _arrays_start(data: bytes) -> int:
-    """Offset of the first array byte, past the version and header lines."""
-    return data.index(b"\n", data.index(b"\n") + 1) + 1
+def _array_start(data: bytes, path: tuple[str, ...]) -> int:
+    """File offset of the first byte of the array at header ``path``."""
+    return split_record_file(data)[2][path]
 
 
 def _clicks_start(data: bytes) -> int:
-    """Offset of D_B's first click byte (|u1) in a clean COW record: past
-    Alice's codes, the one array stored before it."""
-    codes = json.loads(data.split(b"\n", 2)[1])["protocol_run"]["alice_codes"]
-    assert codes["dtype"] == "<i8"
-    return _arrays_start(data) + 8 * codes["shape"][0]
+    """Offset of D_B's first click byte (|u1) in a COW record."""
+    return _array_start(data, (*_D_B, "clicks"))
 
 
 def _first_click_byte(value: int):
@@ -305,8 +306,30 @@ def _first_click_byte(value: int):
 
 
 def _drop_array_bytes(data: bytes) -> bytes:
-    at = _arrays_start(data)
-    return data[:at] + data[at + 3 :]
+    version, tree, _, raw, trailer = split_record_file(data)
+    return join_record_file(version, tree, raw[3:], trailer)
+
+
+# In a clean 8-symbol COW record D_M1's 17 clicks (|u1) end 7 bytes short of
+# a multiple of 8, so 7 bytes of padding come before its intensity (<f8),
+# whose first value, 0.025, has no zero byte.
+_D_M1 = ("protocol_run", "record", "detectors", "D_M1")
+
+
+def _set_padding_byte(data: bytes) -> bytes:
+    at = _array_start(data, (*_D_M1, "intensity")) - 1
+    assert data[at] == 0
+    return data[:at] + b"\x01" + data[at + 1 :]
+
+
+def _drop_padding(data: bytes) -> bytes:
+    # The intensity written at its unpadded offset, right after the clicks,
+    # and the padding after it, so that every later array keeps its place.
+    clicks_end = _array_start(data, (*_D_M1, "clicks")) + 17
+    at = _array_start(data, (*_D_M1, "intensity"))
+    assert at - clicks_end == 7 and data[clicks_end:at] == bytes(7)
+    end = at + 8 * 17
+    return data[:clicks_end] + data[at:end] + bytes(7) + data[end:]
 
 
 def _set_clicks_dtype(dtype):
@@ -334,6 +357,7 @@ def _move_elements(source: tuple[str, ...], target: tuple[str, ...], count: int)
             leaf["shape"] = [leaf["shape"][0] + step]
 
     return _edit_header(change)
+
 
 
 _D_B = ("protocol_run", "record", "detectors", "D_B")
@@ -365,6 +389,10 @@ BAD_RECORDS = {
         lambda d: b"dprsim-record/4" + d[d.index(b"\n") :],
         "dprsim-record/4 file, which is no longer read",
     ),
+    "format-5": (
+        lambda d: b"dprsim-record/5" + d[d.index(b"\n") :],
+        "dprsim-record/5 file, which is no longer read",
+    ),
     "invalid-json": (lambda d: RECORD_FORMAT.encode() + b"\n{not json\n", "header is not JSON"),
     "not-canonical": (lambda d: d.replace(b'{"attack":null,', b'{"attack": null,', 1), "header is not canonical"),
     "unknown-field": (_edit_header(lambda t: t["protocol_run"].update(qbr=0.0)), "unknown field 'protocol_run.qbr'"),
@@ -385,6 +413,9 @@ BAD_RECORDS = {
     "bad-trailer": (_edit_trailer(b'{"wall_time_s": }\n'), "malformed trailer"),
     "extra-trailer": (lambda d: d + b'{"wall_time_s": 2.0}\n', "extra bytes after the trailer"),
     "trailer-type": (_edit_trailer(b'{"wall_time_s": "soon"}\n'), "wall_time_s: expected float, got str"),
+    "trailer-key": (_edit_trailer(b'{"cpu_s": 0.25, "wall_time_s": 0.5}\n'), "unknown trailer field 'cpu_s'"),
+    "padding": (_set_padding_byte, "protocol_run.record.detectors.D_M1.intensity: nonzero padding"),
+    "unpadded-offset": (_drop_padding, "protocol_run.record.detectors.D_M1.intensity: nonzero padding"),
     "bool-byte": (_first_click_byte(2), "protocol_run.record.detectors.D_B.clicks: byte 2 is not a boolean"),
     "trace-lengths": (
         _move_elements((*_D_B, "linear_mode"), ("protocol_run", "record", "detectors", "D_M1", "clicks"), 6),
@@ -398,8 +429,8 @@ BAD_RECORDS = {
         _edit_header(lambda t: t["protocol_run"]["record"]["detectors"]["D_B"]["intensity"].update(shape=[2, 8])),
         "protocol_run.record.detectors.D_B.intensity: unsupported array dtype '<f8' or shape [2, 8]",
     ),
-    # Readings are int64 only, although float64 is a stored dtype elsewhere.
-    "readings-dtype": (_set_readings_dtype("<f8"), "attack.eve_readings: unsupported array dtype '<f8'"),
+    # Readings are int8 only, although unsigned bytes are a stored dtype elsewhere.
+    "readings-dtype": (_set_readings_dtype("|u1"), "attack.eve_readings: unsupported array dtype '|u1'"),
 }
 ON_ATTACKED_RECORD = {"readings-dtype"}
 
@@ -459,15 +490,6 @@ def test_loading_rejects_a_sifted_slot_outside_alices_grid():
         RunRecord.from_dict(tree)
 
 
-def _leaves(node, path=()):
-    """Paths of the ``{"dtype", "shape"}`` leaves of a record header, in file order."""
-    if isinstance(node, dict) and node.keys() == {"dtype", "shape"}:
-        yield path
-    elif isinstance(node, dict):
-        for key in sorted(node):
-            yield from _leaves(node[key], (*path, key))
-
-
 def _field_paths(node, path=""):
     if isinstance(node, dict):
         for key, value in node.items():
@@ -479,20 +501,15 @@ def _field_paths(node, path=""):
 @st.composite
 def _byte_preserving_rewrites(draw, header: dict):
     """New dtypes and shapes for one to three header leaves that together
-    keep the bytes they had, so the file still frames; returns the edited
-    header."""
-    leaves = list(_leaves(header))
-    chosen = draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=3, unique=True))
-    nodes = []
-    for path in chosen:
-        node = header
-        for key in path:
-            node = node[key]
-        nodes.append(node)
+    keep the bytes they had, so the file, padded again, still frames;
+    returns the edited header."""
+    leaves = dict(array_leaves(header))
+    chosen = draw(st.lists(st.sampled_from(list(leaves)), min_size=1, max_size=3, unique=True))
+    nodes = [leaves[path] for path in chosen]
     budget = sum(np.dtype(n["dtype"]).itemsize * math.prod(n["shape"]) for n in nodes)
     for i, node in enumerate(nodes):
         last = i == len(nodes) - 1
-        dtypes = [d for d in ("|u1", "<i8", "<f8") if not last or budget % np.dtype(d).itemsize == 0]
+        dtypes = [d for d in ("|u1", "|i1", "<i8", "<f8") if not last or budget % np.dtype(d).itemsize == 0]
         dtype = draw(st.sampled_from(dtypes))
         size = np.dtype(dtype).itemsize
         count = budget // size if last else draw(st.integers(0, budget // size))
@@ -516,10 +533,10 @@ def test_rewritten_header_leaves_report_or_name_a_field(tmp_path_factory, blinde
     # A header that claims other dtypes or shapes for the same array bytes
     # either loads as a record that summarize can read, or fails to load
     # with a ValueError naming a field; never a runtime error (exit 2).
-    version, header, rest = blinded_record_file.split(b"\n", 2)
-    tree = data.draw(_byte_preserving_rewrites(json.loads(header)))
+    version, header, _, raw, trailer = split_record_file(blinded_record_file)
+    tree = data.draw(_byte_preserving_rewrites(header))
     path = tmp_path_factory.mktemp("rewritten") / "record.json"
-    path.write_bytes(b"\n".join([version, json.dumps(tree, sort_keys=True, separators=(",", ":")).encode(), rest]))
+    path.write_bytes(join_record_file(version, tree, raw, trailer))
     try:
         record = load_record(path)
     except ValueError as exc:

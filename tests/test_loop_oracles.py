@@ -166,7 +166,7 @@ def test_decode_dps_readings_match_loop(c1, c2, data):
     n = data.draw(st.integers(0, n_slots + 3))
     got = decode_dps_readings(_record(n_slots, D1=d1, D2=d2), offset, n)
     assert got.tolist() == oracle.decode_dps_readings_loop(d1, d2, offset, n)
-    assert got.dtype == np.int64
+    assert got.dtype == np.int8
 
 
 @given(st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=1, max_size=30), st.data())
@@ -177,7 +177,7 @@ def test_decode_cow_readings_match_loop(rows, data):
     n = data.draw(st.integers(0, d_b.size + 3))
     got = decode_cow_readings(_record(d_b.size, D_B=d_b, D_M1=m1, D_M2=m2), offset, n)
     assert got.tolist() == oracle.decode_cow_readings_loop(d_b, m1, m2, offset, n)
-    assert got.dtype == np.int64
+    assert got.dtype == np.int8
 
 
 @given(st.lists(st.integers(-2, 5), min_size=0, max_size=30), st.sampled_from([(0, 1, 2), (0, 1, 2, 3)]))
@@ -194,21 +194,23 @@ def test_check_readings_matches_loop_and_names_the_first_bad_index(readings, all
 
 
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=60))
+@example([2] * 100 + [1, 0] * 50)  # a running sum of steps past what int8 holds
 @settings(max_examples=200)
 def test_canonical_dps_phases_match_loop(readings):
     plan = fsg_dps_phases(readings)
-    _same(plan.phase_units, np.array(oracle.fsg_dps_canonical_phases_loop(readings), dtype=np.int64))
-    _same(plan.readings, np.array(readings, dtype=np.int64))
+    _same(plan.phase_units, np.array(oracle.fsg_dps_canonical_phases_loop(readings), dtype=np.int8))
+    _same(plan.readings, np.array(readings, dtype=np.int8))
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=60), st.sampled_from([0.3, 0.5, 0.7]))
+@example([1] * 100 + [3, 0] * 50, 0.5)  # a running sum of steps past what int8 holds
 @settings(max_examples=200)
 def test_cow_drive_matches_loop(readings, t_b):
     th = DetectorSettings()
     plan = fsg_cow_drive(readings, t_b, th)
     phases, levels = oracle.fsg_cow_drive_loop(readings, th.p_always_m / (1.0 - t_b), th.p_always_b / t_b)
-    _same(plan.phase_units, np.array(phases, dtype=np.int64))
-    _same(plan.readings, np.array(readings, dtype=np.int64))
+    _same(plan.phase_units, np.array(phases, dtype=np.int8))
+    _same(plan.readings, np.array(readings, dtype=np.int8))
     _same(plan.levels[plan.level_codes], levels)
 
 
@@ -268,12 +270,12 @@ def test_capture_fraction_matches_loop(bob, eve):
 @given(st.integers(0, 2**32), st.integers(2, 300))
 @settings(max_examples=100)
 def test_alice_symbols_match_loop(seed, n):
-    # Drawn symbols are their alice-source values, and pinning the same
-    # symbols as a string gives the same codes.
+    # Drawn symbols are their alice-source values, narrowed to int8, and
+    # pinning the same symbols as a string gives the same codes.
     cfg = scenario_from_dict({"protocol": "cow", "n_symbols": n, "seed": seed})
     got = _alice_material(cfg, RngFactory(seed))
     idx = RngFactory(seed).get("alice-source").integers(0, 3, n)
-    _same(got, idx)
+    _same(got, idx.astype(np.int8))
     pinned = scenario_from_dict({"protocol": "cow", "symbols": oracle.alice_symbols_loop(idx), "seed": seed})
     _same(_alice_material(pinned, RngFactory(seed)), got)
 
@@ -596,8 +598,9 @@ def test_coded_receive_matches_dense_receive(protocol, alice, amplitude, t_b, de
     """The receive of Alice's coded train after the channel, its phase tamper
     included, equals the receive of that train with one field per slot bit
     for bit (``_same_receive``), and so does the backflash field at the
-    clicked slots (``ideal`` None: no backflash)."""
-    alice = np.array(alice) % (2 if protocol == "dps" else 3)
+    clicked slots (``ideal`` None: no backflash).  Alice's codes are int8, as
+    the pipeline draws them."""
+    alice = (np.array(alice) % (2 if protocol == "dps" else 3)).astype(np.int8)
     n_slots = alice.size * (1 if protocol == "dps" else 2)
     pattern = tamper_pattern(tamper, n_slots, seed)
     doc = {"protocol": protocol, "amplitude": amplitude, "t_b": t_b}

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -24,7 +25,7 @@ from dprsim.scenario import (
     sweep,
 )
 
-from _oracles import record_v1_hash
+from _oracles import join_record_file, record_v1_hash, split_record_file
 
 SMALL_DPS = {"protocol": "dps", "n_symbols": 16, "seed": 5}
 
@@ -46,22 +47,22 @@ GOLDEN_HASHES = {
     "cow-blinding-cw": "9b67e16425016b708dfd23ba0c020c8d6f05b1c65534aecdc6a24a6a177747ad",
 }
 
-# Record content hashes of the pinned scenarios (dprsim-record/5: canonical
+# Record content hashes of the pinned scenarios (dprsim-record/6: canonical
 # header plus raw little-endian array bytes, each run value stored once).
 GOLDEN_RECORD_HASHES = {
-    "dps-ideal": "42ef290c29e4422bd14a520df610d83c4c62a9c0bb387552e5770ea6a524d3b8",
-    "cow-fig2": "1c419579a0ea0d1996e2f0e269ec99769e6043efd1c3a298e21699e97cac90e9",
-    "cow-fig4-tamper": "e1d8abefda20af1f56feb9c2da825e4f8c862564a9615257792584d5dda8a5cd",
-    "dps-backflash-ideal": "44fb2ca9360c916d28485b6621efaace01778b14518a2e38dc64b418c9fd5d74",
-    "cow-backflash-ideal": "497f5f9b78cba0df6e17ffbdc1dba62bcfa8c85c29a416f831758e70d5cfcbfb",
-    "dps-backflash-stat": "9c2c3bc726fdaaea268bf6ef8e739312a212a7a3b88d5abee3fb4a7f16afdf51",
-    "dps-trojan": "1f4eb8b52095ba01df08e122a97fc47e7abe19b35103ecac15f8de0b07f08c12",
-    "dps-trojan-watchdog": "b7e0d43ab92d040fdac4182188a59f48efc7b39f20de6d64959a3f80dde7215f",
-    "cow-trojan": "08726c333e16149081918d92263121d99deb0ae2e366ad6143e1c59a616313c4",
-    "dps-blinding": "a93e3fb855224b5e93e82675a8cf14cfc25680f6792ed592a49d51a387c7c640",
-    "dps-blinding-derived": "d3273a3dd0c18b058765af864137924038d3ddc3db0ce8de45d657bf607327ac",
-    "cow-blinding": "6fd3f0db0b1c51e9f40688e49aaa3b87f9e4b82373c6d6e216818e93312ce38a",
-    "cow-blinding-cw": "02f0f8601aec1fcb5f2888d0fcbadce9720b976d2843213f07e16de0a14990c8",
+    "dps-ideal": "4a929409b4d0a3229eda10fbe2828a4c2b15eabd51186b3790e44dced4448919",
+    "cow-fig2": "dd75fa5507b075d82a5bde76c9609e1415937ebc72f7841dc00106169d07b691",
+    "cow-fig4-tamper": "068afa07688be4fef37c2eb0e334e7eb117f0277bcb59476a5e1e7009a7b682e",
+    "dps-backflash-ideal": "903132e2725d9a637fbba08ce0da8d0d3d3a4e4dedf1f289a5cc3bb8a4d2ce3c",
+    "cow-backflash-ideal": "e25f8876ffcf462f50219dc57c6c63d87f7cdd944e8aa651019a5256aa666404",
+    "dps-backflash-stat": "0909f07cd8a83a0a6559077c21d5f492e64d191e97b0b10868f0e4b7bd737860",
+    "dps-trojan": "b03c001c833c12296ef1f865018e5b1dd3ccb6c3097d1b11b7b4eb07534cb5d1",
+    "dps-trojan-watchdog": "ddbbbd0331023565e5c4d31e64534b813fbc8d2f2052c3ac5ab5c0fb05fe4f06",
+    "cow-trojan": "d2589f7de1123176682313eb9bca92082b917698a6aeaae6a6b281cd3a3f0c97",
+    "dps-blinding": "977d4d134f4043ca6018e5bc2b8841759f6672ea395e522c33b8fdd417a35e52",
+    "dps-blinding-derived": "e763c923073ee8edb628f7aca7db236b7a275de0bd26f277cb8a23ed937691d1",
+    "cow-blinding": "4a7268a8ead040f9f4a01a5a0cb542719ff9c0542822b705290b27e38def1632",
+    "cow-blinding-cw": "9e46a32379cab5e37f060048e29126b7fbcf64bc41595e80fc19d5107faf06ff",
 }
 
 # The same records hashed by the retired dprsim-record/1 serializer
@@ -132,18 +133,18 @@ NOISY_RUNS = {
         "attack": {"kind": "blinding", "blinding": {"illumination_level": 5.0}},
     },
 }
-# Record content hashes of the noisy runs (dprsim-record/5).
+# Record content hashes of the noisy runs (dprsim-record/6).
 NOISY_RUN_HASHES = {
-    "dps-clean": "18d2edc7279910307fea198b9b4685342860e80056527619329d4d10e2c0e300",
-    "cow-clean": "e619da1b614e348f7279aba547e7d8c3884bed88add3efba943afc79ddad73b4",
-    "dps-blinding": "30110442598a5ed513dc15e2bf03bb4859116d4435e60c5e6d8f8e51ee68090c",
-    "cow-blinding": "2464186c485e44956f1e425c407b63df8f0010fbd47ece951f57c75030f3920e",
-    "dps-backflash": "927f811f98cc7eee45a4d3102e68af47ecd51a08fcd20f048fc527a2ec22bfa3",
-    "cow-backflash": "e45b16067e4b33ea92e9fbc9a7d107b3351e36c0ea9d231cd67abe4d1cb84f93",
-    "dps-trojan": "1010359094309cb40fa676da86dad134e65e104f575333d237338a9648a713ba",
-    "cow-trojan": "275209d1ef66475c12d3733a0d21d5bcd2da61ecc65aa9530a8ed671391be9f2",
-    "dps-blinding-between-rails": "b106412ea386c624345743c724446a7d513dce25e28bd6d1e1480ceeab751710",
-    "cow-blinding-weak-light": "47946dadda29bb471a55af333d7471b8e4e13bc4e2ddf7f6b0648b5f89de7a98",
+    "dps-clean": "67e51d17b7aea80941802e865a5336481e9ad50abd681a03f4fa3f2a5c30e597",
+    "cow-clean": "0cbb4aca31d7cad93727d1a820ef049f445b385ff12b705cb87a3ab1d2872492",
+    "dps-blinding": "296731e9e9acea0c8b84ddf2ff9af57fd1e9ff5760bc99c16d93e4030a6db320",
+    "cow-blinding": "934536bac2bc99efcf672adfc8759eb54a61a4eb2111ee45f5b2c558eb3fbeac",
+    "dps-backflash": "e78d656400e6a2d86da69f214cb936e27bbd5daac6ef788ded55791fb711c0a0",
+    "cow-backflash": "a9dea99be0b1fac8c4cb8fa8784b99e250d99b122f966a13706dcd2cc6623480",
+    "dps-trojan": "8b3a8fba890e7c3342acff385aa32da54208c8ed4877073fb9f33de5ad2cd133",
+    "cow-trojan": "eed3578688f4a1a1b26c752113a4a8a7adea65b9c913bb77f4866c4fd9cb9b65",
+    "dps-blinding-between-rails": "33684f9c3a8dd0118ca8a2f5c262fe56d2b4821f106cd126d618b25c04846554",
+    "cow-blinding-weak-light": "068847f8445cc369de178f70ee861a6695be3626f541e7099b34d2b9123c2128",
 }
 
 # The same runs hashed by ``record_v1_hash``, taken before dprsim-record/4:
@@ -263,10 +264,11 @@ def _round_trips(record, tmp_path):
 
 
 def _hashed_span(data: bytes) -> bytes:
-    """A record file minus its version line, its header's newline and its trailer."""
-    version, header, rest = data.split(b"\n", 2)
-    assert version == b"dprsim-record/5"
-    return header + rest[: rest.rindex(b'{"wall_time_s"')]
+    """A record file minus its version line, its header's newline, its
+    padding and its trailer."""
+    version, header, _, raw, _ = split_record_file(data)
+    assert version == b"dprsim-record/6"
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + raw
 
 
 def test_record_round_trips_through_plain_data(tmp_path):
@@ -310,12 +312,16 @@ def test_content_hash_is_header_plus_raw_array_bytes(tmp_path):
     for data in arrays:
         digest.update(data)
     assert digest.hexdigest() == record.content_hash()
-    # The file holds exactly these bytes between its version line and trailer.
+    # The file holds exactly these bytes between its version line and
+    # trailer, each array zero-padded to start at a multiple of 8 bytes.
     path = tmp_path / "record.json"
     save_record(record, path)
     trailer = json.dumps({"wall_time_s": record.wall_time_s}).encode() + b"\n"
-    assert path.read_bytes() == b"dprsim-record/5\n" + canonical.encode() + b"\n" + b"".join(arrays) + trailer
-    assert json.loads(canonical)["format"] == "dprsim-record/5"
+    data = path.read_bytes()
+    assert data == join_record_file(b"dprsim-record/6", json.loads(canonical), b"".join(arrays), trailer)
+    assert data.startswith(b"dprsim-record/6\n" + canonical.encode() + b"\n")
+    assert all(offset % 8 == 0 for offset in split_record_file(data)[2].values())
+    assert json.loads(canonical)["format"] == "dprsim-record/6"
 
 
 def test_saved_record_is_compact_and_reloads_the_in_memory_types(tmp_path):
@@ -332,9 +338,11 @@ def test_saved_record_is_compact_and_reloads_the_in_memory_types(tmp_path):
             return sum(nbytes(v) for v in node.values())
         return node.nbytes if isinstance(node, np.ndarray) else 0
 
-    # Version line, header line, raw arrays and trailer, with nothing between.
+    # Version line, header line, raw arrays and trailer, with nothing between
+    # but under 8 bytes of padding before each array.
     header = record.canonical_json().encode()
-    assert len(data) == len(b"dprsim-record/5\n") + len(header) + 1 + nbytes(record.to_dict()) + len(trailer)
+    unpadded = len(b"dprsim-record/6\n") + len(header) + 1 + nbytes(record.to_dict()) + len(trailer)
+    assert unpadded <= len(data) < unpadded + 8 * len(record._hashed()[1])
     clone = load_record(path)
     assert clone.wall_time_s == 1.25
     assert clone.content_hash() == record.content_hash()
@@ -347,12 +355,12 @@ def test_saved_record_is_compact_and_reloads_the_in_memory_types(tmp_path):
     run = clone.protocol_run
     assert run.sifted_alice.dtype == run.sifted_bob.dtype == clone.attack.eve_key.dtype == np.bool_
     assert run.sifted_slots.dtype == np.int64
-    # Alice's COW symbols are int64 codes: 0, 1 and 2 for "0", "1" and "d".
-    assert run.alice_codes.dtype == np.int64 and set(run.alice_codes.tolist()) == {0, 1, 2}
+    # Alice's COW symbols are int8 codes: 0, 1 and 2 for "0", "1" and "d".
+    assert run.alice_codes.dtype == np.int8 and set(run.alice_codes.tolist()) == {0, 1, 2}
     np.testing.assert_array_equal(run.alice_codes, record.protocol_run.alice_codes)
     assert "bob_key" not in record.to_dict()["attack"] and not hasattr(clone.attack, "bob_key")
     np.testing.assert_array_equal(clone.attack.eve_readings, record.attack.eve_readings)
-    assert clone.attack.eve_readings.dtype == clone.attack.bob_readings.dtype == np.int64
+    assert clone.attack.eve_readings.dtype == clone.attack.bob_readings.dtype == np.int8
     # A detector that was not blinded stores no photocurrent: it is its intensity.
     clean = run_golden("cow-fig2")
     save_record(clean, path)
@@ -373,11 +381,49 @@ def test_loaded_arrays_are_writable_and_keep_their_dtypes(tmp_path):
         arrays.update({f"{name}.clicks": trace.clicks, f"{name}.photocurrent": trace.photocurrent})
     for name, arr in arrays.items():
         assert arr.flags.writeable, name
-        want = np.float64 if name.endswith(".photocurrent") else np.int64 if name == "alice_codes" else np.bool_
+        want = np.float64 if name.endswith(".photocurrent") else np.int8 if name == "alice_codes" else np.bool_
         assert arr.dtype == want, name
     run.record[run.record.names[0]].clicks[0] ^= True
     run.sifted_bob[:] = False
     assert clone.content_hash() != record.content_hash()
+
+
+def _arrays(value):
+    """The arrays of a record, or of its plain tree, in field order."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name))
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _arrays(v)
+
+
+@pytest.mark.parametrize("seed", [3, 14, 159, 2653, 58979, 323846, 2643383, 27950288, 419716939])
+def test_loaded_arrays_are_aligned_whatever_the_header_length(tmp_path, seed):
+    # The seed is in the header, so its digit count shifts every array's
+    # offset; the nine seeds give headers of nine lengths.
+    cfg = {"protocol": "cow", "n_symbols": 40, "seed": seed, "t_b": 0.5, "attack": {"kind": "blinding"}}
+    record = run_scenario(scenario_from_dict(cfg))
+    path = tmp_path / "record.json"
+    save_record(record, path)
+    clone = load_record(path)
+    arrays = list(_arrays(clone))
+    assert len(arrays) == len(record._hashed()[1])
+    for arr in arrays:
+        assert arr.flags.aligned and arr.flags.writeable
+    assert clone.content_hash() == record.content_hash()
+
+
+def test_to_dict_shares_memory_with_every_record_array(golden_records, tmp_path):
+    # The stored dtype of every array is the one the pipeline keeps it in, so
+    # the plain tree, and with it the hash and the file, copies no array.
+    for name, record in golden_records.items():
+        save_record(record, tmp_path / "record.json")
+        for rec in (record, load_record(tmp_path / "record.json")):
+            pairs = list(zip(_arrays(rec), _arrays(rec.to_dict()), strict=True))
+            assert pairs and all(np.shares_memory(a, b) for a, b in pairs), name
 
 
 def test_saves_differ_only_in_the_trailer(tmp_path):
@@ -545,8 +591,8 @@ def test_run_scenario_no_attack_has_no_outcome():
 
 
 # Peak traced memory of ``run_scenario`` over its record's array bytes, at 2e4
-# symbols; measured 1.49 and 1.77 (the COW blinding 2.52 while Eve's trigger
-# reached Bob's blinded receive one field per slot).
+# symbols; measured 1.48 and 1.69 with Alice's codes and the readings stored
+# as int8 and kept narrow by the pipeline too.
 PEAK_TO_RECORD = [
     ({"golden_name": "dps-backflash-stat", "n_symbols": 20_000}, 1.6),
     (
