@@ -31,7 +31,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .config import DetectorSettings, TrojanSettings
-from .detectors import DetectionRecord, apd_detect
+from .detectors import DetectionRecord, _coded, apd_detect
 from .optics import PulseTrain, attenuate, cw_laser, phase_modulator, pulse_carver
 from .protocols import _as_codes, receive
 
@@ -284,7 +284,7 @@ def trojan_probe(
 
     Returns the reflection in coded form (see ``protocols.receive``): the
     reflected fields of modulation values 0 and 1, and the shifted
-    modulation, one code per slot.  The modulator and the attenuation are
+    modulation, one int8 code per slot.  The modulator and the attenuation are
     slot-local, so each value's reflection, computed once on a two-slot
     probe, equals that of every slot that carries it, bit for bit.
     """
@@ -299,7 +299,7 @@ def trojan_probe(
     # Probe slot k picks up Alice's slot k - offset, where that slot exists.
     off = probe.timing_offset_slots
     lo, hi = max(off, 0), min(n, n + off)
-    shifted = np.zeros(n, dtype=np.int64)
+    shifted = np.zeros(n, dtype=np.int8)
     if lo < hi:
         shifted[lo:hi] = mod[lo - off : hi - off]
     source = cw_laser(2, probe.probe_amplitude, slot_period)
@@ -340,7 +340,7 @@ def trojan_decode(
         return receive("dps", reflected, codes, eve, nominal)[0]
     if protocol == "cow":
         rails = (eve.p_never_b, eve.p_always_b)
-        d_b = apd_detect(power[codes], eve.click_threshold_rel * nominal, rails, eve, "D_B")
+        d_b = apd_detect(*_coded(power, codes), eve.click_threshold_rel * nominal, rails, eve, "D_B")
         return DetectionRecord(d_b.detectors, reflected.slot_period)
     raise ValueError(f"unknown protocol {protocol!r}")
 

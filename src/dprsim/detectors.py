@@ -134,26 +134,63 @@ def _decay_scan(s: float, d: float, incident: np.ndarray, out: np.ndarray) -> No
     _decay_loop(float(out[m - 1]), d, incident[m:], out[m:])
 
 
+def _code_dtype(n_levels: int) -> np.dtype:
+    """The code width of a table of ``n_levels`` levels: one byte up to 256
+    levels, two up to 65536, else four."""
+    return np.dtype(np.uint8 if n_levels <= 1 << 8 else np.uint16 if n_levels <= 1 << 16 else np.uint32)
+
+
+def _coded(table: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical coding of the values ``table[index]``: their sorted
+    distinct values, and one code per slot of the width ``_code_dtype`` gives
+    (see ``DetectorTrace``).  Only the entries some slot takes enter the
+    levels, so the coding is a function of the slot values alone, whatever
+    the table holds besides."""
+    taken = np.bincount(index, minlength=table.shape[0]).astype(bool)
+    levels, inverse = np.unique(table[taken], return_inverse=True)
+    lookup = np.zeros(table.shape[0], dtype=_code_dtype(levels.shape[0]))
+    lookup[taken] = inverse
+    return levels, lookup.take(index)
+
+
 @dataclass(eq=False)
 class DetectorTrace:
     """Per-slot outcome of one detector: clicks, incident signal intensity,
     the stored photocurrent of a detector under blinding (``None`` for one
     that is not, whose photocurrent is its ``intensity``) and the
-    Geiger/linear mode actually in force."""
+    Geiger/linear mode actually in force.
+
+    The intensity is coded: ``levels`` holds the sorted distinct intensities
+    of the line and ``level_codes`` the index of each slot's one, unsigned
+    and one byte wide up to 256 levels (two up to 65536, else four), so that
+    slot ``k`` saw ``levels[level_codes[k]]``."""
 
     clicks: npt.NDArray[np.bool_]
-    intensity: npt.NDArray[np.float64]
+    levels: npt.NDArray[np.float64]
+    level_codes: npt.NDArray[np.unsignedinteger]
     photocurrent: npt.NDArray[np.float64] | None
     linear_mode: npt.NDArray[np.bool_]
 
     def __post_init__(self) -> None:
-        for name in ("intensity", "photocurrent", "linear_mode"):
+        for name in ("level_codes", "photocurrent", "linear_mode"):
             values = getattr(self, name)
             if values is not None and len(values) != len(self.clicks):
                 raise ValueError(f"{name}: {len(values)} slots, but clicks has {len(self.clicks)}")
+        n, codes = self.levels.shape[0], self.level_codes
+        if codes.dtype != _code_dtype(n):
+            raise ValueError(f"level_codes: {codes.dtype.name} codes for {n} levels, expected {_code_dtype(n).name}")
+        if codes.size and codes.max() >= n:
+            raise ValueError(f"level_codes: code {codes.max()} is past the {n} levels")
+        if np.any(self.levels[1:] <= self.levels[:-1]):
+            raise ValueError("levels: not sorted distinct intensities")
 
     def __len__(self) -> int:
         return self.clicks.shape[0]
+
+    @property
+    def intensity(self) -> np.ndarray:
+        """Incident intensity of each slot."""
+        return self.levels[self.level_codes]
 
     @property
     def click_count(self) -> int:
@@ -162,7 +199,7 @@ class DetectorTrace:
     @property
     def avalanche_intensity(self) -> np.ndarray:
         """Incident intensity at each click slot, in click order."""
-        return self.intensity[np.flatnonzero(self.clicks)]
+        return self.levels.take(np.compress(self.clicks, self.level_codes))
 
     @property
     def detected_intensity(self) -> float:
@@ -189,7 +226,8 @@ class DetectionRecord:
 
 
 def apd_detect(
-    intensity: np.ndarray,
+    levels: np.ndarray,
+    level_codes: np.ndarray,
     click_threshold: float,
     rails: tuple[float, float],
     detector: DetectorSettings,
@@ -199,7 +237,9 @@ def apd_detect(
     rng: np.random.Generator | None = None,
 ) -> DetectionRecord:
     """Detect light with one APD, from its per-slot incident intensity: an
-    APD sees power, not phase.
+    APD sees power, not phase.  The intensity comes coded, as the trace
+    keeps it (``DetectorTrace``): slot ``k`` sees ``levels[level_codes[k]]``,
+    ``levels`` sorted ascending.
 
     ``click_threshold`` is the Geiger-mode intensity above which a live slot
     fires, ``rails`` the line's ``(p_never, p_always)`` pair and ``detector``
@@ -211,47 +251,53 @@ def apd_detect(
     needs ``blinding``; clicks are decided from the signal intensity alone.
     Raises ``ValueError`` when the detector may draw (afterpulses, dark
     counts, a linear-mode slot between the rails) and no ``rng`` is given.
-    The trace keeps ``intensity`` as given, and the record holds this one
-    detector on the default slot clock; a receiver assembles its detectors'
-    traces on its own clock.
+    The record holds this one detector on the default slot clock; a receiver
+    assembles its detectors' traces on its own clock.
     """
-    intensity = np.asarray(intensity, dtype=np.float64)
-    if intensity.ndim != 1:
-        raise ValueError(f"intensity must be one-dimensional, got shape {intensity.shape}")
-    n = intensity.shape[0]
+    if level_codes.ndim != 1:
+        raise ValueError(f"level codes must be one-dimensional, got shape {level_codes.shape}")
+    n = level_codes.shape[0]
     if blinding is None:
         if background is not None:
             raise ValueError("background illumination acts only through blinding: pass blinding")
         photocurrent = None
         linear = np.zeros(n, dtype=bool)
     else:
-        total = intensity
+        total = levels[level_codes]
         if background is not None:
             background = np.asarray(background, dtype=np.float64)
             if background.shape[0] != n:
                 raise ValueError("background length must match the intensity")
             if np.any(background < 0.0):
                 raise ValueError("background must be >= 0")
-            total = intensity + background
+            total += background
         photocurrent, linear = _blinding_trace(blinding, total)
+        del total  # slot-length and read no more: off the run's peak memory
 
     p_never, p_always = rails
     dead, afterpulse, dark = detector.dead_time_slots, detector.afterpulse_prob, detector.dark_count_prob
     always_rail = p_always * (1.0 - _RAIL_TOL)
     never_rail = p_never * (1.0 + _RAIL_TOL)
+    # The levels are sorted, so each test of an intensity against a bound
+    # holds from some code on: the Geiger click from ``geiger`` on, the
+    # always rail from ``always`` on, and the never rail from ``never`` on.
+    geiger = int(np.searchsorted(levels, click_threshold, side="right"))
+    always = int(np.searchsorted(levels, always_rail, side="left"))
+    never = int(np.searchsorted(levels, never_rail, side="right"))
     needs_rng = afterpulse > 0.0 or dark > 0.0
-    if blinding is not None:
-        needs_rng = needs_rng or bool(np.any(linear & (intensity > never_rail) & (intensity < always_rail)))
+    if blinding is not None and never < always:
+        needs_rng = needs_rng or bool(np.any(linear & (level_codes >= never) & (level_codes < always)))
     stateful = dead > 0 or afterpulse > 0.0 or dark > 0.0
 
     if not stateful and not needs_rng:
         # Deterministic fast path: thresholds only, and without blinding no slot is linear.
-        clicks = intensity > click_threshold
+        clicks = level_codes >= geiger
         if blinding is not None:
-            clicks = (~linear & clicks) | (linear & (intensity >= always_rail))
+            clicks = (~linear & clicks) | (linear & (level_codes >= always))
     else:
         if needs_rng and rng is None:
             raise ValueError(f"detector {detector_id} draws random clicks: pass an rng")
+        intensity = levels[level_codes]
         clicks = np.zeros(n, dtype=bool)
         live_from = 0
         afterpulse_at = -1
@@ -278,7 +324,7 @@ def apd_detect(
                 live_from = k + 1 + dead
                 afterpulse_at = live_from
 
-    trace = DetectorTrace(clicks=clicks, intensity=intensity, photocurrent=photocurrent, linear_mode=linear)
+    trace = DetectorTrace(clicks, levels, level_codes, photocurrent, linear)
     return DetectionRecord({detector_id: trace})
 
 
@@ -357,8 +403,11 @@ def photocurrent_monitor(
     if trace.size < w:
         filtered = np.array([float(np.mean(trace))])
     else:
-        csum = np.concatenate([[0.0], np.cumsum(trace)])
-        filtered = (csum[w:] - csum[:-w]) / w
+        csum = np.empty(trace.size + 1)
+        csum[0] = 0.0
+        np.cumsum(trace, out=csum[1:])
+        filtered = csum[w:] - csum[:-w]
+        filtered /= w
     alarm = bool(np.any(filtered >= alarm_threshold))
     return MonitorResult(alarm=alarm, filtered=filtered)
 

@@ -31,7 +31,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .config import BlindingSettings, DetectorSettings
-from .detectors import DetectionRecord, apd_detect
+from .detectors import DetectionRecord, _coded, apd_detect
 from .optics import PulseTrain, coupler_2x2, cw_laser, dli, phase_modulator, pulse_carver
 
 __all__ = [
@@ -112,10 +112,13 @@ def _interfere(train: PulseTrain, codes: np.ndarray) -> tuple[_Port, _Port]:
     """
     k = len(train)
     n = codes.shape[0]
-    index = np.empty(n + 1, dtype=np.intp)
-    np.multiply(codes, k + 1, out=index[1:], dtype=np.intp)
+    # As narrow as the pair table allows, one byte up to 15 fields: the
+    # backflash pass keeps the index.  The codes lie in 0..k - 1, so the
+    # unsafe casts wrap nothing.
+    index = np.empty(n + 1, dtype=np.uint8 if (k + 1) ** 2 <= 256 else np.intp)
+    np.multiply(codes, k + 1, out=index[1:], dtype=index.dtype, casting="unsafe")
     index[0] = (k + 1) * k
-    index[:n] += codes
+    np.add(index[:n], codes, out=index[:n], casting="unsafe")
     index[n] += k
     if (k + 1) ** 2 <= n + 1:
         pairs = np.arange((k + 1) ** 2)
@@ -157,7 +160,9 @@ def receive(
     the fields and the interferometer runs once per neighbour pair
     (``_interfere``): each detector's intensity is a gather from a small
     table, bit for bit that of the full-length train, and no slot-length
-    field is built.
+    field is built.  The detectors take it coded as their traces keep it
+    (``detectors._coded``): the table's distinct values that some slot takes,
+    sorted, and one narrow code per slot.
 
     Each Geiger threshold is ``detector.click_threshold_rel`` times the
     nominal intensity of its line: ``nominal`` on the DPS lines, times ``t_b``
@@ -196,15 +201,16 @@ def receive(
         raise ValueError(f"unknown protocol {protocol!r}")
     traces = {}
     for name, ((field, index), share, rails) in lines.items():
-        intensity = field.intensities[index]
+        levels, level_codes = _coded(field.intensities, index)
         traces[name] = apd_detect(
-            intensity,
+            levels,
+            level_codes,
             detector.click_threshold_rel * share * nominal,
             rails,
             detector,
             name,
             blinding=blinding,
-            background=None if background is None else background[: intensity.shape[0]],
+            background=None if background is None else background[: level_codes.shape[0]],
             rng=None if rng is None else rng(name),
         )[name]
     return DetectionRecord(traces, train.slot_period), {name: line[0] for name, line in lines.items()}
@@ -272,7 +278,7 @@ def dps_sift(phase_bits, record: DetectionRecord) -> ProtocolRun:
     slots += 1
     bob = d2[slots]
     alice = reference[one_click]
-    errors = int(np.sum(bob != alice))
+    errors = np.count_nonzero(bob != alice)
     qber = errors / slots.size if slots.size else 0.0
     return ProtocolRun(
         protocol="dps",
@@ -427,7 +433,7 @@ def cow_sift(
     kept, late, both = _cow_half_slots(codes, record.clicks("D_B"))
     alice = codes[kept] == 1
     bob_bits = np.where(both, ~alice, late)
-    qber = int(np.sum(alice != bob_bits)) / kept.size if kept.size else 0.0
+    qber = np.count_nonzero(alice != bob_bits) / kept.size if kept.size else 0.0
     return ProtocolRun(
         protocol="cow",
         alice_codes=codes,

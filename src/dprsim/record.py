@@ -4,7 +4,7 @@ record file.
 :class:`RunRecord` holds everything one run produced.  ``to_dict`` and
 ``from_dict`` convert it to and from a plain tree of dicts, scalars and
 arrays; the content hash covers that tree minus its volatile values; and a
-record file (``dprsim-record/6``) holds exactly the hashed bytes, framed, so
+record file (``dprsim-record/7``) holds exactly the hashed bytes, framed, so
 that a reader maps each array in place.  :mod:`report` writes and reads the
 files.
 """
@@ -28,12 +28,16 @@ from .protocols import ProtocolRun
 __all__ = ["RunRecord"]
 
 # The record format: the file's version line and its header's ``format``.
-RECORD_FORMAT = "dprsim-record/6"
+RECORD_FORMAT = "dprsim-record/7"
 # Formats of older record files, which are no longer read.
-_RETIRED_FORMATS = tuple(f"dprsim-record/{v}" for v in range(1, 6))
+_RETIRED_FORMATS = tuple(f"dprsim-record/{v}" for v in range(1, 7))
 
 # ``X`` of an ``NDArray[X]`` hint -> stored little-endian dtype (bools as bytes, the same on every platform).
 _STORED = {np.bool_: "|u1", np.int8: "|i1", np.int64: "<i8", np.float64: "<f8"}
+# Stored dtypes of an ``NDArray[np.unsignedinteger]``, a code array that
+# keeps its own width: its dataclass checks that width against its table,
+# where a cast to one width would wrap a code that does not fit.
+_CODE_WIDTHS = ("|u1", "<u2", "<u4")
 # Each array of a record file starts at a multiple of this many bytes from the file's start.
 _ALIGN = 8
 # The record's volatile fields: left out of the hash, stored in the file's trailer.
@@ -67,6 +71,8 @@ def _tree(value: Any, hint: Any) -> Any:
     if is_dataclass(hint):
         return {name: _tree(getattr(value, name), t) for name, t in _field_hints(hint).items()}
     scalar = _scalar(hint)
+    if scalar is np.unsignedinteger:
+        return np.ascontiguousarray(value).astype(value.dtype.newbyteorder("<"), copy=False)
     if scalar is not None:
         arr = np.ascontiguousarray(value, dtype=scalar)
         return arr.view(np.uint8) if scalar is np.bool_ else arr.astype(_STORED[scalar], copy=False)
@@ -96,10 +102,13 @@ def _untree(node: Any, hint: Any, path: str) -> Any:
     scalar = _scalar(inner)
     if scalar is not None:
         _expect(node, (np.ndarray,), "an array", path)
-        if node.dtype.str != _STORED[scalar] or node.ndim != 1:
+        stored = _CODE_WIDTHS if scalar is np.unsignedinteger else (_STORED[scalar],)
+        if node.dtype.str not in stored or node.ndim != 1:
             raise ValueError(f"{path}: unsupported array dtype {node.dtype.str!r} or shape {list(node.shape)}")
         if scalar is np.bool_ and node.size and node.max() > 1:
             raise ValueError(f"{path}: byte {node.max()} is not a boolean (0 or 1)")
+        if scalar is np.unsignedinteger:
+            return node.astype(node.dtype.newbyteorder("="), copy=False)
         return node.view(np.bool_) if scalar is np.bool_ else node.astype(scalar, copy=False)
     if typing.get_origin(inner) is dict:
         _expect(node, (dict,), "a mapping", path)
@@ -127,7 +136,7 @@ def _map_arrays(node: Any, data: np.ndarray, offset: int, path: str) -> tuple[An
     that must be zero; returns the tree and the offset past its last array."""
     if isinstance(node, dict) and node.keys() == {"dtype", "shape"}:
         dtype, shape = node["dtype"], node["shape"]
-        if not isinstance(dtype, str) or dtype not in _STORED.values():
+        if not isinstance(dtype, str) or dtype not in (*_STORED.values(), *_CODE_WIDTHS):
             raise ValueError(f"{path}: unsupported array dtype {dtype!r}")
         if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
             raise ValueError(f"{path}: expected a list of sizes as shape, got {shape!r}")
@@ -162,21 +171,26 @@ class RunRecord:
     material is ``protocol_run.alice_codes``: DPS phase bits, or COW symbol
     codes 0, 1 and 2 for ``0``, ``1`` and ``d``.
 
+    A detector's intensity is coded: the sorted distinct intensities of its
+    line (``levels``) and one code per slot (``level_codes``), one byte wide
+    up to 256 levels, two up to 65536, else four.
+
     ``to_dict`` gives the record as a plain tree in which every array is
     little-endian (``|i1`` for Alice's codes and the readings, ``<i8`` for
-    slots, ``<f8`` for intensities and photocurrents, ``|u1`` for booleans:
-    clicks, modes and key bits); ``from_dict`` checks and inverts it.  The
+    slots, ``<f8`` for intensity levels and photocurrents, ``|u1``, ``<u2``
+    or ``<u4`` for level codes, ``|u1`` for booleans: clicks, modes and key
+    bits); ``from_dict`` checks and inverts it, each code against its table.  The
     content hash is SHA-256 over the canonical header (that tree with sorted
     keys, compact, each array as ``{"dtype", "shape"}``, no wall time)
     followed by the raw bytes of each array in header key order; the wall
     time, the only non-reproducible field, is left out.
 
-    A record file (``dprsim-record/6``, also the header's ``format``) holds
+    A record file (``dprsim-record/7``, also the header's ``format``) holds
     exactly those hashed bytes between a version line and a trailer, each
     array zero-padded to start at a multiple of 8 bytes from the file's
     start::
 
-        dprsim-record/6
+        dprsim-record/7
         <canonical header>
         <zero padding, raw array bytes; in header key order>{"wall_time_s": <seconds>}
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 import zlib
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import is_dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -44,6 +44,7 @@ from .config import (
 from .detectors import (
     DetectionRecord,
     DetectorTrace,
+    _coded,
     backflash_emit,
     photocurrent_monitor,
     watchdog,
@@ -281,6 +282,7 @@ def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun) -> AttackOutcome:
         eve_slots, eve_bits = _dps_eve_key(eve.clicks("D1"), eve.clicks("D2"))
     else:
         eve_slots, eve_bits = _cow_eve_key(run.alice_codes, eve.clicks("D_B"))
+    del eve, reflected, codes  # only Eve's key is read from here on
 
     frac = capture_fraction(run.sifted_slots, run.sifted_bob, eve_slots, eve_bits)
     return AttackOutcome(
@@ -303,11 +305,17 @@ def _blinding_background(style: str, level: float, period: int, n_slots: int) ->
 
 def _on_grid(record: DetectionRecord, offset: int, n_slots: int) -> DetectionRecord:
     """The ``n_slots`` slots of ``record`` from ``offset`` on; slots past its
-    end are silent."""
-    traces = {
-        name: DetectorTrace(*(_window(getattr(trace, f.name), offset, n_slots) for f in fields(trace)))
-        for name, trace in record.detectors.items()
-    }
+    end are silent and dark: no click, zero intensity and photocurrent, Geiger
+    mode."""
+    traces = {}
+    for name, t in record.detectors.items():
+        levels, codes = t.levels, _window(t.level_codes, offset, n_slots)
+        if offset + n_slots > len(t):  # code 0 need not be intensity 0: code the padded intensities
+            levels, codes = _coded(_window(t.intensity, offset, n_slots), np.arange(n_slots))
+        photocurrent = None if t.photocurrent is None else _window(t.photocurrent, offset, n_slots)
+        traces[name] = DetectorTrace(
+            _window(t.clicks, offset, n_slots), levels, codes, photocurrent, _window(t.linear_mode, offset, n_slots)
+        )
     return DetectionRecord(traces, record.slot_period)
 
 
@@ -370,15 +378,17 @@ def _run_blinding(
         eve_slots, eve_bits = _cow_eve_key(clean.alice_codes, _window(readings == 3, 0, n_slots))
 
     trigger, trigger_codes = plan.trigger(cfg.slot_period)
+    # The background light lives only as long as the receive that reads it.
     background = _blinding_background(s.style, s.illumination_level, s.pulse_period_slots, trigger_codes.size + 1)
     record = _receive(cfg, trigger, trigger_codes, rngs, "bob", blinding=s, background=background)[0]
+    del background
 
-    monitor_alarm = False
     cm = cfg.countermeasures.photocurrent_monitor
-    if cm.enabled:
-        for name in record.names:
-            result = photocurrent_monitor(record[name].photocurrent, cm.window_slots, cm.alarm_threshold)
-            monitor_alarm = monitor_alarm or result.alarm
+    # Only each alarm is kept: a monitor's filtered trace is as long as the record.
+    monitor_alarm = cm.enabled and any(
+        photocurrent_monitor(record[name].photocurrent, cm.window_slots, cm.alarm_threshold).alarm
+        for name in record.names
+    )
 
     grid = _on_grid(record, plan.readings_slot_offset, n_slots)
     run = replace(_sift(cfg, clean.alice_codes, grid, interfaces), record=record)

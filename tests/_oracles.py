@@ -18,11 +18,16 @@ before it computed its two ports in place, with ``coupler_two_inputs``, the
 coupler as it stood when both of its inputs could be lit;
 ``backflash_emit_where`` keeps the emission as it multiplied every slot, and
 ``backflash_replica_dense`` keeps the backflash reverse pass as it ran Eve's
-replica detector over every slot of that emission.  ``receive_dense`` is the
+replica detector over every slot of that emission, ``apd_clicks_dense`` the
+detector's threshold decisions as it took them on one intensity per slot
+before it took them on codes, and ``boxcar_concatenate`` the photocurrent
+monitor's filter before it filled one buffer.  ``receive_dense`` is the
 receiver as it ran on a train with one field per slot, before every input
 reached it coded (the encoders' trains, the channel's tamper, the probe and
 Eve's faked-state trigger): the ``gathered`` train, the splitter, the
-full-length interferometer and one ``apd_detect`` per line.
+full-length interferometer and one ``apd_detect`` per line, each line's
+intensity ``coded`` by ``np.unique`` over its slots, the canonical coding a
+detector trace keeps.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import math
 import numpy as np
 
 from dprsim.config import DetectorSettings
-from dprsim.detectors import DetectionRecord, apd_detect
+from dprsim.detectors import _RAIL_TOL, DetectionRecord, apd_detect
 from dprsim.optics import PulseTrain, attenuate, coupler_2x2, cw_laser, dli, phase_modulator, pulse_carver
 
 
@@ -165,7 +170,7 @@ def record_v1_hash(record) -> str:
 
 
 # ---------------------------------------------------------------------------
-# The dprsim-record/6 file layout, read and written without the package's codec
+# The dprsim-record/7 file layout, read and written without the package's codec
 # ---------------------------------------------------------------------------
 
 
@@ -454,6 +459,33 @@ def trojan_probe_chain(protocol: str, modulation, probe, slot_period: float, exc
     return attenuate(reflected, probe.reflection_db + excess_loss_db)
 
 
+def coded(intensity) -> tuple[np.ndarray, np.ndarray]:
+    """Per-slot intensities in the coded form a detector takes and its trace
+    keeps: the sorted distinct values and one unsigned code per slot, one
+    byte wide up to 256 values, two up to 65536, else four."""
+    levels, codes = np.unique(np.asarray(intensity, dtype=np.float64), return_inverse=True)
+    width = np.uint8 if levels.size <= 256 else np.uint16 if levels.size <= 65536 else np.uint32
+    return levels, codes.astype(width)
+
+
+def apd_clicks_dense(intensity, click_threshold: float, rails: tuple[float, float], linear):
+    """``apd_detect``'s clicks without dead time, afterpulses or dark counts,
+    as it decided them on one intensity per slot: the Geiger threshold on a
+    slot in Geiger mode, the always rail on a linear one.  Also whether a
+    linear slot lies strictly between the rails, where it would draw."""
+    p_never, p_always = rails
+    always_rail, never_rail = p_always * (1.0 - _RAIL_TOL), p_never * (1.0 + _RAIL_TOL)
+    clicks = (~linear & (intensity > click_threshold)) | (linear & (intensity >= always_rail))
+    return clicks, bool(np.any(linear & (intensity > never_rail) & (intensity < always_rail)))
+
+
+def boxcar_concatenate(trace, window: int) -> np.ndarray:
+    """The photocurrent monitor's full-window boxcar means over a prepended
+    zero and the running sum, as it computed them before it filled one buffer."""
+    csum = np.concatenate([[0.0], np.cumsum(trace)])
+    return (csum[window:] - csum[:-window]) / window
+
+
 def backflash_emit_where(emit, gain: float, slots) -> np.ndarray:
     return np.where(emit, gain * slots, 0.0 + 0.0j)
 
@@ -466,7 +498,7 @@ def backflash_replica_dense(trace, incident: PulseTrain, cfg, rng, threshold: fl
         emit &= rng.random(len(incident)) < cfg.emission_probability
     emission = incident.with_slots(backflash_emit_where(emit, cfg.emission_gain, incident.slots))
     eve = DetectorSettings()
-    return apd_detect(emission.intensities, threshold, (eve.p_never, eve.p_always), eve, "EVE")["EVE"].clicks
+    return apd_detect(*coded(emission.intensities), threshold, (eve.p_never, eve.p_always), eve, "EVE")["EVE"].clicks
 
 
 def transmit_dense(protocol: str, alice, amplitude: float, slot_period: float, pattern) -> PulseTrain:
@@ -553,7 +585,7 @@ def receive_dense(
     traces = {}
     for name, (port, share, rails) in lines.items():
         traces[name] = apd_detect(
-            port.intensities,
+            *coded(port.intensities),
             detector.click_threshold_rel * share * nominal,
             rails,
             detector,

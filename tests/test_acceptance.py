@@ -23,7 +23,7 @@ from dprsim.optics import PulseTrain, dli
 from dprsim.protocols import dps_encode, dps_sift, receive
 from dprsim.scenario import run_golden, run_scenario
 
-from _oracles import brute_force_cow_monitor, brute_force_dli_ports, cow_occupancy_loop
+from _oracles import brute_force_cow_monitor, brute_force_dli_ports, coded, cow_occupancy_loop
 
 QUARTER_PHASES = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)
 
@@ -182,7 +182,7 @@ def test_countermeasure_discrimination():
             pulsed[::8] = level
             for background, expected in ((cw, True), (pulsed, False)):
                 rec = apd_detect(
-                    np.zeros(n),
+                    *coded(np.zeros(n)),
                     0.5,
                     (0.2, 0.39),
                     DetectorSettings(),

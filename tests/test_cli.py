@@ -311,25 +311,45 @@ def _drop_array_bytes(data: bytes) -> bytes:
 
 
 # In a clean 8-symbol COW record D_M1's 17 clicks (|u1) end 7 bytes short of
-# a multiple of 8, so 7 bytes of padding come before its intensity (<f8),
-# whose first value, 0.025, has no zero byte.
+# a multiple of 8, so 7 bytes of padding come before its level codes (|u1),
+# whose first seven are not all zero.
 _D_M1 = ("protocol_run", "record", "detectors", "D_M1")
 
 
 def _set_padding_byte(data: bytes) -> bytes:
-    at = _array_start(data, (*_D_M1, "intensity")) - 1
+    at = _array_start(data, (*_D_M1, "level_codes")) - 1
     assert data[at] == 0
     return data[:at] + b"\x01" + data[at + 1 :]
 
 
 def _drop_padding(data: bytes) -> bytes:
-    # The intensity written at its unpadded offset, right after the clicks,
-    # and the padding after it, so that every later array keeps its place.
+    # The level codes written at their unpadded offset, right after the
+    # clicks, and the padding after them, so that every later array keeps its place.
     clicks_end = _array_start(data, (*_D_M1, "clicks")) + 17
-    at = _array_start(data, (*_D_M1, "intensity"))
-    assert at - clicks_end == 7 and data[clicks_end:at] == bytes(7)
-    end = at + 8 * 17
+    at = _array_start(data, (*_D_M1, "level_codes"))
+    assert at - clicks_end == 7 and data[clicks_end:at] == bytes(7) and any(data[at : at + 7])
+    end = at + 17
     return data[:clicks_end] + data[at:end] + bytes(7) + data[end:]
+
+
+def _rewrite_array(path: tuple[str, ...], change):
+    # The array at header ``path`` replaced by ``change`` of it, with the
+    # dtype and shape it then has; every other array keeps its bytes.
+    def edit(data: bytes) -> bytes:
+        version, tree, _, raw, trailer = split_record_file(data)
+        chunks, at = [], 0
+        for where, leaf in array_leaves(tree):
+            size = np.dtype(leaf["dtype"]).itemsize * math.prod(leaf["shape"])
+            chunk = raw[at : at + size]
+            at += size
+            if where == path:
+                arr = change(np.frombuffer(chunk, dtype=leaf["dtype"]))
+                leaf.update(dtype=arr.dtype.str, shape=list(arr.shape))
+                chunk = arr.tobytes()
+            chunks.append(chunk)
+        return join_record_file(version, tree, b"".join(chunks), trailer)
+
+    return edit
 
 
 def _set_clicks_dtype(dtype):
@@ -414,8 +434,8 @@ BAD_RECORDS = {
     "extra-trailer": (lambda d: d + b'{"wall_time_s": 2.0}\n', "extra bytes after the trailer"),
     "trailer-type": (_edit_trailer(b'{"wall_time_s": "soon"}\n'), "wall_time_s: expected float, got str"),
     "trailer-key": (_edit_trailer(b'{"cpu_s": 0.25, "wall_time_s": 0.5}\n'), "unknown trailer field 'cpu_s'"),
-    "padding": (_set_padding_byte, "protocol_run.record.detectors.D_M1.intensity: nonzero padding"),
-    "unpadded-offset": (_drop_padding, "protocol_run.record.detectors.D_M1.intensity: nonzero padding"),
+    "padding": (_set_padding_byte, "protocol_run.record.detectors.D_M1.level_codes: nonzero padding"),
+    "unpadded-offset": (_drop_padding, "protocol_run.record.detectors.D_M1.level_codes: nonzero padding"),
     "bool-byte": (_first_click_byte(2), "protocol_run.record.detectors.D_B.clicks: byte 2 is not a boolean"),
     "trace-lengths": (
         _move_elements((*_D_B, "linear_mode"), ("protocol_run", "record", "detectors", "D_M1", "clicks"), 6),
@@ -426,8 +446,21 @@ BAD_RECORDS = {
         "protocol_run.sifted_alice: 3 bits for 4 sifted_slots",
     ),
     "two-dimensional": (
-        _edit_header(lambda t: t["protocol_run"]["record"]["detectors"]["D_B"]["intensity"].update(shape=[2, 8])),
-        "protocol_run.record.detectors.D_B.intensity: unsupported array dtype '<f8' or shape [2, 8]",
+        _edit_header(lambda t: t["protocol_run"]["record"]["detectors"]["D_B"]["level_codes"].update(shape=[2, 8])),
+        "protocol_run.record.detectors.D_B.level_codes: unsupported array dtype '|u1' or shape [2, 8]",
+    ),
+    # D_B holds two levels, so its codes are 0 and 1, one byte each.
+    "code-past-levels": (
+        _rewrite_array((*_D_B, "level_codes"), lambda codes: codes + 1),
+        "protocol_run.record.detectors.D_B.level_codes: code 2 is past the 2 levels",
+    ),
+    "code-width": (
+        _rewrite_array((*_D_B, "level_codes"), lambda codes: codes.astype("<u2")),
+        "protocol_run.record.detectors.D_B.level_codes: uint16 codes for 2 levels, expected uint8",
+    ),
+    "no-levels": (
+        _rewrite_array((*_D_B, "levels"), lambda levels: levels[:0]),
+        "protocol_run.record.detectors.D_B.level_codes: code 1 is past the 0 levels",
     ),
     # Readings are int8 only, although unsigned bytes are a stored dtype elsewhere.
     "readings-dtype": (_set_readings_dtype("|u1"), "attack.eve_readings: unsupported array dtype '|u1'"),
@@ -509,7 +542,7 @@ def _byte_preserving_rewrites(draw, header: dict):
     budget = sum(np.dtype(n["dtype"]).itemsize * math.prod(n["shape"]) for n in nodes)
     for i, node in enumerate(nodes):
         last = i == len(nodes) - 1
-        dtypes = [d for d in ("|u1", "|i1", "<i8", "<f8") if not last or budget % np.dtype(d).itemsize == 0]
+        dtypes = [d for d in ("|u1", "|i1", "<u2", "<u4", "<i8", "<f8") if not last or budget % np.dtype(d).itemsize == 0]
         dtype = draw(st.sampled_from(dtypes))
         size = np.dtype(dtype).itemsize
         count = budget // size if last else draw(st.integers(0, budget // size))

@@ -13,6 +13,8 @@ from dprsim.detectors import (
 from dprsim.config import BackflashSettings, BlindingSettings, DetectorSettings
 from dprsim.optics import PulseTrain, cw_laser
 
+from _oracles import boxcar_concatenate, coded
+
 # A detector with no dead time, afterpulses or dark counts, and its
 # linear-mode rails (p_never, p_always).
 IDEAL = DetectorSettings()
@@ -27,10 +29,15 @@ def power(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
+def detect(intensity, *args, **kwargs):
+    """``apd_detect`` of per-slot intensities, coded as the receiver codes a line."""
+    return apd_detect(*coded(intensity), *args, **kwargs)
+
+
 def held_blind(intensity: np.ndarray, rng=None):
     """A detector held in linear mode, as blinding light holds Bob's."""
     background = np.full(len(intensity), BLIND.blind_threshold)
-    return apd_detect(intensity, 0.5, RAILS, IDEAL, blinding=BLIND, background=background, rng=rng)
+    return detect(intensity, 0.5, RAILS, IDEAL, blinding=BLIND, background=background, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +46,7 @@ def held_blind(intensity: np.ndarray, rng=None):
 
 
 def test_geiger_vacuum_never_clicks():
-    rec = apd_detect(np.zeros(8), 0.5, RAILS, IDEAL)
+    rec = detect(np.zeros(8), 0.5, RAILS, IDEAL)
     assert rec["D"].click_count == 0
 
 
@@ -47,12 +54,12 @@ def test_geiger_threshold_is_strict():
     # Amplitudes 0.5, 0.75, 0.25 give exactly representable intensities
     # 0.25, 0.5625, 0.0625 against a threshold of 0.25.
     train = PulseTrain(np.array([0.5, 0.75, 0.25], dtype=np.complex128))
-    rec = apd_detect(train.intensities, 0.25, RAILS, IDEAL)
+    rec = detect(train.intensities, 0.25, RAILS, IDEAL)
     assert rec["D"].clicks.tolist() == [False, True, False]
 
 
 def test_geiger_dead_time_blocks_following_slots():
-    rec = apd_detect(np.ones(7), 0.5, RAILS, DetectorSettings(dead_time_slots=2))
+    rec = detect(np.ones(7), 0.5, RAILS, DetectorSettings(dead_time_slots=2))
     assert rec["D"].clicks.tolist() == [True, False, False, True, False, False, True]
 
 
@@ -62,14 +69,14 @@ def test_geiger_dead_time_blocks_following_slots():
     st.integers(0, 4),
 )
 def test_dead_time_exclusion_invariant(pattern, dead):
-    rec = apd_detect(power(pattern), 0.5, RAILS, DetectorSettings(dead_time_slots=dead))
+    rec = detect(power(pattern), 0.5, RAILS, DetectorSettings(dead_time_slots=dead))
     clicked = np.nonzero(rec["D"].clicks)[0]
     assert np.all(np.diff(clicked) > dead) if clicked.size > 1 else True
 
 
 def test_afterpulse_fires_in_first_live_slot():
     detector = DetectorSettings(dead_time_slots=1, afterpulse_prob=1.0)
-    rec = apd_detect(power([1.0, 0.0, 0.0, 0.0]), 0.5, RAILS, detector, rng=np.random.default_rng(0))
+    rec = detect(power([1.0, 0.0, 0.0, 0.0]), 0.5, RAILS, detector, rng=np.random.default_rng(0))
     # Click at 0, dead at 1, certain afterpulse at 2, dead at 3.
     assert rec["D"].clicks.tolist() == [True, False, True, False]
 
@@ -79,7 +86,7 @@ def test_dark_counts_without_afterpulses_draw_once_per_live_subthreshold_slot():
     detector = DetectorSettings(dead_time_slots=dead, dark_count_prob=0.3)
     pattern = np.random.default_rng(1).choice([0.0, 1.0], size=200, p=[0.7, 0.3])
     rng = np.random.default_rng(7)
-    clicks = apd_detect(power(pattern), 0.5, RAILS, detector, rng=rng)["D"].clicks
+    clicks = detect(power(pattern), 0.5, RAILS, detector, rng=rng)["D"].clicks
     draws, live_from = 0, 0
     for k, fired in enumerate(clicks):
         if k < live_from:
@@ -105,11 +112,11 @@ def test_random_clicks_need_an_rng(cfg, intensities):
     (detector, blinding), intensity = cfg, power(intensities)
     background = None if blinding is None else np.full(len(intensity), blinding.blind_threshold)
     with pytest.raises(ValueError, match="rng"):
-        apd_detect(intensity, 0.5, RAILS, detector, blinding=blinding, background=background)
+        detect(intensity, 0.5, RAILS, detector, blinding=blinding, background=background)
 
 
 def test_avalanche_intensity_tracks_click_slots():
-    rec = apd_detect(power([1.0, 0.0, 2.0]), 0.5, RAILS, IDEAL)
+    rec = detect(power([1.0, 0.0, 2.0]), 0.5, RAILS, IDEAL)
     np.testing.assert_allclose(rec["D"].avalanche_intensity, [1.0, 2.0])
 
 
@@ -120,7 +127,7 @@ def test_avalanche_intensity_gathers_as_the_mask(slots, every):
     # boolean mask, so the sum over them is the same to the bit.
     clicks = np.array([c if every is None else every for c, _ in slots], dtype=bool)
     intensity = np.array([x for _, x in slots], dtype=np.float64)
-    trace = DetectorTrace(clicks, intensity, None, np.zeros(clicks.size, dtype=bool))
+    trace = DetectorTrace(clicks, *coded(intensity), None, np.zeros(clicks.size, dtype=bool))
     got, want = trace.avalanche_intensity, intensity[clicks]
     assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert trace.detected_intensity.hex() == float(np.sum(want)).hex()
@@ -158,7 +165,7 @@ def test_linear_mode_trace_labels():
 def blinded(blinding: BlindingSettings, incident: np.ndarray):
     """A dark signal port lit by ``incident`` background: the detector's
     per-slot linear-mode trace and its stored photocurrent."""
-    trace = apd_detect(np.zeros(incident.size), 0.5, RAILS, IDEAL, blinding=blinding, background=incident)["D"]
+    trace = detect(np.zeros(incident.size), 0.5, RAILS, IDEAL, blinding=blinding, background=incident)["D"]
     return trace.linear_mode, trace.photocurrent
 
 
@@ -206,7 +213,7 @@ def test_apd_detect_blinding_transition():
     # Bright background for 4 slots, then dark: the detector drops back to
     # Geiger only after the stored current decays below threshold.
     background = np.array([10.0, 10.0, 10.0, 10.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    rec = apd_detect(np.zeros(10), 0.5, RAILS, IDEAL, blinding=BLIND, background=background)
+    rec = detect(np.zeros(10), 0.5, RAILS, IDEAL, blinding=BLIND, background=background)
     trace = rec["D"]
     assert trace.linear_mode[:4].all()
     assert not trace.linear_mode[-1]
@@ -216,9 +223,9 @@ def test_apd_detect_blinding_transition():
 def test_photocurrent_is_kept_only_under_blinding():
     # Without blinding the photocurrent is the intensity, so the trace does
     # not repeat it; background light acts only under blinding.
-    assert apd_detect(np.ones(4), 0.5, RAILS, IDEAL)["D"].photocurrent is None
+    assert detect(np.ones(4), 0.5, RAILS, IDEAL)["D"].photocurrent is None
     with pytest.raises(ValueError, match="blind"):
-        apd_detect(np.zeros(4), 0.5, RAILS, IDEAL, background=np.ones(4))
+        detect(np.zeros(4), 0.5, RAILS, IDEAL, background=np.ones(4))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +238,7 @@ INCIDENT = cw_laser(1, 1.0)
 
 
 def test_backflash_ideal_copies_every_clicked_slot():
-    rec = apd_detect(np.ones(6), 0.5, RAILS, IDEAL)
+    rec = detect(np.ones(6), 0.5, RAILS, IDEAL)
     cfg = BackflashSettings(ideal=True, emission_gain=0.5)
     slots, field = backflash_emit(rec["D"], INCIDENT, np.zeros(6, dtype=np.int64), cfg)
     assert slots.dtype == np.int64 and slots.tolist() == list(range(6))
@@ -239,7 +246,7 @@ def test_backflash_ideal_copies_every_clicked_slot():
 
 
 def test_backflash_no_clicks_is_vacuum():
-    rec = apd_detect(np.zeros(6), 0.5, RAILS, IDEAL)
+    rec = detect(np.zeros(6), 0.5, RAILS, IDEAL)
     slots, field = backflash_emit(rec["D"], INCIDENT, np.zeros(6, dtype=np.int64), BackflashSettings(ideal=True))
     assert slots.size == field.size == 0
 
@@ -250,7 +257,7 @@ def test_backflash_default_probability_value():
 
 def test_backflash_statistics_converge_to_emission_probability():
     n = 100_000
-    rec = apd_detect(np.ones(n), 0.5, RAILS, IDEAL)
+    rec = detect(np.ones(n), 0.5, RAILS, IDEAL)
     cfg = BackflashSettings()
     slots, field = backflash_emit(rec["D"], INCIDENT, np.zeros(n, dtype=np.int64), cfg, rng=np.random.default_rng(7))
     assert np.all(np.abs(field) > 0)
@@ -261,13 +268,13 @@ def test_backflash_statistics_converge_to_emission_probability():
 
 
 def test_backflash_below_certainty_needs_an_rng():
-    rec = apd_detect(np.ones(6), 0.5, RAILS, IDEAL)
+    rec = detect(np.ones(6), 0.5, RAILS, IDEAL)
     with pytest.raises(ValueError, match="rng"):
         backflash_emit(rec["D"], INCIDENT, np.zeros(6, dtype=np.int64), BackflashSettings())
 
 
 def test_backflash_length_mismatch_rejected():
-    rec = apd_detect(np.ones(6), 0.5, RAILS, IDEAL)
+    rec = detect(np.ones(6), 0.5, RAILS, IDEAL)
     with pytest.raises(ValueError, match="lengths differ"):
         backflash_emit(rec["D"], INCIDENT, np.zeros(5, dtype=np.int64), BackflashSettings())
 
@@ -285,6 +292,18 @@ def test_monitor_constant_current_alarm_iff_at_threshold(c4, window, threshold4)
     c, threshold = c4 / 4.0, threshold4 / 4.0
     result = photocurrent_monitor(np.full(50, c), window, threshold)
     assert result.alarm == (c >= threshold)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=80), st.integers(1, 90), st.floats(0.0, 1e6))
+def test_monitor_filters_as_the_concatenated_running_sum(currents, window, threshold):
+    # One buffer, divided in place, gives the boxcar means bit for bit.
+    trace = np.array(currents)
+    result = photocurrent_monitor(trace, window, threshold)
+    want = boxcar_concatenate(trace, window) if trace.size >= window else np.array([np.mean(trace)])
+    assert result.filtered.dtype == want.dtype
+    np.testing.assert_array_equal(result.filtered.view(np.uint64), want.view(np.uint64))
+    assert result.alarm == bool(np.any(want >= threshold))
 
 
 def test_monitor_ignores_sparse_pulses_as_high_frequency_noise():

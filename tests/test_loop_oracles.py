@@ -76,7 +76,7 @@ def _record(n_slots: int, **clicks) -> DetectionRecord:
         full = np.zeros(n_slots, dtype=bool)
         full[: len(c)] = c
         zeros = np.zeros(n_slots)
-        traces[name] = DetectorTrace(full, zeros, zeros, np.zeros(n_slots, dtype=bool))
+        traces[name] = DetectorTrace(full, *oracle.coded(zeros), zeros, np.zeros(n_slots, dtype=bool))
     return DetectionRecord(traces)
 
 
@@ -237,7 +237,8 @@ def test_trojan_decode_matches_loops(intensity, phase, slot_codes, symbols):
     if peak > 1e-15:
         record, _ = oracle.receive_dense("dps", values, slot_codes, DetectorSettings(), peak)
         d1, d2 = record.clicks("D1"), record.clicks("D2")
-        d_b = apd_detect(reflected.intensities, 0.5 * peak, (0.392, 0.398), DetectorSettings(), "EVE_B")["EVE_B"].clicks
+        d_b = apd_detect(*oracle.coded(reflected.intensities), 0.5 * peak, (0.392, 0.398), DetectorSettings(), "EVE_B")
+        d_b = d_b["EVE_B"].clicks
     _same(dps.clicks("D1"), d1)
     _same(dps.clicks("D2"), d2)
     _same(cow.clicks("D_B"), d_b)
@@ -542,6 +543,41 @@ _LONG = np.random.default_rng(5).integers(0, 3, 20_000).tolist()
 _LONG_READINGS = np.random.default_rng(6).integers(0, 4, 20_000).tolist()
 
 
+@st.composite
+def coded_lines(draw):
+    """Sorted distinct levels, some on the threshold and rails of the test
+    below or one ulp either side, one code per slot, and background light."""
+    marks = [0.5, 0.2 * (1.0 + 1e-9), 0.4 * (1.0 - 1e-9), 0.0]
+    near = [np.nextafter(m, side) for m in marks for side in (-np.inf, np.inf)]
+    values = draw(st.lists(st.sampled_from(marks + near) | st.floats(0.0, 2.0), min_size=1, max_size=12))
+    levels = np.unique(np.array(values))
+    n = draw(st.integers(0, 200))
+    codes = np.array(draw(st.lists(st.integers(0, levels.size - 1), min_size=n, max_size=n)), dtype=np.uint8)
+    background = np.array(draw(st.lists(st.sampled_from([0.0, 0.3, 2.0]), min_size=n, max_size=n)), dtype=np.float64)
+    return levels, codes, background
+
+
+@given(coded_lines(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_coded_thresholds_match_dense_comparisons(line, blind):
+    """``apd_detect`` decides each slot by comparing its code with the first
+    code past a threshold or rail, which the sorted levels allow: the clicks,
+    and where a draw is needed, equal those of the comparisons of each
+    slot's intensity."""
+    levels, codes, background = line
+    rails, blinding = (0.2, 0.4), BlindingSettings(decay_per_slot=0.5, blind_threshold=1.0)
+    kwargs = {"blinding": blinding, "background": background} if blind else {}
+    linear = _blinding_trace(blinding, levels[codes] + background)[1] if blind else np.zeros(codes.size, dtype=bool)
+    want, draws = oracle.apd_clicks_dense(levels[codes], 0.5, rails, linear)
+    if draws:
+        with pytest.raises(ValueError, match="rng"):
+            apd_detect(levels, codes, 0.5, rails, DetectorSettings(), **kwargs)
+        return
+    trace = apd_detect(levels, codes, 0.5, rails, DetectorSettings(), **kwargs)["D"]
+    _same(trace.clicks, want)
+    _same(trace.linear_mode, linear)
+
+
 def tamper_pattern(kind: str | None, n_slots: int, seed: int) -> list[float] | None:
     """A channel phase tamper in half turns: none, a few phases over the
     train's first half or over twice its length, or a phase per slot, most
@@ -561,13 +597,17 @@ def tamper_pattern(kind: str | None, n_slots: int, seed: int) -> list[float] | N
 
 def _same_receive(got, want, streams) -> None:
     """A coded receive against the full-length one, bit for bit: each
-    detector's intensity, photocurrent, clicks and modes, the field at every
-    slot of its port, and where its stream ends."""
+    detector's intensity, coded alike (the same levels and codes), its
+    photocurrent, clicks and modes, the field at every slot of its port, and
+    where its stream ends."""
     (record, ports), (want_record, want_ports) = got, want
     assert record.names == want_record.names and record.slot_period == want_record.slot_period
     for name in want_record.names:
         g, w = record[name], want_record[name]
         _same(g.intensity.view(np.uint64), w.intensity.view(np.uint64))
+        _same(g.levels.view(np.uint64), w.levels.view(np.uint64))
+        assert g.level_codes.dtype == w.level_codes.dtype
+        _same(g.level_codes, w.level_codes)
         _same(g.clicks, w.clicks)
         _same(g.linear_mode, w.linear_mode)
         assert (g.photocurrent is None) == (w.photocurrent is None)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from dprsim import protocols
 from dprsim.config import DetectorSettings
 from dprsim.detectors import DetectionRecord, DetectorTrace
 from dprsim.optics import dli, phase_modulator
+
+from _oracles import coded as coded_intensity
 from dprsim.protocols import (
     VISIBILITY_CLASSES,
     cow_encode,
@@ -52,12 +56,12 @@ def interface_classes(symbols) -> dict[int, str]:
     counts them: a lone D_M1 click counts in the class of its slot, if that
     slot is an interface."""
     n = 2 * len(symbols) + 1
-    silent = DetectorTrace(np.zeros(n, dtype=bool), np.zeros(n), None, np.zeros(n, dtype=bool))
+    silent = DetectorTrace(np.zeros(n, dtype=bool), *coded_intensity(np.zeros(n)), None, np.zeros(n, dtype=bool))
     out = {}
     for k in range(n):
         clicks = np.zeros(n, dtype=bool)
         clicks[k] = True
-        lone = DetectorTrace(clicks, np.zeros(n), None, np.zeros(n, dtype=bool))
+        lone = replace(silent, clicks=clicks)
         report = visibility(DetectionRecord({"D_M1": lone, "D_M2": silent}), symbols)
         hits = [cls for cls, counts in report.per_class.items() if counts.d_m1]
         assert report.overall.d_m1 == len(hits) <= 1
@@ -143,8 +147,8 @@ def test_dps_sift_zero_clicks_flagged():
     bits = [0, 1, 0]
     n = len(bits) + 1
     empty = DetectorTrace(
-        clicks=np.zeros(n, dtype=bool),
-        intensity=np.zeros(n),
+        np.zeros(n, dtype=bool),
+        *coded_intensity(np.zeros(n)),
         photocurrent=np.zeros(n),
         linear_mode=np.zeros(n, dtype=bool),
     )
@@ -163,8 +167,8 @@ def test_dps_single_flipped_click_gives_qber_one_over_length():
     flipped_d1[4], flipped_d2[4] = False, True
     tampered = DetectionRecord(
         {
-            "D1": DetectorTrace(flipped_d1, record["D1"].intensity, record["D1"].photocurrent, record["D1"].linear_mode),
-            "D2": DetectorTrace(flipped_d2, record["D2"].intensity, record["D2"].photocurrent, record["D2"].linear_mode),
+            "D1": replace(record["D1"], clicks=flipped_d1),
+            "D2": replace(record["D2"], clicks=flipped_d2),
         }
     )
     km = dps_sift(bits, tampered)
@@ -183,8 +187,8 @@ def test_dps_discarding_clicks_never_creates_errors(bits, rnd):
             keep_d2[k] = False
     thinned = DetectionRecord(
         {
-            "D1": DetectorTrace(keep_d1, record["D1"].intensity, record["D1"].photocurrent, record["D1"].linear_mode),
-            "D2": DetectorTrace(keep_d2, record["D2"].intensity, record["D2"].photocurrent, record["D2"].linear_mode),
+            "D1": replace(record["D1"], clicks=keep_d1),
+            "D2": replace(record["D2"], clicks=keep_d2),
         }
     )
     km = dps_sift(bits, thinned)
@@ -355,8 +359,7 @@ def test_cow_sift_wrong_half_slot_click_gives_one_error():
     # Move the first data symbol's click from the early to the late half-slot.
     assert clicks[0] and not clicks[1]
     clicks[0], clicks[1] = False, True
-    trace = record["D_B"]
-    tampered = DetectionRecord({"D_B": DetectorTrace(clicks, trace.intensity, trace.photocurrent, trace.linear_mode)})
+    tampered = DetectionRecord({"D_B": replace(record["D_B"], clicks=clicks)})
     km = cow_sift(REFERENCE_SYMBOLS, tampered)
     assert km.qber == pytest.approx(1.0 / 8.0)
 
@@ -365,8 +368,7 @@ def test_cow_sift_double_half_slot_counts_as_error():
     record = cow_record(cow_encode(codes("00")), t_b=0.9)
     clicks = record.clicks("D_B").copy()
     clicks[1] = True  # both half-slots of the first symbol now click
-    trace = record["D_B"]
-    tampered = DetectionRecord({"D_B": DetectorTrace(clicks, trace.intensity, trace.photocurrent, trace.linear_mode)})
+    tampered = DetectionRecord({"D_B": replace(record["D_B"], clicks=clicks)})
     km = cow_sift(codes("00"), tampered)
     # The inconsistent first symbol is kept as an error.
     assert km.sifted_slots.tolist() == [0, 1]

@@ -9,13 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dprsim.cli import main
-from dprsim.config import ConfigError, ScenarioConfig, scenario_from_dict
+from dprsim.config import BlindingSettings, ConfigError, DetectorSettings, ScenarioConfig, scenario_from_dict
+from dprsim.detectors import apd_detect
 from dprsim.goldens import GOLDENS, golden_config_dict
 from dprsim.report import emit_outputs, load_record, save_record
 from dprsim.scenario import (
     RngFactory,
     RunRecord,
     _alice_material,
+    _on_grid,
     _receive,
     _transmit,
     derive_sweep_seed,
@@ -47,22 +49,23 @@ GOLDEN_HASHES = {
     "cow-blinding-cw": "9b67e16425016b708dfd23ba0c020c8d6f05b1c65534aecdc6a24a6a177747ad",
 }
 
-# Record content hashes of the pinned scenarios (dprsim-record/6: canonical
-# header plus raw little-endian array bytes, each run value stored once).
+# Record content hashes of the pinned scenarios (dprsim-record/7: canonical
+# header plus raw little-endian array bytes, each run value stored once, each
+# detector's intensity as its sorted distinct levels and one code per slot).
 GOLDEN_RECORD_HASHES = {
-    "dps-ideal": "4a929409b4d0a3229eda10fbe2828a4c2b15eabd51186b3790e44dced4448919",
-    "cow-fig2": "dd75fa5507b075d82a5bde76c9609e1415937ebc72f7841dc00106169d07b691",
-    "cow-fig4-tamper": "068afa07688be4fef37c2eb0e334e7eb117f0277bcb59476a5e1e7009a7b682e",
-    "dps-backflash-ideal": "903132e2725d9a637fbba08ce0da8d0d3d3a4e4dedf1f289a5cc3bb8a4d2ce3c",
-    "cow-backflash-ideal": "e25f8876ffcf462f50219dc57c6c63d87f7cdd944e8aa651019a5256aa666404",
-    "dps-backflash-stat": "0909f07cd8a83a0a6559077c21d5f492e64d191e97b0b10868f0e4b7bd737860",
-    "dps-trojan": "b03c001c833c12296ef1f865018e5b1dd3ccb6c3097d1b11b7b4eb07534cb5d1",
-    "dps-trojan-watchdog": "ddbbbd0331023565e5c4d31e64534b813fbc8d2f2052c3ac5ab5c0fb05fe4f06",
-    "cow-trojan": "d2589f7de1123176682313eb9bca92082b917698a6aeaae6a6b281cd3a3f0c97",
-    "dps-blinding": "977d4d134f4043ca6018e5bc2b8841759f6672ea395e522c33b8fdd417a35e52",
-    "dps-blinding-derived": "e763c923073ee8edb628f7aca7db236b7a275de0bd26f277cb8a23ed937691d1",
-    "cow-blinding": "4a7268a8ead040f9f4a01a5a0cb542719ff9c0542822b705290b27e38def1632",
-    "cow-blinding-cw": "9e46a32379cab5e37f060048e29126b7fbcf64bc41595e80fc19d5107faf06ff",
+    "dps-ideal": "83d81ae8d14df9f90faaa45f84f0450d00eceed8f56b7c8fb62ea0a5e9386c71",
+    "cow-fig2": "54edb65c611614b3752fe2a12bbde856f3a1af3a4d2480d4879b17ad0fc56e73",
+    "cow-fig4-tamper": "1b3bf5b8da3251ff7f11a2fa048275f1f5bd66ed02a073cfca3ef012d0dcebea",
+    "dps-backflash-ideal": "006b107443589ff0f82b15292a2cd290e4ef9f721742f505cd0bf4dbad1fe1e4",
+    "cow-backflash-ideal": "65221ccf7b2331f44eeb36f165274af5860a349b7ca07685488c2d992ca0163c",
+    "dps-backflash-stat": "0feaf465155dbca04c0d45a3fa00184574d8f9db4c0e659864654b80d5eca550",
+    "dps-trojan": "f5faf011ffa594afff8743e442bd50c6fcfffbae4e6101a46bdf9c3037e5699e",
+    "dps-trojan-watchdog": "f13938807cd3375a735e3634b8fdcdff4343ab51112fbde61b2451c9f7c0512a",
+    "cow-trojan": "afaf00e94bbe455e2444f3f2a6fc25994dbd701dc37625bad53c0465cca9fb40",
+    "dps-blinding": "58d4187185bfaf1eb679183a028d10fced5c9aeb55dae1503ad2d515bd387b94",
+    "dps-blinding-derived": "e4ae27611730d95c23a66a1b2c4042a6274101dbc46af99569cc4871633dfe56",
+    "cow-blinding": "ef9ab24111138ec47ad9764add76768242e1796b67b34626e102ec36c6bb084b",
+    "cow-blinding-cw": "dcae4f89ff946fb5ff5f7ebb8379b20be1a3dd5b80b3b46be202f9afccd21fab",
 }
 
 # The same records hashed by the retired dprsim-record/1 serializer
@@ -133,18 +136,18 @@ NOISY_RUNS = {
         "attack": {"kind": "blinding", "blinding": {"illumination_level": 5.0}},
     },
 }
-# Record content hashes of the noisy runs (dprsim-record/6).
+# Record content hashes of the noisy runs (dprsim-record/7).
 NOISY_RUN_HASHES = {
-    "dps-clean": "67e51d17b7aea80941802e865a5336481e9ad50abd681a03f4fa3f2a5c30e597",
-    "cow-clean": "0cbb4aca31d7cad93727d1a820ef049f445b385ff12b705cb87a3ab1d2872492",
-    "dps-blinding": "296731e9e9acea0c8b84ddf2ff9af57fd1e9ff5760bc99c16d93e4030a6db320",
-    "cow-blinding": "934536bac2bc99efcf672adfc8759eb54a61a4eb2111ee45f5b2c558eb3fbeac",
-    "dps-backflash": "e78d656400e6a2d86da69f214cb936e27bbd5daac6ef788ded55791fb711c0a0",
-    "cow-backflash": "a9dea99be0b1fac8c4cb8fa8784b99e250d99b122f966a13706dcd2cc6623480",
-    "dps-trojan": "8b3a8fba890e7c3342acff385aa32da54208c8ed4877073fb9f33de5ad2cd133",
-    "cow-trojan": "eed3578688f4a1a1b26c752113a4a8a7adea65b9c913bb77f4866c4fd9cb9b65",
-    "dps-blinding-between-rails": "33684f9c3a8dd0118ca8a2f5c262fe56d2b4821f106cd126d618b25c04846554",
-    "cow-blinding-weak-light": "068847f8445cc369de178f70ee861a6695be3626f541e7099b34d2b9123c2128",
+    "dps-clean": "988ab89d9300593dd4df66bc362f29ccb9ec7134379a3f67729e760eb1578dd6",
+    "cow-clean": "67165e7943eca924f2eb52332283ea344d8e2d02d1d05f3c1a36491cc1641538",
+    "dps-blinding": "a6c997fb53f069dc18632633315c215e33e7fdd863f70683d4e24ae23c74c5b5",
+    "cow-blinding": "bb7e027cdfab25c1161b7fde1bef03ccae4a56e533e81c4fad934f8f98808f00",
+    "dps-backflash": "21eaa250280ac5f5a355dd744bf00ae875e4beb7bda0261692fa0d0bbd8c0ec6",
+    "cow-backflash": "326c5a748547973f7f13a4e91503e79392201a6ab429840936f982d97bf0447e",
+    "dps-trojan": "0895d06a8a699116d1441f4b03117b9f965348f6bb86d96d181bb7a0e39da103",
+    "cow-trojan": "55aaecd0c7c3b90fc2f6f84e9ac54c507fcb78eb88c1ac2a9376ad368c5c881f",
+    "dps-blinding-between-rails": "7b8d2541e6601182b4a73496d4a97b4925c2737919137b4e45dd6c7be06ddc6d",
+    "cow-blinding-weak-light": "8bae95e8426402fd8c2ed2a02cb5a71e1e779181552fbd77eaea976b99d207dd",
 }
 
 # The same runs hashed by ``record_v1_hash``, taken before dprsim-record/4:
@@ -267,7 +270,7 @@ def _hashed_span(data: bytes) -> bytes:
     """A record file minus its version line, its header's newline, its
     padding and its trailer."""
     version, header, _, raw, _ = split_record_file(data)
-    assert version == b"dprsim-record/6"
+    assert version == b"dprsim-record/7"
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + raw
 
 
@@ -318,10 +321,10 @@ def test_content_hash_is_header_plus_raw_array_bytes(tmp_path):
     save_record(record, path)
     trailer = json.dumps({"wall_time_s": record.wall_time_s}).encode() + b"\n"
     data = path.read_bytes()
-    assert data == join_record_file(b"dprsim-record/6", json.loads(canonical), b"".join(arrays), trailer)
-    assert data.startswith(b"dprsim-record/6\n" + canonical.encode() + b"\n")
+    assert data == join_record_file(b"dprsim-record/7", json.loads(canonical), b"".join(arrays), trailer)
+    assert data.startswith(b"dprsim-record/7\n" + canonical.encode() + b"\n")
     assert all(offset % 8 == 0 for offset in split_record_file(data)[2].values())
-    assert json.loads(canonical)["format"] == "dprsim-record/6"
+    assert json.loads(canonical)["format"] == "dprsim-record/7"
 
 
 def test_saved_record_is_compact_and_reloads_the_in_memory_types(tmp_path):
@@ -341,7 +344,7 @@ def test_saved_record_is_compact_and_reloads_the_in_memory_types(tmp_path):
     # Version line, header line, raw arrays and trailer, with nothing between
     # but under 8 bytes of padding before each array.
     header = record.canonical_json().encode()
-    unpadded = len(b"dprsim-record/6\n") + len(header) + 1 + nbytes(record.to_dict()) + len(trailer)
+    unpadded = len(b"dprsim-record/7\n") + len(header) + 1 + nbytes(record.to_dict()) + len(trailer)
     assert unpadded <= len(data) < unpadded + 8 * len(record._hashed()[1])
     clone = load_record(path)
     assert clone.wall_time_s == 1.25
@@ -351,6 +354,7 @@ def test_saved_record_is_compact_and_reloads_the_in_memory_types(tmp_path):
         trace = clone.protocol_run.record[name]
         assert (trace.clicks.dtype, trace.linear_mode.dtype) == (np.bool_, np.bool_)
         assert (trace.intensity.dtype, trace.photocurrent.dtype) == (np.float64, np.float64)
+        assert (trace.levels.dtype, trace.level_codes.dtype) == (np.float64, np.uint8)
     # Key bits are booleans, and Bob's key is stored once, as sifted_bob.
     run = clone.protocol_run
     assert run.sifted_alice.dtype == run.sifted_bob.dtype == clone.attack.eve_key.dtype == np.bool_
@@ -367,6 +371,51 @@ def test_saved_record_is_compact_and_reloads_the_in_memory_types(tmp_path):
     for trace in load_record(path).protocol_run.record.detectors.values():
         assert trace.photocurrent is None
     assert clean.to_dict()["protocol_run"]["record"]["detectors"]["D_B"]["photocurrent"] is None
+
+
+def test_a_line_of_many_levels_takes_wider_codes_and_round_trips(tmp_path):
+    # A tamper of a distinct phase per slot gives the monitoring lines more
+    # than 256 distinct intensities: their codes take two bytes, the file
+    # keeps that width, and the record is a function of its slot values.
+    pattern = np.random.default_rng(4).uniform(-2.0, 2.0, 1200).tolist()
+    doc = {"protocol": "cow", "n_symbols": 600, "seed": 8, "channel": {"phase_tamper_half_turns": pattern}}
+    record = run_scenario(scenario_from_dict(doc))
+    assert record.content_hash() == run_scenario(scenario_from_dict(doc)).content_hash()
+    traces = record.protocol_run.record.detectors
+    assert traces["D_B"].level_codes.dtype == np.uint8
+    for name in ("D_M1", "D_M2"):
+        levels, codes = np.unique(traces[name].intensity, return_inverse=True)
+        assert 256 < levels.size <= 65536 and traces[name].level_codes.dtype == np.uint16
+        np.testing.assert_array_equal(traces[name].levels, levels)
+        np.testing.assert_array_equal(traces[name].level_codes, codes)
+    assert record.to_dict()["protocol_run"]["record"]["detectors"]["D_M1"]["level_codes"].dtype.str == "<u2"
+    for clone in _round_trips(record, tmp_path):
+        assert clone.content_hash() == record.content_hash()
+        for name, trace in clone.protocol_run.record.detectors.items():
+            assert trace.level_codes.dtype == traces[name].level_codes.dtype
+            np.testing.assert_array_equal(trace.intensity, traces[name].intensity)
+
+
+def test_slots_past_a_blinded_record_read_silent_and_dark():
+    # Bob sifts the blinded record over Alice's grid; where the grid runs
+    # past the record, its slots carry no click and no light, even on a line
+    # whose levels hold no zero intensity.
+    background = np.full(6, 2.0)
+    record = apd_detect(
+        np.array([0.5, 1.0]), np.array([1, 0, 1, 1, 0, 1], dtype=np.uint8), 0.25, (0.1, 0.4),
+        DetectorSettings(), "D", blinding=BlindingSettings(), background=background,
+    )
+    trace = record["D"]
+    grid = _on_grid(record, 2, 7)["D"]
+    assert len(grid) == 7 and list(grid.levels) == [0.0, 0.5, 1.0]
+    np.testing.assert_array_equal(grid.intensity, [1.0, 1.0, 0.5, 1.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(grid.clicks, np.append(trace.clicks[2:], [False] * 3))
+    np.testing.assert_array_equal(grid.linear_mode, np.append(trace.linear_mode[2:], [False] * 3))
+    np.testing.assert_array_equal(grid.photocurrent, np.append(trace.photocurrent[2:], [0.0] * 3))
+    # Inside the record the window keeps the record's levels.
+    inside = _on_grid(record, 1, 4)["D"]
+    assert inside.levels is trace.levels
+    np.testing.assert_array_equal(inside.intensity, trace.intensity[1:5])
 
 
 def test_loaded_arrays_are_writable_and_keep_their_dtypes(tmp_path):
@@ -591,10 +640,11 @@ def test_run_scenario_no_attack_has_no_outcome():
 
 
 # Peak traced memory of ``run_scenario`` over its record's array bytes, at 2e4
-# symbols; measured 1.48 and 1.69 with Alice's codes and the readings stored
-# as int8 and kept narrow by the pipeline too.
+# symbols, with each detector's intensity stored as levels and one-byte
+# codes; measured 1.33-1.35, 1.69 and 1.86-1.87 (the first run of a process
+# reads highest).
 PEAK_TO_RECORD = [
-    ({"golden_name": "dps-backflash-stat", "n_symbols": 20_000}, 1.6),
+    ({"golden_name": "dps-backflash-stat", "n_symbols": 20_000}, 1.36),
     (
         {
             "protocol": "cow",
@@ -603,8 +653,9 @@ PEAK_TO_RECORD = [
             "attack": {"kind": "blinding"},
             "countermeasures": {"photocurrent_monitor": {"enabled": True}},
         },
-        1.9,
+        1.7,
     ),
+    ({"golden_name": "dps-trojan", "n_symbols": 20_000}, 1.88),
 ]
 
 
