@@ -50,7 +50,11 @@ from dprsim.scenario import run_scenario  # noqa: E402
 PROTOCOLS = ("dps", "cow")
 ATTACKS = ("none", "backflash", "trojan", "blinding")
 # Detector sections of the noisy clean cells, by the label a cell's ``detector`` holds.
-NOISY = {"dark-1e-5": {"dark_count_prob": 1e-5}}
+NOISY = {
+    "dark-1e-5": {"dark_count_prob": 1e-5},
+    "dead-3": {"dead_time_slots": 3},
+    "afterpulse-1e-2": {"afterpulse_prob": 0.01},
+}
 FORMAT = "dprsim-bench-matrix/2"
 SEED = 1
 

@@ -21,8 +21,6 @@ import os
 import sys
 from pathlib import Path
 
-import yaml
-
 from .config import ConfigError, ScenarioConfig, scenario_from_dict
 from .goldens import GOLDENS, golden_config_dict
 from .report import MetricsSummary, emit_outputs, load_record, summarize
@@ -186,6 +184,8 @@ def _cmd_report(args) -> int:
 
 def _cmd_goldens(args) -> int:
     if args.dump:
+        import yaml  # loaded only to write a document
+
         print(yaml.safe_dump(_golden(args.dump), sort_keys=True), end="")
         return EXIT_OK
     names = [args.run] if args.run else (list(GOLDENS) if args.run_all else None)

@@ -154,9 +154,8 @@ class BlindingSettings:
 
     ``readings`` pins the detection sequence Eve replays; when absent the run
     derives it by measuring Alice's train with Eve's replica of Bob.  The
-    illumination keeps Bob's detectors in linear mode: ``cw`` shines
-    ``illumination_level`` every slot, ``pulsed`` delivers the same energy once
-    per ``pulse_period_slots``.
+    illumination keeps Bob's detectors in linear mode; ``detectors`` gives the
+    pattern that ``style``, ``illumination_level`` and ``pulse_period_slots`` set.
     """
 
     readings: tuple[int, ...] | None = None

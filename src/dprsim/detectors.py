@@ -5,14 +5,17 @@ threshold fires, subject to dead time and an optional afterpulse in the first
 live slot after a click.
 
 Only bright illumination takes it out of that regime, as in the faked-state
-attack.  Under the run's blinding settings, stored photocurrent accumulates
-slot by slot with a one-pole (geometric) decay, and the detector is in linear
-mode whenever the stored current sits at or above the blind threshold.  There
-the trigger-pulse rails ``p_always`` / ``p_never`` decide clicks: at or above
-``p_always`` the detector always clicks, at or below ``p_never`` it never
-does, and strictly between the rails the click probability interpolates
-linearly.  The stored trace is also what the photocurrent monitor
-countermeasure low-pass filters.
+attack.  Under the run's blinding settings, blinding light of
+``illumination_level`` falls on every slot (``cw``), or on slots 0, p, 2p, ...
+of the detector's own clock (``pulsed``, p = ``pulse_period_slots``).  It
+adds to the signal intensity in a stored photocurrent, which accumulates
+slot by slot with a one-pole (geometric) decay, but never reaches the click
+discriminator.  The detector is in linear mode whenever the stored current
+sits at or above the blind threshold.  There the trigger-pulse rails
+``p_always`` / ``p_never`` decide clicks: at or above ``p_always`` the
+detector always clicks, at or below ``p_never`` it never does, and strictly
+between the rails the click probability interpolates linearly.  The stored
+trace is also what the photocurrent monitor countermeasure low-pass filters.
 """
 
 from __future__ import annotations
@@ -233,7 +236,6 @@ def apd_detect(
     detector: DetectorSettings,
     detector_id: str = "D",
     blinding: BlindingSettings | None = None,
-    background: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ) -> DetectionRecord:
     """Detect light with one APD, from its per-slot incident intensity: an
@@ -245,11 +247,9 @@ def apd_detect(
     fires, ``rails`` the line's ``(p_never, p_always)`` pair and ``detector``
     the run's dead time, afterpulsing and dark counts.  The detector runs in
     Geiger mode, and the trace keeps no photocurrent, unless ``blinding`` is
-    given: then the per-slot mode follows the stored photocurrent, which the
-    trace keeps.  ``background`` is per-slot illumination (blinding light)
-    that feeds the stored photocurrent but not the click discriminator, so it
-    needs ``blinding``; clicks are decided from the signal intensity alone.
-    Raises ``ValueError`` when the detector may draw (afterpulses, dark
+    given: then its light (see the module docstring) falls on the detector,
+    and the per-slot mode follows the stored photocurrent, which the trace
+    keeps.  Raises ``ValueError`` when the detector may draw (afterpulses, dark
     counts, a linear-mode slot between the rails) and no ``rng`` is given.
     The record holds this one detector on the default slot clock; a receiver
     assembles its detectors' traces on its own clock.
@@ -258,19 +258,11 @@ def apd_detect(
         raise ValueError(f"level codes must be one-dimensional, got shape {level_codes.shape}")
     n = level_codes.shape[0]
     if blinding is None:
-        if background is not None:
-            raise ValueError("background illumination acts only through blinding: pass blinding")
         photocurrent = None
         linear = np.zeros(n, dtype=bool)
     else:
         total = levels[level_codes]
-        if background is not None:
-            background = np.asarray(background, dtype=np.float64)
-            if background.shape[0] != n:
-                raise ValueError("background length must match the intensity")
-            if np.any(background < 0.0):
-                raise ValueError("background must be >= 0")
-            total += background
+        total[:: 1 if blinding.style == "cw" else blinding.pulse_period_slots] += blinding.illumination_level
         photocurrent, linear = _blinding_trace(blinding, total)
         del total  # slot-length and read no more: off the run's peak memory
 

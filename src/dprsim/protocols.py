@@ -144,7 +144,6 @@ def receive(
     t_b: float = 0.9,
     rng: Callable[[str], np.random.Generator] | None = None,
     blinding: BlindingSettings | None = None,
-    background: np.ndarray | None = None,
 ) -> tuple[DetectionRecord, dict[str, _Port]]:
     """Bob's receiver, or any replica of it.
 
@@ -169,12 +168,10 @@ def receive(
     on D_B and ``1 - t_b`` on the monitoring line.  At 0.5 a lone pulse still
     clicks the data line while the quarter-intensity interferometer edges,
     where a pulse meets a vacuum neighbour, stay silent.  Every detector runs
-    in Geiger mode unless ``blinding`` is given; ``blinding`` and
-    ``background`` drive every detector into blinding, where a detector in
-    linear mode clicks by the plain ``p_*`` rails for DPS and the ``_b``/``_m``
-    pairs for COW.  ``background`` must cover the longest port, one slot
-    more than the train, and each detector sees its leading part.  ``rng``
-    maps a detector name to its generator.
+    in Geiger mode unless ``blinding`` is given, whose light then falls on
+    every detector (``detectors.apd_detect``); a detector in linear mode
+    clicks by the plain ``p_*`` rails for DPS and the ``_b``/``_m`` pairs for
+    COW.  ``rng`` maps a detector name to its generator.
 
     Returns the record of every detector and the field incident on each, as
     a train of fields and the index of each slot's field in it.
@@ -210,7 +207,6 @@ def receive(
             detector,
             name,
             blinding=blinding,
-            background=None if background is None else background[: level_codes.shape[0]],
             rng=None if rng is None else rng(name),
         )[name]
     return DetectionRecord(traces, train.slot_period), {name: line[0] for name, line in lines.items()}

@@ -17,7 +17,6 @@ from dataclasses import is_dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
-import yaml
 
 from .attacks import (
     AttackOutcome,
@@ -54,7 +53,7 @@ from .optics import PulseTrain, cw_laser, phase_modulator
 from .protocols import (
     _CODE,
     ProtocolRun,
-    _cow_half_slots,
+    _DECOY,
     _interfaces,
     _Port,
     cow_encode,
@@ -156,7 +155,6 @@ def _receive(
     rngs: RngFactory,
     stream: str,
     blinding: BlindingSettings | None = None,
-    background: np.ndarray | None = None,
 ) -> tuple[DetectionRecord, dict[str, _Port]]:
     """Bob's receiver, or Eve's replica of it, at the scenario's detector
     settings and nominal level ``amplitude**2``, on a train coded by
@@ -170,7 +168,6 @@ def _receive(
         t_b=cfg.t_b,
         rng=lambda name: rngs.get(f"{stream}-{name}"),
         blinding=blinding,
-        background=background,
     )
 
 
@@ -198,8 +195,9 @@ def _cow_eve_key(codes: np.ndarray, clicks: np.ndarray) -> tuple[np.ndarray, np.
     """Eve's COW key from her per-grid-slot D_B clicks over Alice's codes: the
     data symbols where exactly one half-slot clicked, and the bit that
     half-slot names."""
-    kept, bits, both = _cow_half_slots(codes, clicks)
-    return kept[~both], bits[~both]
+    early, late = clicks[: 2 * codes.size : 2], clicks[1 : 2 * codes.size : 2]
+    kept = np.flatnonzero((codes != _DECOY) & (early != late))
+    return kept, late[kept]
 
 
 def _backflash_replica_clicks(
@@ -295,14 +293,6 @@ def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun) -> AttackOutcome:
     )
 
 
-def _blinding_background(style: str, level: float, period: int, n_slots: int) -> np.ndarray:
-    if style == "cw":
-        return np.full(n_slots, level, dtype=np.float64)
-    bg = np.zeros(n_slots, dtype=np.float64)
-    bg[::period] = level
-    return bg
-
-
 def _on_grid(record: DetectionRecord, offset: int, n_slots: int) -> DetectionRecord:
     """The ``n_slots`` slots of ``record`` from ``offset`` on; slots past its
     end are silent and dark: no click, zero intensity and photocurrent, Geiger
@@ -378,10 +368,7 @@ def _run_blinding(
         eve_slots, eve_bits = _cow_eve_key(clean.alice_codes, _window(readings == 3, 0, n_slots))
 
     trigger, trigger_codes = plan.trigger(cfg.slot_period)
-    # The background light lives only as long as the receive that reads it.
-    background = _blinding_background(s.style, s.illumination_level, s.pulse_period_slots, trigger_codes.size + 1)
-    record = _receive(cfg, trigger, trigger_codes, rngs, "bob", blinding=s, background=background)[0]
-    del background
+    record = _receive(cfg, trigger, trigger_codes, rngs, "bob", blinding=s)[0]
 
     cm = cfg.countermeasures.photocurrent_monitor
     # Only each alarm is kept: a monitor's filtered trace is as long as the record.
@@ -423,6 +410,8 @@ def load_config(text: str) -> ScenarioConfig:
     violations are rejected with the offending field path; parse errors carry
     the line number.
     """
+    import yaml  # only documents are parsed: a golden or Python config leaves it unloaded
+
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:

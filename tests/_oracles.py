@@ -468,6 +468,15 @@ def coded(intensity) -> tuple[np.ndarray, np.ndarray]:
     return levels, codes.astype(width)
 
 
+def blinding_light(blinding, n_slots: int) -> np.ndarray:
+    """The light of ``blinding`` on each of a detector's ``n_slots`` slots,
+    one value per slot: ``illumination_level`` on every slot (``cw``) or on
+    every ``pulse_period_slots``-th from slot 0 (``pulsed``), else 0."""
+    light = np.zeros(n_slots)
+    light[:: 1 if blinding.style == "cw" else blinding.pulse_period_slots] = blinding.illumination_level
+    return light
+
+
 def apd_clicks_dense(intensity, click_threshold: float, rails: tuple[float, float], linear):
     """``apd_detect``'s clicks without dead time, afterpulses or dark counts,
     as it decided them on one intensity per slot: the Geiger threshold on a
@@ -564,7 +573,6 @@ def receive_dense(
     t_b: float = 0.9,
     rng=None,
     blinding=None,
-    background=None,
 ) -> tuple[DetectionRecord, dict[str, PulseTrain]]:
     """``protocols.receive`` of a coded train, run on its gathered train: the
     record and the full-length train incident on each detector."""
@@ -591,7 +599,6 @@ def receive_dense(
             detector,
             name,
             blinding=blinding,
-            background=None if background is None else background[: len(port)],
             rng=None if rng is None else rng(name),
         )[name]
     return DetectionRecord(traces, train.slot_period), {name: line[0] for name, line in lines.items()}

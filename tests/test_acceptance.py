@@ -122,20 +122,48 @@ def test_backflash_capture_matches_emission_probability(protocol, p, seed):
         assert abs(record.attack.capture_fraction - emission) <= 5.0 * sigma
 
 
+@pytest.mark.parametrize("protocol", ["dps", "cow"])
+@pytest.mark.parametrize("tap", [None, 0.75])
+def test_trojan_capture_steps_at_eve_sensitivity(protocol, tap):
+    # Closed form: Eve's reflected peak is probe_amplitude**2 attenuated by
+    # reflection_db plus the probe band's excess loss, times 1 - tap_fraction
+    # when the watchdog taps the probe.  Above her sensitivity
+    # eve_min_intensity her noise-free replica reads every sifted bit; at or
+    # below it, none.
+    with criterion("trojan-closed-form"):
+        doc = {"protocol": protocol, "n_symbols": 2000, "seed": 1}
+        if tap is not None:
+            doc["countermeasures"] = {"watchdog": {"enabled": True, "tap_fraction": tap}}
+        kept = 1.0 - (tap or 0.0)
+
+        def capture(**trojan) -> float:
+            record = run_scenario(scenario_from_dict({**doc, "attack": {"kind": "trojan", "trojan": trojan}}))
+            assert record.protocol_run.sifted_length > 0
+            return record.attack.capture_fraction
+
+        # The step in decibels, against the default sensitivity of 1e-15, with
+        # the default probe band (1924 nm) losing 20 dB more in the channel.
+        step_db = 10.0 * np.log10(kept / 1e-15) - 20.0
+        for side, want in ((-1.0, 1.0), (1.0, 0.0)):
+            assert capture(probe_wavelength_nm=1924.0, reflection_db=step_db + side) == want
+        # The step itself, at a peak that is exact in binary: 0.5**2 * kept.
+        peak = 0.25 * kept
+        assert capture(probe_amplitude=0.5, eve_min_intensity=np.nextafter(peak, 0.0)) == 1.0
+        assert capture(probe_amplitude=0.5, eve_min_intensity=peak) == 0.0
+
+
 def test_fsg_sequence_reproduction():
     with criterion("fsg-sequence-reproduction"):
         plan = fsg_dps_phases(WORKED_EXAMPLE_READINGS, n_policy="worked-example")
         assert plan.phase_units.tolist() == list(WORKED_EXAMPLE_PHASES) == [0, 0, 2, 1, 1, 3, 1, 2, 0, 2, 1, 3, 2, 1, 2]
         rails = DetectorSettings(p_never=0.2, p_always=0.39)
-        blinding = BlindingSettings()
+        blinding = BlindingSettings(style="cw", illumination_level=BlindingSettings.blind_threshold)
         started = time.perf_counter()
         for readings in itertools.product((0, 1, 2), repeat=8):
             canonical = fsg_dps_phases(readings, launch_intensity=0.39)
             # Bob's blinded receiver, held in linear mode by blinding light at
             # the blind threshold on every slot, decoded per reading.
-            train, codes = canonical.trigger()
-            background = np.full(codes.size + 1, blinding.blind_threshold)
-            record, _ = receive("dps", train, codes, rails, 1.0, blinding=blinding, background=background)
+            record, _ = receive("dps", *canonical.trigger(), rails, 1.0, blinding=blinding)
             assert record["D1"].linear_mode.all() and record["D2"].linear_mode.all()
             replayed = decode_dps_readings(record, canonical.readings_slot_offset, len(readings))
             assert replayed.tolist() == list(readings)
@@ -174,21 +202,13 @@ def test_countermeasure_discrimination():
         from dprsim.detectors import apd_detect, photocurrent_monitor
 
         level, threshold = 20.0, 40.0
-        blinding = BlindingSettings(decay_per_slot=0.8, blind_threshold=4.0)
         for window in (8, 10, 16):
             n = 8 * window
-            cw = np.full(n, level)
-            pulsed = np.zeros(n)
-            pulsed[::8] = level
-            for background, expected in ((cw, True), (pulsed, False)):
-                rec = apd_detect(
-                    *coded(np.zeros(n)),
-                    0.5,
-                    (0.2, 0.39),
-                    DetectorSettings(),
-                    blinding=blinding,
-                    background=background,
+            for style, expected in (("cw", True), ("pulsed", False)):
+                blinding = BlindingSettings(
+                    style=style, illumination_level=level, pulse_period_slots=8, decay_per_slot=0.8, blind_threshold=4.0
                 )
+                rec = apd_detect(*coded(np.zeros(n)), 0.5, (0.2, 0.39), DetectorSettings(), blinding=blinding)
                 result = photocurrent_monitor(rec["D"].photocurrent, window, threshold)
                 assert result.alarm is expected
 

@@ -38,10 +38,8 @@ def phase_steps(plan) -> list[int]:
 def held_blind(protocol, trigger, rails, t_b=0.9):
     """Bob's record of a coded trigger, as a plan gives it, his detectors held
     in linear mode by blinding light at the blind threshold on every slot."""
-    train, codes = trigger
-    blinding = BlindingSettings()
-    background = np.full(codes.size + 1, blinding.blind_threshold)
-    record, _ = receive(protocol, train, codes, rails, 1.0, t_b=t_b, blinding=blinding, background=background)
+    blinding = BlindingSettings(style="cw", illumination_level=BlindingSettings.blind_threshold)
+    record, _ = receive(protocol, *trigger, rails, 1.0, t_b=t_b, blinding=blinding)
     assert all(record[name].linear_mode.all() for name in record.names)
     return record
 

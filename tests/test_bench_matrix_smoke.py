@@ -23,13 +23,18 @@ def test_matrix_smoke_writes_every_cell(tmp_path):
     assert set(result["environment"]) == {"nproc", "cpu_model", "python", "numpy", "pyyaml"}
     assert result["settings"] == {"sizes": [1000], "repeats": 1, "seed": 1}
     cells = result["cells"]
-    kinds = [(a, "ideal") for a in ("none", "backflash", "trojan", "blinding")] + [("none", "dark-1e-5")]
+    noisy = {
+        "dark-1e-5": {"dark_count_prob": 1e-5},
+        "dead-3": {"dead_time_slots": 3},
+        "afterpulse-1e-2": {"afterpulse_prob": 0.01},
+    }
+    kinds = [(a, "ideal") for a in ("none", "backflash", "trojan", "blinding")] + [("none", d) for d in noisy]
     assert sorted((c["protocol"], c["attack"], c["detector"]) for c in cells) == sorted(
         (p, a, d) for p in ("dps", "cow") for a, d in kinds
     )
     for cell in cells:
         assert cell["n_symbols"] == 1000
-        assert cell["scenario"].get("detector") == ({"dark_count_prob": 1e-5} if cell["detector"] == "dark-1e-5" else None)
+        assert cell["scenario"].get("detector") == noisy.get(cell["detector"])
         for entry in ("run_scenario_s", "cli_run_s"):
             assert len(cell[entry]["runs"]) == 1
             assert cell[entry]["median"] == cell[entry]["runs"][0] > 0.0

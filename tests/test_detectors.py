@@ -21,7 +21,7 @@ IDEAL = DetectorSettings()
 RAILS = (0.2, 0.4)
 # Blinding light at the blind threshold on every slot holds the stored
 # current at or above it, so the detector is in linear mode throughout.
-BLIND = BlindingSettings(decay_per_slot=0.5, blind_threshold=1.0)
+BLIND = BlindingSettings(style="cw", illumination_level=1.0, decay_per_slot=0.5, blind_threshold=1.0)
 
 
 def power(values) -> np.ndarray:
@@ -36,8 +36,7 @@ def detect(intensity, *args, **kwargs):
 
 def held_blind(intensity: np.ndarray, rng=None):
     """A detector held in linear mode, as blinding light holds Bob's."""
-    background = np.full(len(intensity), BLIND.blind_threshold)
-    return detect(intensity, 0.5, RAILS, IDEAL, blinding=BLIND, background=background, rng=rng)
+    return detect(intensity, 0.5, RAILS, IDEAL, blinding=BLIND, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +109,8 @@ def test_dark_counts_without_afterpulses_draw_once_per_live_subthreshold_slot():
 )
 def test_random_clicks_need_an_rng(cfg, intensities):
     (detector, blinding), intensity = cfg, power(intensities)
-    background = None if blinding is None else np.full(len(intensity), blinding.blind_threshold)
     with pytest.raises(ValueError, match="rng"):
-        detect(intensity, 0.5, RAILS, detector, blinding=blinding, background=background)
+        detect(intensity, 0.5, RAILS, detector, blinding=blinding)
 
 
 def test_avalanche_intensity_tracks_click_slots():
@@ -162,37 +160,56 @@ def test_linear_mode_trace_labels():
 # ---------------------------------------------------------------------------
 
 
-def blinded(blinding: BlindingSettings, incident: np.ndarray):
-    """A dark signal port lit by ``incident`` background: the detector's
-    per-slot linear-mode trace and its stored photocurrent."""
-    trace = detect(np.zeros(incident.size), 0.5, RAILS, IDEAL, blinding=blinding, background=incident)["D"]
+def blinded(blinding: BlindingSettings, n_slots: int, signal=None):
+    """A signal port, dark unless ``signal`` gives its intensities, lit by
+    the light of ``blinding``: the detector's per-slot linear-mode trace and
+    its stored photocurrent."""
+    signal = np.zeros(n_slots) if signal is None else power(signal)
+    trace = detect(signal, 0.5, RAILS, IDEAL, blinding=blinding)["D"]
     return trace.linear_mode, trace.photocurrent
 
 
-def test_no_illumination_stays_geiger():
-    blinding = BlindingSettings(decay_per_slot=0.5, blind_threshold=1.0)
-    linear, _ = blinded(blinding, np.zeros(20))
+def flash(level: float, decay: float = 0.5) -> BlindingSettings:
+    """Pulsed light of ``level`` whose period outlasts the tests' ports: one
+    pulse, at slot 0."""
+    return BlindingSettings(
+        illumination_level=level, pulse_period_slots=1000, decay_per_slot=decay, blind_threshold=1.0
+    )
+
+
+def test_dim_illumination_stays_geiger():
+    # Continuous light whose fixed point, level / (1 - decay) = 0.8, sits
+    # below the blind threshold never blinds the detector.
+    blinding = BlindingSettings(style="cw", illumination_level=0.4, decay_per_slot=0.5, blind_threshold=1.0)
+    linear, stored = blinded(blinding, 200)
     assert not linear.any()
+    assert stored[-1] == pytest.approx(0.8, rel=1e-9)
 
 
 def test_sustained_illumination_converges_to_blinded_fixed_point():
     decay, threshold = 0.8, 1.0
     level = threshold / (1.0 - decay)
-    blinding = BlindingSettings(decay_per_slot=decay, blind_threshold=threshold)
-    linear, stored = blinded(blinding, np.full(200, level))
+    blinding = BlindingSettings(style="cw", illumination_level=level, decay_per_slot=decay, blind_threshold=threshold)
+    linear, stored = blinded(blinding, 200)
     fixed_point = level / (1.0 - decay)
     assert stored[-1] == pytest.approx(fixed_point, rel=1e-9)
     assert fixed_point >= threshold
     assert linear[-1]
 
 
+def test_pulsed_illumination_lights_every_period_from_slot_0():
+    # Exactly representable: each pulse of 8 decays to 4, 2, 1, 0.5 before
+    # the next lands on it, and the current settles to 8 + 0.5 + ... .
+    blinding = BlindingSettings(illumination_level=8.0, pulse_period_slots=5, decay_per_slot=0.5, blind_threshold=1.0)
+    linear, stored = blinded(blinding, 11)
+    assert stored[:6].tolist() == [8.0, 4.0, 2.0, 1.0, 0.5, 8.25]
+    assert linear.tolist() == [True, True, True, True, False] * 2 + [True]
+
+
 def test_single_bright_pulse_blinds_for_log2_slots():
     # 10x threshold with decay 1/2: stored = 10, 5, 2.5, 1.25, 0.625 ...
     # so the detector is linear for ceil(log2(10)) = 4 slots.
-    blinding = BlindingSettings(decay_per_slot=0.5, blind_threshold=1.0)
-    incident = np.zeros(10)
-    incident[0] = 10.0
-    linear, _ = blinded(blinding, incident)
+    linear, _ = blinded(flash(10.0), 10)
     assert int(linear.sum()) == 4
     assert linear[:4].all() and not linear[4:].any()
 
@@ -201,31 +218,27 @@ def test_single_bright_pulse_blinds_for_log2_slots():
 @given(st.floats(1.0, 50.0), st.floats(1.0, 10.0), st.floats(0.2, 0.9))
 def test_blinded_period_monotone_in_pulse_energy(energy, extra, decay):
     def blinded_slots(e):
-        incident = np.zeros(64)
-        incident[0] = e
-        linear, _ = blinded(BlindingSettings(decay_per_slot=decay, blind_threshold=1.0), incident)
+        linear, _ = blinded(flash(e, decay), 64)
         return int(linear.sum())
 
     assert blinded_slots(energy + extra) >= blinded_slots(energy)
 
 
 def test_apd_detect_blinding_transition():
-    # Bright background for 4 slots, then dark: the detector drops back to
-    # Geiger only after the stored current decays below threshold.
-    background = np.array([10.0, 10.0, 10.0, 10.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    rec = detect(np.zeros(10), 0.5, RAILS, IDEAL, blinding=BLIND, background=background)
-    trace = rec["D"]
-    assert trace.linear_mode[:4].all()
-    assert not trace.linear_mode[-1]
-    assert trace.photocurrent[0] == pytest.approx(10.0)
+    # Bright signal for 4 slots, then dark, under a dim flash at slot 0: the
+    # stored current integrates the signal too, and the detector drops back
+    # to Geiger only after it decays below threshold.
+    linear, stored = blinded(flash(0.5), 10, [10.0] * 4 + [0.0] * 6)
+    assert linear[:4].all()
+    assert not linear[-1]
+    assert stored[0] == 10.5
 
 
 def test_photocurrent_is_kept_only_under_blinding():
     # Without blinding the photocurrent is the intensity, so the trace does
-    # not repeat it; background light acts only under blinding.
+    # not repeat it.
     assert detect(np.ones(4), 0.5, RAILS, IDEAL)["D"].photocurrent is None
-    with pytest.raises(ValueError, match="blind"):
-        detect(np.zeros(4), 0.5, RAILS, IDEAL, background=np.ones(4))
+    assert detect(np.ones(4), 0.5, RAILS, IDEAL, blinding=BLIND)["D"].photocurrent.tolist() == [2.0, 3.0, 3.5, 3.75]
 
 
 # ---------------------------------------------------------------------------

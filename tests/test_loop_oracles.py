@@ -49,7 +49,6 @@ from dprsim.scenario import (
     RngFactory,
     _alice_material,
     _backflash_replica_clicks,
-    _blinding_background,
     _cow_eve_key,
     _dps_eve_key,
     _transmit,
@@ -546,15 +545,23 @@ _LONG_READINGS = np.random.default_rng(6).integers(0, 4, 20_000).tolist()
 @st.composite
 def coded_lines(draw):
     """Sorted distinct levels, some on the threshold and rails of the test
-    below or one ulp either side, one code per slot, and background light."""
+    below or one ulp either side, one code per slot, and blinding settings:
+    either style, a level that blinds at once, over time or never, and a
+    period shorter or longer than the line."""
     marks = [0.5, 0.2 * (1.0 + 1e-9), 0.4 * (1.0 - 1e-9), 0.0]
     near = [np.nextafter(m, side) for m in marks for side in (-np.inf, np.inf)]
     values = draw(st.lists(st.sampled_from(marks + near) | st.floats(0.0, 2.0), min_size=1, max_size=12))
     levels = np.unique(np.array(values))
     n = draw(st.integers(0, 200))
     codes = np.array(draw(st.lists(st.integers(0, levels.size - 1), min_size=n, max_size=n)), dtype=np.uint8)
-    background = np.array(draw(st.lists(st.sampled_from([0.0, 0.3, 2.0]), min_size=n, max_size=n)), dtype=np.float64)
-    return levels, codes, background
+    blinding = BlindingSettings(
+        style=draw(st.sampled_from(BLINDING_STYLES)),
+        illumination_level=draw(st.sampled_from([0.3, 2.0]) | st.floats(1e-3, 5.0)),
+        pulse_period_slots=draw(st.integers(1, 250)),
+        decay_per_slot=0.5,
+        blind_threshold=1.0,
+    )
+    return levels, codes, blinding
 
 
 @given(coded_lines(), st.booleans())
@@ -564,10 +571,13 @@ def test_coded_thresholds_match_dense_comparisons(line, blind):
     code past a threshold or rail, which the sorted levels allow: the clicks,
     and where a draw is needed, equal those of the comparisons of each
     slot's intensity."""
-    levels, codes, background = line
-    rails, blinding = (0.2, 0.4), BlindingSettings(decay_per_slot=0.5, blind_threshold=1.0)
-    kwargs = {"blinding": blinding, "background": background} if blind else {}
-    linear = _blinding_trace(blinding, levels[codes] + background)[1] if blind else np.zeros(codes.size, dtype=bool)
+    levels, codes, blinding = line
+    rails = (0.2, 0.4)
+    kwargs = {"blinding": blinding} if blind else {}
+    linear = np.zeros(codes.size, dtype=bool)
+    if blind:
+        stored = oracle.blinding_trace_loop(0.0, 0.5, levels[codes] + oracle.blinding_light(blinding, codes.size))
+        linear = stored >= blinding.blind_threshold
     want, draws = oracle.apd_clicks_dense(levels[codes], 0.5, rails, linear)
     if draws:
         with pytest.raises(ValueError, match="rng"):
@@ -576,6 +586,8 @@ def test_coded_thresholds_match_dense_comparisons(line, blind):
     trace = apd_detect(levels, codes, 0.5, rails, DetectorSettings(), **kwargs)["D"]
     _same(trace.clicks, want)
     _same(trace.linear_mode, linear)
+    if blind:  # the light of the settings, added where the loop adds it
+        _same(trace.photocurrent.view(np.uint64), stored.view(np.uint64))
 
 
 def tamper_pattern(kind: str | None, n_slots: int, seed: int) -> list[float] | None:
@@ -650,14 +662,11 @@ def test_coded_receive_matches_dense_receive(protocol, alice, amplitude, t_b, de
     train, slot_codes = _transmit(cfg, alice)
     dense = oracle.transmit_dense(protocol, alice, amplitude, cfg.slot_period, pattern)
     _same_train(oracle.gathered(train, slot_codes), dense)
-    blinding = background = None
-    if blind:
-        blinding = BlindingSettings()
-        background = np.full(n_slots + 1, blinding.blind_threshold)
+    blinding = BlindingSettings(style="cw", illumination_level=BlindingSettings.blind_threshold) if blind else None
     streams = RngFactory(seed), RngFactory(seed)
-    got = receive(protocol, train, slot_codes, detector, amplitude**2, t_b, streams[0].get, blinding, background)
+    got = receive(protocol, train, slot_codes, detector, amplitude**2, t_b, streams[0].get, blinding)
     want = oracle.receive_dense(
-        protocol, dense, np.arange(n_slots), detector, amplitude**2, t_b, streams[1].get, blinding, background
+        protocol, dense, np.arange(n_slots), detector, amplitude**2, t_b, streams[1].get, blinding
     )
     _same_receive(got, want, streams)
     if ideal is not None:
@@ -697,10 +706,7 @@ def test_coded_trigger_receive_matches_dense_receive(policy, readings, t_b, styl
     dense = oracle.fsg_train(plan, period)
     _same_train(oracle.gathered(trigger, codes), dense)
     blinding = BlindingSettings(style=style)
-    background = _blinding_background(style, blinding.illumination_level, blinding.pulse_period_slots, codes.size + 1)
     streams = RngFactory(seed), RngFactory(seed)
-    got = receive(protocol, trigger, codes, detector, 1.0, t_b, streams[0].get, blinding, background)
-    want = oracle.receive_dense(
-        protocol, dense, np.arange(codes.size), detector, 1.0, t_b, streams[1].get, blinding, background
-    )
+    got = receive(protocol, trigger, codes, detector, 1.0, t_b, streams[0].get, blinding)
+    want = oracle.receive_dense(protocol, dense, np.arange(codes.size), detector, 1.0, t_b, streams[1].get, blinding)
     _same_receive(got, want, streams)

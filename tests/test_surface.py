@@ -122,3 +122,20 @@ def test_a_blinding_run_imports_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_a_golden_run_and_its_report_import_no_yaml(tmp_path):
+    # Only a scenario document is parsed, and only ``goldens --dump`` writes
+    # one: a golden run and the report of its record leave PyYAML unloaded.
+    code = (
+        "import sys\n"
+        "from dprsim import cli\n"
+        f"out = {str(tmp_path)!r}\n"
+        "assert cli.main(['run', '--golden', 'dps-ideal', '--out', out]) == 0\n"
+        "assert cli.main(['report', '--record', out + '/record.json']) == 0\n"
+        "print('yaml' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
