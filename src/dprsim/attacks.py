@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 import numpy.typing as npt
 
-from .config import DetectorSettings, TrojanSettings
+from .config import WORKED_EXAMPLE_READINGS, DetectorSettings, TrojanSettings
 from .detectors import DetectionRecord, _coded, apd_detect
 from .optics import PulseTrain, attenuate, cw_laser, phase_modulator, pulse_carver
 from .protocols import _as_codes, receive
@@ -61,11 +61,10 @@ _COW_STEPS = np.array([COW_PHASE_STEP[r] for r in range(4)], dtype=np.int8)
 # The phase factor of each quarter turn, computed once instead of once per pulse.
 _QUARTER_TURNS = np.exp(1j * (np.pi / 2.0) * np.arange(4))
 
-# One specific reading sequence and the drive table that reproduces it with
-# slot-varying N.  The first reading is the interferometer edge slot of the
-# first pulse, which is always a vacuum event, so the table has exactly one
-# phase per reading.
-WORKED_EXAMPLE_READINGS = (0, 1, 2, 0, 1, 2, 2, 0, 2, 2, 0, 2, 0, 0, 0)
+# The drive table that reproduces the worked-example readings with slot-varying
+# N.  The first reading is the interferometer edge slot of the first pulse,
+# which is always a vacuum event, so the table has exactly one phase per
+# reading.
 WORKED_EXAMPLE_PHASES = (0, 0, 2, 1, 1, 3, 1, 2, 0, 2, 1, 3, 2, 1, 2)
 
 
@@ -86,12 +85,12 @@ class FsgPlan:
         if len(self.phase_units) != self.level_codes.shape[0]:
             raise ValueError("one launch level per pulse required")
 
-    def trigger(self, slot_period: float = 1.0) -> tuple[PulseTrain, np.ndarray]:
+    def trigger(self) -> tuple[PulseTrain, np.ndarray]:
         """Eve's trigger train, coded (see ``protocols.receive``): the field
         ``sqrt(level) * i**q`` of each (launch level, quarter turn) pair, 4
         for DPS and 8 for COW, and the code of each pulse's pair."""
         fields = np.sqrt(self.levels)[:, np.newaxis] * _QUARTER_TURNS
-        return PulseTrain(fields.reshape(-1), slot_period), 4 * self.level_codes + self.phase_units % 4
+        return PulseTrain(fields.reshape(-1)), 4 * self.level_codes + self.phase_units % 4
 
 
 def _check_readings(readings, allowed: tuple[int, ...]) -> np.ndarray:
@@ -269,7 +268,6 @@ def trojan_probe(
     protocol: str,
     alice_modulation: Sequence[int],
     probe: TrojanSettings,
-    slot_period: float,
     excess_loss_db: float = 0.0,
     signal_wavelength: float = 1550.0,
 ) -> tuple[PulseTrain, np.ndarray]:
@@ -302,7 +300,7 @@ def trojan_probe(
     shifted = np.zeros(n, dtype=np.int8)
     if lo < hi:
         shifted[lo:hi] = mod[lo - off : hi - off]
-    source = cw_laser(2, probe.probe_amplitude, slot_period)
+    source = cw_laser(2, probe.probe_amplitude)
     if protocol == "dps":
         per_value = phase_modulator(source, np.pi * np.arange(2))
     elif protocol == "cow":
@@ -340,8 +338,7 @@ def trojan_decode(
         return receive("dps", reflected, codes, eve, nominal)[0]
     if protocol == "cow":
         rails = (eve.p_never_b, eve.p_always_b)
-        d_b = apd_detect(*_coded(power, codes), eve.click_threshold_rel * nominal, rails, eve, "D_B")
-        return DetectionRecord(d_b.detectors, reflected.slot_period)
+        return apd_detect(*_coded(power, codes), eve.click_threshold_rel * nominal, rails, eve, "D_B")
     raise ValueError(f"unknown protocol {protocol!r}")
 
 

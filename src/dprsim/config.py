@@ -37,6 +37,8 @@ PROTOCOLS = ("dps", "cow")
 ATTACK_KINDS = ("none", "backflash", "trojan", "blinding")
 FSG_POLICIES = ("canonical", "worked-example")
 BLINDING_STYLES = ("cw", "pulsed")
+# The one reading sequence that the worked-example policy replays against DPS.
+WORKED_EXAMPLE_READINGS = (0, 1, 2, 0, 1, 2, 2, 0, 2, 2, 0, 2, 0, 0, 0)
 
 
 class ConfigError(ValueError):
@@ -123,10 +125,9 @@ class BackflashSettings:
         return min(1.0, self.electrons_per_avalanche * self.photons_per_electron)
 
     def validate(self, path: str) -> None:
-        if self.electrons_per_avalanche < 0 or self.photons_per_electron < 0:
-            raise ConfigError(f"{path}: avalanche constants must be >= 0")
-        if self.emission_gain < 0:
-            raise ConfigError(f"{path}.emission_gain: must be >= 0")
+        for name in ("electrons_per_avalanche", "photons_per_electron", "emission_gain"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{path}.{name}: must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -247,7 +248,6 @@ class ScenarioConfig:
     seed: int = 1
     amplitude: float = 1.0
     wavelength_nm: float = 1550.0
-    slot_period_s: float | None = None
     t_b: float = 0.9
     bits: tuple[int, ...] | None = None
     symbols: str | None = None
@@ -283,8 +283,6 @@ class ScenarioConfig:
             raise ConfigError(f"amplitude: too small: it squares to {self.amplitude**2}, under the smallest normal float")
         if self.wavelength_nm <= 0:
             raise ConfigError(f"wavelength_nm: must be > 0, got {self.wavelength_nm}")
-        if self.slot_period_s is not None and self.slot_period_s <= 0:
-            raise ConfigError(f"slot_period_s: must be > 0, got {self.slot_period_s}")
         if not (0.0 < self.t_b < 1.0):
             raise ConfigError(f"t_b: must be within (0, 1), got {self.t_b}")
         if self.bits is not None:
@@ -319,16 +317,13 @@ class ScenarioConfig:
             if not level / (1.0 - b.decay_per_slot) * slots <= sys.float_info.max / 3:
                 raise ConfigError(f"{where}: too large: a blinded detector stores {level} / (1 - decay_per_slot) of it, "
                                   f"which summed over {slots} slots overflows")
+        if self.protocol == "dps" and b.policy == "worked-example" and tuple(b.readings or ()) != WORKED_EXAMPLE_READINGS:
+            raise ConfigError(f"attack.blinding.policy: worked-example replays only the readings "
+                              f"{list(WORKED_EXAMPLE_READINGS)}; set attack.blinding.readings to them or use canonical")
         allowed = (0, 1, 2) if self.protocol == "dps" else (0, 1, 2, 3)
         for i, r in enumerate(b.readings or ()):
             if r not in allowed:
                 raise ConfigError(f"attack.blinding.readings[{i}]: must be in {allowed} for {self.protocol}, got {r}")
-
-    @property
-    def slot_period(self) -> float:
-        if self.slot_period_s is not None:
-            return self.slot_period_s
-        return 1.0 if self.protocol == "dps" else 0.5
 
     def to_dict(self) -> dict[str, Any]:
         """Canonical plain-data snapshot (defaults materialised, tuples as lists)."""

@@ -212,10 +212,9 @@ class DetectorTrace:
 
 @dataclass(eq=False)
 class DetectionRecord:
-    """Click traces for a named set of detectors sharing one slot clock."""
+    """Click traces for a named set of detectors sharing one slot grid."""
 
     detectors: dict[str, DetectorTrace]
-    slot_period: float = 1.0
 
     def __getitem__(self, name: str) -> DetectorTrace:
         return self.detectors[name]
@@ -251,8 +250,6 @@ def apd_detect(
     and the per-slot mode follows the stored photocurrent, which the trace
     keeps.  Raises ``ValueError`` when the detector may draw (afterpulses, dark
     counts, a linear-mode slot between the rails) and no ``rng`` is given.
-    The record holds this one detector on the default slot clock; a receiver
-    assembles its detectors' traces on its own clock.
     """
     if level_codes.ndim != 1:
         raise ValueError(f"level codes must be one-dimensional, got shape {level_codes.shape}")

@@ -54,14 +54,9 @@ _V_PI_RF = 4.0
 
 @dataclass(frozen=True, eq=False)
 class PulseTrain:
-    """Complex field amplitudes on a uniform slot grid.
-
-    ``slot_period`` is the grid spacing in seconds (for a two-bin coherent
-    one-way symbol this is the half-slot).
-    """
+    """Complex field amplitudes, one per slot."""
 
     slots: np.ndarray
-    slot_period: float = 1.0
 
     def __post_init__(self) -> None:
         # Own copy, frozen: trains are value types and never alias caller data.
@@ -70,8 +65,6 @@ class PulseTrain:
             raise ValueError(f"slots must be one-dimensional, got shape {slots.shape}")
         if not np.all(np.isfinite(slots)):
             raise ValueError("slot amplitudes must be finite")
-        if not (self.slot_period > 0.0):
-            raise ValueError(f"slot_period must be > 0, got {self.slot_period}")
         slots.setflags(write=False)
         object.__setattr__(self, "slots", slots)
 
@@ -86,22 +79,21 @@ class PulseTrain:
         return power
 
     def with_slots(self, slots: np.ndarray) -> "PulseTrain":
-        """A train on this grid that takes ownership of ``slots``: the
-        one-dimensional complex array a component has just computed from
-        checked trains.  It is frozen in place, neither copied nor checked,
-        so the caller must hold no other reference to it."""
+        """A train that takes ownership of ``slots``: the one-dimensional
+        complex array a component has just computed from checked trains.  It
+        is frozen in place, neither copied nor checked, so the caller must
+        hold no other reference to it."""
         slots.setflags(write=False)
         train = object.__new__(PulseTrain)
         object.__setattr__(train, "slots", slots)
-        object.__setattr__(train, "slot_period", self.slot_period)
         return train
 
 
-def cw_laser(n_slots: int, amplitude: float = 1.0, slot_period: float = 1.0) -> PulseTrain:
+def cw_laser(n_slots: int, amplitude: float = 1.0) -> PulseTrain:
     """Constant-amplitude, phase-0 source: the single-frequency CW laser."""
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
-    return PulseTrain(np.full(n_slots, amplitude, dtype=np.complex128), slot_period)
+    return PulseTrain(np.full(n_slots, amplitude, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------

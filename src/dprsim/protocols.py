@@ -209,7 +209,7 @@ def receive(
             blinding=blinding,
             rng=None if rng is None else rng(name),
         )[name]
-    return DetectionRecord(traces, train.slot_period), {name: line[0] for name, line in lines.items()}
+    return DetectionRecord(traces), {name: line[0] for name, line in lines.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def _as_codes(codes, top: int) -> np.ndarray:
     return arr
 
 
-def dps_encode(phase_bits, pulse_amplitude: float = 1.0, slot_period: float = 1.0) -> tuple[PulseTrain, np.ndarray]:
+def dps_encode(phase_bits, pulse_amplitude: float = 1.0) -> tuple[PulseTrain, np.ndarray]:
     """Alice's transmitter: CW laser, pulse carver, then a common-drive phase
     modulator applying 0 or pi per slot according to the bit.
 
@@ -241,7 +241,7 @@ def dps_encode(phase_bits, pulse_amplitude: float = 1.0, slot_period: float = 1.
     slot-local, so running the chain once over bits 0 and 1 gives each slot
     its bit's value of the chain over the whole train, bit for bit."""
     bits = _as_codes(phase_bits, 1)
-    source = cw_laser(2, pulse_amplitude, slot_period)
+    source = cw_laser(2, pulse_amplitude)
     carved = pulse_carver(source, np.ones(2))
     return phase_modulator(carved, np.pi * np.arange(2)), bits
 
@@ -324,7 +324,7 @@ def _cow_half_slots(codes: np.ndarray, clicks: np.ndarray) -> tuple[np.ndarray, 
     return kept, late[kept], early[kept] & late[kept]
 
 
-def cow_encode(codes, amplitude: float = 1.0, slot_period: float = 0.5) -> tuple[PulseTrain, np.ndarray]:
+def cow_encode(codes, amplitude: float = 1.0) -> tuple[PulseTrain, np.ndarray]:
     """Alice's transmitter: CW laser carved into the two-slot occupancy pattern;
     all pulses stay mutually coherent (common phase 0).
 
@@ -334,7 +334,7 @@ def cow_encode(codes, amplitude: float = 1.0, slot_period: float = 0.5) -> tuple
     slot-local, so carving the two values once equals carving the whole
     train, bit for bit."""
     occupancy = cow_occupancy(codes)
-    source = cw_laser(2, amplitude, slot_period)
+    source = cw_laser(2, amplitude)
     return pulse_carver(source, np.arange(2)), occupancy
 
 

@@ -4,7 +4,7 @@ record file.
 :class:`RunRecord` holds everything one run produced.  ``to_dict`` and
 ``from_dict`` convert it to and from a plain tree of dicts, scalars and
 arrays; the content hash covers that tree minus its volatile values; and a
-record file (``dprsim-record/7``) holds exactly the hashed bytes, framed, so
+record file (``dprsim-record/8``) holds exactly the hashed bytes, framed, so
 that a reader maps each array in place.  :mod:`report` writes and reads the
 files.
 """
@@ -28,9 +28,9 @@ from .protocols import ProtocolRun
 __all__ = ["RunRecord"]
 
 # The record format: the file's version line and its header's ``format``.
-RECORD_FORMAT = "dprsim-record/7"
+RECORD_FORMAT = "dprsim-record/8"
 # Formats of older record files, which are no longer read.
-_RETIRED_FORMATS = tuple(f"dprsim-record/{v}" for v in range(1, 7))
+_RETIRED_FORMATS = tuple(f"dprsim-record/{v}" for v in range(1, 8))
 
 # ``X`` of an ``NDArray[X]`` hint -> stored little-endian dtype (bools as bytes, the same on every platform).
 _STORED = {np.bool_: "|u1", np.int8: "|i1", np.int64: "<i8", np.float64: "<f8"}
@@ -185,12 +185,12 @@ class RunRecord:
     followed by the raw bytes of each array in header key order; the wall
     time, the only non-reproducible field, is left out.
 
-    A record file (``dprsim-record/7``, also the header's ``format``) holds
+    A record file (``dprsim-record/8``, also the header's ``format``) holds
     exactly those hashed bytes between a version line and a trailer, each
     array zero-padded to start at a multiple of 8 bytes from the file's
     start::
 
-        dprsim-record/7
+        dprsim-record/8
         <canonical header>
         <zero padding, raw array bytes; in header key order>{"wall_time_s": <seconds>}
 

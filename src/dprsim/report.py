@@ -2,7 +2,7 @@
 
 Every emitted file parses back into the in-memory values exactly.
 ``metrics.json`` carries a ``format`` key.  ``record.json`` is
-``dprsim-record/7``, the bytes that the record's content hash covers, framed
+``dprsim-record/8``, the bytes that the record's content hash covers, framed
 by two text lines and padding (see ``RunRecord``): a version line, the
 canonical JSON header (arrays as ``{"dtype", "shape"}``: ``|i1`` for Alice's
 codes and the readings, ``<i8`` for slots, ``<f8`` for intensity levels and
@@ -116,7 +116,7 @@ def emit_outputs(record: RunRecord, directory: str | Path) -> list[Path]:
     * ``alice.key`` / ``bob.key`` (and ``eve.key`` under attack): the sifted
       keys as ASCII bit strings, one line each.
     * ``metrics.json``: the recomputed :class:`MetricsSummary`.
-    * ``record.json``: the full run record, ``dprsim-record/7``, which holds
+    * ``record.json``: the full run record, ``dprsim-record/8``, which holds
       every per-detector slot trace; :func:`load_record` reads it back.
     """
     outdir = Path(directory)

@@ -127,9 +127,9 @@ def _transmit(cfg: ScenarioConfig, codes: np.ndarray) -> tuple[PulseTrain, np.nd
     and distinct phase, and each slot takes its pair's code: bit for bit the
     modulation of the full-length train."""
     if cfg.protocol == "dps":
-        train, slot_codes = dps_encode(codes, cfg.amplitude, cfg.slot_period)
+        train, slot_codes = dps_encode(codes, cfg.amplitude)
     else:
-        train, slot_codes = cow_encode(codes, cfg.amplitude, cfg.slot_period)
+        train, slot_codes = cow_encode(codes, cfg.amplitude)
     pattern = cfg.channel.phase_tamper_half_turns
     if pattern is None:
         return train, slot_codes
@@ -259,7 +259,7 @@ def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun) -> AttackOutcome:
     cm = cfg.countermeasures.watchdog
     if cm.enabled:
         # The probe is continuous-wave, so one slot of it shows the watchdog its peak.
-        probe_in = cw_laser(1, s.probe_amplitude, cfg.slot_period)
+        probe_in = cw_laser(1, s.probe_amplitude)
         wd_alarm = watchdog(probe_in, cm.tap_fraction, cm.intensity_threshold)
         probe_amplitude = s.probe_amplitude * float(np.sqrt(1.0 - cm.tap_fraction))
 
@@ -269,7 +269,6 @@ def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun) -> AttackOutcome:
         cfg.protocol,
         modulation,
         probe_cfg,
-        cfg.slot_period,
         excess_loss_db=cfg.channel.excess_loss_for(s.probe_wavelength_nm),
         signal_wavelength=cfg.wavelength_nm,
     )
@@ -306,7 +305,7 @@ def _on_grid(record: DetectionRecord, offset: int, n_slots: int) -> DetectionRec
         traces[name] = DetectorTrace(
             _window(t.clicks, offset, n_slots), levels, codes, photocurrent, _window(t.linear_mode, offset, n_slots)
         )
-    return DetectionRecord(traces, record.slot_period)
+    return DetectionRecord(traces)
 
 
 def _eve_readings(
@@ -367,7 +366,7 @@ def _run_blinding(
         feasibility = blinding_feasible(rails, cfg.t_b).as_dict()
         eve_slots, eve_bits = _cow_eve_key(clean.alice_codes, _window(readings == 3, 0, n_slots))
 
-    trigger, trigger_codes = plan.trigger(cfg.slot_period)
+    trigger, trigger_codes = plan.trigger()
     record = _receive(cfg, trigger, trigger_codes, rngs, "bob", blinding=s)[0]
 
     cm = cfg.countermeasures.photocurrent_monitor

@@ -122,7 +122,8 @@ def _v1_run(run) -> dict:
         "alice_bits": [int(b) for b in run.alice_codes] if dps else None,
         "alice_symbols": None if dps else "".join(COW_SYMBOLS[c] for c in run.alice_codes),
         "record": {
-            "slot_period": run.record.slot_period,
+            # v1 kept the slot period: 1.0 for DPS and 0.5 for COW, since no config ever set one.
+            "slot_period": 1.0 if dps else 0.5,
             "detectors": {name: _v1_trace(run.record[name]) for name in run.record.names},
         },
         "sifted_alice": [int(b) for b in run.sifted_alice],
@@ -161,7 +162,7 @@ def record_v1_hash(record) -> str:
     """
     payload = {
         "format": "dprsim-record/1",
-        "config": record.config,
+        "config": {**record.config, "slot_period_s": None},
         "protocol_run": _v1_run(record.protocol_run),
         "attack": _v1_outcome(record.attack, record.protocol_run),
     }
@@ -170,7 +171,7 @@ def record_v1_hash(record) -> str:
 
 
 # ---------------------------------------------------------------------------
-# The dprsim-record/7 file layout, read and written without the package's codec
+# The dprsim-record/8 file layout, read and written without the package's codec
 # ---------------------------------------------------------------------------
 
 
@@ -429,20 +430,20 @@ def blinding_trace_loop(stored_photocurrent: float, decay_per_slot: float, incid
     return stored
 
 
-def dps_encode_chain(bits, amplitude: float, slot_period: float) -> PulseTrain:
+def dps_encode_chain(bits, amplitude: float) -> PulseTrain:
     bits = np.asarray(bits, dtype=np.int64)
-    source = cw_laser(bits.size, amplitude, slot_period)
+    source = cw_laser(bits.size, amplitude)
     carved = pulse_carver(source, np.ones(bits.size))
     return phase_modulator(carved, np.pi * bits)
 
 
-def cow_encode_chain(sym: str, amplitude: float, slot_period: float) -> PulseTrain:
+def cow_encode_chain(sym: str, amplitude: float) -> PulseTrain:
     occ = cow_occupancy_loop(sym)
-    source = cw_laser(occ.size, amplitude, slot_period)
+    source = cw_laser(occ.size, amplitude)
     return pulse_carver(source, occ)
 
 
-def trojan_probe_chain(protocol: str, modulation, probe, slot_period: float, excess_loss_db: float) -> PulseTrain:
+def trojan_probe_chain(protocol: str, modulation, probe, excess_loss_db: float) -> PulseTrain:
     """The probe's reflection with the modulator run over every slot."""
     mod = np.asarray(modulation, dtype=np.float64)
     n = mod.size
@@ -451,7 +452,7 @@ def trojan_probe_chain(protocol: str, modulation, probe, slot_period: float, exc
         src = k - probe.timing_offset_slots
         if 0 <= src < n:
             shifted[k] = mod[src]
-    source = cw_laser(n, probe.probe_amplitude, slot_period)
+    source = cw_laser(n, probe.probe_amplitude)
     if protocol == "dps":
         reflected = phase_modulator(source, np.pi * shifted)
     else:
@@ -510,14 +511,14 @@ def backflash_replica_dense(trace, incident: PulseTrain, cfg, rng, threshold: fl
     return apd_detect(*coded(emission.intensities), threshold, (eve.p_never, eve.p_always), eve, "EVE")["EVE"].clicks
 
 
-def transmit_dense(protocol: str, alice, amplitude: float, slot_period: float, pattern) -> PulseTrain:
+def transmit_dense(protocol: str, alice, amplitude: float, pattern) -> PulseTrain:
     """Alice's train, one field per slot, through the channel's phase tamper:
     ``pattern`` (half turns) on its leading slots and phase 0 on the rest."""
     alice = np.asarray(alice, dtype=np.int64)
     if protocol == "dps":
-        train = dps_encode_chain(alice, amplitude, slot_period)
+        train = dps_encode_chain(alice, amplitude)
     else:
-        train = cow_encode_chain("".join(COW_SYMBOLS[c] for c in alice), amplitude, slot_period)
+        train = cow_encode_chain("".join(COW_SYMBOLS[c] for c in alice), amplitude)
     if pattern is None:
         return train
     phases = np.zeros(len(train), dtype=np.float64)
@@ -529,18 +530,16 @@ def transmit_dense(protocol: str, alice, amplitude: float, slot_period: float, p
 _QUARTER_TURNS = np.exp(1j * (np.pi / 2.0) * np.arange(4))
 
 
-def fsg_train(plan, slot_period: float) -> PulseTrain:
+def fsg_train(plan) -> PulseTrain:
     """A faked-state plan's trigger with one field per pulse."""
     intensity = plan.levels[plan.level_codes]
-    return PulseTrain(np.sqrt(intensity) * _QUARTER_TURNS[plan.phase_units % 4], slot_period)
+    return PulseTrain(np.sqrt(intensity) * _QUARTER_TURNS[plan.phase_units % 4])
 
 
 def coupler_two_inputs(in_a: PulseTrain, in_b: PulseTrain, transmittance: float = 0.5) -> tuple[PulseTrain, PulseTrain]:
     """The 2x2 coupler with light at both inputs, the shorter padded with
     vacuum: ``out_a = sqrt(t)*in_a + 1j*sqrt(1-t)*in_b`` and ``out_b =
     1j*sqrt(1-t)*in_a + sqrt(t)*in_b``."""
-    if in_a.slot_period != in_b.slot_period:
-        raise ValueError(f"slot_period mismatch: {in_a.slot_period} vs {in_b.slot_period}")
     t = math.sqrt(transmittance)
     k = 1j * math.sqrt(1.0 - transmittance)
     a, b = np.zeros((2, max(len(in_a), len(in_b))), dtype=np.complex128)
@@ -601,4 +600,4 @@ def receive_dense(
             blinding=blinding,
             rng=None if rng is None else rng(name),
         )[name]
-    return DetectionRecord(traces, train.slot_period), {name: line[0] for name, line in lines.items()}
+    return DetectionRecord(traces), {name: line[0] for name, line in lines.items()}

@@ -20,7 +20,7 @@ from dprsim.attacks import (
 from dprsim.cli import main
 from dprsim.config import BlindingSettings, DetectorSettings, scenario_from_dict
 from dprsim.optics import PulseTrain, dli
-from dprsim.protocols import dps_encode, dps_sift, receive
+from dprsim.protocols import _interfaces, dps_encode, dps_sift, receive
 from dprsim.scenario import run_golden, run_scenario
 
 from _oracles import brute_force_cow_monitor, brute_force_dli_ports, coded, cow_occupancy_loop
@@ -150,6 +150,67 @@ def test_trojan_capture_steps_at_eve_sensitivity(protocol, tap):
         peak = 0.25 * kept
         assert capture(probe_amplitude=0.5, eve_min_intensity=np.nextafter(peak, 0.0)) == 1.0
         assert capture(probe_amplitude=0.5, eve_min_intensity=peak) == 0.0
+
+
+# Closed forms of the detector imperfections, each over 2e4 of Alice's i.i.d.
+# symbols and two seeds, with bounds of five binomial standard deviations.
+NOISE_SYMBOLS = 20_000
+
+
+def _within_five_sigma(count: int, trials: int, p: float) -> bool:
+    return abs(count - trials * p) <= 5.0 * np.sqrt(trials * p * (1.0 - p))
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_dps_dark_counts_discard_double_clicks(seed):
+    # Closed form: at every interior slot one port is bright and clicks, and
+    # the dark port clicks with the dark-count probability p.  That dark click
+    # makes a double click, which sifting discards, so the sifted length is
+    # binomial over the n - 1 interior slots with probability 1 - p, and no
+    # sifted bit is ever wrong.
+    with criterion("dps-dark-count-closed-form"):
+        p = 1e-2
+        doc = {"protocol": "dps", "n_symbols": NOISE_SYMBOLS, "seed": seed, "detector": {"dark_count_prob": p}}
+        run = run_scenario(scenario_from_dict(doc)).protocol_run
+        assert _within_five_sigma(run.sifted_length, NOISE_SYMBOLS - 1, 1.0 - p)
+        assert run.qber == 0.0
+
+
+@pytest.mark.parametrize("dead", [1, 2, 3])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_dps_dead_time_sifts_two_in_dead_plus_two(dead, seed):
+    # Closed form: the bright port of each interior slot is a fair i.i.d.
+    # choice, and only it can click.  A detector that clicks is dead for d
+    # slots, then waits a geometric number of slots, 2 on average, for its
+    # port to be bright again; so each detector clicks once per d + 2 slots,
+    # and a slot sifts exactly when its bright detector is live: a fraction
+    # 2 / (d + 2) of the interior slots, with no error.  The click counts are
+    # renewal processes, whose spread is under the binomial one.
+    with criterion("dps-dead-time-closed-form"):
+        doc = {"protocol": "dps", "n_symbols": NOISE_SYMBOLS, "seed": seed, "detector": {"dead_time_slots": dead}}
+        run = run_scenario(scenario_from_dict(doc)).protocol_run
+        assert _within_five_sigma(run.sifted_length, NOISE_SYMBOLS - 1, 2.0 / (dead + 2))
+        assert run.qber == 0.0
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_cow_dark_counts_set_qber_and_the_destructive_monitor(seed):
+    # Closed form: D_B clicks at the pulse of every data symbol, so each one is
+    # sifted, and its empty half-slot clicks with the dark-count probability
+    # p, a double click that counts as an error.  At every interface the
+    # constructive monitor D_M1 sees the full interference and clicks, and
+    # the destructive D_M2 sees none and clicks only by a dark count.
+    with criterion("cow-dark-count-closed-form"):
+        p = 0.1
+        doc = {"protocol": "cow", "n_symbols": NOISE_SYMBOLS, "seed": seed, "detector": {"dark_count_prob": p}}
+        run = run_scenario(scenario_from_dict(doc)).protocol_run
+        data = int(np.count_nonzero(run.alice_codes != 2))
+        interfaces = _interfaces(run.alice_codes)[0].size
+        assert run.sifted_length == data
+        assert _within_five_sigma(round(run.qber * data), data, p)
+        overall = run.visibility_report.overall
+        assert overall.d_m1 == interfaces
+        assert _within_five_sigma(overall.d_m2, interfaces, p)
 
 
 def test_fsg_sequence_reproduction():

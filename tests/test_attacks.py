@@ -46,13 +46,13 @@ def held_blind(protocol, trigger, rails, t_b=0.9):
 
 def replay_dps(plan) -> list[int]:
     """The readings a linear-mode DPS receiver decodes from a plan's train."""
-    record = held_blind("dps", plan.trigger(1.0), RAILS)
+    record = held_blind("dps", plan.trigger(), RAILS)
     return decode_dps_readings(record, plan.readings_slot_offset, len(plan.readings)).tolist()
 
 
 def replay_cow(plan, t_b) -> list[int]:
     """The readings a linear-mode COW receiver decodes from a plan's train."""
-    record = held_blind("cow", plan.trigger(0.5), COW_RAILS, t_b)
+    record = held_blind("cow", plan.trigger(), COW_RAILS, t_b)
     return decode_cow_readings(record, plan.readings_slot_offset, len(plan.readings)).tolist()
 
 
@@ -156,7 +156,7 @@ def test_fsg_cow_replay_reproduces_readings(readings):
 @given(cow_readings)
 def test_fsg_cow_drive_never_leaks_into_silent_detectors(readings):
     plan = fsg_cow_drive(readings, 0.5, COW_RAILS)
-    record = held_blind("cow", plan.trigger(0.5), COW_RAILS, 0.5)
+    record = held_blind("cow", plan.trigger(), COW_RAILS, 0.5)
     offset = plan.readings_slot_offset
     for j, r in enumerate(readings):
         slot = offset + j
@@ -262,21 +262,21 @@ def dps_readout(coded) -> list[int]:
 
 def test_probe_reflects_alices_phase_sequence():
     bits = np.array([0, 1, 1, 0, 1])
-    reflected = gathered(*trojan_probe("dps", bits, dps_probe(), slot_period=1.0))
+    reflected = gathered(*trojan_probe("dps", bits, dps_probe()))
     expected = np.exp(1j * np.pi * bits)
     np.testing.assert_allclose(reflected.slots, expected, atol=1e-12)
 
 
 def test_probe_decode_recovers_the_key():
     bits = np.array([0, 1, 0, 0, 1, 1, 0])
-    reflected = trojan_probe("dps", bits, dps_probe(), slot_period=1.0)
+    reflected = trojan_probe("dps", bits, dps_probe())
     assert dps_readout(reflected) == dps_reference_bits(bits).tolist()
 
 
 def test_probe_timing_offset_shifts_the_decoded_key():
     bits = np.array([0, 1, 0, 0, 1, 1, 0, 1])
-    aligned = dps_readout(trojan_probe("dps", bits, dps_probe(), 1.0))
-    shifted = dps_readout(trojan_probe("dps", bits, dps_probe(timing_offset_slots=1), 1.0))
+    aligned = dps_readout(trojan_probe("dps", bits, dps_probe()))
+    shifted = dps_readout(trojan_probe("dps", bits, dps_probe(timing_offset_slots=1)))
     assert shifted != aligned
     # The shifted profile is the same bit stream delayed by one slot with a
     # vacuum-slot lead-in, so the tail of the decoded key matches.
@@ -286,28 +286,28 @@ def test_probe_timing_offset_shifts_the_decoded_key():
 
 def test_probe_excess_loss_at_long_wavelength():
     bits = np.array([0, 1, 0])
-    base = gathered(*trojan_probe("dps", bits, dps_probe(), 1.0, excess_loss_db=0.0))
-    lossy = gathered(*trojan_probe("dps", bits, dps_probe(probe_wavelength_nm=1924.0), 1.0, excess_loss_db=20.0))
+    base = gathered(*trojan_probe("dps", bits, dps_probe(), excess_loss_db=0.0))
+    lossy = gathered(*trojan_probe("dps", bits, dps_probe(probe_wavelength_nm=1924.0), excess_loss_db=20.0))
     ratio = lossy.intensities[0] / base.intensities[0]
     assert ratio == pytest.approx(0.01)
 
 
 def test_probe_below_eve_sensitivity_gives_empty_estimate():
     bits = np.array([0, 1, 0])
-    reflected, codes = trojan_probe("dps", bits, dps_probe(), 1.0)
+    reflected, codes = trojan_probe("dps", bits, dps_probe())
     record = trojan_decode(attenuate(reflected, 200.0), codes, "dps", min_intensity=1e-15)
     assert record.names == ["D1", "D2"] and len(record["D1"]) == 4
     assert record["D1"].click_count == record["D2"].click_count == 0
-    cow, codes = trojan_probe("cow", [1, 0, 1, 1], dps_probe(), 0.5)
+    cow, codes = trojan_probe("cow", [1, 0, 1, 1], dps_probe())
     assert trojan_decode(attenuate(cow, 200.0), codes, "cow", min_intensity=1e-15)["D_B"].click_count == 0
 
 
 def test_probe_reads_cow_intensity_pattern():
     symbols = [0, 1, 2, 1, 0, 0, 0, 1, 2, 1]  # "01d10001d1"
     occ = cow_occupancy(symbols)
-    reflected, codes = trojan_probe("cow", occ, dps_probe(), slot_period=0.5)
+    reflected, codes = trojan_probe("cow", occ, dps_probe())
     record = trojan_decode(reflected, codes, "cow")
-    assert record.names == ["D_B"] and record.slot_period == 0.5
+    assert record.names == ["D_B"]
     assert record.clicks("D_B").tolist() == occ.astype(bool).tolist()
 
 
@@ -317,7 +317,7 @@ def test_probe_threshold_follows_the_values_its_slots_carry():
     # follows: every slot clicks alike.  A peak over both values would take
     # the pulse level that no slot carries, and nothing would click.
     occ = cow_occupancy([0, 1, 2])
-    reflected, codes = trojan_probe("cow", occ, dps_probe(timing_offset_slots=occ.size), 0.5)
+    reflected, codes = trojan_probe("cow", occ, dps_probe(timing_offset_slots=occ.size))
     assert not codes.any() and 0.0 < reflected.intensities[0] < 1e-30
     record = trojan_decode(reflected, codes, "cow", min_intensity=0.0)
     assert record.clicks("D_B").all()
@@ -325,7 +325,7 @@ def test_probe_threshold_follows_the_values_its_slots_carry():
 
 def test_probe_rejects_signal_wavelength():
     with pytest.raises(ValueError):
-        trojan_probe("dps", np.array([0, 1]), dps_probe(probe_wavelength_nm=1550.0), 1.0)
+        trojan_probe("dps", np.array([0, 1]), dps_probe(probe_wavelength_nm=1550.0))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dprsim import cli, report
+from dprsim.attacks import WORKED_EXAMPLE_READINGS
 from dprsim.cli import main
 from dprsim.config import ScenarioConfig, _inner, scenario_from_dict
 from dprsim.record import RECORD_FORMAT, RunRecord
@@ -263,6 +264,26 @@ def test_cli_invalid_config_file(tmp_path, capsys):
     assert "t_b" in capsys.readouterr().err
 
 
+def test_cli_rejects_the_removed_slot_period_as_an_unknown_key(tmp_path, capsys):
+    # A slot is one complex amplitude and no result depends on its length, so a
+    # scenario has no slot period: a document that still sets one fails at load.
+    assert _run_document(tmp_path, "slot_period_s: 1.0e-9\n") == 1
+    assert "slot_period_s: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_the_worked_example_policy_without_its_readings(tmp_path, capsys):
+    # This used to validate and then fail at run time (exit 2): the policy's
+    # drive table exists only for its published readings.
+    blinding = "attack: {kind: blinding, blinding: {policy: worked-example"
+    assert _run_document(tmp_path, f"protocol: dps\n{blinding}}}}}\n") == 1
+    assert "config error: attack.blinding.policy: worked-example replays only" in capsys.readouterr().err
+    readings = list(WORKED_EXAMPLE_READINGS)
+    assert _run_document(tmp_path, f"protocol: dps\n{blinding}, readings: {readings}}}}}\n") == 0
+    # COW derives its drive from the readings alone, under either policy.
+    assert _run_document(tmp_path, f"protocol: cow\nt_b: 0.5\n{blinding}}}}}\n") == 0
+
+
 def test_cli_report_recomputes_stored_metrics(tmp_path, capsys):
     assert main(["run", "--config", "cow-fig2", "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
@@ -412,6 +433,14 @@ BAD_RECORDS = {
     "format-5": (
         lambda d: b"dprsim-record/5" + d[d.index(b"\n") :],
         "dprsim-record/5 file, which is no longer read",
+    ),
+    "format-6": (
+        lambda d: b"dprsim-record/6" + d[d.index(b"\n") :],
+        "dprsim-record/6 file, which is no longer read",
+    ),
+    "format-7": (
+        lambda d: b"dprsim-record/7" + d[d.index(b"\n") :],
+        "dprsim-record/7 file, which is no longer read",
     ),
     "invalid-json": (lambda d: RECORD_FORMAT.encode() + b"\n{not json\n", "header is not JSON"),
     "not-canonical": (lambda d: d.replace(b'{"attack":null,', b'{"attack": null,', 1), "header is not canonical"),

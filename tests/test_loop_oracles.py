@@ -398,33 +398,32 @@ def test_blinding_trace_repairs_and_falls_back_exactly(monkeypatch, quiet_lanes,
     assert looped == ([20_000 - 3 * 141] if fallback else [20_000 - 141 * 141])
 
 
-# Alice's transmitter settings: amplitude and slot period.
-transmitters = st.tuples(st.floats(0.0, 10.0), st.floats(0.01, 2.0))
+# Alice's transmitter amplitude.
+amplitudes = st.floats(0.0, 10.0)
 
 
 def _same_train(a: PulseTrain, b: PulseTrain) -> None:
-    assert a.slot_period == b.slot_period
     _same(a.slots.view(np.uint64), b.slots.view(np.uint64))
 
 
-@given(st.lists(st.integers(0, 1), min_size=1, max_size=60), transmitters)
-@example([0], (1.0, 1.0))
-@example([1, 1, 0, 1], (0.3, 0.5))
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=60), amplitudes)
+@example([0], 1.0)
+@example([1, 1, 0, 1], 0.3)
 @settings(max_examples=300)
-def test_dps_encode_matches_chain(bits, tx):
-    train, slot_codes = dps_encode(bits, *tx)
+def test_dps_encode_matches_chain(bits, amplitude):
+    train, slot_codes = dps_encode(bits, amplitude)
     _same(slot_codes, np.array(bits, dtype=np.int64))
-    _same_train(oracle.gathered(train, slot_codes), oracle.dps_encode_chain(bits, *tx))
+    _same_train(oracle.gathered(train, slot_codes), oracle.dps_encode_chain(bits, amplitude))
 
 
-@given(symbols, transmitters)
-@example("d", (1.0, 0.5))
-@example("01d10", (0.3, 0.25))
+@given(symbols, amplitudes)
+@example("d", 1.0)
+@example("01d10", 0.3)
 @settings(max_examples=300)
-def test_cow_encode_matches_chain(sym, tx):
-    train, slot_codes = cow_encode(codes(sym), *tx)
+def test_cow_encode_matches_chain(sym, amplitude):
+    train, slot_codes = cow_encode(codes(sym), amplitude)
     _same(slot_codes, oracle.cow_occupancy_loop(sym))
-    _same_train(oracle.gathered(train, slot_codes), oracle.cow_encode_chain(sym, *tx))
+    _same_train(oracle.gathered(train, slot_codes), oracle.cow_encode_chain(sym, amplitude))
 
 
 complex_slots = st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(lambda t: complex(*t)), min_size=1, max_size=40)
@@ -441,19 +440,18 @@ complex_slots = st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).m
 @settings(max_examples=300)
 def test_trojan_probe_matches_full_length_chain(modulation, protocol, amplitude, offset, reflection_db):
     probe = TrojanSettings(probe_amplitude=amplitude, timing_offset_slots=offset, reflection_db=reflection_db)
-    got = oracle.gathered(*trojan_probe(protocol, modulation, probe, 0.5, excess_loss_db=3.0))
-    _same_train(got, oracle.trojan_probe_chain(protocol, modulation, probe, 0.5, 3.0))
+    got = oracle.gathered(*trojan_probe(protocol, modulation, probe, excess_loss_db=3.0))
+    _same_train(got, oracle.trojan_probe_chain(protocol, modulation, probe, 3.0))
 
 
 @given(complex_slots, st.floats(0.0, 1.0))
 @example([0j, -0.0 - 0.0j, 1.0 - 0.0j], 0.5)
 @settings(max_examples=300)
 def test_coupler_vacuum_port_matches_zero_train(slots, t):
-    x = PulseTrain(np.array(slots), 0.5)
+    x = PulseTrain(np.array(slots))
     got = coupler_2x2(x, t)
-    want = oracle.coupler_two_inputs(x, PulseTrain(np.zeros(len(slots)), 0.5), t)
+    want = oracle.coupler_two_inputs(x, PulseTrain(np.zeros(len(slots))), t)
     for g, w in zip(got, want):
-        assert g.slot_period == w.slot_period
         # Equal amplitudes; only the sign of an exactly-zero component may differ.
         assert np.array_equal(g.slots, w.slots)
         _same(g.intensities, w.intensities)
@@ -467,7 +465,7 @@ signed_parts = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 5e-324, -5e-32
 @example([1.0 - 0.0j])  # a one-slot train: no slot pair interferes
 @settings(max_examples=300)
 def test_dli_matches_chain(slots):
-    train = PulseTrain(np.array(slots), 0.5)
+    train = PulseTrain(np.array(slots))
     got = dli(train)
     for g, w in zip(got, oracle.dli_chain(train, 1)):
         _same_train(g, w)
@@ -613,7 +611,7 @@ def _same_receive(got, want, streams) -> None:
     photocurrent, clicks and modes, the field at every slot of its port, and
     where its stream ends."""
     (record, ports), (want_record, want_ports) = got, want
-    assert record.names == want_record.names and record.slot_period == want_record.slot_period
+    assert record.names == want_record.names
     for name in want_record.names:
         g, w = record[name], want_record[name]
         _same(g.intensity.view(np.uint64), w.intensity.view(np.uint64))
@@ -660,7 +658,7 @@ def test_coded_receive_matches_dense_receive(protocol, alice, amplitude, t_b, de
         doc["channel"] = {"phase_tamper_half_turns": pattern}
     cfg = scenario_from_dict(doc)
     train, slot_codes = _transmit(cfg, alice)
-    dense = oracle.transmit_dense(protocol, alice, amplitude, cfg.slot_period, pattern)
+    dense = oracle.transmit_dense(protocol, alice, amplitude, pattern)
     _same_train(oracle.gathered(train, slot_codes), dense)
     blinding = BlindingSettings(style="cw", illumination_level=BlindingSettings.blind_threshold) if blind else None
     streams = RngFactory(seed), RngFactory(seed)
@@ -695,15 +693,15 @@ def test_coded_trigger_receive_matches_dense_receive(policy, readings, t_b, styl
     pulse, and Bob's blinded receive of it equals the full-length receive of
     that train bit for bit (``_same_receive``), under either blinding style."""
     if policy == "cow":
-        protocol, plan, period = "cow", fsg_cow_drive(readings, t_b, detector), 0.5
+        protocol, plan = "cow", fsg_cow_drive(readings, t_b, detector)
     elif policy == "canonical":
-        protocol, period = "dps", 1.0
+        protocol = "dps"
         plan = fsg_dps_phases(np.array(readings) % 3, policy, launch_intensity=detector.p_always)
     else:
-        protocol, period = "dps", 1.0
+        protocol = "dps"
         plan = fsg_dps_phases(WORKED_EXAMPLE_READINGS, policy, launch_intensity=detector.p_always)
-    trigger, codes = plan.trigger(period)
-    dense = oracle.fsg_train(plan, period)
+    trigger, codes = plan.trigger()
+    dense = oracle.fsg_train(plan)
     _same_train(oracle.gathered(trigger, codes), dense)
     blinding = BlindingSettings(style=style)
     streams = RngFactory(seed), RngFactory(seed)

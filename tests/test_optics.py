@@ -32,8 +32,6 @@ def unit_train(n=4, amplitude=1.0):
 
 def test_pulse_train_rejects_bad_grid():
     with pytest.raises(ValueError):
-        PulseTrain(np.ones(3), slot_period=0.0)
-    with pytest.raises(ValueError):
         PulseTrain(np.ones((2, 3)))
     with pytest.raises(ValueError):
         PulseTrain(np.array([1.0, np.inf]))
@@ -52,9 +50,8 @@ def test_public_pulse_train_copies_caller_data_and_rejects_nan():
 
 
 def test_cw_laser_contract():
-    train = cw_laser(5, 1.0, slot_period=0.25)
+    train = cw_laser(5, 1.0)
     assert len(train) == 5
-    assert train.slot_period == 0.25
     np.testing.assert_allclose(train.intensities, np.ones(5))
 
 
@@ -153,13 +150,11 @@ def test_coupler_conserves_power(a, t):
     np.testing.assert_allclose(out_a.intensities + out_b.intensities, in_a.intensities, atol=1e-12)
 
 
-def test_coupler_rejects_bad_transmittance_and_grid_mix():
+def test_coupler_rejects_bad_transmittance():
     pulse = PulseTrain(np.array([1.0 + 0j]))
     for t in (-0.1, 1.5):
         with pytest.raises(ValueError, match="transmittance"):
             coupler_2x2(pulse, t)
-    # One input, so no grids to mix: both outputs stay on the input's grid.
-    assert all(out.slot_period == 0.5 for out in coupler_2x2(cw_laser(2, 1.0, 0.5), 0.3))
 
 
 def test_delay_line_identity_and_shift():

@@ -34,38 +34,38 @@ SMALL_DPS = {"protocol": "dps", "n_symbols": 16, "seed": 5}
 # Content addresses of the pinned scenarios; a drift here is a re-baseline,
 # not a refactor.
 GOLDEN_HASHES = {
-    "dps-ideal": "63ff61862fddb6c7257a11157413b0f08e3627d391594c5c971674c7cbe95bea",
-    "cow-fig2": "be28322df4ea2bf1fc5cda51ece7b514b1d05cdce5caad0128afec5fd159e616",
-    "cow-fig4-tamper": "c0432a0ec892b4c3ed9ab8283b051e3d6c5e8e2395e79722f005ae1993ae86d2",
-    "dps-backflash-ideal": "100e7fbd7c5ede957a21589144d60ddfa8e4f7a06ac95704aefc439eb592f93e",
-    "cow-backflash-ideal": "453c4a6515245f8a411a7a6f288a4aff810c2dc7f22043d080ed997c2e9837d1",
-    "dps-backflash-stat": "76ebcd0b4d189af21feb4482facd222289d6c76a5dc2624649d9438adc3154ba",
-    "dps-trojan": "a9ea6af483e99f3bd1bb3eadc81d5aef1c04f90e14026d00cecb4b11362c8ae1",
-    "dps-trojan-watchdog": "bf9d4dd0f62842cd7388f3519320a6b48318c66f8b7a61ecae05f05e930dbb45",
-    "cow-trojan": "6bdcb627421f3e79304519485365f9b2f6281320284074a8bb64952cd3843ee7",
-    "dps-blinding": "521087f09410b39fb053c47ae8cdfe24296126f8f35e21d586204e9d7c274ec6",
-    "dps-blinding-derived": "562993a6e39d834fc2e286ea9e2befe9b27c8632d55850c8b20dfe935523bc7f",
-    "cow-blinding": "2cd3a2695c65962fdaf4289ec39d824c5733779d35254a0199ea04308161d47a",
-    "cow-blinding-cw": "9b67e16425016b708dfd23ba0c020c8d6f05b1c65534aecdc6a24a6a177747ad",
+    "dps-ideal": "9f72bbe3f8b380d9ef07931e574b00554873664de1e023a2efe41a95f79412ab",
+    "cow-fig2": "3ada4d7550a7d287eb1236991d11c7ef87768317c5cca3f8425a0f8c231c6f20",
+    "cow-fig4-tamper": "e546721c0a98e7504aee802d0fc0b6fe839ca9e240c0d47d06a61aed3a5272fe",
+    "dps-backflash-ideal": "c8c339d0231ad50ad21b13fd605e2036f0b0a3b9f4e089db492b45cc6b845f77",
+    "cow-backflash-ideal": "0b22070ddba956647c060674e673b8369f264ed3d2a87e034b0209d70a88d347",
+    "dps-backflash-stat": "bef97897826b47ecf4a169370d8507748b9df2877e15cd2871e8c003653d480b",
+    "dps-trojan": "3bac15e3fe417e9cc468c42ff7d0262ea1fc86e8ca15599e095ade4422298788",
+    "dps-trojan-watchdog": "20a4beaf8f6602850d091e82dab2f0bd96704fa07de126fa1de3ff95276faffc",
+    "cow-trojan": "887e9b2f9a19456a26d2e4c883e3239b367a648bab0f32864fbdb244884bdd47",
+    "dps-blinding": "66bbc61b92eabfc342c9223556bff6082db35acab9eb6b251700362692ed4a63",
+    "dps-blinding-derived": "4cd368eb54bd85908d4975fc9b62002bb1e2f48af43e53b72bbeca52649d569e",
+    "cow-blinding": "1351913f0850dfdf958b0ad1a884e523f10dd8b1afe4e2b2a5164332477c4e2b",
+    "cow-blinding-cw": "93d7e60124d6c194367d74c96b7629ebf627d911b33fa0b2baced5657edda953",
 }
 
-# Record content hashes of the pinned scenarios (dprsim-record/7: canonical
+# Record content hashes of the pinned scenarios (dprsim-record/8: canonical
 # header plus raw little-endian array bytes, each run value stored once, each
 # detector's intensity as its sorted distinct levels and one code per slot).
 GOLDEN_RECORD_HASHES = {
-    "dps-ideal": "83d81ae8d14df9f90faaa45f84f0450d00eceed8f56b7c8fb62ea0a5e9386c71",
-    "cow-fig2": "54edb65c611614b3752fe2a12bbde856f3a1af3a4d2480d4879b17ad0fc56e73",
-    "cow-fig4-tamper": "1b3bf5b8da3251ff7f11a2fa048275f1f5bd66ed02a073cfca3ef012d0dcebea",
-    "dps-backflash-ideal": "006b107443589ff0f82b15292a2cd290e4ef9f721742f505cd0bf4dbad1fe1e4",
-    "cow-backflash-ideal": "65221ccf7b2331f44eeb36f165274af5860a349b7ca07685488c2d992ca0163c",
-    "dps-backflash-stat": "0feaf465155dbca04c0d45a3fa00184574d8f9db4c0e659864654b80d5eca550",
-    "dps-trojan": "f5faf011ffa594afff8743e442bd50c6fcfffbae4e6101a46bdf9c3037e5699e",
-    "dps-trojan-watchdog": "f13938807cd3375a735e3634b8fdcdff4343ab51112fbde61b2451c9f7c0512a",
-    "cow-trojan": "afaf00e94bbe455e2444f3f2a6fc25994dbd701dc37625bad53c0465cca9fb40",
-    "dps-blinding": "58d4187185bfaf1eb679183a028d10fced5c9aeb55dae1503ad2d515bd387b94",
-    "dps-blinding-derived": "e4ae27611730d95c23a66a1b2c4042a6274101dbc46af99569cc4871633dfe56",
-    "cow-blinding": "ef9ab24111138ec47ad9764add76768242e1796b67b34626e102ec36c6bb084b",
-    "cow-blinding-cw": "dcae4f89ff946fb5ff5f7ebb8379b20be1a3dd5b80b3b46be202f9afccd21fab",
+    "dps-ideal": "62570b9a506016da38443f413435ab8e2c1f31b0cde38fb35aca5cde0d3d49d0",
+    "cow-fig2": "cf9eb8ed39c8c68594af6575cb59ff93651770cd91ade6bc632e6e517ceb66f6",
+    "cow-fig4-tamper": "96bedfec7887a628c0dbf73d3da5c7f1b462eb3af34da97dccf12e04c688e4d4",
+    "dps-backflash-ideal": "274cfd8c658ccf42d36a53f56456a9bcec2c08da447d0224c732b61ecba98f76",
+    "cow-backflash-ideal": "21579a827412d65be21142317b41ae3c145a7a61c73b99c1cdc91247d0f88211",
+    "dps-backflash-stat": "2ad10360d6a935e804d64603739d358b5c2d7e267b03ec924362b7566e99cf5a",
+    "dps-trojan": "c6807d775a4648d08b423c23d1d6c4e5337914e44ca3ee275d1282eb177afb5f",
+    "dps-trojan-watchdog": "a9b55903500de136a1e67b9fef418b19d2f341d7a737b33947554214ceb9739b",
+    "cow-trojan": "224ea8da2d1ca2c271cbfe7602f6d9e07d0778a5c4d0646dbd2ee97fc50e5e5f",
+    "dps-blinding": "baca5cc5592a864d9bfa790a626671575c26d76a5731fe2c6d5ffebd1ad2f75d",
+    "dps-blinding-derived": "4ef91746ac03a3eff550e35378501ec732512df39c44328996b16162472f31f0",
+    "cow-blinding": "47bd578963e14181d70933ab398ff2af215a42e217cb240d53c5738dfd0949d0",
+    "cow-blinding-cw": "dd39391c3655de1e5f5a8e0d42445a90a612f4a6d4cf484d7e1aa42678363bf5",
 }
 
 # The same records hashed by the retired dprsim-record/1 serializer
@@ -136,18 +136,18 @@ NOISY_RUNS = {
         "attack": {"kind": "blinding", "blinding": {"illumination_level": 5.0}},
     },
 }
-# Record content hashes of the noisy runs (dprsim-record/7).
+# Record content hashes of the noisy runs (dprsim-record/8).
 NOISY_RUN_HASHES = {
-    "dps-clean": "988ab89d9300593dd4df66bc362f29ccb9ec7134379a3f67729e760eb1578dd6",
-    "cow-clean": "67165e7943eca924f2eb52332283ea344d8e2d02d1d05f3c1a36491cc1641538",
-    "dps-blinding": "a6c997fb53f069dc18632633315c215e33e7fdd863f70683d4e24ae23c74c5b5",
-    "cow-blinding": "bb7e027cdfab25c1161b7fde1bef03ccae4a56e533e81c4fad934f8f98808f00",
-    "dps-backflash": "21eaa250280ac5f5a355dd744bf00ae875e4beb7bda0261692fa0d0bbd8c0ec6",
-    "cow-backflash": "326c5a748547973f7f13a4e91503e79392201a6ab429840936f982d97bf0447e",
-    "dps-trojan": "0895d06a8a699116d1441f4b03117b9f965348f6bb86d96d181bb7a0e39da103",
-    "cow-trojan": "55aaecd0c7c3b90fc2f6f84e9ac54c507fcb78eb88c1ac2a9376ad368c5c881f",
-    "dps-blinding-between-rails": "7b8d2541e6601182b4a73496d4a97b4925c2737919137b4e45dd6c7be06ddc6d",
-    "cow-blinding-weak-light": "8bae95e8426402fd8c2ed2a02cb5a71e1e779181552fbd77eaea976b99d207dd",
+    "dps-clean": "708efe5caaaed824930f58360fac829b320591187a73db7a1e2ba5be51761a16",
+    "cow-clean": "28ccd7a3732ac7228d1ca4f49f8bf0b535e11218d9b4bc2e91b03f0e3390a66c",
+    "dps-blinding": "4382846c1a4a064bb075426429b66a4c95c2391f20238360493d338347699f71",
+    "cow-blinding": "fdb45c64f22d984439ac9bf048743f2f4276353c54b825506d69efbe7b30dde1",
+    "dps-backflash": "48d4200f8837c8c740d51838d8d56bc140b88683e161f0741631d6462dc8883c",
+    "cow-backflash": "29bd303fe01e00f64cf664ce5937c3913dfe115713baaf2525c5d10be914fc6b",
+    "dps-trojan": "28ea7475b2030be7c8d374b2d2dbe1b24ab37a6ebcbd33f1662b0216db7dbbc3",
+    "cow-trojan": "47b77066c1275afebf17dedf97f4dd8b9f1e85e69f073fab5c8728c8cd9327ae",
+    "dps-blinding-between-rails": "30b301a6f29d4d2a58a0104814dcfe097d459262dd3118e678c4fc1e47b8dda0",
+    "cow-blinding-weak-light": "d994afb20fc3eec102b94731680659ee2dd6998da9139f6c36751a33e4983c0e",
 }
 
 # The same runs hashed by ``record_v1_hash``, taken before dprsim-record/4:
@@ -270,7 +270,7 @@ def _hashed_span(data: bytes) -> bytes:
     """A record file minus its version line, its header's newline, its
     padding and its trailer."""
     version, header, _, raw, _ = split_record_file(data)
-    assert version == b"dprsim-record/7"
+    assert version == b"dprsim-record/8"
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + raw
 
 
@@ -321,10 +321,10 @@ def test_content_hash_is_header_plus_raw_array_bytes(tmp_path):
     save_record(record, path)
     trailer = json.dumps({"wall_time_s": record.wall_time_s}).encode() + b"\n"
     data = path.read_bytes()
-    assert data == join_record_file(b"dprsim-record/7", json.loads(canonical), b"".join(arrays), trailer)
-    assert data.startswith(b"dprsim-record/7\n" + canonical.encode() + b"\n")
+    assert data == join_record_file(b"dprsim-record/8", json.loads(canonical), b"".join(arrays), trailer)
+    assert data.startswith(b"dprsim-record/8\n" + canonical.encode() + b"\n")
     assert all(offset % 8 == 0 for offset in split_record_file(data)[2].values())
-    assert json.loads(canonical)["format"] == "dprsim-record/7"
+    assert json.loads(canonical)["format"] == "dprsim-record/8"
 
 
 def test_saved_record_is_compact_and_reloads_the_in_memory_types(tmp_path):
@@ -344,7 +344,7 @@ def test_saved_record_is_compact_and_reloads_the_in_memory_types(tmp_path):
     # Version line, header line, raw arrays and trailer, with nothing between
     # but under 8 bytes of padding before each array.
     header = record.canonical_json().encode()
-    unpadded = len(b"dprsim-record/7\n") + len(header) + 1 + nbytes(record.to_dict()) + len(trailer)
+    unpadded = len(b"dprsim-record/8\n") + len(header) + 1 + nbytes(record.to_dict()) + len(trailer)
     assert unpadded <= len(data) < unpadded + 8 * len(record._hashed()[1])
     clone = load_record(path)
     assert clone.wall_time_s == 1.25
