@@ -335,7 +335,7 @@ def trojan_decode(
     nominal = peak if peak > min_intensity else math.inf
     eve = DetectorSettings()
     if protocol == "dps":
-        return receive("dps", reflected, codes, eve, nominal)[0]
+        return receive("dps", reflected, codes, eve, nominal)
     if protocol == "cow":
         rails = (eve.p_never_b, eve.p_always_b)
         return apd_detect(*_coded(power, codes), eve.click_threshold_rel * nominal, rails, eve, "D_B")

@@ -286,12 +286,16 @@ class ScenarioConfig:
         if not (0.0 < self.t_b < 1.0):
             raise ConfigError(f"t_b: must be within (0, 1), got {self.t_b}")
         if self.bits is not None:
+            if self.protocol != "dps":
+                raise ConfigError(f"bits: pins DPS phase bits; a {self.protocol} run takes no bits")
             if len(self.bits) < 2:
                 raise ConfigError("bits: need at least two")
             for i, b in enumerate(self.bits):
                 if b not in (0, 1):
                     raise ConfigError(f"bits[{i}]: must be 0 or 1, got {b}")
         if self.symbols is not None:
+            if self.protocol != "cow":
+                raise ConfigError(f"symbols: pins COW symbols; a {self.protocol} run takes no symbols")
             if not self.symbols:
                 raise ConfigError("symbols: must be nonempty when given")
             bad = set(self.symbols) - {"0", "1", "d"}

@@ -327,22 +327,17 @@ _DRAW_BLOCK = 1 << 12
 
 def backflash_emit(
     trace: DetectorTrace,
-    incident: PulseTrain,
-    codes: np.ndarray,
     cfg: BackflashSettings,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Re-emission of a detector's clicks, in sparse form: the slots that
-    re-emit, in order (int64), and the field each one emits, its incident
-    amplitude (phase preserved) scaled by the emission gain.  Every other
-    slot stays vacuum.  The incident light is a port of a receive: slot ``k``
-    sees ``incident.slots[codes[k]]``.  Unless ``ideal`` forces emission on
-    every click, an emission probability below 1 draws one number per slot
-    from ``rng``, which must then be given, and a click re-emits where its
-    draw falls below it."""
-    n = codes.shape[0]
-    if len(trace) != n:
-        raise ValueError("trace and incident train lengths differ")
+    re-emit, in order (int64), and the intensity each one emits, the emission
+    gain squared times the intensity its avalanche detected.  Every other
+    slot stays dark.  Unless ``ideal`` forces emission on every click, an
+    emission probability below 1 draws one number per slot from ``rng``,
+    which must then be given, and a click re-emits where its draw falls below
+    it."""
+    n = len(trace)
     emit = trace.clicks
     if not cfg.ideal and cfg.emission_probability < 1.0:
         if rng is None:
@@ -355,7 +350,9 @@ def backflash_emit(
             np.less(rng.random(block.shape[0]), cfg.emission_probability, out=block)
         emit &= trace.clicks
     slots = np.flatnonzero(emit)
-    return slots, cfg.emission_gain * incident.slots[codes[slots]]
+    emitted = trace.levels.take(trace.level_codes[slots])
+    emitted *= cfg.emission_gain**2
+    return slots, emitted
 
 
 # ---------------------------------------------------------------------------

@@ -91,13 +91,10 @@ class ProtocolRun:
 # ---------------------------------------------------------------------------
 
 
-# A receiver port: the fields at the port and the index of each slot's field.
-_Port = tuple[PulseTrain, np.ndarray]
-
-
-def _interfere(train: PulseTrain, codes: np.ndarray) -> tuple[_Port, _Port]:
+def _interfere(train: PulseTrain, codes: np.ndarray) -> tuple[PulseTrain, PulseTrain, np.ndarray]:
     """The one-slot interferometer's constructive and destructive ports of the
-    coded train ``train``, ``codes`` (see :func:`receive`).
+    coded train ``train``, ``codes`` (see :func:`receive`), as the fields at
+    each port and the index of each slot's field, which the two share.
 
     Output slot ``k`` of :func:`dli` reads only input slots ``k - 1`` and
     ``k``, so the output fields are those of the (previous, current) pairs of
@@ -113,8 +110,8 @@ def _interfere(train: PulseTrain, codes: np.ndarray) -> tuple[_Port, _Port]:
     k = len(train)
     n = codes.shape[0]
     # As narrow as the pair table allows, one byte up to 15 fields: the
-    # backflash pass keeps the index.  The codes lie in 0..k - 1, so the
-    # unsafe casts wrap nothing.
+    # index lives beside every detector's codes while they are built.  The
+    # codes lie in 0..k - 1, so the unsafe casts wrap nothing.
     index = np.empty(n + 1, dtype=np.uint8 if (k + 1) ** 2 <= 256 else np.intp)
     np.multiply(codes, k + 1, out=index[1:], dtype=index.dtype, casting="unsafe")
     index[0] = (k + 1) * k
@@ -129,10 +126,7 @@ def _interfere(train: PulseTrain, codes: np.ndarray) -> tuple[_Port, _Port]:
     layout[0::2] = fields[pairs // (k + 1)]
     layout[1::2] = fields[pairs % (k + 1)]
     constructive, destructive = dli(train.with_slots(layout))
-    return (
-        (constructive.with_slots(constructive.slots[1::2]), index),
-        (destructive.with_slots(destructive.slots[1::2]), index),
-    )
+    return constructive.with_slots(constructive.slots[1::2]), destructive.with_slots(destructive.slots[1::2]), index
 
 
 def receive(
@@ -144,7 +138,7 @@ def receive(
     t_b: float = 0.9,
     rng: Callable[[str], np.random.Generator] | None = None,
     blinding: BlindingSettings | None = None,
-) -> tuple[DetectionRecord, dict[str, _Port]]:
+) -> DetectionRecord:
     """Bob's receiver, or any replica of it.
 
     DPS: one-slot DLI, constructive port to D1, destructive to D2.  COW:
@@ -173,31 +167,32 @@ def receive(
     clicks by the plain ``p_*`` rails for DPS and the ``_b``/``_m`` pairs for
     COW.  ``rng`` maps a detector name to its generator.
 
-    Returns the record of every detector and the field incident on each, as
-    a train of fields and the index of each slot's field in it.
+    Returns the record of every detector and nothing of the fields: a
+    detector sees intensity, not phase, and every later pass reads the traces
+    alone, Eve's backflash replica among them (``detectors.backflash_emit``).
     """
     codes = _as_codes(codes, len(train) - 1)
     if protocol == "dps":
         if codes.shape[0] < 2:
             raise ValueError("DPS measurement needs at least two slots")
-        constructive, destructive = _interfere(train, codes)
+        constructive, destructive, index = _interfere(train, codes)
         pair = (detector.p_never, detector.p_always)
-        lines = {"D1": (constructive, 1.0, pair), "D2": (destructive, 1.0, pair)}
+        lines = {"D1": (constructive, index, 1.0, pair), "D2": (destructive, index, 1.0, pair)}
     elif protocol == "cow":
         if not (0.0 < t_b < 1.0):
             raise ValueError(f"t_b must be within (0, 1), got {t_b}")
         data_line, monitor_line = coupler_2x2(train, t_b)
-        constructive, destructive = _interfere(monitor_line, codes)
+        constructive, destructive, index = _interfere(monitor_line, codes)
         monitor, pair = 1.0 - t_b, (detector.p_never_m, detector.p_always_m)
         lines = {
-            "D_B": ((data_line, codes), t_b, (detector.p_never_b, detector.p_always_b)),
-            "D_M1": (constructive, monitor, pair),
-            "D_M2": (destructive, monitor, pair),
+            "D_B": (data_line, codes, t_b, (detector.p_never_b, detector.p_always_b)),
+            "D_M1": (constructive, index, monitor, pair),
+            "D_M2": (destructive, index, monitor, pair),
         }
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
     traces = {}
-    for name, ((field, index), share, rails) in lines.items():
+    for name, (field, index, share, rails) in lines.items():
         levels, level_codes = _coded(field.intensities, index)
         traces[name] = apd_detect(
             levels,
@@ -209,7 +204,7 @@ def receive(
             blinding=blinding,
             rng=None if rng is None else rng(name),
         )[name]
-    return DetectionRecord(traces), {name: line[0] for name, line in lines.items()}
+    return DetectionRecord(traces)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ from .protocols import (
     ProtocolRun,
     _DECOY,
     _interfaces,
-    _Port,
     cow_encode,
     cow_occupancy,
     cow_sift,
@@ -109,11 +108,11 @@ def derive_sweep_seed(base_seed: int, index: int) -> int:
 
 def _alice_material(cfg: ScenarioConfig, rngs: RngFactory) -> np.ndarray:
     """Alice's int8 codes (see ``ProtocolRun``): the config's pinned bits or
-    symbols, or else ``n_symbols`` int64 draws from the ``alice-source``
-    stream, narrowed."""
-    if cfg.protocol == "dps" and cfg.bits is not None:
+    symbols (each valid for its own protocol only), or else ``n_symbols``
+    int64 draws from the ``alice-source`` stream, narrowed."""
+    if cfg.bits is not None:
         return np.array(cfg.bits, dtype=np.int8)
-    if cfg.protocol == "cow" and cfg.symbols is not None:
+    if cfg.symbols is not None:
         return _CODE[np.frombuffer(cfg.symbols.encode("ascii"), dtype=np.uint8)]
     draws = rngs.get("alice-source").integers(0, 2 if cfg.protocol == "dps" else 3, cfg.n_symbols, dtype=np.int64)
     return draws.astype(np.int8)
@@ -155,7 +154,7 @@ def _receive(
     rngs: RngFactory,
     stream: str,
     blinding: BlindingSettings | None = None,
-) -> tuple[DetectionRecord, dict[str, _Port]]:
+) -> DetectionRecord:
     """Bob's receiver, or Eve's replica of it, at the scenario's detector
     settings and nominal level ``amplitude**2``, on a train coded by
     ``codes``; detector ``X`` draws from the stream ``<stream>-X``."""
@@ -201,27 +200,20 @@ def _cow_eve_key(codes: np.ndarray, clicks: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _backflash_replica_clicks(
-    trace: DetectorTrace, port: _Port, bf: BackflashSettings, rng: np.random.Generator, threshold: float
+    trace: DetectorTrace, bf: BackflashSettings, rng: np.random.Generator, threshold: float
 ) -> np.ndarray:
-    """Eve's replica clicks on the re-emission of Bob's detector ``trace`` at
-    ``port``, one per port slot.  A lossless circulator routes the emission to her replica
-    detector, which is noise-free: it clicks where the intensity exceeds
-    ``threshold`` (>= 0).  A vacuum slot never does, so only the emitting
-    slots are evaluated."""
-    slots, field = backflash_emit(trace, *port, bf, rng=rng)
-    power = np.abs(field)
-    power **= 2
+    """Eve's replica clicks on the re-emission of Bob's detector ``trace``, one
+    per trace slot.  A lossless circulator routes the emission to her replica
+    detector, which is noise-free and sees intensity only: it clicks where
+    the emitted intensity exceeds ``threshold`` (>= 0).  A dark slot never
+    does, so only the emitting slots are evaluated."""
+    slots, power = backflash_emit(trace, bf, rng)
     clicks = np.zeros(len(trace), dtype=bool)
-    clicks[slots[power > threshold]] = True
+    clicks[slots] = power > threshold
     return clicks
 
 
-def _run_backflash(
-    cfg: ScenarioConfig,
-    rngs: RngFactory,
-    run: ProtocolRun,
-    ports: dict[str, _Port],
-) -> AttackOutcome:
+def _run_backflash(cfg: ScenarioConfig, rngs: RngFactory, run: ProtocolRun) -> AttackOutcome:
     """Reverse pass: re-emission from Bob's clicked detectors, routed to Eve by
     the channel circulator, decoded with her replica of the corresponding
     detector."""
@@ -229,7 +221,7 @@ def _run_backflash(
 
     def eve_clicks(detector: str, threshold: float) -> np.ndarray:
         rng = rngs.get(f"backflash-{detector}")
-        return _backflash_replica_clicks(run.record[detector], ports[detector], bf, rng, threshold)
+        return _backflash_replica_clicks(run.record[detector], bf, rng, threshold)
 
     level = cfg.detector.click_threshold_rel * bf.emission_gain**2
     nominal = cfg.amplitude**2
@@ -322,7 +314,7 @@ def _eve_readings(
         return np.array(readings, dtype=np.int8), n_slots
     record = clean
     if cfg.detector.afterpulse_prob > 0.0 or cfg.detector.dark_count_prob > 0.0:
-        record = _receive(cfg, train, codes, rngs, "eve-stage1")[0]
+        record = _receive(cfg, train, codes, rngs, "eve-stage1")
     decode = decode_dps_readings if cfg.protocol == "dps" else decode_cow_readings
     # A double click of Eve's replica (DPS reading -1) names no detector:
     # she replays it as a vacuum event.
@@ -367,7 +359,7 @@ def _run_blinding(
         eve_slots, eve_bits = _cow_eve_key(clean.alice_codes, _window(readings == 3, 0, n_slots))
 
     trigger, trigger_codes = plan.trigger()
-    record = _receive(cfg, trigger, trigger_codes, rngs, "bob", blinding=s)[0]
+    record = _receive(cfg, trigger, trigger_codes, rngs, "bob", blinding=s)
 
     cm = cfg.countermeasures.photocurrent_monitor
     # Only each alarm is kept: a monitor's filtered trace is as long as the record.
@@ -453,21 +445,19 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunRecord:
     rngs = RngFactory(cfg.seed)
     codes = _alice_material(cfg, rngs)
     train, slot_codes = _transmit(cfg, codes)
-    record, ports = _receive(cfg, train, slot_codes, rngs, "bob")
+    record = _receive(cfg, train, slot_codes, rngs, "bob")
     interfaces = _interfaces(codes) if cfg.protocol == "cow" else None
     run = _sift(cfg, codes, record, interfaces)
 
     kind = cfg.attack.kind
     # Drop what no later stage reads: Alice's train serves only Eve's
-    # blinding replica, and the port fields only the backflash pass.
+    # blinding replica.
     if kind == "blinding":
         stage1 = _eve_readings(cfg, rngs, train, slot_codes, record)
     del train, slot_codes, record
-    if kind != "backflash":
-        del ports
     outcome = None
     if kind == "backflash":
-        outcome = _run_backflash(cfg, rngs, run, ports)
+        outcome = _run_backflash(cfg, rngs, run)
     elif kind == "trojan":
         outcome = _run_trojan(cfg, run)
     elif kind == "blinding":

@@ -16,9 +16,11 @@ encoders evaluated the chain once per symbol value, ``dli_chain`` keeps the
 interferometer as the coupler -> delay line -> coupler composition it was
 before it computed its two ports in place, with ``coupler_two_inputs``, the
 coupler as it stood when both of its inputs could be lit;
-``backflash_emit_where`` keeps the emission as it multiplied every slot, and
-``backflash_replica_dense`` keeps the backflash reverse pass as it ran Eve's
-replica detector over every slot of that emission, ``apd_clicks_dense`` the
+``backflash_emit_where`` keeps the emission as it multiplied every slot's
+intensity, and ``backflash_replica_dense`` keeps the backflash reverse pass
+as it ran Eve's replica detector over every slot of that emission, both in
+the intensity model the package emits by (gain squared times the detected
+intensity), ``apd_clicks_dense`` the
 detector's threshold decisions as it took them on one intensity per slot
 before it took them on codes, and ``boxcar_concatenate`` the photocurrent
 monitor's filter before it filled one buffer.  ``receive_dense`` is the
@@ -496,19 +498,28 @@ def boxcar_concatenate(trace, window: int) -> np.ndarray:
     return (csum[window:] - csum[:-window]) / window
 
 
-def backflash_emit_where(emit, gain: float, slots) -> np.ndarray:
-    return np.where(emit, gain * slots, 0.0 + 0.0j)
+def backflash_emit_where(emit, gain: float, intensity) -> np.ndarray:
+    """The emitted intensity of every slot: gain squared times its incident
+    intensity where ``emit``, else 0."""
+    return np.where(emit, gain**2 * intensity, 0.0)
 
 
-def backflash_replica_dense(trace, incident: PulseTrain, cfg, rng, threshold: float) -> np.ndarray:
-    """Eve's replica clicks on the re-emission of ``trace``: the slot-length
-    emission train, then a noise-free ``apd_detect`` over all of it."""
-    emit = trace.clicks.copy()
+def backflash_emitting(clicks, cfg, rng) -> np.ndarray:
+    """The clicks that re-emit: below certainty, one draw per slot from ``rng``
+    decides each."""
+    emit = clicks.copy()
     if not cfg.ideal and cfg.emission_probability < 1.0:
-        emit &= rng.random(len(incident)) < cfg.emission_probability
-    emission = incident.with_slots(backflash_emit_where(emit, cfg.emission_gain, incident.slots))
+        emit &= rng.random(len(clicks)) < cfg.emission_probability
+    return emit
+
+
+def backflash_replica_dense(clicks, intensity, cfg, rng, threshold: float) -> np.ndarray:
+    """Eve's replica clicks on the re-emission of a detector's ``clicks`` over
+    its incident ``intensity``: the slot-length emitted intensity, then a
+    noise-free ``apd_detect`` over all of it."""
+    emission = backflash_emit_where(backflash_emitting(clicks, cfg, rng), cfg.emission_gain, intensity)
     eve = DetectorSettings()
-    return apd_detect(*coded(emission.intensities), threshold, (eve.p_never, eve.p_always), eve, "EVE")["EVE"].clicks
+    return apd_detect(*coded(emission), threshold, (eve.p_never, eve.p_always), eve, "EVE")["EVE"].clicks
 
 
 def transmit_dense(protocol: str, alice, amplitude: float, pattern) -> PulseTrain:

@@ -77,7 +77,7 @@ def test_dps_round_trip_thousand_runs():
         for _ in range(1000):
             bits = rng.integers(0, 2, 256)
             train, codes = dps_encode(bits)
-            record, _ = receive("dps", train, codes, DetectorSettings(), 1.0)
+            record = receive("dps", train, codes, DetectorSettings(), 1.0)
             km = dps_sift(bits, record)
             assert km.qber == 0.0
             assert km.sifted_length == 255
@@ -193,6 +193,24 @@ def test_dps_dead_time_sifts_two_in_dead_plus_two(dead, seed):
         assert run.qber == 0.0
 
 
+@pytest.mark.parametrize("p", [0.1, 0.3])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_dps_afterpulses_discard_double_clicks(p, seed):
+    # Closed form: the bright port of each interior slot clicks, and the dark
+    # one clicks only by an afterpulse, with probability p, which needs it to
+    # have clicked one slot earlier.  It did when it was that slot's bright
+    # port, a fair i.i.d. choice, or its dark port in a double click; so the
+    # stationary double-click rate r solves r = p (1/2 + r/2), r = p / (2 - p).
+    # Sifting discards the double clicks, and a lone click is always the
+    # bright port's, so no sifted bit is wrong.  The chain's correlation
+    # widens the spread a little past the binomial one.
+    with criterion("dps-afterpulse-closed-form"):
+        doc = {"protocol": "dps", "n_symbols": NOISE_SYMBOLS, "seed": seed, "detector": {"afterpulse_prob": p}}
+        run = run_scenario(scenario_from_dict(doc)).protocol_run
+        assert _within_five_sigma(run.sifted_length, NOISE_SYMBOLS - 1, 1.0 - p / (2.0 - p))
+        assert run.qber == 0.0
+
+
 @pytest.mark.parametrize("seed", [3, 4])
 def test_cow_dark_counts_set_qber_and_the_destructive_monitor(seed):
     # Closed form: D_B clicks at the pulse of every data symbol, so each one is
@@ -224,7 +242,7 @@ def test_fsg_sequence_reproduction():
             canonical = fsg_dps_phases(readings, launch_intensity=0.39)
             # Bob's blinded receiver, held in linear mode by blinding light at
             # the blind threshold on every slot, decoded per reading.
-            record, _ = receive("dps", *canonical.trigger(), rails, 1.0, blinding=blinding)
+            record = receive("dps", *canonical.trigger(), rails, 1.0, blinding=blinding)
             assert record["D1"].linear_mode.all() and record["D2"].linear_mode.all()
             replayed = decode_dps_readings(record, canonical.readings_slot_offset, len(readings))
             assert replayed.tolist() == list(readings)

@@ -39,7 +39,7 @@ def held_blind(protocol, trigger, rails, t_b=0.9):
     """Bob's record of a coded trigger, as a plan gives it, his detectors held
     in linear mode by blinding light at the blind threshold on every slot."""
     blinding = BlindingSettings(style="cw", illumination_level=BlindingSettings.blind_threshold)
-    record, _ = receive(protocol, *trigger, rails, 1.0, t_b=t_b, blinding=blinding)
+    record = receive(protocol, *trigger, rails, 1.0, t_b=t_b, blinding=blinding)
     assert all(record[name].linear_mode.all() for name in record.names)
     return record
 

@@ -272,6 +272,22 @@ def test_cli_rejects_the_removed_slot_period_as_an_unknown_key(tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_rejects_pinned_bits_outside_dps(tmp_path, capsys):
+    # Pinned material of the other protocol would go unread, and the run would
+    # draw random symbols from the alice-source stream: a silent nonsense result.
+    assert _run_document(tmp_path, "protocol: cow\nbits: [0, 1, 1, 0]\nn_symbols: 8\n") == 1
+    assert "config error: bits: pins DPS phase bits; a cow run takes no bits" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert _run_document(tmp_path, "protocol: dps\nbits: [0, 1, 1, 0]\n") == 0
+
+
+def test_cli_rejects_pinned_symbols_outside_cow(tmp_path, capsys):
+    assert _run_document(tmp_path, "protocol: dps\nsymbols: 01d1\nn_symbols: 8\n") == 1
+    assert "config error: symbols: pins COW symbols; a dps run takes no symbols" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert _run_document(tmp_path, "protocol: cow\nsymbols: 01d1\n") == 0
+
+
 def test_cli_rejects_the_worked_example_policy_without_its_readings(tmp_path, capsys):
     # This used to validate and then fail at run time (exit 2): the policy's
     # drive table exists only for its published readings.

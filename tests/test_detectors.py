@@ -246,22 +246,20 @@ def test_photocurrent_is_kept_only_under_blinding():
 # ---------------------------------------------------------------------------
 
 
-# A port of one field, 1, that every slot sees.
-INCIDENT = cw_laser(1, 1.0)
-
-
 def test_backflash_ideal_copies_every_clicked_slot():
-    rec = detect(np.ones(6), 0.5, RAILS, IDEAL)
+    # Each click re-emits gain squared times the intensity it detected; the
+    # slots under the threshold stay dark.
+    rec = detect(power([1.0, 0.25, 2.0, 0.75, 0.0, 1.0]), 0.5, RAILS, IDEAL)
     cfg = BackflashSettings(ideal=True, emission_gain=0.5)
-    slots, field = backflash_emit(rec["D"], INCIDENT, np.zeros(6, dtype=np.int64), cfg)
-    assert slots.dtype == np.int64 and slots.tolist() == list(range(6))
-    np.testing.assert_allclose(field, np.full(6, 0.5))
+    slots, emitted = backflash_emit(rec["D"], cfg)
+    assert slots.dtype == np.int64 and slots.tolist() == [0, 2, 3, 5]
+    assert emitted.tolist() == [0.25, 0.5, 0.1875, 0.25]
 
 
 def test_backflash_no_clicks_is_vacuum():
     rec = detect(np.zeros(6), 0.5, RAILS, IDEAL)
-    slots, field = backflash_emit(rec["D"], INCIDENT, np.zeros(6, dtype=np.int64), BackflashSettings(ideal=True))
-    assert slots.size == field.size == 0
+    slots, emitted = backflash_emit(rec["D"], BackflashSettings(ideal=True))
+    assert slots.size == emitted.size == 0
 
 
 def test_backflash_default_probability_value():
@@ -272,24 +270,17 @@ def test_backflash_statistics_converge_to_emission_probability():
     n = 100_000
     rec = detect(np.ones(n), 0.5, RAILS, IDEAL)
     cfg = BackflashSettings()
-    slots, field = backflash_emit(rec["D"], INCIDENT, np.zeros(n, dtype=np.int64), cfg, rng=np.random.default_rng(7))
-    assert np.all(np.abs(field) > 0)
-    emitted = slots.size
+    slots, emitted = backflash_emit(rec["D"], cfg, rng=np.random.default_rng(7))
+    assert np.all(emitted == 1.0)
     p = cfg.emission_probability
     sigma = np.sqrt(p * (1 - p) / n)
-    assert abs(emitted / n - p) < 3 * sigma
+    assert abs(slots.size / n - p) < 3 * sigma
 
 
 def test_backflash_below_certainty_needs_an_rng():
     rec = detect(np.ones(6), 0.5, RAILS, IDEAL)
     with pytest.raises(ValueError, match="rng"):
-        backflash_emit(rec["D"], INCIDENT, np.zeros(6, dtype=np.int64), BackflashSettings())
-
-
-def test_backflash_length_mismatch_rejected():
-    rec = detect(np.ones(6), 0.5, RAILS, IDEAL)
-    with pytest.raises(ValueError, match="lengths differ"):
-        backflash_emit(rec["D"], INCIDENT, np.zeros(5, dtype=np.int64), BackflashSettings())
+        backflash_emit(rec["D"], BackflashSettings())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Whole-array code against the per-slot loops it replaced (``tests/_oracles.py``)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -471,29 +473,33 @@ def test_dli_matches_chain(slots):
         _same_train(g, w)
 
 
+def _scattered(n_slots: int, at: np.ndarray, emitted: np.ndarray) -> np.ndarray:
+    """A sparse emission laid out over its ``n_slots`` slots, dark elsewhere."""
+    dense = np.zeros(n_slots)
+    dense[at] = emitted
+    return dense
+
+
 @given(complex_slots, st.data(), st.booleans(), st.floats(0.0, 3.0), st.floats(0.0, 1.5), st.integers(0, 2**32))
 @settings(max_examples=300)
 def test_backflash_emit_matches_where(slots, data, ideal, gain, p, seed):
     clicks = np.array(data.draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots))))
-    incident = PulseTrain(np.array(slots))
+    intensity = PulseTrain(np.array(slots)).intensities
     cfg = BackflashSettings(electrons_per_avalanche=p, photons_per_electron=1.0, ideal=ideal, emission_gain=gain)
-    trace = _record(len(slots), D=clicks)["D"]
-    at, field = backflash_emit(trace, incident, np.arange(len(slots)), cfg, rng=np.random.default_rng(seed))
-    assert at.dtype == np.int64 and np.all(np.diff(at) > 0)
-    emit = clicks.copy()
-    if not ideal and cfg.emission_probability < 1.0:
-        emit &= np.random.default_rng(seed).random(len(slots)) < cfg.emission_probability
-    scattered = np.zeros(len(slots), dtype=np.complex128)
-    scattered[at] = field
-    _same(scattered.view(np.uint64), oracle.backflash_emit_where(emit, gain, incident.slots).view(np.uint64))
+    trace = DetectorTrace(clicks, *oracle.coded(intensity), None, np.zeros(len(slots), dtype=bool))
+    at, emitted = backflash_emit(trace, cfg, rng=np.random.default_rng(seed))
+    emit = oracle.backflash_emitting(clicks, cfg, np.random.default_rng(seed))
+    _same(at, np.flatnonzero(emit))
+    want = oracle.backflash_emit_where(emit, gain, intensity)
+    _same(_scattered(len(slots), at, emitted).view(np.uint64), want.view(np.uint64))
 
 
 @st.composite
-def backflash_ports(draw):
-    """A port of Bob's receiver (DPS D1/D2 or COW D_B), as the coded receive
-    gives it or as the full-length one does, coded by ``arange``, that port
-    with one field per slot, and a click mask over it: none, every slot or
-    random."""
+def backflash_traces(draw):
+    """A trace of Bob's receiver (DPS D1/D2 or COW D_B), as the coded receive
+    gives it or as the full-length one does, with a click mask drawn over it
+    (none, every slot or random), and the intensity of that detector's port
+    with one field per slot."""
     protocol = draw(st.sampled_from(["dps", "cow"]))
     if protocol == "dps":
         coded = dps_encode(draw(st.lists(st.integers(0, 1), min_size=2, max_size=30)))
@@ -501,18 +507,18 @@ def backflash_ports(draw):
     else:
         coded = cow_encode(codes(draw(symbols)))
         name = "D_B"
-    dense = oracle.receive_dense(protocol, *coded, DetectorSettings(), 1.0)[1][name]
-    n = len(dense)
-    port = receive(protocol, *coded, DetectorSettings(), 1.0)[1][name] if draw(st.booleans()) else (dense, np.arange(n))
+    dense_record, ports = oracle.receive_dense(protocol, *coded, DetectorSettings(), 1.0)
+    trace = receive(protocol, *coded, DetectorSettings(), 1.0)[name] if draw(st.booleans()) else dense_record[name]
+    n = len(trace)
     clicks = draw(
         st.sampled_from([np.zeros(n, dtype=bool), np.ones(n, dtype=bool)])
         | st.lists(st.booleans(), min_size=n, max_size=n).map(lambda c: np.array(c, dtype=bool))
     )
-    return port, dense, clicks
+    return replace(trace, clicks=clicks), ports[name].intensities
 
 
 @given(
-    backflash_ports(),
+    backflash_traces(),
     st.booleans(),
     st.sampled_from([0.0, 3.0]) | st.floats(0.0, 3.0),
     st.sampled_from([0.0, 0.0648, 0.5, 1.0, 1.5]),  # emission probabilities below, at and capped to 1
@@ -521,12 +527,11 @@ def backflash_ports(draw):
 )
 @settings(max_examples=300, deadline=None)
 def test_backflash_replica_clicks_match_dense_pass(case, ideal, gain, p, rel, seed):
-    port, dense, clicks = case
-    trace = _record(len(dense), D=clicks)["D"]
+    trace, intensity = case
     cfg = BackflashSettings(electrons_per_avalanche=p, photons_per_electron=1.0, ideal=ideal, emission_gain=gain)
     threshold = rel * gain**2  # the replica's threshold at nominal level 1
-    got = _backflash_replica_clicks(trace, port, cfg, np.random.default_rng(seed), threshold)
-    _same(got, oracle.backflash_replica_dense(trace, dense, cfg, np.random.default_rng(seed), threshold))
+    got = _backflash_replica_clicks(trace, cfg, np.random.default_rng(seed), threshold)
+    _same(got, oracle.backflash_replica_dense(trace.clicks, intensity, cfg, np.random.default_rng(seed), threshold))
 
 
 # Detector settings of the coded-receive oracle: ideal, and each imperfection.
@@ -605,12 +610,10 @@ def tamper_pattern(kind: str | None, n_slots: int, seed: int) -> list[float] | N
     return rng.choice([0.0, -0.0, 0.5, 1.0, 1.5], length).tolist()
 
 
-def _same_receive(got, want, streams) -> None:
-    """A coded receive against the full-length one, bit for bit: each
-    detector's intensity, coded alike (the same levels and codes), its
-    photocurrent, clicks and modes, the field at every slot of its port, and
-    where its stream ends."""
-    (record, ports), (want_record, want_ports) = got, want
+def _same_receive(record, want_record, streams) -> None:
+    """A coded receive's record against the full-length one's, bit for bit:
+    each detector's intensity, coded alike (the same levels and codes), its
+    photocurrent, clicks and modes, and where its stream ends."""
     assert record.names == want_record.names
     for name in want_record.names:
         g, w = record[name], want_record[name]
@@ -623,8 +626,6 @@ def _same_receive(got, want, streams) -> None:
         assert (g.photocurrent is None) == (w.photocurrent is None)
         if w.photocurrent is not None:
             _same(g.photocurrent.view(np.uint64), w.photocurrent.view(np.uint64))
-        field, index = ports[name]
-        _same(field.slots[index].view(np.uint64), want_ports[name].slots.view(np.uint64))
         # Each stream ends where the full-length receive left it.
         assert streams[0].get(name).random() == streams[1].get(name).random()
 
@@ -647,9 +648,10 @@ def _same_receive(got, want, streams) -> None:
 def test_coded_receive_matches_dense_receive(protocol, alice, amplitude, t_b, detector, tamper, blind, ideal, seed):
     """The receive of Alice's coded train after the channel, its phase tamper
     included, equals the receive of that train with one field per slot bit
-    for bit (``_same_receive``), and so does the backflash field at the
-    clicked slots (``ideal`` None: no backflash).  Alice's codes are int8, as
-    the pipeline draws them."""
+    for bit (``_same_receive``), and so does the backflash emission of each
+    detector against gain squared times its full-length port's intensity
+    (``ideal`` None: no backflash).  Alice's codes are int8, as the pipeline
+    draws them."""
     alice = (np.array(alice) % (2 if protocol == "dps" else 3)).astype(np.int8)
     n_slots = alice.size * (1 if protocol == "dps" else 2)
     pattern = tamper_pattern(tamper, n_slots, seed)
@@ -663,18 +665,18 @@ def test_coded_receive_matches_dense_receive(protocol, alice, amplitude, t_b, de
     blinding = BlindingSettings(style="cw", illumination_level=BlindingSettings.blind_threshold) if blind else None
     streams = RngFactory(seed), RngFactory(seed)
     got = receive(protocol, train, slot_codes, detector, amplitude**2, t_b, streams[0].get, blinding)
-    want = oracle.receive_dense(
+    want, ports = oracle.receive_dense(
         protocol, dense, np.arange(n_slots), detector, amplitude**2, t_b, streams[1].get, blinding
     )
     _same_receive(got, want, streams)
     if ideal is not None:
         bf = BackflashSettings(ideal=ideal, emission_gain=0.7)
-        for name in want[0].names:
-            g, w = got[0][name], want[0][name]
-            at, emitted = backflash_emit(g, *got[1][name], bf, np.random.default_rng(seed))
-            at_w, emitted_w = backflash_emit(w, want[1][name], np.arange(len(w)), bf, np.random.default_rng(seed))
-            _same(at, at_w)
-            _same(emitted.view(np.uint64), emitted_w.view(np.uint64))
+        for name in want.names:
+            clicks, intensity = got[name].clicks, ports[name].intensities
+            at, emitted = backflash_emit(got[name], bf, np.random.default_rng(seed))
+            emit = oracle.backflash_emitting(clicks, bf, np.random.default_rng(seed))
+            want_emitted = oracle.backflash_emit_where(emit, bf.emission_gain, intensity)
+            _same(_scattered(len(clicks), at, emitted).view(np.uint64), want_emitted.view(np.uint64))
 
 
 @given(
@@ -706,5 +708,5 @@ def test_coded_trigger_receive_matches_dense_receive(policy, readings, t_b, styl
     blinding = BlindingSettings(style=style)
     streams = RngFactory(seed), RngFactory(seed)
     got = receive(protocol, trigger, codes, detector, 1.0, t_b, streams[0].get, blinding)
-    want = oracle.receive_dense(protocol, dense, np.arange(codes.size), detector, 1.0, t_b, streams[1].get, blinding)
+    want = oracle.receive_dense(protocol, dense, np.arange(codes.size), detector, 1.0, t_b, streams[1].get, blinding)[0]
     _same_receive(got, want, streams)

@@ -44,11 +44,11 @@ def coded(train):
 
 
 def dps_record(train, detector=DetectorSettings()):
-    return receive("dps", *coded(train), detector, 1.0)[0]
+    return receive("dps", *coded(train), detector, 1.0)
 
 
 def cow_record(train, t_b=0.9):
-    return receive("cow", *coded(train), DetectorSettings(), 1.0, t_b=t_b)[0]
+    return receive("cow", *coded(train), DetectorSettings(), 1.0, t_b=t_b)
 
 
 def interface_classes(symbols) -> dict[int, str]:
@@ -82,16 +82,24 @@ def test_coded_receive_runs_the_interferometer_once_per_neighbour_pair(monkeypat
     # two slots each, and each port holds at most nine fields, whatever the
     # train's length.  A train with more distinct fields than its port has
     # slots runs the pairs that occur.
-    lengths = []
+    lengths, fields = [], []
     monkeypatch.setattr(protocols, "dli", lambda train: lengths.append(len(train)) or dli(train))
+    interfere = protocols._interfere
+
+    def ports(train, codes):
+        constructive, destructive, index = interfere(train, codes)
+        fields.extend((len(constructive), len(destructive)))
+        return constructive, destructive, index
+
+    monkeypatch.setattr(protocols, "_interfere", ports)
     for protocol, (train, slot_codes) in (("dps", dps_encode(np.zeros(1000))), ("cow", cow_encode(np.zeros(500)))):
-        _, ports = receive(protocol, train, slot_codes, DetectorSettings(), 1.0)
-        assert all(len(field) <= 9 for field, _ in ports.values())
-    assert lengths == [18, 18]
+        receive(protocol, train, slot_codes, DetectorSettings(), 1.0)
+    assert lengths == [18, 18] and fields == [9, 9, 9, 9]
     lengths.clear()
+    fields.clear()
     train = gathered(*dps_encode([0, 1, 1, 0, 1]))
-    _, ports = receive("dps", train, np.arange(5), DetectorSettings(), 1.0)
-    assert lengths == [12] and all(len(field) == 6 for field, _ in ports.values())
+    receive("dps", train, np.arange(5), DetectorSettings(), 1.0)
+    assert lengths == [12] and fields == [6, 6]
 
 
 # ---------------------------------------------------------------------------
