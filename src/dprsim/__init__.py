@@ -21,9 +21,9 @@ from .config import ConfigError, ScenarioConfig, scenario_from_dict
 from .detectors import (
     DetectionRecord,
     DetectorTrace,
+    PhotocurrentMonitor,
     apd_detect,
     backflash_emit,
-    photocurrent_monitor,
     watchdog,
 )
 from .goldens import GOLDENS, golden_config_dict

@@ -16,6 +16,11 @@ sits at or above the blind threshold.  There the trigger-pulse rails
 detector always clicks, at or below ``p_never`` it never does, and strictly
 between the rails the click probability interpolates linearly.  The stored
 trace is also what the photocurrent monitor countermeasure low-pass filters.
+
+A blinded detector runs a block of slots at a time, and the monitor consumes
+each block as it comes, so no run holds a whole stored-current trace.  A
+trace does not keep it either: its levels, codes and the run's blinding
+settings derive it bit for bit (``DetectorTrace.photocurrent``).
 """
 
 from __future__ import annotations
@@ -32,10 +37,9 @@ from .optics import PulseTrain
 __all__ = [
     "DetectorTrace",
     "DetectionRecord",
-    "MonitorResult",
+    "PhotocurrentMonitor",
     "apd_detect",
     "backflash_emit",
-    "photocurrent_monitor",
     "watchdog",
 ]
 
@@ -43,35 +47,6 @@ __all__ = [
 # exactly on a rail may land one ulp off after propagating through the
 # interferometer arithmetic, and the rails are decision boundaries.
 _RAIL_TOL = 1e-9
-
-
-def _blinding_trace(blinding: BlindingSettings, incident: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stored-current trace and per-slot linear-mode mask of a detector that
-    starts with no stored current.
-
-    The trace is ``s[k] = s[k-1] * d + incident[k]``, computed by an exact
-    lane-parallel scan (``_decay_scan``).  The slots split into about
-    ``sqrt(n)`` lanes of ``block`` consecutive slots, which one whole-row
-    ``multiply`` and ``add`` step at once.  Lane 0 starts from the scan's
-    start, every other lane from a guess: its predecessor's block filtered
-    from zero.  A repair pass restarts each lane whose start differs from its
-    predecessor's last value and steps it until its row equals the stored one
-    bit for bit; passes repeat until no start changes.
-
-    Exact: each value takes the loop's two IEEE roundings, a multiply and then
-    an add, which numpy never fuses and neither does CPython, so a lane that
-    meets the loop's trajectory stays on it.  A block of at least
-    ``2 * _FORGET_BITS / -log2(d)`` slots lets a lane forget a wrong start
-    within it, so one repair pass is the rule.  The plain loop runs instead on
-    traces shorter than ``_MIN_LANES`` such blocks (slow decays need long
-    ones), and from the first lane still inexact after two repair passes on (a
-    stretch of pure decay never forgets its start): the worst case is the loop
-    plus the scan and two passes.  No slot-length array is allocated beyond
-    the returned trace.
-    """
-    stored = np.empty(incident.shape[0], dtype=np.float64)
-    _decay_scan(0.0, blinding.decay_per_slot, incident, stored)
-    return stored, stored >= blinding.blind_threshold
 
 
 # Bits by which a wrong lane start must decay to fall below the last bit of the
@@ -84,13 +59,33 @@ _MIN_LANES = 32
 def _decay_loop(s: float, d: float, incident: np.ndarray, out: np.ndarray) -> None:
     """``out[k] = s = s * d + incident[k]``, one slot at a time."""
     # Python floats do the same IEEE double arithmetic as numpy scalars,
-    # faster; 4096 slots at a time, so that the trace is never all Python floats.
-    for b in range(0, incident.shape[0], 4096):
-        out[b : b + 4096] = [s := s * d + x for x in incident[b : b + 4096].tolist()]
+    # faster; 1024 slots at a time, so that the trace is never all Python floats.
+    for b in range(0, incident.shape[0], 1024):
+        out[b : b + 1024] = [s := s * d + x for x in incident[b : b + 1024].tolist()]
 
 
 def _decay_scan(s: float, d: float, incident: np.ndarray, out: np.ndarray) -> None:
-    """``_decay_loop`` into ``out``, as the exact lane-parallel scan of ``_blinding_trace``."""
+    """``_decay_loop`` into ``out``, by an exact lane-parallel scan.
+
+    The stored current ``s[k] = s[k-1] * d + incident[k]`` splits into about
+    ``sqrt(n)`` lanes of ``block`` consecutive slots, which one whole-row
+    ``multiply`` and ``add`` step at once.  Lane 0 starts from ``s``, every
+    other lane from a guess: its predecessor's block filtered from zero.  A
+    repair pass restarts each lane whose start differs from its
+    predecessor's last value and steps it until its row equals the stored one
+    bit for bit; passes repeat until no start changes.
+
+    Exact: each value takes the loop's two IEEE roundings, a multiply and then
+    an add, which numpy never fuses and neither does CPython, so a lane that
+    meets the loop's trajectory stays on it.  A block of at least
+    ``2 * _FORGET_BITS / -log2(d)`` slots lets a lane forget a wrong start
+    within it, so one repair pass is the rule.  The plain loop runs instead on
+    traces shorter than ``_MIN_LANES`` such blocks (slow decays need long
+    ones), and from the first lane still inexact after two repair passes on (a
+    stretch of pure decay never forgets its start): the worst case is the loop
+    plus the scan and two passes.  No slot-length array is allocated beyond
+    ``out``.
+    """
     n = incident.shape[0]
     block = max(math.isqrt(n), 2 * math.ceil(_FORGET_BITS / -math.log2(d)))
     lanes = n // block
@@ -137,10 +132,29 @@ def _decay_scan(s: float, d: float, incident: np.ndarray, out: np.ndarray) -> No
     _decay_loop(float(out[m - 1]), d, incident[m:], out[m:])
 
 
+def _stored_current(
+    levels: np.ndarray, level_codes: np.ndarray, blinding: BlindingSettings, start: int, s: float, out: np.ndarray
+) -> None:
+    """The stored current of a blinded detector's slots ``start`` on, one
+    per entry of ``out``, from ``s``, the stored current of slot ``start - 1``
+    (0.0 before slot 0): each slot's incident intensity, coded as the trace
+    keeps it, plus the blinding light that falls on it (see the module
+    docstring), integrated by ``_decay_scan``.  The scan is exact, so any
+    split of the slots into such blocks gives the whole trace bit for bit."""
+    incident = levels.take(level_codes[start : start + out.shape[0]])
+    period = 1 if blinding.style == "cw" else blinding.pulse_period_slots
+    incident[-start % period :: period] += blinding.illumination_level
+    _decay_scan(s, blinding.decay_per_slot, incident, out)
+
+
 def _code_dtype(n_levels: int) -> np.dtype:
     """The code width of a table of ``n_levels`` levels: one byte up to 256
     levels, two up to 65536, else four."""
     return np.dtype(np.uint8 if n_levels <= 1 << 8 else np.uint16 if n_levels <= 1 << 16 else np.uint32)
+
+
+# Slots per ``np.bincount`` of one-byte codes: it widens each to ``intp``.
+_COUNT_BLOCK = 1 << 13
 
 
 def _coded(table: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,36 +162,49 @@ def _coded(table: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray
     distinct values, and one code per slot of the width ``_code_dtype`` gives
     (see ``DetectorTrace``).  Only the entries some slot takes enter the
     levels, so the coding is a function of the slot values alone, whatever
-    the table holds besides."""
-    taken = np.bincount(index, minlength=table.shape[0]).astype(bool)
-    levels, inverse = np.unique(table[taken], return_inverse=True)
-    lookup = np.zeros(table.shape[0], dtype=_code_dtype(levels.shape[0]))
-    lookup[taken] = inverse
-    return levels, lookup.take(index)
+    the table holds besides.
+
+    A one-byte index takes one-byte codes, since it takes at most 256
+    entries: they are counted a block at a time and gathered by
+    ``bytes.translate``, so no slot-length array wider than a byte is made."""
+    if index.dtype.itemsize != 1:
+        taken = np.bincount(index, minlength=table.shape[0]).astype(bool)
+        levels, inverse = np.unique(table[taken], return_inverse=True)
+        lookup = np.zeros(table.shape[0], dtype=_code_dtype(levels.shape[0]))
+        lookup[taken] = inverse
+        return levels, lookup.take(index)
+    index = index.view(np.uint8)
+    taken = np.zeros(256, dtype=bool)
+    for start in range(0, index.shape[0], _COUNT_BLOCK):
+        taken |= np.bincount(index[start : start + _COUNT_BLOCK], minlength=256).astype(bool)
+    taken = taken[: table.shape[0]]
+    levels, inverse = np.unique(table[: taken.shape[0]][taken], return_inverse=True)
+    lookup = np.zeros(256, dtype=np.uint8)
+    lookup[: taken.shape[0]][taken] = inverse
+    return levels, np.frombuffer(bytearray(index).translate(lookup.tobytes()), dtype=np.uint8)
 
 
 @dataclass(eq=False)
 class DetectorTrace:
-    """Per-slot outcome of one detector: clicks, incident signal intensity,
-    the stored photocurrent of a detector under blinding (``None`` for one
-    that is not, whose photocurrent is its ``intensity``) and the
-    Geiger/linear mode actually in force.
+    """Per-slot outcome of one detector: clicks, incident signal intensity
+    and the Geiger/linear mode actually in force.
 
     The intensity is coded: ``levels`` holds the sorted distinct intensities
     of the line and ``level_codes`` the index of each slot's one, unsigned
     and one byte wide up to 256 levels (two up to 65536, else four), so that
-    slot ``k`` saw ``levels[level_codes[k]]``."""
+    slot ``k`` saw ``levels[level_codes[k]]``.  The photocurrent is not
+    kept: ``photocurrent`` derives it from the intensity and the run's
+    blinding settings."""
 
     clicks: npt.NDArray[np.bool_]
     levels: npt.NDArray[np.float64]
     level_codes: npt.NDArray[np.unsignedinteger]
-    photocurrent: npt.NDArray[np.float64] | None
     linear_mode: npt.NDArray[np.bool_]
 
     def __post_init__(self) -> None:
-        for name in ("level_codes", "photocurrent", "linear_mode"):
+        for name in ("level_codes", "linear_mode"):
             values = getattr(self, name)
-            if values is not None and len(values) != len(self.clicks):
+            if len(values) != len(self.clicks):
                 raise ValueError(f"{name}: {len(values)} slots, but clicks has {len(self.clicks)}")
         n, codes = self.levels.shape[0], self.level_codes
         if codes.dtype != _code_dtype(n):
@@ -194,6 +221,16 @@ class DetectorTrace:
     def intensity(self) -> np.ndarray:
         """Incident intensity of each slot."""
         return self.levels[self.level_codes]
+
+    def photocurrent(self, blinding: BlindingSettings | None) -> np.ndarray:
+        """The photocurrent of each slot of a detector that ``apd_detect``
+        ran under ``blinding``: bit for bit the stored current it computed,
+        or the intensity when ``blinding`` is None."""
+        if blinding is None:
+            return self.intensity
+        stored = np.empty(len(self))
+        _stored_current(self.levels, self.level_codes, blinding, 0, 0.0, stored)
+        return stored
 
     @property
     def click_count(self) -> int:
@@ -227,6 +264,11 @@ class DetectionRecord:
         return self.detectors[name].clicks
 
 
+# Slots per block of a detector that is blinded or may draw: a quarter of its
+# trace, but at least this many.
+_BLOCK = 1 << 13
+
+
 def apd_detect(
     levels: np.ndarray,
     level_codes: np.ndarray,
@@ -236,6 +278,7 @@ def apd_detect(
     detector_id: str = "D",
     blinding: BlindingSettings | None = None,
     rng: np.random.Generator | None = None,
+    monitor: PhotocurrentMonitor | None = None,
 ) -> DetectionRecord:
     """Detect light with one APD, from its per-slot incident intensity: an
     APD sees power, not phase.  The intensity comes coded, as the trace
@@ -245,24 +288,21 @@ def apd_detect(
     ``click_threshold`` is the Geiger-mode intensity above which a live slot
     fires, ``rails`` the line's ``(p_never, p_always)`` pair and ``detector``
     the run's dead time, afterpulsing and dark counts.  The detector runs in
-    Geiger mode, and the trace keeps no photocurrent, unless ``blinding`` is
-    given: then its light (see the module docstring) falls on the detector,
-    and the per-slot mode follows the stored photocurrent, which the trace
-    keeps.  Raises ``ValueError`` when the detector may draw (afterpulses, dark
-    counts, a linear-mode slot between the rails) and no ``rng`` is given.
+    Geiger mode unless ``blinding`` is given: then its light (see the module
+    docstring) falls on the detector, and the per-slot mode follows the
+    stored photocurrent, which ``monitor``, if given, watches.  Raises
+    ``ValueError`` when the detector may draw (afterpulses, dark counts, a
+    linear-mode slot between the rails) and no ``rng`` is given.
+
+    A blinded detector, or one that may draw, runs a block of slots at a
+    time (``_BLOCK``): the stored current, the modes, the monitor and the
+    clicks of one block, then the next, carrying the stored current, the
+    dead time and the afterpulse across.  No slot-length array wider than a
+    byte is made, and the trace keeps no photocurrent.
     """
     if level_codes.ndim != 1:
         raise ValueError(f"level codes must be one-dimensional, got shape {level_codes.shape}")
     n = level_codes.shape[0]
-    if blinding is None:
-        photocurrent = None
-        linear = np.zeros(n, dtype=bool)
-    else:
-        total = levels[level_codes]
-        total[:: 1 if blinding.style == "cw" else blinding.pulse_period_slots] += blinding.illumination_level
-        photocurrent, linear = _blinding_trace(blinding, total)
-        del total  # slot-length and read no more: off the run's peak memory
-
     p_never, p_always = rails
     dead, afterpulse, dark = detector.dead_time_slots, detector.afterpulse_prob, detector.dark_count_prob
     always_rail = p_always * (1.0 - _RAIL_TOL)
@@ -273,48 +313,63 @@ def apd_detect(
     geiger = int(np.searchsorted(levels, click_threshold, side="right"))
     always = int(np.searchsorted(levels, always_rail, side="left"))
     never = int(np.searchsorted(levels, never_rail, side="right"))
-    needs_rng = afterpulse > 0.0 or dark > 0.0
-    if blinding is not None and never < always:
-        needs_rng = needs_rng or bool(np.any(linear & (level_codes >= never) & (level_codes < always)))
     stateful = dead > 0 or afterpulse > 0.0 or dark > 0.0
+    linear = np.zeros(n, dtype=bool)
+    if blinding is None and not stateful:
+        # Deterministic fast path: one threshold compare, and no slot is linear.
+        return DetectionRecord({detector_id: DetectorTrace(level_codes >= geiger, levels, level_codes, linear)})
 
-    if not stateful and not needs_rng:
-        # Deterministic fast path: thresholds only, and without blinding no slot is linear.
-        clicks = level_codes >= geiger
+    clicks = np.zeros(n, dtype=bool)
+    size = max(_BLOCK, n // 4)
+    stored = np.empty(0 if blinding is None else min(size, n))
+    s = 0.0
+    live_from, afterpulse_at = 0, -1
+    span = p_always - p_never
+    for start in range(0, n, size):
+        codes, lin, out = level_codes[start : start + size], linear[start : start + size], clicks[start : start + size]
         if blinding is not None:
-            clicks = (~linear & clicks) | (linear & (level_codes >= always))
-    else:
-        if needs_rng and rng is None:
+            current = stored[: codes.shape[0]]
+            _stored_current(levels, level_codes, blinding, start, s, current)
+            s = float(current[-1])
+            np.greater_equal(current, blinding.blind_threshold, out=lin)
+            if monitor is not None:
+                monitor.update(current)
+        draws = afterpulse > 0.0 or dark > 0.0
+        if blinding is not None and never < always:
+            draws = draws or bool(np.any(lin & (codes >= never) & (codes < always)))
+        if not stateful and not draws:
+            # Thresholds only: Geiger slots by the click threshold, linear ones by the always rail.
+            np.bitwise_or(~lin & (codes >= geiger), lin & (codes >= always), out=out)
+            continue
+        if draws and rng is None:
             raise ValueError(f"detector {detector_id} draws random clicks: pass an rng")
-        intensity = levels[level_codes]
-        clicks = np.zeros(n, dtype=bool)
-        live_from = 0
-        afterpulse_at = -1
-        span = p_always - p_never
-        for k in range(n):
-            if k < live_from:
-                continue
-            fired = False
-            if linear[k]:
-                if intensity[k] >= always_rail:
-                    fired = True
-                elif intensity[k] > never_rail:
-                    p = min(1.0, max(0.0, (intensity[k] - p_never) / span))
-                    fired = bool(rng.random() < p)
-            else:
-                if k == afterpulse_at and afterpulse > 0.0 and rng.random() < afterpulse:
-                    fired = True
-                if not fired and intensity[k] > click_threshold:
-                    fired = True
-                if not fired and dark > 0.0 and rng.random() < dark:
-                    fired = True
-            if fired:
-                clicks[k] = True
-                live_from = k + 1 + dead
-                afterpulse_at = live_from
+        # Slot by slot, on Python floats (the same IEEE arithmetic, faster),
+        # 1024 slots at a time, so that the block is never all Python floats.
+        for at in range(0, codes.shape[0], 1024):
+            chunk = zip(levels.take(codes[at : at + 1024]).tolist(), lin[at : at + 1024].tolist())
+            for k, (x, linear_k) in enumerate(chunk, start + at):
+                if k < live_from:
+                    continue
+                fired = False
+                if linear_k:
+                    if x >= always_rail:
+                        fired = True
+                    elif x > never_rail:
+                        p = min(1.0, max(0.0, (x - p_never) / span))
+                        fired = bool(rng.random() < p)
+                else:
+                    if k == afterpulse_at and afterpulse > 0.0 and rng.random() < afterpulse:
+                        fired = True
+                    if not fired and x > click_threshold:
+                        fired = True
+                    if not fired and dark > 0.0 and rng.random() < dark:
+                        fired = True
+                if fired:
+                    clicks[k] = True
+                    live_from = k + 1 + dead
+                    afterpulse_at = live_from
 
-    trace = DetectorTrace(clicks, levels, level_codes, photocurrent, linear)
-    return DetectionRecord({detector_id: trace})
+    return DetectionRecord({detector_id: DetectorTrace(clicks, levels, level_codes, linear)})
 
 
 # ---------------------------------------------------------------------------
@@ -360,18 +415,10 @@ def backflash_emit(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class MonitorResult:
-    alarm: bool
-    filtered: np.ndarray
-
-
-def photocurrent_monitor(
-    photocurrent: np.ndarray,
-    lowpass_window_slots: int,
-    alarm_threshold: float,
-) -> MonitorResult:
-    """Low-frequency photocurrent watchdog against blinding.
+class PhotocurrentMonitor:
+    """Low-frequency photocurrent watchdog against blinding, fed a blinded
+    detector's stored current a block of slots at a time (``update``, which
+    ``apd_detect`` calls); ``alarm`` then reads the verdict.
 
     The trace is smoothed with a boxcar moving average and the alarm fires if
     any filtered value reaches the threshold.  Only full windows are
@@ -379,23 +426,51 @@ def photocurrent_monitor(
     sustained current); a trace shorter than the window is judged by its
     overall mean.  A constant current ``c`` therefore filters to ``c`` for
     every window size and alarms exactly when ``c`` reaches the threshold.
+
+    The window of ``w`` slots from slot ``j`` filters to
+    ``(c[j + w] - c[j]) / w`` over the running sum ``c`` (``c[0] = 0``,
+    ``c[k + 1] = c[k] + x[k]``).  A block's buffer holds the last ``w + 1``
+    sums, then the block, and ``np.cumsum`` runs over the block from the last
+    sum, in slot order: every sum, filtered value and alarm is bit for bit
+    that of one pass over the whole trace.  Between blocks only those ``w +
+    1`` sums are kept, and once the alarm fires, later blocks are not read.
     """
-    trace = np.asarray(photocurrent, dtype=np.float64)
-    if trace.size == 0:
-        raise ValueError("photocurrent trace is empty")
-    if lowpass_window_slots < 1:
-        raise ValueError("lowpass window must be >= 1 slot")
-    w = lowpass_window_slots
-    if trace.size < w:
-        filtered = np.array([float(np.mean(trace))])
-    else:
-        csum = np.empty(trace.size + 1)
-        csum[0] = 0.0
-        np.cumsum(trace, out=csum[1:])
-        filtered = csum[w:] - csum[:-w]
-        filtered /= w
-    alarm = bool(np.any(filtered >= alarm_threshold))
-    return MonitorResult(alarm=alarm, filtered=filtered)
+
+    def __init__(self, lowpass_window_slots: int, alarm_threshold: float) -> None:
+        if lowpass_window_slots < 1:
+            raise ValueError("lowpass window must be >= 1 slot")
+        self.window, self.threshold = lowpass_window_slots, alarm_threshold
+        self._slots = 0
+        self._sums = np.zeros(1)  # the last running sums: ``c[k - w]`` to ``c[k]``, or from ``c[0]`` while k < w
+        self._head: list[np.ndarray] = []  # the current seen so far, while it is shorter than the window
+        self._fired = False
+
+    def update(self, current: np.ndarray) -> None:
+        """Take the stored current of the next ``len(current)`` slots."""
+        if self._fired:
+            return
+        w, held, b = self.window, self._sums.shape[0], current.shape[0]
+        sums = np.empty(held + b)
+        sums[:held] = self._sums
+        sums[held:] = current
+        np.cumsum(sums[held - 1 :], out=sums[held - 1 :])
+        self._slots += b
+        self._head = [*self._head, current.copy()] if self._slots < w else []
+        first = max(held, w)  # the first sum that ends a full window
+        if first < held + b:
+            filtered = sums[first:] - sums[first - w : held + b - w]
+            filtered /= w
+            self._fired = bool(np.any(filtered >= self.threshold))
+        self._sums = sums[-(w + 1) :].copy()
+
+    @property
+    def alarm(self) -> bool:
+        """Whether the current seen so far raises the alarm."""
+        if self._slots == 0:
+            raise ValueError("photocurrent trace is empty")
+        if self._slots < self.window:
+            return bool(np.mean(np.concatenate(self._head)) >= self.threshold)
+        return self._fired
 
 
 def watchdog(train: PulseTrain, tap_fraction: float, intensity_threshold: float) -> bool:

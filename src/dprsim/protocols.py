@@ -31,7 +31,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .config import BlindingSettings, DetectorSettings
-from .detectors import DetectionRecord, _coded, apd_detect
+from .detectors import DetectionRecord, PhotocurrentMonitor, _coded, apd_detect
 from .optics import PulseTrain, coupler_2x2, cw_laser, dli, phase_modulator, pulse_carver
 
 __all__ = [
@@ -138,6 +138,7 @@ def receive(
     t_b: float = 0.9,
     rng: Callable[[str], np.random.Generator] | None = None,
     blinding: BlindingSettings | None = None,
+    monitor: Callable[[str], PhotocurrentMonitor] | None = None,
 ) -> DetectionRecord:
     """Bob's receiver, or any replica of it.
 
@@ -165,7 +166,8 @@ def receive(
     in Geiger mode unless ``blinding`` is given, whose light then falls on
     every detector (``detectors.apd_detect``); a detector in linear mode
     clicks by the plain ``p_*`` rails for DPS and the ``_b``/``_m`` pairs for
-    COW.  ``rng`` maps a detector name to its generator.
+    COW.  ``rng`` maps a detector name to its generator, and ``monitor`` to
+    the photocurrent monitor that watches its stored current under blinding.
 
     Returns the record of every detector and nothing of the fields: a
     detector sees intensity, not phase, and every later pass reads the traces
@@ -183,11 +185,11 @@ def receive(
             raise ValueError(f"t_b must be within (0, 1), got {t_b}")
         data_line, monitor_line = coupler_2x2(train, t_b)
         constructive, destructive, index = _interfere(monitor_line, codes)
-        monitor, pair = 1.0 - t_b, (detector.p_never_m, detector.p_always_m)
+        monitoring, pair = 1.0 - t_b, (detector.p_never_m, detector.p_always_m)
         lines = {
             "D_B": (data_line, codes, t_b, (detector.p_never_b, detector.p_always_b)),
-            "D_M1": (constructive, index, monitor, pair),
-            "D_M2": (destructive, index, monitor, pair),
+            "D_M1": (constructive, index, monitoring, pair),
+            "D_M2": (destructive, index, monitoring, pair),
         }
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -203,6 +205,7 @@ def receive(
             name,
             blinding=blinding,
             rng=None if rng is None else rng(name),
+            monitor=None if monitor is None else monitor(name),
         )[name]
     return DetectionRecord(traces)
 

@@ -4,7 +4,7 @@ record file.
 :class:`RunRecord` holds everything one run produced.  ``to_dict`` and
 ``from_dict`` convert it to and from a plain tree of dicts, scalars and
 arrays; the content hash covers that tree minus its volatile values; and a
-record file (``dprsim-record/8``) holds exactly the hashed bytes, framed, so
+record file (``dprsim-record/9``) holds exactly the hashed bytes, framed, so
 that a reader maps each array in place.  :mod:`report` writes and reads the
 files.
 """
@@ -28,9 +28,9 @@ from .protocols import ProtocolRun
 __all__ = ["RunRecord"]
 
 # The record format: the file's version line and its header's ``format``.
-RECORD_FORMAT = "dprsim-record/8"
+RECORD_FORMAT = "dprsim-record/9"
 # Formats of older record files, which are no longer read.
-_RETIRED_FORMATS = tuple(f"dprsim-record/{v}" for v in range(1, 8))
+_RETIRED_FORMATS = tuple(f"dprsim-record/{v}" for v in range(1, 9))
 
 # ``X`` of an ``NDArray[X]`` hint -> stored little-endian dtype (bools as bytes, the same on every platform).
 _STORED = {np.bool_: "|u1", np.int8: "|i1", np.int64: "<i8", np.float64: "<f8"}
@@ -165,8 +165,9 @@ class RunRecord:
     sifting outcome, the attack outcome when present, and the wall time.
 
     Each run value is stored once.  Bob's key is ``protocol_run.sifted_bob``
-    only; a detector trace keeps a ``photocurrent`` only under blinding (the
-    stored current), since otherwise it is the ``intensity``; key bits
+    only; no detector trace keeps its photocurrent, which its intensity and
+    the config's blinding settings derive (``DetectorTrace.photocurrent``,
+    under a blinding attack for Bob's traces, else the intensity); key bits
     (``sifted_alice``, ``sifted_bob``, ``eve_key``) are booleans.  Alice's
     material is ``protocol_run.alice_codes``: DPS phase bits, or COW symbol
     codes 0, 1 and 2 for ``0``, ``1`` and ``d``.
@@ -177,7 +178,7 @@ class RunRecord:
 
     ``to_dict`` gives the record as a plain tree in which every array is
     little-endian (``|i1`` for Alice's codes and the readings, ``<i8`` for
-    slots, ``<f8`` for intensity levels and photocurrents, ``|u1``, ``<u2``
+    slots, ``<f8`` for intensity levels, ``|u1``, ``<u2``
     or ``<u4`` for level codes, ``|u1`` for booleans: clicks, modes and key
     bits); ``from_dict`` checks and inverts it, each code against its table.  The
     content hash is SHA-256 over the canonical header (that tree with sorted
@@ -185,12 +186,12 @@ class RunRecord:
     followed by the raw bytes of each array in header key order; the wall
     time, the only non-reproducible field, is left out.
 
-    A record file (``dprsim-record/8``, also the header's ``format``) holds
+    A record file (``dprsim-record/9``, also the header's ``format``) holds
     exactly those hashed bytes between a version line and a trailer, each
     array zero-padded to start at a multiple of 8 bytes from the file's
     start::
 
-        dprsim-record/8
+        dprsim-record/9
         <canonical header>
         <zero padding, raw array bytes; in header key order>{"wall_time_s": <seconds>}
 

@@ -14,7 +14,7 @@ import json
 import time
 import zlib
 from dataclasses import is_dataclass, replace
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -43,9 +43,10 @@ from .config import (
 from .detectors import (
     DetectionRecord,
     DetectorTrace,
+    PhotocurrentMonitor,
+    _code_dtype,
     _coded,
     backflash_emit,
-    photocurrent_monitor,
     watchdog,
 )
 from .goldens import golden_config_dict
@@ -154,10 +155,12 @@ def _receive(
     rngs: RngFactory,
     stream: str,
     blinding: BlindingSettings | None = None,
+    monitor: Callable[[str], PhotocurrentMonitor] | None = None,
 ) -> DetectionRecord:
     """Bob's receiver, or Eve's replica of it, at the scenario's detector
     settings and nominal level ``amplitude**2``, on a train coded by
-    ``codes``; detector ``X`` draws from the stream ``<stream>-X``."""
+    ``codes``; detector ``X`` draws from the stream ``<stream>-X`` and, under
+    ``blinding``, is watched by ``monitor("X")``."""
     return receive(
         cfg.protocol,
         train,
@@ -167,6 +170,7 @@ def _receive(
         t_b=cfg.t_b,
         rng=lambda name: rngs.get(f"{stream}-{name}"),
         blinding=blinding,
+        monitor=monitor,
     )
 
 
@@ -286,17 +290,17 @@ def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun) -> AttackOutcome:
 
 def _on_grid(record: DetectionRecord, offset: int, n_slots: int) -> DetectionRecord:
     """The ``n_slots`` slots of ``record`` from ``offset`` on; slots past its
-    end are silent and dark: no click, zero intensity and photocurrent, Geiger
-    mode."""
+    end are silent and dark: no click, zero intensity, Geiger mode."""
     traces = {}
     for name, t in record.detectors.items():
         levels, codes = t.levels, _window(t.level_codes, offset, n_slots)
-        if offset + n_slots > len(t):  # code 0 need not be intensity 0: code the padded intensities
-            levels, codes = _coded(_window(t.intensity, offset, n_slots), np.arange(n_slots))
-        photocurrent = None if t.photocurrent is None else _window(t.photocurrent, offset, n_slots)
-        traces[name] = DetectorTrace(
-            _window(t.clicks, offset, n_slots), levels, codes, photocurrent, _window(t.linear_mode, offset, n_slots)
-        )
+        if offset + n_slots > len(t):  # code 0 need not be intensity 0: recode, a padded slot by a zero level
+            n = t.levels.shape[0]
+            codes = _window(t.level_codes.astype(_code_dtype(n + 1), copy=False), offset, n_slots)
+            codes[max(0, len(t) - offset) :] = n
+            levels, codes = _coded(np.append(t.levels, 0.0), codes)
+        clicks, linear = _window(t.clicks, offset, n_slots), _window(t.linear_mode, offset, n_slots)
+        traces[name] = DetectorTrace(clicks, levels, codes, linear)
     return DetectionRecord(traces)
 
 
@@ -324,20 +328,21 @@ def _eve_readings(
 def _run_blinding(
     cfg: ScenarioConfig,
     rngs: RngFactory,
-    clean: ProtocolRun,
+    codes: np.ndarray,
+    clean_qber: float,
+    clean_visibility: float | None,
     interfaces: tuple | None,
     readings: np.ndarray,
     n_slots: int,
 ) -> tuple[ProtocolRun, AttackOutcome]:
     """The faked-state plan for Eve's ``readings`` (see ``_eve_readings``) and
     its replay into Bob's blinded detectors with the photocurrent monitor
-    watching; ``interfaces`` are those of Alice's codes, as ``_sift`` takes
-    them.
+    watching; ``codes`` are Alice's and ``interfaces`` theirs, as ``_sift``
+    takes them, beside the clean run's QBER and visibility.
 
     Bob sifts the blinded record as he sifts a clean one, over the
     ``n_slots`` slots of Alice's grid, which start at the plan's
     ``readings_slot_offset``; the stored record is the whole blinded one.
-    Of ``clean`` only Alice's codes, the QBER and the visibility are read.
     Pinned readings are sifted against Alice's material too: they do not
     come from her train, so a QBER near 1/2 is the honest result.  Derived
     COW blinding has no visibility: every interface slot is also a D_B pulse
@@ -352,38 +357,43 @@ def _run_blinding(
     if cfg.protocol == "dps":
         plan = fsg_dps_phases(readings, s.policy, launch_intensity=rails.p_always)
         feasibility = {"rail_gap": blinding_feasible(rails, cfg.t_b).rail_gap}
-        eve_slots, eve_bits = _dps_eve_key(readings == 1, readings == 2)
     else:
         plan = fsg_cow_drive(readings, cfg.t_b, rails)
         feasibility = blinding_feasible(rails, cfg.t_b).as_dict()
-        eve_slots, eve_bits = _cow_eve_key(clean.alice_codes, _window(readings == 3, 0, n_slots))
-
     trigger, trigger_codes = plan.trigger()
-    record = _receive(cfg, trigger, trigger_codes, rngs, "bob", blinding=s)
+    offset = plan.readings_slot_offset
+    del plan  # Bob's blinded receive is where a run peaks: only the trigger is read there
 
     cm = cfg.countermeasures.photocurrent_monitor
-    # Only each alarm is kept: a monitor's filtered trace is as long as the record.
-    monitor_alarm = cm.enabled and any(
-        photocurrent_monitor(record[name].photocurrent, cm.window_slots, cm.alarm_threshold).alarm
-        for name in record.names
-    )
+    monitors: dict[str, PhotocurrentMonitor] = {}
 
-    grid = _on_grid(record, plan.readings_slot_offset, n_slots)
-    run = replace(_sift(cfg, clean.alice_codes, grid, interfaces), record=record)
+    def monitor(name: str) -> PhotocurrentMonitor:
+        return monitors.setdefault(name, PhotocurrentMonitor(cm.window_slots, cm.alarm_threshold))
+
+    record = _receive(cfg, trigger, trigger_codes, rngs, "bob", blinding=s, monitor=monitor if cm.enabled else None)
+    del trigger, trigger_codes
+    monitor_alarm = any(m.alarm for m in monitors.values())
+
+    if cfg.protocol == "dps":
+        eve_slots, eve_bits = _dps_eve_key(readings == 1, readings == 2)
+    else:
+        eve_slots, eve_bits = _cow_eve_key(codes, _window(readings == 3, 0, n_slots))
+    grid = _on_grid(record, offset, n_slots)
+    run = replace(_sift(cfg, codes, grid, interfaces), record=record)
     drop = None
     if cfg.protocol == "cow":
-        before, after = clean.visibility_report.overall_visibility, run.visibility_report.overall_visibility
-        drop = None if before is None or after is None else before - after
+        after = run.visibility_report.overall_visibility
+        drop = None if clean_visibility is None or after is None else clean_visibility - after
     outcome = AttackOutcome(
         attack="blinding",
         eve_key=eve_bits,
         capture_fraction=capture_fraction(run.sifted_slots, run.sifted_bob, eve_slots, eve_bits),
-        induced_qber=run.qber - clean.qber,
+        induced_qber=run.qber - clean_qber,
         induced_visibility_drop=drop,
         alarms={"watchdog": False, "photocurrent_monitor": monitor_alarm},
         feasibility=feasibility,
         eve_readings=readings,
-        bob_readings=decode(record, plan.readings_slot_offset, readings.size),
+        bob_readings=decode(record, offset, readings.size),
     )
     return run, outcome
 
@@ -461,9 +471,12 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunRecord:
     elif kind == "trojan":
         outcome = _run_trojan(cfg, run)
     elif kind == "blinding":
-        # Bob's blinded receive is where a run peaks; the clean record is not read again.
-        run = replace(run, record=DetectionRecord({}))
-        run, outcome = _run_blinding(cfg, rngs, run, interfaces, *stage1)
+        # Bob's blinded receive is where a run peaks: of the clean run only
+        # its QBER and its visibility are read again.
+        report = run.visibility_report
+        clean_qber, clean_visibility = run.qber, None if report is None else report.overall_visibility
+        del run, report
+        run, outcome = _run_blinding(cfg, rngs, codes, clean_qber, clean_visibility, interfaces, *stage1)
     elif kind != "none":  # pragma: no cover - config validation rejects this
         raise ConfigError(f"attack.kind: unknown kind {kind!r}")
 

@@ -5,8 +5,10 @@ is scalar complex arithmetic expanding the coupler / delay / coupler
 composition slot by slot, so the simulator and the oracle can only agree if
 both are right.  ``record_v1_hash`` keeps the retired list-based record
 serializer, so that record values can still be compared with hashes pinned
-before the array codec; it reads Bob's key and an unblinded detector's
-photocurrent from where the record now keeps them.  ``split_record_file``
+before the array codec; it reads Bob's key from where the record now keeps
+it, and derives each detector's photocurrent from its intensity and the
+run's blinding settings (``DetectorTrace.photocurrent``), as the record no
+longer stores it.  ``split_record_file``
 and ``join_record_file`` read and write the layout of a record file, its
 padded arrays included, independently of the package's codec.  The ``*_loop`` functions keep the per-slot and
 per-symbol Python loops that whole-array code replaced, so the replacements
@@ -23,7 +25,9 @@ the intensity model the package emits by (gain squared times the detected
 intensity), ``apd_clicks_dense`` the
 detector's threshold decisions as it took them on one intensity per slot
 before it took them on codes, and ``boxcar_concatenate`` the photocurrent
-monitor's filter before it filled one buffer.  ``receive_dense`` is the
+monitor's filter before it filled one buffer, ``monitor_alarm_whole``
+the monitor's alarm as it judged a whole trace, and ``apd_detect_whole``
+the detector as it ran on whole traces before it ran blocks of slots.  ``receive_dense`` is the
 receiver as it ran on a train with one field per slot, before every input
 reached it coded (the encoders' trains, the channel's tamper, the probe and
 Eve's faked-state trigger): the ``gathered`` train, the splitter, the
@@ -41,7 +45,7 @@ import math
 
 import numpy as np
 
-from dprsim.config import DetectorSettings
+from dprsim.config import DetectorSettings, scenario_from_dict
 from dprsim.detectors import _RAIL_TOL, DetectionRecord, apd_detect
 from dprsim.optics import PulseTrain, attenuate, coupler_2x2, cw_laser, dli, phase_modulator, pulse_carver
 
@@ -96,13 +100,13 @@ def brute_force_cow_monitor(
     return m1, m2
 
 
-def _v1_trace(trace) -> dict:
-    # A trace that was not blinded keeps no photocurrent: it equals the intensity.
-    photocurrent = trace.intensity if trace.photocurrent is None else trace.photocurrent
+def _v1_trace(trace, blinding) -> dict:
+    # The record keeps no photocurrent: it is derived from the intensity and
+    # the run's blinding settings (the intensity itself where there are none).
     return {
         "clicks": [int(v) for v in trace.clicks],
         "intensity": [float(v) for v in trace.intensity],
-        "photocurrent": [float(v) for v in photocurrent],
+        "photocurrent": [float(v) for v in trace.photocurrent(blinding)],
         "linear_mode": [int(v) for v in trace.linear_mode],
     }
 
@@ -116,7 +120,7 @@ def _v1_visibility(report) -> dict | None:
     }
 
 
-def _v1_run(run) -> dict:
+def _v1_run(run, blinding) -> dict:
     # v1 kept DPS phase bits as ``alice_bits`` and COW symbols as the string ``alice_symbols``.
     dps = run.protocol == "dps"
     return {
@@ -126,7 +130,7 @@ def _v1_run(run) -> dict:
         "record": {
             # v1 kept the slot period: 1.0 for DPS and 0.5 for COW, since no config ever set one.
             "slot_period": 1.0 if dps else 0.5,
-            "detectors": {name: _v1_trace(run.record[name]) for name in run.record.names},
+            "detectors": {name: _v1_trace(run.record[name], blinding) for name in run.record.names},
         },
         "sifted_alice": [int(b) for b in run.sifted_alice],
         "sifted_bob": [int(b) for b in run.sifted_bob],
@@ -162,10 +166,13 @@ def record_v1_hash(record) -> str:
     Kept as the reference that pins the simulated values across the change of
     record format: equal v1 hashes mean equal values.
     """
+    cfg = scenario_from_dict(record.config)
+    # Bob's record is blinded exactly when the run is a blinding attack.
+    blinding = cfg.attack.blinding if cfg.attack.kind == "blinding" else None
     payload = {
         "format": "dprsim-record/1",
         "config": {**record.config, "slot_period_s": None},
-        "protocol_run": _v1_run(record.protocol_run),
+        "protocol_run": _v1_run(record.protocol_run, blinding),
         "attack": _v1_outcome(record.attack, record.protocol_run),
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -173,7 +180,7 @@ def record_v1_hash(record) -> str:
 
 
 # ---------------------------------------------------------------------------
-# The dprsim-record/8 file layout, read and written without the package's codec
+# The dprsim-record/9 file layout, read and written without the package's codec
 # ---------------------------------------------------------------------------
 
 
@@ -496,6 +503,77 @@ def boxcar_concatenate(trace, window: int) -> np.ndarray:
     zero and the running sum, as it computed them before it filled one buffer."""
     csum = np.concatenate([[0.0], np.cumsum(trace)])
     return (csum[window:] - csum[:-window]) / window
+
+
+def monitor_alarm_whole(trace, window: int, threshold: float) -> bool:
+    """The photocurrent monitor's alarm over a whole trace: whether a
+    full-window boxcar mean reaches the threshold, or the trace's mean
+    where it is shorter than the window."""
+    trace = np.asarray(trace, dtype=np.float64)
+    filtered = boxcar_concatenate(trace, window) if trace.size >= window else np.array([np.mean(trace)])
+    return bool(np.any(filtered >= threshold))
+
+
+def apd_detect_whole(levels, level_codes, click_threshold: float, rails, detector, blinding=None, rng=None):
+    """``apd_detect`` as it ran on whole traces: the stored current of the
+    whole trace (``blinding_trace_loop`` over the intensity plus the
+    ``blinding_light``), every mode, and the clicks by one threshold compare,
+    or else by the per-slot loop over every slot, whenever a slot may draw.
+    Returns the clicks, the modes and the stored current (None without
+    blinding)."""
+    n = level_codes.shape[0]
+    if blinding is None:
+        photocurrent = None
+        linear = np.zeros(n, dtype=bool)
+    else:
+        incident = levels[level_codes] + blinding_light(blinding, n)
+        photocurrent = blinding_trace_loop(0.0, blinding.decay_per_slot, incident)
+        linear = photocurrent >= blinding.blind_threshold
+    p_never, p_always = rails
+    dead, afterpulse, dark = detector.dead_time_slots, detector.afterpulse_prob, detector.dark_count_prob
+    always_rail = p_always * (1.0 - _RAIL_TOL)
+    never_rail = p_never * (1.0 + _RAIL_TOL)
+    geiger = int(np.searchsorted(levels, click_threshold, side="right"))
+    always = int(np.searchsorted(levels, always_rail, side="left"))
+    never = int(np.searchsorted(levels, never_rail, side="right"))
+    needs_rng = afterpulse > 0.0 or dark > 0.0
+    if blinding is not None and never < always:
+        needs_rng = needs_rng or bool(np.any(linear & (level_codes >= never) & (level_codes < always)))
+    stateful = dead > 0 or afterpulse > 0.0 or dark > 0.0
+    if not stateful and not needs_rng:
+        clicks = level_codes >= geiger
+        if blinding is not None:
+            clicks = (~linear & clicks) | (linear & (level_codes >= always))
+        return clicks, linear, photocurrent
+    if needs_rng and rng is None:
+        raise ValueError("draws random clicks: pass an rng")
+    intensity = levels[level_codes]
+    clicks = np.zeros(n, dtype=bool)
+    live_from = 0
+    afterpulse_at = -1
+    span = p_always - p_never
+    for k in range(n):
+        if k < live_from:
+            continue
+        fired = False
+        if linear[k]:
+            if intensity[k] >= always_rail:
+                fired = True
+            elif intensity[k] > never_rail:
+                p = min(1.0, max(0.0, (intensity[k] - p_never) / span))
+                fired = bool(rng.random() < p)
+        else:
+            if k == afterpulse_at and afterpulse > 0.0 and rng.random() < afterpulse:
+                fired = True
+            if not fired and intensity[k] > click_threshold:
+                fired = True
+            if not fired and dark > 0.0 and rng.random() < dark:
+                fired = True
+        if fired:
+            clicks[k] = True
+            live_from = k + 1 + dead
+            afterpulse_at = live_from
+    return clicks, linear, photocurrent
 
 
 def backflash_emit_where(emit, gain: float, intensity) -> np.ndarray:

@@ -20,6 +20,7 @@ from dprsim.attacks import (
 from dprsim.cli import main
 from dprsim.config import BlindingSettings, DetectorSettings, scenario_from_dict
 from dprsim.optics import PulseTrain, dli
+from dprsim.detectors import PhotocurrentMonitor, apd_detect
 from dprsim.protocols import _interfaces, dps_encode, dps_sift, receive
 from dprsim.scenario import run_golden, run_scenario
 
@@ -231,6 +232,29 @@ def test_cow_dark_counts_set_qber_and_the_destructive_monitor(seed):
         assert _within_five_sigma(overall.d_m2, interfaces, p)
 
 
+@pytest.mark.parametrize("rails", ["dps", "cow-data"])
+@pytest.mark.parametrize("fraction", [0.25, 0.7])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_linear_mode_clicks_interpolate_between_the_rails(rails, fraction, seed):
+    # Closed form: a blinded detector in linear mode clicks at an intensity I
+    # strictly between its rails with probability (I - p_never) / (p_always
+    # - p_never), one independent draw per slot, so its click count is
+    # binomial.  Continuous blinding light holds the stored current above the
+    # blind threshold from the first slot on, so every slot is linear.
+    with criterion("linear-mode-closed-form"):
+        d = DetectorSettings()
+        p_never, p_always = (d.p_never, d.p_always) if rails == "dps" else (d.p_never_b, d.p_always_b)
+        level = p_never + fraction * (p_always - p_never)
+        n = 20_000
+        blinding = BlindingSettings(style="cw")
+        trace = apd_detect(
+            np.array([level]), np.zeros(n, dtype=np.uint8), 0.5 * p_never, (p_never, p_always), d, "D",
+            blinding=blinding, rng=np.random.default_rng(seed),
+        )["D"]
+        assert trace.linear_mode.all()
+        assert _within_five_sigma(trace.click_count, n, (level - p_never) / (p_always - p_never))
+
+
 def test_fsg_sequence_reproduction():
     with criterion("fsg-sequence-reproduction"):
         plan = fsg_dps_phases(WORKED_EXAMPLE_READINGS, n_policy="worked-example")
@@ -278,8 +302,6 @@ def test_countermeasure_discrimination():
         assert run_golden("cow-blinding").attack.alarms["photocurrent_monitor"] is False
 
         # Property over window sizes >= 8: same per-pulse energy, exact booleans.
-        from dprsim.detectors import apd_detect, photocurrent_monitor
-
         level, threshold = 20.0, 40.0
         for window in (8, 10, 16):
             n = 8 * window
@@ -287,9 +309,10 @@ def test_countermeasure_discrimination():
                 blinding = BlindingSettings(
                     style=style, illumination_level=level, pulse_period_slots=8, decay_per_slot=0.8, blind_threshold=4.0
                 )
-                rec = apd_detect(*coded(np.zeros(n)), 0.5, (0.2, 0.39), DetectorSettings(), blinding=blinding)
-                result = photocurrent_monitor(rec["D"].photocurrent, window, threshold)
-                assert result.alarm is expected
+                monitor = PhotocurrentMonitor(window, threshold)
+                rails = (0.2, 0.39)
+                apd_detect(*coded(np.zeros(n)), 0.5, rails, DetectorSettings(), blinding=blinding, monitor=monitor)
+                assert monitor.alarm is expected
 
 
 def test_trojan_capture_and_watchdog(tmp_path):

@@ -426,8 +426,8 @@ _D_B = ("protocol_run", "record", "detectors", "D_B")
 BAD_RECORDS = {
     "missing": (None, "No such file"),
     "unknown-format": (
-        lambda d: b"dprsim-record/9" + d[d.index(b"\n") :],
-        "unsupported record version 'dprsim-record/9'",
+        lambda d: b"dprsim-record/10" + d[d.index(b"\n") :],
+        "unsupported record version 'dprsim-record/10'",
     ),
     "no-version": (lambda d: d[d.index(b"\n") + 1 :], f"missing version line {RECORD_FORMAT!r}"),
     "format-1": (
@@ -457,6 +457,10 @@ BAD_RECORDS = {
     "format-7": (
         lambda d: b"dprsim-record/7" + d[d.index(b"\n") :],
         "dprsim-record/7 file, which is no longer read",
+    ),
+    "format-8": (
+        lambda d: b"dprsim-record/8" + d[d.index(b"\n") :],
+        "dprsim-record/8 file, which is no longer read",
     ),
     "invalid-json": (lambda d: RECORD_FORMAT.encode() + b"\n{not json\n", "header is not JSON"),
     "not-canonical": (lambda d: d.replace(b'{"attack":null,', b'{"attack": null,', 1), "header is not canonical"),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,15 +7,15 @@ from hypothesis import strategies as st
 
 from dprsim.detectors import (
     DetectorTrace,
+    PhotocurrentMonitor,
     apd_detect,
     backflash_emit,
-    photocurrent_monitor,
     watchdog,
 )
 from dprsim.config import BackflashSettings, BlindingSettings, DetectorSettings
 from dprsim.optics import PulseTrain, cw_laser
 
-from _oracles import boxcar_concatenate, coded
+from _oracles import boxcar_concatenate, coded, monitor_alarm_whole
 
 # A detector with no dead time, afterpulses or dark counts, and its
 # linear-mode rails (p_never, p_always).
@@ -125,7 +127,7 @@ def test_avalanche_intensity_gathers_as_the_mask(slots, every):
     # boolean mask, so the sum over them is the same to the bit.
     clicks = np.array([c if every is None else every for c, _ in slots], dtype=bool)
     intensity = np.array([x for _, x in slots], dtype=np.float64)
-    trace = DetectorTrace(clicks, *coded(intensity), None, np.zeros(clicks.size, dtype=bool))
+    trace = DetectorTrace(clicks, *coded(intensity), np.zeros(clicks.size, dtype=bool))
     got, want = trace.avalanche_intensity, intensity[clicks]
     assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert trace.detected_intensity.hex() == float(np.sum(want)).hex()
@@ -166,7 +168,7 @@ def blinded(blinding: BlindingSettings, n_slots: int, signal=None):
     its stored photocurrent."""
     signal = np.zeros(n_slots) if signal is None else power(signal)
     trace = detect(signal, 0.5, RAILS, IDEAL, blinding=blinding)["D"]
-    return trace.linear_mode, trace.photocurrent
+    return trace.linear_mode, trace.photocurrent(blinding)
 
 
 def flash(level: float, decay: float = 0.5) -> BlindingSettings:
@@ -234,11 +236,14 @@ def test_apd_detect_blinding_transition():
     assert stored[0] == 10.5
 
 
-def test_photocurrent_is_kept_only_under_blinding():
-    # Without blinding the photocurrent is the intensity, so the trace does
-    # not repeat it.
-    assert detect(np.ones(4), 0.5, RAILS, IDEAL)["D"].photocurrent is None
-    assert detect(np.ones(4), 0.5, RAILS, IDEAL, blinding=BLIND)["D"].photocurrent.tolist() == [2.0, 3.0, 3.5, 3.75]
+def test_photocurrent_is_derived_not_kept():
+    # The trace keeps no photocurrent: without blinding it is the intensity,
+    # and under blinding the stored current that the trace's intensity and
+    # the blinding settings give.
+    trace = detect(np.ones(4), 0.5, RAILS, IDEAL, blinding=BLIND)["D"]
+    assert "photocurrent" not in [f.name for f in dataclasses.fields(trace)]
+    assert trace.photocurrent(None).tolist() == [1.0] * 4
+    assert trace.photocurrent(BLIND).tolist() == [2.0, 3.0, 3.5, 3.75]
 
 
 # ---------------------------------------------------------------------------
@@ -288,43 +293,62 @@ def test_backflash_below_certainty_needs_an_rng():
 # ---------------------------------------------------------------------------
 
 
+def monitor_alarm(current, window: int, threshold: float, cuts=()) -> bool:
+    """The alarm of a photocurrent monitor fed ``current`` in blocks cut at
+    the slots ``cuts``, as a blinded detector feeds it."""
+    monitor = PhotocurrentMonitor(window, threshold)
+    for block in np.split(np.asarray(current, dtype=np.float64), sorted(cuts)):
+        monitor.update(block)
+    return monitor.alarm
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 40), st.integers(1, 30), st.integers(1, 40))
-def test_monitor_constant_current_alarm_iff_at_threshold(c4, window, threshold4):
+@given(st.integers(0, 40), st.integers(1, 30), st.integers(1, 40), st.lists(st.integers(0, 50), max_size=3))
+def test_monitor_constant_current_alarm_iff_at_threshold(c4, window, threshold4, cuts):
     # Quarter-integer currents keep the boxcar mean exactly representable, so
     # the equality boundary of the threshold comparison is meaningful.
     c, threshold = c4 / 4.0, threshold4 / 4.0
-    result = photocurrent_monitor(np.full(50, c), window, threshold)
-    assert result.alarm == (c >= threshold)
+    assert monitor_alarm(np.full(50, c), window, threshold, cuts) == (c >= threshold)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=80), st.integers(1, 90), st.floats(0.0, 1e6))
-def test_monitor_filters_as_the_concatenated_running_sum(currents, window, threshold):
-    # One buffer, divided in place, gives the boxcar means bit for bit.
+@given(
+    st.lists(st.floats(0.0, 1e6), min_size=1, max_size=80),
+    st.integers(1, 90),
+    st.floats(0.0, 1e6),
+    st.lists(st.integers(0, 80), max_size=4),
+    st.data(),
+)
+def test_monitor_filters_as_the_concatenated_running_sum(currents, window, threshold, cuts, data):
+    # Fed in blocks, the monitor filters as one running sum over the whole
+    # trace, divided in place: its alarm is the boxcar oracle's, at any
+    # threshold and exactly at a filtered value, where the next float up
+    # no longer reaches it.
     trace = np.array(currents)
-    result = photocurrent_monitor(trace, window, threshold)
-    want = boxcar_concatenate(trace, window) if trace.size >= window else np.array([np.mean(trace)])
-    assert result.filtered.dtype == want.dtype
-    np.testing.assert_array_equal(result.filtered.view(np.uint64), want.view(np.uint64))
-    assert result.alarm == bool(np.any(want >= threshold))
+    assert monitor_alarm(trace, window, threshold, cuts) == monitor_alarm_whole(trace, window, threshold)
+    filtered = boxcar_concatenate(trace, window) if trace.size >= window else np.array([np.mean(trace)])
+    exact = float(filtered[data.draw(st.integers(0, filtered.size - 1))])
+    assert monitor_alarm(trace, window, exact, cuts)
+    above = float(np.nextafter(filtered.max(), np.inf))
+    assert not monitor_alarm(trace, window, above, cuts)
 
 
 def test_monitor_ignores_sparse_pulses_as_high_frequency_noise():
     trace = np.zeros(64)
     trace[::16] = 8.0
-    result = photocurrent_monitor(trace, 16, 1.0)
-    assert not result.alarm
-    assert photocurrent_monitor(np.full(64, 8.0), 16, 1.0).alarm
+    assert not monitor_alarm(trace, 16, 1.0)
+    assert monitor_alarm(np.full(64, 8.0), 16, 1.0)
 
 
 def test_monitor_rejects_empty_trace():
     with pytest.raises(ValueError):
-        photocurrent_monitor(np.array([]), 4, 1.0)
+        assert PhotocurrentMonitor(4, 1.0).alarm
+    with pytest.raises(ValueError):
+        PhotocurrentMonitor(0, 1.0)
 
 
 def test_monitor_zero_trace_silent():
-    assert not photocurrent_monitor(np.zeros(16), 4, 0.5).alarm
+    assert not monitor_alarm(np.zeros(16), 4, 0.5)
 
 
 def test_watchdog_alarms_on_bright_probe():

@@ -1,6 +1,7 @@
 """Whole-array code against the per-slot loops it replaced (``tests/_oracles.py``)."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,12 +27,14 @@ from dprsim.config import (
     TrojanSettings,
     scenario_from_dict,
 )
+from dprsim import detectors
 from dprsim.detectors import (
     DetectionRecord,
     DetectorTrace,
-    _blinding_trace,
+    PhotocurrentMonitor,
     _decay_loop,
     _decay_scan,
+    _stored_current,
     apd_detect,
     backflash_emit,
 )
@@ -77,7 +80,7 @@ def _record(n_slots: int, **clicks) -> DetectionRecord:
         full = np.zeros(n_slots, dtype=bool)
         full[: len(c)] = c
         zeros = np.zeros(n_slots)
-        traces[name] = DetectorTrace(full, *oracle.coded(zeros), zeros, np.zeros(n_slots, dtype=bool))
+        traces[name] = DetectorTrace(full, *oracle.coded(zeros), np.zeros(n_slots, dtype=bool))
     return DetectionRecord(traces)
 
 
@@ -375,11 +378,16 @@ def _check_blinding_trace(stored: float, decay: float, x: np.ndarray) -> None:
 def test_blinding_trace_matches_loop_bit_for_bit(seed, n, decay, stored, kind):
     x = _incident(np.random.default_rng(seed), n, kind)
     _check_blinding_trace(stored, decay, x)
-    # A detector's trace starts from no stored current.
-    trace, linear = _blinding_trace(BlindingSettings(decay_per_slot=decay, blind_threshold=1.0), x)
-    want = oracle.blinding_trace_loop(0.0, decay, x)
-    assert trace.tobytes() == want.tobytes()
-    _same(linear, want >= 1.0)
+    # A detector's trace starts from no stored current, and its blinding
+    # light falls on slots 0, p, 2p, ... of its own clock, wherever a block
+    # of its slots starts: here a third of the way in.
+    blinding = BlindingSettings(pulse_period_slots=7, decay_per_slot=decay)
+    want = oracle.blinding_trace_loop(0.0, decay, x + oracle.blinding_light(blinding, n))
+    levels, codes = oracle.coded(x)
+    start = n // 3
+    got = np.empty(n - start)
+    _stored_current(levels, codes, blinding, start, float(want[start - 1]) if start else 0.0, got)
+    assert got.tobytes() == want[start:].tobytes()
 
 
 @pytest.mark.parametrize("quiet_lanes,fallback", [(2, False), (4, True)], ids=["second-repair-pass", "loop-fallback"])
@@ -486,7 +494,7 @@ def test_backflash_emit_matches_where(slots, data, ideal, gain, p, seed):
     clicks = np.array(data.draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots))))
     intensity = PulseTrain(np.array(slots)).intensities
     cfg = BackflashSettings(electrons_per_avalanche=p, photons_per_electron=1.0, ideal=ideal, emission_gain=gain)
-    trace = DetectorTrace(clicks, *oracle.coded(intensity), None, np.zeros(len(slots), dtype=bool))
+    trace = DetectorTrace(clicks, *oracle.coded(intensity), np.zeros(len(slots), dtype=bool))
     at, emitted = backflash_emit(trace, cfg, rng=np.random.default_rng(seed))
     emit = oracle.backflash_emitting(clicks, cfg, np.random.default_rng(seed))
     _same(at, np.flatnonzero(emit))
@@ -545,6 +553,38 @@ _LONG = np.random.default_rng(5).integers(0, 3, 20_000).tolist()
 _LONG_READINGS = np.random.default_rng(6).integers(0, 4, 20_000).tolist()
 
 
+@given(
+    st.integers(1, 300),
+    st.sampled_from([np.uint8, np.int8, np.int64]),
+    st.sampled_from([0, 1, 4]) | st.integers(0, 3),
+    st.integers(-1, 1),
+    st.integers(0, 2**32 - 1),
+)
+@example(300, np.uint8, 2, 1, 1)  # a table past one byte, indexed by one
+@settings(max_examples=100, deadline=None)
+def test_coded_gathers_a_one_byte_index_as_a_wide_one(entries, dtype, blocks, past, seed):
+    """``_coded`` of a one-byte index, counted a block at a time and gathered
+    by ``bytes.translate``, equals the canonical coding of the slot values
+    (``np.unique`` over them) and the coding of the same index widened to
+    ``intp``: levels and codes, their width included.  Lengths fall around
+    multiples of the counting block; the table repeats values, so that
+    entries fold into one level."""
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, max(2, entries // 3), entries) / 4.0
+    n = max(0, blocks * detectors._COUNT_BLOCK + past)
+    top = min(entries, 128 if dtype is np.int8 else 256)
+    index = rng.integers(0, top, n).astype(dtype)
+    levels, codes = detectors._coded(table, index)
+    want_levels, want_codes = oracle.coded(table[index.astype(np.intp)])
+    _same(levels.view(np.uint64), want_levels.view(np.uint64))
+    assert codes.dtype == want_codes.dtype
+    _same(codes, want_codes)
+    wide_levels, wide_codes = detectors._coded(table, index.astype(np.intp))
+    _same(wide_levels.view(np.uint64), levels.view(np.uint64))
+    assert wide_codes.dtype == codes.dtype
+    _same(wide_codes, codes)
+
+
 @st.composite
 def coded_lines(draw):
     """Sorted distinct levels, some on the threshold and rails of the test
@@ -590,7 +630,82 @@ def test_coded_thresholds_match_dense_comparisons(line, blind):
     _same(trace.clicks, want)
     _same(trace.linear_mode, linear)
     if blind:  # the light of the settings, added where the loop adds it
-        _same(trace.photocurrent.view(np.uint64), stored.view(np.uint64))
+        _same(trace.photocurrent(blinding).view(np.uint64), stored.view(np.uint64))
+
+
+# Detectors of the block-seam oracle: ideal (the threshold path, which draws
+# only between the rails), dead time, and every imperfection at once.
+SEAM_DETECTORS = [
+    DetectorSettings(),
+    DetectorSettings(dead_time_slots=2),
+    DetectorSettings(dark_count_prob=0.05, afterpulse_prob=0.3, dead_time_slots=1),
+]
+
+
+@given(
+    st.sampled_from([5, 16, None]),
+    st.sampled_from([-1, 0, 1]),
+    st.integers(1, 6),
+    st.sampled_from(BLINDING_STYLES),
+    st.integers(1, 40),
+    st.sampled_from([0.5, 0.8, 0.99]),
+    st.sampled_from([0.3, 2.0]) | st.floats(1e-3, 8.0),
+    st.sampled_from(SEAM_DETECTORS),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 1.0),
+    st.none() | st.floats(0.0, 1.0),
+    st.floats(0.0, 60.0),
+)
+@example(16, 1, 2, "pulsed", 3, 0.8, 2.0, SEAM_DETECTORS[0], 1, 0.1, 1.0, 0.0)  # a period that divides no block
+@example(None, -1, 1, "pulsed", 7, 0.5, 2.0, SEAM_DETECTORS[2], 2, 0.5, None, 5.0)  # the module's block, in lanes
+@example(None, 1, 1, "cw", 1, 0.99, 0.3, SEAM_DETECTORS[1], 3, 1.0, 0.0, 0.0)
+@settings(max_examples=60, deadline=None)
+def test_blinded_detector_blocks_match_the_whole_trace(
+    block, past, blocks, style, period, decay, level, detector, seed, at_window, exact, threshold
+):
+    """A blinded detector runs its slots a block at a time, carrying the
+    stored current, the dead time, the afterpulse and the monitor's running
+    sum across each seam.  Its clicks, modes, stored current, monitor alarm
+    and the next draw of its stream equal those of the whole trace: the
+    per-slot stored-current loop, the detector as it ran whole traces and
+    the boxcar monitor.  Lengths fall one short of, on and one past a
+    multiple of the block (``None``: the module's own), which for a small
+    block gives blocks of a quarter of the trace from five blocks on; the
+    levels sit on and one ulp either side of the threshold and the rails,
+    so both the threshold path and the per-slot draws run; windows run from
+    one slot to one past the trace, and thresholds fall exactly on a
+    filtered value."""
+    size = detectors._BLOCK if block is None else block
+    n = blocks * size + past
+    rng = np.random.default_rng(seed)
+    marks = [0.5, 0.2 * (1.0 + 1e-9), 0.4 * (1.0 - 1e-9), 0.0]
+    near = [np.nextafter(m, side) for m in marks for side in (-np.inf, np.inf)]
+    levels = np.unique(np.concatenate([marks, near, rng.uniform(0.0, 2.0, 4)]))
+    codes = rng.integers(0, levels.size, n).astype(np.uint8)
+    blinding = BlindingSettings(
+        style=style, illumination_level=level, pulse_period_slots=period, decay_per_slot=decay, blind_threshold=1.0
+    )
+    rails = (0.2, 0.4)
+    clicks, linear, stored = oracle.apd_detect_whole(
+        levels, codes, 0.5, rails, detector, blinding, np.random.default_rng(seed)
+    )
+    window = 1 + round(at_window * n)
+    filtered = oracle.boxcar_concatenate(stored, window) if n >= window else np.array([np.mean(stored)])
+    if exact is not None:
+        threshold = float(filtered[round(exact * (filtered.size - 1))])
+    monitor = PhotocurrentMonitor(window, threshold)
+    draws = np.random.default_rng(seed)
+    with mock.patch.object(detectors, "_BLOCK", size):
+        trace = apd_detect(levels, codes, 0.5, rails, detector, blinding=blinding, rng=draws, monitor=monitor)["D"]
+    _same(trace.clicks, clicks)
+    _same(trace.linear_mode, linear)
+    assert trace.photocurrent(blinding).tobytes() == stored.tobytes()
+    assert monitor.alarm == oracle.monitor_alarm_whole(stored, window, threshold)
+    assert monitor.alarm or exact is None
+    # The stream ends where the whole trace's loop left it.
+    want = np.random.default_rng(seed)
+    oracle.apd_detect_whole(levels, codes, 0.5, rails, detector, blinding, want)
+    assert draws.random() == want.random()
 
 
 def tamper_pattern(kind: str | None, n_slots: int, seed: int) -> list[float] | None:
@@ -613,7 +728,7 @@ def tamper_pattern(kind: str | None, n_slots: int, seed: int) -> list[float] | N
 def _same_receive(record, want_record, streams) -> None:
     """A coded receive's record against the full-length one's, bit for bit:
     each detector's intensity, coded alike (the same levels and codes), its
-    photocurrent, clicks and modes, and where its stream ends."""
+    clicks and modes, and where its stream ends."""
     assert record.names == want_record.names
     for name in want_record.names:
         g, w = record[name], want_record[name]
@@ -623,9 +738,6 @@ def _same_receive(record, want_record, streams) -> None:
         _same(g.level_codes, w.level_codes)
         _same(g.clicks, w.clicks)
         _same(g.linear_mode, w.linear_mode)
-        assert (g.photocurrent is None) == (w.photocurrent is None)
-        if w.photocurrent is not None:
-            _same(g.photocurrent.view(np.uint64), w.photocurrent.view(np.uint64))
         # Each stream ends where the full-length receive left it.
         assert streams[0].get(name).random() == streams[1].get(name).random()
 

@@ -56,7 +56,7 @@ def interface_classes(symbols) -> dict[int, str]:
     counts them: a lone D_M1 click counts in the class of its slot, if that
     slot is an interface."""
     n = 2 * len(symbols) + 1
-    silent = DetectorTrace(np.zeros(n, dtype=bool), *coded_intensity(np.zeros(n)), None, np.zeros(n, dtype=bool))
+    silent = DetectorTrace(np.zeros(n, dtype=bool), *coded_intensity(np.zeros(n)), np.zeros(n, dtype=bool))
     out = {}
     for k in range(n):
         clicks = np.zeros(n, dtype=bool)
@@ -157,7 +157,6 @@ def test_dps_sift_zero_clicks_flagged():
     empty = DetectorTrace(
         np.zeros(n, dtype=bool),
         *coded_intensity(np.zeros(n)),
-        photocurrent=np.zeros(n),
         linear_mode=np.zeros(n, dtype=bool),
     )
     record = DetectionRecord({"D1": empty, "D2": empty})

@@ -27,7 +27,7 @@ from dprsim.scenario import (
     sweep,
 )
 
-from _oracles import join_record_file, record_v1_hash, split_record_file
+from _oracles import blinding_light, blinding_trace_loop, join_record_file, record_v1_hash, split_record_file
 
 SMALL_DPS = {"protocol": "dps", "n_symbols": 16, "seed": 5}
 
@@ -49,23 +49,24 @@ GOLDEN_HASHES = {
     "cow-blinding-cw": "93d7e60124d6c194367d74c96b7629ebf627d911b33fa0b2baced5657edda953",
 }
 
-# Record content hashes of the pinned scenarios (dprsim-record/8: canonical
+# Record content hashes of the pinned scenarios (dprsim-record/9: canonical
 # header plus raw little-endian array bytes, each run value stored once, each
-# detector's intensity as its sorted distinct levels and one code per slot).
+# detector's intensity as its sorted distinct levels and one code per slot,
+# and no photocurrent, which the intensity and the settings derive).
 GOLDEN_RECORD_HASHES = {
-    "dps-ideal": "62570b9a506016da38443f413435ab8e2c1f31b0cde38fb35aca5cde0d3d49d0",
-    "cow-fig2": "cf9eb8ed39c8c68594af6575cb59ff93651770cd91ade6bc632e6e517ceb66f6",
-    "cow-fig4-tamper": "96bedfec7887a628c0dbf73d3da5c7f1b462eb3af34da97dccf12e04c688e4d4",
-    "dps-backflash-ideal": "274cfd8c658ccf42d36a53f56456a9bcec2c08da447d0224c732b61ecba98f76",
-    "cow-backflash-ideal": "21579a827412d65be21142317b41ae3c145a7a61c73b99c1cdc91247d0f88211",
-    "dps-backflash-stat": "2ad10360d6a935e804d64603739d358b5c2d7e267b03ec924362b7566e99cf5a",
-    "dps-trojan": "c6807d775a4648d08b423c23d1d6c4e5337914e44ca3ee275d1282eb177afb5f",
-    "dps-trojan-watchdog": "a9b55903500de136a1e67b9fef418b19d2f341d7a737b33947554214ceb9739b",
-    "cow-trojan": "224ea8da2d1ca2c271cbfe7602f6d9e07d0778a5c4d0646dbd2ee97fc50e5e5f",
-    "dps-blinding": "baca5cc5592a864d9bfa790a626671575c26d76a5731fe2c6d5ffebd1ad2f75d",
-    "dps-blinding-derived": "4ef91746ac03a3eff550e35378501ec732512df39c44328996b16162472f31f0",
-    "cow-blinding": "47bd578963e14181d70933ab398ff2af215a42e217cb240d53c5738dfd0949d0",
-    "cow-blinding-cw": "dd39391c3655de1e5f5a8e0d42445a90a612f4a6d4cf484d7e1aa42678363bf5",
+    "dps-ideal": "095342d1543e974a7d01e2780254d336a3f97d0315dc7b06c0c02765785392d7",
+    "cow-fig2": "dca07a5322241a1aa61903380cea56cabb879b4abee004dd731f508eafdb362d",
+    "cow-fig4-tamper": "7d6e5ca7d1d50b3785b55f2aef61106dbec23cb454ec80fe0e7ba7bd24cc1005",
+    "dps-backflash-ideal": "2061807805d404ee305d6476e4146906737e940468ace32caf822b9853e3d697",
+    "cow-backflash-ideal": "1a46eca25d3b657df0eb11d731e81733d3de9e263f2ab503eec38d09e05bf576",
+    "dps-backflash-stat": "af74744cdb055e6975cd07c5a6ccd1f78b0e5856eab6a4a40689d9ce06ffe507",
+    "dps-trojan": "cdc78b29d7c0b380b1d4e8bf5dd6f51bea1d0022a4391430bd029a63db567178",
+    "dps-trojan-watchdog": "4bb609222c582a883d19e1b483a01525864a7c056ef2c60fe3a1e745488cae81",
+    "cow-trojan": "93dc3641229ebf1fb62fb287a58858d68985b0bba004c93840e50cdd65e97ae3",
+    "dps-blinding": "8744f71e25abe625843055077ca01ff0679e6368bdc7b2803660bd4653db4bf7",
+    "dps-blinding-derived": "fbf8a968b4c138edb44d71a0aa694831a9c9c2beea065882205fa5738f52b437",
+    "cow-blinding": "87c41b6fa1f8df971464631d07ae5b2f1153c54af51d42334e8d8d7933263c00",
+    "cow-blinding-cw": "d2c9c670e5e3e74efe0ce8108c846292be042ee3745444fb459539eeed8ed08c",
 }
 
 # The same records hashed by the retired dprsim-record/1 serializer
@@ -136,18 +137,18 @@ NOISY_RUNS = {
         "attack": {"kind": "blinding", "blinding": {"illumination_level": 5.0}},
     },
 }
-# Record content hashes of the noisy runs (dprsim-record/8).
+# Record content hashes of the noisy runs (dprsim-record/9).
 NOISY_RUN_HASHES = {
-    "dps-clean": "708efe5caaaed824930f58360fac829b320591187a73db7a1e2ba5be51761a16",
-    "cow-clean": "28ccd7a3732ac7228d1ca4f49f8bf0b535e11218d9b4bc2e91b03f0e3390a66c",
-    "dps-blinding": "4382846c1a4a064bb075426429b66a4c95c2391f20238360493d338347699f71",
-    "cow-blinding": "fdb45c64f22d984439ac9bf048743f2f4276353c54b825506d69efbe7b30dde1",
-    "dps-backflash": "48d4200f8837c8c740d51838d8d56bc140b88683e161f0741631d6462dc8883c",
-    "cow-backflash": "29bd303fe01e00f64cf664ce5937c3913dfe115713baaf2525c5d10be914fc6b",
-    "dps-trojan": "28ea7475b2030be7c8d374b2d2dbe1b24ab37a6ebcbd33f1662b0216db7dbbc3",
-    "cow-trojan": "47b77066c1275afebf17dedf97f4dd8b9f1e85e69f073fab5c8728c8cd9327ae",
-    "dps-blinding-between-rails": "30b301a6f29d4d2a58a0104814dcfe097d459262dd3118e678c4fc1e47b8dda0",
-    "cow-blinding-weak-light": "d994afb20fc3eec102b94731680659ee2dd6998da9139f6c36751a33e4983c0e",
+    "dps-clean": "5029b65ba13767bc4448708a483bc13718cd3849c84eaaa6ada93b5a74f6992e",
+    "cow-clean": "aae60345a903201becc60a7c05ee350544f476b8baaa0e2bbf3836af843bf9e2",
+    "dps-blinding": "f5a9edd790bbd46cf02ab82a498f8850ac885c041a3a4f6556beeb7f26b3e17f",
+    "cow-blinding": "76aacf8e271d96da0bfb5bcceb8ab833fba3c1f71cd3c2c2e90d137c73ffbb71",
+    "dps-backflash": "e5242f33250163e4051a4688916e32865d3b8e0a64df88f544a47a171a222ec0",
+    "cow-backflash": "c3bead3a5929ac9445b146c94586fd6ad0618025160757d55913805ea9e8a4c8",
+    "dps-trojan": "ae2af6b8cd3d118acb538b34838a471da2b406942220dfdabf4eb5d7f22f39f1",
+    "cow-trojan": "5e810d8aa19e50894925f3ba943ad0874ac1c2c609981f5e880f18be0b37845f",
+    "dps-blinding-between-rails": "887aec9dcff8ef806ef649ee62d2f9e3a39abb377b450501717e9f5b5676bcbf",
+    "cow-blinding-weak-light": "3e1bd415f904896e071a302f83a9d3da1bce75c2a25f62e18cc56a7b125836ed",
 }
 
 # The same runs hashed by ``record_v1_hash``, taken before dprsim-record/4:
@@ -270,7 +271,7 @@ def _hashed_span(data: bytes) -> bytes:
     """A record file minus its version line, its header's newline, its
     padding and its trailer."""
     version, header, _, raw, _ = split_record_file(data)
-    assert version == b"dprsim-record/8"
+    assert version == b"dprsim-record/9"
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + raw
 
 
@@ -321,10 +322,10 @@ def test_content_hash_is_header_plus_raw_array_bytes(tmp_path):
     save_record(record, path)
     trailer = json.dumps({"wall_time_s": record.wall_time_s}).encode() + b"\n"
     data = path.read_bytes()
-    assert data == join_record_file(b"dprsim-record/8", json.loads(canonical), b"".join(arrays), trailer)
-    assert data.startswith(b"dprsim-record/8\n" + canonical.encode() + b"\n")
+    assert data == join_record_file(b"dprsim-record/9", json.loads(canonical), b"".join(arrays), trailer)
+    assert data.startswith(b"dprsim-record/9\n" + canonical.encode() + b"\n")
     assert all(offset % 8 == 0 for offset in split_record_file(data)[2].values())
-    assert json.loads(canonical)["format"] == "dprsim-record/8"
+    assert json.loads(canonical)["format"] == "dprsim-record/9"
 
 
 def test_saved_record_is_compact_and_reloads_the_in_memory_types(tmp_path):
@@ -344,17 +345,19 @@ def test_saved_record_is_compact_and_reloads_the_in_memory_types(tmp_path):
     # Version line, header line, raw arrays and trailer, with nothing between
     # but under 8 bytes of padding before each array.
     header = record.canonical_json().encode()
-    unpadded = len(b"dprsim-record/8\n") + len(header) + 1 + nbytes(record.to_dict()) + len(trailer)
+    unpadded = len(b"dprsim-record/9\n") + len(header) + 1 + nbytes(record.to_dict()) + len(trailer)
     assert unpadded <= len(data) < unpadded + 8 * len(record._hashed()[1])
     clone = load_record(path)
     assert clone.wall_time_s == 1.25
     assert clone.content_hash() == record.content_hash()
-    # Blinded detectors keep their stored photocurrent.
+    # Blinded detectors store no photocurrent: the run's settings derive it.
+    blinding = scenario_from_dict(clone.config).attack.blinding
     for name in clone.protocol_run.record.names:
         trace = clone.protocol_run.record[name]
         assert (trace.clicks.dtype, trace.linear_mode.dtype) == (np.bool_, np.bool_)
-        assert (trace.intensity.dtype, trace.photocurrent.dtype) == (np.float64, np.float64)
+        assert (trace.intensity.dtype, trace.photocurrent(blinding).dtype) == (np.float64, np.float64)
         assert (trace.levels.dtype, trace.level_codes.dtype) == (np.float64, np.uint8)
+        assert "photocurrent" not in record.to_dict()["protocol_run"]["record"]["detectors"][name]
     # Key bits are booleans, and Bob's key is stored once, as sifted_bob.
     run = clone.protocol_run
     assert run.sifted_alice.dtype == run.sifted_bob.dtype == clone.attack.eve_key.dtype == np.bool_
@@ -365,12 +368,12 @@ def test_saved_record_is_compact_and_reloads_the_in_memory_types(tmp_path):
     assert "bob_key" not in record.to_dict()["attack"] and not hasattr(clone.attack, "bob_key")
     np.testing.assert_array_equal(clone.attack.eve_readings, record.attack.eve_readings)
     assert clone.attack.eve_readings.dtype == clone.attack.bob_readings.dtype == np.int8
-    # A detector that was not blinded stores no photocurrent: it is its intensity.
+    # A detector that was not blinded has its intensity as its photocurrent.
     clean = run_golden("cow-fig2")
     save_record(clean, path)
     for trace in load_record(path).protocol_run.record.detectors.values():
-        assert trace.photocurrent is None
-    assert clean.to_dict()["protocol_run"]["record"]["detectors"]["D_B"]["photocurrent"] is None
+        np.testing.assert_array_equal(trace.photocurrent(None), trace.intensity)
+    assert "photocurrent" not in clean.to_dict()["protocol_run"]["record"]["detectors"]["D_B"]
 
 
 def test_a_line_of_many_levels_takes_wider_codes_and_round_trips(tmp_path):
@@ -410,7 +413,9 @@ def test_slots_past_a_blinded_record_read_silent_and_dark():
     np.testing.assert_array_equal(grid.intensity, [1.0, 1.0, 0.5, 1.0, 0.0, 0.0, 0.0])
     np.testing.assert_array_equal(grid.clicks, np.append(trace.clicks[2:], [False] * 3))
     np.testing.assert_array_equal(grid.linear_mode, np.append(trace.linear_mode[2:], [False] * 3))
-    np.testing.assert_array_equal(grid.photocurrent, np.append(trace.photocurrent[2:], [0.0] * 3))
+    # A window wholly past the record is all dark.
+    past = _on_grid(record, 8, 3)["D"]
+    assert list(past.levels) == [0.0] and not past.clicks.any() and not past.linear_mode.any()
     # Inside the record the window keeps the record's levels.
     inside = _on_grid(record, 1, 4)["D"]
     assert inside.levels is trace.levels
@@ -426,14 +431,31 @@ def test_loaded_arrays_are_writable_and_keep_their_dtypes(tmp_path):
     arrays = {"alice_codes": run.alice_codes, "sifted_bob": run.sifted_bob, "eve_key": clone.attack.eve_key}
     for name in run.record.names:
         trace = run.record[name]
-        arrays.update({f"{name}.clicks": trace.clicks, f"{name}.photocurrent": trace.photocurrent})
+        arrays.update({f"{name}.clicks": trace.clicks, f"{name}.linear_mode": trace.linear_mode})
     for name, arr in arrays.items():
         assert arr.flags.writeable, name
-        want = np.float64 if name.endswith(".photocurrent") else np.int8 if name == "alice_codes" else np.bool_
+        want = np.int8 if name == "alice_codes" else np.bool_
         assert arr.dtype == want, name
     run.record[run.record.names[0]].clicks[0] ^= True
     run.sifted_bob[:] = False
     assert clone.content_hash() != record.content_hash()
+
+
+@pytest.mark.parametrize("name", ["cow-blinding", "cow-blinding-cw", "dps-blinding-derived"])
+def test_a_loaded_blinding_record_derives_its_photocurrent_bit_for_bit(tmp_path, name):
+    # A dprsim-record/9 file stores no photocurrent.  Its levels, codes and
+    # its own config's blinding settings give each detector's stored current
+    # bit for bit as the per-slot loop computes it, and the stored modes are
+    # that current against the blind threshold.
+    path = tmp_path / "record.json"
+    save_record(run_golden(name), path)
+    clone = load_record(path)
+    blinding = scenario_from_dict(clone.config).attack.blinding
+    for trace in clone.protocol_run.record.detectors.values():
+        incident = trace.intensity + blinding_light(blinding, len(trace))
+        want = blinding_trace_loop(0.0, blinding.decay_per_slot, incident)
+        assert trace.photocurrent(blinding).tobytes() == want.tobytes()
+        np.testing.assert_array_equal(trace.linear_mode, want >= blinding.blind_threshold)
 
 
 def _arrays(value):
@@ -641,11 +663,13 @@ def test_run_scenario_no_attack_has_no_outcome():
 # Peak traced memory of ``run_scenario`` over its record's array bytes, at 2e4
 # symbols, with each detector's intensity stored as levels and one-byte
 # codes; measured after one warm-up run, over the golden's seed and seeds 1-3:
-# 1.270-1.281, 1.654, 1.862, 2.097-2.099, 1.721-1.732 and 2.530-2.539 (the
-# first run of a process reads highest).  The ideal backflash runs peak in
-# Eve's replica, which holds the slot and emitted intensity of every click.
-# COW trojan peaks in ``trojan_decode``, where ``detectors._coded`` widens
-# Eve's one-byte codes to ``intp`` twice.
+# 1.270-1.281, 1.521-1.529, 1.862, 1.886-1.890, 1.721-1.732, 2.530-2.539 and
+# 1.560-1.566 (the first run of a process reads highest).  The ideal
+# backflash runs peak in Eve's replica, which holds the slot and emitted
+# intensity of every click.  Derived blinding stores no photocurrent and
+# runs Bob's blinded detectors and monitors a block of slots at a time, so
+# it holds no slot-length float; it peaks decoding Bob's readings.  COW
+# trojan peaks in ``_cow_eve_key`` over Eve's clicks.
 PEAK_TO_RECORD = [
     ({"golden_name": "dps-backflash-stat", "n_symbols": 20_000}, 1.29),
     (
@@ -656,12 +680,21 @@ PEAK_TO_RECORD = [
             "attack": {"kind": "blinding"},
             "countermeasures": {"photocurrent_monitor": {"enabled": True}},
         },
-        1.66,
+        1.54,
     ),
     ({"golden_name": "dps-trojan", "n_symbols": 20_000}, 1.88),
-    ({"golden_name": "cow-trojan", "n_symbols": 20_000}, 2.12),
+    ({"golden_name": "cow-trojan", "n_symbols": 20_000}, 1.90),
     ({"golden_name": "dps-backflash-ideal", "n_symbols": 20_000}, 1.74),
     ({"golden_name": "cow-backflash-ideal", "n_symbols": 20_000}, 2.55),
+    (
+        {
+            "protocol": "dps",
+            "n_symbols": 20_000,
+            "attack": {"kind": "blinding"},
+            "countermeasures": {"photocurrent_monitor": {"enabled": True}},
+        },
+        1.57,
+    ),
 ]
 
 
