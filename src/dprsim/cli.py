@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .config import ConfigError, ScenarioConfig, scenario_from_dict
 from .goldens import GOLDENS, golden_config_dict
+from .record import RECORD_FORMAT
 from .report import MetricsSummary, emit_outputs, load_record, summarize
 from .scenario import load_config, run_golden, run_scenario, sweep
 
@@ -67,12 +68,7 @@ def _build_parser() -> _Parser:
     report_p.add_argument(
         "--record",
         required=True,
-        help="path to a run directory's record.json (format dprsim-record/9: a JSON header line, then the "
-        "binary arrays, each starting at a multiple of 8 bytes and each value once: Alice's codes as |i1 (COW "
-        "symbols 0, 1, d as 0, 1, 2), readings as |i1, each detector's intensity as its distinct levels (<f8) "
-        "and one code per slot (|u1 up to 256 levels), Bob's key only as sifted_bob, no photocurrent (the "
-        "intensity and the config's blinding settings derive it), key bits as bytes; it keeps the .json name so "
-        "that tools that open record.json still find it)",
+        help=f"path to a run directory's record.json, a {RECORD_FORMAT} file (its layout: dprsim.record.RunRecord)",
     )
 
     goldens_p = sub.add_parser("goldens", help="list, dump or execute the pinned scenarios")

@@ -1,23 +1,26 @@
 """Declarative scenario configuration: typed sections, defaults and validation.
 
 A scenario document is a nested key-value mapping (YAML on disk).  Each
-field's type hint is the one place that states its type: the document is read
-against the hints, unknown keys are rejected, and every type or domain
-violation names the offending field path, so a config either loads into a
-fully-populated :class:`ScenarioConfig` or fails loudly.  Identical configs
-plus the same seed give bit-identical runs.
+field's type hint is the one place that states its type and its domain, as
+``Annotated`` metadata: a tuple of choices, or an interval such as
+``"[0, inf)"``.  The document is read against the hints, unknown keys are
+rejected, and every type or domain violation names the offending field path,
+so a config either loads into a fully-populated :class:`ScenarioConfig` or
+fails loudly.  Identical configs plus the same seed give bit-identical runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
+import operator
 import sys
 import types
 import typing
 from dataclasses import dataclass, field, fields
-from typing import Any, Mapping
+from typing import Annotated, Any, Callable, Mapping
 
 __all__ = [
     "ConfigError",
@@ -55,31 +58,16 @@ class DetectorSettings:
     data and monitoring detectors.
     """
 
-    click_threshold_rel: float = 0.5
-    dead_time_slots: int = 0
-    afterpulse_prob: float = 0.0
-    dark_count_prob: float = 0.0
-    p_never: float = 0.2
+    click_threshold_rel: Annotated[float, "(0, 1)"] = 0.5
+    dead_time_slots: Annotated[int, "[0, inf)"] = 0
+    afterpulse_prob: Annotated[float, "[0, 1]"] = 0.0
+    dark_count_prob: Annotated[float, "[0, 1]"] = 0.0
+    p_never: Annotated[float, "[0, inf)"] = 0.2
     p_always: float = 0.39
-    p_never_b: float = 0.392
+    p_never_b: Annotated[float, "[0, inf)"] = 0.392
     p_always_b: float = 0.398
-    p_never_m: float = 0.2
+    p_never_m: Annotated[float, "[0, inf)"] = 0.2
     p_always_m: float = 0.39
-
-    def validate(self, path: str) -> None:
-        if not (0.0 < self.click_threshold_rel < 1.0):
-            raise ConfigError(f"{path}.click_threshold_rel: must be within (0, 1), got {self.click_threshold_rel}")
-        if self.dead_time_slots < 0:
-            raise ConfigError(f"{path}.dead_time_slots: must be >= 0, got {self.dead_time_slots}")
-        for name in ("afterpulse_prob", "dark_count_prob"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ConfigError(f"{path}.{name}: must be within [0, 1], got {v}")
-        for suffix in ("", "_b", "_m"):
-            lo = getattr(self, f"p_never{suffix}")
-            hi = getattr(self, f"p_always{suffix}")
-            if not (0.0 <= lo < hi):
-                raise ConfigError(f"{path}.p_never{suffix}/p_always{suffix}: need 0 <= p_never < p_always, got {lo}, {hi}")
 
 
 @dataclass(frozen=True)
@@ -91,13 +79,10 @@ class ChannelSettings:
     wavelength to extra one-way loss relative to the signal band.
     """
 
-    phase_tamper_half_turns: tuple[float, ...] | None = None
-    excess_loss_db: tuple[tuple[float, float], ...] = ((1924.0, 20.0),)
-
-    def validate(self, path: str) -> None:
-        for nm, db in self.excess_loss_db:
-            if nm <= 0 or db < 0:
-                raise ConfigError(f"{path}.excess_loss_db[{nm}]: wavelength must be > 0 and loss >= 0 dB")
+    # The modulator is driven at 4 V per half turn, and a drive past the
+    # largest float is infinite: about 4.5e307 half turns overflow it.
+    phase_tamper_half_turns: tuple[Annotated[float, "[-4e307, 4e307]"], ...] | None = None
+    excess_loss_db: tuple[tuple[Annotated[float, "(0, inf)"], Annotated[float, "[0, inf)"]], ...] = ((1924.0, 20.0),)
 
     def excess_loss_for(self, wavelength: float) -> float:
         for nm, db in self.excess_loss_db:
@@ -115,38 +100,23 @@ class BackflashSettings:
     emission on every click.
     """
 
-    electrons_per_avalanche: float = 2.7e8
-    photons_per_electron: float = 2.4e-10
+    electrons_per_avalanche: Annotated[float, "[0, inf)"] = 2.7e8
+    photons_per_electron: Annotated[float, "[0, inf)"] = 2.4e-10
     ideal: bool = False
-    emission_gain: float = 1.0
+    emission_gain: Annotated[float, "[0, inf)"] = 1.0
 
     @property
     def emission_probability(self) -> float:
         return min(1.0, self.electrons_per_avalanche * self.photons_per_electron)
 
-    def validate(self, path: str) -> None:
-        for name in ("electrons_per_avalanche", "photons_per_electron", "emission_gain"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{path}.{name}: must be >= 0, got {getattr(self, name)}")
-
 
 @dataclass(frozen=True)
 class TrojanSettings:
-    probe_wavelength_nm: float = 1000.0
-    probe_amplitude: float = 1.0
+    probe_wavelength_nm: Annotated[float, "(0, inf)"] = 1000.0
+    probe_amplitude: Annotated[float, "(0, inf)"] = 1.0
     timing_offset_slots: int = 0
-    reflection_db: float = 0.0
-    eve_min_intensity: float = 1e-15
-
-    def validate(self, path: str) -> None:
-        if self.probe_wavelength_nm <= 0:
-            raise ConfigError(f"{path}.probe_wavelength_nm: must be > 0, got {self.probe_wavelength_nm}")
-        if self.probe_amplitude <= 0:
-            raise ConfigError(f"{path}.probe_amplitude: must be > 0, got {self.probe_amplitude}")
-        if self.reflection_db < 0:
-            raise ConfigError(f"{path}.reflection_db: must be >= 0, got {self.reflection_db}")
-        if self.eve_min_intensity < 0:
-            raise ConfigError(f"{path}.eve_min_intensity: must be >= 0")
+    reflection_db: Annotated[float, "[0, inf)"] = 0.0
+    eve_min_intensity: Annotated[float, "[0, inf)"] = 1e-15
 
 
 @dataclass(frozen=True)
@@ -159,74 +129,35 @@ class BlindingSettings:
     pattern that ``style``, ``illumination_level`` and ``pulse_period_slots`` set.
     """
 
-    readings: tuple[int, ...] | None = None
-    policy: str = "canonical"
-    style: str = "pulsed"
-    illumination_level: float = 20.0
-    pulse_period_slots: int = 8
-    decay_per_slot: float = 0.8
-    blind_threshold: float = 4.0
-
-    def validate(self, path: str) -> None:
-        if self.policy not in FSG_POLICIES:
-            raise ConfigError(f"{path}.policy: must be one of {FSG_POLICIES}, got {self.policy!r}")
-        if self.style not in BLINDING_STYLES:
-            raise ConfigError(f"{path}.style: must be one of {BLINDING_STYLES}, got {self.style!r}")
-        if self.illumination_level <= 0:
-            raise ConfigError(f"{path}.illumination_level: must be > 0")
-        if self.pulse_period_slots < 1:
-            raise ConfigError(f"{path}.pulse_period_slots: must be >= 1")
-        if not (0.0 < self.decay_per_slot < 1.0):
-            raise ConfigError(f"{path}.decay_per_slot: must be within (0, 1)")
-        if self.blind_threshold <= 0:
-            raise ConfigError(f"{path}.blind_threshold: must be > 0")
-        if self.readings is not None:
-            if not self.readings:
-                raise ConfigError(f"{path}.readings: must be nonempty when given")
-            for i, r in enumerate(self.readings):
-                if r not in (0, 1, 2, 3):
-                    raise ConfigError(f"{path}.readings[{i}]: must be 0..3, got {r}")
+    readings: tuple[Annotated[int, (0, 1, 2, 3)], ...] | None = None
+    policy: Annotated[str, FSG_POLICIES] = "canonical"
+    style: Annotated[str, BLINDING_STYLES] = "pulsed"
+    illumination_level: Annotated[float, "(0, inf)"] = 20.0
+    pulse_period_slots: Annotated[int, "[1, inf)"] = 8
+    decay_per_slot: Annotated[float, "(0, 1)"] = 0.8
+    blind_threshold: Annotated[float, "(0, inf)"] = 4.0
 
 
 @dataclass(frozen=True)
 class AttackSettings:
-    kind: str = "none"
+    kind: Annotated[str, ATTACK_KINDS] = "none"
     backflash: BackflashSettings = field(default_factory=BackflashSettings)
     trojan: TrojanSettings = field(default_factory=TrojanSettings)
     blinding: BlindingSettings = field(default_factory=BlindingSettings)
-
-    def validate(self, path: str) -> None:
-        if self.kind not in ATTACK_KINDS:
-            raise ConfigError(f"{path}.kind: must be one of {ATTACK_KINDS}, got {self.kind!r}")
-        self.backflash.validate(f"{path}.backflash")
-        self.trojan.validate(f"{path}.trojan")
-        self.blinding.validate(f"{path}.blinding")
 
 
 @dataclass(frozen=True)
 class WatchdogSettings:
     enabled: bool = False
-    tap_fraction: float = 0.1
-    intensity_threshold: float = 0.05
-
-    def validate(self, path: str) -> None:
-        if not (0.0 < self.tap_fraction < 1.0):
-            raise ConfigError(f"{path}.tap_fraction: must be within (0, 1), got {self.tap_fraction}")
-        if self.intensity_threshold < 0:
-            raise ConfigError(f"{path}.intensity_threshold: must be >= 0")
+    tap_fraction: Annotated[float, "(0, 1)"] = 0.1
+    intensity_threshold: Annotated[float, "[0, inf)"] = 0.05
 
 
 @dataclass(frozen=True)
 class MonitorSettings:
     enabled: bool = False
-    window_slots: int = 8
-    alarm_threshold: float = 40.0
-
-    def validate(self, path: str) -> None:
-        if self.window_slots < 1:
-            raise ConfigError(f"{path}.window_slots: must be >= 1, got {self.window_slots}")
-        if self.alarm_threshold < 0:
-            raise ConfigError(f"{path}.alarm_threshold: must be >= 0")
+    window_slots: Annotated[int, "[1, inf)"] = 8
+    alarm_threshold: Annotated[float, "[0, inf)"] = 40.0
 
 
 @dataclass(frozen=True)
@@ -234,22 +165,18 @@ class CountermeasureSettings:
     watchdog: WatchdogSettings = field(default_factory=WatchdogSettings)
     photocurrent_monitor: MonitorSettings = field(default_factory=MonitorSettings)
 
-    def validate(self, path: str) -> None:
-        self.watchdog.validate(f"{path}.watchdog")
-        self.photocurrent_monitor.validate(f"{path}.photocurrent_monitor")
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One fully-specified run: protocol, parameters, attack and countermeasures."""
 
-    protocol: str = "dps"
-    n_symbols: int = 128
-    seed: int = 1
-    amplitude: float = 1.0
-    wavelength_nm: float = 1550.0
-    t_b: float = 0.9
-    bits: tuple[int, ...] | None = None
+    protocol: Annotated[str, PROTOCOLS] = "dps"
+    n_symbols: Annotated[int, "[2, inf)"] = 128
+    seed: Annotated[int, "[0, 18446744073709551616)"] = 1  # an unsigned 64-bit integer
+    amplitude: Annotated[float, "(0, inf)"] = 1.0
+    wavelength_nm: Annotated[float, "(0, inf)"] = 1550.0
+    t_b: Annotated[float, "(0, 1)"] = 0.9
+    bits: tuple[Annotated[int, (0, 1)], ...] | None = None
     symbols: str | None = None
     detector: DetectorSettings = field(default_factory=DetectorSettings)
     channel: ChannelSettings = field(default_factory=ChannelSettings)
@@ -258,17 +185,31 @@ class ScenarioConfig:
     golden_name: str | None = None
 
     def validate(self) -> None:
-        if self.protocol not in PROTOCOLS:
-            raise ConfigError(f"protocol: must be one of {PROTOCOLS}, got {self.protocol!r}")
-        if self.n_symbols < 2:
-            raise ConfigError(f"n_symbols: must be >= 2, got {self.n_symbols}")
-        if not (0 <= self.seed < 2**64):
-            raise ConfigError(f"seed: must be an unsigned 64-bit integer, got {self.seed}")
-        if self.amplitude <= 0:
-            raise ConfigError(f"amplitude: must be > 0, got {self.amplitude}")
+        """Check every field against the domain its hint states, then the checks that span fields."""
+        _domain_check(ScenarioConfig)(self, "")
+        for suffix in ("", "_b", "_m"):
+            lo, hi = getattr(self.detector, f"p_never{suffix}"), getattr(self.detector, f"p_always{suffix}")
+            if not lo < hi:
+                raise ConfigError(f"detector.p_never{suffix}/p_always{suffix}: need 0 <= p_never < p_always, got {lo}, {hi}")
+        if self.bits is not None:
+            if self.protocol != "dps":
+                raise ConfigError(f"bits: pins DPS phase bits; a {self.protocol} run takes no bits")
+            if len(self.bits) < 2:
+                raise ConfigError("bits: need at least two")
+        if self.symbols is not None:
+            if self.protocol != "cow":
+                raise ConfigError(f"symbols: pins COW symbols; a {self.protocol} run takes no symbols")
+            if not self.symbols:
+                raise ConfigError("symbols: must be nonempty when given")
+            bad = set(self.symbols) - {"0", "1", "d"}
+            if bad:
+                raise ConfigError(f"symbols: invalid entries {sorted(bad)}; allowed: 0, 1, d")
+        readings = self.attack.blinding.readings
+        if readings is not None and not readings:
+            raise ConfigError("attack.blinding.readings: must be nonempty when given")
         # The optics square these field amplitudes into intensities, and a run's summary sums
         # them over its slots: no trace is longer than 2 * (n + 2) slots for n symbols or readings.
-        n = max(self.n_symbols, *(len(v or ()) for v in (self.bits, self.symbols, self.attack.blinding.readings)))
+        n = max(self.n_symbols, *(len(v or ()) for v in (self.bits, self.symbols, readings)))
         slots = 2 * (n + 2)
         gain = self.attack.backflash.emission_gain
         for where, a in (
@@ -281,30 +222,6 @@ class ScenarioConfig:
                                   f"whose sum over {slots} slots is infinite")
         if self.amplitude * self.amplitude < sys.float_info.min:  # subnormal thresholds lose their digits
             raise ConfigError(f"amplitude: too small: it squares to {self.amplitude**2}, under the smallest normal float")
-        if self.wavelength_nm <= 0:
-            raise ConfigError(f"wavelength_nm: must be > 0, got {self.wavelength_nm}")
-        if not (0.0 < self.t_b < 1.0):
-            raise ConfigError(f"t_b: must be within (0, 1), got {self.t_b}")
-        if self.bits is not None:
-            if self.protocol != "dps":
-                raise ConfigError(f"bits: pins DPS phase bits; a {self.protocol} run takes no bits")
-            if len(self.bits) < 2:
-                raise ConfigError("bits: need at least two")
-            for i, b in enumerate(self.bits):
-                if b not in (0, 1):
-                    raise ConfigError(f"bits[{i}]: must be 0 or 1, got {b}")
-        if self.symbols is not None:
-            if self.protocol != "cow":
-                raise ConfigError(f"symbols: pins COW symbols; a {self.protocol} run takes no symbols")
-            if not self.symbols:
-                raise ConfigError("symbols: must be nonempty when given")
-            bad = set(self.symbols) - {"0", "1", "d"}
-            if bad:
-                raise ConfigError(f"symbols: invalid entries {sorted(bad)}; allowed: 0, 1, d")
-        self.detector.validate("detector")
-        self.channel.validate("channel")
-        self.attack.validate("attack")
-        self.countermeasures.validate("countermeasures")
         if self.attack.kind == "trojan" and self.attack.trojan.probe_wavelength_nm == self.wavelength_nm:
             raise ConfigError("attack.trojan.probe_wavelength_nm: probe must differ from the signal wavelength")
         if self.attack.kind == "blinding":
@@ -347,6 +264,7 @@ def _plain(obj: Any) -> Any:
     return obj
 
 
+# The hints as types only, their domains stripped.
 _type_hints = functools.cache(typing.get_type_hints)
 
 # Scalar hint -> the Python types it accepts (never a bool, unless the hint is bool) and its name in errors.
@@ -406,6 +324,45 @@ def _typed(value: Any, hint: Any, path: str) -> Any:
             raise ConfigError(f"{path}: must be finite, got {value}")
         return float(value)
     return value
+
+
+@functools.cache
+def _domain_check(hint: Any) -> Callable[[Any, str], None] | None:
+    """The check of a value of type ``hint`` against every domain its hint
+    states, those of a section's fields and a tuple's elements too; None where
+    it states none.  A field left at None has no domain to meet."""
+    hint = _inner(hint)
+    if typing.get_origin(hint) is Annotated:
+        domain = hint.__metadata__[0]
+        if isinstance(domain, tuple):
+            contains, says = domain.__contains__, f"one of {domain}"
+        else:
+            lo, hi = (float(end) for end in domain[1:-1].split(","))
+            above, below = (operator.lt if end in "()" else operator.le for end in (domain[0], domain[-1]))
+            contains, says = (lambda v: above(lo, v) and below(v, hi)), f"within {domain}"
+
+        def scalar(value: Any, path: str) -> None:
+            if not contains(value):
+                raise ConfigError(f"{path}: must be {says}, got {value!r}")
+        return scalar
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint, include_extras=True)
+        checks = [(key, check) for key in hints if (check := _domain_check(hints[key])) is not None]
+
+        def section(value: Any, path: str) -> None:
+            for key, check in checks:
+                if (v := getattr(value, key)) is not None:
+                    check(v, f"{path}.{key}" if path else key)
+        return section
+    if typing.get_origin(hint) is tuple:
+        checks = [_domain_check(arg) for arg in typing.get_args(hint) if arg is not Ellipsis]
+
+        def elements(value: Any, path: str) -> None:
+            for i, (v, check) in enumerate(zip(value, itertools.cycle(checks))):
+                if check is not None:
+                    check(v, f"{path}[{i}]")
+        return elements if any(checks) else None
+    return None
 
 
 def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:

@@ -4,7 +4,7 @@ record file.
 :class:`RunRecord` holds everything one run produced.  ``to_dict`` and
 ``from_dict`` convert it to and from a plain tree of dicts, scalars and
 arrays; the content hash covers that tree minus its volatile values; and a
-record file (``dprsim-record/9``) holds exactly the hashed bytes, framed, so
+record file (format ``RECORD_FORMAT``) holds exactly the hashed bytes, framed, so
 that a reader maps each array in place.  :mod:`report` writes and reads the
 files.
 """
@@ -186,12 +186,12 @@ class RunRecord:
     followed by the raw bytes of each array in header key order; the wall
     time, the only non-reproducible field, is left out.
 
-    A record file (``dprsim-record/9``, also the header's ``format``) holds
+    A record file (``RECORD_FORMAT``, also the header's ``format``) holds
     exactly those hashed bytes between a version line and a trailer, each
     array zero-padded to start at a multiple of 8 bytes from the file's
     start::
 
-        dprsim-record/9
+        <RECORD_FORMAT>
         <canonical header>
         <zero padding, raw array bytes; in header key order>{"wall_time_s": <seconds>}
 

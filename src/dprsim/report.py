@@ -1,26 +1,11 @@
 """Result emission: key files, metric summaries and the run record.
 
 Every emitted file parses back into the in-memory values exactly.
-``metrics.json`` carries a ``format`` key.  ``record.json`` is
-``dprsim-record/9``, the bytes that the record's content hash covers, framed
-by two text lines and padding (see ``RunRecord``): a version line, the
-canonical JSON header (arrays as ``{"dtype", "shape"}``: ``|i1`` for Alice's
-codes and the readings, ``<i8`` for slots, ``<f8`` for intensity levels,
-``|u1`` for level codes (``<u2`` or ``<u4`` past 256 levels),
-clicks, modes and key bits), then the raw little-endian bytes of each array
-in header key order, each zero-padded to start at a multiple of 8 bytes, and
-a one-line JSON trailer holding ``wall_time_s``, the one value outside the
-hash.  Alice's codes are her DPS phase bits, or her COW symbols ``0``, ``1``
-and ``d`` as 0, 1 and 2.  Each run value is stored once: a detector's
-intensity as the sorted distinct intensities of its line and one code per
-slot and Bob's key only as the run's ``sifted_bob``; a detector's
-photocurrent is not stored, since its intensity and the config's blinding
-settings derive it.  The arrays are written and read as they are, with no text
-encoding; the record is the one per-slot output, and :func:`load_record`
-maps it back into per-detector arrays, aligned views of the one buffer it
-reads the file into.  The file keeps its ``.json`` name, although only its
-header and trailer are JSON, so that scripts and tools that open
-``record.json`` in a run directory still find it.
+``metrics.json`` carries a ``format`` key.  ``record.json`` is a record file
+of format ``record.RECORD_FORMAT``, laid out as :class:`RunRecord` states:
+the bytes that the record's content hash covers, framed.  It is the one
+per-slot output, and :func:`load_record` maps it back into per-detector
+arrays, aligned views of the one buffer it reads the file into.
 """
 
 from __future__ import annotations
@@ -117,7 +102,7 @@ def emit_outputs(record: RunRecord, directory: str | Path) -> list[Path]:
     * ``alice.key`` / ``bob.key`` (and ``eve.key`` under attack): the sifted
       keys as ASCII bit strings, one line each.
     * ``metrics.json``: the recomputed :class:`MetricsSummary`.
-    * ``record.json``: the full run record, ``dprsim-record/9``, which holds
+    * ``record.json``: the full run record (:class:`RunRecord`), which holds
       every per-detector slot trace; :func:`load_record` reads it back.
     """
     outdir = Path(directory)

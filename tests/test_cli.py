@@ -748,12 +748,14 @@ def test_cli_rejects_a_string_in_every_tuple_field_and_names_a_bad_element(tmp_p
         ("protocol: cow\nsymbols: 1011", "symbols: must be a string, got 1011"),
         ("golden_name: [dps-ideal]", "golden_name: must be a string, got ['dps-ideal']"),
         ("golden_name: nope", "config error: unknown golden 'nope'; available: dps-ideal"),
+        # Every type error comes before any domain error, wherever the fields sit.
+        ("t_b: 2.0\ndetector: {dead_time_slots: 1.5}", "config error: detector.dead_time_slots: must be an integer, got 1.5"),
         # Intensities that square to a finite value but sum to infinity over the run.
         ("amplitude: 1.3e+154\nn_symbols: 1000", "amplitude: too large"),
         ("detector: {p_never: 0.6e+307, p_always: 1.0e+307}\nattack: {kind: blinding}", "detector.p_always: too large"),
     ],
     ids=["enabled", "ideal", "bits", "readings", "phase_tamper", "symbols", "golden_name", "unknown_golden",
-         "amplitude_sum", "p_always_sum"],
+         "type_before_domain", "amplitude_sum", "p_always_sum"],
 )
 def test_cli_rejects_a_mistyped_or_overflowing_document_at_load(tmp_path, capsys, text, named):
     assert _run_document(tmp_path, text) == 1
@@ -840,11 +842,26 @@ def test_cli_runs_at_the_largest_amplitudes_it_accepts(tmp_path, kind):
         ("protocol: cow\nt_b: 0.5\ndetector: {p_always_m: 2.0e+307}\nattack: {kind: blinding}", "detector.p_always_m: too large"),
         ("protocol: cow\nt_b: 0.5\ndetector: {p_always_b: 2.0e+307}\nattack: {kind: blinding}", "detector.p_always_b: too large"),
         ("attack: {kind: blinding, blinding: {illumination_level: 1.0e+308}}", "attack.blinding.illumination_level: too large"),
+        # The modulator drive of a phase tamper, 4 V per half turn, overflows past about 4.5e307 half turns.
+        ("n_symbols: 8\nchannel: {phase_tamper_half_turns: [0.0, 4.1e+307]}",
+         "channel.phase_tamper_half_turns[1]: must be within [-4e307, 4e307], got 4.1e+307"),
+        ("protocol: cow\nn_symbols: 8\nchannel: {phase_tamper_half_turns: [-4.6e+307]}",
+         "channel.phase_tamper_half_turns[0]: must be within [-4e307, 4e307], got -4.6e+307"),
     ],
 )
 def test_cli_rejects_an_intensity_that_underflows_or_overflows(tmp_path, capsys, text, named):
     assert _run_document(tmp_path, text) == 1
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("protocol", ["dps", "cow"])
+def test_cli_runs_at_the_largest_phase_tamper_it_accepts(tmp_path, protocol):
+    text = f"protocol: {protocol}\nn_symbols: 8\nchannel: {{phase_tamper_half_turns: [4.0e+307, -4.0e+307, 1.0]}}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run_document(tmp_path, text) == 0
+    run = load_record(tmp_path / "out" / "record.json").protocol_run
+    assert all(np.all(np.isfinite(trace.intensity)) for trace in run.record.detectors.values())
 
 
 @pytest.mark.parametrize("protocol", ["dps", "cow"])

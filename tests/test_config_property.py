@@ -5,9 +5,10 @@ The documents are drawn from the config's type hints alone, so a field that
 is added or removed needs no edit here.  Each scalar field draws from a pool
 of its type: its default and the default's ulp neighbours, the common bounds
 0 and 1 and their ulp neighbours, signed zeros, and for a float magnitudes
-from 1e-300 to 1e300.  Probing each pool value on the default config, alone,
-sorts it into the field's domain or past it: the validator's own verdict, not
-a table here, says which is which.  Integers stay small: an integer field
+from 1e-300 to 1e300 and the largest finite float of either sign.  Probing
+each pool value on the default config, alone, sorts it into the field's
+domain or past it: the validator's own verdict, not a table here, says which
+is which.  Integers stay small: an integer field
 sizes a run, a window or a dead time, and a huge one makes a slow run, not a
 wrong one.
 """
@@ -17,6 +18,7 @@ import dataclasses
 import io
 import json
 import math
+import sys
 import typing
 
 import yaml
@@ -69,6 +71,7 @@ def _candidates(hint, default) -> list:
     pool: list = [None] if inner is not hint else []
     if inner is float:
         pool += [-0.0, *_around(0.0), *_around(0.5), *_around(1.0), -1.0, 1e-300, 1e300, -1e300]
+        pool += [sys.float_info.max, -sys.float_info.max]
         pool += _around(default) if isinstance(default, float) else []
     elif inner is int:
         pool += [-1, 0, 1, 2, 3, 8, 40] + ([default - 1, default, default + 1] if isinstance(default, int) else [])

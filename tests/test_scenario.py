@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dprsim.cli import main
-from dprsim.config import BlindingSettings, ConfigError, DetectorSettings, ScenarioConfig, scenario_from_dict
+from dprsim.config import AttackSettings, BlindingSettings, ConfigError, DetectorSettings, ScenarioConfig, scenario_from_dict
 from dprsim.detectors import apd_detect
 from dprsim.goldens import GOLDENS, golden_config_dict
 from dprsim.report import emit_outputs, load_record, save_record
@@ -600,6 +600,16 @@ def test_sweep_rejects_seed():
         sweep(cfg, "seed", [1e30])
 
 
+def test_sweep_checks_a_python_config_before_any_point_runs(monkeypatch):
+    ran = []
+    monkeypatch.setattr("dprsim.scenario.run_scenario", lambda cfg, seed=None: ran.append(cfg))
+    cfg = ScenarioConfig(attack=AttackSettings(blinding=BlindingSettings(decay_per_slot=1.0)))
+    for values in ([], [0.5, 0.7]):
+        with pytest.raises(ConfigError, match=r"^attack\.blinding\.decay_per_slot: must be within \(0, 1\), got 1.0$"):
+            sweep(cfg, "t_b", values)
+    assert ran == []
+
+
 def test_sweep_integer_parameter_runs_integral_floats_as_ints():
     cfg = scenario_from_dict(SMALL_DPS)
     records = sweep(cfg, "n_symbols", [16.0, 32])
@@ -716,6 +726,8 @@ def test_run_scenario_reads_a_python_config_as_a_document(monkeypatch):
     # a mistyped field fails naming it, and an integer float field runs as a float.
     with pytest.raises(ConfigError, match="^n_symbols: must be an integer, got 2.5$"):
         run_scenario(ScenarioConfig(n_symbols=2.5))
+    with pytest.raises(ConfigError, match=r"^t_b: must be within \(0, 1\), got 2.0$"):
+        run_scenario(ScenarioConfig(t_b=2.0))
     as_int = run_scenario(ScenarioConfig(amplitude=1, n_symbols=32))
     assert as_int.config["amplitude"] == 1.0 and isinstance(as_int.config["amplitude"], float)
     assert as_int.content_hash() == run_scenario(ScenarioConfig(amplitude=1.0, n_symbols=32)).content_hash()
