@@ -24,7 +24,7 @@ varies slot to slot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -235,12 +235,7 @@ class FeasibilityReport:
     marginal: bool
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "rail_gap": self.rail_gap,
-            "monitor_drive_hidden_from_data": self.monitor_drive_hidden_from_data,
-            "data_drive_hidden_from_monitor": self.data_drive_hidden_from_monitor,
-            "marginal": self.marginal,
-        }
+        return asdict(self)
 
 
 def blinding_feasible(detector: DetectorSettings, t_b: float) -> FeasibilityReport:

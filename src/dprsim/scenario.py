@@ -187,18 +187,26 @@ def _sift(cfg: ScenarioConfig, codes: np.ndarray, record: DetectionRecord, inter
 # ---------------------------------------------------------------------------
 
 
-def _dps_eve_key(d1: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eve's DPS key from her per-slot D1 and D2 clicks: the slots where
-    exactly one detector clicked, and the bit it names (1 for D2)."""
-    slots = np.flatnonzero(d1 != d2)
-    return slots, d2[slots]
+def _decoder(cfg: ScenarioConfig) -> Callable[[DetectionRecord, int, int], np.ndarray]:
+    """The readings decoder of the scenario's receiver (``decode_dps_readings``
+    or ``decode_cow_readings``), looked up when called."""
+    return decode_dps_readings if cfg.protocol == "dps" else decode_cow_readings
 
 
-def _cow_eve_key(codes: np.ndarray, clicks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eve's COW key from her per-grid-slot D_B clicks over Alice's codes: the
-    data symbols where exactly one half-slot clicked, and the bit that
-    half-slot names."""
-    early, late = clicks[: 2 * codes.size : 2], clicks[1 : 2 * codes.size : 2]
+def _eve_key(
+    cfg: ScenarioConfig, codes: np.ndarray, clicks: Callable[[str], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eve's key over Alice's ``codes`` from ``clicks(name)``, the per-slot
+    clicks of her detector ``name``: the slots it keys and their bits.  DPS:
+    the slots where exactly one of D1 and D2 clicked, D2 meaning bit 1.  COW:
+    the data symbols where exactly one D_B half-slot clicked, the late one
+    meaning bit 1; slots past the end of the clicks are silent."""
+    if cfg.protocol == "dps":
+        d1, d2 = clicks("D1"), clicks("D2")
+        slots = np.flatnonzero(d1 != d2)
+        return slots, d2[slots]
+    d_b = _window(clicks("D_B"), 0, 2 * codes.size)
+    early, late = d_b[::2], d_b[1::2]
     kept = np.flatnonzero((codes != _DECOY) & (early != late))
     return kept, late[kept]
 
@@ -217,38 +225,27 @@ def _backflash_replica_clicks(
     return clicks
 
 
-def _run_backflash(cfg: ScenarioConfig, rngs: RngFactory, run: ProtocolRun) -> AttackOutcome:
+def _run_backflash(cfg: ScenarioConfig, rngs: RngFactory, run: ProtocolRun) -> tuple[np.ndarray, np.ndarray]:
     """Reverse pass: re-emission from Bob's clicked detectors, routed to Eve by
     the channel circulator, decoded with her replica of the corresponding
-    detector."""
+    detector, whose threshold scales with that detector's share of the
+    nominal level (``t_b`` for COW's D_B); returns Eve's key."""
     bf = cfg.attack.backflash
-
-    def eve_clicks(detector: str, threshold: float) -> np.ndarray:
-        rng = rngs.get(f"backflash-{detector}")
-        return _backflash_replica_clicks(run.record[detector], bf, rng, threshold)
-
     level = cfg.detector.click_threshold_rel * bf.emission_gain**2
-    nominal = cfg.amplitude**2
-    if cfg.protocol == "dps":
-        eve_slots, eve_bits = _dps_eve_key(eve_clicks("D1", level * nominal), eve_clicks("D2", level * nominal))
-    else:
-        eve_slots, eve_bits = _cow_eve_key(run.alice_codes, eve_clicks("D_B", level * cfg.t_b * nominal))
 
-    frac = capture_fraction(run.sifted_slots, run.sifted_bob, eve_slots, eve_bits)
-    return AttackOutcome(
-        attack="backflash",
-        eve_key=eve_bits,
-        capture_fraction=frac,
-        induced_qber=0.0,
-        induced_visibility_drop=0.0 if cfg.protocol == "cow" else None,
-    )
+    def clicks(name: str) -> np.ndarray:
+        share = cfg.t_b if name == "D_B" else 1.0
+        rng = rngs.get(f"backflash-{name}")
+        return _backflash_replica_clicks(run.record[name], bf, rng, level * share * cfg.amplitude**2)
+
+    return _eve_key(cfg, run.alice_codes, clicks)
 
 
-def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun) -> AttackOutcome:
+def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun) -> tuple[tuple[np.ndarray, np.ndarray], dict[str, Any]]:
     """Backward probe pass: watchdog tap at Alice's entrance, reflection off her
-    modulator, wavelength separation and Eve's replica decode.  The forward
-    signal is untouched; Bob's entrance filter keeps the probe band away from
-    his detectors."""
+    modulator, wavelength separation and Eve's replica decode; returns Eve's
+    key and the alarms.  The forward signal is untouched; Bob's entrance
+    filter keeps the probe band away from his detectors."""
     s = cfg.attack.trojan
     wd_alarm = False
     probe_amplitude = s.probe_amplitude
@@ -271,21 +268,8 @@ def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun) -> AttackOutcome:
     # Both bands co-propagate back up Alice's output fiber; Eve's ideal
     # bandpass filter strips the signal band and passes the probe band whole.
     eve = trojan_decode(reflected, codes, cfg.protocol, s.eve_min_intensity)
-    if cfg.protocol == "dps":
-        eve_slots, eve_bits = _dps_eve_key(eve.clicks("D1"), eve.clicks("D2"))
-    else:
-        eve_slots, eve_bits = _cow_eve_key(run.alice_codes, eve.clicks("D_B"))
-    del eve, reflected, codes  # only Eve's key is read from here on
-
-    frac = capture_fraction(run.sifted_slots, run.sifted_bob, eve_slots, eve_bits)
-    return AttackOutcome(
-        attack="trojan",
-        eve_key=eve_bits,
-        capture_fraction=frac,
-        induced_qber=0.0,
-        induced_visibility_drop=0.0 if cfg.protocol == "cow" else None,
-        alarms={"watchdog": wd_alarm, "photocurrent_monitor": False},
-    )
+    alarms = {"watchdog": wd_alarm, "photocurrent_monitor": False}
+    return _eve_key(cfg, run.alice_codes, eve.clicks), {"alarms": alarms}
 
 
 def _on_grid(record: DetectionRecord, offset: int, n_slots: int) -> DetectionRecord:
@@ -319,26 +303,24 @@ def _eve_readings(
     record = clean
     if cfg.detector.afterpulse_prob > 0.0 or cfg.detector.dark_count_prob > 0.0:
         record = _receive(cfg, train, codes, rngs, "eve-stage1")
-    decode = decode_dps_readings if cfg.protocol == "dps" else decode_cow_readings
     # A double click of Eve's replica (DPS reading -1) names no detector:
     # she replays it as a vacuum event.
-    return np.maximum(decode(record, 0, n_slots), 0), n_slots
+    return np.maximum(_decoder(cfg)(record, 0, n_slots), 0), n_slots
 
 
 def _run_blinding(
     cfg: ScenarioConfig,
     rngs: RngFactory,
     codes: np.ndarray,
-    clean_qber: float,
-    clean_visibility: float | None,
     interfaces: tuple | None,
     readings: np.ndarray,
     n_slots: int,
-) -> tuple[ProtocolRun, AttackOutcome]:
+) -> tuple[ProtocolRun, tuple[np.ndarray, np.ndarray], dict[str, Any], Callable[[], np.ndarray]]:
     """The faked-state plan for Eve's ``readings`` (see ``_eve_readings``) and
     its replay into Bob's blinded detectors with the photocurrent monitor
     watching; ``codes`` are Alice's and ``interfaces`` theirs, as ``_sift``
-    takes them, beside the clean run's QBER and visibility.
+    takes them.  Returns Bob's blinded run, Eve's key, the outcome's alarms,
+    feasibility and Eve's readings, and a call that decodes Bob's readings.
 
     Bob sifts the blinded record as he sifts a clean one, over the
     ``n_slots`` slots of Alice's grid, which start at the plan's
@@ -347,12 +329,11 @@ def _run_blinding(
     come from her train, so a QBER near 1/2 is the honest result.  Derived
     COW blinding has no visibility: every interface slot is also a D_B pulse
     slot, and a reading names one detector only, so Bob's monitors never
-    click at an interface.  Eve's key is her readings: D1/D2 readings for
-    DPS, her D_B readings decided like a backflash key for COW.
+    click at an interface.  Eve's key is her readings, each read as a click
+    of the detector it names.
     """
     s = cfg.attack.blinding
     rails = cfg.detector
-    decode = decode_dps_readings if cfg.protocol == "dps" else decode_cow_readings
 
     if cfg.protocol == "dps":
         plan = fsg_dps_phases(readings, s.policy, launch_intensity=rails.p_always)
@@ -372,30 +353,41 @@ def _run_blinding(
 
     record = _receive(cfg, trigger, trigger_codes, rngs, "bob", blinding=s, monitor=monitor if cm.enabled else None)
     del trigger, trigger_codes
-    monitor_alarm = any(m.alarm for m in monitors.values())
+    alarms = {"watchdog": False, "photocurrent_monitor": any(m.alarm for m in monitors.values())}
 
-    if cfg.protocol == "dps":
-        eve_slots, eve_bits = _dps_eve_key(readings == 1, readings == 2)
-    else:
-        eve_slots, eve_bits = _cow_eve_key(codes, _window(readings == 3, 0, n_slots))
-    grid = _on_grid(record, offset, n_slots)
-    run = replace(_sift(cfg, codes, grid, interfaces), record=record)
-    drop = None
-    if cfg.protocol == "cow":
-        after = run.visibility_report.overall_visibility
-        drop = None if clean_visibility is None or after is None else clean_visibility - after
-    outcome = AttackOutcome(
-        attack="blinding",
-        eve_key=eve_bits,
-        capture_fraction=capture_fraction(run.sifted_slots, run.sifted_bob, eve_slots, eve_bits),
-        induced_qber=run.qber - clean_qber,
-        induced_visibility_drop=drop,
-        alarms={"watchdog": False, "photocurrent_monitor": monitor_alarm},
-        feasibility=feasibility,
-        eve_readings=readings,
-        bob_readings=decode(record, offset, readings.size),
-    )
-    return run, outcome
+    key = _eve_key(cfg, codes, lambda name: readings == {"D1": 1, "D2": 2, "D_B": 3}[name])
+    run = replace(_sift(cfg, codes, _on_grid(record, offset, n_slots), interfaces), record=record)
+    fields = {"alarms": alarms, "feasibility": feasibility, "eve_readings": readings}
+    return run, key, fields, lambda: _decoder(cfg)(record, offset, readings.size)
+
+
+def _overall_visibility(run: ProtocolRun) -> float | None:
+    """A run's overall visibility: None for DPS, or where it is undefined."""
+    return None if run.visibility_report is None else run.visibility_report.overall_visibility
+
+
+def _outcome(
+    kind: str,
+    run: ProtocolRun,
+    clean_qber: float,
+    clean_visibility: float | None,
+    key: tuple[np.ndarray, np.ndarray],
+    fields: dict[str, Any],
+    bob_readings: Callable[[], np.ndarray] | None,
+) -> AttackOutcome:
+    """Every attack's score: the share of Bob's sifted bits in ``run`` that
+    Eve's ``key`` holds at the same slot, the QBER ``run`` adds to the clean
+    run's and the visibility it takes from it (None where either run has
+    none), with the attack's own ``fields``.  A passive attack's ``run`` is
+    the clean one.  Bob's readings under blinding are decoded only after the
+    capture: held through it, they would set the run's peak memory."""
+    eve_slots, eve_bits = key
+    frac = capture_fraction(run.sifted_slots, run.sifted_bob, eve_slots, eve_bits)
+    if bob_readings is not None:
+        fields = {**fields, "bob_readings": bob_readings()}
+    after = _overall_visibility(run)
+    drop = None if clean_visibility is None or after is None else clean_visibility - after
+    return AttackOutcome(kind, eve_bits, frac, run.qber - clean_qber, drop, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -466,19 +458,19 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunRecord:
         stage1 = _eve_readings(cfg, rngs, train, slot_codes, record)
     del train, slot_codes, record
     outcome = None
-    if kind == "backflash":
-        outcome = _run_backflash(cfg, rngs, run)
-    elif kind == "trojan":
-        outcome = _run_trojan(cfg, run)
-    elif kind == "blinding":
-        # Bob's blinded receive is where a run peaks: of the clean run only
-        # its QBER and its visibility are read again.
-        report = run.visibility_report
-        clean_qber, clean_visibility = run.qber, None if report is None else report.overall_visibility
-        del run, report
-        run, outcome = _run_blinding(cfg, rngs, codes, clean_qber, clean_visibility, interfaces, *stage1)
-    elif kind != "none":  # pragma: no cover - config validation rejects this
-        raise ConfigError(f"attack.kind: unknown kind {kind!r}")
+    if kind != "none":
+        clean_qber, clean_visibility = run.qber, _overall_visibility(run)
+        bob_readings = None
+        if kind == "backflash":
+            key, fields = _run_backflash(cfg, rngs, run), {}
+        elif kind == "trojan":
+            key, fields = _run_trojan(cfg, run)
+        else:
+            # Bob's blinded receive is where a run peaks: of the clean run
+            # only its QBER and its visibility are read again.
+            del run
+            run, key, fields, bob_readings = _run_blinding(cfg, rngs, codes, interfaces, *stage1)
+        outcome = _outcome(kind, run, clean_qber, clean_visibility, key, fields, bob_readings)
 
     wall = time.perf_counter() - started
     return RunRecord(config=cfg.to_dict(), protocol_run=run, attack=outcome, wall_time_s=wall)
@@ -499,7 +491,7 @@ def sweep(cfg: ScenarioConfig, parameter_path: str, values: Sequence[Any]) -> li
     swept.  An integral float given for an integer parameter runs as an int.
     Every point is read and checked before the first one runs.
     """
-    cfg.validate()
+    cfg = scenario_from_dict(cfg.to_dict())
     keys = parameter_path.split(".")
     if keys == ["seed"]:
         raise ConfigError("seed: cannot be swept; each point's seed is derived from the base seed")

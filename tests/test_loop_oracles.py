@@ -54,8 +54,7 @@ from dprsim.scenario import (
     RngFactory,
     _alice_material,
     _backflash_replica_clicks,
-    _cow_eve_key,
-    _dps_eve_key,
+    _eve_key,
     _transmit,
     run_scenario,
 )
@@ -68,6 +67,15 @@ symbols = st.text(alphabet="01d", min_size=1, max_size=40)
 def codes(sym: str) -> np.ndarray:
     """Alice's COW symbol codes: 0, 1 and 2 for "0", "1" and "d"."""
     return np.array(["01d".index(c) for c in sym], dtype=np.int64)
+
+
+PROTOCOLS = {p: scenario_from_dict({"protocol": p}) for p in ("dps", "cow")}
+
+
+def eve_key(protocol: str, alice: str, clicks) -> tuple[np.ndarray, np.ndarray]:
+    """Eve's key over Alice's COW symbols (none for DPS) from ``clicks(name)``,
+    the clicks of her detector ``name``."""
+    return _eve_key(PROTOCOLS[protocol], codes(alice), clicks)
 
 
 all_decoys = [st.integers(1, 40).map(lambda n: "d" * n)]
@@ -139,7 +147,7 @@ def test_cow_sift_and_eve_keys_match_loops(case):
     _same(run.sifted_bob, bob)
     _same(run.sifted_slots, slots)
     assert run.qber == qber
-    for got, want in zip(_cow_eve_key(codes(sym), clicks), oracle.backflash_cow_key_loop(sym, clicks)):
+    for got, want in zip(eve_key("cow", sym, {"D_B": clicks}.__getitem__), oracle.backflash_cow_key_loop(sym, clicks)):
         _same(got, want)
 
 
@@ -155,7 +163,7 @@ def _trojan_cow_key_loop(alice: str, clicks: np.ndarray) -> tuple[np.ndarray, np
 @settings(max_examples=200)
 def test_trojan_cow_key_matches_loop(case):
     alice, (clicks,) = case
-    for got, want in zip(_cow_eve_key(codes(alice), clicks), _trojan_cow_key_loop(alice, clicks)):
+    for got, want in zip(eve_key("cow", alice, {"D_B": clicks}.__getitem__), _trojan_cow_key_loop(alice, clicks)):
         _same(got, want)
 
 
@@ -248,12 +256,12 @@ def test_trojan_decode_matches_loops(intensity, phase, slot_codes, symbols):
     _same(cow.clicks("D_B"), d_b)
     # DPS: the key holds the interior slots the per-slot decode read, and their bits.
     read = oracle.trojan_decode_dps_loop(d1, d2, n)
-    slots, bits = _dps_eve_key(dps.clicks("D1"), dps.clicks("D2"))
+    slots, bits = eve_key("dps", "", dps.clicks)
     _same(slots, np.flatnonzero(read >= 0) + 1)
     _same(bits, read[read >= 0] == 1)
     # COW: Alice sent one symbol per pair of slots.
     alice = symbols[: n // 2]
-    for got, want in zip(_cow_eve_key(codes(alice), cow.clicks("D_B")), _trojan_cow_key_loop(alice, d_b)):
+    for got, want in zip(eve_key("cow", alice, cow.clicks), _trojan_cow_key_loop(alice, d_b)):
         _same(got, want)
 
 
@@ -285,12 +293,26 @@ def test_alice_symbols_match_loop(seed, n):
     _same(_alice_material(pinned, RngFactory(seed)), got)
 
 
-@given(st.lists(st.integers(0, 2), min_size=0, max_size=40))
-@settings(max_examples=200)
-def test_reading_keys_match_loop(readings):
-    r = np.array(readings, dtype=np.int64)
-    got = _dps_eve_key(r == 1, r == 2)
-    for a, b in zip(got, oracle.blinding_key_loop("dps", readings)):
+@st.composite
+def blinding_readings(draw):
+    """A protocol, Alice's COW symbols ("" for DPS) and Eve's readings; COW
+    readings run shorter and longer than Alice's grid of two slots a symbol."""
+    protocol = draw(st.sampled_from(["dps", "cow"]))
+    if protocol == "dps":
+        return protocol, "", draw(st.lists(st.integers(0, 2), max_size=40))
+    alice = draw(symbols)
+    return protocol, alice, draw(st.lists(st.integers(0, 3), max_size=2 * len(alice) + 6))
+
+
+@given(blinding_readings())
+@example(("cow", "0d1", [0, 3, 3]))  # shorter than the grid: the slots past the readings are silent
+@example(("cow", "01", [0, 3, 3, 0, 3, 3, 0]))  # longer: the readings past the grid key no symbol
+@settings(max_examples=300)
+def test_reading_keys_match_loop(case):
+    protocol, alice, readings = case
+    r = np.array(readings, dtype=np.int8)
+    got = eve_key(protocol, alice, lambda name: r == {"D1": 1, "D2": 2, "D_B": 3}[name])
+    for a, b in zip(got, oracle.blinding_key_loop(protocol, readings, alice)):
         _same(a, b)
 
 

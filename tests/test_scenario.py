@@ -607,6 +607,9 @@ def test_sweep_checks_a_python_config_before_any_point_runs(monkeypatch):
     for values in ([], [0.5, 0.7]):
         with pytest.raises(ConfigError, match=r"^attack\.blinding\.decay_per_slot: must be within \(0, 1\), got 1.0$"):
             sweep(cfg, "t_b", values)
+    # A mistyped field is named, as the walker names it in a document.
+    with pytest.raises(ConfigError, match="^t_b: must be a number, got 'x'$"):
+        sweep(ScenarioConfig(t_b="x"), "n_symbols", [16])
     assert ran == []
 
 
@@ -679,7 +682,7 @@ def test_run_scenario_no_attack_has_no_outcome():
 # intensity of every click.  Derived blinding stores no photocurrent and
 # runs Bob's blinded detectors and monitors a block of slots at a time, so
 # it holds no slot-length float; it peaks decoding Bob's readings.  COW
-# trojan peaks in ``_cow_eve_key`` over Eve's clicks.
+# trojan peaks in ``_eve_key`` over Eve's clicks.
 PEAK_TO_RECORD = [
     ({"golden_name": "dps-backflash-stat", "n_symbols": 20_000}, 1.29),
     (
@@ -759,6 +762,17 @@ def test_trojan_leaves_bobs_run_bit_identical():
     np.testing.assert_array_equal(attacked.protocol_run.sifted_bob, clean.protocol_run.sifted_bob)
     np.testing.assert_array_equal(attacked.protocol_run.sifted_alice, clean.protocol_run.sifted_alice)
     assert attacked.protocol_run.qber == clean.protocol_run.qber
+
+
+@pytest.mark.parametrize("kind", ["backflash", "trojan"])
+@pytest.mark.parametrize("symbols,drop", [("0d1", 0.0), ("01", None)])
+def test_a_passive_cow_attack_takes_no_visibility(kind, symbols, drop):
+    # A passive attack leaves Bob's run as it is: it drops a defined
+    # visibility by exactly 0, and where no interface gives one, by none.
+    record = run_scenario(scenario_from_dict({"protocol": "cow", "symbols": symbols, "attack": {"kind": kind}}))
+    assert (record.protocol_run.visibility_report.overall_visibility is None) is (drop is None)
+    assert record.attack.induced_visibility_drop == drop
+    assert record.attack.induced_qber == 0.0
 
 
 def test_backflash_capture_is_one_only_in_ideal_mode():
