@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 import numpy.typing as npt
 
-from .config import WORKED_EXAMPLE_READINGS, DetectorSettings, TrojanSettings
+from .config import DetectorSettings, TrojanSettings
 from .detectors import DetectionRecord, _coded, apd_detect
 from .optics import PulseTrain, attenuate, cw_laser, phase_modulator, pulse_carver
 from .protocols import _as_codes, receive
@@ -38,7 +38,6 @@ from .protocols import _as_codes, receive
 __all__ = [
     "DPS_PHASE_STEP",
     "COW_PHASE_STEP",
-    "WORKED_EXAMPLE_READINGS",
     "WORKED_EXAMPLE_PHASES",
     "FsgPlan",
     "FeasibilityReport",
@@ -75,15 +74,10 @@ class FsgPlan:
     first reading lands in Bob's interferometer output
     (``readings_slot_offset``)."""
 
-    readings: npt.NDArray[np.int8]
     phase_units: npt.NDArray[np.int8]
     levels: npt.NDArray[np.float64]
     level_codes: npt.NDArray[np.int8]
     readings_slot_offset: int
-
-    def __post_init__(self) -> None:
-        if len(self.phase_units) != self.level_codes.shape[0]:
-            raise ValueError("one launch level per pulse required")
 
     def trigger(self) -> tuple[PulseTrain, np.ndarray]:
         """Eve's trigger train, coded (see ``protocols.receive``): the field
@@ -91,20 +85,6 @@ class FsgPlan:
         for DPS and 8 for COW, and the code of each pulse's pair."""
         fields = np.sqrt(self.levels)[:, np.newaxis] * _QUARTER_TURNS
         return PulseTrain(fields.reshape(-1)), 4 * self.level_codes + self.phase_units % 4
-
-
-def _check_readings(readings, allowed: tuple[int, ...]) -> np.ndarray:
-    """``readings`` as int8, each checked to lie in ``allowed``, a run of
-    consecutive small ints."""
-    readings = np.asarray(readings)
-    if readings.dtype.kind not in "iu":
-        readings = readings.astype(np.int64)
-    if readings.size == 0:
-        raise ValueError("need at least one reading")
-    bad = np.flatnonzero((readings < allowed[0]) | (readings > allowed[-1]))
-    if bad.size:
-        raise ValueError(f"readings[{bad[0]}] = {readings[bad[0]]} not in {allowed}")
-    return readings.astype(np.int8, copy=False)
 
 
 def _phase_plan(readings: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -128,25 +108,20 @@ def fsg_dps_phases(
     The canonical policy prepends an anchor pulse (phase 0) so that every
     reading, including the first, is encoded in a phase step; reading ``j``
     then appears at interferometer slot ``j + 1``.  The worked-example policy
-    returns the published drive table and is defined only for
-    :data:`WORKED_EXAMPLE_READINGS` (its first reading is the edge slot of the
-    first pulse, hence necessarily a vacuum event).
+    returns the published drive table whatever ``eve_readings`` are: the
+    table replays one published sequence, ``config.WORKED_EXAMPLE_READINGS``
+    (its first reading is the edge slot of the first pulse, hence necessarily
+    a vacuum event), and the config admits the policy only with those
+    readings pinned.
     """
-    readings = _check_readings(eve_readings, (0, 1, 2))
-    if launch_intensity <= 0.0:
-        raise ValueError("launch_intensity must be > 0")
     if n_policy == "canonical":
-        phases = _phase_plan(readings, _DPS_STEPS)
+        phases = _phase_plan(np.asarray(eve_readings, dtype=np.int8), _DPS_STEPS)
         offset = 1
-    elif n_policy == "worked-example":
-        if not np.array_equal(readings, WORKED_EXAMPLE_READINGS):
-            raise ValueError("the worked-example policy is defined only for its published reading sequence")
+    else:
         phases = np.array(WORKED_EXAMPLE_PHASES, dtype=np.int8)
         offset = 0
-    else:
-        raise ValueError(f"unknown policy {n_policy!r}")
     levels = np.array([launch_intensity], dtype=np.float64)
-    return FsgPlan(readings, phases, levels, np.zeros(len(phases), dtype=np.int8), offset)
+    return FsgPlan(phases, levels, np.zeros(len(phases), dtype=np.int8), offset)
 
 
 def fsg_cow_drive(
@@ -162,13 +137,11 @@ def fsg_cow_drive(
     leaked light splits evenly between the two monitoring detectors, each
     staying below its never-click rail when the threshold inequalities hold.
     """
-    readings = _check_readings(eve_readings, (0, 1, 2, 3))
-    if not (0.0 < t_b < 1.0):
-        raise ValueError(f"t_b must be strictly within (0, 1), got {t_b}")
+    readings = np.asarray(eve_readings, dtype=np.int8)
     levels = np.array([detector.p_always_m / (1.0 - t_b), detector.p_always_b / t_b])  # base, data
     level_codes = np.zeros(readings.size + 1, dtype=np.int8)
     np.equal(readings, 3, out=level_codes[1:])
-    return FsgPlan(readings, _phase_plan(readings, _COW_STEPS), levels, level_codes, 1)
+    return FsgPlan(_phase_plan(readings, _COW_STEPS), levels, level_codes, 1)
 
 
 def _window(values: np.ndarray, offset: int, n: int) -> np.ndarray:
@@ -241,8 +214,6 @@ class FeasibilityReport:
 def blinding_feasible(detector: DetectorSettings, t_b: float) -> FeasibilityReport:
     """Evaluate the detection-control inequalities of a detector's rails for a
     splitter transmittance."""
-    if not (0.0 < t_b < 1.0):
-        raise ValueError(f"t_b must be strictly within (0, 1), got {t_b}")
     lhs1, rhs1 = detector.p_always, 2.0 * detector.p_never
     lhs2, rhs2 = t_b / (1.0 - t_b) * detector.p_always_m, detector.p_never_b
     lhs3, rhs3 = (1.0 - t_b) / t_b * detector.p_always_b, 2.0 * detector.p_never_m
@@ -264,7 +235,6 @@ def trojan_probe(
     alice_modulation: Sequence[int],
     probe: TrojanSettings,
     excess_loss_db: float = 0.0,
-    signal_wavelength: float = 1550.0,
 ) -> tuple[PulseTrain, np.ndarray]:
     """Back-reflection of Eve's probe off Alice's modulator.
 
@@ -281,14 +251,8 @@ def trojan_probe(
     slot-local, so each value's reflection, computed once on a two-slot
     probe, equals that of every slot that carries it, bit for bit.
     """
-    if probe.probe_wavelength_nm == signal_wavelength:
-        raise ValueError("probe wavelength must differ from the signal wavelength")
-    if probe.probe_amplitude <= 0.0:
-        raise ValueError("zero-amplitude probe")
     mod = np.asarray(alice_modulation)
     n = mod.size
-    if mod.ndim != 1 or n < 1 or not np.all((mod == 0) | (mod == 1)):
-        raise ValueError("alice_modulation must be a nonempty sequence of 0s and 1s")
     # Probe slot k picks up Alice's slot k - offset, where that slot exists.
     off = probe.timing_offset_slots
     lo, hi = max(off, 0), min(n, n + off)
@@ -298,10 +262,8 @@ def trojan_probe(
     source = cw_laser(2, probe.probe_amplitude)
     if protocol == "dps":
         per_value = phase_modulator(source, np.pi * np.arange(2))
-    elif protocol == "cow":
-        per_value = pulse_carver(source, np.arange(2))
     else:
-        raise ValueError(f"unknown protocol {protocol!r}")
+        per_value = pulse_carver(source, np.arange(2))
     return attenuate(per_value, probe.reflection_db + excess_loss_db), shifted
 
 
@@ -331,10 +293,8 @@ def trojan_decode(
     eve = DetectorSettings()
     if protocol == "dps":
         return receive("dps", reflected, codes, eve, nominal)
-    if protocol == "cow":
-        rails = (eve.p_never_b, eve.p_always_b)
-        return apd_detect(*_coded(power, codes), eve.click_threshold_rel * nominal, rails, eve, "D_B")
-    raise ValueError(f"unknown protocol {protocol!r}")
+    rails = (eve.p_never_b, eve.p_always_b)
+    return apd_detect(*_coded(power, codes), eve.click_threshold_rel * nominal, rails, eve, "D_B")
 
 
 # ---------------------------------------------------------------------------

@@ -300,8 +300,6 @@ def apd_detect(
     dead time and the afterpulse across.  No slot-length array wider than a
     byte is made, and the trace keeps no photocurrent.
     """
-    if level_codes.ndim != 1:
-        raise ValueError(f"level codes must be one-dimensional, got shape {level_codes.shape}")
     n = level_codes.shape[0]
     p_never, p_always = rails
     dead, afterpulse, dark = detector.dead_time_slots, detector.afterpulse_prob, detector.dark_count_prob
@@ -389,14 +387,12 @@ def backflash_emit(
     re-emit, in order (int64), and the intensity each one emits, the emission
     gain squared times the intensity its avalanche detected.  Every other
     slot stays dark.  Unless ``ideal`` forces emission on every click, an
-    emission probability below 1 draws one number per slot from ``rng``,
-    which must then be given, and a click re-emits where its draw falls below
-    it."""
+    emission probability below 1 draws one number per slot from ``rng``, and
+    a click re-emits where its draw falls below it.  ``rng`` may be left out
+    only where no draw is made."""
     n = len(trace)
     emit = trace.clicks
     if not cfg.ideal and cfg.emission_probability < 1.0:
-        if rng is None:
-            raise ValueError("backflash emission below certainty draws from an rng: pass one")
         # Drawn a block at a time, which leaves the stream where one draw of
         # ``n`` leaves it, without a slot-length array of floats.
         emit = np.empty(n, dtype=bool)
@@ -418,7 +414,7 @@ def backflash_emit(
 class PhotocurrentMonitor:
     """Low-frequency photocurrent watchdog against blinding, fed a blinded
     detector's stored current a block of slots at a time (``update``, which
-    ``apd_detect`` calls); ``alarm`` then reads the verdict.
+    ``apd_detect`` calls, at least once); ``alarm`` then reads the verdict.
 
     The trace is smoothed with a boxcar moving average and the alarm fires if
     any filtered value reaches the threshold.  Only full windows are
@@ -437,8 +433,6 @@ class PhotocurrentMonitor:
     """
 
     def __init__(self, lowpass_window_slots: int, alarm_threshold: float) -> None:
-        if lowpass_window_slots < 1:
-            raise ValueError("lowpass window must be >= 1 slot")
         self.window, self.threshold = lowpass_window_slots, alarm_threshold
         self._slots = 0
         self._sums = np.zeros(1)  # the last running sums: ``c[k - w]`` to ``c[k]``, or from ``c[0]`` while k < w
@@ -466,8 +460,6 @@ class PhotocurrentMonitor:
     @property
     def alarm(self) -> bool:
         """Whether the current seen so far raises the alarm."""
-        if self._slots == 0:
-            raise ValueError("photocurrent trace is empty")
         if self._slots < self.window:
             return bool(np.mean(np.concatenate(self._head)) >= self.threshold)
         return self._fired
@@ -478,7 +470,5 @@ def watchdog(train: PulseTrain, tap_fraction: float, intensity_threshold: float)
 
     Returns the alarm: whether the tapped peak intensity reaches the threshold.
     """
-    if not (0.0 < tap_fraction < 1.0):
-        raise ValueError("tap_fraction must be within (0, 1)")
     peak = float(np.max(train.intensities)) if len(train) else 0.0
     return tap_fraction * peak >= intensity_threshold

@@ -263,7 +263,6 @@ def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun) -> tuple[tuple[np.ndarray
         modulation,
         probe_cfg,
         excess_loss_db=cfg.channel.excess_loss_for(s.probe_wavelength_nm),
-        signal_wavelength=cfg.wavelength_nm,
     )
     # Both bands co-propagate back up Alice's output fiber; Eve's ideal
     # bandpass filter strips the signal band and passes the probe band whole.

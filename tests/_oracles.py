@@ -332,16 +332,6 @@ def decode_cow_readings_loop(d_b, m1, m2, offset: int, n_readings: int) -> list[
     return out
 
 
-def check_readings_loop(readings, allowed: tuple[int, ...]) -> tuple[int, ...]:
-    readings = tuple(int(r) for r in readings)
-    if not readings:
-        raise ValueError("need at least one reading")
-    for i, r in enumerate(readings):
-        if r not in allowed:
-            raise ValueError(f"readings[{i}] = {r} not in {allowed}")
-    return readings
-
-
 def fsg_dps_canonical_phases_loop(readings) -> tuple[int, ...]:
     phases = [0]
     for r in readings:

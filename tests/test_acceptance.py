@@ -13,12 +13,11 @@ import pytest
 
 from dprsim.attacks import (
     WORKED_EXAMPLE_PHASES,
-    WORKED_EXAMPLE_READINGS,
     decode_dps_readings,
     fsg_dps_phases,
 )
 from dprsim.cli import main
-from dprsim.config import BlindingSettings, DetectorSettings, scenario_from_dict
+from dprsim.config import WORKED_EXAMPLE_READINGS, BlindingSettings, DetectorSettings, scenario_from_dict
 from dprsim.optics import PulseTrain, dli
 from dprsim.detectors import PhotocurrentMonitor, apd_detect
 from dprsim.protocols import _interfaces, dps_encode, dps_sift, receive

@@ -1,10 +1,13 @@
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import math
+import re
 import typing
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +15,10 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dprsim
 from dprsim import cli, report
-from dprsim.attacks import WORKED_EXAMPLE_READINGS
 from dprsim.cli import main
-from dprsim.config import ScenarioConfig, _inner, scenario_from_dict
+from dprsim.config import WORKED_EXAMPLE_READINGS, ScenarioConfig, _inner, scenario_from_dict
 from dprsim.record import RECORD_FORMAT, RunRecord
 from dprsim.report import MetricsSummary, emit_outputs, load_record, save_record, summarize
 from dprsim.scenario import load_config, run_golden, run_scenario
@@ -986,3 +989,27 @@ def test_metrics_format_guard(tmp_path):
         _metrics(bad)
     with pytest.raises(ValueError):
         MetricsSummary.from_dict({"format": "nope"})
+
+
+# ---------------------------------------------------------------------------
+# The README's Python API
+# ---------------------------------------------------------------------------
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_python_block_runs(tmp_path, monkeypatch):
+    # The README's one Python block loads a stored run through the top-level
+    # names; it runs as written from the directory that holds ``out/``.
+    (block,) = re.findall(r"```python\n(.*?)```", README, re.S)
+    assert main(["run", "--golden", "dps-blinding", "--out", str(tmp_path / "out")]) == 0
+    monkeypatch.chdir(tmp_path)
+    exec(block, {})
+
+
+def test_readme_lists_the_top_level_names():
+    section = README.split("## Python API\n", 1)[1].split("\n## ", 1)[0]
+    bullets = next(paragraph for paragraph in section.split("\n\n") if paragraph.startswith("- "))
+    listed = set(re.findall(r"`(\w+)`", bullets))
+    exported = {name for name, value in vars(dprsim).items() if not name.startswith("_") and not inspect.ismodule(value)}
+    assert listed == exported and len(exported) == 15

@@ -282,12 +282,6 @@ def test_backflash_statistics_converge_to_emission_probability():
     assert abs(slots.size / n - p) < 3 * sigma
 
 
-def test_backflash_below_certainty_needs_an_rng():
-    rec = detect(np.ones(6), 0.5, RAILS, IDEAL)
-    with pytest.raises(ValueError, match="rng"):
-        backflash_emit(rec["D"], BackflashSettings())
-
-
 # ---------------------------------------------------------------------------
 # Countermeasure monitors
 # ---------------------------------------------------------------------------
@@ -338,13 +332,6 @@ def test_monitor_ignores_sparse_pulses_as_high_frequency_noise():
     trace[::16] = 8.0
     assert not monitor_alarm(trace, 16, 1.0)
     assert monitor_alarm(np.full(64, 8.0), 16, 1.0)
-
-
-def test_monitor_rejects_empty_trace():
-    with pytest.raises(ValueError):
-        assert PhotocurrentMonitor(4, 1.0).alarm
-    with pytest.raises(ValueError):
-        PhotocurrentMonitor(0, 1.0)
 
 
 def test_monitor_zero_trace_silent():

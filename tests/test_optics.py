@@ -150,13 +150,6 @@ def test_coupler_conserves_power(a, t):
     np.testing.assert_allclose(out_a.intensities + out_b.intensities, in_a.intensities, atol=1e-12)
 
 
-def test_coupler_rejects_bad_transmittance():
-    pulse = PulseTrain(np.array([1.0 + 0j]))
-    for t in (-0.1, 1.5):
-        with pytest.raises(ValueError, match="transmittance"):
-            coupler_2x2(pulse, t)
-
-
 def test_delay_line_identity_and_shift():
     # The DLI's cross arm is its delay line: a lone pulse leaves each port at
     # its own slot and again one slot later, and the ports grow by one slot.
@@ -169,9 +162,6 @@ def test_attenuate():
     train = unit_train(2)
     np.testing.assert_allclose(attenuate(train, 0.0).slots, train.slots)
     assert attenuate(train, 20.0).intensities[0] == pytest.approx(0.01)
-    for db in (-1.0, np.nan):
-        with pytest.raises(ValueError):
-            attenuate(train, db)
 
 
 # ---------------------------------------------------------------------------
