@@ -294,7 +294,7 @@ def trojan_decode(
     if protocol == "dps":
         return receive("dps", reflected, codes, eve, nominal)
     rails = (eve.p_never_b, eve.p_always_b)
-    return apd_detect(*_coded(power, codes), eve.click_threshold_rel * nominal, rails, eve, "D_B")
+    return apd_detect(*_coded([power], codes)[0], eve.click_threshold_rel * nominal, rails, eve, "D_B")
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,7 @@ _SCALARS = {float: ((int, float), "a number"), int: ((int,), "an integer"), bool
             str: ((str,), "a string")}
 
 
+@functools.cache
 def _inner(hint: Any) -> Any:
     """The ``X`` of an ``X | None`` hint; any other hint unchanged."""
     args = [a for a in typing.get_args(hint) if a is not type(None)]

@@ -21,6 +21,11 @@ A blinded detector runs a block of slots at a time, and the monitor consumes
 each block as it comes, so no run holds a whole stored-current trace.  A
 trace does not keep it either: its levels, codes and the run's blinding
 settings derive it bit for bit (``DetectorTrace.photocurrent``).
+
+Clicks are decided on whole blocks of level codes wherever no click depends
+on the one before: thresholds alone, and unblinded dark counts without dead
+time or afterpulses.  Only dead time, afterpulses and blinding with any draw
+(a dark count, or a linear-mode slot between the rails) step slot by slot.
 """
 
 from __future__ import annotations
@@ -52,8 +57,10 @@ _RAIL_TOL = 1e-9
 # Bits by which a wrong lane start must decay to fall below the last bit of the
 # values it feeds; a block spans twice the slots that takes.
 _FORGET_BITS = 60
-# Below about this many lanes the per-step numpy calls cost more than the loop saves.
-_MIN_LANES = 32
+# Below about this many lanes the per-step numpy calls cost more than the loop
+# saves, whatever the decay: the scan's steps and the loop's slots both grow
+# with the lane length.
+_MIN_LANES = 24
 
 
 def _decay_loop(s: float, d: float, incident: np.ndarray, out: np.ndarray) -> None:
@@ -157,31 +164,35 @@ def _code_dtype(n_levels: int) -> np.dtype:
 _COUNT_BLOCK = 1 << 13
 
 
-def _coded(table: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical coding of the values ``table[index]``: their sorted
-    distinct values, and one code per slot of the width ``_code_dtype`` gives
-    (see ``DetectorTrace``).  Only the entries some slot takes enter the
-    levels, so the coding is a function of the slot values alone, whatever
-    the table holds besides.
+def _coded(tables: list[np.ndarray], index: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The canonical coding of the values ``table[index]`` of each of
+    ``tables``, which share ``index``: their sorted distinct values, and one
+    code per slot of the width ``_code_dtype`` gives (see ``DetectorTrace``).
+    Only the entries some slot takes enter the levels, so the coding is a
+    function of the slot values alone, whatever the table holds besides.
+    The index is counted once, however many tables share it.
 
     A one-byte index takes one-byte codes, since it takes at most 256
-    entries: they are counted a block at a time and gathered by
+    entries: it is counted a block at a time and gathered by
     ``bytes.translate``, so no slot-length array wider than a byte is made."""
-    if index.dtype.itemsize != 1:
-        taken = np.bincount(index, minlength=table.shape[0]).astype(bool)
-        levels, inverse = np.unique(table[taken], return_inverse=True)
-        lookup = np.zeros(table.shape[0], dtype=_code_dtype(levels.shape[0]))
-        lookup[taken] = inverse
-        return levels, lookup.take(index)
-    index = index.view(np.uint8)
-    taken = np.zeros(256, dtype=bool)
-    for start in range(0, index.shape[0], _COUNT_BLOCK):
-        taken |= np.bincount(index[start : start + _COUNT_BLOCK], minlength=256).astype(bool)
-    taken = taken[: table.shape[0]]
-    levels, inverse = np.unique(table[: taken.shape[0]][taken], return_inverse=True)
-    lookup = np.zeros(256, dtype=np.uint8)
-    lookup[: taken.shape[0]][taken] = inverse
-    return levels, np.frombuffer(bytearray(index).translate(lookup.tobytes()), dtype=np.uint8)
+    one_byte = index.dtype.itemsize == 1
+    if one_byte:
+        index = index.view(np.uint8)
+        taken = np.zeros(256, dtype=bool)
+        for start in range(0, index.shape[0], _COUNT_BLOCK):
+            taken |= np.bincount(index[start : start + _COUNT_BLOCK], minlength=256).astype(bool)
+        source = bytearray(index)
+    else:
+        taken = np.bincount(index).astype(bool)
+    coded = []
+    for table in tables:
+        used = taken[: table.shape[0]]
+        levels, inverse = np.unique(table[: used.shape[0]][used], return_inverse=True)
+        lookup = np.zeros(taken.shape[0], dtype=_code_dtype(levels.shape[0]))
+        lookup[: used.shape[0]][used] = inverse
+        codes = np.frombuffer(source.translate(lookup.tobytes()), dtype=np.uint8) if one_byte else lookup.take(index)
+        coded.append((levels, codes))
+    return coded
 
 
 @dataclass(eq=False)
@@ -297,8 +308,12 @@ def apd_detect(
     A blinded detector, or one that may draw, runs a block of slots at a
     time (``_BLOCK``): the stored current, the modes, the monitor and the
     clicks of one block, then the next, carrying the stored current, the
-    dead time and the afterpulse across.  No slot-length array wider than a
-    byte is made, and the trace keeps no photocurrent.
+    dead time and the afterpulse across.  A block's clicks are one compare
+    of its codes when nothing draws, and, for unblinded dark counts alone,
+    that compare plus one draw per silent slot, in slot order as the loop
+    draws.  Dead time, afterpulses and a blinded detector that draws step
+    through the block slot by slot.  No slot-length array wider than a byte
+    is made, and the trace keeps no photocurrent.
     """
     n = level_codes.shape[0]
     p_never, p_always = rails
@@ -341,6 +356,13 @@ def apd_detect(
             continue
         if draws and rng is None:
             raise ValueError(f"detector {detector_id} draws random clicks: pass an rng")
+        if blinding is None and dead == 0 and afterpulse == 0.0:
+            # Dark counts alone: the loop draws once at each silent slot, in
+            # slot order, so one draw per silent slot of the block does too.
+            np.greater_equal(codes, geiger, out=out)
+            silent = ~out
+            out[silent] = rng.random(np.count_nonzero(silent)) < dark
+            continue
         # Slot by slot, on Python floats (the same IEEE arithmetic, faster),
         # 1024 slots at a time, so that the block is never all Python floats.
         for at in range(0, codes.shape[0], 1024):
@@ -381,29 +403,32 @@ _DRAW_BLOCK = 1 << 12
 def backflash_emit(
     trace: DetectorTrace,
     cfg: BackflashSettings,
+    threshold: float,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Re-emission of a detector's clicks, in sparse form: the slots that
-    re-emit, in order (int64), and the intensity each one emits, the emission
-    gain squared times the intensity its avalanche detected.  Every other
-    slot stays dark.  Unless ``ideal`` forces emission on every click, an
-    emission probability below 1 draws one number per slot from ``rng``, and
-    a click re-emits where its draw falls below it.  ``rng`` may be left out
-    only where no draw is made."""
-    n = len(trace)
-    emit = trace.clicks
+) -> np.ndarray:
+    """Eve's replica clicks on the re-emission of a detector's clicks, one per
+    trace slot.  A click re-emits the emission gain squared times the
+    intensity its avalanche detected, and a lossless circulator routes it to
+    her replica detector, which is noise-free and sees intensity only: it
+    clicks where the emitted intensity exceeds ``threshold`` (>= 0).  The
+    levels are sorted, so the emitted levels that exceed it are the last
+    ones, from code ``k`` on, and the decision is one compare of the codes.
+
+    Unless ``ideal`` forces emission on every click, an emission probability
+    below 1 draws one number per slot from ``rng``, and a click re-emits
+    where its draw falls below it.  ``rng`` may be left out only where no
+    draw is made.  No slot-length array is made besides the result."""
+    levels = trace.levels
+    k = levels.shape[0] - int(np.count_nonzero(levels * cfg.emission_gain**2 > threshold))
+    replica = trace.level_codes >= k
+    replica &= trace.clicks
     if not cfg.ideal and cfg.emission_probability < 1.0:
         # Drawn a block at a time, which leaves the stream where one draw of
-        # ``n`` leaves it, without a slot-length array of floats.
-        emit = np.empty(n, dtype=bool)
-        for start in range(0, n, _DRAW_BLOCK):
-            block = emit[start : start + _DRAW_BLOCK]
-            np.less(rng.random(block.shape[0]), cfg.emission_probability, out=block)
-        emit &= trace.clicks
-    slots = np.flatnonzero(emit)
-    emitted = trace.levels.take(trace.level_codes[slots])
-    emitted *= cfg.emission_gain**2
-    return slots, emitted
+        # ``len(trace)`` leaves it, without a slot-length array of floats.
+        for start in range(0, len(trace), _DRAW_BLOCK):
+            block = replica[start : start + _DRAW_BLOCK]
+            block &= rng.random(block.shape[0]) < cfg.emission_probability
+    return replica
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,8 @@ def receive(
     table, bit for bit that of the full-length train, and no slot-length
     field is built.  The detectors take it coded as their traces keep it
     (``detectors._coded``): the table's distinct values that some slot takes,
-    sorted, and one narrow code per slot.
+    sorted, and one narrow code per slot.  The two ports of the
+    interferometer share one pair index, which is counted once for both.
 
     Each Geiger threshold is ``detector.click_threshold_rel`` times the
     nominal intensity of its line: ``nominal`` on the DPS lines, times ``t_b``
@@ -171,36 +172,37 @@ def receive(
 
     Returns the record of every detector and nothing of the fields: a
     detector sees intensity, not phase, and every later pass reads the traces
-    alone, Eve's backflash replica among them (``detectors.backflash_emit``).
+    alone.  Eve's backflash replica, for one, decides on a trace's level
+    codes (``detectors.backflash_emit``).
     """
     codes = _as_codes(codes, len(train) - 1)
     if protocol == "dps":
         constructive, destructive, index = _interfere(train, codes)
         pair = (detector.p_never, detector.p_always)
-        lines = {"D1": (constructive, index, 1.0, pair), "D2": (destructive, index, 1.0, pair)}
+        groups = [(index, {"D1": (constructive, 1.0, pair), "D2": (destructive, 1.0, pair)})]
     else:
         data_line, monitor_line = coupler_2x2(train, t_b)
         constructive, destructive, index = _interfere(monitor_line, codes)
         monitoring, pair = 1.0 - t_b, (detector.p_never_m, detector.p_always_m)
-        lines = {
-            "D_B": (data_line, codes, t_b, (detector.p_never_b, detector.p_always_b)),
-            "D_M1": (constructive, index, monitoring, pair),
-            "D_M2": (destructive, index, monitoring, pair),
-        }
+        groups = [
+            (codes, {"D_B": (data_line, t_b, (detector.p_never_b, detector.p_always_b))}),
+            (index, {"D_M1": (constructive, monitoring, pair), "D_M2": (destructive, monitoring, pair)}),
+        ]
     traces = {}
-    for name, (field, index, share, rails) in lines.items():
-        levels, level_codes = _coded(field.intensities, index)
-        traces[name] = apd_detect(
-            levels,
-            level_codes,
-            detector.click_threshold_rel * share * nominal,
-            rails,
-            detector,
-            name,
-            blinding=blinding,
-            rng=None if rng is None else rng(name),
-            monitor=None if monitor is None else monitor(name),
-        )[name]
+    for index, lines in groups:
+        coded = _coded([field.intensities for field, _, _ in lines.values()], index)
+        for (name, (_, share, rails)), (levels, level_codes) in zip(lines.items(), coded):
+            traces[name] = apd_detect(
+                levels,
+                level_codes,
+                detector.click_threshold_rel * share * nominal,
+                rails,
+                detector,
+                name,
+                blinding=blinding,
+                rng=None if rng is None else rng(name),
+                monitor=None if monitor is None else monitor(name),
+            )[name]
     return DetectionRecord(traces)
 
 

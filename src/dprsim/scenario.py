@@ -31,7 +31,6 @@ from .attacks import (
     trojan_probe,
 )
 from .config import (
-    BackflashSettings,
     BlindingSettings,
     ConfigError,
     ScenarioConfig,
@@ -211,20 +210,6 @@ def _eve_key(
     return kept, late[kept]
 
 
-def _backflash_replica_clicks(
-    trace: DetectorTrace, bf: BackflashSettings, rng: np.random.Generator, threshold: float
-) -> np.ndarray:
-    """Eve's replica clicks on the re-emission of Bob's detector ``trace``, one
-    per trace slot.  A lossless circulator routes the emission to her replica
-    detector, which is noise-free and sees intensity only: it clicks where
-    the emitted intensity exceeds ``threshold`` (>= 0).  A dark slot never
-    does, so only the emitting slots are evaluated."""
-    slots, power = backflash_emit(trace, bf, rng)
-    clicks = np.zeros(len(trace), dtype=bool)
-    clicks[slots] = power > threshold
-    return clicks
-
-
 def _run_backflash(cfg: ScenarioConfig, rngs: RngFactory, run: ProtocolRun) -> tuple[np.ndarray, np.ndarray]:
     """Reverse pass: re-emission from Bob's clicked detectors, routed to Eve by
     the channel circulator, decoded with her replica of the corresponding
@@ -235,8 +220,7 @@ def _run_backflash(cfg: ScenarioConfig, rngs: RngFactory, run: ProtocolRun) -> t
 
     def clicks(name: str) -> np.ndarray:
         share = cfg.t_b if name == "D_B" else 1.0
-        rng = rngs.get(f"backflash-{name}")
-        return _backflash_replica_clicks(run.record[name], bf, rng, level * share * cfg.amplitude**2)
+        return backflash_emit(run.record[name], bf, level * share * cfg.amplitude**2, rngs.get(f"backflash-{name}"))
 
     return _eve_key(cfg, run.alice_codes, clicks)
 
@@ -281,7 +265,7 @@ def _on_grid(record: DetectionRecord, offset: int, n_slots: int) -> DetectionRec
             n = t.levels.shape[0]
             codes = _window(t.level_codes.astype(_code_dtype(n + 1), copy=False), offset, n_slots)
             codes[max(0, len(t) - offset) :] = n
-            levels, codes = _coded(np.append(t.levels, 0.0), codes)
+            [(levels, codes)] = _coded([np.append(t.levels, 0.0)], codes)
         clicks, linear = _window(t.clicks, offset, n_slots), _window(t.linear_mode, offset, n_slots)
         traces[name] = DetectorTrace(clicks, levels, codes, linear)
     return DetectionRecord(traces)

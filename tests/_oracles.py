@@ -20,9 +20,9 @@ before it computed its two ports in place, with ``coupler_two_inputs``, the
 coupler as it stood when both of its inputs could be lit;
 ``backflash_emit_where`` keeps the emission as it multiplied every slot's
 intensity, and ``backflash_replica_dense`` keeps the backflash reverse pass
-as it ran Eve's replica detector over every slot of that emission, both in
-the intensity model the package emits by (gain squared times the detected
-intensity), ``apd_clicks_dense`` the
+as it ran Eve's replica detector over every slot of that emission, before
+the replica was decided on the level codes, both in the intensity model the
+package emits by (gain squared times the detected intensity), ``apd_clicks_dense`` the
 detector's threshold decisions as it took them on one intensity per slot
 before it took them on codes, and ``boxcar_concatenate`` the photocurrent
 monitor's filter before it filled one buffer, ``monitor_alarm_whole``

@@ -252,19 +252,26 @@ def test_photocurrent_is_derived_not_kept():
 
 
 def test_backflash_ideal_copies_every_clicked_slot():
-    # Each click re-emits gain squared times the intensity it detected; the
-    # slots under the threshold stay dark.
+    # Each click re-emits gain squared times the intensity it detected, and
+    # Eve's replica clicks where that exceeds her threshold: at threshold 0
+    # on every clicked slot, and exactly above each emitted value (0.25, 0.5,
+    # 0.1875, 0.25) as the threshold sits on it or one ulp below it.  The
+    # slots under the click threshold stay dark.
     rec = detect(power([1.0, 0.25, 2.0, 0.75, 0.0, 1.0]), 0.5, RAILS, IDEAL)
     cfg = BackflashSettings(ideal=True, emission_gain=0.5)
-    slots, emitted = backflash_emit(rec["D"], cfg)
-    assert slots.dtype == np.int64 and slots.tolist() == [0, 2, 3, 5]
-    assert emitted.tolist() == [0.25, 0.5, 0.1875, 0.25]
+    emitted = {0: 0.25, 2: 0.5, 3: 0.1875, 5: 0.25}
+    assert np.flatnonzero(backflash_emit(rec["D"], cfg, 0.0)).tolist() == [0, 2, 3, 5]
+    for value in emitted.values():
+        for threshold in (value, np.nextafter(value, 0.0)):
+            replica = backflash_emit(rec["D"], cfg, threshold)
+            assert replica.dtype == bool and replica.shape == (6,)
+            assert np.flatnonzero(replica).tolist() == [k for k, v in emitted.items() if v > threshold]
 
 
 def test_backflash_no_clicks_is_vacuum():
     rec = detect(np.zeros(6), 0.5, RAILS, IDEAL)
-    slots, emitted = backflash_emit(rec["D"], BackflashSettings(ideal=True))
-    assert slots.size == emitted.size == 0
+    replica = backflash_emit(rec["D"], BackflashSettings(ideal=True), 0.0)
+    assert replica.shape == (6,) and not replica.any()
 
 
 def test_backflash_default_probability_value():
@@ -275,11 +282,13 @@ def test_backflash_statistics_converge_to_emission_probability():
     n = 100_000
     rec = detect(np.ones(n), 0.5, RAILS, IDEAL)
     cfg = BackflashSettings()
-    slots, emitted = backflash_emit(rec["D"], cfg, rng=np.random.default_rng(7))
-    assert np.all(emitted == 1.0)
+    # Every emission is exactly 1.0: a replica threshold one ulp below it
+    # sees them all, and one on it sees none.
+    replica = backflash_emit(rec["D"], cfg, np.nextafter(1.0, 0.0), rng=np.random.default_rng(7))
+    assert not backflash_emit(rec["D"], cfg, 1.0, rng=np.random.default_rng(7)).any()
     p = cfg.emission_probability
     sigma = np.sqrt(p * (1 - p) / n)
-    assert abs(slots.size / n - p) < 3 * sigma
+    assert abs(replica.sum() / n - p) < 3 * sigma
 
 
 # ---------------------------------------------------------------------------

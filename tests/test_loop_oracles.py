@@ -52,7 +52,6 @@ from dprsim.protocols import (
 from dprsim.scenario import (
     RngFactory,
     _alice_material,
-    _backflash_replica_clicks,
     _eve_key,
     _transmit,
     run_scenario,
@@ -487,11 +486,16 @@ def test_dli_matches_chain(slots):
         _same_train(g, w)
 
 
-def _scattered(n_slots: int, at: np.ndarray, emitted: np.ndarray) -> np.ndarray:
-    """A sparse emission laid out over its ``n_slots`` slots, dark elsewhere."""
-    dense = np.zeros(n_slots)
-    dense[at] = emitted
-    return dense
+def _same_emission(trace: DetectorTrace, cfg: BackflashSettings, seed: int, want: np.ndarray) -> None:
+    """Eve's replica clicks on ``trace``'s re-emission, drawn from a stream
+    of ``seed``, are where ``want``, the emitted intensity of every slot,
+    exceeds the replica threshold, with the threshold at 0 and on each
+    emitted value and one ulp below it: so every emitted value is pinned bit
+    for bit."""
+    values = np.unique(want[want > 0.0])
+    for threshold in [0.0, *values, *np.nextafter(values, 0.0)]:
+        got = backflash_emit(trace, cfg, threshold, rng=np.random.default_rng(seed))
+        _same(got, want > threshold)
 
 
 @given(complex_slots, st.data(), st.booleans(), st.floats(0.0, 3.0), st.floats(0.0, 1.5), st.integers(0, 2**32))
@@ -501,11 +505,8 @@ def test_backflash_emit_matches_where(slots, data, ideal, gain, p, seed):
     intensity = PulseTrain(np.array(slots)).intensities
     cfg = BackflashSettings(electrons_per_avalanche=p, photons_per_electron=1.0, ideal=ideal, emission_gain=gain)
     trace = DetectorTrace(clicks, *oracle.coded(intensity), np.zeros(len(slots), dtype=bool))
-    at, emitted = backflash_emit(trace, cfg, rng=np.random.default_rng(seed))
     emit = oracle.backflash_emitting(clicks, cfg, np.random.default_rng(seed))
-    _same(at, np.flatnonzero(emit))
-    want = oracle.backflash_emit_where(emit, gain, intensity)
-    _same(_scattered(len(slots), at, emitted).view(np.uint64), want.view(np.uint64))
+    _same_emission(trace, cfg, seed, oracle.backflash_emit_where(emit, gain, intensity))
 
 
 @st.composite
@@ -544,7 +545,7 @@ def test_backflash_replica_clicks_match_dense_pass(case, ideal, gain, p, rel, se
     trace, intensity = case
     cfg = BackflashSettings(electrons_per_avalanche=p, photons_per_electron=1.0, ideal=ideal, emission_gain=gain)
     threshold = rel * gain**2  # the replica's threshold at nominal level 1
-    got = _backflash_replica_clicks(trace, cfg, np.random.default_rng(seed), threshold)
+    got = backflash_emit(trace, cfg, threshold, np.random.default_rng(seed))
     _same(got, oracle.backflash_replica_dense(trace.clicks, intensity, cfg, np.random.default_rng(seed), threshold))
 
 
@@ -574,21 +575,26 @@ def test_coded_gathers_a_one_byte_index_as_a_wide_one(entries, dtype, blocks, pa
     (``np.unique`` over them) and the coding of the same index widened to
     ``intp``: levels and codes, their width included.  Lengths fall around
     multiples of the counting block; the table repeats values, so that
-    entries fold into one level."""
+    entries fold into one level.  Two tables share the index, as the two
+    ports of the receiver's interferometer do, and each codes as it does
+    alone."""
     rng = np.random.default_rng(seed)
-    table = rng.integers(0, max(2, entries // 3), entries) / 4.0
+    tables = [rng.integers(0, max(2, entries // 3), entries) / 4.0 for _ in range(2)]
     n = max(0, blocks * detectors._COUNT_BLOCK + past)
     top = min(entries, 128 if dtype is np.int8 else 256)
     index = rng.integers(0, top, n).astype(dtype)
-    levels, codes = detectors._coded(table, index)
-    want_levels, want_codes = oracle.coded(table[index.astype(np.intp)])
-    _same(levels.view(np.uint64), want_levels.view(np.uint64))
-    assert codes.dtype == want_codes.dtype
-    _same(codes, want_codes)
-    wide_levels, wide_codes = detectors._coded(table, index.astype(np.intp))
-    _same(wide_levels.view(np.uint64), levels.view(np.uint64))
-    assert wide_codes.dtype == codes.dtype
-    _same(wide_codes, codes)
+    shared, wide = detectors._coded(tables, index), detectors._coded(tables, index.astype(np.intp))
+    for table, (levels, codes), (wide_levels, wide_codes) in zip(tables, shared, wide):
+        want_levels, want_codes = oracle.coded(table[index.astype(np.intp)])
+        _same(levels.view(np.uint64), want_levels.view(np.uint64))
+        assert codes.dtype == want_codes.dtype
+        _same(codes, want_codes)
+        _same(wide_levels.view(np.uint64), levels.view(np.uint64))
+        assert wide_codes.dtype == codes.dtype
+        _same(wide_codes, codes)
+        [(alone_levels, alone_codes)] = detectors._coded([table], index)
+        _same(alone_levels.view(np.uint64), levels.view(np.uint64))
+        _same(alone_codes, codes)
 
 
 @st.composite
@@ -714,6 +720,41 @@ def test_blinded_detector_blocks_match_the_whole_trace(
     assert draws.random() == want.random()
 
 
+@given(
+    st.sampled_from([5, 16, None]),
+    st.sampled_from([-1, 0, 1]),
+    st.integers(1, 6),
+    st.sampled_from([1e-9, 1e-5, 1e-2, 0.3, 1.0]) | st.floats(1e-12, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+@example(None, 1, 1, 1e-2, 1)  # the module's block
+@example(5, 0, 6, 1e-12, 2)  # blocks of a quarter of the trace
+@settings(max_examples=60, deadline=None)
+def test_dark_counts_alone_match_the_per_slot_loop(block, past, blocks, dark, seed):
+    """An unblinded detector whose only imperfection is dark counts draws
+    once for each silent slot of a block at a time, not slot by slot: its
+    clicks, its modes and the next draw of its stream equal those of the
+    per-slot loop over the whole trace.  Lengths fall one short of, on and
+    one past a multiple of the block (``None``: the module's own); the levels
+    sit on and one ulp either side of the threshold, and the dark count
+    probability runs from tiny through 1e-2 to certain."""
+    size = detectors._BLOCK if block is None else block
+    n = blocks * size + past
+    rng = np.random.default_rng(seed)
+    near = [np.nextafter(0.5, side) for side in (-np.inf, np.inf)]
+    levels = np.unique(np.concatenate([[0.5, 0.0], near, rng.uniform(0.0, 2.0, 4)]))
+    codes = rng.integers(0, levels.size, n).astype(np.uint8)
+    detector, rails = DetectorSettings(dark_count_prob=dark), (0.2, 0.4)
+    want = np.random.default_rng(seed)
+    clicks, linear, _ = oracle.apd_detect_whole(levels, codes, 0.5, rails, detector, None, want)
+    draws = np.random.default_rng(seed)
+    with mock.patch.object(detectors, "_BLOCK", size):
+        trace = apd_detect(levels, codes, 0.5, rails, detector, rng=draws)["D"]
+    _same(trace.clicks, clicks)
+    _same(trace.linear_mode, linear)
+    assert draws.random() == want.random()
+
+
 def tamper_pattern(kind: str | None, n_slots: int, seed: int) -> list[float] | None:
     """A channel phase tamper in half turns: none, a few phases over the
     train's first half or over twice its length, or a phase per slot, most
@@ -790,11 +831,9 @@ def test_coded_receive_matches_dense_receive(protocol, alice, amplitude, t_b, de
     if ideal is not None:
         bf = BackflashSettings(ideal=ideal, emission_gain=0.7)
         for name in want.names:
-            clicks, intensity = got[name].clicks, ports[name].intensities
-            at, emitted = backflash_emit(got[name], bf, np.random.default_rng(seed))
-            emit = oracle.backflash_emitting(clicks, bf, np.random.default_rng(seed))
-            want_emitted = oracle.backflash_emit_where(emit, bf.emission_gain, intensity)
-            _same(_scattered(len(clicks), at, emitted).view(np.uint64), want_emitted.view(np.uint64))
+            emit = oracle.backflash_emitting(got[name].clicks, bf, np.random.default_rng(seed))
+            want_emitted = oracle.backflash_emit_where(emit, bf.emission_gain, ports[name].intensities)
+            _same_emission(got[name], bf, seed, want_emitted)
 
 
 @given(

@@ -676,10 +676,11 @@ def test_run_scenario_no_attack_has_no_outcome():
 # Peak traced memory of ``run_scenario`` over its record's array bytes, at 2e4
 # symbols, with each detector's intensity stored as levels and one-byte
 # codes; measured after one warm-up run, over the golden's seed and seeds 1-3:
-# 1.270-1.281, 1.521-1.529, 1.862, 1.886-1.890, 1.721-1.732, 2.530-2.539 and
-# 1.560-1.566 (the first run of a process reads highest).  The ideal
-# backflash runs peak in Eve's replica, which holds the slot and emitted
-# intensity of every click.  Derived blinding stores no photocurrent and
+# 1.270-1.287, 1.516-1.518, 1.866-1.867, 1.886-1.888, 1.668-1.669,
+# 1.599-1.600 and 1.556-1.557 (the first run of a process reads highest).
+# Eve's backflash replica holds one byte per slot, its decision, and no
+# per-click array: the ideal runs, where every click emits, peak after it,
+# as the outcome is built.  Derived blinding stores no photocurrent and
 # runs Bob's blinded detectors and monitors a block of slots at a time, so
 # it holds no slot-length float; it peaks decoding Bob's readings.  COW
 # trojan peaks in ``_eve_key`` over Eve's clicks.
@@ -697,8 +698,8 @@ PEAK_TO_RECORD = [
     ),
     ({"golden_name": "dps-trojan", "n_symbols": 20_000}, 1.88),
     ({"golden_name": "cow-trojan", "n_symbols": 20_000}, 1.90),
-    ({"golden_name": "dps-backflash-ideal", "n_symbols": 20_000}, 1.74),
-    ({"golden_name": "cow-backflash-ideal", "n_symbols": 20_000}, 2.55),
+    ({"golden_name": "dps-backflash-ideal", "n_symbols": 20_000}, 1.68),
+    ({"golden_name": "cow-backflash-ideal", "n_symbols": 20_000}, 1.61),
     (
         {
             "protocol": "dps",
