@@ -1,6 +1,6 @@
 """Eavesdropper building blocks: faked-state generation against blinded
-detectors, counter-propagating probe reflections, and detection-control
-feasibility checks.
+detectors, the reflection of a counter-propagating probe off Alice's encoder,
+and detection-control feasibility checks.
 
 Reading alphabets (per grid slot) follow the conventional faked-state
 bookkeeping of each receiver and differ between the two protocols on purpose:
@@ -24,7 +24,7 @@ varies slot to slot.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,15 +32,14 @@ import numpy.typing as npt
 
 from .config import DetectorSettings, TrojanSettings
 from .detectors import DetectionRecord, _coded, apd_detect
-from .optics import PulseTrain, attenuate, cw_laser, phase_modulator, pulse_carver
-from .protocols import _as_codes, receive
+from .optics import PulseTrain, attenuate
+from .protocols import receive
 
 __all__ = [
     "DPS_PHASE_STEP",
     "COW_PHASE_STEP",
     "WORKED_EXAMPLE_PHASES",
     "FsgPlan",
-    "FeasibilityReport",
     "AttackOutcome",
     "fsg_dps_phases",
     "fsg_cow_drive",
@@ -185,44 +184,34 @@ def decode_cow_readings(record: DetectionRecord, offset: int, n_readings: int) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Truth of the three detection-control inequalities.
+def blinding_feasible(detector: DetectorSettings, t_b: float | None) -> dict[str, bool]:
+    """The detection-control inequalities of a detector's rails, as
+    ``AttackOutcome.feasibility`` holds them.
 
-    * ``rail_gap``: ``p_always < 2 * p_never`` (flawless control of one
-      detector pair; the even split of a vacuum event stays under the
-      never-click rail).
+    * ``rail_gap``: ``p_always < 2 * p_never`` on the rails of the pair over
+      which a vacuum reading splits evenly (flawless control of the pair):
+      D1 and D2 on the plain rails for DPS, which has no splitter (``t_b``
+      None) and reports this flag alone; D_M1 and D_M2 on the ``_m`` rails
+      for COW.
     * ``monitor_drive_hidden_from_data``: the monitor-level trigger leaking
       into the data line stays below the data never-click rail,
       ``t_b/(1-t_b) * p_always_m < p_never_b``.
     * ``data_drive_hidden_from_monitor``: the data-level trigger leaking into
       the monitoring line, split over its two detectors, stays below the
       monitor never-click rail, ``(1-t_b)/t_b * p_always_b < 2 * p_never_m``.
-
-    ``marginal`` flags any inequality sitting exactly at its boundary.
+    * ``marginal``: any of the three sits exactly at its boundary.
     """
-
-    rail_gap: bool
-    monitor_drive_hidden_from_data: bool
-    data_drive_hidden_from_monitor: bool
-    marginal: bool
-
-    def as_dict(self) -> dict[str, bool]:
-        return asdict(self)
-
-
-def blinding_feasible(detector: DetectorSettings, t_b: float) -> FeasibilityReport:
-    """Evaluate the detection-control inequalities of a detector's rails for a
-    splitter transmittance."""
-    lhs1, rhs1 = detector.p_always, 2.0 * detector.p_never
+    if t_b is None:
+        return {"rail_gap": detector.p_always < 2.0 * detector.p_never}
+    lhs1, rhs1 = detector.p_always_m, 2.0 * detector.p_never_m
     lhs2, rhs2 = t_b / (1.0 - t_b) * detector.p_always_m, detector.p_never_b
     lhs3, rhs3 = (1.0 - t_b) / t_b * detector.p_always_b, 2.0 * detector.p_never_m
-    return FeasibilityReport(
-        rail_gap=lhs1 < rhs1,
-        monitor_drive_hidden_from_data=lhs2 < rhs2,
-        data_drive_hidden_from_monitor=lhs3 < rhs3,
-        marginal=(lhs1 == rhs1) or (lhs2 == rhs2) or (lhs3 == rhs3),
-    )
+    return {
+        "rail_gap": lhs1 < rhs1,
+        "monitor_drive_hidden_from_data": lhs2 < rhs2,
+        "data_drive_hidden_from_monitor": lhs3 < rhs3,
+        "marginal": (lhs1 == rhs1) or (lhs2 == rhs2) or (lhs3 == rhs3),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -231,40 +220,34 @@ def blinding_feasible(detector: DetectorSettings, t_b: float) -> FeasibilityRepo
 
 
 def trojan_probe(
-    protocol: str,
-    alice_modulation: Sequence[int],
+    encoded: PulseTrain,
+    codes: np.ndarray,
     probe: TrojanSettings,
     excess_loss_db: float = 0.0,
 ) -> tuple[PulseTrain, np.ndarray]:
     """Back-reflection of Eve's probe off Alice's modulator.
 
-    ``alice_modulation`` is Alice's per-slot drive: phase bits for DPS, slot
-    occupancy for COW.  The reflected train carries the same modulation when
-    the timing offset is zero; a nonzero offset shifts which slot's modulation
-    each probe pulse picks up (0 where it meets no slot of Alice's).  Total
-    attenuation is the reflection loss plus the wavelength-dependent excess
-    loss of the probe band.
+    The probe passes back through Alice's encoder, so its reflection is her
+    encoder's output at the probe's amplitude: ``encoded`` and ``codes``, in
+    coded form (see ``protocols.receive``), as ``dps_encode`` or
+    ``cow_encode`` give it.  A nonzero timing offset shifts which of Alice's
+    slots each probe pulse picks up: probe slot ``k`` takes the code of
+    Alice's slot ``k - timing_offset_slots``, and code 0 where it meets none.
+    Total attenuation is the reflection loss plus the wavelength-dependent
+    excess loss of the probe band.
 
-    Returns the reflection in coded form (see ``protocols.receive``): the
-    reflected fields of modulation values 0 and 1, and the shifted
-    modulation, one int8 code per slot.  The modulator and the attenuation are
-    slot-local, so each value's reflection, computed once on a two-slot
-    probe, equals that of every slot that carries it, bit for bit.
+    Returns the reflected fields, one per value, and the shifted codes, one
+    int8 code per slot.  The attenuation is slot-local, so each value's
+    reflection equals that of every slot that carries it, bit for bit.
     """
-    mod = np.asarray(alice_modulation)
-    n = mod.size
+    n = codes.shape[0]
     # Probe slot k picks up Alice's slot k - offset, where that slot exists.
     off = probe.timing_offset_slots
     lo, hi = max(off, 0), min(n, n + off)
     shifted = np.zeros(n, dtype=np.int8)
     if lo < hi:
-        shifted[lo:hi] = mod[lo - off : hi - off]
-    source = cw_laser(2, probe.probe_amplitude)
-    if protocol == "dps":
-        per_value = phase_modulator(source, np.pi * np.arange(2))
-    else:
-        per_value = pulse_carver(source, np.arange(2))
-    return attenuate(per_value, probe.reflection_db + excess_loss_db), shifted
+        shifted[lo:hi] = codes[lo - off : hi - off]
+    return attenuate(encoded, probe.reflection_db + excess_loss_db), shifted
 
 
 def trojan_decode(
@@ -283,7 +266,6 @@ def trojan_decode(
     the intensity pattern.  A probe at or below ``min_intensity`` clicks no
     detector.  Eve's key comes from these clicks as in the other attacks.
     """
-    codes = _as_codes(codes, 1)
     power = reflected.intensities
     # The peak over the values some slot carries: the codes are 0 and 1, so
     # those from the least code to the greatest.

@@ -56,7 +56,6 @@ from .protocols import (
     _DECOY,
     _interfaces,
     cow_encode,
-    cow_occupancy,
     cow_sift,
     dps_encode,
     dps_sift,
@@ -118,6 +117,15 @@ def _alice_material(cfg: ScenarioConfig, rngs: RngFactory) -> np.ndarray:
     return draws.astype(np.int8)
 
 
+def _encode(cfg: ScenarioConfig, codes: np.ndarray, amplitude: float) -> tuple[PulseTrain, np.ndarray]:
+    """Alice's encoder driven by her ``codes`` and lit at ``amplitude``: her
+    coded train (see ``receive``), the fields of her values and one code per
+    slot."""
+    if cfg.protocol == "dps":
+        return dps_encode(codes, amplitude)
+    return cow_encode(codes, amplitude)
+
+
 def _transmit(cfg: ScenarioConfig, codes: np.ndarray) -> tuple[PulseTrain, np.ndarray]:
     """Alice's encoder and the channel: the train arriving at Bob, coded (see
     ``receive``).  The channel's phase tamper modulates slot ``k`` by the
@@ -125,10 +133,7 @@ def _transmit(cfg: ScenarioConfig, codes: np.ndarray) -> tuple[PulseTrain, np.nd
     modulator is slot-local, so it runs once on each pair of Alice's field
     and distinct phase, and each slot takes its pair's code: bit for bit the
     modulation of the full-length train."""
-    if cfg.protocol == "dps":
-        train, slot_codes = dps_encode(codes, cfg.amplitude)
-    else:
-        train, slot_codes = cow_encode(codes, cfg.amplitude)
+    train, slot_codes = _encode(cfg, codes, cfg.amplitude)
     pattern = cfg.channel.phase_tamper_half_turns
     if pattern is None:
         return train, slot_codes
@@ -228,8 +233,11 @@ def _run_backflash(cfg: ScenarioConfig, rngs: RngFactory, run: ProtocolRun) -> t
 def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun) -> tuple[tuple[np.ndarray, np.ndarray], dict[str, Any]]:
     """Backward probe pass: watchdog tap at Alice's entrance, reflection off her
     modulator, wavelength separation and Eve's replica decode; returns Eve's
-    key and the alarms.  The forward signal is untouched; Bob's entrance
-    filter keeps the probe band away from his detectors."""
+    key and the alarms.  Past the tap the probe passes back through Alice's
+    encoder, so its reflection is her coded train at the probe's amplitude,
+    which ``trojan_probe`` shifts and attenuates.  The forward signal is
+    untouched; Bob's entrance filter keeps the probe band away from his
+    detectors."""
     s = cfg.attack.trojan
     wd_alarm = False
     probe_amplitude = s.probe_amplitude
@@ -240,12 +248,9 @@ def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun) -> tuple[tuple[np.ndarray
         wd_alarm = watchdog(probe_in, cm.tap_fraction, cm.intensity_threshold)
         probe_amplitude = s.probe_amplitude * float(np.sqrt(1.0 - cm.tap_fraction))
 
-    modulation = run.alice_codes if cfg.protocol == "dps" else cow_occupancy(run.alice_codes)
-    probe_cfg = s if probe_amplitude == s.probe_amplitude else replace(s, probe_amplitude=probe_amplitude)
     reflected, codes = trojan_probe(
-        cfg.protocol,
-        modulation,
-        probe_cfg,
+        *_encode(cfg, run.alice_codes, probe_amplitude),
+        s,
         excess_loss_db=cfg.channel.excess_loss_for(s.probe_wavelength_nm),
     )
     # Both bands co-propagate back up Alice's output fiber; Eve's ideal
@@ -320,10 +325,10 @@ def _run_blinding(
 
     if cfg.protocol == "dps":
         plan = fsg_dps_phases(readings, s.policy, launch_intensity=rails.p_always)
-        feasibility = {"rail_gap": blinding_feasible(rails, cfg.t_b).rail_gap}
+        feasibility = blinding_feasible(rails, None)
     else:
         plan = fsg_cow_drive(readings, cfg.t_b, rails)
-        feasibility = blinding_feasible(rails, cfg.t_b).as_dict()
+        feasibility = blinding_feasible(rails, cfg.t_b)
     trigger, trigger_codes = plan.trigger()
     offset = plan.readings_slot_offset
     del plan  # Bob's blinded receive is where a run peaks: only the trigger is read there

@@ -443,7 +443,9 @@ def cow_encode_chain(sym: str, amplitude: float) -> PulseTrain:
 
 
 def trojan_probe_chain(protocol: str, modulation, probe, excess_loss_db: float) -> PulseTrain:
-    """The probe's reflection with the modulator run over every slot."""
+    """The probe's reflection with the modulator run over every slot: a CW
+    probe through Alice's modulator, driven by her per-slot ``modulation``
+    shifted by the timing offset, then attenuated."""
     mod = np.asarray(modulation, dtype=np.float64)
     n = mod.size
     shifted = np.zeros(n, dtype=np.float64)

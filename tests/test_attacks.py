@@ -16,9 +16,11 @@ from dprsim.attacks import (
     trojan_decode,
     trojan_probe,
 )
-from dprsim.config import WORKED_EXAMPLE_READINGS, BlindingSettings, DetectorSettings, TrojanSettings
+from dprsim.config import WORKED_EXAMPLE_READINGS, BlindingSettings, DetectorSettings, TrojanSettings, scenario_from_dict
 from dprsim.optics import attenuate
-from dprsim.protocols import cow_occupancy, dps_reference_bits, receive
+from dprsim.protocols import cow_encode, cow_occupancy, dps_encode, dps_reference_bits, receive
+from dprsim.report import summarize
+from dprsim.scenario import run_scenario
 
 from _oracles import gathered
 
@@ -171,28 +173,46 @@ def test_step_tables_target_the_right_ports():
 
 
 def test_feasibility_marginal_at_exact_rail_ratio():
-    th = DetectorSettings(p_always=0.4, p_never=0.2)
+    th = DetectorSettings(p_always_m=0.4, p_never_m=0.2)
     report = blinding_feasible(th, 0.5)
-    assert not report.rail_gap
-    assert report.marginal
+    assert not report["rail_gap"]
+    assert report["marginal"]
+    assert blinding_feasible(DetectorSettings(p_always=0.4, p_never=0.2), None) == {"rail_gap": False}
 
 
 def test_feasibility_strict_rail_ratio_passes():
-    th = DetectorSettings(p_always=0.39, p_never=0.2)
+    th = DetectorSettings(p_always_m=0.39, p_never_m=0.2)
     report = blinding_feasible(th, 0.5)
-    assert report.rail_gap
-    assert not report.marginal
+    assert report["rail_gap"]
+    assert not report["marginal"]
+    assert blinding_feasible(DetectorSettings(p_always=0.39, p_never=0.2), None) == {"rail_gap": True}
 
 
 def test_feasibility_fails_near_unity_transmittance():
     th = DetectorSettings(p_always_m=0.3, p_never_b=0.3)
     report = blinding_feasible(th, 0.9)
-    assert not report.monitor_drive_hidden_from_data  # 9 * P >= P
+    assert not report["monitor_drive_hidden_from_data"]  # 9 * P >= P
 
 
 def test_feasibility_default_thresholds_work_at_half_transmittance():
     report = blinding_feasible(COW_RAILS, 0.5)
-    assert report.rail_gap and report.monitor_drive_hidden_from_data and report.data_drive_hidden_from_monitor
+    assert report["rail_gap"] and report["monitor_drive_hidden_from_data"] and report["data_drive_hidden_from_monitor"]
+
+
+@pytest.mark.parametrize("narrowed, gap", [("p_never", True), ("p_never_m", False)])
+def test_cow_rail_gap_is_that_of_the_monitor_rails(narrowed, gap):
+    # A vacuum reading splits its monitor-level pulse over D_M1 and D_M2, so
+    # COW's gap is p_always_m < 2 * p_never_m; the plain DPS pair plays no
+    # part.  Narrowed to 0.15, a pair's never-click rail is under half of
+    # 0.39, and where it is the monitors' pair Bob's record departs from
+    # Eve's readings.
+    cfg = scenario_from_dict({
+        "protocol": "cow", "n_symbols": 2000, "t_b": 0.5, "seed": 3, "detector": {narrowed: 0.15},
+        "attack": {"kind": "blinding", "blinding": {"style": "pulsed"}},
+    })
+    record = run_scenario(cfg)
+    assert record.attack.feasibility["rail_gap"] is gap
+    assert summarize(record).bob_record_equals_eve_readings is gap
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,9 +233,9 @@ def test_feasibility_monotone_in_rails(p_always, bump, t_b):
         p_always=p_always + bump, p_never=0.3, p_always_b=p_always + bump, p_never_b=0.3,
         p_always_m=p_always + bump, p_never_m=0.3,
     )
-    ok_base = blinding_feasible(base, t_b).as_dict()
-    ok_wide = blinding_feasible(wider, t_b).as_dict()
-    ok_narrow = blinding_feasible(narrower, t_b).as_dict()
+    ok_base = blinding_feasible(base, t_b)
+    ok_wide = blinding_feasible(wider, t_b)
+    ok_narrow = blinding_feasible(narrower, t_b)
     for key in ("rail_gap", "monitor_drive_hidden_from_data", "data_drive_hidden_from_monitor"):
         assert ok_wide[key] >= ok_base[key]
         assert ok_narrow[key] <= ok_base[key]
@@ -232,6 +252,17 @@ def dps_probe(**kw):
     return TrojanSettings(**defaults)
 
 
+def dps_reflection(bits, probe, excess_loss_db=0.0):
+    """The probe's reflection off a DPS Alice sending ``bits``: her encoder's
+    output at the probe's amplitude, shifted and attenuated, coded."""
+    return trojan_probe(*dps_encode(np.asarray(bits, dtype=np.int8), probe.probe_amplitude), probe, excess_loss_db)
+
+
+def cow_reflection(symbol_codes, probe):
+    """The probe's reflection off a COW Alice sending ``symbol_codes``."""
+    return trojan_probe(*cow_encode(np.asarray(symbol_codes, dtype=np.int8), probe.probe_amplitude), probe)
+
+
 def dps_readout(coded) -> list[int]:
     """Eve's bit at each interior slot of her replica's record: 1 for a D2
     click, 0 for D1; exactly one of them clicks at each."""
@@ -244,21 +275,21 @@ def dps_readout(coded) -> list[int]:
 
 def test_probe_reflects_alices_phase_sequence():
     bits = np.array([0, 1, 1, 0, 1])
-    reflected = gathered(*trojan_probe("dps", bits, dps_probe()))
+    reflected = gathered(*dps_reflection(bits, dps_probe()))
     expected = np.exp(1j * np.pi * bits)
     np.testing.assert_allclose(reflected.slots, expected, atol=1e-12)
 
 
 def test_probe_decode_recovers_the_key():
     bits = np.array([0, 1, 0, 0, 1, 1, 0])
-    reflected = trojan_probe("dps", bits, dps_probe())
+    reflected = dps_reflection(bits, dps_probe())
     assert dps_readout(reflected) == dps_reference_bits(bits).tolist()
 
 
 def test_probe_timing_offset_shifts_the_decoded_key():
     bits = np.array([0, 1, 0, 0, 1, 1, 0, 1])
-    aligned = dps_readout(trojan_probe("dps", bits, dps_probe()))
-    shifted = dps_readout(trojan_probe("dps", bits, dps_probe(timing_offset_slots=1)))
+    aligned = dps_readout(dps_reflection(bits, dps_probe()))
+    shifted = dps_readout(dps_reflection(bits, dps_probe(timing_offset_slots=1)))
     assert shifted != aligned
     # The shifted profile is the same bit stream delayed by one slot with a
     # vacuum-slot lead-in, so the tail of the decoded key matches.
@@ -268,29 +299,28 @@ def test_probe_timing_offset_shifts_the_decoded_key():
 
 def test_probe_excess_loss_at_long_wavelength():
     bits = np.array([0, 1, 0])
-    base = gathered(*trojan_probe("dps", bits, dps_probe(), excess_loss_db=0.0))
-    lossy = gathered(*trojan_probe("dps", bits, dps_probe(probe_wavelength_nm=1924.0), excess_loss_db=20.0))
+    base = gathered(*dps_reflection(bits, dps_probe(), excess_loss_db=0.0))
+    lossy = gathered(*dps_reflection(bits, dps_probe(probe_wavelength_nm=1924.0), excess_loss_db=20.0))
     ratio = lossy.intensities[0] / base.intensities[0]
     assert ratio == pytest.approx(0.01)
 
 
 def test_probe_below_eve_sensitivity_gives_empty_estimate():
     bits = np.array([0, 1, 0])
-    reflected, codes = trojan_probe("dps", bits, dps_probe())
+    reflected, codes = dps_reflection(bits, dps_probe())
     record = trojan_decode(attenuate(reflected, 200.0), codes, "dps", min_intensity=1e-15)
     assert record.names == ["D1", "D2"] and len(record["D1"]) == 4
     assert record["D1"].click_count == record["D2"].click_count == 0
-    cow, codes = trojan_probe("cow", [1, 0, 1, 1], dps_probe())
+    cow, codes = cow_reflection([0, 2], dps_probe())  # occupancy 1, 0, 1, 1
     assert trojan_decode(attenuate(cow, 200.0), codes, "cow", min_intensity=1e-15)["D_B"].click_count == 0
 
 
 def test_probe_reads_cow_intensity_pattern():
     symbols = [0, 1, 2, 1, 0, 0, 0, 1, 2, 1]  # "01d10001d1"
-    occ = cow_occupancy(symbols)
-    reflected, codes = trojan_probe("cow", occ, dps_probe())
+    reflected, codes = cow_reflection(symbols, dps_probe())
     record = trojan_decode(reflected, codes, "cow")
     assert record.names == ["D_B"]
-    assert record.clicks("D_B").tolist() == occ.astype(bool).tolist()
+    assert record.clicks("D_B").tolist() == cow_occupancy(symbols).astype(bool).tolist()
 
 
 def test_probe_threshold_follows_the_values_its_slots_carry():
@@ -298,8 +328,8 @@ def test_probe_threshold_follows_the_values_its_slots_carry():
     # carver's extinguished value, whose faint light Eve's threshold then
     # follows: every slot clicks alike.  A peak over both values would take
     # the pulse level that no slot carries, and nothing would click.
-    occ = cow_occupancy([0, 1, 2])
-    reflected, codes = trojan_probe("cow", occ, dps_probe(timing_offset_slots=occ.size))
+    symbols = [0, 1, 2]
+    reflected, codes = cow_reflection(symbols, dps_probe(timing_offset_slots=2 * len(symbols)))
     assert not codes.any() and 0.0 < reflected.intensities[0] < 1e-30
     record = trojan_decode(reflected, codes, "cow", min_intensity=0.0)
     assert record.clicks("D_B").all()

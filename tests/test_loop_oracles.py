@@ -219,8 +219,9 @@ def test_cow_drive_matches_loop(readings, t_b):
 @example((1.0, 4.0), (0.0, 0.0), [0, 0, 0], ("01d" * 7)[:20])  # the brighter value on no slot
 @settings(max_examples=200)
 def test_trojan_decode_matches_loops(intensity, phase, slot_codes, symbols):
-    # A reflection in coded form, as the probe returns it: two values and a code per slot.
+    # A reflection in coded form, as the probe returns it: two values and an int8 code per slot.
     values = PulseTrain(np.sqrt(intensity) * np.exp(1j * np.array(phase)))
+    slot_codes = np.array(slot_codes, dtype=np.int8)
     reflected = oracle.gathered(values, slot_codes)
     n = len(slot_codes)
     peak = float(np.max(reflected.intensities))
@@ -446,16 +447,25 @@ complex_slots = st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).m
 
 @given(
     st.lists(st.integers(0, 1), min_size=1, max_size=40),
+    symbols,
     st.sampled_from(["dps", "cow"]),
     st.sampled_from([1e-3, 1.0, 37.5]) | st.floats(1e-3, 1e3),
     st.integers(-90, 90),
     st.floats(0.0, 40.0),
 )
-@example([0, 1, 1], "dps", 1.0, -5, 0.0)  # an offset past the train's start by more than its length
+@example([0, 1, 1], "0", "dps", 1.0, -5, 0.0)  # an offset past the train's start by more than its length
+@example([0, 1, 1, 0], "0", "dps", 0.3, 2, 0.0)
+@example([0], "01d", "cow", 0.3, 3, 0.0)
+@example([0], "d10", "cow", 1.0, -1, 6.0)
 @settings(max_examples=300)
-def test_trojan_probe_matches_full_length_chain(modulation, protocol, amplitude, offset, reflection_db):
+def test_trojan_probe_matches_full_length_chain(bits, sym, protocol, amplitude, offset, reflection_db):
+    # The probe reflects off Alice's encoder: her coded train at the probe's amplitude.
     probe = TrojanSettings(probe_amplitude=amplitude, timing_offset_slots=offset, reflection_db=reflection_db)
-    got = oracle.gathered(*trojan_probe(protocol, modulation, probe, excess_loss_db=3.0))
+    if protocol == "dps":
+        encoded, modulation = dps_encode(np.array(bits, dtype=np.int8), amplitude), bits
+    else:
+        encoded, modulation = cow_encode(codes(sym), amplitude), oracle.cow_occupancy_loop(sym)
+    got = oracle.gathered(*trojan_probe(*encoded, probe, excess_loss_db=3.0))
     _same_train(got, oracle.trojan_probe_chain(protocol, modulation, probe, 3.0))
 
 

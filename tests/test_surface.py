@@ -139,3 +139,14 @@ def test_a_golden_run_and_its_report_import_no_yaml(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_protocol_branches_do_not_grow():
+    # ROADMAP item 7 replaces the comparisons on the protocol's name with one
+    # table per protocol.  Until then their count may only fall: a new
+    # branch pairs a DPS part with a COW part where the table should.
+    branches = sum(
+        text.count('protocol == "') + text.count('protocol != "')
+        for text in (path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py"))
+    )
+    assert branches <= 14
