@@ -259,23 +259,12 @@ def _record_chunks(record: RunRecord) -> list[Any]:
     return [*chunks, trailer.encode("ascii")]
 
 
-def _find(data: np.ndarray, needle: bytes, start: int) -> int:
-    """Offset of the first ``needle`` in ``data`` from ``start`` on, or -1;
-    reads a block at a time, so a hit near ``start`` copies little."""
-    block = 1 << 16
-    for at in range(start, data.shape[0], block):
-        found = bytes(data[at : at + block + len(needle) - 1]).find(needle)
-        if found >= 0:
-            return at + found
-    return -1
-
-
-def _version_error(data: np.ndarray, end: int) -> str:
-    version = bytes(data[:end]).decode("ascii", "replace") if end >= 0 else None
+def _version_error(buf: Any, end: int) -> str:
+    version = buf[:end].decode("ascii", "replace") if end >= 0 else None
     fmt = version
-    if bytes(data[:1]) == b"{":  # /1 and /2 record files are one JSON document
+    if buf[:1] == b"{":  # /1 and /2 record files are one JSON document
         try:
-            fmt = json.loads(bytes(data)).get("format")
+            fmt = json.loads(buf[:]).get("format")
         except (ValueError, AttributeError):
             fmt = None
     if fmt in _RETIRED_FORMATS:
@@ -285,16 +274,16 @@ def _version_error(data: np.ndarray, end: int) -> str:
     return f"unsupported record version {version!r}"
 
 
-def _record_from_bytes(data: np.ndarray) -> RunRecord:
-    """Decode a record file held as bytes (``uint8``) in ``data``; its arrays
-    are writable views into ``data``, aligned where ``data`` is."""
-    version_end = _find(data[:64], b"\n", 0)
-    if version_end < 0 or bytes(data[:version_end]) != RECORD_FORMAT.encode("ascii"):
-        raise ValueError(_version_error(data, version_end))
-    header_end = _find(data, b"\n", version_end + 1)
+def _record_from_bytes(buf: Any) -> RunRecord:
+    """Decode a record file held in ``buf``, a writable buffer with ``find`` (an
+    mmap or a bytearray); its arrays are views into ``buf``, aligned where it is."""
+    version_end = buf.find(b"\n", 0, 64)
+    if version_end < 0 or buf[:version_end] != RECORD_FORMAT.encode("ascii"):
+        raise ValueError(_version_error(buf, version_end))
+    header_end = buf.find(b"\n", version_end + 1)
     if header_end < 0:
         raise ValueError("missing header line")
-    text = bytes(data[version_end + 1 : header_end])
+    text = buf[version_end + 1 : header_end]
     try:
         header = json.loads(text)
     except ValueError as exc:
@@ -305,15 +294,15 @@ def _record_from_bytes(data: np.ndarray) -> RunRecord:
     if _canonical(header) != text or not header.keys().isdisjoint(_VOLATILE):
         raise ValueError("the header is not canonical (sorted keys, compact JSON, no wall_time_s)")
     start = header_end + 1
-    tree, end = _map_arrays(header, data, start, "")
+    tree, end = _map_arrays(header, np.frombuffer(buf, dtype=np.uint8), start, "")
 
-    line, newline, extra = bytes(data[end:]).partition(b"\n")
+    line, newline, extra = buf[end:].partition(b"\n")
     try:
         trailer = json.loads(line)
     except ValueError:
         trailer = None
     if not (newline and not extra and isinstance(trailer, dict)):
-        found = _find(data, b'{"wall_time_s"', start)
+        found = buf.find(b'{"wall_time_s"', start)
         if found >= 0 and found != end:
             raise ValueError(f"array bytes: the header's shapes take {end - start}, the file holds {found - start}")
         if not line and not newline:

@@ -4,13 +4,16 @@ Every emitted file parses back into the in-memory values exactly.
 ``metrics.json`` carries a ``format`` key.  ``record.json`` is a record file
 of format ``record.RECORD_FORMAT``, laid out as :class:`RunRecord` states:
 the bytes that the record's content hash covers, framed.  It is the one
-per-slot output, and :func:`load_record` maps it back into per-detector
-arrays, aligned views of the one buffer it reads the file into.
+per-slot output.  :func:`load_record` decodes it as aligned, writable views of
+a private copy-on-write mapping, with no copy; :func:`save_record` replaces the
+file whole.  Rewriting one in place by other means (``cp`` onto it) while a
+loaded record maps it is unsupported: Linux raises SIGBUS.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -127,14 +130,22 @@ def emit_outputs(record: RunRecord, directory: str | Path) -> list[Path]:
 
 
 def save_record(record: RunRecord, path: str | Path) -> None:
-    with Path(path).open("wb") as fh:
-        fh.writelines(_record_chunks(record))
+    """Write a record file whole: a sibling temporary file replaces ``path``."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.writelines(_record_chunks(record))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_record(path: str | Path) -> RunRecord:
-    """Read a record file; its arrays are writable, aligned views into one
-    buffer, allocated unzeroed and filled by one read."""
+    """Read a record file; its arrays are writable, aligned views of one private
+    copy-on-write mapping of the file (an empty file, which mmap refuses, reads
+    as no bytes).  Only :func:`save_record` may rewrite the file meanwhile."""
     with Path(path).open("rb") as fh:
-        data = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
-        size = fh.readinto(data)
-    return _record_from_bytes(data[:size])
+        buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY) if os.fstat(fh.fileno()).st_size else bytearray()
+    return _record_from_bytes(buf)

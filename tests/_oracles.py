@@ -10,7 +10,9 @@ it, and derives each detector's photocurrent from its intensity and the
 run's blinding settings (``DetectorTrace.photocurrent``), as the record no
 longer stores it.  ``split_record_file``
 and ``join_record_file`` read and write the layout of a record file, its
-padded arrays included, independently of the package's codec.  The ``*_loop`` functions keep the per-slot and
+padded arrays included, independently of the package's codec, and
+``load_record_copied`` keeps the record loader as it read the file into one
+buffer of its own before it mapped the file.  The ``*_loop`` functions keep the per-slot and
 per-symbol Python loops that whole-array code replaced, so the replacements
 can be compared with them on random inputs.  The ``*_chain`` functions keep
 Alice's transmitters as they ran over every slot of the train, before the
@@ -42,12 +44,15 @@ import cmath
 import hashlib
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
 from dprsim.config import DetectorSettings, scenario_from_dict
 from dprsim.detectors import _RAIL_TOL, DetectionRecord, apd_detect
 from dprsim.optics import PulseTrain, attenuate, coupler_2x2, cw_laser, dli, phase_modulator, pulse_carver
+from dprsim.record import _record_from_bytes
 
 
 def brute_force_dli_ports(amplitudes, delay: int = 1) -> tuple[list[float], list[float]]:
@@ -230,6 +235,17 @@ def join_record_file(version: bytes, tree: dict, raw: bytes, trailer: bytes) -> 
         out += raw[at : at + _array_bytes(leaf)]
         at += _array_bytes(leaf)
     return bytes(out + raw[at:] + trailer)
+
+
+def load_record_copied(path):
+    """``report.load_record`` as it copied the file: one read into a buffer of
+    the file's size, then the package's decoder.  The buffer is a bytearray,
+    not the ``np.empty`` it was, because the decoder now searches its buffer
+    with ``find``."""
+    with Path(path).open("rb") as fh:
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        del data[fh.readinto(data) :]
+    return _record_from_bytes(data)
 
 
 # ---------------------------------------------------------------------------

@@ -433,6 +433,8 @@ BAD_RECORDS = {
         "unsupported record version 'dprsim-record/10'",
     ),
     "no-version": (lambda d: d[d.index(b"\n") + 1 :], f"missing version line {RECORD_FORMAT!r}"),
+    # mmap refuses an empty file; the loader reads it as no bytes instead.
+    "empty": (lambda d: b"", f"missing version line {RECORD_FORMAT!r}"),
     "format-1": (
         lambda d: b'{"format": "dprsim-record/1", "config": {}}',
         "dprsim-record/1 file, which is no longer read",

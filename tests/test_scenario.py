@@ -1,18 +1,23 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dprsim
 from dprsim.cli import main
 from dprsim.config import AttackSettings, BlindingSettings, ConfigError, DetectorSettings, ScenarioConfig, scenario_from_dict
 from dprsim.detectors import apd_detect
 from dprsim.goldens import GOLDENS, golden_config_dict
-from dprsim.report import emit_outputs, load_record, save_record
+from dprsim.report import emit_outputs, load_record, save_record, summarize
 from dprsim.scenario import (
     RngFactory,
     RunRecord,
@@ -27,7 +32,14 @@ from dprsim.scenario import (
     sweep,
 )
 
-from _oracles import blinding_light, blinding_trace_loop, join_record_file, record_v1_hash, split_record_file
+from _oracles import (
+    blinding_light,
+    blinding_trace_loop,
+    join_record_file,
+    load_record_copied,
+    record_v1_hash,
+    split_record_file,
+)
 
 SMALL_DPS = {"protocol": "dps", "n_symbols": 16, "seed": 5}
 
@@ -439,6 +451,33 @@ def test_loaded_arrays_are_writable_and_keep_their_dtypes(tmp_path):
     run.record[run.record.names[0]].clicks[0] ^= True
     run.sifted_bob[:] = False
     assert clone.content_hash() != record.content_hash()
+    # The arrays map the file copy-on-write: the writes stay in the clone.
+    assert load_record(path).content_hash() == record.content_hash()
+
+
+def test_a_loaded_record_outlives_rewrites_of_its_file(tmp_path):
+    # A loaded record maps its file, and each rewrite replaces the file whole,
+    # so the record keeps its bytes.  Truncating a mapped file instead makes
+    # the record's next read raise SIGBUS, so a child process runs the steps.
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from dprsim import emit_outputs, load_record, run_scenario, save_record, scenario_from_dict\n"
+        "out = Path(sys.argv[1])\n"
+        "big = run_scenario(scenario_from_dict({'protocol': 'dps', 'n_symbols': 100_000, 'seed': 1}))\n"
+        "small = run_scenario(scenario_from_dict({'protocol': 'dps', 'n_symbols': 15, 'seed': 1}))\n"
+        "save_record(big, out / 'record.json')\n"
+        "loaded = load_record(out / 'record.json')\n"
+        "save_record(small, out / 'record.json')\n"
+        "assert loaded.content_hash() == big.content_hash(), 'save_record'\n"
+        "emit_outputs(small, out)\n"
+        "assert loaded.content_hash() == big.content_hash(), 'emit_outputs'\n"
+        "assert load_record(out / 'record.json').content_hash() == small.content_hash()\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dprsim.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["alice.key", "bob.key", "metrics.json", "record.json"]
 
 
 @pytest.mark.parametrize("name", ["cow-blinding", "cow-blinding-cw", "dps-blinding-derived"])
@@ -554,6 +593,14 @@ def test_saved_golden_files_hash_to_their_pins(golden_records, tmp_path):
         span = _hashed_span((tmp_path / f"{name}.json").read_bytes())
         digest = hashlib.sha256(span).hexdigest()
         assert digest == record.content_hash() == GOLDEN_RECORD_HASHES[name], name
+
+
+def test_mapped_and_copied_loads_of_the_goldens_agree(golden_records, tmp_path):
+    for name, record in golden_records.items():
+        save_record(record, tmp_path / "record.json")
+        mapped, copied = load_record(tmp_path / "record.json"), load_record_copied(tmp_path / "record.json")
+        assert mapped.content_hash() == copied.content_hash() == record.content_hash(), name
+        assert json.dumps(summarize(mapped).to_dict()) == json.dumps(summarize(copied).to_dict()), name
 
 
 def test_golden_text_outputs_are_pinned(golden_records, tmp_path):
