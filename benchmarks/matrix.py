@@ -1,8 +1,10 @@
 """Time dprsim over every protocol x attack kind at several sizes.
 
-For each cell the tool times ``run_scenario`` (the simulation alone) and
+For each cell the tool times ``run_scenario`` (the simulation alone),
 ``dprsim run`` end to end (in-process ``cli.main``: simulation, record
-assembly, hashing and every output file), each ``--repeats`` times.  The
+assembly, hashing and every output file) and the read side of the record
+that run wrote (``load_record``, ``content_hash`` and ``summarize``), each
+``--repeats`` times.  The
 repeats are interleaved: each one runs every cell once before the next
 starts, so drift of the host spreads over all cells instead of landing on
 whole ones.  One more, untimed ``run_scenario`` per cell records its peak
@@ -45,6 +47,7 @@ import yaml  # noqa: E402
 
 from dprsim import cli  # noqa: E402
 from dprsim.config import scenario_from_dict  # noqa: E402
+from dprsim.report import load_record, summarize  # noqa: E402
 from dprsim.scenario import run_scenario  # noqa: E402
 
 PROTOCOLS = ("dps", "cow")
@@ -55,7 +58,7 @@ NOISY = {
     "dead-3": {"dead_time_slots": 3},
     "afterpulse-1e-2": {"afterpulse_prob": 0.01},
 }
-FORMAT = "dprsim-bench-matrix/2"
+FORMAT = "dprsim-bench-matrix/3"
 SEED = 1
 
 
@@ -100,13 +103,21 @@ def time_sim(doc: dict) -> float:
     return time.perf_counter() - started
 
 
-def time_cli(config: Path, outdir: Path) -> tuple[float, int]:
+def time_cli(config: Path, outdir: Path) -> tuple[float, float, int]:
+    """Seconds of one ``dprsim run``, seconds to verify the record it wrote,
+    and its exit code."""
     started = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["run", "--config", str(config), "--out", str(outdir)])
     elapsed = time.perf_counter() - started
+    started = time.perf_counter()
+    loaded = load_record(outdir / "record.json")
+    loaded.content_hash()
+    summarize(loaded)
+    read = time.perf_counter() - started
+    del loaded
     shutil.rmtree(outdir)
-    return elapsed, code
+    return elapsed, read, code
 
 
 def memory(doc: dict) -> tuple[int, int]:
@@ -120,7 +131,9 @@ def memory(doc: dict) -> tuple[int, int]:
     return peak, sum(arr.nbytes for arr in record._hashed()[1])
 
 
-def cell_result(doc: dict, detector: str, sim: list[float], end_to_end: list[float], codes: list[int]) -> dict:
+def cell_result(
+    doc: dict, detector: str, sim: list[float], end_to_end: list[float], read: list[float], codes: list[int]
+) -> dict:
     peak, record_bytes = memory(doc)
     n = doc["n_symbols"]
     return {
@@ -135,6 +148,7 @@ def cell_result(doc: dict, detector: str, sim: list[float], end_to_end: list[flo
         "record_array_bytes": record_bytes,
         "peak_to_record": peak / record_bytes,
         "cli_run_s": _summary(end_to_end),
+        "read_s": _summary(read),
         "cli_exit_codes": codes,
     }
 
@@ -150,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
 
     kinds = [(attack, "ideal") for attack in ATTACKS] + [("none", detector) for detector in NOISY]
     plan = [(scenario(p, a, n, d), d) for n in args.sizes for p in PROTOCOLS for a, d in kinds]
-    sim, end_to_end, codes = ([[] for _ in plan] for _ in range(3))
+    sim, end_to_end, read, codes = ([[] for _ in plan] for _ in range(4))
     with tempfile.TemporaryDirectory(prefix="dprsim-matrix-") as tmp:
         configs = []
         for i, (doc, _) in enumerate(plan):
@@ -160,12 +174,13 @@ def main(argv: list[str] | None = None) -> int:
         for repeat in range(args.repeats):
             for i, (doc, _) in enumerate(plan):
                 sim[i].append(time_sim(doc))
-                seconds, code = time_cli(configs[i], Path(tmp) / "run")
+                seconds, verify, code = time_cli(configs[i], Path(tmp) / "run")
                 end_to_end[i].append(seconds)
+                read[i].append(verify)
                 codes[i].append(code)
             print(f"repeat {repeat + 1} of {args.repeats} done", flush=True)
     cells = []
-    for (doc, detector), *runs in zip(plan, sim, end_to_end, codes):
+    for (doc, detector), *runs in zip(plan, sim, end_to_end, read, codes):
         cell = cell_result(doc, detector, *runs)
         cells.append(cell)
         print(
@@ -173,6 +188,7 @@ def main(argv: list[str] | None = None) -> int:
             f" run_scenario {cell['run_scenario_s']['median']:8.3f} s"
             f" ({cell['run_scenario_us_per_symbol']:6.2f} us/symbol)"
             f"  dprsim run {cell['cli_run_s']['median']:8.3f} s"
+            f"  read {cell['read_s']['median']:7.4f} s"
             f"  peak/record {cell['peak_to_record']:5.2f}",
             flush=True,
         )

@@ -157,8 +157,7 @@ def _window(values: np.ndarray, offset: int, n: int) -> np.ndarray:
 def decode_dps_readings(record: DetectionRecord, offset: int, n_readings: int) -> np.ndarray:
     """Readings observed by a DPS receiver, int8: 0 none, 1 D1, 2 D2 (-1 if
     both), that is ``d1 + 2 * d2 - 4 * (d1 & d2)``."""
-    d1 = _window(record.clicks("D1"), offset, n_readings)
-    d2 = _window(record.clicks("D2"), offset, n_readings)
+    d1, d2 = (_window(record.clicks(name), offset, n_readings) for name in ("D1", "D2"))
     readings = np.add(d1, d2, dtype=np.int8)
     readings += d2
     readings -= np.multiply(d1 & d2, 4, dtype=np.int8)

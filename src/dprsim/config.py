@@ -85,10 +85,7 @@ class ChannelSettings:
     excess_loss_db: tuple[tuple[Annotated[float, "(0, inf)"], Annotated[float, "[0, inf)"]], ...] = ((1924.0, 20.0),)
 
     def excess_loss_for(self, wavelength: float) -> float:
-        for nm, db in self.excess_loss_db:
-            if nm == wavelength:
-                return db
-        return 0.0
+        return next((db for nm, db in self.excess_loss_db if nm == wavelength), 0.0)
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,10 @@ time or afterpulses.  Only dead time, afterpulses and blinding with any draw
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import numpy.typing as npt
@@ -248,14 +250,33 @@ class DetectorTrace:
         return int(np.count_nonzero(self.clicks))
 
     @property
-    def avalanche_intensity(self) -> np.ndarray:
-        """Incident intensity at each click slot, in click order."""
-        return self.levels.take(np.compress(self.clicks, self.level_codes))
-
-    @property
     def detected_intensity(self) -> float:
-        """Total incident intensity over clicked slots only."""
-        return float(np.sum(self.avalanche_intensity))
+        """Total incident intensity over clicked slots only, with no float per
+        click: bit for bit ``float(np.sum(levels.take(level_codes[clicks])))``
+        (``_pairwise_sum``).  Where every click is at one level, as where the
+        thresholds alone decide them, a run's sum depends on its length alone."""
+        n, codes = self.click_count, self.level_codes
+        first = codes[np.argmax(self.clicks)] if n else 0
+        if np.count_nonzero(self.clicks & (codes == first)) == n:
+            same = functools.cache(lambda m: self.levels[first : first + 1].repeat(m).sum())
+            return float(_pairwise_sum(n, lambda lo, m: same(m)))
+        clicked = np.compress(self.clicks, codes)
+        return float(_pairwise_sum(n, lambda lo, m: self.levels.take(clicked[lo : lo + m]).sum()))
+
+
+# Values per leaf of ``_pairwise_sum``: numpy sums a leaf whole, with no float per click besides.
+_SUM_BLOCK = 1 << 13
+
+
+def _pairwise_sum(n: int, leaf: Callable[[int, int], np.floating], lo: int = 0) -> np.floating:
+    """The sum of ``n`` values split as numpy's pairwise sum splits them, from
+    ``leaf(lo, m)``, numpy's sum of the ``m`` values from the ``lo``-th on: past
+    ``_SUM_BLOCK`` values, ``[0, h)`` and ``[h, n)`` at ``h = n // 2 - (n // 2)
+    % 8``, each split alike, added.  Each subtotal is numpy's, so the total is."""
+    if n <= _SUM_BLOCK:
+        return leaf(lo, n)
+    h = n // 2 - (n // 2) % 8
+    return _pairwise_sum(h, leaf, lo) + _pairwise_sum(n - h, leaf, lo + h)
 
 
 @dataclass(eq=False)

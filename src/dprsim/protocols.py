@@ -77,8 +77,10 @@ class ProtocolRun:
         for name in ("sifted_alice", "sifted_bob"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name}: {len(getattr(self, name))} bits for {n} sifted_slots")
-        grid = len(self.alice_codes)
-        if n and not (0 <= self.sifted_slots.min() and self.sifted_slots.max() < grid):
+        slots, grid = self.sifted_slots, len(self.alice_codes)
+        if np.any(slots[1:] <= slots[:-1]):  # every sift takes them by ``flatnonzero``
+            raise ValueError("sifted_slots: slots are not strictly increasing")
+        if n and not (0 <= slots[0] and slots[-1] < grid):
             raise ValueError(f"sifted_slots: a slot lies outside Alice's grid of {grid}")
 
     @property
@@ -192,16 +194,10 @@ def receive(
     for index, lines in groups:
         coded = _coded([field.intensities for field, _, _ in lines.values()], index)
         for (name, (_, share, rails)), (levels, level_codes) in zip(lines.items(), coded):
+            threshold = detector.click_threshold_rel * share * nominal
             traces[name] = apd_detect(
-                levels,
-                level_codes,
-                detector.click_threshold_rel * share * nominal,
-                rails,
-                detector,
-                name,
-                blinding=blinding,
-                rng=None if rng is None else rng(name),
-                monitor=None if monitor is None else monitor(name),
+                levels, level_codes, threshold, rails, detector, name, blinding=blinding,
+                rng=None if rng is None else rng(name), monitor=None if monitor is None else monitor(name),
             )[name]
     return DetectionRecord(traces)
 
@@ -258,25 +254,17 @@ def dps_sift(phase_bits, record: DetectionRecord) -> ProtocolRun:
     bits = _as_codes(phase_bits, 1)
     reference = dps_reference_bits(bits)
     n = bits.size
-    d1 = record.clicks("D1")
-    d2 = record.clicks("D2")
+    d1, d2 = record.clicks("D1"), record.clicks("D2")
     if d1.shape[0] != n + 1:
         raise ValueError(f"record not aligned to the slot clock: {d1.shape[0]} slots for {n} pulses")
-    interior = slice(1, n)
-    one_click = np.logical_xor(d1[interior], d2[interior])
+    one_click = np.logical_xor(d1[1:n], d2[1:n])  # the interior slots
     slots = np.flatnonzero(one_click)
     slots += 1
     bob = d2[slots]
     alice = reference[one_click]
-    errors = np.count_nonzero(bob != alice)
-    qber = errors / slots.size if slots.size else 0.0
+    qber = np.count_nonzero(bob != alice) / slots.size if slots.size else 0.0
     return ProtocolRun(
-        protocol="dps",
-        alice_codes=bits,
-        record=record,
-        sifted_alice=alice,
-        sifted_bob=bob,
-        sifted_slots=slots,
+        protocol="dps", alice_codes=bits, record=record, sifted_alice=alice, sifted_bob=bob, sifted_slots=slots,
         qber=float(qber),
     )
 
@@ -393,8 +381,7 @@ def visibility(monitor: DetectionRecord, codes, interfaces: tuple[np.ndarray, ..
     twice over the same codes finds them once.
     """
     codes = _as_codes(codes, 2)
-    m1 = monitor.clicks("D_M1")
-    m2 = monitor.clicks("D_M2")
+    m1, m2 = monitor.clicks("D_M1"), monitor.clicks("D_M2")
     if m1.shape[0] < 2 * codes.size:
         raise ValueError(f"monitor record too short ({m1.shape[0]} slots) for {codes.size} symbols")
     slots, classes = _interfaces(codes) if interfaces is None else interfaces
@@ -425,12 +412,6 @@ def cow_sift(
     bob_bits = np.where(both, ~alice, late)
     qber = np.count_nonzero(alice != bob_bits) / kept.size if kept.size else 0.0
     return ProtocolRun(
-        protocol="cow",
-        alice_codes=codes,
-        record=record,
-        sifted_alice=alice,
-        sifted_bob=bob_bits,
-        sifted_slots=kept,
-        qber=float(qber),
-        visibility_report=report,
+        protocol="cow", alice_codes=codes, record=record, sifted_alice=alice, sifted_bob=bob_bits, sifted_slots=kept,
+        qber=float(qber), visibility_report=report,
     )

@@ -45,15 +45,21 @@ _VOLATILE = ("wall_time_s",)
 
 
 @functools.cache
-def _field_hints(cls: type) -> dict[str, Any]:
-    hints = _type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)}
-
-
-@functools.cache
-def _scalar(hint: Any) -> Any:
-    """The ``X`` of an ``NDArray[X]`` hint; None for any other hint."""
-    return typing.get_args(typing.get_args(hint)[1])[0] if typing.get_origin(hint) is np.ndarray else None
+def _walk(hint: Any) -> tuple[str, bool, Any]:
+    """How the codec walks a value of type ``hint``: its kind, whether it may be None and what
+    the kind needs: a dataclass (``"record"``) its class and field hints, in field order and
+    sorted; an ``"array"`` the ``X`` of its ``NDArray[X]``; a ``"map"`` its value hint; a
+    ``"scalar"`` its type.  A mapping of ``Any`` (the config) is ``"plain"``: no array."""
+    inner = _inner(hint)
+    origin, args = typing.get_origin(inner), typing.get_args(inner)
+    if is_dataclass(inner):
+        hints = {f.name: _type_hints(inner)[f.name] for f in fields(inner)}
+        return "record", inner is not hint, (inner, hints, sorted(hints.items()))
+    if origin is np.ndarray:
+        return "array", inner is not hint, typing.get_args(args[1])[0]
+    if origin is dict:
+        return ("plain" if args[1] is Any else "map"), inner is not hint, args[1]
+    return "scalar", inner is not hint, inner
 
 
 def _expect(node: Any, kinds: tuple[type, ...], what: str, path: str) -> None:
@@ -61,80 +67,38 @@ def _expect(node: Any, kinds: tuple[type, ...], what: str, path: str) -> None:
         raise ValueError(f"{path}: expected {what}, got {type(node).__name__}")
 
 
-def _tree(value: Any, hint: Any) -> Any:
-    """Plain tree of a record value, led by its type hint: dataclasses become
-    field mappings, arrays become contiguous arrays of their hint's stored
-    dtype, everything else stays as it is."""
-    if value is None:
-        return None
-    hint = _inner(hint)
-    if is_dataclass(hint):
-        return {name: _tree(getattr(value, name), t) for name, t in _field_hints(hint).items()}
-    scalar = _scalar(hint)
-    if scalar is np.unsignedinteger:
-        return np.ascontiguousarray(value).astype(value.dtype.newbyteorder("<"), copy=False)
-    if scalar is not None:
-        arr = np.ascontiguousarray(value, dtype=scalar)
-        return arr.view(np.uint8) if scalar is np.bool_ else arr.astype(_STORED[scalar], copy=False)
-    if typing.get_origin(hint) is dict:
-        return {k: _tree(v, typing.get_args(hint)[1]) for k, v in value.items()}
-    return value
+def _encode(value: Any, hint: Any, arrays: list[np.ndarray] | None) -> Any:
+    """The plain tree of a record value, led by its type hint: dataclasses
+    become field mappings, arrays contiguous arrays of their stored dtype.
+    With ``arrays`` given, the canonical header instead: its keys sorted,
+    each array appended to ``arrays`` and standing as its ``{"dtype", "shape"}``."""
+    kind, _, arg = _walk(hint)
+    if value is None or kind == "scalar":
+        return value
+    if kind == "record":
+        items = arg[1].items() if arrays is None else arg[2]
+        return {name: _encode(getattr(value, name), t, arrays) for name, t in items}
+    if kind in ("map", "plain"):  # the config is copied, each of its values kept as it is
+        return {k: _encode(value[k], arg, arrays) for k in (value if arrays is None else sorted(value))}
+    if arg is np.unsignedinteger:
+        arr = np.ascontiguousarray(value).astype(value.dtype.newbyteorder("<"), copy=False)
+    else:
+        arr = np.ascontiguousarray(value, dtype=arg)
+        arr = arr.view(np.uint8) if arg is np.bool_ else arr.astype(_STORED[arg], copy=False)
+    if arrays is None:
+        return arr
+    arrays.append(arr)
+    return {"dtype": arr.dtype.str, "shape": list(arr.shape)}
 
 
-def _untree(node: Any, hint: Any, path: str) -> Any:
-    """Inverse of ``_tree``, checking each node against its hint (an array: its
-    stored dtype, one dimension) and each dataclass against its invariants;
-    errors name the field.  Arrays are not copied: ``|u1`` is viewed as bool."""
-    inner = _inner(hint)
-    if node is None and inner is not hint:
-        return None
-    if is_dataclass(inner):
-        _expect(node, (dict,), "a mapping", path)
-        hints = _field_hints(inner)
-        missing, unknown = [name for name in hints if name not in node], sorted(node.keys() - hints.keys())
-        if missing or unknown:
-            raise ValueError(f"{'missing' if missing else 'unknown'} field {_at(path, (missing or unknown)[0])!r}")
-        values = {name: _untree(node[name], t, _at(path, name)) for name, t in hints.items()}
-        try:
-            return inner(**values)
-        except ValueError as exc:
-            raise ValueError(_at(path, str(exc))) from exc
-    scalar = _scalar(inner)
-    if scalar is not None:
-        _expect(node, (np.ndarray,), "an array", path)
-        stored = _CODE_WIDTHS if scalar is np.unsignedinteger else (_STORED[scalar],)
-        if node.dtype.str not in stored or node.ndim != 1:
-            raise ValueError(f"{path}: unsupported array dtype {node.dtype.str!r} or shape {list(node.shape)}")
-        if scalar is np.bool_ and node.size and node.max() > 1:
-            raise ValueError(f"{path}: byte {node.max()} is not a boolean (0 or 1)")
-        if scalar is np.unsignedinteger:
-            return node.astype(node.dtype.newbyteorder("="), copy=False)
-        return node.view(np.bool_) if scalar is np.bool_ else node.astype(scalar, copy=False)
-    if typing.get_origin(inner) is dict:
-        _expect(node, (dict,), "a mapping", path)
-        return {k: _untree(v, typing.get_args(inner)[1], _at(path, k)) for k, v in node.items()}
-    if inner is not Any:
-        _expect(node, _SCALARS[inner][0], inner.__name__, path)
-    return node
-
-
-def _header(node: Any, arrays: list[np.ndarray]) -> Any:
-    """Replace each array of a tree by its dtype and shape; append the arrays
-    to ``arrays`` in sorted-key order."""
-    if isinstance(node, np.ndarray):
-        arrays.append(node)
-        return {"dtype": node.dtype.str, "shape": list(node.shape)}
-    if isinstance(node, dict):
-        return {k: _header(node[k], arrays) for k in sorted(node)}
-    return node
-
-
-def _map_arrays(node: Any, data: np.ndarray, offset: int, path: str) -> tuple[Any, int]:
-    """Inverse of ``_header`` over a record file's bytes ``data``: each
-    ``{"dtype", "shape"}`` leaf becomes a view of ``data`` at the first
-    aligned offset from ``offset`` on, in sorted-key order, after padding
-    that must be zero; returns the tree and the offset past its last array."""
-    if isinstance(node, dict) and node.keys() == {"dtype", "shape"}:
+def _decode(node: Any, hint: Any, data: np.ndarray | None, offset: int, path: str) -> tuple[Any, int]:
+    """Inverse of ``_encode``: the value and the offset past its last array.  Each node is
+    checked against its hint (an array: its stored dtype, one dimension) and each dataclass
+    against its invariants; errors name the field.  Arrays are not copied: ``|u1`` is viewed
+    as bool.  With ``data`` given, a record file's bytes, ``node`` is a header in sorted key
+    order: each ``{"dtype", "shape"}`` becomes a view of ``data`` at the first aligned offset
+    from ``offset`` on, after padding that must be zero.  The hint ``Any`` frames alone."""
+    if data is not None and isinstance(node, dict) and node.keys() == {"dtype", "shape"}:
         dtype, shape = node["dtype"], node["shape"]
         if not isinstance(dtype, str) or dtype not in (*_STORED.values(), *_CODE_WIDTHS):
             raise ValueError(f"{path}: unsupported array dtype {dtype!r}")
@@ -144,15 +108,43 @@ def _map_arrays(node: Any, data: np.ndarray, offset: int, path: str) -> tuple[An
         end = start + math.prod(shape) * np.dtype(dtype).itemsize
         if end > data.shape[0]:
             raise ValueError(f"{path}: array bytes end at byte {end}, past the end of the file ({data.shape[0]} bytes)")
-        if data[offset:start].any():
+        if start > offset and data[offset:start].any():
             raise ValueError(f"{path}: nonzero padding before the array (arrays start at multiples of {_ALIGN} bytes)")
-        return data[start:end].view(dtype).reshape(shape), end
-    if isinstance(node, dict):
+        node, offset = data[start:end].view(dtype).reshape(shape), end
+    kind, optional, arg = _walk(hint)
+    if node is None and optional:
+        return None, offset
+    if kind in ("record", "map", "plain"):
+        _expect(node, (dict,), "a mapping", path)
+    if kind == "record" and node.keys() != arg[1].keys():
+        missing, unknown = [name for name in arg[1] if name not in node], sorted(node.keys() - arg[1].keys())
+        raise ValueError(f"{'missing' if missing else 'unknown'} field {_at(path, (missing or unknown)[0])!r}")
+    if kind in ("record", "map"):
         out = {}
-        for key in sorted(node):
-            out[key], offset = _map_arrays(node[key], data, offset, _at(path, key))
-        return out, offset
-    return node, offset
+        for key, child in node.items():
+            out[key], offset = _decode(child, arg[1][key] if kind == "record" else arg, data, offset, _at(path, key))
+        if kind == "map":
+            return out, offset
+        try:
+            return arg[0](**out), offset
+        except ValueError as exc:
+            raise ValueError(_at(path, str(exc))) from exc
+    if kind == "array":
+        _expect(node, (np.ndarray,), "an array", path)
+        stored = _CODE_WIDTHS if arg is np.unsignedinteger else (_STORED[arg],)
+        if node.dtype.str not in stored or node.ndim != 1:
+            raise ValueError(f"{path}: unsupported array dtype {node.dtype.str!r} or shape {list(node.shape)}")
+        if arg is np.bool_ and node.size and node.max() > 1:
+            raise ValueError(f"{path}: byte {node.max()} is not a boolean (0 or 1)")
+        if arg is np.unsignedinteger:
+            return node.astype(node.dtype.newbyteorder("="), copy=False), offset
+        return (node.view(np.bool_) if arg is np.bool_ else node.astype(arg, copy=False)), offset
+    if kind == "scalar" and arg is Any:
+        for key, child in node.items() if isinstance(node, dict) else ():
+            offset = _decode(child, Any, data, offset, _at(path, key))[1]
+    elif kind == "scalar":
+        _expect(node, _SCALARS[arg][0], arg.__name__, path)
+    return (dict(node) if kind == "plain" else node), offset
 
 
 def _canonical(header: dict[str, Any]) -> bytes:
@@ -211,7 +203,7 @@ class RunRecord:
     def to_dict(self) -> dict[str, Any]:
         """The plain tree; its arrays share memory with the record's where
         the stored dtype is the in-memory one."""
-        tree = _tree(self, RunRecord)
+        tree = _encode(self, RunRecord, None)
         tree["format"] = RECORD_FORMAT
         return tree
 
@@ -222,15 +214,13 @@ class RunRecord:
         fmt = d.get("format") if isinstance(d, dict) else None
         if fmt != RECORD_FORMAT:
             raise ValueError(f"unsupported record format {fmt!r}")
-        return _untree({k: v for k, v in d.items() if k != "format"}, cls, "")
+        return _decode({k: v for k, v in d.items() if k != "format"}, cls, None, 0, "")[0]
 
     def _hashed(self) -> tuple[bytes, list[np.ndarray]]:
         """The canonical header and the arrays hashed after it."""
-        tree = self.to_dict()
-        for key in _VOLATILE:
-            del tree[key]
         arrays: list[np.ndarray] = []
-        return _canonical(_header(tree, arrays)), arrays
+        header = {k: v for k, v in _encode(self, RunRecord, arrays).items() if k not in _VOLATILE}
+        return _canonical({**header, "format": RECORD_FORMAT}), arrays
 
     def canonical_json(self) -> str:
         return self._hashed()[0].decode("ascii")
@@ -294,8 +284,14 @@ def _record_from_bytes(buf: Any) -> RunRecord:
     if _canonical(header) != text or not header.keys().isdisjoint(_VOLATILE):
         raise ValueError("the header is not canonical (sorted keys, compact JSON, no wall_time_s)")
     start = header_end + 1
-    tree, end = _map_arrays(header, np.frombuffer(buf, dtype=np.uint8), start, "")
-
+    data = np.frombuffer(buf, dtype=np.uint8)
+    # The volatile fields wait for the trailer, which the arrays' end locates.
+    tree = {**{k: v for k, v in header.items() if k != "format"}, **dict.fromkeys(_VOLATILE, 0.0)}
+    try:
+        (record, end), error = _decode(tree, RunRecord, data, start, ""), None
+    except ValueError as exc:
+        # Framing and trailer errors come before a field's: frame the arrays alone, check the trailer, raise.
+        (record, end), error = _decode(tree, Any, data, start, ""), exc
     line, newline, extra = buf[end:].partition(b"\n")
     try:
         trailer = json.loads(line)
@@ -313,5 +309,8 @@ def _record_from_bytes(buf: Any) -> RunRecord:
     missing, unknown = [k for k in _VOLATILE if k not in trailer], sorted(trailer.keys() - set(_VOLATILE))
     if missing or unknown:
         raise ValueError(f"{'missing' if missing else 'unknown'} trailer field {(missing or unknown)[0]!r}")
-    tree.update(trailer)
-    return RunRecord.from_dict(tree)
+    if error is not None:
+        raise error
+    for key in _VOLATILE:
+        setattr(record, key, _decode(trailer[key], _type_hints(RunRecord)[key], None, 0, key)[0])
+    return record

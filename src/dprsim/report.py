@@ -64,16 +64,8 @@ class MetricsSummary:
 
 def summarize(record: RunRecord) -> MetricsSummary:
     """Recompute the metric summary from a run record alone."""
-    run = record.protocol_run
-    vis = run.visibility_report
-    per_class: dict[str, float | None] = {}
-    overall = None
-    if vis is not None:
-        per_class = {s: c.visibility for s, c in vis.per_class.items()}
-        overall = vis.overall_visibility
-    outcome = record.attack
-    counts = {name: run.record[name].click_count for name in run.record.names}
-    detected = {name: run.record[name].detected_intensity for name in run.record.names}
+    run, vis, outcome = record.protocol_run, record.protocol_run.visibility_report, record.attack
+    traces = run.record.detectors
     readings_match = None
     if outcome is not None and outcome.bob_readings is not None:
         readings_match = np.array_equal(outcome.bob_readings, outcome.eve_readings)
@@ -81,16 +73,16 @@ def summarize(record: RunRecord) -> MetricsSummary:
         protocol=run.protocol,
         qber=run.qber,
         sifted_length=run.sifted_length,
-        visibility_overall=overall,
-        visibility_per_class=per_class,
+        visibility_overall=None if vis is None else vis.overall_visibility,
+        visibility_per_class={} if vis is None else {s: c.visibility for s, c in vis.per_class.items()},
         capture_fraction=None if outcome is None else outcome.capture_fraction,
         induced_qber=None if outcome is None else outcome.induced_qber,
         induced_visibility_drop=None if outcome is None else outcome.induced_visibility_drop,
         bob_record_equals_eve_readings=readings_match,
         alarms={} if outcome is None else dict(outcome.alarms),
         feasibility=None if outcome is None else outcome.feasibility,
-        detector_counts=counts,
-        detected_intensity=detected,
+        detector_counts={name: t.click_count for name, t in traces.items()},
+        detected_intensity={name: t.detected_intensity for name, t in traces.items()},
     )
 
 
@@ -145,7 +137,8 @@ def save_record(record: RunRecord, path: str | Path) -> None:
 def load_record(path: str | Path) -> RunRecord:
     """Read a record file; its arrays are writable, aligned views of one private
     copy-on-write mapping of the file (an empty file, which mmap refuses, reads
-    as no bytes).  Only :func:`save_record` may rewrite the file meanwhile."""
+    as no bytes).  Only :func:`save_record` may rewrite the file meanwhile.  Before
+    Python 3.13, each live loaded record holds the mapping's open file descriptor."""
     with Path(path).open("rb") as fh:
         buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY) if os.fstat(fh.fileno()).st_size else bytearray()
     return _record_from_bytes(buf)

@@ -88,8 +88,7 @@ class RngFactory:
 
     def get(self, name: str) -> np.random.Generator:
         if name not in self._streams:
-            key = zlib.crc32(name.encode("utf-8"))
-            ss = np.random.SeedSequence(entropy=self._seed, spawn_key=(key,))
+            ss = np.random.SeedSequence(entropy=self._seed, spawn_key=(zlib.crc32(name.encode("utf-8")),))
             self._streams[name] = np.random.default_rng(ss)
         return self._streams[name]
 
@@ -108,13 +107,33 @@ def derive_sweep_seed(base_seed: int, index: int) -> int:
 def _alice_material(cfg: ScenarioConfig, rngs: RngFactory) -> np.ndarray:
     """Alice's int8 codes (see ``ProtocolRun``): the config's pinned bits or
     symbols (each valid for its own protocol only), or else ``n_symbols``
-    int64 draws from the ``alice-source`` stream, narrowed."""
+    draws from the ``alice-source`` stream (``_bounded_codes``)."""
     if cfg.bits is not None:
         return np.array(cfg.bits, dtype=np.int8)
     if cfg.symbols is not None:
         return _CODE[np.frombuffer(cfg.symbols.encode("ascii"), dtype=np.uint8)]
-    draws = rngs.get("alice-source").integers(0, 2 if cfg.protocol == "dps" else 3, cfg.n_symbols, dtype=np.int64)
-    return draws.astype(np.int8)
+    return _bounded_codes(rngs.get("alice-source"), 2 if cfg.protocol == "dps" else 3, cfg.n_symbols)
+
+
+# Raw 64-bit words per block of ``_bounded_codes``.
+_WORD_BLOCK = 1 << 12
+
+
+def _bounded_codes(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """``rng.integers(0, m, n, dtype=np.int64)`` as int8, drawn as numpy draws it:
+    32-bit Lemire on the halves ``x`` of each raw word, low half first, rejecting
+    ``(x * m) mod 2**32 < (2**32 - m) mod m`` (for m = 3, ``x == 0``), else drawing
+    ``(x * m) >> 32``.  A half left at the end is dropped: nothing draws again."""
+    out, done, reject = np.empty(n, dtype=np.int8), 0, (2**32 - m) % m
+    while done < n:
+        words = rng.bit_generator.random_raw(min(_WORD_BLOCK, (n - done + 1) // 2))
+        halves = words.astype("<u8", copy=False).view("<u4")
+        halves = (halves[halves * np.uint32(m) >= reject] if reject else halves)[: n - done]
+        product = halves * np.uint64(m)
+        product >>= np.uint64(32)
+        out[done : done + halves.shape[0]] = product
+        done += halves.shape[0]
+    return out
 
 
 def _encode(cfg: ScenarioConfig, codes: np.ndarray, amplitude: float) -> tuple[PulseTrain, np.ndarray]:
@@ -166,15 +185,8 @@ def _receive(
     ``codes``; detector ``X`` draws from the stream ``<stream>-X`` and, under
     ``blinding``, is watched by ``monitor("X")``."""
     return receive(
-        cfg.protocol,
-        train,
-        codes,
-        cfg.detector,
-        cfg.amplitude**2,
-        t_b=cfg.t_b,
-        rng=lambda name: rngs.get(f"{stream}-{name}"),
-        blinding=blinding,
-        monitor=monitor,
+        cfg.protocol, train, codes, cfg.detector, cfg.amplitude**2, t_b=cfg.t_b,
+        rng=lambda name: rngs.get(f"{stream}-{name}"), blinding=blinding, monitor=monitor,
     )
 
 
@@ -238,10 +250,8 @@ def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun) -> tuple[tuple[np.ndarray
     which ``trojan_probe`` shifts and attenuates.  The forward signal is
     untouched; Bob's entrance filter keeps the probe band away from his
     detectors."""
-    s = cfg.attack.trojan
-    wd_alarm = False
-    probe_amplitude = s.probe_amplitude
-    cm = cfg.countermeasures.watchdog
+    s, cm = cfg.attack.trojan, cfg.countermeasures.watchdog
+    wd_alarm, probe_amplitude = False, s.probe_amplitude
     if cm.enabled:
         # The probe is continuous-wave, so one slot of it shows the watchdog its peak.
         probe_in = cw_laser(1, s.probe_amplitude)

@@ -477,6 +477,30 @@ def trojan_probe_chain(protocol: str, modulation, probe, excess_loss_db: float) 
     return attenuate(reflected, probe.reflection_db + excess_loss_db)
 
 
+def detected_intensity_dense(trace) -> float:
+    """A trace's ``detected_intensity`` as it summed one float per click."""
+    return float(np.sum(trace.levels.take(trace.level_codes[trace.clicks])))
+
+
+def alice_codes_numpy(rng, m: int, n: int) -> np.ndarray:
+    """Alice's drawn codes as numpy's bounded-integer draw gave them, narrowed."""
+    return rng.integers(0, m, n, dtype=np.int64).astype(np.int8)
+
+
+def bounded_integers_loop(words, m: int, n: int) -> list[int]:
+    """``n`` draws in ``[0, m)`` by 32-bit Lemire over the halves of raw
+    64-bit ``words``, low half first, as numpy's ``integers`` takes them."""
+    out = []
+    halves = (half for word in words for half in (int(word) & 0xFFFFFFFF, int(word) >> 32))
+    for x in halves:
+        if len(out) == n:
+            break
+        product = x * m
+        if product & 0xFFFFFFFF >= (2**32 - m) % m:
+            out.append(product >> 32)
+    return out
+
+
 def coded(intensity) -> tuple[np.ndarray, np.ndarray]:
     """Per-slot intensities in the coded form a detector takes and its trace
     keeps: the sorted distinct values and one unsigned code per slot, one

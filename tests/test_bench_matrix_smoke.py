@@ -19,7 +19,7 @@ def test_matrix_smoke_writes_every_cell(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out.read_text(encoding="utf-8"))
-    assert result["format"] == "dprsim-bench-matrix/2"
+    assert result["format"] == "dprsim-bench-matrix/3"
     assert set(result["environment"]) == {"nproc", "cpu_model", "python", "numpy", "pyyaml"}
     assert result["settings"] == {"sizes": [1000], "repeats": 1, "seed": 1}
     cells = result["cells"]
@@ -35,7 +35,7 @@ def test_matrix_smoke_writes_every_cell(tmp_path):
     for cell in cells:
         assert cell["n_symbols"] == 1000
         assert cell["scenario"].get("detector") == noisy.get(cell["detector"])
-        for entry in ("run_scenario_s", "cli_run_s"):
+        for entry in ("run_scenario_s", "cli_run_s", "read_s"):
             assert len(cell[entry]["runs"]) == 1
             assert cell[entry]["median"] == cell[entry]["runs"][0] > 0.0
         assert cell["run_scenario_us_per_symbol"] > 0.0

@@ -499,6 +499,11 @@ BAD_RECORDS = {
         _move_elements(("protocol_run", "sifted_alice"), ("protocol_run", "sifted_bob"), 1),
         "protocol_run.sifted_alice: 3 bits for 4 sifted_slots",
     ),
+    # Every sift takes its slots in increasing order; four copies of one slot load as no run does.
+    "sifted-order": (
+        _rewrite_array(("protocol_run", "sifted_slots"), lambda slots: np.full_like(slots, 2)),
+        "protocol_run.sifted_slots: slots are not strictly increasing",
+    ),
     "two-dimensional": (
         _edit_header(lambda t: t["protocol_run"]["record"]["detectors"]["D_B"]["level_codes"].update(shape=[2, 8])),
         "protocol_run.record.detectors.D_B.level_codes: unsupported array dtype '|u1' or shape [2, 8]",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dprsim import detectors
 from dprsim.detectors import (
     DetectorTrace,
     PhotocurrentMonitor,
@@ -15,7 +16,7 @@ from dprsim.detectors import (
 from dprsim.config import BackflashSettings, BlindingSettings, DetectorSettings
 from dprsim.optics import PulseTrain, cw_laser
 
-from _oracles import boxcar_concatenate, coded, monitor_alarm_whole
+from _oracles import boxcar_concatenate, coded, detected_intensity_dense, monitor_alarm_whole
 
 # A detector with no dead time, afterpulses or dark counts, and its
 # linear-mode rails (p_never, p_always).
@@ -115,22 +116,53 @@ def test_random_clicks_need_an_rng(cfg, intensities):
         detect(intensity, 0.5, RAILS, detector, blinding=blinding)
 
 
-def test_avalanche_intensity_tracks_click_slots():
+def test_detected_intensity_sums_the_click_slots():
     rec = detect(power([1.0, 0.0, 2.0]), 0.5, RAILS, IDEAL)
-    np.testing.assert_allclose(rec["D"].avalanche_intensity, [1.0, 2.0])
+    assert rec["D"].detected_intensity == 3.0
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.booleans(), st.floats(0.0, 1e300)), max_size=60), st.sampled_from([None, False, True]))
-def test_avalanche_intensity_gathers_as_the_mask(slots, every):
-    # The gather by index takes the same elements in the same order as the
-    # boolean mask, so the sum over them is the same to the bit.
+def test_detected_intensity_sums_as_the_mask(slots, every):
+    # The clicked values are those of the boolean mask, in slot order, so
+    # the sum over them is the same to the bit.
     clicks = np.array([c if every is None else every for c, _ in slots], dtype=bool)
     intensity = np.array([x for _, x in slots], dtype=np.float64)
     trace = DetectorTrace(clicks, *coded(intensity), np.zeros(clicks.size, dtype=bool))
-    got, want = trace.avalanche_intensity, intensity[clicks]
-    assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert trace.detected_intensity.hex() == float(np.sum(want)).hex()
+    assert trace.detected_intensity.hex() == float(np.sum(intensity[clicks])).hex()
+    assert trace.detected_intensity.hex() == detected_intensity_dense(trace).hex()
+
+
+def _near_the_splits(block: int) -> list[int]:
+    """Click counts on and one off the multiples of ``block`` and the split
+    points of numpy's pairwise sum above it."""
+    counts = {0, 1}
+    for k in (1, 2, 3, 4):
+        n = k * block
+        counts |= {n - 1, n, n + 1}
+    # Where the first half of a split reaches ``block``: from ``2 * block`` to ``2 * block + 15``.
+    counts |= {2 * block + 15, 2 * block + 16, 4 * block + 15, 4 * block + 16}
+    return sorted(counts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from([None, 1, 3, 300]), st.booleans())
+def test_detected_intensity_matches_the_dense_sum_across_the_splits(data, n_levels, one_level):
+    # Numpy splits a sum of more than 128 floats pairwise; the trace splits
+    # its clicks the same way above ``_SUM_BLOCK`` and gathers each leaf, or,
+    # where every click is at one level of several, sums each leaf's length.
+    n_clicks = data.draw(st.sampled_from(_near_the_splits(detectors._SUM_BLOCK)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n_slots = n_clicks + data.draw(st.integers(0, 3 * detectors._SUM_BLOCK))
+    clicks = np.zeros(n_slots, dtype=bool)
+    clicks[rng.choice(n_slots, n_clicks, replace=False)] = True
+    scale = rng.choice([1e-12, 1.0, 1e12], n_slots)
+    intensity = rng.random(n_slots) * scale if n_levels is None else rng.random(n_levels)[rng.integers(0, n_levels, n_slots)]
+    if one_level and n_slots:
+        intensity[clicks] = intensity[0]
+    trace = DetectorTrace(clicks, *coded(intensity), np.zeros(n_slots, dtype=bool))
+    assert trace.detected_intensity.hex() == detected_intensity_dense(trace).hex()
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dprsim.config import (
     TrojanSettings,
     scenario_from_dict,
 )
-from dprsim import detectors
+from dprsim import detectors, scenario
 from dprsim.detectors import (
     DetectionRecord,
     DetectorTrace,
@@ -275,6 +275,52 @@ def test_alice_symbols_match_loop(seed, n):
     _same(got, idx.astype(np.int8))
     pinned = scenario_from_dict({"protocol": "cow", "symbols": oracle.alice_symbols_loop(idx), "seed": seed})
     _same(_alice_material(pinned, RngFactory(seed)), got)
+
+
+@given(st.integers(0, 2**63 - 1), st.sampled_from([2, 3]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_bounded_codes_match_numpys_integers(seed, m, data):
+    # Odd and even counts, and counts on and around the block seams of
+    # ``_WORD_BLOCK`` words, or two draws a word.
+    seam = 2 * scenario._WORD_BLOCK
+    n = data.draw(st.one_of(st.integers(1, 40), st.sampled_from([seam - 1, seam, seam + 1, 2 * seam + 1, 3 * seam])))
+    got = scenario._bounded_codes(np.random.default_rng(seed), m, n)
+    _same(got, oracle.alice_codes_numpy(np.random.default_rng(seed), m, n))
+
+
+_MIDDLE = 2**31 | 2**63
+
+
+class _RawWords:
+    """A stand-in generator whose ``bit_generator.random_raw`` hands out
+    chosen words, then words of two halves of 2**31, which every m accepts."""
+
+    def __init__(self, words):
+        self.bit_generator, self._words = self, list(words)
+
+    def random_raw(self, k):
+        out, self._words = self._words[:k], self._words[k:]
+        return np.array(out + [_MIDDLE] * (k - len(out)), dtype=np.uint64)
+
+
+@given(
+    st.lists(
+        st.sampled_from([0, 1, 2**31, 2**32 - 1, 1431655765, 1431655766, 2863311530, 2863311531])
+        | st.integers(0, 2**32 - 1),
+        min_size=64,
+        max_size=64,
+    ),
+    st.sampled_from([2, 3]),
+    st.integers(1, 40),
+)
+@settings(max_examples=200, deadline=None)
+def test_bounded_codes_reject_and_split_halves_as_lemire(halves, m, n):
+    # Crafted halves: zero, which m = 3 rejects, and the values either side
+    # of each threshold; words pack them low half first.
+    words = [lo | hi << 32 for lo, hi in zip(halves[0::2], halves[1::2])]
+    got = scenario._bounded_codes(_RawWords(words), m, n)
+    want = oracle.bounded_integers_loop(words + [_MIDDLE] * n, m, n)
+    _same(got, np.array(want, dtype=np.int8))
 
 
 @st.composite

@@ -772,6 +772,30 @@ def test_run_allocates_little_beyond_its_record(doc, bound):
     assert peak / sum(a.nbytes for a in record._hashed()[1]) <= bound
 
 
+# Peak traced memory of ``summarize`` over its record's array bytes, after
+# one warm-up summary; measured over the config's seed and seeds 1-3:
+# 0.1334-0.1335 and 0.1179.  No detector's summary builds a float per click:
+# every click of these traces is at one level, and the two boolean slot
+# masks that check it are the largest arrays.
+SUMMARY_TO_RECORD = [
+    (PEAK_TO_RECORD[1][0], 0.134),
+    ({"golden_name": "dps-backflash-stat", "n_symbols": 100_000}, 0.118),
+]
+
+
+@pytest.mark.parametrize("doc,bound", SUMMARY_TO_RECORD)
+def test_summary_allocates_little_beside_its_record(doc, bound):
+    record = run_scenario(load_config(json.dumps(doc)))
+    summarize(record)
+    tracemalloc.start()
+    try:
+        summarize(record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / sum(a.nbytes for a in record._hashed()[1]) <= bound
+
+
 def test_run_scenario_reads_a_python_config_as_a_document(monkeypatch):
     # A config built in Python goes through the same walker as a document:
     # a mistyped field fails naming it, and an integer float field runs as a float.
