@@ -18,7 +18,9 @@ event).  Phases are tracked in quarter-turn units (pi/2), i.e. integers mod 4:
 constructive needs a step of 0 mod 4, destructive 2 mod 4, vacuum an odd step.
 The canonical policy fixes ``N = 0``; the worked-example policy reproduces a
 known published drive table for one specific reading sequence where ``N``
-varies slot to slot.
+varies slot to slot.  The planners return Eve's trigger coded, as Alice's
+encoders return theirs; reading 0 lands in Bob's output at the trigger's
+pulse count minus the reading count.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Sequence
 import numpy as np
 import numpy.typing as npt
 
-from .config import DetectorSettings, TrojanSettings
+from .config import DetectorSettings, TrojanSettings, _launch_levels
 from .detectors import DetectionRecord, _coded, apd_detect
 from .optics import PulseTrain, attenuate
 from .protocols import receive
@@ -39,7 +41,6 @@ __all__ = [
     "DPS_PHASE_STEP",
     "COW_PHASE_STEP",
     "WORKED_EXAMPLE_PHASES",
-    "FsgPlan",
     "AttackOutcome",
     "fsg_dps_phases",
     "fsg_cow_drive",
@@ -51,11 +52,9 @@ __all__ = [
     "capture_fraction",
 ]
 
-# Quarter-turn phase step per reading (canonical policy, N = 0).
-DPS_PHASE_STEP = {0: 1, 1: 0, 2: 2}
-COW_PHASE_STEP = {0: 1, 1: 2, 2: 0, 3: 1}
-_DPS_STEPS = np.array([DPS_PHASE_STEP[r] for r in range(3)], dtype=np.int8)
-_COW_STEPS = np.array([COW_PHASE_STEP[r] for r in range(4)], dtype=np.int8)
+# Quarter-turn phase step per reading (canonical policy, N = 0), indexed by the reading.
+DPS_PHASE_STEP = np.array([1, 0, 2], dtype=np.int8)
+COW_PHASE_STEP = np.array([1, 2, 0, 1], dtype=np.int8)
 # The phase factor of each quarter turn, computed once instead of once per pulse.
 _QUARTER_TURNS = np.exp(1j * (np.pi / 2.0) * np.arange(4))
 
@@ -64,26 +63,6 @@ _QUARTER_TURNS = np.exp(1j * (np.pi / 2.0) * np.arange(4))
 # which is always a vacuum event, so the table has exactly one phase per
 # reading.
 WORKED_EXAMPLE_PHASES = (0, 0, 2, 1, 1, 3, 1, 2, 0, 2, 1, 3, 2, 1, 2)
-
-
-@dataclass(frozen=True, eq=False)
-class FsgPlan:
-    """A faked-state drive plan: per-pulse phases (quarter turns) and launch
-    intensities, pulse ``k`` at ``levels[level_codes[k]]``, plus where the
-    first reading lands in Bob's interferometer output
-    (``readings_slot_offset``)."""
-
-    phase_units: npt.NDArray[np.int8]
-    levels: npt.NDArray[np.float64]
-    level_codes: npt.NDArray[np.int8]
-    readings_slot_offset: int
-
-    def trigger(self) -> tuple[PulseTrain, np.ndarray]:
-        """Eve's trigger train, coded (see ``protocols.receive``): the field
-        ``sqrt(level) * i**q`` of each (launch level, quarter turn) pair, 4
-        for DPS and 8 for COW, and the code of each pulse's pair."""
-        fields = np.sqrt(self.levels)[:, np.newaxis] * _QUARTER_TURNS
-        return PulseTrain(fields.reshape(-1)), 4 * self.level_codes + self.phase_units % 4
 
 
 def _phase_plan(readings: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -97,50 +76,58 @@ def _phase_plan(readings: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return phases
 
 
+def _trigger(phases: np.ndarray, levels: np.ndarray, level_codes: np.ndarray | int) -> tuple[PulseTrain, np.ndarray]:
+    """Eve's trigger, coded (see ``protocols.receive``): the field
+    ``sqrt(level) * i**q`` of each (launch level, quarter turn) pair, 4 for
+    DPS and 8 for COW, and the code of each pulse's pair."""
+    fields = np.sqrt(levels)[:, np.newaxis] * _QUARTER_TURNS
+    return PulseTrain(fields.reshape(-1)), 4 * level_codes + phases % 4
+
+
 def fsg_dps_phases(
     eve_readings: Sequence[int],
     n_policy: str = "canonical",
     launch_intensity: float = 0.39,
-) -> FsgPlan:
-    """Phase plan that makes a linear-mode DPS receiver reproduce ``eve_readings``.
+) -> tuple[PulseTrain, np.ndarray]:
+    """Eve's coded trigger that makes a linear-mode DPS receiver reproduce
+    ``eve_readings``: one launch level, so a pulse's code is its quarter turn.
 
-    The canonical policy prepends an anchor pulse (phase 0) so that every
-    reading, including the first, is encoded in a phase step; reading ``j``
-    then appears at interferometer slot ``j + 1``.  The worked-example policy
-    returns the published drive table whatever ``eve_readings`` are: the
-    table replays one published sequence, ``config.WORKED_EXAMPLE_READINGS``
-    (its first reading is the edge slot of the first pulse, hence necessarily
-    a vacuum event), and the config admits the policy only with those
-    readings pinned.
+    Reading 0 lands at the pulse count minus the reading count.  The canonical
+    policy prepends an anchor pulse (phase 0) so that every reading, including
+    the first, is encoded in a phase step: it lands at 1.  The worked-example
+    policy returns the published drive table, one pulse per reading, whatever
+    ``eve_readings`` are: the table replays one published sequence,
+    ``config.WORKED_EXAMPLE_READINGS`` (its first reading, at 0, is the edge
+    slot of the first pulse, hence necessarily a vacuum event), and the config
+    admits the policy only with those readings pinned.
     """
     if n_policy == "canonical":
-        phases = _phase_plan(np.asarray(eve_readings, dtype=np.int8), _DPS_STEPS)
-        offset = 1
+        phases = _phase_plan(np.asarray(eve_readings, dtype=np.int8), DPS_PHASE_STEP)
     else:
         phases = np.array(WORKED_EXAMPLE_PHASES, dtype=np.int8)
-        offset = 0
-    levels = np.array([launch_intensity], dtype=np.float64)
-    return FsgPlan(phases, levels, np.zeros(len(phases), dtype=np.int8), offset)
+    return _trigger(phases, np.array([launch_intensity], dtype=np.float64), 0)
 
 
 def fsg_cow_drive(
     eve_readings: Sequence[int],
     t_b: float,
     detector: DetectorSettings = DetectorSettings(),
-) -> FsgPlan:
-    """Drive plan for a blinded COW receiver.
+) -> tuple[PulseTrain, np.ndarray]:
+    """Eve's coded trigger for a blinded COW receiver.
 
     The baseline launch intensity ``p_always_m / (1 - t_b)`` puts exactly the
     always-click level into the monitoring interferometer; data slots are
     raised to ``p_always_b / t_b`` and take a quarter-turn phase step so the
     leaked light splits evenly between the two monitoring detectors, each
     staying below its never-click rail when the threshold inequalities hold.
+    An anchor pulse leads, so reading 0 lands at the pulse count minus the
+    reading count, 1.
     """
     readings = np.asarray(eve_readings, dtype=np.int8)
-    levels = np.array([detector.p_always_m / (1.0 - t_b), detector.p_always_b / t_b])  # base, data
+    levels = np.array([*_launch_levels(detector, t_b).values()])  # base, data
     level_codes = np.zeros(readings.size + 1, dtype=np.int8)
     np.equal(readings, 3, out=level_codes[1:])
-    return FsgPlan(_phase_plan(readings, _COW_STEPS), levels, level_codes, 1)
+    return _trigger(_phase_plan(readings, COW_PHASE_STEP), levels, level_codes)
 
 
 def _window(values: np.ndarray, offset: int, n: int) -> np.ndarray:

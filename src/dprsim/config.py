@@ -70,6 +70,14 @@ class DetectorSettings:
     p_always_m: float = 0.39
 
 
+def _launch_levels(detector: DetectorSettings, t_b: float | None) -> dict[str, float]:
+    """Eve's faked-state launch levels by the rail each follows: DPS's
+    (``t_b`` None), or COW's base and data level."""
+    if t_b is None:
+        return {"detector.p_always": detector.p_always}
+    return {"detector.p_always_m": detector.p_always_m / (1.0 - t_b), "detector.p_always_b": detector.p_always_b / t_b}
+
+
 @dataclass(frozen=True)
 class ChannelSettings:
     """Quantum-channel effects between the modules.
@@ -226,11 +234,10 @@ class ScenarioConfig:
 
     def _check_blinding(self, slots: int) -> None:
         d, b = self.detector, self.attack.blinding
-        # Eve's trigger pulses launch at intensities the always-click rails set, and a blinded
+        # Eve's planners launch her trigger pulses at these levels, and a blinded
         # detector stores them and the blinding light over about 1 / (1 - decay_per_slot) slots;
         # the run's summary sums what it stores over its slots.
-        launched = {"detector.p_always": d.p_always} if self.protocol == "dps" else {
-            "detector.p_always_m": d.p_always_m / (1.0 - self.t_b), "detector.p_always_b": d.p_always_b / self.t_b}
+        launched = _launch_levels(d, None if self.protocol == "dps" else self.t_b)
         for where, level in {**launched, "attack.blinding.illumination_level": b.illumination_level}.items():
             if not level / (1.0 - b.decay_per_slot) * slots <= sys.float_info.max / 3:
                 raise ConfigError(f"{where}: too large: a blinded detector stores {level} / (1 - decay_per_slot) of it, "

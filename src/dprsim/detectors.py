@@ -256,7 +256,9 @@ class DetectorTrace:
         (``_pairwise_sum``).  Where every click is at one level, as where the
         thresholds alone decide them, a run's sum depends on its length alone."""
         n, codes = self.click_count, self.level_codes
-        first = codes[np.argmax(self.clicks)] if n else 0
+        if not n:
+            return 0.0
+        first = codes[np.argmax(self.clicks)]
         if np.count_nonzero(self.clicks & (codes == first)) == n:
             same = functools.cache(lambda m: self.levels[first : first + 1].repeat(m).sum())
             return float(_pairwise_sum(n, lambda lo, m: same(m)))

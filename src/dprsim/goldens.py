@@ -16,6 +16,8 @@ from __future__ import annotations
 import copy
 from typing import Any
 
+from .config import WORKED_EXAMPLE_READINGS
+
 __all__ = ["GOLDENS", "golden_config_dict"]
 
 # In-channel phase pattern of the tamper run, in half turns per grid slot,
@@ -123,7 +125,7 @@ GOLDENS: dict[str, dict[str, Any]] = {
             "attack": {
                 "kind": "blinding",
                 "blinding": {
-                    "readings": [0, 1, 2, 0, 1, 2, 2, 0, 2, 2, 0, 2, 0, 0, 0],
+                    "readings": list(WORKED_EXAMPLE_READINGS),
                     "policy": "worked-example",
                     "style": "pulsed",
                 },

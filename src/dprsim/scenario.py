@@ -35,6 +35,7 @@ from .config import (
     ConfigError,
     ScenarioConfig,
     _inner,
+    _launch_levels,
     _type_hints,
     _typed,
     scenario_from_dict,
@@ -314,15 +315,16 @@ def _run_blinding(
     readings: np.ndarray,
     n_slots: int,
 ) -> tuple[ProtocolRun, tuple[np.ndarray, np.ndarray], dict[str, Any], Callable[[], np.ndarray]]:
-    """The faked-state plan for Eve's ``readings`` (see ``_eve_readings``) and
+    """Eve's coded trigger for her ``readings`` (see ``_eve_readings``) and
     its replay into Bob's blinded detectors with the photocurrent monitor
     watching; ``codes`` are Alice's and ``interfaces`` theirs, as ``_sift``
     takes them.  Returns Bob's blinded run, Eve's key, the outcome's alarms,
     feasibility and Eve's readings, and a call that decodes Bob's readings.
 
     Bob sifts the blinded record as he sifts a clean one, over the
-    ``n_slots`` slots of Alice's grid, which start at the plan's
-    ``readings_slot_offset``; the stored record is the whole blinded one.
+    ``n_slots`` slots of Alice's grid, which start where Eve's reading 0
+    lands, at the trigger's pulse count minus her reading count; the stored
+    record is the whole blinded one.
     Pinned readings are sifted against Alice's material too: they do not
     come from her train, so a QBER near 1/2 is the honest result.  Derived
     COW blinding has no visibility: every interface slot is also a D_B pulse
@@ -334,14 +336,13 @@ def _run_blinding(
     rails = cfg.detector
 
     if cfg.protocol == "dps":
-        plan = fsg_dps_phases(readings, s.policy, launch_intensity=rails.p_always)
+        [level] = _launch_levels(rails, None).values()
+        trigger, trigger_codes = fsg_dps_phases(readings, s.policy, launch_intensity=level)
         feasibility = blinding_feasible(rails, None)
     else:
-        plan = fsg_cow_drive(readings, cfg.t_b, rails)
+        trigger, trigger_codes = fsg_cow_drive(readings, cfg.t_b, rails)
         feasibility = blinding_feasible(rails, cfg.t_b)
-    trigger, trigger_codes = plan.trigger()
-    offset = plan.readings_slot_offset
-    del plan  # Bob's blinded receive is where a run peaks: only the trigger is read there
+    offset = trigger_codes.size - readings.size
 
     cm = cfg.countermeasures.photocurrent_monitor
     monitors: dict[str, PhotocurrentMonitor] = {}

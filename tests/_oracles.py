@@ -651,10 +651,10 @@ def transmit_dense(protocol: str, alice, amplitude: float, pattern) -> PulseTrai
 _QUARTER_TURNS = np.exp(1j * (np.pi / 2.0) * np.arange(4))
 
 
-def fsg_train(plan) -> PulseTrain:
-    """A faked-state plan's trigger with one field per pulse."""
-    intensity = plan.levels[plan.level_codes]
-    return PulseTrain(np.sqrt(intensity) * _QUARTER_TURNS[plan.phase_units % 4])
+def fsg_train(phase_units, intensity) -> PulseTrain:
+    """Eve's faked-state trigger with one field per pulse: pulse ``k`` at
+    quarter turn ``phase_units[k]`` and launch intensity ``intensity[k]``."""
+    return PulseTrain(np.sqrt(intensity) * _QUARTER_TURNS[np.asarray(phase_units) % 4])
 
 
 def coupler_two_inputs(in_a: PulseTrain, in_b: PulseTrain, transmittance: float = 0.5) -> tuple[PulseTrain, PulseTrain]:

@@ -256,18 +256,20 @@ def test_linear_mode_clicks_interpolate_between_the_rails(rails, fraction, seed)
 
 def test_fsg_sequence_reproduction():
     with criterion("fsg-sequence-reproduction"):
-        plan = fsg_dps_phases(WORKED_EXAMPLE_READINGS, n_policy="worked-example")
-        assert plan.phase_units.tolist() == list(WORKED_EXAMPLE_PHASES) == [0, 0, 2, 1, 1, 3, 1, 2, 0, 2, 1, 3, 2, 1, 2]
+        _, codes = fsg_dps_phases(WORKED_EXAMPLE_READINGS, n_policy="worked-example")
+        assert (codes % 4).tolist() == list(WORKED_EXAMPLE_PHASES) == [0, 0, 2, 1, 1, 3, 1, 2, 0, 2, 1, 3, 2, 1, 2]
         rails = DetectorSettings(p_never=0.2, p_always=0.39)
         blinding = BlindingSettings(style="cw", illumination_level=BlindingSettings.blind_threshold)
         started = time.perf_counter()
         for readings in itertools.product((0, 1, 2), repeat=8):
-            canonical = fsg_dps_phases(readings, launch_intensity=0.39)
+            trigger, codes = fsg_dps_phases(readings, launch_intensity=0.39)
+            offset = codes.size - len(readings)
+            assert offset == 1  # the anchor pulse
             # Bob's blinded receiver, held in linear mode by blinding light at
             # the blind threshold on every slot, decoded per reading.
-            record = receive("dps", *canonical.trigger(), rails, 1.0, blinding=blinding)
+            record = receive("dps", trigger, codes, rails, 1.0, blinding=blinding)
             assert record["D1"].linear_mode.all() and record["D2"].linear_mode.all()
-            replayed = decode_dps_readings(record, canonical.readings_slot_offset, len(readings))
+            replayed = decode_dps_readings(record, offset, len(readings))
             assert replayed.tolist() == list(readings)
         assert time.perf_counter() - started < 60.0
 

@@ -31,32 +31,33 @@ dps_readings = st.lists(st.integers(0, 2), min_size=1, max_size=12)
 cow_readings = st.lists(st.integers(0, 3), min_size=1, max_size=12)
 
 
-def phase_steps(plan) -> list[int]:
-    """Consecutive phase differences of a plan mod 4, one per pulse after the first."""
-    return (np.diff(plan.phase_units) % 4).tolist()
+def phase_steps(trigger) -> list[int]:
+    """Consecutive phase differences of a coded trigger mod 4, one per pulse
+    after the first."""
+    return (np.diff(trigger[1] % 4) % 4).tolist()
 
 
 def held_blind(protocol, trigger, rails, t_b=0.9):
-    """Bob's record of a coded trigger, as a plan gives it, his detectors held
-    in linear mode by blinding light at the blind threshold on every slot."""
+    """Bob's record of a coded trigger, as a planner gives it, his detectors
+    held in linear mode by blinding light at the blind threshold on every slot."""
     blinding = BlindingSettings(style="cw", illumination_level=BlindingSettings.blind_threshold)
     record = receive(protocol, *trigger, rails, 1.0, t_b=t_b, blinding=blinding)
     assert all(record[name].linear_mode.all() for name in record.names)
     return record
 
 
-def replay_dps(plan, readings) -> list[int]:
-    """The readings a linear-mode DPS receiver decodes from the train of a
-    plan for ``readings``."""
-    record = held_blind("dps", plan.trigger(), RAILS)
-    return decode_dps_readings(record, plan.readings_slot_offset, len(readings)).tolist()
+def replay_dps(trigger, readings) -> list[int]:
+    """The readings a linear-mode DPS receiver decodes from Eve's trigger for
+    ``readings``, reading 0 at its pulse count minus the reading count."""
+    record = held_blind("dps", trigger, RAILS)
+    return decode_dps_readings(record, trigger[1].size - len(readings), len(readings)).tolist()
 
 
-def replay_cow(plan, readings, t_b) -> list[int]:
-    """The readings a linear-mode COW receiver decodes from the train of a
-    plan for ``readings``."""
-    record = held_blind("cow", plan.trigger(), COW_RAILS, t_b)
-    return decode_cow_readings(record, plan.readings_slot_offset, len(readings)).tolist()
+def replay_cow(trigger, readings, t_b) -> list[int]:
+    """The readings a linear-mode COW receiver decodes from Eve's trigger for
+    ``readings``, reading 0 at its pulse count minus the reading count."""
+    record = held_blind("cow", trigger, COW_RAILS, t_b)
+    return decode_cow_readings(record, trigger[1].size - len(readings), len(readings)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -65,28 +66,28 @@ def replay_cow(plan, readings, t_b) -> list[int]:
 
 
 def test_worked_example_phase_table():
-    plan = fsg_dps_phases(WORKED_EXAMPLE_READINGS, n_policy="worked-example")
-    assert plan.phase_units.tolist() == list(WORKED_EXAMPLE_PHASES)
-    assert plan.readings_slot_offset == 0
+    _, codes = fsg_dps_phases(WORKED_EXAMPLE_READINGS, n_policy="worked-example")
+    assert (codes % 4).tolist() == list(WORKED_EXAMPLE_PHASES)
+    assert codes.size - len(WORKED_EXAMPLE_READINGS) == 0
 
 
 def test_canonical_all_constructive_readings_keep_phase_constant():
-    plan = fsg_dps_phases([1] * 10)
-    assert plan.phase_units.tolist() == [0] * 11
+    _, codes = fsg_dps_phases([1] * 10)
+    assert (codes % 4).tolist() == [0] * 11
 
 
 def test_canonical_plan_has_anchor_pulse():
-    plan = fsg_dps_phases([2, 0, 1])
-    assert len(plan.phase_units) == plan.level_codes.size == 4
-    assert plan.phase_units[0] == 0
-    assert plan.readings_slot_offset == 1
+    readings = [2, 0, 1]
+    _, codes = fsg_dps_phases(readings)
+    assert codes.size == 4
+    assert codes[0] % 4 == 0
+    assert codes.size - len(readings) == 1
 
 
 @settings(max_examples=100, deadline=None)
 @given(dps_readings)
 def test_canonical_phase_steps_encode_the_readings(readings):
-    plan = fsg_dps_phases(readings)
-    steps = phase_steps(plan)
+    steps = phase_steps(fsg_dps_phases(readings))
     for r, step in zip(readings, steps):
         if r == 1:
             assert step % 4 == 0
@@ -99,8 +100,8 @@ def test_canonical_phase_steps_encode_the_readings(readings):
 @settings(max_examples=100, deadline=None)
 @given(dps_readings)
 def test_fsg_dps_replay_reproduces_readings(readings):
-    plan = fsg_dps_phases(readings, launch_intensity=RAILS.p_always)
-    assert replay_dps(plan, readings) == list(readings)
+    trigger = fsg_dps_phases(readings, launch_intensity=RAILS.p_always)
+    assert replay_dps(trigger, readings) == list(readings)
 
 
 def test_policies_agree_on_the_worked_example():
@@ -130,25 +131,26 @@ def test_cow_drive_levels_symmetric_splitter():
     # With t_b = 0.5 and equal always-rails P on both families, both launch
     # levels are 2P.
     th = DetectorSettings(p_always_b=0.39, p_never_b=0.2, p_always_m=0.39, p_never_m=0.2)
-    plan = fsg_cow_drive([2, 3], 0.5, th)
-    np.testing.assert_allclose(plan.levels[plan.level_codes], [0.78, 0.78, 0.78])
-    plan_data = fsg_cow_drive([3], 0.5, th)
-    assert plan_data.levels[plan_data.level_codes[1]] == pytest.approx(2 * 0.39)
+    trigger, codes = fsg_cow_drive([2, 3], 0.5, th)
+    np.testing.assert_allclose(trigger.intensities[codes], [0.78, 0.78, 0.78])
+    trigger, codes = fsg_cow_drive([3], 0.5, th)
+    assert trigger.intensities[codes[1]] == pytest.approx(2 * 0.39)
 
 
 @settings(max_examples=100, deadline=None)
 @given(cow_readings)
 def test_fsg_cow_replay_reproduces_readings(readings):
-    plan = fsg_cow_drive(readings, 0.5, COW_RAILS)
-    assert replay_cow(plan, readings, 0.5) == list(readings)
+    trigger = fsg_cow_drive(readings, 0.5, COW_RAILS)
+    assert replay_cow(trigger, readings, 0.5) == list(readings)
 
 
 @settings(max_examples=60, deadline=None)
 @given(cow_readings)
 def test_fsg_cow_drive_never_leaks_into_silent_detectors(readings):
-    plan = fsg_cow_drive(readings, 0.5, COW_RAILS)
-    record = held_blind("cow", plan.trigger(), COW_RAILS, 0.5)
-    offset = plan.readings_slot_offset
+    trigger, codes = fsg_cow_drive(readings, 0.5, COW_RAILS)
+    record = held_blind("cow", (trigger, codes), COW_RAILS, 0.5)
+    offset = codes.size - len(readings)
+    assert offset == 1
     for j, r in enumerate(readings):
         slot = offset + j
         assert bool(record.clicks("D_B")[slot]) == (r == 3)
@@ -163,8 +165,9 @@ def test_fsg_cow_drive_never_leaks_into_silent_detectors(readings):
 
 
 def test_step_tables_target_the_right_ports():
-    assert DPS_PHASE_STEP == {0: 1, 1: 0, 2: 2}  # 1 = D1 constructive
-    assert COW_PHASE_STEP == {0: 1, 1: 2, 2: 0, 3: 1}  # 1 = D_M2 destructive
+    assert DPS_PHASE_STEP.dtype == COW_PHASE_STEP.dtype == np.int8
+    assert DPS_PHASE_STEP.tolist() == [1, 0, 2]  # 1 = D1 constructive
+    assert COW_PHASE_STEP.tolist() == [1, 2, 0, 1]  # 1 = D_M2 destructive
 
 
 # ---------------------------------------------------------------------------

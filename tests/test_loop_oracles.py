@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dprsim.attacks import (
+    WORKED_EXAMPLE_PHASES,
     capture_fraction,
     decode_cow_readings,
     decode_dps_readings,
@@ -194,8 +195,8 @@ def test_decode_cow_readings_match_loop(rows, data):
 @example([2] * 100 + [1, 0] * 50)  # a running sum of steps past what int8 holds
 @settings(max_examples=200)
 def test_canonical_dps_phases_match_loop(readings):
-    plan = fsg_dps_phases(readings)
-    _same(plan.phase_units, np.array(oracle.fsg_dps_canonical_phases_loop(readings), dtype=np.int8))
+    _, codes = fsg_dps_phases(readings)
+    _same(codes, np.array(oracle.fsg_dps_canonical_phases_loop(readings), dtype=np.int8))
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=60), st.sampled_from([0.3, 0.5, 0.7]))
@@ -203,10 +204,11 @@ def test_canonical_dps_phases_match_loop(readings):
 @settings(max_examples=200)
 def test_cow_drive_matches_loop(readings, t_b):
     th = DetectorSettings()
-    plan = fsg_cow_drive(readings, t_b, th)
+    trigger, codes = fsg_cow_drive(readings, t_b, th)
     phases, levels = oracle.fsg_cow_drive_loop(readings, th.p_always_m / (1.0 - t_b), th.p_always_b / t_b)
-    _same(plan.phase_units, np.array(phases, dtype=np.int8))
-    _same(plan.levels[plan.level_codes], levels)
+    _same(codes % 4, np.array(phases, dtype=np.int8))
+    # Bit for bit the trigger of the loop's levels, one field per pulse.
+    _same_train(oracle.gathered(trigger, codes), oracle.fsg_train(phases, levels))
 
 
 @given(
@@ -908,15 +910,19 @@ def test_coded_trigger_receive_matches_dense_receive(policy, readings, t_b, styl
     pulse, and Bob's blinded receive of it equals the full-length receive of
     that train bit for bit (``_same_receive``), under either blinding style."""
     if policy == "cow":
-        protocol, plan = "cow", fsg_cow_drive(readings, t_b, detector)
-    elif policy == "canonical":
-        protocol = "dps"
-        plan = fsg_dps_phases(np.array(readings) % 3, policy, launch_intensity=detector.p_always)
+        protocol, (trigger, codes) = "cow", fsg_cow_drive(readings, t_b, detector)
+        base, data = detector.p_always_m / (1.0 - t_b), detector.p_always_b / t_b
+        phases, levels = oracle.fsg_cow_drive_loop(readings, base, data)
     else:
         protocol = "dps"
-        plan = fsg_dps_phases(WORKED_EXAMPLE_READINGS, policy, launch_intensity=detector.p_always)
-    trigger, codes = plan.trigger()
-    dense = oracle.fsg_train(plan)
+        if policy == "canonical":
+            readings = np.array(readings) % 3
+            phases = oracle.fsg_dps_canonical_phases_loop(readings)
+        else:
+            readings, phases = WORKED_EXAMPLE_READINGS, WORKED_EXAMPLE_PHASES
+        trigger, codes = fsg_dps_phases(readings, policy, launch_intensity=detector.p_always)
+        levels = np.full(len(phases), detector.p_always)
+    dense = oracle.fsg_train(phases, levels)
     _same_train(oracle.gathered(trigger, codes), dense)
     blinding = BlindingSettings(style=style)
     streams = RngFactory(seed), RngFactory(seed)

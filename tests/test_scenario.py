@@ -17,13 +17,17 @@ from dprsim.cli import main
 from dprsim.config import AttackSettings, BlindingSettings, ConfigError, DetectorSettings, ScenarioConfig, scenario_from_dict
 from dprsim.detectors import apd_detect
 from dprsim.goldens import GOLDENS, golden_config_dict
+from dprsim.protocols import _interfaces
 from dprsim.report import emit_outputs, load_record, save_record, summarize
 from dprsim.scenario import (
     RngFactory,
     RunRecord,
     _alice_material,
+    _decoder,
+    _eve_key,
     _on_grid,
     _receive,
+    _sift,
     _transmit,
     derive_sweep_seed,
     load_config,
@@ -497,6 +501,43 @@ def test_a_loaded_blinding_record_derives_its_photocurrent_bit_for_bit(tmp_path,
         np.testing.assert_array_equal(trace.linear_mode, want >= blinding.blind_threshold)
 
 
+NOISY_BLINDING = {"dark_count_prob": 1e-3, "afterpulse_prob": 1e-2}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        *(golden_config_dict(name) for name in ("dps-blinding", "dps-blinding-derived", "cow-blinding", "cow-blinding-cw")),
+        {"protocol": "dps", "n_symbols": 2000, "seed": 1, "detector": NOISY_BLINDING, "attack": {"kind": "blinding"}},
+        {"protocol": "cow", "n_symbols": 2000, "seed": 1, "t_b": 0.5, "detector": NOISY_BLINDING,
+         "attack": {"kind": "blinding"}},
+    ],
+    ids=["dps-blinding", "dps-blinding-derived", "cow-blinding", "cow-blinding-cw", "dps-noisy", "cow-noisy"],
+)
+def test_a_stored_blinded_record_gives_its_grid(tmp_path, doc):
+    # Where Bob's grid starts in a blinded record follows from the record
+    # alone: Eve's reading 0 lands at her trigger's pulse count (D1 is one
+    # slot longer than the trigger, D_B as long) minus her reading count.  At
+    # that offset the loaded record re-sifts, re-decodes and re-keys to what
+    # it stores.
+    save_record(run_scenario(scenario_from_dict(doc)), tmp_path / "record.json")
+    record = load_record(tmp_path / "record.json")
+    cfg, run, outcome = scenario_from_dict(record.config), record.protocol_run, record.attack
+    bob, codes, readings = run.record, run.alice_codes, outcome.eve_readings
+    pulses = len(bob["D1"]) - 1 if cfg.protocol == "dps" else len(bob["D_B"])
+    offset = pulses - len(readings)
+    # Bob's grid is one slot longer than Alice's train: a slot per DPS symbol, two per COW symbol.
+    n_slots, interfaces = (codes.size + 1, None) if cfg.protocol == "dps" else (2 * codes.size + 1, _interfaces(codes))
+    again = _sift(cfg, codes, _on_grid(bob, offset, n_slots), interfaces)
+    for name in ("sifted_slots", "sifted_alice", "sifted_bob"):
+        assert getattr(again, name).tobytes() == getattr(run, name).tobytes(), name
+    assert again.qber == run.qber
+    assert again.visibility_report == run.visibility_report
+    assert _decoder(cfg)(bob, offset, readings.size).tobytes() == outcome.bob_readings.tobytes()
+    _, eve_bits = _eve_key(cfg, codes, lambda name: readings == {"D1": 1, "D2": 2, "D_B": 3}[name])
+    assert eve_bits.tobytes() == outcome.eve_key.tobytes()
+
+
 def _arrays(value):
     """The arrays of a record, or of its plain tree, in field order."""
     if isinstance(value, np.ndarray):
@@ -593,6 +634,30 @@ def test_saved_golden_files_hash_to_their_pins(golden_records, tmp_path):
         span = _hashed_span((tmp_path / f"{name}.json").read_bytes())
         digest = hashlib.sha256(span).hexdigest()
         assert digest == record.content_hash() == GOLDEN_RECORD_HASHES[name], name
+
+
+X86_V3_AND_UP = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def test_golden_record_hashes_hold_on_the_x86_64_v2_baseline():
+    # numpy picks each kernel by the host CPU at run time.  With every target
+    # above x86-64-v2 disabled in a child process, the pins must still hold.
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    if not set(X86_V3_AND_UP) <= set(umath.__cpu_dispatch__):
+        pytest.skip("this numpy build dispatches to no x86-64-v3 or -v4 target")
+    code = (
+        "import json\n"
+        "from numpy._core._multiarray_umath import __cpu_features__ as on\n"
+        "from dprsim.goldens import GOLDENS\n"
+        "from dprsim.scenario import run_golden\n"
+        f"assert not any(on[target] for target in {X86_V3_AND_UP!r}), on\n"
+        "print(json.dumps({name: run_golden(name).content_hash() for name in GOLDENS}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dprsim.__file__).parent.parent),
+           "NPY_DISABLE_CPU_FEATURES": " ".join(X86_V3_AND_UP)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    assert json.loads(proc.stdout) == GOLDEN_RECORD_HASHES
 
 
 def test_mapped_and_copied_loads_of_the_goldens_agree(golden_records, tmp_path):
