@@ -16,9 +16,9 @@ medians, every run, the memory figures and the environment to one JSON file:
 
 Run it from the root of a checkout; it imports ``dprsim`` from ``src/`` next
 to this directory, so the same file measures any checkout it is copied into.
-Every attack kind runs with ideal detectors; the clean run also runs with
-each detector imperfection of ``NOISY``, and a cell's ``detector`` names its
-set.  Blinding cells turn the photocurrent monitor on, and COW blinding cells
+Every attack kind runs with ideal detectors; the clean run and derived
+blinding also run with each detector imperfection of ``NOISY``, and a cell's
+``detector`` names its set.  Blinding cells turn the photocurrent monitor on, and COW blinding cells
 use ``t_b`` 0.5, the splitter at which the detection-control inequalities
 hold; every other setting is the scenario default.  One process, one run at a
 time.
@@ -52,7 +52,7 @@ from dprsim.scenario import run_scenario  # noqa: E402
 
 PROTOCOLS = ("dps", "cow")
 ATTACKS = ("none", "backflash", "trojan", "blinding")
-# Detector sections of the noisy clean cells, by the label a cell's ``detector`` holds.
+# Detector sections of the noisy clean and blinding cells, by the label a cell's ``detector`` holds.
 NOISY = {
     "dark-1e-5": {"dark_count_prob": 1e-5},
     "dead-3": {"dead_time_slots": 3},
@@ -162,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
 
-    kinds = [(attack, "ideal") for attack in ATTACKS] + [("none", detector) for detector in NOISY]
+    kinds = [(attack, "ideal") for attack in ATTACKS] + [(a, d) for a in ("none", "blinding") for d in NOISY]
     plan = [(scenario(p, a, n, d), d) for n in args.sizes for p in PROTOCOLS for a, d in kinds]
     sim, end_to_end, read, codes = ([[] for _ in plan] for _ in range(4))
     with tempfile.TemporaryDirectory(prefix="dprsim-matrix-") as tmp:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 import operator
 import sys
@@ -190,8 +189,7 @@ class ScenarioConfig:
     golden_name: str | None = None
 
     def validate(self) -> None:
-        """Check every field against the domain its hint states, then the checks that span fields."""
-        _domain_check(ScenarioConfig)(self, "")
+        """The checks that span fields, on a config whose fields each meet their domain."""
         for suffix in ("", "_b", "_m"):
             lo, hi = getattr(self.detector, f"p_never{suffix}"), getattr(self.detector, f"p_always{suffix}")
             if not lo < hi:
@@ -268,8 +266,9 @@ def _plain(obj: Any) -> Any:
     return obj
 
 
-# The hints as types only, their domains stripped.
+# The hints as types only, their domains stripped; and as written, with their domains.
 _type_hints = functools.cache(typing.get_type_hints)
+_hints = functools.cache(functools.partial(typing.get_type_hints, include_extras=True))
 
 # Scalar hint -> the Python types it accepts (never a bool, unless the hint is bool) and its name in errors.
 _SCALARS = {float: ((int, float), "a number"), int: ((int,), "an integer"), bool: ((bool,), "a boolean"),
@@ -289,7 +288,7 @@ def _at(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _typed(value: Any, hint: Any, path: str) -> Any:
+def _typed(value: Any, hint: Any, path: str, domains: list[tuple[str, Any, Any]] | None = None) -> Any:
     """``value`` read as a field of type ``hint``; every error names the field path.
 
     A dataclass comes from a mapping: unknown keys are rejected and missing
@@ -298,7 +297,8 @@ def _typed(value: Any, hint: Any, path: str) -> Any:
     comes from a mapping, as its sorted items.  A float accepts an int, must
     be finite and is stored as a float; an int, a bool and a str accept only
     their own type.  (PyYAML reads ``1e-5`` as a string; ``1.0e-5`` is the
-    float.)
+    float.)  Where a hint states a domain, ``(path, typed value, domain)`` joins
+    ``domains``, if given, in document order; the domain is not checked here.
     """
     inner = _inner(hint)
     if value is None and inner is not hint:
@@ -306,20 +306,22 @@ def _typed(value: Any, hint: Any, path: str) -> Any:
     if dataclasses.is_dataclass(inner):
         if not isinstance(value, Mapping):
             raise ConfigError(f"{path or 'scenario document'}: must be a mapping, got {value!r}")
-        hints = _type_hints(inner)
+        hints = _hints(inner)
         for key in value:
             if key not in hints:
                 raise ConfigError(f"{_at(path, key)}: unknown key (allowed: {', '.join(sorted(hints))})")
-        return inner(**{key: _typed(v, hints[key], _at(path, key)) for key, v in value.items()})
+        return inner(**{key: _typed(v, hints[key], _at(path, key), domains) for key, v in value.items()})
     if typing.get_origin(inner) is tuple:
         args = typing.get_args(inner)
         if isinstance(value, Mapping) and typing.get_origin(args[0]) is tuple:
-            return tuple(sorted(_typed(list(value.items()), inner, path)))
+            # Its domains are met once sorted, so that an error names the index stored.
+            return _typed(sorted(_typed(list(value.items()), inner, path)), inner, path, domains)
         sized = args[-1] is not Ellipsis
         if not isinstance(value, (list, tuple)) or (sized and len(value) != len(args)):
             raise ConfigError(f"{path}: must be a list{f' of {len(args)}' if sized else ''}, got {value!r}")
         kinds = args if sized else args[:1] * len(value)
-        return tuple(_typed(v, t, f"{path}[{i}]") for i, (v, t) in enumerate(zip(value, kinds)))
+        return tuple(_typed(v, t, f"{path}[{i}]", domains) for i, (v, t) in enumerate(zip(value, kinds)))
+    inner, domain = typing.get_args(inner) if typing.get_origin(inner) is Annotated else (inner, None)
     kinds, name = _SCALARS[inner]
     if not isinstance(value, kinds) or (isinstance(value, bool) and inner is not bool):
         raise ConfigError(f"{path}: must be {name}, got {value!r}")
@@ -327,51 +329,31 @@ def _typed(value: Any, hint: Any, path: str) -> Any:
         # Compared, not converted: an int too large for a float is not finite either.
         if not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{path}: must be finite, got {value}")
-        return float(value)
+        value = float(value)
+    if domain is not None and domains is not None:
+        domains.append((path, value, domain))
     return value
 
 
 @functools.cache
-def _domain_check(hint: Any) -> Callable[[Any, str], None] | None:
-    """The check of a value of type ``hint`` against every domain its hint
-    states, those of a section's fields and a tuple's elements too; None where
-    it states none.  A field left at None has no domain to meet."""
-    hint = _inner(hint)
-    if typing.get_origin(hint) is Annotated:
-        domain = hint.__metadata__[0]
-        if isinstance(domain, tuple):
-            contains, says = domain.__contains__, f"one of {domain}"
-        else:
-            lo, hi = (float(end) for end in domain[1:-1].split(","))
-            above, below = (operator.lt if end in "()" else operator.le for end in (domain[0], domain[-1]))
-            contains, says = (lambda v: above(lo, v) and below(v, hi)), f"within {domain}"
-
-        def scalar(value: Any, path: str) -> None:
-            if not contains(value):
-                raise ConfigError(f"{path}: must be {says}, got {value!r}")
-        return scalar
-    if dataclasses.is_dataclass(hint):
-        hints = typing.get_type_hints(hint, include_extras=True)
-        checks = [(key, check) for key in hints if (check := _domain_check(hints[key])) is not None]
-
-        def section(value: Any, path: str) -> None:
-            for key, check in checks:
-                if (v := getattr(value, key)) is not None:
-                    check(v, f"{path}.{key}" if path else key)
-        return section
-    if typing.get_origin(hint) is tuple:
-        checks = [_domain_check(arg) for arg in typing.get_args(hint) if arg is not Ellipsis]
-
-        def elements(value: Any, path: str) -> None:
-            for i, (v, check) in enumerate(zip(value, itertools.cycle(checks))):
-                if check is not None:
-                    check(v, f"{path}[{i}]")
-        return elements if any(checks) else None
-    return None
+def _domain(domain: tuple | str) -> tuple[Callable[[Any], bool], str]:
+    """The test of a domain that a hint states, a tuple of choices or an interval, and its wording in errors."""
+    if isinstance(domain, tuple):
+        return domain.__contains__, f"one of {domain}"
+    lo, hi = (float(end) for end in domain[1:-1].split(","))
+    above, below = (operator.lt if end in "()" else operator.le for end in (domain[0], domain[-1]))
+    return (lambda v: above(lo, v) and below(v, hi)), f"within {domain}"
 
 
 def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
-    """Build and validate a config from a plain mapping; unknown keys rejected."""
-    cfg = _typed(data, ScenarioConfig, "")
+    """Build and validate a config from a plain mapping; unknown keys rejected.
+    One walk types every field before any domain is checked, so every type error
+    comes first; then each domain fault, in document order; then the checks that span fields."""
+    domains: list[tuple[str, Any, Any]] = []
+    cfg = _typed(data, ScenarioConfig, "", domains)
+    for path, value, domain in domains:
+        contains, says = _domain(domain)
+        if not contains(value):
+            raise ConfigError(f"{path}: must be {says}, got {value!r}")
     cfg.validate()
     return cfg

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -259,7 +260,7 @@ class DetectorTrace:
         if not n:
             return 0.0
         first = codes[np.argmax(self.clicks)]
-        if np.count_nonzero(self.clicks & (codes == first)) == n:
+        if np.count_nonzero(operator.iand(codes == first, self.clicks)) == n:  # one slot mask, ANDed in place
             same = functools.cache(lambda m: self.levels[first : first + 1].repeat(m).sum())
             return float(_pairwise_sum(n, lambda lo, m: same(m)))
         clicked = np.compress(self.clicks, codes)

@@ -20,7 +20,7 @@ from dprsim.cli import main
 from dprsim.config import WORKED_EXAMPLE_READINGS, BlindingSettings, DetectorSettings, scenario_from_dict
 from dprsim.optics import PulseTrain, dli
 from dprsim.detectors import PhotocurrentMonitor, apd_detect
-from dprsim.protocols import _interfaces, dps_encode, dps_sift, receive
+from dprsim.protocols import _interfaces, cow_encode, dps_encode, dps_sift, receive, visibility
 from dprsim.scenario import run_golden, run_scenario
 
 from _oracles import brute_force_cow_monitor, brute_force_dli_ports, coded, cow_occupancy_loop
@@ -252,6 +252,40 @@ def test_linear_mode_clicks_interpolate_between_the_rails(rails, fraction, seed)
         )["D"]
         assert trace.linear_mode.all()
         assert _within_five_sigma(trace.click_count, n, (level - p_never) / (p_always - p_never))
+
+
+@pytest.mark.parametrize("t_b", [0.5725, 0.55])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_cow_splitter_shares_each_pulse_between_the_lines(t_b, seed):
+    # Closed form: the splitter passes t_b of each pulse's intensity I to the
+    # data line and 1 - t_b to the monitoring line.  Under continuous blinding
+    # light every detector is linear and clicks at an intensity J with
+    # probability (J - p_never) / (p_always - p_never), clipped to [0, 1], one
+    # draw per slot, on rails that do not scale with t_b.  So D_B clicks at a
+    # pulse with J = t_b I.  At an interface two equal-phase pulses meet, so
+    # D_M1 sees J = (1 - t_b) I and D_M2 sees nothing; where a pulse meets
+    # vacuum, each sees a quarter of that, under the rail.  I = 0.69 puts D_B
+    # mid-rail at t_b = 0.5725 and under its rail at 0.55.
+    with criterion("cow-splitter-closed-form"):
+        d, intensity = DetectorSettings(), 0.69
+        symbols = np.random.default_rng(seed).integers(0, 3, NOISE_SYMBOLS)
+        train, occupancy = cow_encode(symbols, np.sqrt(intensity))
+        streams = {name: np.random.default_rng([seed, i]) for i, name in enumerate(("D_B", "D_M1", "D_M2"))}
+        record = receive("cow", train, occupancy, d, intensity, t_b=t_b, rng=streams.__getitem__,
+                         blinding=BlindingSettings(style="cw"))
+
+        def p_click(j, p_never, p_always):
+            return min(max((j - p_never) / (p_always - p_never), 0.0), 1.0)
+
+        pulses = int(np.count_nonzero(occupancy))
+        d_b = record["D_B"].clicks
+        assert not d_b[occupancy == 0].any()
+        assert _within_five_sigma(int(np.count_nonzero(d_b)), pulses, p_click(t_b * intensity, d.p_never_b, d.p_always_b))
+        interfaces = _interfaces(symbols)[0].size
+        overall = visibility(record, symbols).overall
+        assert overall.d_m1 + overall.d_m2 == record["D_M1"].click_count + record["D_M2"].click_count
+        assert _within_five_sigma(overall.d_m1, interfaces, p_click((1 - t_b) * intensity, d.p_never_m, d.p_always_m))
+        assert overall.d_m2 == 0
 
 
 def test_fsg_sequence_reproduction():

@@ -28,7 +28,8 @@ def test_matrix_smoke_writes_every_cell(tmp_path):
         "dead-3": {"dead_time_slots": 3},
         "afterpulse-1e-2": {"afterpulse_prob": 0.01},
     }
-    kinds = [(a, "ideal") for a in ("none", "backflash", "trojan", "blinding")] + [("none", d) for d in noisy]
+    kinds = [(a, "ideal") for a in ("none", "backflash", "trojan", "blinding")]
+    kinds += [(a, d) for a in ("none", "blinding") for d in noisy]
     assert sorted((c["protocol"], c["attack"], c["detector"]) for c in cells) == sorted(
         (p, a, d) for p in ("dps", "cow") for a, d in kinds
     )

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import dprsim
 from dprsim import cli, report
 from dprsim.cli import main
-from dprsim.config import WORKED_EXAMPLE_READINGS, ScenarioConfig, _inner, scenario_from_dict
+from dprsim.config import WORKED_EXAMPLE_READINGS, ConfigError, ScenarioConfig, _inner, scenario_from_dict
 from dprsim.record import RECORD_FORMAT, RunRecord
 from dprsim.report import MetricsSummary, emit_outputs, load_record, save_record, summarize
 from dprsim.scenario import load_config, run_golden, run_scenario
@@ -771,6 +771,23 @@ def test_cli_rejects_a_mistyped_or_overflowing_document_at_load(tmp_path, capsys
     assert _run_document(tmp_path, text) == 1
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        # Domain faults are reported in document order; the value named is the typed one.
+        ({"t_b": 2, "n_symbols": 1}, "t_b: must be within (0, 1), got 2.0"),
+        ({"n_symbols": 1, "t_b": 2}, "n_symbols: must be within [2, inf), got 1"),
+        # A mapping of pairs is stored sorted, and its error names the index stored.
+        ({"channel": {"excess_loss_db": {1924.0: 20.0, 0.0: 5.0}}},
+         "channel.excess_loss_db[0][0]: must be within (0, inf), got 0.0"),
+    ],
+    ids=["t_b_first", "n_symbols_first", "sorted_pairs"],
+)
+def test_config_names_the_first_domain_fault_of_the_document(doc, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(doc)
 
 
 def test_cli_names_an_unknown_golden_without_quotes(capsys):

@@ -839,12 +839,13 @@ def test_run_allocates_little_beyond_its_record(doc, bound):
 
 # Peak traced memory of ``summarize`` over its record's array bytes, after
 # one warm-up summary; measured over the config's seed and seeds 1-3:
-# 0.1334-0.1335 and 0.1179.  No detector's summary builds a float per click:
-# every click of these traces is at one level, and the two boolean slot
-# masks that check it are the largest arrays.
+# 0.0930-0.0932 and 0.0593.  No detector's summary builds a float per click:
+# every click of these traces is at one level.  The largest arrays are the one
+# boolean slot mask that checks it and, once that is freed, a leaf's repeated
+# level (at most 64 kB).
 SUMMARY_TO_RECORD = [
-    (PEAK_TO_RECORD[1][0], 0.134),
-    ({"golden_name": "dps-backflash-stat", "n_symbols": 100_000}, 0.118),
+    (PEAK_TO_RECORD[1][0], 0.094),
+    ({"golden_name": "dps-backflash-stat", "n_symbols": 100_000}, 0.060),
 ]
 
 
