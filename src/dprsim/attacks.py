@@ -33,7 +33,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .config import DetectorSettings, TrojanSettings, _launch_levels
-from .detectors import DetectionRecord, _coded, apd_detect
+from .detectors import DetectionRecord, _coded, _window, apd_detect
 from .optics import PulseTrain, attenuate
 from .protocols import receive
 
@@ -128,17 +128,6 @@ def fsg_cow_drive(
     level_codes = np.zeros(readings.size + 1, dtype=np.int8)
     np.equal(readings, 3, out=level_codes[1:])
     return _trigger(_phase_plan(readings, COW_PHASE_STEP), levels, level_codes)
-
-
-def _window(values: np.ndarray, offset: int, n: int) -> np.ndarray:
-    """Values of the ``n`` slots from ``offset``: a view where they lie inside
-    ``values``, else a copy whose slots past the end are zero (no click)."""
-    part = values[offset : offset + n]
-    if part.size == n:
-        return part
-    out = np.zeros(n, dtype=values.dtype)
-    out[: part.size] = part
-    return out
 
 
 def decode_dps_readings(record: DetectionRecord, offset: int, n_readings: int) -> np.ndarray:
@@ -270,25 +259,31 @@ def trojan_decode(
 # ---------------------------------------------------------------------------
 
 
+# Bob's slots per gather of ``capture_fraction``.
+_GATHER_BLOCK = 1 << 13
+
+
 def capture_fraction(
     bob_slots: np.ndarray,
     bob_bits: np.ndarray,
-    eve_slots: np.ndarray,
+    eve_held: np.ndarray,
     eve_bits: np.ndarray,
 ) -> float:
     """Fraction of Bob's sifted bits that Eve holds.
 
-    Matches by slot: Bob's bit at slot ``s`` counts when Eve holds the same
-    bit at ``s``.  Where Eve lists a slot more than once, her last entry for
-    it wins.  Slots are grid indices (>= 0); bits are booleans (or 0 and 1).
+    Matches by slot: Bob's bit at slot ``s`` counts when Eve holds a bit there
+    (``eve_held[s]``) and it is his (``eve_bits[s]``).  Bob's slots ascend, as
+    every sift takes them, and Eve holds none past the end of her masks.  They
+    are gathered a block at a time, so no array of a byte per sifted bit is
+    made.
     """
-    if bob_slots.size == 0 or eve_slots.size == 0:
-        return 0.0
-    # Eve's bit per grid slot, -1 where she has none.  An assignment through
-    # one index array runs in index order, so her last entry for a slot wins.
-    held = np.full(max(bob_slots.max(), eve_slots.max()) + 1, -1, dtype=np.int8)
-    held[eve_slots] = eve_bits
-    return int(np.count_nonzero(held[bob_slots] == bob_bits)) / bob_slots.size
+    end, hits = int(np.searchsorted(bob_slots, eve_held.shape[0])), 0
+    for lo in range(0, end, _GATHER_BLOCK):
+        slots = bob_slots[lo : min(lo + _GATHER_BLOCK, end)]
+        held = eve_held[slots]
+        held &= eve_bits[slots] == bob_bits[lo : lo + slots.size]
+        hits += int(np.count_nonzero(held))
+    return hits / bob_slots.size if bob_slots.size else 0.0
 
 
 @dataclass(eq=False)

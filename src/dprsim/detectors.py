@@ -299,6 +299,17 @@ class DetectionRecord:
         return self.detectors[name].clicks
 
 
+def _window(values: np.ndarray, offset: int, n: int) -> np.ndarray:
+    """Values of the ``n`` slots from ``offset``: a view where they lie inside
+    ``values``, else a copy whose slots past the end are zero (no click)."""
+    part = values[offset : offset + n]
+    if part.size == n:
+        return part
+    out = np.zeros(n, dtype=values.dtype)
+    out[: part.size] = part
+    return out
+
+
 # Slots per block of a detector that is blinded or may draw: a quarter of its
 # trace, but at least this many.
 _BLOCK = 1 << 13

@@ -31,7 +31,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .config import BlindingSettings, DetectorSettings
-from .detectors import DetectionRecord, PhotocurrentMonitor, _coded, apd_detect
+from .detectors import DetectionRecord, PhotocurrentMonitor, _coded, _window, apd_detect
 from .optics import PulseTrain, coupler_2x2, cw_laser, dli, phase_modulator, pulse_carver
 
 __all__ = [
@@ -243,24 +243,22 @@ def dps_reference_bits(phase_bits) -> np.ndarray:
     return bits[1:] != bits[:-1]
 
 
-def dps_sift(phase_bits, record: DetectionRecord) -> ProtocolRun:
+def dps_sift(phase_bits, record: DetectionRecord, offset: int = 0) -> ProtocolRun:
     """Keep interior slots where exactly one detector clicked.
 
     Bob's bit is 0 (``False``) for D1 and 1 for D2; Alice's matching bit is
     the XOR of the two phase bits interfering at that slot.  Slots with no
     click or a double click are discarded.  QBER is the mismatch fraction (0
-    when nothing was sifted).
+    when nothing was sifted).  Slot ``k`` of Alice's grid is slot ``offset +
+    k`` of the record, silent past its end (``detectors._window``).
     """
     bits = _as_codes(phase_bits, 1)
     reference = dps_reference_bits(bits)
-    n = bits.size
-    d1, d2 = record.clicks("D1"), record.clicks("D2")
-    if d1.shape[0] != n + 1:
-        raise ValueError(f"record not aligned to the slot clock: {d1.shape[0]} slots for {n} pulses")
-    one_click = np.logical_xor(d1[1:n], d2[1:n])  # the interior slots
+    d1, d2 = (_window(record.clicks(name), offset + 1, reference.size) for name in ("D1", "D2"))  # the interior slots
+    one_click = np.logical_xor(d1, d2)
     slots = np.flatnonzero(one_click)
-    slots += 1
     bob = d2[slots]
+    slots += 1
     alice = reference[one_click]
     qber = np.count_nonzero(bob != alice) / slots.size if slots.size else 0.0
     return ProtocolRun(
@@ -290,17 +288,14 @@ def cow_occupancy(codes) -> np.ndarray:
 
 def _cow_half_slots(codes: np.ndarray, clicks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Arrival-time decision on each data symbol of Alice's checked ``codes``
-    from per-grid-slot clicks.
+    from the clicks of her grid's slots, two a symbol.
 
     Returns the indices of the data symbols (decoys dropped) whose pair of
     half-slots clicked at all, the bit each one names (``True`` for a late
     click, ``False`` for an early one) and whether both half-slots clicked, in
     which case the bit is undecided.
     """
-    n = codes.size
-    if clicks.shape[0] < 2 * n:
-        raise ValueError(f"click record too short ({clicks.shape[0]} slots) for {n} symbols")
-    pairs = clicks[: 2 * n].astype(bool).reshape(n, 2)
+    pairs = clicks.reshape(codes.size, 2)
     early, late = pairs[:, 0], pairs[:, 1]
     kept = np.flatnonzero((codes != _DECOY) & (early | late))
     return kept, late[kept], early[kept] & late[kept]
@@ -326,19 +321,19 @@ _CROSS_CLASS = np.full((3, 3), -1, dtype=np.int8)
 _CROSS_CLASS[(0, 0, 2, 2), (1, 2, 1, 2)] = (1, 2, 3, 4)  # "01", "0d", "d1", "dd"
 
 
-def _interfaces(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Interferometer slots of all interfaces and their class indices.
+def _interfaces(codes: np.ndarray) -> np.ndarray:
+    """The interface class of each monitor slot of Alice's grid, an index into
+    :data:`VISIBILITY_CLASSES`, or -1 where the slot holds no interface.
 
-    The slot is where the later pulse interferes with the earlier one in the
-    one-slot-delay interferometer; every adjacent occupied pair has exactly
-    one class of :data:`VISIBILITY_CLASSES`.
+    An interface's slot is where the later pulse interferes with the earlier
+    one in the one-slot-delay interferometer; every adjacent occupied pair
+    has exactly one class.
     """
     cls = np.full(2 * codes.size, -1, dtype=np.int8)
     # Intra-symbol pair at odd slots: only the decoy occupies both of its slots.
     cls[1::2] = np.where(codes == _DECOY, 0, -1)
     cls[2::2] = _CROSS_CLASS[codes[1:], codes[:-1]]
-    slots = np.flatnonzero(cls >= 0)
-    return slots, cls[slots]
+    return cls
 
 
 @dataclass
@@ -372,21 +367,21 @@ class VisibilityReport:
         return self.overall.visibility
 
 
-def visibility(monitor: DetectionRecord, codes, interfaces: tuple[np.ndarray, ...] | None = None) -> VisibilityReport:
+def visibility(monitor: DetectionRecord, codes, offset: int = 0) -> VisibilityReport:
     """Count threshold-crossing detections per interface class.
 
     Only interface slots enter the statistic; apparatus edges where a pulse
-    meets a vacuum neighbour are not interfaces.  ``interfaces`` are those of
-    ``codes`` (``_interfaces``), found here unless given: a run that sifts
-    twice over the same codes finds them once.
+    meets a vacuum neighbour are not interfaces.  Slot ``k`` of Alice's grid
+    is slot ``offset + k`` of the record, silent past its end.
     """
     codes = _as_codes(codes, 2)
-    m1, m2 = monitor.clicks("D_M1"), monitor.clicks("D_M2")
-    if m1.shape[0] < 2 * codes.size:
-        raise ValueError(f"monitor record too short ({m1.shape[0]} slots) for {codes.size} symbols")
-    slots, classes = _interfaces(codes) if interfaces is None else interfaces
-    n1 = np.bincount(classes[m1[slots].astype(bool)], minlength=len(VISIBILITY_CLASSES))
-    n2 = np.bincount(classes[m2[slots].astype(bool)], minlength=len(VISIBILITY_CLASSES))
+    classes = _interfaces(codes)
+
+    def counts(name: str) -> np.ndarray:
+        at = classes[_window(monitor.clicks(name), offset, classes.size)]  # the class of each clicked slot
+        return np.bincount(at[at >= 0], minlength=len(VISIBILITY_CLASSES))
+
+    n1, n2 = counts("D_M1"), counts("D_M2")
     return VisibilityReport(
         per_class={s: ClassCounts(int(a), int(b)) for s, a, b in zip(VISIBILITY_CLASSES, n1, n2)},
         overall=ClassCounts(int(n1.sum()), int(n2.sum())),
@@ -397,6 +392,7 @@ def cow_sift(
     codes,
     record: DetectionRecord,
     report: VisibilityReport | None = None,
+    offset: int = 0,
 ) -> ProtocolRun:
     """Drop decoy positions and decide each remaining bit from which half-slot
     of the pair D_B clicked.
@@ -404,10 +400,11 @@ def cow_sift(
     A pair clicking in both half-slots is inconsistent with any data symbol and
     is counted as an error; a pair with no click is discarded.  QBER is 0 when
     nothing was sifted.  The visibility report rides along as the
-    eavesdropping witness.
+    eavesdropping witness.  Slot ``k`` of Alice's grid is slot ``offset + k``
+    of the record, silent past its end.
     """
     codes = _as_codes(codes, 2)
-    kept, late, both = _cow_half_slots(codes, record.clicks("D_B"))
+    kept, late, both = _cow_half_slots(codes, _window(record.clicks("D_B"), offset, 2 * codes.size))
     alice = codes[kept] == 1
     bob_bits = np.where(both, ~alice, late)
     qber = np.count_nonzero(alice != bob_bits) / kept.size if kept.size else 0.0

@@ -13,14 +13,13 @@ from __future__ import annotations
 import json
 import time
 import zlib
-from dataclasses import is_dataclass, replace
+from dataclasses import is_dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .attacks import (
     AttackOutcome,
-    _window,
     blinding_feasible,
     capture_fraction,
     decode_cow_readings,
@@ -40,22 +39,13 @@ from .config import (
     _typed,
     scenario_from_dict,
 )
-from .detectors import (
-    DetectionRecord,
-    DetectorTrace,
-    PhotocurrentMonitor,
-    _code_dtype,
-    _coded,
-    backflash_emit,
-    watchdog,
-)
+from .detectors import DetectionRecord, PhotocurrentMonitor, _window, backflash_emit, watchdog
 from .goldens import golden_config_dict
 from .optics import PulseTrain, cw_laser, phase_modulator
 from .protocols import (
     _CODE,
     ProtocolRun,
     _DECOY,
-    _interfaces,
     cow_encode,
     cow_sift,
     dps_encode,
@@ -191,12 +181,12 @@ def _receive(
     )
 
 
-def _sift(cfg: ScenarioConfig, codes: np.ndarray, record: DetectionRecord, interfaces: tuple | None) -> ProtocolRun:
-    """Bob's sifting of a record on Alice's slot grid; COW adds visibility
-    over the ``interfaces`` of Alice's codes (``protocols._interfaces``)."""
+def _sift(cfg: ScenarioConfig, codes: np.ndarray, record: DetectionRecord, offset: int = 0) -> ProtocolRun:
+    """Bob's sifting of a record on Alice's slot grid, which starts at the
+    record's slot ``offset``; COW adds visibility."""
     if cfg.protocol == "dps":
-        return dps_sift(codes, record)
-    return cow_sift(codes, record, visibility(record, codes, interfaces))
+        return dps_sift(codes, record, offset)
+    return cow_sift(codes, record, visibility(record, codes, offset), offset)
 
 
 # ---------------------------------------------------------------------------
@@ -214,18 +204,19 @@ def _eve_key(
     cfg: ScenarioConfig, codes: np.ndarray, clicks: Callable[[str], np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eve's key over Alice's ``codes`` from ``clicks(name)``, the per-slot
-    clicks of her detector ``name``: the slots it keys and their bits.  DPS:
-    the slots where exactly one of D1 and D2 clicked, D2 meaning bit 1.  COW:
+    clicks of her detector ``name``, as two masks over the positions Bob
+    sifts: where she holds a bit, and the bit.  DPS: she holds the slots
+    where exactly one of D1 and D2 clicked, D2 meaning bit 1.  COW: she holds
     the data symbols where exactly one D_B half-slot clicked, the late one
     meaning bit 1; slots past the end of the clicks are silent."""
     if cfg.protocol == "dps":
         d1, d2 = clicks("D1"), clicks("D2")
-        slots = np.flatnonzero(d1 != d2)
-        return slots, d2[slots]
+        return d1 != d2, d2
     d_b = _window(clicks("D_B"), 0, 2 * codes.size)
     early, late = d_b[::2], d_b[1::2]
-    kept = np.flatnonzero((codes != _DECOY) & (early != late))
-    return kept, late[kept]
+    held = early != late
+    held &= codes != _DECOY
+    return held, late
 
 
 def _run_backflash(cfg: ScenarioConfig, rngs: RngFactory, run: ProtocolRun) -> tuple[np.ndarray, np.ndarray]:
@@ -271,60 +262,37 @@ def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun) -> tuple[tuple[np.ndarray
     return _eve_key(cfg, run.alice_codes, eve.clicks), {"alarms": alarms}
 
 
-def _on_grid(record: DetectionRecord, offset: int, n_slots: int) -> DetectionRecord:
-    """The ``n_slots`` slots of ``record`` from ``offset`` on; slots past its
-    end are silent and dark: no click, zero intensity, Geiger mode."""
-    traces = {}
-    for name, t in record.detectors.items():
-        levels, codes = t.levels, _window(t.level_codes, offset, n_slots)
-        if offset + n_slots > len(t):  # code 0 need not be intensity 0: recode, a padded slot by a zero level
-            n = t.levels.shape[0]
-            codes = _window(t.level_codes.astype(_code_dtype(n + 1), copy=False), offset, n_slots)
-            codes[max(0, len(t) - offset) :] = n
-            [(levels, codes)] = _coded([np.append(t.levels, 0.0)], codes)
-        clicks, linear = _window(t.clicks, offset, n_slots), _window(t.linear_mode, offset, n_slots)
-        traces[name] = DetectorTrace(clicks, levels, codes, linear)
-    return DetectionRecord(traces)
-
-
 def _eve_readings(
     cfg: ScenarioConfig, rngs: RngFactory, train: PulseTrain, codes: np.ndarray, clean: DetectionRecord
-) -> tuple[np.ndarray, int]:
+) -> np.ndarray:
     """The blinding attack's first stage: the readings Eve replays, pinned or
     measured by her replica of Bob on Alice's train (coded by ``codes``, see
-    ``_receive``), and the slots of Alice's grid that Bob sifts, one more than
-    the train's.  Detectors that draw nothing record the same train alike, so
-    then her replica's record is Bob's ``clean`` one."""
-    n_slots = codes.size + 1
+    ``_receive``) over the slots of its record, one more than the train's.
+    Detectors that draw nothing record the same train alike, so then her
+    replica's record is Bob's ``clean`` one."""
     readings = cfg.attack.blinding.readings
     if readings is not None:
-        return np.array(readings, dtype=np.int8), n_slots
+        return np.array(readings, dtype=np.int8)
     record = clean
     if cfg.detector.afterpulse_prob > 0.0 or cfg.detector.dark_count_prob > 0.0:
         record = _receive(cfg, train, codes, rngs, "eve-stage1")
     # A double click of Eve's replica (DPS reading -1) names no detector:
     # she replays it as a vacuum event.
-    return np.maximum(_decoder(cfg)(record, 0, n_slots), 0), n_slots
+    return np.maximum(_decoder(cfg)(record, 0, codes.size + 1), 0)
 
 
 def _run_blinding(
-    cfg: ScenarioConfig,
-    rngs: RngFactory,
-    codes: np.ndarray,
-    interfaces: tuple | None,
-    readings: np.ndarray,
-    n_slots: int,
+    cfg: ScenarioConfig, rngs: RngFactory, codes: np.ndarray, readings: np.ndarray
 ) -> tuple[ProtocolRun, tuple[np.ndarray, np.ndarray], dict[str, Any], Callable[[], np.ndarray]]:
     """Eve's coded trigger for her ``readings`` (see ``_eve_readings``) and
     its replay into Bob's blinded detectors with the photocurrent monitor
-    watching; ``codes`` are Alice's and ``interfaces`` theirs, as ``_sift``
-    takes them.  Returns Bob's blinded run, Eve's key, the outcome's alarms,
-    feasibility and Eve's readings, and a call that decodes Bob's readings.
+    watching; ``codes`` are Alice's.  Returns Bob's blinded run, Eve's key,
+    the outcome's alarms, feasibility and Eve's readings, and a call that
+    decodes Bob's readings.
 
-    Bob sifts the blinded record as he sifts a clean one, over the
-    ``n_slots`` slots of Alice's grid, which start where Eve's reading 0
-    lands, at the trigger's pulse count minus her reading count; the stored
-    record is the whole blinded one.
+    Bob sifts the blinded record as he sifts a clean one, on Alice's grid,
+    which starts where Eve's reading 0 lands, at the trigger's pulse count
+    minus her reading count; the run keeps the whole blinded record.
     Pinned readings are sifted against Alice's material too: they do not
     come from her train, so a QBER near 1/2 is the honest result.  Derived
     COW blinding has no visibility: every interface slot is also a D_B pulse
@@ -355,7 +323,7 @@ def _run_blinding(
     alarms = {"watchdog": False, "photocurrent_monitor": any(m.alarm for m in monitors.values())}
 
     key = _eve_key(cfg, codes, lambda name: readings == {"D1": 1, "D2": 2, "D_B": 3}[name])
-    run = replace(_sift(cfg, codes, _on_grid(record, offset, n_slots), interfaces), record=record)
+    run = _sift(cfg, codes, record, offset)
     fields = {"alarms": alarms, "feasibility": feasibility, "eve_readings": readings}
     return run, key, fields, lambda: _decoder(cfg)(record, offset, readings.size)
 
@@ -372,21 +340,18 @@ def _outcome(
     clean_visibility: float | None,
     key: tuple[np.ndarray, np.ndarray],
     fields: dict[str, Any],
-    bob_readings: Callable[[], np.ndarray] | None,
 ) -> AttackOutcome:
     """Every attack's score: the share of Bob's sifted bits in ``run`` that
     Eve's ``key`` holds at the same slot, the QBER ``run`` adds to the clean
     run's and the visibility it takes from it (None where either run has
     none), with the attack's own ``fields``.  A passive attack's ``run`` is
-    the clean one.  Bob's readings under blinding are decoded only after the
-    capture: held through it, they would set the run's peak memory."""
-    eve_slots, eve_bits = key
-    frac = capture_fraction(run.sifted_slots, run.sifted_bob, eve_slots, eve_bits)
-    if bob_readings is not None:
-        fields = {**fields, "bob_readings": bob_readings()}
+    the clean one.  ``key`` is Eve's two masks (``_eve_key``); the outcome
+    keeps the bits she holds."""
+    eve_held, eve_bits = key
+    frac = capture_fraction(run.sifted_slots, run.sifted_bob, eve_held, eve_bits)
     after = _overall_visibility(run)
     drop = None if clean_visibility is None or after is None else clean_visibility - after
-    return AttackOutcome(kind, eve_bits, frac, run.qber - clean_qber, drop, **fields)
+    return AttackOutcome(kind, eve_bits[eve_held], frac, run.qber - clean_qber, drop, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +412,13 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunRecord:
     codes = _alice_material(cfg, rngs)
     train, slot_codes = _transmit(cfg, codes)
     record = _receive(cfg, train, slot_codes, rngs, "bob")
-    interfaces = _interfaces(codes) if cfg.protocol == "cow" else None
-    run = _sift(cfg, codes, record, interfaces)
+    run = _sift(cfg, codes, record)
 
     kind = cfg.attack.kind
     # Drop what no later stage reads: Alice's train serves only Eve's
     # blinding replica.
     if kind == "blinding":
-        stage1 = _eve_readings(cfg, rngs, train, slot_codes, record)
+        readings = _eve_readings(cfg, rngs, train, slot_codes, record)
     del train, slot_codes, record
     outcome = None
     if kind != "none":
@@ -468,8 +432,13 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunRecord:
             # Bob's blinded receive is where a run peaks: of the clean run
             # only its QBER and its visibility are read again.
             del run
-            run, key, fields, bob_readings = _run_blinding(cfg, rngs, codes, interfaces, *stage1)
-        outcome = _outcome(kind, run, clean_qber, clean_visibility, key, fields, bob_readings)
+            run, key, fields, bob_readings = _run_blinding(cfg, rngs, codes, readings)
+        outcome = _outcome(kind, run, clean_qber, clean_visibility, key, fields)
+        if bob_readings is not None:
+            # Bob's readings are decoded once Eve's masks are freed: held
+            # with them, they would set the run's peak memory.
+            del key
+            outcome.bob_readings = bob_readings()
 
     wall = time.perf_counter() - started
     return RunRecord(config=cfg.to_dict(), protocol_run=run, attack=outcome, wall_time_s=wall)

@@ -35,7 +35,8 @@ reached it coded (the encoders' trains, the channel's tamper, the probe and
 Eve's faked-state trigger): the ``gathered`` train, the splitter, the
 full-length interferometer and one ``apd_detect`` per line, each line's
 intensity ``coded`` by ``np.unique`` over its slots, the canonical coding a
-detector trace keeps.
+detector trace keeps.  ``on_grid`` keeps the padded record a blinded run was
+sifted on, before each sift read its clicks through a window of the record.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from dprsim.config import DetectorSettings, scenario_from_dict
-from dprsim.detectors import _RAIL_TOL, DetectionRecord, apd_detect
+from dprsim.detectors import _RAIL_TOL, DetectionRecord, DetectorTrace, _code_dtype, _coded, apd_detect
 from dprsim.optics import PulseTrain, attenuate, coupler_2x2, cw_laser, dli, phase_modulator, pulse_carver
 from dprsim.record import _record_from_bytes
 
@@ -722,3 +723,27 @@ def receive_dense(
             rng=None if rng is None else rng(name),
         )[name]
     return DetectionRecord(traces), {name: line[0] for name, line in lines.items()}
+
+
+def _padded(values, offset: int, n: int) -> np.ndarray:
+    """The ``n`` values from ``offset``, zero past the end of ``values``."""
+    out = np.zeros(n, dtype=values.dtype)
+    part = values[offset : offset + n]
+    out[: part.size] = part
+    return out
+
+
+def on_grid(record: DetectionRecord, offset: int, n_slots: int) -> DetectionRecord:
+    """The ``n_slots`` slots of ``record`` from ``offset`` on; slots past its
+    end are silent and dark: no click, zero intensity, Geiger mode."""
+    traces = {}
+    for name, t in record.detectors.items():
+        levels, codes = t.levels, t.level_codes[offset : offset + n_slots]
+        if offset + n_slots > len(t):  # code 0 need not be intensity 0: recode, a padded slot by a zero level
+            n = t.levels.shape[0]
+            codes = _padded(t.level_codes.astype(_code_dtype(n + 1)), offset, n_slots)
+            codes[max(0, len(t) - offset) :] = n
+            [(levels, codes)] = _coded([np.append(t.levels, 0.0)], codes)
+        clicks, linear = _padded(t.clicks, offset, n_slots), _padded(t.linear_mode, offset, n_slots)
+        traces[name] = DetectorTrace(clicks, levels, codes, linear)
+    return DetectionRecord(traces)

@@ -344,10 +344,12 @@ def test_probe_threshold_follows_the_values_its_slots_carry():
 
 
 def test_capture_fraction_bounds_and_matching():
+    # Bob's sifted slots and bits against Eve's masks: where she holds a bit, and the bit.
     slots = np.array([1, 2, 3, 4])
-    bits = np.array([0, 1, 0, 1])
-    assert capture_fraction(slots, bits, slots, bits) == 1.0
-    assert capture_fraction(slots, bits, slots[:2], bits[:2]) == 0.5
-    wrong = 1 - bits
-    assert capture_fraction(slots, bits, slots, wrong) == 0.0
-    assert capture_fraction(np.array([]), np.array([]), slots, bits) == 0.0
+    bits = np.array([False, True, False, True])
+    held = np.array([False, True, True, True, True])
+    eve = np.array([False, False, True, False, True])
+    assert capture_fraction(slots, bits, held, eve) == 1.0
+    assert capture_fraction(slots, bits, held[:3], eve[:3]) == 0.5  # she holds no slot past her masks
+    assert capture_fraction(slots, bits, held, ~eve) == 0.0
+    assert capture_fraction(np.array([], dtype=np.int64), np.array([], dtype=bool), held, eve) == 0.0

@@ -27,7 +27,7 @@ from dprsim.config import (
     TrojanSettings,
     scenario_from_dict,
 )
-from dprsim import detectors, scenario
+from dprsim import attacks, detectors, scenario
 from dprsim.detectors import (
     DetectionRecord,
     DetectorTrace,
@@ -73,8 +73,10 @@ PROTOCOLS = {p: scenario_from_dict({"protocol": p}) for p in ("dps", "cow")}
 
 def eve_key(protocol: str, alice: str, clicks) -> tuple[np.ndarray, np.ndarray]:
     """Eve's key over Alice's COW symbols (none for DPS) from ``clicks(name)``,
-    the clicks of her detector ``name``."""
-    return _eve_key(PROTOCOLS[protocol], codes(alice), clicks)
+    the clicks of her detector ``name``, as the loops list it: the positions
+    where her mask holds a bit, and those bits."""
+    held, bits = _eve_key(PROTOCOLS[protocol], codes(alice), clicks)
+    return np.flatnonzero(held), bits[held]
 
 
 all_decoys = [st.integers(1, 40).map(lambda n: "d" * n)]
@@ -119,8 +121,10 @@ def test_empty_symbol_string_is_rejected():
 @settings(max_examples=200)
 def test_occupancy_and_interfaces_match_loops(sym):
     _same(cow_occupancy(codes(sym)), oracle.cow_occupancy_loop(sym))
-    slots, classes = _interfaces(codes(sym))
-    assert list(zip(slots.tolist(), [VISIBILITY_CLASSES[c] for c in classes])) == oracle.cow_interfaces_loop(sym)
+    classes = _interfaces(codes(sym))
+    slots = np.flatnonzero(classes >= 0)
+    assert classes.dtype == np.int8 and classes.size == 2 * len(sym)
+    assert list(zip(slots.tolist(), [VISIBILITY_CLASSES[c] for c in classes[slots]])) == oracle.cow_interfaces_loop(sym)
 
 
 @given(symbols_and_clicks(n_lines=2, extra=1))
@@ -251,19 +255,23 @@ def test_trojan_decode_matches_loops(intensity, phase, slot_codes, symbols):
         _same(got, want)
 
 
-slot_lists = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 1)), min_size=0, max_size=25)
+mask_pairs = st.lists(st.tuples(st.booleans(), st.booleans()), min_size=0, max_size=25)
 
 
-@given(slot_lists, slot_lists)
-@example([], [(1, 0)])
-@example([(1, 0)], [])
-@example([(3, 1), (3, 1)], [(3, 0), (5, 1), (3, 1), (0, 0)])  # duplicate Eve slot: the last entry wins
-@example([(5, 0), (3, 1), (3, 1), (3, 0)], [(3, 0), (3, 1)])  # Eve's list is the shorter one
+@given(mask_pairs, mask_pairs, st.integers(1, 5))
+@example([], [(True, False)], 1)
+@example([(True, False)], [], 1)
+@example([(False, False)] * 3 + [(True, True)] * 3, [(True, True)] * 4, 2)  # Bob's slots run past Eve's masks
 @settings(max_examples=400)
-def test_capture_fraction_matches_loop(bob, eve):
-    # Slots arrive unsorted and repeat, on both sides.
-    arrays = [np.array([p[k] for p in side], dtype=np.int64) for side in (bob, eve) for k in (0, 1)]
-    assert capture_fraction(*arrays) == oracle.capture_fraction_loop(*arrays)
+def test_capture_fraction_matches_loop(bob, eve, block):
+    # Bob's sifted slots ascend, each with its bit, gathered a few at a time;
+    # Eve's key is two masks, which may end before or after Bob's last slot.
+    sifted, bits = (np.array([p[k] for p in bob], dtype=bool) for k in (0, 1))
+    held, eve_bits = (np.array([p[k] for p in eve], dtype=bool) for k in (0, 1))
+    slots = np.flatnonzero(sifted)
+    with mock.patch.object(attacks, "_GATHER_BLOCK", block):
+        got = capture_fraction(slots, bits[slots], held, eve_bits)
+    assert got == oracle.capture_fraction_loop(slots, bits[slots], np.flatnonzero(held), eve_bits[held])
 
 
 @given(st.integers(0, 2**32), st.integers(2, 300))
@@ -395,6 +403,41 @@ def test_blinding_bookkeeping_matches_loops(protocol, seed, dark, p_never):
     assert run.qber == want.qber == (float(np.mean(loop[0] != loop[1])) if loop[0].size else 0.0)
     _same(outcome.eve_key, eve_bits)
     assert outcome.capture_fraction == oracle.capture_fraction_loop(run.sifted_slots, run.sifted_bob, eve_idx, eve_bits)
+
+
+@st.composite
+def grids_in_records(draw):
+    """A protocol, Alice's codes, a record of random clicks and the slot
+    where her grid (one slot per DPS symbol, two per COW symbol, and one
+    more) starts in it: the grid may run past the record's end, or start
+    past it."""
+    protocol = draw(st.sampled_from(["dps", "cow"]))
+    if protocol == "dps":
+        alice = np.array(draw(st.lists(st.integers(0, 1), min_size=1, max_size=40)), dtype=np.int8)
+        names, n_slots = ("D1", "D2"), alice.size + 1
+    else:
+        alice = codes(draw(st.one_of(symbols, *all_decoys)))
+        names, n_slots = ("D_B", "D_M1", "D_M2"), 2 * alice.size + 1
+    n = draw(st.integers(1, n_slots + 6))
+    record = _record(n, **{name: draw(st.lists(st.booleans(), min_size=n, max_size=n)) for name in names})
+    return protocol, alice, record, draw(st.integers(0, n + 3)), n_slots
+
+
+@given(grids_in_records())
+@settings(max_examples=300)
+def test_windowed_sift_matches_sift_of_padded_record(case):
+    # Bob's sift reads each detector's clicks through a window of the whole
+    # record, and keeps the record; it once sifted a copy of the record cut
+    # to Alice's grid and padded with silent, dark slots.
+    protocol, alice, record, offset, n_slots = case
+    cfg = PROTOCOLS[protocol]
+    got = scenario._sift(cfg, alice, record, offset)
+    want = scenario._sift(cfg, alice, oracle.on_grid(record, offset, n_slots))
+    for name in ("sifted_alice", "sifted_bob", "sifted_slots"):
+        _same(getattr(got, name), getattr(want, name))
+    assert got.qber == want.qber
+    assert got.visibility_report == want.visibility_report
+    assert got.record is record
 
 
 def _incident(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:

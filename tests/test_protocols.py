@@ -202,12 +202,6 @@ def test_dps_discarding_clicks_never_creates_errors(bits, rnd):
     assert km.qber == 0.0
 
 
-def test_dps_sift_rejects_misaligned_record():
-    record = dps_record(dps_encode([0, 1, 0]))
-    with pytest.raises(ValueError):
-        dps_sift([0, 1, 0, 1], record)
-
-
 # ---------------------------------------------------------------------------
 # COW encoding and measurement
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from dprsim.cli import main
 from dprsim.config import AttackSettings, BlindingSettings, ConfigError, DetectorSettings, ScenarioConfig, scenario_from_dict
 from dprsim.detectors import apd_detect
 from dprsim.goldens import GOLDENS, golden_config_dict
-from dprsim.protocols import _interfaces
 from dprsim.report import emit_outputs, load_record, save_record, summarize
 from dprsim.scenario import (
     RngFactory,
@@ -25,7 +24,6 @@ from dprsim.scenario import (
     _alice_material,
     _decoder,
     _eve_key,
-    _on_grid,
     _receive,
     _sift,
     _transmit,
@@ -41,6 +39,7 @@ from _oracles import (
     blinding_trace_loop,
     join_record_file,
     load_record_copied,
+    on_grid,
     record_v1_hash,
     split_record_file,
 )
@@ -416,24 +415,24 @@ def test_a_line_of_many_levels_takes_wider_codes_and_round_trips(tmp_path):
 
 
 def test_slots_past_a_blinded_record_read_silent_and_dark():
-    # Bob sifts the blinded record over Alice's grid; where the grid runs
-    # past the record, its slots carry no click and no light, even on a line
-    # whose levels hold no zero intensity.
+    # The padded record that Bob's blinded sift is checked against: where
+    # Alice's grid runs past the record, its slots carry no click and no
+    # light, even on a line whose levels hold no zero intensity.
     record = apd_detect(
         np.array([0.5, 1.0]), np.array([1, 0, 1, 1, 0, 1], dtype=np.uint8), 0.25, (0.1, 0.4),
         DetectorSettings(), "D", blinding=BlindingSettings(style="cw", illumination_level=2.0),
     )
     trace = record["D"]
-    grid = _on_grid(record, 2, 7)["D"]
+    grid = on_grid(record, 2, 7)["D"]
     assert len(grid) == 7 and list(grid.levels) == [0.0, 0.5, 1.0]
     np.testing.assert_array_equal(grid.intensity, [1.0, 1.0, 0.5, 1.0, 0.0, 0.0, 0.0])
     np.testing.assert_array_equal(grid.clicks, np.append(trace.clicks[2:], [False] * 3))
     np.testing.assert_array_equal(grid.linear_mode, np.append(trace.linear_mode[2:], [False] * 3))
     # A window wholly past the record is all dark.
-    past = _on_grid(record, 8, 3)["D"]
+    past = on_grid(record, 8, 3)["D"]
     assert list(past.levels) == [0.0] and not past.clicks.any() and not past.linear_mode.any()
     # Inside the record the window keeps the record's levels.
-    inside = _on_grid(record, 1, 4)["D"]
+    inside = on_grid(record, 1, 4)["D"]
     assert inside.levels is trace.levels
     np.testing.assert_array_equal(inside.intensity, trace.intensity[1:5])
 
@@ -526,16 +525,14 @@ def test_a_stored_blinded_record_gives_its_grid(tmp_path, doc):
     bob, codes, readings = run.record, run.alice_codes, outcome.eve_readings
     pulses = len(bob["D1"]) - 1 if cfg.protocol == "dps" else len(bob["D_B"])
     offset = pulses - len(readings)
-    # Bob's grid is one slot longer than Alice's train: a slot per DPS symbol, two per COW symbol.
-    n_slots, interfaces = (codes.size + 1, None) if cfg.protocol == "dps" else (2 * codes.size + 1, _interfaces(codes))
-    again = _sift(cfg, codes, _on_grid(bob, offset, n_slots), interfaces)
+    again = _sift(cfg, codes, bob, offset)
     for name in ("sifted_slots", "sifted_alice", "sifted_bob"):
         assert getattr(again, name).tobytes() == getattr(run, name).tobytes(), name
     assert again.qber == run.qber
     assert again.visibility_report == run.visibility_report
     assert _decoder(cfg)(bob, offset, readings.size).tobytes() == outcome.bob_readings.tobytes()
-    _, eve_bits = _eve_key(cfg, codes, lambda name: readings == {"D1": 1, "D2": 2, "D_B": 3}[name])
-    assert eve_bits.tobytes() == outcome.eve_key.tobytes()
+    held, bits = _eve_key(cfg, codes, lambda name: readings == {"D1": 1, "D2": 2, "D_B": 3}[name])
+    assert bits[held].tobytes() == outcome.eve_key.tobytes()
 
 
 def _arrays(value):
@@ -787,44 +784,51 @@ def test_run_scenario_no_attack_has_no_outcome():
 
 # Peak traced memory of ``run_scenario`` over its record's array bytes, at 2e4
 # symbols, with each detector's intensity stored as levels and one-byte
-# codes; measured after one warm-up run, over the golden's seed and seeds 1-3:
-# 1.270-1.287, 1.516-1.518, 1.866-1.867, 1.886-1.888, 1.668-1.669,
-# 1.599-1.600 and 1.556-1.557 (the first run of a process reads highest).
+# codes; measured after one warm-up run, each case's test run alone in a
+# fresh process, where it reads highest: 1.282, 1.291, 1.455, 1.400, 1.181,
+# 1.256, 1.211 and 1.770 (later runs of a process, and seeds 1-3, read
+# 0.005-0.02 lower).
+# The sift reads Bob's clicks through windows of his record, and Eve's key
+# and its capture are masks over Alice's grid, gathered a block at a time.
 # Eve's backflash replica holds one byte per slot, its decision, and no
-# per-click array: the ideal runs, where every click emits, peak after it,
-# as the outcome is built.  Derived blinding stores no photocurrent and
-# runs Bob's blinded detectors and monitors a block of slots at a time, so
-# it holds no slot-length float; it peaks decoding Bob's readings.  COW
-# trojan peaks in ``_eve_key`` over Eve's clicks.
-PEAK_TO_RECORD = [
-    ({"golden_name": "dps-backflash-stat", "n_symbols": 20_000}, 1.29),
-    (
-        {
-            "protocol": "cow",
-            "n_symbols": 20_000,
-            "t_b": 0.5,
-            "attack": {"kind": "blinding"},
-            "countermeasures": {"photocurrent_monitor": {"enabled": True}},
-        },
-        1.54,
-    ),
-    ({"golden_name": "dps-trojan", "n_symbols": 20_000}, 1.88),
-    ({"golden_name": "cow-trojan", "n_symbols": 20_000}, 1.90),
-    ({"golden_name": "dps-backflash-ideal", "n_symbols": 20_000}, 1.68),
-    ({"golden_name": "cow-backflash-ideal", "n_symbols": 20_000}, 1.61),
-    (
+# per-click array.  Derived blinding stores no photocurrent and runs Bob's
+# blinded detectors and monitors a block of slots at a time, so it holds no
+# slot-length float.  Where each case peaks: `dps-backflash-stat` in Eve's
+# backflash replica, the trojan runs in her replica decode of the probe,
+# the ideal backflash runs in the sift (COW) or as the outcome is built
+# (DPS), derived blinding in Bob's blinded receive (COW) or sift (DPS), and
+# with afterpulses in Eve's replica of Bob, while his clean record is held.
+DERIVED_COW_BLINDING = {
+    "protocol": "cow",
+    "n_symbols": 20_000,
+    "t_b": 0.5,
+    "attack": {"kind": "blinding"},
+    "countermeasures": {"photocurrent_monitor": {"enabled": True}},
+}
+PEAK_TO_RECORD = {
+    "dps-backflash-stat": ({"golden_name": "dps-backflash-stat", "n_symbols": 20_000}, 1.285),
+    "derived-cow-blinding": (DERIVED_COW_BLINDING, 1.295),
+    "dps-trojan": ({"golden_name": "dps-trojan", "n_symbols": 20_000}, 1.46),
+    "cow-trojan": ({"golden_name": "cow-trojan", "n_symbols": 20_000}, 1.405),
+    "dps-backflash-ideal": ({"golden_name": "dps-backflash-ideal", "n_symbols": 20_000}, 1.185),
+    "cow-backflash-ideal": ({"golden_name": "cow-backflash-ideal", "n_symbols": 20_000}, 1.26),
+    "derived-dps-blinding": (
         {
             "protocol": "dps",
             "n_symbols": 20_000,
             "attack": {"kind": "blinding"},
             "countermeasures": {"photocurrent_monitor": {"enabled": True}},
         },
-        1.57,
+        1.215,
     ),
-]
+    "derived-cow-blinding-afterpulses": (
+        {**DERIVED_COW_BLINDING, "detector": {"afterpulse_prob": 0.01}},
+        1.775,
+    ),
+}
 
 
-@pytest.mark.parametrize("doc,bound", PEAK_TO_RECORD)
+@pytest.mark.parametrize("doc,bound", PEAK_TO_RECORD.values(), ids=list(PEAK_TO_RECORD))
 def test_run_allocates_little_beyond_its_record(doc, bound):
     cfg = load_config(json.dumps(doc))
     run_scenario(cfg)  # caches filled once per process stay out of the peak
@@ -844,7 +848,7 @@ def test_run_allocates_little_beyond_its_record(doc, bound):
 # boolean slot mask that checks it and, once that is freed, a leaf's repeated
 # level (at most 64 kB).
 SUMMARY_TO_RECORD = [
-    (PEAK_TO_RECORD[1][0], 0.094),
+    (DERIVED_COW_BLINDING, 0.094),
     ({"golden_name": "dps-backflash-stat", "n_symbols": 100_000}, 0.060),
 ]
 

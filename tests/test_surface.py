@@ -149,4 +149,4 @@ def test_protocol_branches_do_not_grow():
         text.count('protocol == "') + text.count('protocol != "')
         for text in (path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py"))
     )
-    assert branches <= 14
+    assert branches <= 13
