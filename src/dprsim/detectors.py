@@ -256,7 +256,11 @@ class DetectorTrace:
         click: bit for bit ``float(np.sum(levels.take(level_codes[clicks])))``
         (``_pairwise_sum``).  Where every click is at one level, as where the
         thresholds alone decide them, a run's sum depends on its length alone."""
-        n, codes = self.click_count, self.level_codes
+        return self._detected_intensity(self.click_count)
+
+    def _detected_intensity(self, n: int) -> float:
+        """``detected_intensity`` of a trace of ``n`` clicks."""
+        codes = self.level_codes
         if not n:
             return 0.0
         first = codes[np.argmax(self.clicks)]

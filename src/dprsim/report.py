@@ -3,7 +3,8 @@
 Every emitted file parses back into the in-memory values exactly.
 ``metrics.json`` carries a ``format`` key.  ``record.json`` is a record file
 of format ``record.RECORD_FORMAT``, laid out as :class:`RunRecord` states:
-the bytes that the record's content hash covers, framed.  It is the one
+the canonical header and the array bytes whose digests the record's content
+hash covers, framed.  It is the one
 per-slot output.  :func:`load_record` decodes it as aligned, writable views of
 a private copy-on-write mapping, with no copy; :func:`save_record` replaces the
 file whole.  Rewriting one in place by other means (``cp`` onto it) while a
@@ -66,6 +67,7 @@ def summarize(record: RunRecord) -> MetricsSummary:
     """Recompute the metric summary from a run record alone."""
     run, vis, outcome = record.protocol_run, record.protocol_run.visibility_report, record.attack
     traces = run.record.detectors
+    counts = {name: t.click_count for name, t in traces.items()}
     readings_match = None
     if outcome is not None and outcome.bob_readings is not None:
         readings_match = np.array_equal(outcome.bob_readings, outcome.eve_readings)
@@ -81,8 +83,8 @@ def summarize(record: RunRecord) -> MetricsSummary:
         bob_record_equals_eve_readings=readings_match,
         alarms={} if outcome is None else dict(outcome.alarms),
         feasibility=None if outcome is None else outcome.feasibility,
-        detector_counts={name: t.click_count for name, t in traces.items()},
-        detected_intensity={name: t.detected_intensity for name, t in traces.items()},
+        detector_counts=counts,
+        detected_intensity={name: t._detected_intensity(counts[name]) for name, t in traces.items()},
     )
 
 

@@ -114,16 +114,21 @@ def _bounded_codes(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     """``rng.integers(0, m, n, dtype=np.int64)`` as int8, drawn as numpy draws it:
     32-bit Lemire on the halves ``x`` of each raw word, low half first, rejecting
     ``(x * m) mod 2**32 < (2**32 - m) mod m`` (for m = 3, ``x == 0``), else drawing
-    ``(x * m) >> 32``.  A half left at the end is dropped: nothing draws again."""
+    ``(x * m) >> 32``.  A power of two ``m = 2**k`` rejects nothing, and draws
+    the top ``k`` bits of ``x``.  A half left at the end is dropped: nothing
+    draws again."""
     out, done, reject = np.empty(n, dtype=np.int8), 0, (2**32 - m) % m
     while done < n:
         words = rng.bit_generator.random_raw(min(_WORD_BLOCK, (n - done + 1) // 2))
         halves = words.astype("<u8", copy=False).view("<u4")
-        halves = (halves[halves * np.uint32(m) >= reject] if reject else halves)[: n - done]
-        product = halves * np.uint64(m)
-        product >>= np.uint64(32)
-        out[done : done + halves.shape[0]] = product
-        done += halves.shape[0]
+        if reject:
+            product = halves[halves * np.uint32(m) >= reject][: n - done] * np.uint64(m)
+            product >>= np.uint64(32)
+        else:
+            product = halves[: n - done]
+            product >>= np.uint32(33 - m.bit_length())
+        out[done : done + product.shape[0]] = product
+        done += product.shape[0]
     return out
 
 
@@ -262,23 +267,16 @@ def _run_trojan(cfg: ScenarioConfig, run: ProtocolRun) -> tuple[tuple[np.ndarray
     return _eve_key(cfg, run.alice_codes, eve.clicks), {"alarms": alarms}
 
 
-def _eve_readings(
-    cfg: ScenarioConfig, rngs: RngFactory, train: PulseTrain, codes: np.ndarray, clean: DetectionRecord
-) -> np.ndarray:
+def _eve_readings(cfg: ScenarioConfig, record: DetectionRecord, n_slots: int) -> np.ndarray:
     """The blinding attack's first stage: the readings Eve replays, pinned or
-    measured by her replica of Bob on Alice's train (coded by ``codes``, see
-    ``_receive``) over the slots of its record, one more than the train's.
-    Detectors that draw nothing record the same train alike, so then her
-    replica's record is Bob's ``clean`` one."""
+    decoded from the ``record`` of her replica of Bob on Alice's train over
+    its ``n_slots`` slots, one more than the train's."""
     readings = cfg.attack.blinding.readings
     if readings is not None:
         return np.array(readings, dtype=np.int8)
-    record = clean
-    if cfg.detector.afterpulse_prob > 0.0 or cfg.detector.dark_count_prob > 0.0:
-        record = _receive(cfg, train, codes, rngs, "eve-stage1")
     # A double click of Eve's replica (DPS reading -1) names no detector:
     # she replays it as a vacuum event.
-    return np.maximum(_decoder(cfg)(record, 0, codes.size + 1), 0)
+    return np.maximum(_decoder(cfg)(record, 0, n_slots), 0)
 
 
 def _run_blinding(
@@ -415,23 +413,30 @@ def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunRecord:
     run = _sift(cfg, codes, record)
 
     kind = cfg.attack.kind
-    # Drop what no later stage reads: Alice's train serves only Eve's
-    # blinding replica.
-    if kind == "blinding":
-        readings = _eve_readings(cfg, rngs, train, slot_codes, record)
-    del train, slot_codes, record
     outcome = None
     if kind != "none":
         clean_qber, clean_visibility = run.qber, _overall_visibility(run)
+    if kind == "blinding":
+        # Eve's replica of Bob and his blinded receive are where a run
+        # peaks: of his clean run only its QBER and visibility are read
+        # again.  Detectors that draw nothing record Alice's train alike, so
+        # his record is her replica's; else it goes before her receive.
+        del run
+        detector = cfg.detector
+        if cfg.attack.blinding.readings is None and (detector.afterpulse_prob > 0.0 or detector.dark_count_prob > 0.0):
+            del record
+            record = _receive(cfg, train, slot_codes, rngs, "eve-stage1")
+        readings = _eve_readings(cfg, record, slot_codes.size + 1)
+    # Drop what no later stage reads: Alice's train serves only Eve's
+    # blinding replica.
+    del train, slot_codes, record
+    if kind != "none":
         bob_readings = None
         if kind == "backflash":
             key, fields = _run_backflash(cfg, rngs, run), {}
         elif kind == "trojan":
             key, fields = _run_trojan(cfg, run)
         else:
-            # Bob's blinded receive is where a run peaks: of the clean run
-            # only its QBER and its visibility are read again.
-            del run
             run, key, fields, bob_readings = _run_blinding(cfg, rngs, codes, readings)
         outcome = _outcome(kind, run, clean_qber, clean_visibility, key, fields)
         if bob_readings is not None:

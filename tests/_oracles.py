@@ -10,7 +10,8 @@ it, and derives each detector's photocurrent from its intensity and the
 run's blinding settings (``DetectorTrace.photocurrent``), as the record no
 longer stores it.  ``split_record_file``
 and ``join_record_file`` read and write the layout of a record file, its
-padded arrays included, independently of the package's codec, and
+padded arrays included, independently of the package's codec,
+``record_file_hash`` computes a record's content hash from its file alone, and
 ``load_record_copied`` keeps the record loader as it read the file into one
 buffer of its own before it mapped the file.  The ``*_loop`` functions keep the per-slot and
 per-symbol Python loops that whole-array code replaced, so the replacements
@@ -222,6 +223,18 @@ def split_record_file(data: bytes):
         raw.append(data[at : at + _array_bytes(leaf)])
         at += _array_bytes(leaf)
     return version, tree, offsets, b"".join(raw), data[at:]
+
+
+def record_file_hash(data: bytes) -> str:
+    """The content hash of a record file's bytes: SHA-256 over its header
+    line, then over the SHA-256 digest of each array's span of the file, in
+    file order, on one thread."""
+    header = data.split(b"\n", 2)[1]
+    _, tree, offsets, _, _ = split_record_file(data)
+    digest = hashlib.sha256(header)
+    for path, leaf in array_leaves(tree):
+        digest.update(hashlib.sha256(data[offsets[path] : offsets[path] + _array_bytes(leaf)]).digest())
+    return digest.hexdigest()
 
 
 def join_record_file(version: bytes, tree: dict, raw: bytes, trailer: bytes) -> bytes:

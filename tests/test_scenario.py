@@ -4,8 +4,10 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dprsim
+from dprsim import record as record_module
 from dprsim.cli import main
 from dprsim.config import AttackSettings, BlindingSettings, ConfigError, DetectorSettings, ScenarioConfig, scenario_from_dict
 from dprsim.detectors import apd_detect
@@ -40,6 +43,7 @@ from _oracles import (
     join_record_file,
     load_record_copied,
     on_grid,
+    record_file_hash,
     record_v1_hash,
     split_record_file,
 )
@@ -65,23 +69,24 @@ GOLDEN_HASHES = {
 }
 
 # Record content hashes of the pinned scenarios (dprsim-record/9: canonical
-# header plus raw little-endian array bytes, each run value stored once, each
-# detector's intensity as its sorted distinct levels and one code per slot,
-# and no photocurrent, which the intensity and the settings derive).
+# header plus the SHA-256 digest of each array's raw little-endian bytes, each
+# run value stored once, each detector's intensity as its sorted distinct
+# levels and one code per slot, and no photocurrent, which the intensity and
+# the settings derive).
 GOLDEN_RECORD_HASHES = {
-    "dps-ideal": "095342d1543e974a7d01e2780254d336a3f97d0315dc7b06c0c02765785392d7",
-    "cow-fig2": "dca07a5322241a1aa61903380cea56cabb879b4abee004dd731f508eafdb362d",
-    "cow-fig4-tamper": "7d6e5ca7d1d50b3785b55f2aef61106dbec23cb454ec80fe0e7ba7bd24cc1005",
-    "dps-backflash-ideal": "2061807805d404ee305d6476e4146906737e940468ace32caf822b9853e3d697",
-    "cow-backflash-ideal": "1a46eca25d3b657df0eb11d731e81733d3de9e263f2ab503eec38d09e05bf576",
-    "dps-backflash-stat": "af74744cdb055e6975cd07c5a6ccd1f78b0e5856eab6a4a40689d9ce06ffe507",
-    "dps-trojan": "cdc78b29d7c0b380b1d4e8bf5dd6f51bea1d0022a4391430bd029a63db567178",
-    "dps-trojan-watchdog": "4bb609222c582a883d19e1b483a01525864a7c056ef2c60fe3a1e745488cae81",
-    "cow-trojan": "93dc3641229ebf1fb62fb287a58858d68985b0bba004c93840e50cdd65e97ae3",
-    "dps-blinding": "8744f71e25abe625843055077ca01ff0679e6368bdc7b2803660bd4653db4bf7",
-    "dps-blinding-derived": "fbf8a968b4c138edb44d71a0aa694831a9c9c2beea065882205fa5738f52b437",
-    "cow-blinding": "87c41b6fa1f8df971464631d07ae5b2f1153c54af51d42334e8d8d7933263c00",
-    "cow-blinding-cw": "d2c9c670e5e3e74efe0ce8108c846292be042ee3745444fb459539eeed8ed08c",
+    "dps-ideal": "34d3ba4b5455330f01343580b78fe2edafdc7cba533214ae5fa1b423c419b0f8",
+    "cow-fig2": "31b6dcfd776c7b8baecc40408d43a55a2c56cc22bd395757ebf56959f438cad6",
+    "cow-fig4-tamper": "cb10e8cbfcdc0000b92ace21b4598c7a8a5a95117c0c0b61af206535587f2a09",
+    "dps-backflash-ideal": "5a62ef4a553b270f5e8537e19cb4d366a7d1dc4420aa84b87c4f9f7ecd45c46b",
+    "cow-backflash-ideal": "75ca506958cab62c1440e42597611f7841b66bf03c1b6f374034a27ba4f9f27b",
+    "dps-backflash-stat": "6d1db57958d47b92b8fd5ef7bfb4556ce47e4b8dca80fb64414abb8b56e7c31e",
+    "dps-trojan": "445e85db90278c4baf3106df0cd898720736c0b8732587d2e6c4e71f48290a51",
+    "dps-trojan-watchdog": "621c57f20f178e2313969b8b7db3c57a399307a9dbe9ad16f568323e6274a3af",
+    "cow-trojan": "39c6d955a7b5a70075f39a11d901fd1f5a0ce0d16b8c9c10f8e21e0221b35e16",
+    "dps-blinding": "e628aae3ef2daddb4b3b5bdfca5ce263134ebe4ce191f1089073cd479c43c5ff",
+    "dps-blinding-derived": "b901a9898152535a847c4cb537bdd63db3ed73a782da0c82fc272c28772f6d92",
+    "cow-blinding": "20f6af44fa7c46d5e32805bb72b1f4af90f4680c48b6abfb2b91388609c21512",
+    "cow-blinding-cw": "58726889a4c168c63b5d5e9c905598ead80bf8d13ce8fa6c108b3b8fa5a5a64b",
 }
 
 # The same records hashed by the retired dprsim-record/1 serializer
@@ -154,16 +159,16 @@ NOISY_RUNS = {
 }
 # Record content hashes of the noisy runs (dprsim-record/9).
 NOISY_RUN_HASHES = {
-    "dps-clean": "5029b65ba13767bc4448708a483bc13718cd3849c84eaaa6ada93b5a74f6992e",
-    "cow-clean": "aae60345a903201becc60a7c05ee350544f476b8baaa0e2bbf3836af843bf9e2",
-    "dps-blinding": "f5a9edd790bbd46cf02ab82a498f8850ac885c041a3a4f6556beeb7f26b3e17f",
-    "cow-blinding": "76aacf8e271d96da0bfb5bcceb8ab833fba3c1f71cd3c2c2e90d137c73ffbb71",
-    "dps-backflash": "e5242f33250163e4051a4688916e32865d3b8e0a64df88f544a47a171a222ec0",
-    "cow-backflash": "c3bead3a5929ac9445b146c94586fd6ad0618025160757d55913805ea9e8a4c8",
-    "dps-trojan": "ae2af6b8cd3d118acb538b34838a471da2b406942220dfdabf4eb5d7f22f39f1",
-    "cow-trojan": "5e810d8aa19e50894925f3ba943ad0874ac1c2c609981f5e880f18be0b37845f",
-    "dps-blinding-between-rails": "887aec9dcff8ef806ef649ee62d2f9e3a39abb377b450501717e9f5b5676bcbf",
-    "cow-blinding-weak-light": "3e1bd415f904896e071a302f83a9d3da1bce75c2a25f62e18cc56a7b125836ed",
+    "dps-clean": "1b4618d29ba691f11c4740b6adc65ad90ca7d362d7e06ec0600439aeacb75bcb",
+    "cow-clean": "ccfb8ecda017a633377165d0a7ffaac7f8e887c59856957bb74b80c23a5a3a51",
+    "dps-blinding": "19f517b8323be2c557515c8173b54befb4e0a2ed9043f68a7c005206d2d8e6a5",
+    "cow-blinding": "ef7b1ae4237e8872b81111e8cbeb715ce1b2dd91e3c1a045450b5515eb1ada7d",
+    "dps-backflash": "b26c0482ff14b4b4698aeeb657b0c9d336fa5543d5975af1e0540c6a12339635",
+    "cow-backflash": "6d67450b7a10d2184a6956e0460d91fb9de0cee8e893c1fca29a62defbb9200d",
+    "dps-trojan": "2376bfa0f774b0b58ff7ed912a6542127faf5a58ca7947fa47dbb232f3b0a4cd",
+    "cow-trojan": "01e51c788b89642d09ed4d0afc6d791cc279a1a286edff16eb84c67cc9d4661f",
+    "dps-blinding-between-rails": "27d8ff9f00c99fa0e6b43a9ec8077e015b1858314617a2493f884775ab4a1d50",
+    "cow-blinding-weak-light": "919597de7bbb55666213089f5a83ff5d3c0f3431f2f2b84f2676cde5fbd0df08",
 }
 
 # The same runs hashed by ``record_v1_hash``, taken before dprsim-record/4:
@@ -282,14 +287,6 @@ def _round_trips(record, tmp_path):
     return RunRecord.from_dict(record.to_dict()), load_record(path)
 
 
-def _hashed_span(data: bytes) -> bytes:
-    """A record file minus its version line, its header's newline, its
-    padding and its trailer."""
-    version, header, _, raw, _ = split_record_file(data)
-    assert version == b"dprsim-record/9"
-    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + raw
-
-
 def test_record_round_trips_through_plain_data(tmp_path):
     record = run_golden("cow-fig2")
     for clone in _round_trips(record, tmp_path):
@@ -312,6 +309,8 @@ def test_attack_record_round_trips(tmp_path):
 
 
 def test_content_hash_is_header_plus_raw_array_bytes(tmp_path):
+    # SHA-256 over the canonical header, then over the SHA-256 digest of
+    # each array's raw bytes, in header key order.
     record = run_golden("cow-blinding")
     arrays: list[bytes] = []
 
@@ -327,10 +326,8 @@ def test_content_hash_is_header_plus_raw_array_bytes(tmp_path):
     del header["wall_time_s"]
     canonical = json.dumps(header, sort_keys=True, separators=(",", ":"))
     assert canonical == record.canonical_json()
-    digest = hashlib.sha256(canonical.encode())
-    for data in arrays:
-        digest.update(data)
-    assert digest.hexdigest() == record.content_hash()
+    digests = b"".join(hashlib.sha256(data).digest() for data in arrays)
+    assert hashlib.sha256(canonical.encode() + digests).hexdigest() == record.content_hash()
     # The file holds exactly these bytes between its version line and
     # trailer, each array zero-padded to start at a multiple of 8 bytes.
     path = tmp_path / "record.json"
@@ -341,6 +338,7 @@ def test_content_hash_is_header_plus_raw_array_bytes(tmp_path):
     assert data.startswith(b"dprsim-record/9\n" + canonical.encode() + b"\n")
     assert all(offset % 8 == 0 for offset in split_record_file(data)[2].values())
     assert json.loads(canonical)["format"] == "dprsim-record/9"
+    assert record_file_hash(data) == record.content_hash()
 
 
 def test_saved_record_is_compact_and_reloads_the_in_memory_types(tmp_path):
@@ -628,9 +626,61 @@ def test_golden_record_hashes_are_pinned(golden_records):
 def test_saved_golden_files_hash_to_their_pins(golden_records, tmp_path):
     for name, record in golden_records.items():
         save_record(record, tmp_path / f"{name}.json")
-        span = _hashed_span((tmp_path / f"{name}.json").read_bytes())
-        digest = hashlib.sha256(span).hexdigest()
-        assert digest == record.content_hash() == GOLDEN_RECORD_HASHES[name], name
+        data = (tmp_path / f"{name}.json").read_bytes()
+        assert data.startswith(b"dprsim-record/9\n"), name
+        assert record_file_hash(data) == record.content_hash() == GOLDEN_RECORD_HASHES[name], name
+
+
+def test_content_hash_is_the_same_on_one_thread_or_two(golden_records, tmp_path, monkeypatch):
+    # dps-backflash-stat's arrays take 1.7 MB, past the split: on two CPUs a
+    # helper thread hashes about half their bytes.
+    record = golden_records["dps-backflash-stat"]
+    arrays = record._hashed()[1]
+    sizes = [arr.nbytes for arr in arrays]
+    assert sum(sizes) >= record_module._SPLIT_BYTES
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    theirs, mine = record_module._shares(arrays)
+    assert sorted(theirs + mine) == list(range(len(arrays)))
+    assert abs(sum(sizes[i] for i in theirs) - sum(sizes[i] for i in mine)) <= max(sizes)
+    pin = GOLDEN_RECORD_HASHES["dps-backflash-stat"]
+    assert record.content_hash() == pin
+    monkeypatch.setattr(record_module, "_SPLIT_BYTES", 1 << 62)
+    assert record_module._shares(arrays) == ([], list(range(len(arrays))))
+    assert record.content_hash() == pin
+    monkeypatch.undo()
+    # A process pinned to one CPU hashes every array on its calling thread.
+    save_record(record, tmp_path / "record.json")
+    code = (
+        "import os, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from dprsim.record import _shares\n"
+        "from dprsim.report import load_record\n"
+        "record = load_record(sys.argv[1])\n"
+        "assert not _shares(record._hashed()[1])[0]\n"
+        "print(record.content_hash())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dprsim.__file__).parent.parent)}
+    args = [sys.executable, "-c", code, str(tmp_path / "record.json")]
+    proc = subprocess.run(args, capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == pin
+
+
+def test_an_error_on_the_hashing_helper_reaches_the_caller(golden_records, monkeypatch):
+    class HelperFailed(Exception):
+        pass
+
+    caller = threading.current_thread()
+
+    def sha256(data=b""):
+        if threading.current_thread() is not caller:
+            raise HelperFailed("hashed on the helper")
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(record_module, "hashlib", SimpleNamespace(sha256=sha256))
+    with pytest.raises(HelperFailed, match="^hashed on the helper$"):
+        golden_records["dps-backflash-stat"].content_hash()
 
 
 X86_V3_AND_UP = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
@@ -786,7 +836,7 @@ def test_run_scenario_no_attack_has_no_outcome():
 # symbols, with each detector's intensity stored as levels and one-byte
 # codes; measured after one warm-up run, each case's test run alone in a
 # fresh process, where it reads highest: 1.282, 1.291, 1.455, 1.400, 1.181,
-# 1.256, 1.211 and 1.770 (later runs of a process, and seeds 1-3, read
+# 1.256, 1.211 and 1.308 (later runs of a process, and seeds 1-3, read
 # 0.005-0.02 lower).
 # The sift reads Bob's clicks through windows of his record, and Eve's key
 # and its capture are masks over Alice's grid, gathered a block at a time.
@@ -796,8 +846,8 @@ def test_run_scenario_no_attack_has_no_outcome():
 # slot-length float.  Where each case peaks: `dps-backflash-stat` in Eve's
 # backflash replica, the trojan runs in her replica decode of the probe,
 # the ideal backflash runs in the sift (COW) or as the outcome is built
-# (DPS), derived blinding in Bob's blinded receive (COW) or sift (DPS), and
-# with afterpulses in Eve's replica of Bob, while his clean record is held.
+# (DPS), and derived blinding in Bob's blinded receive (COW, afterpulses or
+# none) or sift (DPS): Bob's clean run goes before Eve's replica of him.
 DERIVED_COW_BLINDING = {
     "protocol": "cow",
     "n_symbols": 20_000,
@@ -823,7 +873,7 @@ PEAK_TO_RECORD = {
     ),
     "derived-cow-blinding-afterpulses": (
         {**DERIVED_COW_BLINDING, "detector": {"afterpulse_prob": 0.01}},
-        1.775,
+        1.31,
     ),
 }
 
